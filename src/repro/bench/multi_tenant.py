@@ -234,7 +234,6 @@ def run_multi_tenant(
     buffers from setup are not billed to the first measured ops.
     """
     mux = stack.mux
-    clock = stack.clock
     events = generate_schedule(specs, duration_ns, seed)
 
     # -- population + QoS setup (unmeasured) ----------------------------
@@ -266,8 +265,44 @@ def run_multi_tenant(
             tenant_handles.append(handle)
         handles.append(tenant_handles)
 
+    results, migrations, _ = _drive_open_loop(
+        mux, specs, events, handles, ring_depth, maintain_every
+    )
+    for tenant_handles in handles:
+        for handle in tenant_handles:
+            mux.close(handle)
+
+    return MultiTenantResult(
+        tenants=results,
+        offered_ops=len(events),
+        duration_ns=duration_ns,
+        ring_depth=ring_depth,
+        migrations_submitted=migrations,
+    )
+
+
+def _drive_open_loop(
+    front,
+    specs: List[TenantSpec],
+    events: List[Event],
+    handles: List[List],
+    ring_depth: int,
+    maintain_every: int = 0,
+) -> Tuple[Dict[str, TenantResult], int, int]:
+    """The measured window: replay ``events`` through one ring per tenant.
+
+    ``front`` is whatever serves the ring API — a Mux or a ``ClusterMux``
+    — and ``handles[tenant][file]`` the open population.  The clock
+    advances to each op's intended arrival, due completions are reaped,
+    the op is submitted; latency is completion minus *intended* arrival.
+    Returns the per-tenant results, the migration orders submitted by
+    the ``maintain_every`` rounds, and the makespan (ns from the first
+    arrival to the last drained completion, before in-flight migrations
+    are drained).
+    """
+    clock = front.clock
     results = {spec.name: TenantResult(spec.name) for spec in specs}
-    rings = [mux.open_ring(depth=ring_depth) for _ in specs]
+    rings = [front.open_ring(depth=ring_depth) for _ in specs]
     #: ring seq -> (intended arrival, op) per tenant
     outstanding: List[Dict[int, Tuple[int, str]]] = [{} for _ in specs]
 
@@ -282,7 +317,6 @@ def run_multi_tenant(
             latency = c.completed_ns - arrival
             (tenant.reads if op == "read" else tenant.writes).record(latency)
 
-    # -- measured open-loop schedule ------------------------------------
     migrations = 0
     start_ns = clock.now_ns
     for index, (arrival, idx, _seq, op, file_idx, offset) in enumerate(events):
@@ -290,11 +324,11 @@ def run_multi_tenant(
         harvest(idx, rings[idx].poll())
         if maintain_every:
             if index and index % maintain_every == 0:
-                migrations += mux.maintain_async()
+                migrations += front.maintain_async()
             # the background copier runs continuously: advance in-flight
             # migrations every event, otherwise one multi-chunk copy
             # spans many bursts and OCC-aborts on each (see tracereplay)
-            mux.engine.tick()
+            front.engine.tick()
         spec = specs[idx]
         handle = handles[idx][file_idx]
         if op == "read":
@@ -310,19 +344,10 @@ def run_multi_tenant(
     for idx, ring in enumerate(rings):
         harvest(idx, ring.drain())
         ring.close()
+    makespan_ns = clock.now_ns - start_ns
     if maintain_every:
-        mux.engine.drain()
-    for tenant_handles in handles:
-        for handle in tenant_handles:
-            mux.close(handle)
-
-    return MultiTenantResult(
-        tenants=results,
-        offered_ops=len(events),
-        duration_ns=duration_ns,
-        ring_depth=ring_depth,
-        migrations_submitted=migrations,
-    )
+        front.engine.drain()
+    return results, migrations, makespan_ns
 
 
 # ---------------------------------------------------------------------------

@@ -126,20 +126,47 @@ def _strata_fingerprint(clock, devices) -> Dict[str, object]:
 # fingerprint of the *whole* run including setup.
 
 
+def _result(
+    wall_s: float,
+    ops: int,
+    nbytes: int,
+    sim_elapsed_s: float,
+    fingerprint: Dict[str, object],
+    events: Optional[Dict[str, object]] = None,
+) -> Dict[str, object]:
+    """The record every workload returns (``run_workloads`` reads
+    ``wall_s``/``ops``/``fingerprint``; the rest lands in the bench file)."""
+    out: Dict[str, object] = {
+        "wall_s": wall_s,
+        "ops": ops,
+        "bytes": nbytes,
+        "sim_elapsed_s": sim_elapsed_s,
+        "fingerprint": fingerprint,
+    }
+    if events is not None:
+        out["events"] = events
+    return out
+
+
+def _timed(clock, fn) -> Tuple[object, float, int]:
+    """``fn()`` bracketed by both clocks: (its result, host s, simulated ns)."""
+    sim0 = clock.now_ns
+    t0 = time.perf_counter()
+    out = fn()
+    return out, time.perf_counter() - t0, clock.now_ns - sim0
+
+
 def _wl_seq_write(smoke: bool) -> Dict[str, object]:
     total = 8 * MIB if smoke else 48 * MIB
     stack = build_stack()
     stack.mux.mkdir("/bench")
-    t0 = time.perf_counter()
-    res = sequential_write(stack.mux, stack.clock, "/bench/seq", total)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": total // (4 * MIB),
-        "bytes": res.bytes_moved,
-        "sim_elapsed_s": res.elapsed_s,
-        "fingerprint": _mux_fingerprint(stack),
-    }
+    res, wall, _ = _timed(
+        stack.clock,
+        lambda: sequential_write(stack.mux, stack.clock, "/bench/seq", total),
+    )
+    return _result(
+        wall, total // (4 * MIB), res.bytes_moved, res.elapsed_s, _mux_fingerprint(stack)
+    )
 
 
 def _wl_seq_read(smoke: bool) -> Dict[str, object]:
@@ -149,20 +176,17 @@ def _wl_seq_read(smoke: bool) -> Dict[str, object]:
     stack.mux.mkdir("/bench")
     handle = make_file(stack.mux, stack.clock, "/bench/rdfile", size)
     stack.mux.close(handle)
-    t0 = time.perf_counter()
-    moved = 0
-    sim0 = stack.clock.now_ns
-    for _ in range(passes):
-        res = sequential_read(stack.mux, stack.clock, "/bench/rdfile", size)
-        moved += res.bytes_moved
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": passes * (size // (4 * MIB)),
-        "bytes": moved,
-        "sim_elapsed_s": (stack.clock.now_ns - sim0) / 1e9,
-        "fingerprint": _mux_fingerprint(stack),
-    }
+
+    def run() -> int:
+        return sum(
+            sequential_read(stack.mux, stack.clock, "/bench/rdfile", size).bytes_moved
+            for _ in range(passes)
+        )
+
+    moved, wall, sim_ns = _timed(stack.clock, run)
+    return _result(
+        wall, passes * (size // (4 * MIB)), moved, sim_ns / 1e9, _mux_fingerprint(stack)
+    )
 
 
 def _wl_hot_set(smoke: bool) -> Dict[str, object]:
@@ -172,62 +196,30 @@ def _wl_hot_set(smoke: bool) -> Dict[str, object]:
     stack.mux.mkdir("/bench")
     handle = make_file(stack.mux, stack.clock, "/bench/hot", size)
     stack.mux.close(handle)
-    t0 = time.perf_counter()
-    sim0 = stack.clock.now_ns
-    res = hot_set_reads(stack.mux, stack.clock, "/bench/hot", size, 2 * MIB, iters)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": res.operations,
-        "bytes": res.operations * 4096,
-        "sim_elapsed_s": (stack.clock.now_ns - sim0) / 1e9,
-        "fingerprint": _mux_fingerprint(stack),
-    }
+    res, wall, sim_ns = _timed(
+        stack.clock,
+        lambda: hot_set_reads(stack.mux, stack.clock, "/bench/hot", size, 2 * MIB, iters),
+    )
+    return _result(
+        wall, res.operations, res.operations * 4096, sim_ns / 1e9, _mux_fingerprint(stack)
+    )
 
 
-def _wl_fileserver(smoke: bool) -> Dict[str, object]:
-    files, ops = (10, 150) if smoke else (40, 600)
-    stack = build_stack()
-    t0 = time.perf_counter()
-    res = fileserver(stack.mux, stack.clock, files=files, operations=ops)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": res.operations,
-        "bytes": 0,
-        "sim_elapsed_s": res.elapsed_s,
-        "fingerprint": _mux_fingerprint(stack),
-    }
+def _macro_workload(
+    macro, smoke_shape: Dict[str, int], full_shape: Dict[str, int]
+) -> Callable[[bool], Dict[str, object]]:
+    """A filebench-style macro (``repro.bench.macro``) on the default stack;
+    the shapes are its ``files``/``operations`` keyword arguments."""
 
+    def workload(smoke: bool) -> Dict[str, object]:
+        stack = build_stack()
+        shape = smoke_shape if smoke else full_shape
+        res, wall, _ = _timed(
+            stack.clock, lambda: macro(stack.mux, stack.clock, **shape)
+        )
+        return _result(wall, res.operations, 0, res.elapsed_s, _mux_fingerprint(stack))
 
-def _wl_webserver(smoke: bool) -> Dict[str, object]:
-    files, ops = (30, 250) if smoke else (100, 1000)
-    stack = build_stack()
-    t0 = time.perf_counter()
-    res = webserver(stack.mux, stack.clock, files=files, operations=ops)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": res.operations,
-        "bytes": 0,
-        "sim_elapsed_s": res.elapsed_s,
-        "fingerprint": _mux_fingerprint(stack),
-    }
-
-
-def _wl_varmail(smoke: bool) -> Dict[str, object]:
-    ops = 80 if smoke else 300
-    stack = build_stack()
-    t0 = time.perf_counter()
-    res = varmail(stack.mux, stack.clock, operations=ops)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": res.operations,
-        "bytes": 0,
-        "sim_elapsed_s": res.elapsed_s,
-        "fingerprint": _mux_fingerprint(stack),
-    }
+    return workload
 
 
 def _wl_metadata_churn(smoke: bool) -> Dict[str, object]:
@@ -236,46 +228,30 @@ def _wl_metadata_churn(smoke: bool) -> Dict[str, object]:
     # tree construction is setup; the timed section is the steady-state
     # metadata traffic, routed through the VFS like a real application
     live = metadata_tree(stack.vfs, files=files, root="/mux")
-    t0 = time.perf_counter()
-    res = metadata_churn(
-        stack.vfs,
+    res, wall, _ = _timed(
         stack.clock,
-        files=files,
-        operations=ops,
-        root="/mux",
-        live=live,
+        lambda: metadata_churn(
+            stack.vfs, stack.clock, files=files, operations=ops, root="/mux", live=live
+        ),
     )
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": res.operations,
-        "bytes": 0,
-        "sim_elapsed_s": res.total_ns / 1e9,
-        "fingerprint": _mux_fingerprint(stack),
-    }
+    return _result(
+        wall, res.operations, 0, res.total_ns / 1e9, _mux_fingerprint(stack)
+    )
 
 
 def _wl_migration_churn(smoke: bool) -> Dict[str, object]:
     files, size, rounds = (2, 1 * MIB, 2) if smoke else (2, 16 * MIB, 6)
     stack = build_stack()
     tier_ids = [stack.tier_id(n) for n in ("pm", "ssd", "hdd") if n in stack.tier_ids]
-    t0 = time.perf_counter()
-    res = migration_churn(
-        stack.mux,
+    res, wall, _ = _timed(
         stack.clock,
-        tier_ids,
-        files=files,
-        file_bytes=size,
-        rounds=rounds,
+        lambda: migration_churn(
+            stack.mux, stack.clock, tier_ids, files=files, file_bytes=size, rounds=rounds
+        ),
     )
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": files * rounds,
-        "bytes": res.bytes_moved,
-        "sim_elapsed_s": res.elapsed_s,
-        "fingerprint": _mux_fingerprint(stack),
-    }
+    return _result(
+        wall, files * rounds, res.bytes_moved, res.elapsed_s, _mux_fingerprint(stack)
+    )
 
 
 def _wl_fault_storm(smoke: bool) -> Dict[str, object]:
@@ -292,35 +268,21 @@ def _wl_fault_storm(smoke: bool) -> Dict[str, object]:
         },
         fault_seed=2025,
     )
-    t0 = time.perf_counter()
-    sim0 = stack.clock.now_ns
-    events = fault_storm(stack, operations=ops, files=files)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": ops,
-        "bytes": 0,
-        "sim_elapsed_s": (stack.clock.now_ns - sim0) / 1e9,
-        "events": events,
-        "fingerprint": _mux_fingerprint(stack),
-    }
+    events, wall, sim_ns = _timed(
+        stack.clock, lambda: fault_storm(stack, operations=ops, files=files)
+    )
+    return _result(wall, ops, 0, sim_ns / 1e9, _mux_fingerprint(stack), events)
 
 
 def _wl_cache_writeback(smoke: bool) -> Dict[str, object]:
     size, ops = (2 * MIB, 400) if smoke else (8 * MIB, 4000)
     stack = build_stack(cache_write_back=True)
-    t0 = time.perf_counter()
-    sim0 = stack.clock.now_ns
-    counts = cache_writeback(stack, file_bytes=size, operations=ops)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": ops,
-        "bytes": ops * 4096,
-        "sim_elapsed_s": (stack.clock.now_ns - sim0) / 1e9,
-        "events": counts,
-        "fingerprint": _mux_fingerprint(stack, extended=True),
-    }
+    counts, wall, sim_ns = _timed(
+        stack.clock, lambda: cache_writeback(stack, file_bytes=size, operations=ops)
+    )
+    return _result(
+        wall, ops, ops * 4096, sim_ns / 1e9, _mux_fingerprint(stack, extended=True), counts
+    )
 
 
 def _wl_parallel_stripe(smoke: bool) -> Dict[str, object]:
@@ -334,7 +296,6 @@ def _wl_parallel_stripe(smoke: bool) -> Dict[str, object]:
     """
     size, reads = (2 * MIB, 2) if smoke else (16 * MIB, 4)
     results: Dict[str, float] = {}
-    serial_now_ns = 0
     fingerprint: Dict[str, object] = {}
     wall = 0.0
     # dispatch-model ablation: saturation knees off, so the measured gap
@@ -353,28 +314,37 @@ def _wl_parallel_stripe(smoke: bool) -> Dict[str, object]:
             profiles=no_knee,
         )
         tier_ids = [stack.tier_id(n) for n in ("pm", "ssd")]
-        t0 = time.perf_counter()
-        res = striped_reads(stack, tier_ids, file_bytes=size, reads=reads)
-        wall += time.perf_counter() - t0
+        res, host_s, _ = _timed(
+            stack.clock,
+            lambda: striped_reads(stack, tier_ids, file_bytes=size, reads=reads),
+        )
+        wall += host_s
         results[mode] = res.mean_ns
         if parallel:
             fingerprint = _mux_fingerprint(stack)
         else:
-            serial_now_ns = stack.clock.now_ns
-    fingerprint["serial_now_ns"] = serial_now_ns
+            fingerprint["serial_now_ns"] = stack.clock.now_ns
     speedup = results["serial"] / results["parallel"] if results["parallel"] else 0.0
-    return {
-        "wall_s": wall,
-        "ops": 2 * reads,
-        "bytes": 2 * reads * size,
-        "sim_elapsed_s": (results["parallel"] * reads) / 1e9,
-        "events": {
+    return _result(
+        wall, 2 * reads, 2 * reads * size, (results["parallel"] * reads) / 1e9,
+        fingerprint,
+        {
             "parallel_read_us": round(results["parallel"] / 1e3, 2),
             "serial_read_us": round(results["serial"] / 1e3, 2),
             "speedup_x": round(speedup, 2),
         },
-        "fingerprint": fingerprint,
+    )
+
+
+def _tails(res, *ops: str) -> Dict[str, int]:
+    """``{op}_p50/p99/p999`` in integer ns for each of ``ops``, flattened."""
+    return {
+        f"{op}_{pct}": ns for op in ops for pct, ns in res.percentiles_ns(op).items()
     }
+
+
+def _tenant_bytes(specs: List[TenantSpec], res) -> int:
+    return sum(t.ops * spec.io_bytes for spec, t in zip(specs, res.tenants.values()))
 
 
 def _mt_specs(load_mult: float) -> List[TenantSpec]:
@@ -440,21 +410,19 @@ def _wl_multi_tenant(smoke: bool) -> Dict[str, object]:
         point: Dict[str, Dict[str, int]] = {}
         for depth in (8, 1):
             stack = _mt_stack()
-            sim0 = stack.clock.now_ns
-            t0 = time.perf_counter()
-            res = run_multi_tenant(stack, specs, duration_ns=duration_ns, ring_depth=depth)
-            wall += time.perf_counter() - t0
-            ops += res.completed_ops
-            bytes_moved += sum(
-                t.ops * spec.io_bytes for spec, t in zip(specs, res.tenants.values())
+            res, host_s, sim_ns = _timed(
+                stack.clock,
+                lambda: run_multi_tenant(
+                    stack, specs, duration_ns=duration_ns, ring_depth=depth
+                ),
             )
+            wall += host_s
+            ops += res.completed_ops
+            bytes_moved += _tenant_bytes(specs, res)
             label = "async" if depth == 8 else "depth1"
-            point[label] = {
-                **{f"read_{k}": v for k, v in res.percentiles_ns("read").items()},
-                **{f"write_{k}": v for k, v in res.percentiles_ns("write").items()},
-            }
+            point[label] = _tails(res, "read", "write")
             if depth == 8:
-                sim_elapsed_ns += stack.clock.now_ns - sim0
+                sim_elapsed_ns += sim_ns
             if load == loads[-1]:
                 if depth == 8:
                     fingerprint = _mux_fingerprint(stack)
@@ -469,14 +437,10 @@ def _wl_multi_tenant(smoke: bool) -> Dict[str, object]:
         if load == loads[-1] and point["async"]["read_p99"]:
             ratio = point["depth1"]["read_p99"] / point["async"]["read_p99"]
     fingerprint["tails"] = tails
-    return {
-        "wall_s": wall,
-        "ops": ops,
-        "bytes": bytes_moved,
-        "sim_elapsed_s": sim_elapsed_ns / 1e9,
-        "events": {"p99_ratio_x": round(ratio, 1), "sweep": table},
-        "fingerprint": fingerprint,
-    }
+    return _result(
+        wall, ops, bytes_moved, sim_elapsed_ns / 1e9, fingerprint,
+        {"p99_ratio_x": round(ratio, 1), "sweep": table},
+    )
 
 
 #: the three registered policies the pressure duels compare: the paper's
@@ -504,6 +468,72 @@ def _duel_stack(policy: str) -> Stack:
     )
 
 
+def _trace_duel(
+    trace_name: str,
+    smoke: bool,
+    policies: Tuple[str, ...],
+    pinned: str,
+    headline: Callable[[object, Dict[str, Dict[str, int]]], Dict[str, object]],
+    counters: Callable[[object], Dict[str, int]] = lambda mux: {},
+    **replay_kwargs,
+) -> Dict[str, object]:
+    """Replay a canonical trace open-loop against one stack per policy.
+
+    The fingerprint pins the ``pinned`` policy's devices (its run is the
+    reported simulated time) plus every policy's full latency table, so
+    drift in any policy's placement trips the smoke guard.
+    ``counters(mux)`` are extra per-policy counters to pin and show;
+    ``headline(trace, read tails per policy)`` adds the workload's own
+    events next to the per-policy table.
+    """
+    trace = load_canonical(trace_name)
+    if smoke:
+        trace = trace.truncated(0.2)
+    wall = 0.0
+    ops = 0
+    sim_elapsed_ns = 0
+    fingerprint: Dict[str, object] = {}
+    policies_fp: Dict[str, object] = {}
+    table: Dict[str, object] = {}
+    reads_by_policy: Dict[str, Dict[str, int]] = {}
+    for name in policies:
+        stack = _duel_stack(name)
+        res, host_s, sim_ns = _timed(
+            stack.clock,
+            lambda: replay_trace(stack, trace, ring_depth=32, **replay_kwargs),
+        )
+        wall += host_s
+        ops += res.submitted
+        reads = reads_by_policy[name] = res.percentiles_ns("read")
+        extra = counters(stack.mux)
+        table[name] = {
+            "read_p99_us": round(reads["p99"] / 1e3, 1),
+            "read_p999_us": round(reads["p999"] / 1e3, 1),
+            "migrations": res.migrations_submitted,
+            **extra,
+        }
+        policies_fp[name] = {
+            "now_ns": stack.clock.now_ns,
+            **_tails(res, "read", "write"),
+            "submitted": res.submitted,
+            "errors": res.errors,
+            "migrations": res.migrations_submitted,
+            **extra,
+        }
+        if name == pinned:
+            sim_elapsed_ns = sim_ns
+            fingerprint = _mux_fingerprint(stack)
+    fingerprint["policies"] = policies_fp
+    return _result(
+        wall,
+        ops,
+        sum(op.length for op in trace.ops) * len(policies),
+        sim_elapsed_ns / 1e9,
+        fingerprint,
+        {"trace": trace_name, **headline(trace, reads_by_policy), "policies": table},
+    )
+
+
 def _wl_trace_replay(smoke: bool) -> Dict[str, object]:
     """Canonical bursty trace replayed head-to-head across policies.
 
@@ -514,56 +544,15 @@ def _wl_trace_replay(smoke: bool) -> Dict[str, object]:
     pressure-aware stack's devices plus every policy's full latency
     table, so drift in any policy's placement trips the smoke guard.
     """
-    trace = load_canonical("bursty")
-    if smoke:
-        trace = trace.truncated(0.2)
-    wall = 0.0
-    ops = 0
-    sim_elapsed_ns = 0
-    fingerprint: Dict[str, object] = {}
-    policies_fp: Dict[str, object] = {}
-    table: Dict[str, object] = {}
-    for name in _DUEL_POLICIES:
-        stack = _duel_stack(name)
-        sim0 = stack.clock.now_ns
-        t0 = time.perf_counter()
-        res = replay_trace(
-            stack,
-            trace,
-            ring_depth=32,
-            maintain_every=256,
-            population_tier="ssd",
-        )
-        wall += time.perf_counter() - t0
-        ops += res.submitted
-        reads = res.percentiles_ns("read")
-        writes = res.percentiles_ns("write")
-        table[name] = {
-            "read_p99_us": round(reads["p99"] / 1e3, 1),
-            "read_p999_us": round(reads["p999"] / 1e3, 1),
-            "migrations": res.migrations_submitted,
-        }
-        policies_fp[name] = {
-            "now_ns": stack.clock.now_ns,
-            **{f"read_{k}": v for k, v in reads.items()},
-            **{f"write_{k}": v for k, v in writes.items()},
-            "submitted": res.submitted,
-            "errors": res.errors,
-            "migrations": res.migrations_submitted,
-        }
-        if name == "pressure":
-            sim_elapsed_ns = stack.clock.now_ns - sim0
-            fingerprint = _mux_fingerprint(stack)
-    fingerprint["policies"] = policies_fp
-    mix = trace.op_mix()
-    return {
-        "wall_s": wall,
-        "ops": ops,
-        "bytes": sum(op.length for op in trace.ops) * len(_DUEL_POLICIES),
-        "sim_elapsed_s": sim_elapsed_ns / 1e9,
-        "events": {"trace": "bursty", "op_mix": mix, "policies": table},
-        "fingerprint": fingerprint,
-    }
+    return _trace_duel(
+        "bursty",
+        smoke,
+        _DUEL_POLICIES,
+        "pressure",
+        lambda trace, reads: {"op_mix": trace.op_mix()},
+        maintain_every=256,
+        population_tier="ssd",
+    )
 
 
 def _duel_specs() -> List[TenantSpec]:
@@ -641,14 +630,10 @@ def _wl_tenant_policy_duel(smoke: bool) -> Dict[str, object]:
 
     for name in _DUEL_POLICIES:
         stack = _duel_stack(name)
-        sim0 = stack.clock.now_ns
-        t0 = time.perf_counter()
-        res = _run(stack)
-        wall += time.perf_counter() - t0
+        res, host_s, sim_ns = _timed(stack.clock, lambda: _run(stack))
+        wall += host_s
         ops += res.completed_ops
-        bytes_moved += sum(
-            t.ops * spec.io_bytes for spec, t in zip(specs, res.tenants.values())
-        )
+        bytes_moved += _tenant_bytes(specs, res)
         reads = res.percentiles_ns("read")
         table[name] = {
             "read_p99_us": round(reads["p99"] / 1e3, 1),
@@ -657,12 +642,11 @@ def _wl_tenant_policy_duel(smoke: bool) -> Dict[str, object]:
         }
         policies_fp[name] = {
             "now_ns": stack.clock.now_ns,
-            **{f"read_{k}": v for k, v in reads.items()},
-            **{f"write_{k}": v for k, v in res.percentiles_ns("write").items()},
+            **_tails(res, "read", "write"),
             "migrations": res.migrations_submitted,
         }
         if name == "pressure":
-            sim_elapsed_ns = stack.clock.now_ns - sim0
+            sim_elapsed_ns = sim_ns
             fingerprint = _mux_fingerprint(stack)
 
     # fairness for the winner: shared tail over isolated counterfactual
@@ -684,14 +668,10 @@ def _wl_tenant_policy_duel(smoke: bool) -> Dict[str, object]:
     }
     fingerprint["policies"] = policies_fp
     fingerprint["fairness"] = fairness
-    return {
-        "wall_s": wall,
-        "ops": ops,
-        "bytes": bytes_moved,
-        "sim_elapsed_s": sim_elapsed_ns / 1e9,
-        "events": {"policies": table, "fairness_slowdown_x": slowdowns},
-        "fingerprint": fingerprint,
-    }
+    return _result(
+        wall, ops, bytes_moved, sim_elapsed_ns / 1e9, fingerprint,
+        {"policies": table, "fairness_slowdown_x": slowdowns},
+    )
 
 
 def _wl_mirror_skew(smoke: bool) -> Dict[str, object]:
@@ -802,18 +782,15 @@ def _wl_mirror_skew(smoke: bool) -> Dict[str, object]:
         if p99_by_policy.get("mirror")
         else 0.0
     )
-    return {
-        "wall_s": wall,
-        "ops": 2 * (warm_reads + measured_reads),
-        "bytes": 2 * (warm_reads + measured_reads) * io_bytes,
-        "sim_elapsed_s": sim_elapsed_ns / 1e9,
-        "events": {
+    total_reads = 2 * (warm_reads + measured_reads)
+    return _result(
+        wall, total_reads, total_reads * io_bytes, sim_elapsed_ns / 1e9, fingerprint,
+        {
             "population": "hdd-cold",
             "policies": table,
             "read_p99_ratio_x": round(ratio, 1),
         },
-        "fingerprint": fingerprint,
-    }
+    )
 
 
 #: the mirror duel adds the MOST policy to the exclusive-placement field
@@ -838,95 +815,45 @@ def _wl_mirror_trace_duel(smoke: bool) -> Dict[str, object]:
     improvement over the best exclusive policy; the fingerprint pins the
     mirrored stack's devices and every policy's full latency table.
     """
-    trace = load_canonical("zipf")
-    if smoke:
-        trace = trace.truncated(0.2)
-    wall = 0.0
-    ops = 0
-    sim_elapsed_ns = 0
-    fingerprint: Dict[str, object] = {}
-    policies_fp: Dict[str, object] = {}
-    table: Dict[str, object] = {}
-    p99s: Dict[str, int] = {}
-    p999s: Dict[str, int] = {}
-    for name in _MIRROR_DUEL_POLICIES:
-        stack = _duel_stack(name)
-        sim0 = stack.clock.now_ns
-        t0 = time.perf_counter()
-        res = replay_trace(
-            stack,
-            trace,
-            ring_depth=32,
-            maintain_every=64,
-            population_tier="hdd",
-            warm_passes=1,
-            drop_page_caches=True,
-        )
-        wall += time.perf_counter() - t0
-        ops += res.submitted
-        reads = res.percentiles_ns("read")
-        writes = res.percentiles_ns("write")
-        p99s[name] = reads["p99"]
-        p999s[name] = reads["p999"]
-        table[name] = {
-            "read_p99_us": round(reads["p99"] / 1e3, 1),
-            "read_p999_us": round(reads["p999"] / 1e3, 1),
-            "migrations": res.migrations_submitted,
-            "reads_from_mirror": stack.mux.stats.get("reads_from_mirror"),
-        }
-        policies_fp[name] = {
-            "now_ns": stack.clock.now_ns,
-            **{f"read_{k}": v for k, v in reads.items()},
-            **{f"write_{k}": v for k, v in writes.items()},
-            "submitted": res.submitted,
-            "errors": res.errors,
-            "migrations": res.migrations_submitted,
-            "reads_from_mirror": stack.mux.stats.get("reads_from_mirror"),
-            "blocks_synced": stack.mux.mirrors.stats.get("blocks_synced"),
-        }
-        if name == "mirror":
-            sim_elapsed_ns = stack.clock.now_ns - sim0
-            fingerprint = _mux_fingerprint(stack)
-    fingerprint["policies"] = policies_fp
-    best_exclusive_p99 = min(p99s[n] for n in ("tpfs", "pressure"))
-    best_exclusive_p999 = min(p999s[n] for n in ("tpfs", "pressure"))
-    return {
-        "wall_s": wall,
-        "ops": ops,
-        "bytes": sum(op.length for op in trace.ops) * len(_MIRROR_DUEL_POLICIES),
-        "sim_elapsed_s": sim_elapsed_ns / 1e9,
-        "events": {
-            "trace": "zipf",
-            "population": "hdd-cold",
-            "policies": table,
-            "read_p99_vs_exclusive_x": round(
-                best_exclusive_p99 / p99s["mirror"], 1
+
+    def vs_exclusive(trace, reads) -> Dict[str, object]:
+        mirrored = reads["mirror"]
+        out: Dict[str, object] = {"population": "hdd-cold"}
+        for pct in ("p99", "p999"):
+            best = min(reads[n][pct] for n in ("tpfs", "pressure"))
+            out[f"read_{pct}_vs_exclusive_x"] = (
+                round(best / mirrored[pct], 1) if mirrored[pct] else 0.0
             )
-            if p99s["mirror"]
-            else 0.0,
-            "read_p999_vs_exclusive_x": round(
-                best_exclusive_p999 / p999s["mirror"], 1
-            )
-            if p999s["mirror"]
-            else 0.0,
+        return out
+
+    return _trace_duel(
+        "zipf",
+        smoke,
+        _MIRROR_DUEL_POLICIES,
+        "mirror",
+        vs_exclusive,
+        counters=lambda mux: {
+            "reads_from_mirror": mux.stats.get("reads_from_mirror"),
+            "blocks_synced": mux.mirrors.stats.get("blocks_synced"),
         },
-        "fingerprint": fingerprint,
-    }
+        maintain_every=64,
+        population_tier="hdd",
+        warm_passes=1,
+        drop_page_caches=True,
+    )
 
 
 def _wl_strata_fileserver(smoke: bool) -> Dict[str, object]:
     files, ops = (8, 100) if smoke else (20, 300)
     strata = build_strata()
-    t0 = time.perf_counter()
-    res = fileserver(strata.fs, strata.clock, files=files, operations=ops)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": res.operations,
-        "bytes": 0,
-        "sim_elapsed_s": res.elapsed_s,
-        "fingerprint": _strata_fingerprint(strata.clock, strata.devices),
-    }
+    res, wall, _ = _timed(
+        strata.clock,
+        lambda: fileserver(strata.fs, strata.clock, files=files, operations=ops),
+    )
+    return _result(
+        wall, res.operations, 0, res.elapsed_s,
+        _strata_fingerprint(strata.clock, strata.devices),
+    )
 
 
 def _wl_crash_matrix(smoke: bool) -> Dict[str, object]:
@@ -938,12 +865,9 @@ def _wl_crash_matrix(smoke: bool) -> Dict[str, object]:
     t0 = time.perf_counter()
     report = explore(smoke=smoke)
     wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": report["states_explored"],
-        "bytes": 0,
-        "sim_elapsed_s": report["clock_sum_ns"] / 1e9,
-        "fingerprint": {
+    return _result(
+        wall, report["states_explored"], 0, report["clock_sum_ns"] / 1e9,
+        {
             "now_ns": report["clock_sum_ns"],
             "devices": {},
             "cache": {},
@@ -953,7 +877,7 @@ def _wl_crash_matrix(smoke: bool) -> Dict[str, object]:
             "failures": len(report["failures"]),
             "lost_intervals": report["lost_intervals_reported"],
         },
-    }
+    )
 
 
 def _cluster_fingerprint(cluster) -> Dict[str, object]:
@@ -1046,17 +970,16 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
     for n in shard_counts:
         cluster = make_cluster(n).mux
         hdd = cluster.shards[0].stack.tier_ids["hdd"]
-        sim0 = cluster.clock.now_ns
-        t0 = time.perf_counter()
-        res, makespan_ns = run_cluster_load(
-            cluster, specs, duration_ns=duration_ns, ring_depth=8,
-            population_tier=hdd,
+        (res, makespan_ns), host_s, sim_ns = _timed(
+            cluster.clock,
+            lambda: run_cluster_load(
+                cluster, specs, duration_ns=duration_ns, ring_depth=8,
+                population_tier=hdd,
+            ),
         )
-        wall += time.perf_counter() - t0
+        wall += host_s
         ops += res.completed_ops
-        bytes_moved += sum(
-            t.ops * spec.io_bytes for spec, t in zip(specs, res.tenants.values())
-        )
+        bytes_moved += _tenant_bytes(specs, res)
         throughput[n] = res.completed_ops * 1e9 / makespan_ns
         reads = res.percentiles_ns("read")
         table[f"shards_{n}"] = {
@@ -1066,10 +989,10 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
         scaling_fp[f"shards_{n}"] = {
             "makespan_ns": makespan_ns,
             "completed": res.completed_ops,
-            **{f"read_{k}": v for k, v in reads.items()},
+            **_tails(res, "read"),
         }
         if n == shard_counts[-1]:
-            sim_elapsed_ns += cluster.clock.now_ns - sim0
+            sim_elapsed_ns += sim_ns
             fingerprint = _cluster_fingerprint(cluster)
     scaling_x = throughput[shard_counts[-1]] / throughput[1]
 
@@ -1108,12 +1031,10 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
         "bytes_moved": moved["bytes_moved"],
         "final_now_ns": cluster.clock.now_ns,
     }
-    return {
-        "wall_s": wall,
-        "ops": ops,
-        "bytes": bytes_moved + moved["bytes_moved"],
-        "sim_elapsed_s": sim_elapsed_ns / 1e9,
-        "events": {
+    return _result(
+        wall, ops, bytes_moved + moved["bytes_moved"], sim_elapsed_ns / 1e9,
+        fingerprint,
+        {
             "scaling_x": round(scaling_x, 2),
             "sweep": table,
             "hot_read_p99_us": round(hot_p99 / 1e3, 1),
@@ -1121,17 +1042,30 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
             "p99_recovery_x": round(hot_p99 / cold_p99, 2) if cold_p99 else 0.0,
             "subtrees_moved": moved["moves"],
         },
-        "fingerprint": fingerprint,
-    }
+    )
 
 
 WORKLOADS: List[Tuple[str, Callable[[bool], Dict[str, object]]]] = [
     ("seq_write", _wl_seq_write),
     ("seq_read", _wl_seq_read),
     ("hot_set_reads", _wl_hot_set),
-    ("fileserver", _wl_fileserver),
-    ("webserver", _wl_webserver),
-    ("varmail", _wl_varmail),
+    (
+        "fileserver",
+        _macro_workload(
+            fileserver,
+            {"files": 10, "operations": 150},
+            {"files": 40, "operations": 600},
+        ),
+    ),
+    (
+        "webserver",
+        _macro_workload(
+            webserver,
+            {"files": 30, "operations": 250},
+            {"files": 100, "operations": 1000},
+        ),
+    ),
+    ("varmail", _macro_workload(varmail, {"operations": 80}, {"operations": 300})),
     ("metadata_churn", _wl_metadata_churn),
     ("migration_churn", _wl_migration_churn),
     ("fault_storm", _wl_fault_storm),

@@ -17,9 +17,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bench.multi_tenant import (
     MultiTenantResult,
-    TenantResult,
     TenantSpec,
     generate_schedule,
+    _drive_open_loop,
     _PAYLOAD_BYTE,
 )
 from repro.cluster.cluster import ClusterMux
@@ -101,7 +101,6 @@ def run_cluster_load(
     throughput is ``completed_ops / makespan``, the number that must
     scale with shard count.
     """
-    clock = cluster.clock
     events = generate_schedule(specs, duration_ns, seed)
 
     # -- population (unmeasured; idempotent so a hotspot run can be
@@ -131,42 +130,9 @@ def run_cluster_load(
         handles.append(tenant_handles)
     cluster.sync()
 
-    results = {spec.name: TenantResult(spec.name) for spec in specs}
-    rings = [cluster.open_ring(depth=ring_depth) for _ in specs]
-    outstanding: List[Dict[int, Tuple[int, str]]] = [{} for _ in specs]
-
-    def harvest(idx: int, completions) -> None:
-        tenant = results[specs[idx].name]
-        book = outstanding[idx]
-        for c in completions:
-            arrival, op = book.pop(c.seq)
-            if c.error is not None:
-                tenant.errors += 1
-                continue
-            latency = c.completed_ns - arrival
-            (tenant.reads if op == "read" else tenant.writes).record(latency)
-
-    # -- measured open-loop schedule ------------------------------------
-    start_ns = clock.now_ns
-    for arrival, idx, _seq, op, file_idx, offset in events:
-        clock.advance_to(start_ns + arrival)
-        harvest(idx, rings[idx].poll())
-        spec = specs[idx]
-        handle = handles[idx][file_idx]
-        if op == "read":
-            sub = rings[idx].submit_read(handle, offset, spec.io_bytes)
-        elif op == "write":
-            payload = bytes([_PAYLOAD_BYTE]) * spec.io_bytes
-            sub = rings[idx].submit_write(handle, offset, payload)
-        else:
-            sub = rings[idx].submit_fsync(handle)
-        outstanding[idx][sub.seq] = (start_ns + arrival, op)
-        results[spec.name].submitted += 1
-
-    for idx, ring in enumerate(rings):
-        harvest(idx, ring.drain())
-        ring.close()
-    makespan_ns = clock.now_ns - start_ns
+    results, _, makespan_ns = _drive_open_loop(
+        cluster, specs, events, handles, ring_depth
+    )
     for tenant_handles in handles:
         for handle in tenant_handles:
             cluster.close(handle)

@@ -51,6 +51,7 @@ from repro.errors import (
 from repro.fs.nfs import NetworkFileSystem
 from repro.sim.clock import SimClock
 from repro.sim.stats import CounterSet
+from repro.sim.tasks import Task
 from repro.vfs import path as vpath
 from repro.vfs.interface import FileHandle, FileSystem, OpenFlags
 from repro.vfs.stat import FsStats, Stat
@@ -375,12 +376,20 @@ class ClusterMux(FileSystem):
     def _copy_file(
         self, src: _Shard, dst: _Shard, src_path: str, dst_path: str
     ) -> int:
+        """:meth:`_copy_steps` driven to completion; returns bytes copied."""
+        return Task(self._copy_steps(src, dst, src_path, dst_path)).join()
+
+    def _copy_steps(
+        self, src: _Shard, dst: _Shard, src_path: str, dst_path: str
+    ) -> Generator[None, None, int]:
         """Copy file content shard-to-shard over the wire; returns bytes.
 
         Reads are local to the source shard; every written chunk pays the
-        destination wire's RTT + transfer cost.  The copy ends with an
-        fsync, so the destination holds a durable replica before any
-        commit step runs.
+        destination wire's RTT + transfer cost.  Yields between chunks so
+        a rebalance can let foreground writes interleave (and be caught by
+        its sequence-number validation).  The copy ends with an fsync, so
+        the destination holds a durable replica before any commit step
+        runs.
         """
         st = src.mux.getattr(src_path)
         rh = src.mux.open(src_path, OpenFlags.RDONLY)
@@ -396,6 +405,7 @@ class ClusterMux(FileSystem):
                     break
                 dst.wire.write(wh, copied, data)
                 copied += len(data)
+                yield
             dst.wire.fsync(wh)
         finally:
             dst.wire.close(wh)
@@ -650,12 +660,7 @@ class ClusterMux(FileSystem):
 
     def migrate_subtree(self, key: str, dst_id: int) -> Dict[str, int]:
         """Move one subtree to ``dst_id``, driving the OCC task to completion."""
-        gen = self.migrate_subtree_task(key, dst_id)
-        while True:
-            try:
-                next(gen)
-            except StopIteration as stop:
-                return stop.value
+        return Task(self.migrate_subtree_task(key, dst_id)).join()
 
     def migrate_subtree_task(
         self, key: str, dst_id: int
@@ -717,30 +722,7 @@ class ClusterMux(FileSystem):
             return self._write_seq.get((src.shard_id, ino), 0)
 
         def copy_steps(path: str) -> Generator[None, None, int]:
-            """Chunked copy of one file to its dst temp name; yields between
-            chunks so foreground writes can interleave (and be caught by
-            the sequence-number validation)."""
-            st = src.mux.getattr(path)
-            rh = src.mux.open(path, OpenFlags.RDONLY)
-            wh = dst.wire.open(
-                path + MIGRATE_TMP,
-                OpenFlags.RDWR | OpenFlags.CREAT | OpenFlags.TRUNC,
-            )
-            copied = 0
-            try:
-                while copied < st.size:
-                    chunk = min(COPY_CHUNK, st.size - copied)
-                    data = src.mux.read(rh, copied, chunk)
-                    if not data:
-                        break
-                    dst.wire.write(wh, copied, data)
-                    copied += len(data)
-                    yield
-                dst.wire.fsync(wh)
-            finally:
-                dst.wire.close(wh)
-                src.mux.close(rh)
-            return copied
+            return self._copy_steps(src, dst, path, path + MIGRATE_TMP)
 
         dirs, files = snapshot_tree()
         ensure_dirs(dirs)
@@ -955,10 +937,14 @@ class ClusterRing:
         return out
 
     def close(self) -> List[Completion]:
+        """Drain and close every per-shard ring.  Idempotent; the closed
+        inner rings are kept so :meth:`snapshot` still reports the final
+        counters."""
+        if self.closed:
+            return []
         out = self.drain()
         for ring in self._inner.values():
             ring.close()
-        self._inner.clear()
         self.closed = True
         return out
 

@@ -315,24 +315,16 @@ class ScmCacheManager:
         """Insert a (clean) block read from a slow tier."""
         if len(data) != self.block_size:
             raise ValueError("cache stores whole blocks")
-        self.clock.advance_ns(
-            cal.CACHE_LOOKUP_NS + cal.CACHE_MGLRU_NS + cal.CACHE_SLOT_META_NS
-        )
-        key = (ino, file_block)
-        slot = self._slots.get(key)
-        if slot is None:
-            slot = self._claim_slot(key)
-        addr = self._slot_addrs[slot]
-        self._pm.store(addr, data)
-        self._pm.flush_range(addr, len(data))
+        self.put_many(ino, file_block, data)
 
     def put_many(self, ino: int, first_block: int, data) -> None:
         """Insert consecutive (clean) blocks from block-aligned ``data``.
 
-        Timing-equivalent to one :meth:`put` per block — MGLRU inserts and
-        evictions run per key in ascending order, so victim sequence and
-        slot assignment match the scalar path exactly — while the PM
-        stores/flushes coalesce over contiguous slot addresses.
+        Charged as one lookup + MGLRU insert + slot-metadata persist per
+        block; inserts and evictions run per key in ascending order (so the
+        victim sequence and slot assignment are those of one :meth:`put`
+        per block) while the PM stores/flushes coalesce over contiguous
+        slot addresses.
         """
         bs = self.block_size
         if len(data) == 0 or len(data) % bs:

@@ -126,6 +126,12 @@ OCC_MAX_RETRIES = 3
 #: Cost of taking/releasing the fallback per-file lock.
 LOCK_FALLBACK_NS = 900
 
+#: Per-channel backlog (requests queued on a device timeline per channel)
+#: at either end of a background copy at or above which the copy defers: a
+#: paced migration stalls, a mirror sync skips the tick.  One threshold
+#: for both movers — they contend for the same background channels.
+DEFER_LOAD = 1.0
+
 # ---------------------------------------------------------------------------
 # Async submit/complete ring (io_uring-style user API)
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core import calibration as cal
 from repro.core.metadata import CollectiveInode
 from repro.core.occ import MigrationResult, OccSynchronizer
 from repro.core.policy import MigrationOrder
@@ -72,11 +73,9 @@ class MigrationEngine:
 
     # -- async execution ------------------------------------------------------
 
-    #: per-channel load at either end of a copy above which a paced
-    #: migration stalls, and how many stalls it tolerates before giving
-    #: up entirely (ticks arrive roughly once per user op, so the budget
-    #: spans a realistic burst, not just its head)
-    DEFER_LOAD = 1.0
+    #: how many stalls at or above ``cal.DEFER_LOAD`` a paced migration
+    #: tolerates before giving up entirely (ticks arrive roughly once per
+    #: user op, so the budget spans a realistic burst, not just its head)
     MAX_DEFER_TICKS = 256
     #: how far past the global clock a tick-driven copy may book device
     #: time.  A background task runs on its own cursor; left unchecked it
@@ -107,7 +106,7 @@ class MigrationEngine:
         With ``defer_while_hot`` the copy is *paced*: before every chunk
         the task re-samples the destination's channel load and idles (up
         to :data:`MAX_DEFER_TICKS` stalls total) while it is at or above
-        :data:`DEFER_LOAD`.  Checking only once at submit is not enough —
+        ``cal.DEFER_LOAD``.  Checking only once at submit is not enough —
         planning and execution are decoupled, so a target that was cool
         at plan time may be mid-burst by the time a later chunk lands,
         and one chunk dropped into a saturated queue is exactly what the
@@ -186,7 +185,7 @@ class MigrationEngine:
         self._paced_live += 1
         try:
             while True:
-                while hot() >= self.DEFER_LOAD:
+                while hot() >= cal.DEFER_LOAD:
                     if stalls >= self.MAX_DEFER_TICKS:
                         self.stats.add("defer_aborts")
                         inner.close()

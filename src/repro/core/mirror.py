@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.core import calibration as cal
 from repro.core.blt import ReplicaSet
+from repro.core.intervals import subtract_runs
 from repro.core.metadata import CollectiveInode
 from repro.errors import FileNotFound, TierUnavailable
 from repro.sim.stats import CounterSet
@@ -33,9 +35,6 @@ from repro.sim.stats import CounterSet
 class MirrorEngine:
     """Copies stale mirror intervals back into sync, lazily."""
 
-    #: per-channel load at source or mirror above which a sync defers
-    #: (same threshold the migration engine uses for paced copies)
-    DEFER_LOAD = 1.0
     #: default per-tick copy budget, in blocks — a tick rides on a user
     #: op, so one tick must never book an unbounded copy into the
     #: device's background future
@@ -95,7 +94,7 @@ class MirrorEngine:
                     for s, n, tid in inode.blt.runs(start, count)
                     if tid == tier_id
                 ]
-                for s, n in _subtract(start, count, owned):
+                for s, n in subtract_runs([(start, count)], owned):
                     try:
                         self._mux.tier_punch(inode, tier_id, s, n)
                     except TierUnavailable:
@@ -251,7 +250,7 @@ class MirrorEngine:
             for _, _, src in inode.blt.runs(start, count):
                 if src is not None and src != tier_id:
                     load = max(load, monitor.instant_load_of(src, now_ns))
-        if load >= self.DEFER_LOAD:
+        if load >= cal.DEFER_LOAD:
             self.stats.add("defer_ticks")
             return True
         return False
@@ -338,20 +337,3 @@ class MirrorEngine:
         """One mirror-sync media write (crash-explorer sync-point label)."""
         self._mux.tier_write_raw(inode, tier_id, offset, data)
 
-
-def _subtract(
-    start: int, count: int, holes: List[Tuple[int, int]]
-) -> List[Tuple[int, int]]:
-    """``[start, +count)`` minus ``holes`` (sorted disjoint runs)."""
-    out: List[Tuple[int, int]] = []
-    pos = start
-    end = start + count
-    for h_start, h_len in sorted(holes):
-        if h_start > pos:
-            out.append((pos, min(h_start, end) - pos))
-        pos = max(pos, h_start + h_len)
-        if pos >= end:
-            break
-    if pos < end:
-        out.append((pos, end - pos))
-    return out

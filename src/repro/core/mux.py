@@ -64,7 +64,13 @@ from repro.fs.nova import NovaFileSystem
 from repro.sim.clock import SimClock
 from repro.sim.stats import CounterSet
 from repro.vfs import path as vpath
-from repro.vfs.interface import FileHandle, FileSystem, OpenFlags, attrs_for_update
+from repro.vfs.interface import (
+    FileHandle,
+    FileSystem,
+    OpenFlags,
+    WritebackLedger,
+    attrs_for_update,
+)
 from repro.vfs.stat import FsStats, Stat
 from repro.vfs.vfs import VFS
 
@@ -199,12 +205,10 @@ class MuxFileSystem(FileSystem):
         self.qos = None
         #: open submit/complete rings (see open_ring)
         self._rings: List["IoRing"] = []
-        #: mux-level errseq ledger (kernel errseq_t analogue): bumped when
-        #: an absorbed write is lost to a failed destage or a tier fsync
-        #: reports a writeback error, so every open mux fd observes EIO at
-        #: its next fsync exactly once
-        self._wb_errseq: Dict[int, int] = {}
-        self._wb_lost: Dict[int, List[Tuple[int, int]]] = {}
+        #: mux-level errseq ledger: bumped when an absorbed write is lost
+        #: to a failed destage or a tier fsync reports a writeback error,
+        #: so every open mux fd observes EIO at its next fsync exactly once
+        self._wb = WritebackLedger(self.fs_name)
 
     def enable_qos(self):
         """Attach a :class:`~repro.core.qos.QosManager`; returns it."""
@@ -293,42 +297,25 @@ class MuxFileSystem(FileSystem):
     def remove_tier(self, tier_id: int) -> None:
         """Detach a tier after migrating all of its data off (§2.1)."""
         victim = self.registry.get(tier_id)
-        refuges = [t for t in self.registry.ordered() if t.tier_id != tier_id]
-        if not refuges:
+        if len(self.registry) < 2:
             raise InvalidArgument("cannot remove the last tier")
         # mirror copies never migrate — the tier is leaving, so they are
         # simply retired (no punch: the whole backing store departs)
         self.mirrors.drop_tier(tier_id, punch=False)
-        for inode in list(self.ns.files()):
-            blocks = inode.blt.blocks_on(tier_id)
-            if blocks == 0:
-                continue
-            dst = self._pick_refuge(refuges, blocks * self.block_size)
-            end = inode.blt.end_block()
-            self.engine.migrate_now(
-                MigrationOrder(
-                    inode.ino, 0, end, tier_id, dst.tier_id, reason="remove-tier"
-                )
+        # copy-on-write refuges need transient blocks: demand 2x headroom
+        summary = self._drain_tier(
+            tier_id,
+            lambda tier, need: tier.fs.statfs().free_bytes >= need * 2,
+            "remove-tier",
+        )
+        if summary["files_failed"]:
+            raise ReproError(
+                f"tier {tier_id} still holds data for "
+                f"{summary['files_failed']} file(s)"
             )
-            if inode.blt.blocks_on(tier_id):
-                raise ReproError(f"tier {tier_id} still holds data for {inode.ino}")
-            handle = inode.tier_handles.pop(tier_id, None)
-            if handle is not None and handle.is_open:
-                self.vfs.close(handle)
-            inode.tiers_present.discard(tier_id)
-        # no file may keep any reference to the departed tier: metadata
-        # affinity moves to the fastest remaining tier, stale handles close
-        fallback = refuges[0]
+        # no file may keep any reference to the departed tier, data or not
         for inode in self.ns.files():
-            for attr, owner in inode.affinity.owners().items():
-                if owner == tier_id:
-                    inode.affinity.set_owner(attr, fallback.tier_id)
-            if inode.pinned_tier == tier_id:
-                inode.pinned_tier = None
-            handle = inode.tier_handles.pop(tier_id, None)
-            if handle is not None and handle.is_open:
-                self.vfs.close(handle)
-            inode.tiers_present.discard(tier_id)
+            self._forget_tier(inode, tier_id)
         if self.cache is not None and victim.kind is DeviceKind.PERSISTENT_MEMORY:
             # the cache lived on the departing tier: write every absorbed
             # block back before its PM slots disappear, then drop it
@@ -342,11 +329,77 @@ class MuxFileSystem(FileSystem):
         self.ns.dcache.clear()
         self._refresh_cache_and_meta()
 
-    def _pick_refuge(self, refuges: List[Tier], need_bytes: int) -> Tier:
-        for tier in refuges:  # fastest first
-            if tier.fs.statfs().free_bytes >= need_bytes * 2:
-                return tier
-        raise NoSpace("no remaining tier can absorb the evacuated data")
+    def _drain_tier(self, tier_id: int, has_room, reason: str) -> Dict[str, int]:
+        """Move every file's blocks off ``tier_id`` via run-level OCC.
+
+        Each file goes to the fastest other HEALTHY tier for which
+        ``has_room(tier, bytes)`` holds (the caller's capacity rule); a
+        file whose migration gave up is counted in ``files_failed`` and
+        keeps its blocks, a drained one forgets the tier.
+        """
+        src = self.registry.get(tier_id)
+        summary = {
+            "files_drained": 0,
+            "files_failed": 0,
+            "blocks_moved": 0,
+            "retries": 0,
+        }
+        for inode in list(self.ns.files()):
+            blocks = inode.blt.blocks_on(tier_id)
+            if blocks == 0:
+                continue
+            dst = next(
+                (
+                    t
+                    for t in self.registry.ordered()
+                    if t.tier_id != tier_id
+                    and t.health.state is HealthState.HEALTHY
+                    and has_room(t, blocks * self.block_size)
+                ),
+                None,
+            )
+            if dst is None:
+                raise NoSpace(
+                    f"no healthy tier can absorb {blocks} blocks from "
+                    f"tier {src.name!r}"
+                )
+            result = self.engine.migrate_now(
+                MigrationOrder(
+                    inode.ino, 0, inode.blt.end_block(), tier_id, dst.tier_id,
+                    reason=reason,
+                )
+            )
+            summary["blocks_moved"] += result.moved_blocks
+            summary["retries"] += result.retries
+            if inode.blt.blocks_on(tier_id):
+                summary["files_failed"] += 1
+                continue
+            summary["files_drained"] += 1
+            self._forget_tier(inode, tier_id)
+        return summary
+
+    def _forget_tier(self, inode: CollectiveInode, tier_id: int) -> None:
+        """The tier no longer backs this file: fail affinity over to the
+        fastest surviving tier, clear a pin, close the stale handle and
+        forget the tier's participation."""
+        fallback = next(
+            (
+                t
+                for t in self.registry.ordered()
+                if t.tier_id != tier_id and not t.health.is_offline
+            ),
+            None,
+        )
+        if fallback is not None:
+            for attr, owner in inode.affinity.owners().items():
+                if owner == tier_id:
+                    inode.affinity.set_owner(attr, fallback.tier_id)
+        if inode.pinned_tier == tier_id:
+            inode.pinned_tier = None
+        stale_handle = inode.tier_handles.pop(tier_id, None)
+        if stale_handle is not None and stale_handle.is_open:
+            self.vfs.close(stale_handle)
+        inode.tiers_present.discard(tier_id)
 
     def _refresh_cache_and_meta(self) -> None:
         """(Re)provision the SCM cache and the metafile on the fastest tier."""
@@ -627,7 +680,7 @@ class MuxFileSystem(FileSystem):
         # callers pass already-canonical paths; don't re-normalize
         handle = FileHandle(self, inode.ino, path, flags)
         # errseq sample: fds opened after an error don't re-report it
-        handle.wb_err = self._wb_errseq.get(inode.ino, 0)
+        handle.wb_err = self._wb.sample(inode.ino)
         return handle
 
     # -- writeback-error ledger (mux-level errseq_t) ---------------------
@@ -642,33 +695,12 @@ class MuxFileSystem(FileSystem):
         the inode's error sequence so every open fd sees EIO at its next
         fsync, and files the intervals for fsck's loss audit.
         """
-        self._wb_errseq[ino] = self._wb_errseq.get(ino, 0) + 1
-        self._wb_lost.setdefault(ino, []).extend(runs)
+        self._wb.note(ino, runs)
         self.stats.add("wb_errors")
-
-    def _check_wb_error(self, handle: FileHandle) -> None:
-        """errseq check-and-advance: raise EIO once per fd per error."""
-        seq = self._wb_errseq.get(handle.ino, 0)
-        if handle.wb_err < seq:
-            handle.wb_err = seq
-            raise WritebackError(
-                f"mux: previous writeback of ino {handle.ino} failed"
-            )
-
-    def _consume_wb_error(self, handle: FileHandle) -> None:
-        """Mark the current error seen (the fd that observed the failure
-        directly must not see the same error again at its next fsync)."""
-        handle.wb_err = self._wb_errseq.get(handle.ino, 0)
 
     def lost_intervals(self, ino: Optional[int] = None) -> List[Tuple[int, int, int]]:
         """``(ino, file_block, count)`` intervals lost to failed destages."""
-        if ino is not None:
-            return [(ino, fb, n) for fb, n in self._wb_lost.get(ino, [])]
-        return [
-            (i, fb, n)
-            for i in sorted(self._wb_lost)
-            for fb, n in self._wb_lost[i]
-        ]
+        return self._wb.lost_intervals(ino)
 
     def open(self, path: str, flags: int = OpenFlags.RDWR) -> FileHandle:
         self._charge_base()
@@ -721,8 +753,7 @@ class MuxFileSystem(FileSystem):
             self.cache.invalidate_file(inode.ino)
         self.policy.forget(inode.ino)
         self.mirrors.forget(inode.ino)
-        self._wb_errseq.pop(inode.ino, None)
-        self._wb_lost.pop(inode.ino, None)
+        self._wb.forget(inode.ino)
         self.ns.unlink(path, self.clock.now())
         if self._meta is not None:
             self._meta.note(1)
@@ -877,25 +908,8 @@ class MuxFileSystem(FileSystem):
                     )
 
         out = bytearray(length)
-        last_tier: Optional[int] = None
-        # Parallel dispatch: each sub-request runs in its own clock frame
-        # against its device's timeline, so spans on different tiers
-        # overlap and the op completes at the max of their completions.
-        # Dispatch CPU cost stays serial (Mux submits one at a time).
-        overlap = self.scheduler.parallel and len(plan) > 1
-        completions: List[int] = []
-        for req in plan:
-            self.clock.advance_ns(cal.MUX_DISPATCH_NS)
-            tier = self.registry.get(req.tier_id)
-            if overlap:
-                self.clock.push_frame()
-                try:
-                    self._read_span(inode, tier, req, out)
-                finally:
-                    completions.append(self.clock.pop_frame())
-            else:
-                self._read_span(inode, tier, req, out)
-            last_tier = req.tier_id
+
+        def served(req: SubRequest) -> None:
             self.policy.on_access(
                 inode.ino,
                 req.offset // self.block_size,
@@ -904,14 +918,21 @@ class MuxFileSystem(FileSystem):
                 "read",
                 self.clock.now(),
             )
-        if completions:
-            self.clock.advance_to(max(completions))
+
+        self._fan_out(
+            plan,
+            lambda req: self._read_span(
+                inode, self.registry.get(req.tier_id), req, out
+            ),
+            cal.MUX_DISPATCH_NS,
+            served,
+        )
 
         # metadata affinity: the FS fetching the last block owns atime (§2.3)
         now = self.clock.now()
         inode.atime = now
-        if last_tier is not None:
-            inode.affinity.set_owner("atime", last_tier)
+        if plan:
+            inode.affinity.set_owner("atime", plan[-1].tier_id)
         self.clock.advance_ns(cal.MUX_AFFINITY_NS)
         if self._meta is not None:
             self._meta.note(1)
@@ -919,6 +940,39 @@ class MuxFileSystem(FileSystem):
         self.stats.add("bytes_read", length)
         self._record_latency("read", op_started_ns)
         return bytes(out)
+
+    def _fan_out(self, requests, run, dispatch_ns: int = 0, after=None) -> list:
+        """``run`` each per-tier sub-request of one op; returns the results.
+
+        Parallel dispatch: with more than one sub-request each runs in its
+        own clock frame against its device's timeline, so spans on
+        different tiers overlap and the op completes at the max of their
+        completions.  A single sub-request, or the serial scheduler, runs
+        inline on the caller's clock.  ``dispatch_ns`` is charged before
+        each sub-request and ``after(request)`` runs once it returns —
+        both on the caller's clock, never in the frame: dispatch CPU cost
+        stays serial (Mux submits one at a time).
+        """
+        clock = self.clock
+        overlap = self.scheduler.parallel and len(requests) > 1
+        results = []
+        completions: List[int] = []
+        for request in requests:
+            if dispatch_ns:
+                clock.advance_ns(dispatch_ns)
+            if overlap:
+                clock.push_frame()
+                try:
+                    results.append(run(request))
+                finally:
+                    completions.append(clock.pop_frame())
+            else:
+                results.append(run(request))
+            if after is not None:
+                after(request)
+        if completions:
+            clock.advance_to(max(completions))
+        return results
 
     def _route_replicas(
         self, inode: CollectiveInode, first_fb: int, count: int
@@ -1362,25 +1416,15 @@ class MuxFileSystem(FileSystem):
                 "write",
                 self.clock.now(),
             )
-            now = self.clock.now()
-            if offset + len(data) > inode.size:
-                inode.size = offset + len(data)
-                inode.affinity.set_owner("size", absorb_tier)
-            inode.mtime = inode.ctime = now
-            inode.affinity.set_owner("mtime", absorb_tier)
-            inode.affinity.set_owner("ctime", absorb_tier)
-            self.clock.advance_ns(cal.MUX_AFFINITY_NS)
-            if self._meta is not None:
-                self._meta.note(1)
-            self._maybe_writeback()
             # O_SYNC is already satisfied: the slot store + flush_range in
             # write_hit made the data durable on PM, which is exactly the
             # absorption win (§2.5) — synchronous small writes commit at
             # memory speed and destage to the slow tier in batches later
-            self.stats.add("write")
+            self._finish_write(
+                inode, offset, len(data), absorb_tier, op_started_ns,
+                self._maybe_writeback,
+            )
             self.stats.add("writes_absorbed")
-            self.stats.add("bytes_written", len(data))
-            self._record_latency("write", op_started_ns)
             return len(data)
 
         # placement: one policy decision per write (§2.1); TPFS-style
@@ -1412,30 +1456,20 @@ class MuxFileSystem(FileSystem):
             )
 
         segments = self._segment_write(inode, offset, data, target.tier_id)
-        extended = offset + len(data) > inode.size
         # Phase 1: land every segment on its tier.  No BLT/cache/policy
         # state is touched until all tier writes succeeded, so a NoSpace or
         # dead-tier failure mid-write leaves the BLT describing exactly the
         # pre-write file (the write is atomic at the BLT level).
+        landed = self._fan_out(
+            segments,
+            lambda seg: self._write_segment(inode, *seg),
+            cal.MUX_DISPATCH_NS,
+        )
         placed: List[Tuple[int, int, int]] = []  # (tier, first_block, count)
-        overlap = self.scheduler.parallel and len(segments) > 1
-        completions: List[int] = []
-        for tier_id, seg_off, seg_data in segments:
-            self.clock.advance_ns(cal.MUX_DISPATCH_NS)
-            if overlap:
-                self.clock.push_frame()
-                try:
-                    tier_id = self._write_segment(inode, tier_id, seg_off, seg_data)
-                finally:
-                    completions.append(self.clock.pop_frame())
-            else:
-                tier_id = self._write_segment(inode, tier_id, seg_off, seg_data)
+        for tier_id, (_, seg_off, seg_data) in zip(landed, segments):
             seg_first = seg_off // bs
             seg_last = (seg_off + len(seg_data) - 1) // bs
             placed.append((tier_id, seg_first, seg_last - seg_first + 1))
-        if completions:
-            self.clock.advance_to(max(completions))
-        last_seg_tier = placed[-1][0]
         # Phase 2: commit the mapping (map_range/invalidate/on_access are
         # all charge-free, so the fingerprint matches the fused loop)
         for tier_id, seg_first, seg_count in placed:
@@ -1459,24 +1493,45 @@ class MuxFileSystem(FileSystem):
 
         if inode.replicas is not None:
             self.mirrors.note_stale(inode.ino)
-        # collective inode + affinity updates (§2.3)
+        self._finish_write(
+            inode, offset, len(data), placed[-1][0], op_started_ns,
+            (lambda: self.fsync(handle)) if synchronous else None,
+        )
+        self.stats.add("split_writes", max(0, len(segments) - 1))
+        return len(data)
+
+    def _finish_write(
+        self,
+        inode: CollectiveInode,
+        offset: int,
+        nbytes: int,
+        owner_tier: int,
+        op_started_ns: int,
+        settle=None,
+    ) -> None:
+        """Epilogue of every write: collective inode + affinity (§2.3).
+
+        The tier that took the last byte becomes affinitive for size,
+        mtime and ctime.  ``settle`` is the caller's durability step (the
+        write-back budget check of an absorbed write, the fsync of an
+        O_SYNC placed one); it runs after the metadata record is noted
+        and before the write is counted.
+        """
         now = self.clock.now()
-        if extended:
-            inode.size = offset + len(data)
-            inode.affinity.set_owner("size", last_seg_tier)
+        if offset + nbytes > inode.size:
+            inode.size = offset + nbytes
+            inode.affinity.set_owner("size", owner_tier)
         inode.mtime = inode.ctime = now
-        inode.affinity.set_owner("mtime", last_seg_tier)
-        inode.affinity.set_owner("ctime", last_seg_tier)
+        inode.affinity.set_owner("mtime", owner_tier)
+        inode.affinity.set_owner("ctime", owner_tier)
         self.clock.advance_ns(cal.MUX_AFFINITY_NS)
         if self._meta is not None:
             self._meta.note(1)
-        if synchronous:
-            self.fsync(handle)
+        if settle is not None:
+            settle()
         self.stats.add("write")
-        self.stats.add("bytes_written", len(data))
-        self.stats.add("split_writes", max(0, len(segments) - 1))
+        self.stats.add("bytes_written", nbytes)
         self._record_latency("write", op_started_ns)
-        return len(data)
 
     def _tier_reserve(self, tier: Tier) -> int:
         """Headroom kept free on every tier: copy-on-write file systems
@@ -1687,16 +1742,16 @@ class MuxFileSystem(FileSystem):
         except ReproError:
             # the error reached this fd directly; per the errseq contract
             # it must not ALSO see a WritebackError at its next fsync
-            self._consume_wb_error(handle)
+            self._wb.consume(handle)
             raise
         if wb_failed:
             # a tier FS reported a buffered-writeback failure against its
             # (shared, long-lived) tier handle; fold it into the mux-level
             # ledger so every open mux fd observes it exactly once
-            self._wb_errseq[inode.ino] = self._wb_errseq.get(inode.ino, 0) + 1
+            self._wb.note(inode.ino)
             self.stats.add("wb_errors")
         self.stats.add("fsync")
-        self._check_wb_error(handle)
+        self._wb.check(handle)
 
     def _fsync_fanout(self, inode: CollectiveInode) -> bool:
         """Destage + flush every participating tier; True if any tier
@@ -1721,31 +1776,18 @@ class MuxFileSystem(FileSystem):
                 self.stats.add("fsync_skipped_offline")
                 continue
             targets.append((tier, tier_handle))
+
+        def flush(target: Tuple[Tier, FileHandle]) -> bool:
+            tier, tier_handle = target
+            try:
+                self._tier_io(tier, lambda: self.vfs.fsync(tier_handle))
+            except WritebackError:
+                # already-lost data: keep flushing the other tiers
+                return True
+            return False
+
         # the fan-out flushes independent devices: overlap them
-        overlap = self.scheduler.parallel and len(targets) > 1
-        completions: List[int] = []
-        wb_failed = False
-        for tier, tier_handle in targets:
-            if overlap:
-                self.clock.push_frame()
-                try:
-                    try:
-                        self._tier_io(
-                            tier, lambda h=tier_handle: self.vfs.fsync(h)
-                        )
-                    except WritebackError:
-                        # already-lost data: keep flushing the other tiers
-                        wb_failed = True
-                finally:
-                    completions.append(self.clock.pop_frame())
-            else:
-                try:
-                    self._tier_io(tier, lambda h=tier_handle: self.vfs.fsync(h))
-                except WritebackError:
-                    wb_failed = True
-        if completions:
-            self.clock.advance_to(max(completions))
-        return wb_failed
+        return any(self._fan_out(targets, flush))
 
     # ==================================================================
     # metadata operations
@@ -1840,6 +1882,30 @@ class MuxFileSystem(FileSystem):
             )
         return views
 
+    def _planned_orders(
+        self,
+    ) -> Tuple[List[TierState], List[FileView], int, List[MigrationOrder]]:
+        """One planning round of the Policy Runner.
+
+        Returns the tier states and file views the policy planned from
+        (the mirror step plans from the same snapshot), how many orders
+        it asked for, and the ones that can run: orders for files that
+        vanished since planning, or between tier pairs the engine does
+        not support, are dropped.
+        """
+        states = self.tier_states()
+        views = self.file_views()
+        planned = self.policy.plan_migrations(states, views)
+        runnable: List[MigrationOrder] = []
+        for order in planned:
+            try:
+                self.ns.get(order.ino)
+            except FileNotFound:
+                continue
+            if self.engine.supports(order.src_tier, order.dst_tier):
+                runnable.append(order)
+        return states, views, len(planned), runnable
+
     def maintain(self, max_rounds: int = 4) -> int:
         """Ask the policy for migrations and run them to completion.
 
@@ -1847,44 +1913,25 @@ class MuxFileSystem(FileSystem):
         """
         executed = 0
         for _ in range(max_rounds):
-            states = self.tier_states()
-            views = self.file_views()
-            orders = self.policy.plan_migrations(states, views)
+            states, views, planned, orders = self._planned_orders()
             self._maintain_mirrors(states, views)
-            if not orders:
+            if not planned:
                 break
             for order in orders:
-                try:
-                    self.ns.get(order.ino)
-                except FileNotFound:
-                    continue  # file vanished since planning
-                if not self.engine.supports(order.src_tier, order.dst_tier):
-                    continue
                 self.engine.migrate_now(order)
                 executed += 1
         return executed
 
     def maintain_async(self) -> int:
         """Plan migrations and submit them as cooperative background tasks."""
-        states = self.tier_states()
-        views = self.file_views()
-        orders = self.policy.plan_migrations(states, views)
-        submitted = 0
+        states, views, _, orders = self._planned_orders()
         for order in orders:
-            try:
-                self.ns.get(order.ino)
-            except FileNotFound:
-                continue
-            if self.engine.supports(order.src_tier, order.dst_tier):
-                self.engine.submit(
-                    order,
-                    defer_while_hot=getattr(
-                        self.policy, "defer_hot_migrations", False
-                    ),
-                )
-                submitted += 1
+            self.engine.submit(
+                order,
+                defer_while_hot=getattr(self.policy, "defer_hot_migrations", False),
+            )
         self._maintain_mirrors(states, views)
-        return submitted
+        return len(orders)
 
     def _maintain_mirrors(
         self, states: List[TierState], views: List[FileView]
@@ -1933,62 +1980,7 @@ class MuxFileSystem(FileSystem):
         # mirrors on the draining tier are redundant copies: retire them
         # (reclaiming their blocks) before moving the authoritative data
         self.mirrors.drop_tier(tier_id, punch=True)
-        summary = {
-            "files_drained": 0,
-            "files_failed": 0,
-            "blocks_moved": 0,
-            "retries": 0,
-        }
-        for inode in list(self.ns.files()):
-            blocks = inode.blt.blocks_on(tier_id)
-            if blocks == 0:
-                continue
-            dst: Optional[Tier] = None
-            for candidate in self.registry.ordered():
-                if candidate.tier_id == tier_id:
-                    continue
-                if candidate.health.state is not HealthState.HEALTHY:
-                    continue
-                if self._tier_has_room(candidate, blocks * self.block_size):
-                    dst = candidate
-                    break
-            if dst is None:
-                raise NoSpace(
-                    f"no healthy tier can absorb {blocks} blocks from "
-                    f"tier {src.name!r}"
-                )
-            end = inode.blt.end_block()
-            result = self.engine.migrate_now(
-                MigrationOrder(
-                    inode.ino, 0, end, tier_id, dst.tier_id, reason="evacuate"
-                )
-            )
-            summary["blocks_moved"] += result.moved_blocks
-            summary["retries"] += result.retries
-            if inode.blt.blocks_on(tier_id):
-                summary["files_failed"] += 1
-                continue
-            summary["files_drained"] += 1
-            # the tier no longer backs this file: failover affinity, close
-            # the stale handle, and forget the tier's participation
-            fallback = next(
-                (
-                    t
-                    for t in self.registry.ordered()
-                    if t.tier_id != tier_id and not t.health.is_offline
-                ),
-                None,
-            )
-            if fallback is not None:
-                for attr, owner in inode.affinity.owners().items():
-                    if owner == tier_id:
-                        inode.affinity.set_owner(attr, fallback.tier_id)
-            if inode.pinned_tier == tier_id:
-                inode.pinned_tier = None
-            stale_handle = inode.tier_handles.pop(tier_id, None)
-            if stale_handle is not None and stale_handle.is_open:
-                self.vfs.close(stale_handle)
-            inode.tiers_present.discard(tier_id)
+        summary = self._drain_tier(tier_id, self._tier_has_room, "evacuate")
         self.stats.add("evacuations")
         if self._meta is not None:
             self._meta.note(2)
@@ -2085,8 +2077,7 @@ class MuxFileSystem(FileSystem):
                 self.mirrors.note_stale(inode.ino)
         # the errseq ledger is DRAM state: pending error reports die with
         # the kernel (the losses themselves persist in the cache's ledger)
-        self._wb_errseq.clear()
-        self._wb_lost.clear()
+        self._wb.clear()
         for tier in self.registry.ordered():
             tier.fs.crash()
 

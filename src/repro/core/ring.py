@@ -262,7 +262,13 @@ class IoRing:
             self.clock.advance_to(max(relevant))
 
     def close(self) -> List[Completion]:
-        """Drain outstanding completions and unregister from the Mux."""
+        """Drain outstanding completions and unregister from the Mux.
+
+        Idempotent: a second close reaps nothing; the lifetime counters
+        stay readable through :meth:`snapshot`.
+        """
+        if self.closed:
+            return []
         out = self.drain()
         self.closed = True
         self.mux._rings.remove(self)

@@ -80,43 +80,16 @@ class PersistentMemoryDevice(Device):
 
     def load(self, addr: int, length: int) -> bytes:
         """Read ``length`` bytes at ``addr`` via the DAX path."""
-        self._check_span(addr, length)
-        if length == 0:
-            return b""
-        cost = self.profile.read_latency_ns + self.profile.transfer_ns(
-            length, write=False
-        )
-        if self.faults is not None:
-            cost += self.faults.extra_latency_ns(cost)
-        self._occupy(cost)
-        self.stats.record_read(length, cost)
-        if self.faults is not None:
-            self.faults.check_read(*self._fault_blocks(addr, length))
-        return self._peek_span(addr, length)
+        return self.load_run(addr, 1, length)
 
     def store(self, addr: int, data: bytes) -> None:
-        """Write ``data`` at ``addr`` via the DAX path (volatile until flush)."""
-        self._check_span(addr, len(data))
-        if not data:
-            return
-        cost = self.profile.write_latency_ns + self.profile.transfer_ns(
-            len(data), write=True
-        )
-        if self.faults is not None:
-            cost += self.faults.extra_latency_ns(cost)
-        self._occupy(cost)
-        self.stats.record_write(len(data), cost)
-        if self.faults is not None:
-            # A single CPU store is atomic at this model's granularity:
-            # torn_units=1 disables tearing, error/offline still apply.
-            bno, cnt = self._fault_blocks(addr, len(data))
-            fault = self.faults.check_write(bno, cnt, torn_units=1)
-            if fault is not None:
-                raise fault[1]
-        self._poke_span(addr, data)
-        first = addr // CACHE_LINE
-        last = (addr + len(data) - 1) // CACHE_LINE
-        self._mark_dirty(first, last + 1)
+        """Write ``data`` at ``addr`` via the DAX path (volatile until flush).
+
+        A single CPU store is atomic at this model's granularity: a run of
+        one chunk never tears, error/offline faults still apply.
+        """
+        # an empty store still validates ``addr``; any chunk size divides it
+        self.store_run(addr, data, len(data) or 1)
 
     def load_run(self, addr: int, count: int, chunk: int) -> bytes:
         """``count`` back-to-back loads of ``chunk`` bytes each.

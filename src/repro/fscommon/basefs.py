@@ -21,12 +21,17 @@ from repro.errors import (
     IsADirectory,
     NotADirectory,
     ReproError,
-    WritebackError,
 )
 from repro.sim.clock import SimClock
 from repro.sim.stats import CounterSet
 from repro.vfs import path as vpath
-from repro.vfs.interface import FileHandle, FileSystem, OpenFlags, attrs_for_update
+from repro.vfs.interface import (
+    FileHandle,
+    FileSystem,
+    OpenFlags,
+    WritebackLedger,
+    attrs_for_update,
+)
 from repro.vfs.stat import FileType, FsStats, Stat
 from repro.fscommon.inode import Inode, InodeTable
 
@@ -55,12 +60,9 @@ class NativeFileSystem(FileSystem):
         self.stats = CounterSet()
         self._root = self.inodes.alloc(FileType.DIRECTORY, clock.now(), 0o755)
         self._open_handles: Dict[int, int] = {}  # ino -> open count
-        #: errseq_t: per-inode writeback-error sequence, bumped whenever
-        #: writeback gives up on dirty data; fds sample it at open time
-        self._wb_errseq: Dict[int, int] = {}
-        #: dirty intervals writeback dropped: ino -> [(file_block, count)]
-        #: — fsck reads these to flag silently-lost data
-        self._wb_lost: Dict[int, List[Tuple[int, int]]] = {}
+        #: errseq ledger: once-per-fd writeback-error reporting plus the
+        #: dirty intervals writeback dropped (fsck reads those)
+        self._wb = WritebackLedger(fs_name)
 
     # ------------------------------------------------------------------
     # hooks for subclasses
@@ -193,7 +195,7 @@ class NativeFileSystem(FileSystem):
     def _make_handle(self, inode: Inode, path: str, flags: int) -> FileHandle:
         # create/open hand us canonical paths; don't re-normalize
         handle = FileHandle(self, inode.ino, path, flags)
-        handle.wb_err = self._wb_errseq.get(inode.ino, 0)
+        handle.wb_err = self._wb.sample(inode.ino)
         self._open_handles[inode.ino] = self._open_handles.get(inode.ino, 0) + 1
         return handle
 
@@ -209,34 +211,12 @@ class NativeFileSystem(FileSystem):
         ``lost`` names dirty (file_block, count) intervals the failure
         policy dropped; fsck surfaces them as silently-lost data.
         """
-        self._wb_errseq[ino] = self._wb_errseq.get(ino, 0) + 1
-        if lost:
-            self._wb_lost.setdefault(ino, []).extend(lost)
+        self._wb.note(ino, lost)
         self.stats.add("wb_errors")
-
-    def _check_wb_error(self, handle: FileHandle) -> None:
-        """errseq check-and-advance: each fd sees the error at most once."""
-        seq = self._wb_errseq.get(handle.ino, 0)
-        if handle.wb_err < seq:
-            handle.wb_err = seq
-            raise WritebackError(
-                f"{self.fs_name}: earlier writeback of ino {handle.ino} failed"
-            )
-
-    def _consume_wb_error(self, handle: FileHandle) -> None:
-        """Advance the fd's sample without raising (the fd is observing the
-        failure right now, through the original exception)."""
-        handle.wb_err = self._wb_errseq.get(handle.ino, 0)
 
     def lost_intervals(self, ino: Optional[int] = None) -> List[Tuple[int, int, int]]:
         """Dirty ``(ino, file_block, count)`` intervals writeback dropped."""
-        if ino is not None:
-            return [(ino, fb, n) for fb, n in self._wb_lost.get(ino, [])]
-        return [
-            (i, fb, n)
-            for i in sorted(self._wb_lost)
-            for fb, n in self._wb_lost[i]
-        ]
+        return self._wb.lost_intervals(ino)
 
     def close(self, handle: FileHandle) -> None:
         handle.ensure_open()
@@ -415,25 +395,12 @@ class NativeFileSystem(FileSystem):
     # ------------------------------------------------------------------
 
     def read(self, handle: FileHandle, offset: int, length: int) -> bytes:
-        handle.ensure_open()
-        if not OpenFlags.readable(handle.flags):
-            raise InvalidArgument("handle not open for reading")
-        if offset < 0 or length < 0:
-            raise InvalidArgument("negative offset/length")
-        self._charge_op()
-        inode = self.inodes.get(handle.ino)
-        if inode.is_dir:
-            raise IsADirectory(f"read from directory {handle.path!r}")
-        if offset >= inode.size:
-            return b""
-        length = min(length, inode.size - offset)
-        if length == 0:
-            return b""
-        out = bytearray(length)
-        self._read_span_into(inode, offset, length, out, 0)
-        inode.atime = self.clock.now()
-        self.stats.add("read")
-        self.stats.add("bytes_read", length)
+        # size the buffer to what the file can supply; read_into validates
+        # the arguments, charges and counts (and raises on a stale inode)
+        inode = self.inodes.maybe_get(handle.ino)
+        avail = inode.size - offset if inode is not None else 0
+        out = bytearray(max(0, min(length, avail)))
+        self.read_into(handle, offset, length, out)
         return bytes(out)
 
     def read_into(
@@ -518,9 +485,9 @@ class NativeFileSystem(FileSystem):
             try:
                 self._fsync_inode(inode)
             except ReproError:
-                self._consume_wb_error(handle)
+                self._wb.consume(handle)
                 raise
-            self._check_wb_error(handle)
+            self._wb.check(handle)
         self.stats.add("write")
         self.stats.add("bytes_written", len(data))
         return len(data)
@@ -566,10 +533,10 @@ class NativeFileSystem(FileSystem):
         except ReproError:
             # the failure (if writeback-related) is latched on the inode;
             # this fd is observing it through the raised error itself
-            self._consume_wb_error(handle)
+            self._wb.consume(handle)
             raise
         self.stats.add("fsync")
-        self._check_wb_error(handle)
+        self._wb.check(handle)
 
     def punch_hole(self, handle: FileHandle, offset: int, length: int) -> None:
         handle.ensure_open()

@@ -163,8 +163,7 @@ class JournaledFileSystem(NativeFileSystem):
                 self._delalloc.pop(ino, None)
                 self._readahead.pop(ino, None)
                 self._wb_retries.pop(ino, None)
-                self._wb_errseq.pop(ino, None)
-                self._wb_lost.pop(ino, None)
+                self._wb.forget(ino)
                 self.page_cache.invalidate_inode(ino)
         self._commit_txn(records)
 
@@ -529,8 +528,7 @@ class JournaledFileSystem(NativeFileSystem):
         self._open_handles.clear()
         # the errseq ledger is volatile: after a crash every dirty page is
         # gone anyway (expected crash semantics, not a writeback failure)
-        self._wb_errseq.clear()
-        self._wb_lost.clear()
+        self._wb.clear()
         self._wb_retries.clear()
 
     def recover(self) -> None:

@@ -112,25 +112,14 @@ class PageCache:
             raise ValueError(
                 f"page must be exactly {self.page_size} bytes, got {len(data)}"
             )
-        key = (ino, file_block)
-        existing = self._pages.get(key)
-        if existing is not None:
-            existing.data = data
-            existing.dirty = existing.dirty or dirty
-            self._pages.move_to_end(key)
-        else:
-            self._pages[key] = Page(data, dirty)
-            self.stats.add("insert")
-        self.clock.advance_ns(DRAM_PAGE_COPY_NS)
-        self._evict_to_capacity()
+        self.put_span(ino, file_block, data, dirty)
 
     def put_span(self, ino: int, first_block: int, data, dirty: bool) -> None:
         """Insert consecutive pages from block-aligned ``data``.
 
-        Timing-equivalent to one :meth:`put` per page: inserts happen in
-        ascending order with the eviction check after each insert (so LRU
-        victim sequence is preserved exactly), but the copy cost is charged
-        in one clock advance.
+        Inserts happen in ascending order with the eviction check after
+        each insert, so the LRU victim sequence is that of one :meth:`put`
+        per page; the copy cost is charged in one clock advance.
         """
         ps = self.page_size
         if len(data) == 0 or len(data) % ps:

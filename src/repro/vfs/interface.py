@@ -11,9 +11,9 @@ in as a tier without modification (§2.1).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.errors import BadFileHandle, InvalidArgument
+from repro.errors import BadFileHandle, InvalidArgument, WritebackError
 from repro.vfs.stat import FsStats, Stat
 
 
@@ -72,6 +72,66 @@ class FileHandle:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "open" if self._open else "closed"
         return f"FileHandle({self.fs.fs_name}:{self.path!r}, ino={self.ino}, {state})"
+
+
+class WritebackLedger:
+    """errseq_t-style writeback-error ledger; each file system holds one.
+
+    A per-inode error sequence is bumped whenever writeback gives up on
+    dirty data.  Fds sample it at open time (:meth:`sample` into
+    ``FileHandle.wb_err``) and fsync compares-and-advances
+    (:meth:`check`), so every fd open at the time of the failure reports
+    it exactly once and fds opened later report nothing.  The dirty
+    ``(file_block, count)`` intervals the failure dropped are filed
+    alongside, for fsck to flag as silently-lost data.
+    """
+
+    def __init__(self, fs_name: str) -> None:
+        self._fs_name = fs_name
+        self._seq: Dict[int, int] = {}
+        self._lost: Dict[int, List[Tuple[int, int]]] = {}
+
+    def sample(self, ino: int) -> int:
+        """The inode's current sequence (what a new fd starts from)."""
+        return self._seq.get(ino, 0)
+
+    def note(self, ino: int, lost: Optional[List[Tuple[int, int]]] = None) -> None:
+        """Latch a writeback failure on ``ino``; ``lost`` names the dirty
+        intervals the failure dropped."""
+        self._seq[ino] = self._seq.get(ino, 0) + 1
+        if lost:
+            self._lost.setdefault(ino, []).extend(lost)
+
+    def check(self, handle: FileHandle) -> None:
+        """Check-and-advance: raise EIO once per fd per error."""
+        seq = self._seq.get(handle.ino, 0)
+        if handle.wb_err < seq:
+            handle.wb_err = seq
+            raise WritebackError(
+                f"{self._fs_name}: earlier writeback of ino {handle.ino} failed"
+            )
+
+    def consume(self, handle: FileHandle) -> None:
+        """Advance the fd's sample without raising: the fd is observing the
+        failure right now, through the original exception, and must not
+        see it again at its next fsync."""
+        handle.wb_err = self._seq.get(handle.ino, 0)
+
+    def lost_intervals(self, ino: Optional[int] = None) -> List[Tuple[int, int, int]]:
+        """Dirty ``(ino, file_block, count)`` intervals writeback dropped."""
+        if ino is not None:
+            return [(ino, fb, n) for fb, n in self._lost.get(ino, [])]
+        return [(i, fb, n) for i in sorted(self._lost) for fb, n in self._lost[i]]
+
+    def forget(self, ino: int) -> None:
+        """The inode is gone (unlink / free): its pending reports are moot."""
+        self._seq.pop(ino, None)
+        self._lost.pop(ino, None)
+
+    def clear(self) -> None:
+        """The ledger is DRAM state: a crash drops every pending report."""
+        self._seq.clear()
+        self._lost.clear()
 
 
 class FileSystem(ABC):

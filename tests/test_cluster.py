@@ -562,6 +562,23 @@ class TestClusterRing:
         for handle in handles:
             cluster.close(handle)
 
+    def test_close_twice_keeps_counters(self):
+        cluster = small_cluster(2).mux
+        handles = self._population(cluster, 4)
+        ring = cluster.open_ring(depth=8)
+        for handle in handles:
+            ring.submit_read(handle, 0, BS)
+        assert len(ring.close()) == 4
+        assert ring.close() == []
+        # the final counters survive the close (they used to read 0 / 0)
+        snap = ring.snapshot()
+        assert (snap["submitted"], snap["reaped"]) == (4, 4)
+        assert ring.pending == 0
+        with pytest.raises(InvalidArgument):
+            ring.submit_read(handles[0], 0, BS)
+        for handle in handles:
+            cluster.close(handle)
+
     def test_shards_overlap_in_simulated_time(self):
         """The same ops finish sooner on 2 shards than on 1 — the shard
         device timelines genuinely overlap instead of serializing."""

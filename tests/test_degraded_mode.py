@@ -324,3 +324,30 @@ class TestEvacuation:
             return summary, stack.clock.now_ns
 
         assert run() == run()
+
+    def test_remove_tier_routes_around_an_offline_refuge(self):
+        """remove_tier used to pick refuges fastest-first without looking
+        at health: with PM offline it chose PM, the engine's health gate
+        gave up, and the call died although the HDD was healthy and had
+        room.  Both drains now skip non-HEALTHY destinations."""
+        stack = build_stack()
+        mux = stack.mux
+        pm, ssd, hdd = (stack.tier_ids[n] for n in ("pm", "ssd", "hdd"))
+        handle = mux.create("/a")
+        mux.set_placement("/a", ssd)
+        mux.write(handle, 0, b"\xa5" * 8192)
+        mux.fsync(handle)
+        inode = mux.ns.resolve("/a")
+        assert inode.blt.blocks_on(ssd) == 2
+        mux.mark_tier_offline(pm)
+        mux.remove_tier(ssd)
+        assert ssd not in mux.tier_ids()
+        assert inode.blt.blocks_on(hdd) == 2
+        # nothing points at the departed tier; what it owned failed over
+        # to the healthy survivor, not to the dead PM
+        owners = inode.affinity.owners()
+        assert ssd not in owners.values()
+        assert owners["size"] == owners["mtime"] == hdd
+        assert inode.pinned_tier is None
+        assert mux.read(handle, 0, 8192) == b"\xa5" * 8192
+        mux.close(handle)

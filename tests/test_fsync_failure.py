@@ -279,3 +279,228 @@ class TestRingCompletionErrno:
         assert done.error is None
         assert done.errno == 0
         mux.close(handle)
+
+
+# ---------------------------------------------------------------------------
+# one errseq oracle for the one ledger
+# ---------------------------------------------------------------------------
+
+
+class NotifyOracle:
+    """Who must see EIO: the per-fd notify table of cuttlefs' GenericFsync
+    (SNIPPETS.md snippet 2), kept apart from ``WritebackLedger`` so the
+    ledger is checked against a second statement of the contract instead
+    of against itself.  A failure owes every fd open at that moment one
+    notification; an fd collects it at its next fsync, once."""
+
+    def __init__(self):
+        self.open_fds = set()
+        #: fds still owed a notification; None = no unreported failure
+        self.failed_fds = None
+
+    def on_open(self, fd):
+        self.open_fds.add(fd)
+
+    def on_close(self, fd):
+        self.open_fds.discard(fd)
+        if self.failed_fds is not None:
+            # a closed fd can't be notified any more; the (possibly empty)
+            # set stays, so the first fd opened after it reports instead
+            self.failed_fds.discard(fd)
+
+    def add_fds_to_notify(self):
+        if self.failed_fds is None:
+            self.failed_fds = set()
+        self.failed_fds.update(self.open_fds)
+
+    def should_notify(self, fd):
+        if self.failed_fds is None:
+            return False
+        if not self.failed_fds:
+            return True  # first fd opened since the unreported failure
+        return fd in self.failed_fds
+
+    def mark_notified(self, fd):
+        self.failed_fds.discard(fd)
+        if not self.failed_fds:
+            self.failed_fds = None
+
+    def on_fsync(self, fd, sync_failed):
+        """True when this fsync must report EIO."""
+        if sync_failed:
+            self.add_fds_to_notify()
+        if self.should_notify(fd):
+            self.mark_notified(fd)
+            return True
+        return False
+
+
+class NativeBackend:
+    """Ext4 / XFS: the failure is discovered by whichever fsync writes the
+    dirty pages back.  ``sync_fails`` restates the disposition table at
+    the top of this file (clean: forget the pages; keep: ``retry_limit``
+    keep-dirty rounds, then forget) so the oracle knows which fsyncs hit
+    the media error without asking the ledger."""
+
+    def __init__(self, fs, policy, retry_limit=0):
+        self.fs = fs
+        self.policy = policy
+        self.retry_limit = retry_limit
+        self.dirty = self.broken = False
+        self.tries = 0
+        fs.close(fs.create("/f"))
+
+    def open(self):
+        return self.fs.open("/f")
+
+    def close(self, handle):
+        self.fs.close(handle)
+
+    def error(self, handle, oracle):
+        self.fs.write(handle, 0, b"E" * BS)
+        self.dirty = True
+        if not self.broken:
+            fail_data_writes(self.fs)
+            self.broken = True
+
+    def heal(self):
+        if self.broken:
+            heal(self.fs)
+            self.broken = False
+
+    def sync_fails(self):
+        if not self.dirty:
+            return False
+        if not self.broken:
+            self.dirty, self.tries = False, 0
+            return False
+        if self.policy == "keep":
+            self.tries += 1
+            if self.tries <= self.retry_limit:
+                return True
+            self.tries = 0
+        self.dirty = False
+        return True
+
+    def fsync(self, handle):
+        self.fs.fsync(handle)
+
+
+class MuxBackend:
+    """Mux write-back cache: an absorbed write is lost when its block is
+    evicted while the owning tier is unreachable — out of band, no fsync
+    in flight, so nobody is notified at the failure itself."""
+
+    def __init__(self):
+        self.stack = build_stack(
+            cache_write_back=True, capacities={"pm": 2 * 1024 * 1024}
+        )
+        self.spills = 0
+        handle = warm_absorbed_file(self.stack, blocks=1)
+        self.stack.mux.close(handle)
+
+    def open(self):
+        return self.stack.mux.open("/f")
+
+    def close(self, handle):
+        self.stack.mux.close(handle)
+
+    def error(self, handle, oracle):
+        stack, mux = self.stack, self.stack.mux
+        hdd, ssd = stack.tier_id("hdd"), stack.tier_id("ssd")
+        mux.read(handle, 0, BS)  # block 0 cache-resident again
+        mux.mark_tier_offline(hdd)
+        mux.write(handle, 0, b"E" * BS)  # absorbed on PM, owner is dead
+        lost_before = mux.cache.stats.get("destage_lost")
+        # stream a cache-sized file through: the fills evict the dirty
+        # block, and its destage to the dead owner fails
+        cap = mux.cache.capacity_blocks
+        self.spills += 1
+        spill = mux.create(f"/spill{self.spills}")
+        mux.write(spill, 0, bytes(cap * BS))
+        mux.engine.migrate_now(
+            MigrationOrder(spill.ino, 0, cap, stack.tier_id("pm"), ssd)
+        )
+        mux.read(spill, 0, cap * BS)
+        mux.close(spill)
+        mux.mark_tier_online(hdd)
+        assert mux.cache.stats.get("destage_lost") == lost_before + 1
+        oracle.add_fds_to_notify()
+
+    def heal(self):
+        pass
+
+    def sync_fails(self):
+        return False
+
+    def fsync(self, handle):
+        self.stack.mux.fsync(handle)
+
+
+#: the issue's sequence (open A, open B, error, fsync A, fsync B, open C,
+#: fsync C, second error, close/reopen), with a quiet round after each
+#: error so "once" is visible
+ERRSEQ_SCRIPT = [
+    ("open", "A"), ("open", "B"),
+    ("error", "A"),
+    ("fsync", "A"), ("fsync", "B"),
+    ("open", "C"), ("fsync", "C"),
+    ("fsync", "A"), ("fsync", "B"), ("fsync", "C"),
+    ("heal", None),
+    ("fsync", "A"), ("fsync", "B"), ("fsync", "C"),
+    ("error", "B"),
+    ("close", "A"), ("open", "D"),
+    ("fsync", "B"), ("fsync", "C"), ("fsync", "D"),
+    ("heal", None),
+    ("fsync", "B"), ("fsync", "C"), ("fsync", "D"),
+]
+
+
+@pytest.mark.parametrize(
+    "backend, expected",
+    [
+        # clean: the first fsync after each error hits the media, forgets
+        # the pages and owes every other open fd one EIO
+        ("ext4", ["A", "B", "B", "C", "D"]),
+        # keep: every fsync re-fails until the retry bound (3) is spent
+        # and the 4th failure drops the pages (first error), or until the
+        # media heals (second); then the remaining debts are collected
+        ("xfs", ["A", "B", "C", "A", "B", "C", "B", "C", "D", "B", "C"]),
+        # mux: lost at eviction, so each fd open at that time collects at
+        # its own next fsync; C and D opened after their error see nothing
+        ("mux", ["A", "B", "B", "C"]),
+    ],
+)
+def test_errseq_ledger_matches_the_notify_oracle(request, backend, expected):
+    if backend == "mux":
+        target = MuxBackend()
+    else:
+        fs = request.getfixturevalue(backend)
+        target = NativeBackend(fs, fs.wb_failure_policy, fs.wb_retry_limit)
+    oracle = NotifyOracle()
+    fds = {}
+    saw_eio = []
+    for step, name in ERRSEQ_SCRIPT:
+        if step == "open":
+            fds[name] = target.open()
+            oracle.on_open(name)
+        elif step == "close":
+            target.close(fds.pop(name))
+            oracle.on_close(name)
+        elif step == "error":
+            target.error(fds[name], oracle)
+        elif step == "heal":
+            target.heal()
+        else:
+            must_report = oracle.on_fsync(name, target.sync_fails())
+            try:
+                target.fsync(fds[name])
+                reported = False
+            except (DeviceIoError, WritebackError) as exc:
+                assert getattr(exc, "errno", errno.EIO) == errno.EIO
+                reported = True
+            assert reported == must_report, (backend, step, name, saw_eio)
+            if reported:
+                saw_eio.append(name)
+    assert saw_eio == expected
+    assert oracle.failed_fds is None  # every debt was collected

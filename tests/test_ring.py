@@ -100,6 +100,18 @@ class TestSubmitComplete:
             ring.submit_read(handle, 0, 10)
         mux.close(handle)
 
+    def test_close_twice_keeps_counters(self):
+        stack = _ssd_stack()
+        mux = stack.mux
+        handle = _prepare_file(mux)
+        ring = mux.open_ring(depth=2)
+        ring.submit_read(handle, 0, 10)
+        assert len(ring.close()) == 1
+        assert ring.close() == []  # used to raise ValueError from list.remove
+        snap = ring.snapshot()
+        assert (snap["submitted"], snap["reaped"], snap["pending"]) == (1, 1, 0)
+        mux.close(handle)
+
     def test_bad_depth_rejected(self):
         stack = _ssd_stack()
         with pytest.raises(InvalidArgument):

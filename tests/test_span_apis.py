@@ -13,11 +13,18 @@ import pytest
 
 from repro.core.cache import ScmCacheManager
 from repro.devices.base import ARENA_CHUNK_BLOCKS, Device
+from repro.devices.faults import FaultConfig, FaultInjector
+from repro.devices.hdd import HardDiskDrive
 from repro.devices.pm import PersistentMemoryDevice
 from repro.devices.profile import OPTANE_SSD_P4800X
-from repro.errors import DeviceError
+from repro.devices.ssd import SolidStateDrive
+from repro.errors import DeviceError, DeviceIoError
+from repro.fs.ext4 import Ext4FileSystem
+from repro.fs.nova import NovaFileSystem
+from repro.fs.xfs import XfsFileSystem
 from repro.fscommon.pagecache import PageCache
 from repro.sim.clock import SimClock
+from repro.sim.rng import DeterministicRng
 from repro.vfs.interface import OpenFlags
 
 BS = 4096
@@ -80,14 +87,18 @@ class TestPageCacheSpans:
         span.put(1, 10, block(10), dirty=False)
         assert [k for k in scalar._pages] == [k for k in span._pages]
 
-    def test_put_span_matches_scalar_puts(self, twin):
+    # span_pages=1 is the twin check: ``put`` and a span of one must stay
+    # the same path, whatever a later optimisation does to ``put_span``
+    @pytest.mark.parametrize("span_pages", [6, 1])
+    def test_put_span_matches_scalar_puts(self, twin, span_pages):
         (scalar, wb_a, clk_a), (span, wb_b, clk_b) = twin
         data = b"".join(block(i) for i in range(6))
         t0a, t0b = clk_a.now_ns, clk_b.now_ns
 
         for i in range(6):
             scalar.put(1, i, data[i * BS : (i + 1) * BS], dirty=True)
-        span.put_span(1, 0, data, dirty=True)
+        for i in range(0, 6, span_pages):
+            span.put_span(1, i, data[i * BS : (i + span_pages) * BS], dirty=True)
 
         assert clk_a.now_ns - t0a == clk_b.now_ns - t0b
         assert scalar.stats.snapshot() == span.stats.snapshot()
@@ -144,7 +155,8 @@ class TestScmCacheSpans:
         assert span_cost == scalar_cost
         assert scalar.stats.get("hit") == span.stats.get("hit") == 4
 
-    def test_put_many_matches_scalar_puts(self, pair):
+    @pytest.mark.parametrize("span_blocks", [12, 1])
+    def test_put_many_matches_scalar_puts(self, pair, span_blocks):
         scalar, span, clock = pair
         blocks = [block(i) for i in range(12)]
 
@@ -154,7 +166,8 @@ class TestScmCacheSpans:
         scalar_cost = clock.now_ns - t0
 
         t0 = clock.now_ns
-        span.put_many(3, 0, b"".join(blocks))
+        for i in range(0, 12, span_blocks):
+            span.put_many(3, i, b"".join(blocks[i : i + span_blocks]))
         span_cost = clock.now_ns - t0
 
         # capacity 8, twelve inserts: MGLRU evicts mid-span either way
@@ -165,6 +178,10 @@ class TestScmCacheSpans:
         assert scalar._slots == span._slots  # identical slot assignment
         for fb in range(4, 12):  # survivors readable via both paths
             assert scalar.get(3, fb) == span.get(3, fb) == blocks[fb]
+        # same MGLRU state afterwards: the next fills pick the same victims
+        for cache in (scalar, span):
+            cache.put_many(4, 0, b"".join(blocks[:3]))
+        assert scalar._slots == span._slots
         scalar.check_invariants()
         span.check_invariants()
 
@@ -263,7 +280,8 @@ class TestDeviceArena:
 
 
 class TestPmRunOps:
-    def test_load_run_matches_scalar_loads(self, clock):
+    @pytest.mark.parametrize("run_chunks", [4, 1])
+    def test_load_run_matches_scalar_loads(self, clock, run_chunks):
         a = PersistentMemoryDevice("pma", 16 * MIB, clock)
         b = PersistentMemoryDevice("pmb", 16 * MIB, clock)
         payload = b"".join(block(i) for i in range(4))
@@ -277,14 +295,17 @@ class TestPmRunOps:
         scalar_cost = clock.now_ns - t0
 
         t0 = clock.now_ns
-        run = b.load_run(0, 4, BS)
+        run = b"".join(
+            b.load_run(i * BS, run_chunks, BS) for i in range(0, 4, run_chunks)
+        )
         run_cost = clock.now_ns - t0
 
         assert run == b"".join(parts) == payload
         assert run_cost == scalar_cost
         assert a.stats.snapshot() == b.stats.snapshot()
 
-    def test_store_run_matches_scalar_stores(self, clock):
+    @pytest.mark.parametrize("run_chunks", [4, 1])
+    def test_store_run_matches_scalar_stores(self, clock, run_chunks):
         a = PersistentMemoryDevice("pma", 16 * MIB, clock)
         b = PersistentMemoryDevice("pmb", 16 * MIB, clock)
         payload = b"".join(block(i) for i in range(4))
@@ -295,13 +316,54 @@ class TestPmRunOps:
         scalar_cost = clock.now_ns - t0
 
         t0 = clock.now_ns
-        b.store_run(0, payload, BS)
+        for i in range(0, 4, run_chunks):
+            b.store_run(i * BS, payload[i * BS : (i + run_chunks) * BS], BS)
         run_cost = clock.now_ns - t0
 
         assert run_cost == scalar_cost
         assert a.stats.snapshot() == b.stats.snapshot()
         assert a.unflushed_lines == b.unflushed_lines == len(payload) // 64
         assert b.load_run(0, 4, BS) == payload
+
+    @pytest.mark.parametrize("fault", ["torn", "latched"])
+    def test_store_twins_agree_under_injected_faults(self, fault):
+        """``store`` and a run of one chunk on identical fresh devices: a
+        single store never tears (same media, same rng draws), a latched
+        media error raises the same exception and leaves the same media."""
+        payload = b"".join(block(i) for i in range(4))  # four fault blocks
+
+        def fresh():
+            pm = PersistentMemoryDevice("pm", 16 * MIB, SimClock())
+            pm.faults = FaultInjector(
+                "pm", FaultConfig(torn_write_p=1.0), DeterministicRng(7)
+            )
+            if fault == "latched":
+                pm.faults.fail_block(2, read=False)
+            return pm
+
+        def outcome(pm, op):
+            try:
+                op(pm)
+                raised = None
+            except DeviceIoError as exc:
+                raised = (str(exc), exc.transient)
+            return (
+                raised,
+                pm._peek_span(0, len(payload)),
+                pm.unflushed_lines,
+                pm.clock.now_ns,
+                pm.stats.snapshot(),
+                pm.faults.stats.snapshot(),
+                pm.faults.rng.random(),  # same number of draws consumed
+            )
+
+        scalar = outcome(fresh(), lambda pm: pm.store(0, payload))
+        run = outcome(fresh(), lambda pm: pm.store_run(0, payload, len(payload)))
+        assert scalar == run
+        if fault == "torn":
+            assert scalar[:2] == (None, payload)
+        else:
+            assert scalar[0] is not None and scalar[1] == bytes(len(payload))
 
     def test_store_run_rejects_misaligned(self, clock):
         pm = PersistentMemoryDevice("pm", 16 * MIB, clock)
@@ -361,6 +423,52 @@ class TestFsSpanReads:
         assert out[4 : 4 + 4096] == b"mux!" * 1024
         assert out[-4:] == b"\xff" * 4  # untouched suffix
         fs.close(h)
+
+    @pytest.mark.parametrize("kind", ["nova", "xfs", "ext4"])
+    def test_read_and_read_into_are_twins(self, kind):
+        """``read`` and ``read_into`` on identical fresh file systems: same
+        bytes, clock delta, FS / device / page-cache counters and LRU order,
+        over a hole, partial edge blocks, an EOF-straddling and a past-EOF
+        read."""
+        make_dev, make_fs = {
+            "nova": (lambda c: PersistentMemoryDevice("d", 64 * MIB, c), NovaFileSystem),
+            "xfs": (lambda c: SolidStateDrive("d", 128 * MIB, c), XfsFileSystem),
+            "ext4": (lambda c: HardDiskDrive("d", 256 * MIB, c), Ext4FileSystem),
+        }[kind]
+
+        def fresh():
+            clock = SimClock()
+            fs = make_fs(kind, make_dev(clock), clock)
+            h = fs.create("/f")
+            fs.write(h, 0, block(1))
+            fs.write(h, 3 * BS, block(2) + b"q" * 904)  # blocks 1..2: a hole
+            fs.fsync(h)
+            return fs, h
+
+        spans = [(0, 4 * BS), (100, 9000), (3 * BS, 4 * BS), (5 * BS, 10)]
+
+        def observe(fs, got):
+            cache = getattr(fs, "page_cache", None)
+            return (
+                got,
+                fs.clock.now_ns,
+                fs.stats.snapshot(),
+                fs.device.stats.snapshot(),
+                cache.stats.snapshot() if cache is not None else None,
+                list(cache._pages) if cache is not None else None,
+            )
+
+        fs_a, h_a = fresh()
+        scalar = observe(fs_a, [fs_a.read(h_a, off, n) for off, n in spans])
+
+        fs_b, h_b = fresh()
+        got = []
+        for off, n in spans:
+            out = bytearray(n)
+            got.append(bytes(out[: fs_b.read_into(h_b, off, n, out)]))
+        assert observe(fs_b, got) == scalar
+        assert scalar[0][2] == block(2) + b"q" * 904  # short at EOF
+        assert scalar[0][3] == b""
 
     def test_read_into_respects_rdonly_checks(self, fs):
         h = fs.create("/f")
