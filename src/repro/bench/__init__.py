@@ -9,7 +9,6 @@ from repro.bench.harness import (
     format_rows,
 )
 from repro.bench.macro import ALL_WORKLOADS, MacroResult, fileserver, varmail, webserver
-from repro.bench.trace import ReplayResult, Trace, TraceRecorder, replay
 from repro.bench.workloads import (
     LatencyResult,
     ThroughputResult,
@@ -26,10 +25,6 @@ __all__ = [
     "fileserver",
     "varmail",
     "webserver",
-    "ReplayResult",
-    "Trace",
-    "TraceRecorder",
-    "replay",
     "ResultRow",
     "StrataStack",
     "VfsView",

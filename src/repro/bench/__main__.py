@@ -3,9 +3,9 @@ and prints the paper-vs-measured tables recorded in EXPERIMENTS.md.
 
 Subcommands: ``wallclock`` (host-CPU trajectory harness + ``--smoke`` CI
 drift guard), ``profile`` (cProfile hotspot report for any registered
-wall-clock workload), ``trace`` (record a mixed workload under fault
-injection, print per-migration retry/backoff telemetry, replay against a
-healthy stack) and ``crashexplore`` (enumerate every sync point of the
+wall-clock workload), ``trace`` (run a mixed workload under fault
+injection, print per-migration retry/backoff telemetry and the cache,
+engine, scheduler and device counters) and ``crashexplore`` (enumerate every sync point of the
 canonical workload, crash at each one, verify recovery; ``--smoke``
 explores a strided subset for CI)."""
 

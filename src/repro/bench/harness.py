@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -15,6 +16,20 @@ from repro.stack import DEFAULT_CAPACITIES, Stack, build_stack
 from repro.strata.fs import StrataFileSystem
 
 MIB = 1024 * 1024
+
+
+def pop_flag_value(argv: List[str], flag: str, usage: str) -> Optional[str]:
+    """Remove ``flag VALUE`` from ``argv`` and return VALUE (None when the
+    flag is absent); a flag with no value exits 2 with ``usage`` on one line."""
+    if flag not in argv:
+        return None
+    at = argv.index(flag)
+    if at + 1 >= len(argv) or argv[at + 1].startswith("--"):
+        print(f"{flag} requires a value; {usage}", file=sys.stderr)
+        raise SystemExit(2)
+    value = argv[at + 1]
+    del argv[at : at + 2]
+    return value
 
 
 @dataclass

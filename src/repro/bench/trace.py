@@ -1,249 +1,28 @@
-"""I/O trace recording and replay.
+"""``python -m repro.bench trace``: counters dump for one mixed workload.
 
-The practical answer to §4's "Configuring Mux": capture what an
-application actually does (a trace), then replay it against candidate
-configurations and measure.  :class:`TraceRecorder` is a transparent
-:class:`FileSystem` proxy that logs every operation; :func:`replay` runs a
-recorded trace against any other file system, preserving the exact
-operation sequence, offsets and sizes (data payloads are regenerated —
-placement decisions depend on shape, not bytes).
+Runs a seeded mixed workload against a (optionally fault-injected) Mux
+stack, drives migrations through ``migrate_now``, and prints the
+retry/backoff telemetry each migration accumulated, followed by the
+cache, engine, scheduler and device counters the run left behind.
+``--pressure`` adds the per-tier pressure gauges, ``--cluster`` prints
+per-shard and rebalance counters for a two-shard cluster instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import sys
+from typing import List, Optional
 
-from repro.sim.clock import SimClock
-from repro.vfs.interface import FileHandle, FileSystem, OpenFlags
-from repro.vfs.stat import FsStats, Stat
+from repro.bench.harness import pop_flag_value
 
-#: (op, handle_id, path, a, b)  — a/b are op-specific ints
-TraceEntry = Tuple[str, int, str, int, int]
-
-
-@dataclass
-class Trace:
-    """A recorded operation sequence."""
-
-    entries: List[TraceEntry] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def op_mix(self) -> Dict[str, int]:
-        mix: Dict[str, int] = {}
-        for op, *_ in self.entries:
-            mix[op] = mix.get(op, 0) + 1
-        return mix
-
-    @property
-    def bytes_written(self) -> int:
-        return sum(b for op, _, _, _, b in self.entries if op == "write")
-
-    @property
-    def bytes_read(self) -> int:
-        return sum(b for op, _, _, _, b in self.entries if op == "read")
+USAGE = (
+    "usage: python -m repro.bench trace [--no-faults] [--write-back] "
+    "[--readahead-bg] [--pressure] [--cluster] [--ops N] [--seed N]"
+)
+_SWITCHES = ("--no-faults", "--write-back", "--readahead-bg", "--pressure", "--cluster")
 
 
-class TraceRecorder(FileSystem):
-    """Transparent proxy: forwards everything, records the op stream."""
-
-    def __init__(self, inner: FileSystem) -> None:
-        self.inner = inner
-        self.fs_name = f"traced({inner.fs_name})"
-        self.block_size = getattr(inner, "block_size", 4096)
-        self.trace = Trace()
-        self._next_handle_id = 1
-        self._handle_ids: Dict[int, int] = {}  # id(handle) -> trace handle id
-
-    def _note(self, op: str, handle_id: int = 0, path: str = "", a: int = 0, b: int = 0) -> None:
-        self.trace.entries.append((op, handle_id, path, a, b))
-
-    def _register(self, handle: FileHandle) -> int:
-        handle_id = self._next_handle_id
-        self._next_handle_id += 1
-        self._handle_ids[id(handle)] = handle_id
-        return handle_id
-
-    def _id_of(self, handle: FileHandle) -> int:
-        return self._handle_ids.get(id(handle), 0)
-
-    # -- namespace ---------------------------------------------------------
-
-    def create(self, path: str, mode: int = 0o644) -> FileHandle:
-        handle = self.inner.create(path, mode)
-        self._note("create", self._register(handle), path, mode)
-        return handle
-
-    def open(self, path: str, flags: int = OpenFlags.RDWR) -> FileHandle:
-        handle = self.inner.open(path, flags)
-        self._note("open", self._register(handle), path, flags)
-        return handle
-
-    def close(self, handle: FileHandle) -> None:
-        self._note("close", self._id_of(handle))
-        self.inner.close(handle)
-
-    def unlink(self, path: str) -> None:
-        self._note("unlink", 0, path)
-        self.inner.unlink(path)
-
-    def rename(self, old_path: str, new_path: str) -> None:
-        # two path fields don't fit the tuple; encode via two entries
-        self._note("rename_from", 0, old_path)
-        self._note("rename_to", 0, new_path)
-        self.inner.rename(old_path, new_path)
-
-    def link(self, existing_path: str, new_path: str) -> None:
-        self._note("link_from", 0, existing_path)
-        self._note("link_to", 0, new_path)
-        self.inner.link(existing_path, new_path)
-
-    def mkdir(self, path: str, mode: int = 0o755) -> None:
-        self._note("mkdir", 0, path, mode)
-        self.inner.mkdir(path, mode)
-
-    def rmdir(self, path: str) -> None:
-        self._note("rmdir", 0, path)
-        self.inner.rmdir(path)
-
-    def readdir(self, path: str) -> List[str]:
-        self._note("readdir", 0, path)
-        return self.inner.readdir(path)
-
-    # -- data ---------------------------------------------------------------
-
-    def read(self, handle: FileHandle, offset: int, length: int) -> bytes:
-        self._note("read", self._id_of(handle), "", offset, length)
-        return self.inner.read(handle, offset, length)
-
-    def write(self, handle: FileHandle, offset: int, data: bytes) -> int:
-        self._note("write", self._id_of(handle), "", offset, len(data))
-        return self.inner.write(handle, offset, data)
-
-    def truncate(self, handle: FileHandle, size: int) -> None:
-        self._note("truncate", self._id_of(handle), "", size)
-        self.inner.truncate(handle, size)
-
-    def fsync(self, handle: FileHandle) -> None:
-        self._note("fsync", self._id_of(handle))
-        self.inner.fsync(handle)
-
-    def punch_hole(self, handle: FileHandle, offset: int, length: int) -> None:
-        self._note("punch_hole", self._id_of(handle), "", offset, length)
-        self.inner.punch_hole(handle, offset, length)
-
-    # -- metadata -------------------------------------------------------------
-
-    def getattr(self, path: str) -> Stat:
-        self._note("getattr", 0, path)
-        return self.inner.getattr(path)
-
-    def setattr(self, path: str, **attrs: object) -> Stat:
-        self._note("setattr", 0, path)
-        return self.inner.setattr(path, **attrs)
-
-    def statfs(self) -> FsStats:
-        return self.inner.statfs()
-
-    def sync(self) -> None:
-        self.inner.sync()
-
-
-
-@dataclass
-class ReplayResult:
-    operations: int
-    elapsed_s: float
-    #: operations that raised during replay (traces legitimately contain
-    #: failing probes, e.g. the getattr under an exists() check)
-    failed_operations: int = 0
-
-    @property
-    def ops_per_sec(self) -> float:
-        return self.operations / self.elapsed_s if self.elapsed_s else 0.0
-
-
-def replay(trace: Trace, fs: FileSystem, clock: SimClock) -> ReplayResult:
-    """Re-execute a trace against ``fs``, measuring simulated time.
-
-    Operations that raise :class:`~repro.errors.FsError` are counted in
-    ``failed_operations`` and skipped — a faithful trace contains failing
-    probes too (the getattr under an ``exists()`` check, races with
-    deletions), and the original application survived them.
-    """
-    from repro.errors import FsError
-
-    handles: Dict[int, FileHandle] = {}
-    pending_rename: Optional[str] = None
-    pending_link: Optional[str] = None
-    failed = 0
-    start_ns = clock.now_ns
-    for op, handle_id, path, a, b in trace.entries:
-        try:
-            if op == "create":
-                handles[handle_id] = fs.create(path, a or 0o644)
-            elif op == "open":
-                handles[handle_id] = fs.open(path, a)
-            elif op == "close":
-                handle = handles.pop(handle_id, None)
-                if handle is not None:
-                    fs.close(handle)
-            elif op == "read":
-                fs.read(handles[handle_id], a, b)
-            elif op == "write":
-                fs.write(handles[handle_id], a, bytes(b))
-            elif op == "truncate":
-                fs.truncate(handles[handle_id], a)
-            elif op == "fsync":
-                fs.fsync(handles[handle_id])
-            elif op == "punch_hole":
-                fs.punch_hole(handles[handle_id], a, b)
-            elif op == "unlink":
-                fs.unlink(path)
-            elif op == "mkdir":
-                fs.mkdir(path, a or 0o755)
-            elif op == "rmdir":
-                fs.rmdir(path)
-            elif op == "readdir":
-                fs.readdir(path)
-            elif op == "getattr":
-                fs.getattr(path)
-            elif op == "setattr":
-                fs.setattr(path, mtime=clock.now())
-            elif op == "rename_from":
-                pending_rename = path
-            elif op == "rename_to":
-                assert pending_rename is not None, "orphan rename_to in trace"
-                fs.rename(pending_rename, path)
-                pending_rename = None
-            elif op == "link_from":
-                pending_link = path
-            elif op == "link_to":
-                assert pending_link is not None, "orphan link_to in trace"
-                fs.link(pending_link, path)
-                pending_link = None
-            else:  # pragma: no cover - future-proofing
-                raise ValueError(f"unknown trace op {op!r}")
-        except FsError:
-            failed += 1
-    elapsed = (clock.now_ns - start_ns) / 1e9
-    return ReplayResult(len(trace), elapsed, failed)
-
-
-# ---------------------------------------------------------------------------
-# CLI: ``python -m repro.bench trace``
-# ---------------------------------------------------------------------------
-#
-# Records a seeded mixed workload against a (optionally fault-injected)
-# Mux stack, drives migrations through ``migrate_now``, and prints the
-# retry/backoff telemetry each migration accumulated — then replays the
-# same trace against a healthy stack so the cost of running degraded is a
-# number, not an anecdote.
-
-
-def _record_mixed(
+def _run_mixed(
     ops: int,
     seed: int,
     faulty: bool,
@@ -268,21 +47,21 @@ def _record_mixed(
         cache_write_back=write_back,
         readahead_background=readahead_bg,
     )
-    recorder = TraceRecorder(stack.mux)
-    recorder.mkdir("/t")
+    mux = stack.mux
+    mux.mkdir("/t")
     blob = b"\xa5" * 65536
     handles = []
     for i in range(6):
-        handle = recorder.create(f"/t/f{i}")
-        recorder.write(handle, 0, blob)
+        handle = mux.create(f"/t/f{i}")
+        mux.write(handle, 0, blob)
         handles.append(handle)
-    live = metadata_tree(recorder, files=40)
-    metadata_churn(recorder, stack.clock, files=40, operations=ops, live=live)
-    blocks = len(blob) // stack.mux.block_size
+    live = metadata_tree(mux, files=40)
+    metadata_churn(mux, stack.clock, files=40, operations=ops, live=live)
+    blocks = len(blob) // mux.block_size
     pm, ssd = stack.tier_ids["pm"], stack.tier_ids["ssd"]
     migrations = []
     for i, handle in enumerate(handles):
-        result = stack.mux.engine.migrate_now(
+        result = mux.engine.migrate_now(
             MigrationOrder(handle.ino, 0, blocks, pm, ssd, reason="trace")
         )
         migrations.append((f"/t/f{i}", result))
@@ -290,18 +69,18 @@ def _record_mixed(
         # read the migrated blocks back (fills the SCM cache), then
         # overwrite a slice — with --write-back those writes are absorbed
         # in place and the close destages them in coalesced runs
-        recorder.read(handle, 0, len(blob))
-        recorder.write(handle, 0, b"\x5a" * 8192)
-        recorder.close(handle)
+        mux.read(handle, 0, len(blob))
+        mux.write(handle, 0, b"\x5a" * 8192)
+        mux.close(handle)
     if readahead_bg:
         # sequential single-block scan of an SSD-resident file: the demand
         # block stays on foreground time while the speculative tail
         # prefetches on background channels (readahead_bg_blocks)
-        scan = recorder.create("/t/scan")
+        scan = mux.create("/t/scan")
         scan_bytes = 4 * len(blob)
-        recorder.write(scan, 0, b"\xc3" * scan_bytes)
-        scan_blocks = scan_bytes // stack.mux.block_size
-        result = stack.mux.engine.migrate_now(
+        mux.write(scan, 0, b"\xc3" * scan_bytes)
+        scan_blocks = scan_bytes // mux.block_size
+        result = mux.engine.migrate_now(
             MigrationOrder(scan.ino, 0, scan_blocks, pm, ssd, reason="trace")
         )
         migrations.append(("/t/scan", result))
@@ -309,11 +88,11 @@ def _record_mixed(
             cache = getattr(fs, "page_cache", None)
             if cache is not None:
                 cache.drop_clean()
-        bs = stack.mux.block_size
+        bs = mux.block_size
         for block in range(scan_blocks):
-            recorder.read(scan, block * bs, bs)
-        recorder.close(scan)
-    return stack, recorder.trace, migrations
+            mux.read(scan, block * bs, bs)
+        mux.close(scan)
+    return stack, migrations
 
 
 def _cluster_report(ops: int, seed: int) -> int:
@@ -354,64 +133,26 @@ def _cluster_report(ops: int, seed: int) -> int:
     return 0
 
 
-def _drr_report(seed: int) -> int:
-    """``trace --drr``: deficit round-robin per-stream counters."""
-    from repro.core.qos import IoClass
-    from repro.sim.rng import DeterministicRng
-    from repro.stack import build_stack
-
-    stack = build_stack()
-    qos = stack.mux.enable_qos()
-    qos.enable_fair_share(quantum_bytes=64 * 1024, rate_bytes_per_sec=1e9)
-    qos.register(IoClass("batch"))
-    qos.register(IoClass("latency", quota_bytes_per_sec=64 * 1024 * 1024))
-    handles = {}
-    for name in ("batch", "latency"):
-        handle = stack.mux.create(f"/{name}")
-        qos.tag(handle, name)
-        handles[name] = handle
-    rng = DeterministicRng(seed)
-    big, small = b"\xa5" * (256 * 1024), b"\x5a" * 8192
-    for i in range(32):
-        stack.mux.write(handles["batch"], i * len(big), big)
-        if rng.random() < 0.5:
-            stack.mux.write(handles["latency"], i * len(small), small)
-    for handle in handles.values():
-        stack.mux.close(handle)
-    print("drr streams:")
-    for name, counters in qos.drr_snapshot().items():
-        fields = " ".join(f"{k}={v}" for k, v in counters.items())
-        print(f"  {name}: {fields}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    import sys
-
-    from repro.stack import build_stack
-
     argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        ops = int(pop_flag_value(argv, "--ops", USAGE) or 600)
+        seed = int(pop_flag_value(argv, "--seed", USAGE) or 2025)
+    except ValueError as exc:
+        print(f"{exc}; {USAGE}", file=sys.stderr)
+        return 2
+    unknown = [arg for arg in argv if arg not in _SWITCHES]
+    if unknown:
+        print(f"unknown argument {unknown[0]!r}; {USAGE}", file=sys.stderr)
+        return 2
     faulty = "--no-faults" not in argv
     write_back = "--write-back" in argv
     readahead_bg = "--readahead-bg" in argv
     show_pressure = "--pressure" in argv
-    ops = 600
-    if "--ops" in argv:
-        ops = int(argv[argv.index("--ops") + 1])
-    seed = 2025
-    if "--seed" in argv:
-        seed = int(argv[argv.index("--seed") + 1])
     if "--cluster" in argv:
         return _cluster_report(ops, seed)
-    if "--drr" in argv:
-        return _drr_report(seed)
 
-    stack, trace, migrations = _record_mixed(
-        ops, seed, faulty, write_back, readahead_bg
-    )
-    mix = ", ".join(f"{op}={n}" for op, n in sorted(trace.op_mix().items()))
-    print(f"trace: recorded {len(trace)} ops ({mix})")
-    print(f"trace: {trace.bytes_written} bytes written, {trace.bytes_read} read")
+    stack, migrations = _run_mixed(ops, seed, faulty, write_back, readahead_bg)
     if stack.mux.cache is not None:
         counters = stack.mux.cache.cache_counters()
         print(
@@ -483,10 +224,4 @@ def main(argv: Optional[List[str]] = None) -> int:
             fields = " ".join(f"{k}={v}" for k, v in gauges.items())
             print(f"  tier {names.get(tier_id, tier_id)}: {fields}")
 
-    healthy = build_stack()
-    result = replay(trace, healthy.mux, healthy.clock)
-    print(
-        f"replay on healthy stack: {result.operations} ops in "
-        f"{result.elapsed_s:.6f} sim-s ({result.failed_operations} failed)"
-    )
     return 0

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.multi_tenant import _exp_gap, _zipf_cdf, _zipf_pick
 from repro.errors import InvalidArgument
@@ -416,18 +416,6 @@ def load_canonical(name: str) -> BlockTrace:
     return canonical_trace(name)
 
 
-def write_canonical_traces(directory=None) -> List[Path]:
-    """(Re)write every canonical trace file; returns the paths written."""
-    directory = Path(directory) if directory is not None else traces_dir()
-    directory.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-    for name in sorted(CANONICAL_TRACE_PARAMS):
-        path = directory / f"{name}.muxtrace"
-        dump_trace(canonical_trace(name), path)
-        written.append(path)
-    return written
-
-
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
@@ -591,30 +579,3 @@ def replay_trace(
         mux.close(handle)
     result.final_now_ns = clock.now_ns
     return result
-
-
-def compare_policies(
-    trace: BlockTrace,
-    policies: Iterable[str],
-    stack_factory: Callable[[str], object],
-    ring_depth: int = 8,
-    maintain_every: int = 64,
-    population_tier: Optional[str] = "ssd",
-) -> Dict[str, TraceReplayResult]:
-    """Replay one trace against a fresh stack per registered policy name.
-
-    ``stack_factory(policy_name)`` must return identically-configured
-    stacks differing only in policy, so the trace is the controlled
-    variable and the policy is the treatment.
-    """
-    results: Dict[str, TraceReplayResult] = {}
-    for name in policies:
-        stack = stack_factory(name)
-        results[name] = replay_trace(
-            stack,
-            trace,
-            ring_depth=ring_depth,
-            maintain_every=maintain_every,
-            population_tier=population_tier,
-        )
-    return results

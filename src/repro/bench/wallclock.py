@@ -33,7 +33,7 @@ import time
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bench.harness import build_strata
+from repro.bench.harness import build_strata, pop_flag_value
 from repro.bench.macro import fileserver, varmail, webserver
 from repro.bench.multi_tenant import (
     TenantSpec,
@@ -68,6 +68,8 @@ MIB = 1024 * KIB
 
 #: output file written at the repo root (cwd of the bench invocation)
 DEFAULT_OUT = "BENCH_wallclock.json"
+
+USAGE = "usage: python -m repro.bench wallclock [--smoke] [--out FILE] [--before FILE]"
 
 #: repetitions per workload; wall_s is the minimum (least-noise) rep
 FULL_REPS = 3
@@ -1239,21 +1241,11 @@ def _run_smoke(out_path: str) -> int:
     return 0
 
 
-def _flag_value(argv: List[str], flag: str) -> Optional[str]:
-    if flag not in argv:
-        return None
-    idx = argv.index(flag)
-    if idx + 1 >= len(argv) or argv[idx + 1].startswith("--"):
-        print(f"wallclock: {flag} requires a file path", file=sys.stderr)
-        raise SystemExit(2)
-    return argv[idx + 1]
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     smoke = "--smoke" in argv
-    out_path = _flag_value(argv, "--out") or DEFAULT_OUT
-    before_path = _flag_value(argv, "--before")
+    out_path = pop_flag_value(argv, "--out", USAGE) or DEFAULT_OUT
+    before_path = pop_flag_value(argv, "--before", USAGE)
     if smoke:
         return _run_smoke(out_path)
     return _run_full(out_path, before_path)

@@ -1,6 +1,5 @@
 """Mux core: the paper's primary contribution."""
 
-from repro.core.autotune import AutoTuner, Configuration, Evaluation
 from repro.core.blt import BlockLookupTable, ByteArrayBlt, ExtentBlt
 from repro.core.cache import ScmCacheManager
 from repro.core.metadata import CollectiveInode, MetadataAffinity, MuxNamespace
@@ -29,9 +28,6 @@ from repro.core.registry import Tier, TierRegistry
 from repro.core.scheduler import IoScheduler, SubRequest
 
 __all__ = [
-    "AutoTuner",
-    "Configuration",
-    "Evaluation",
     "BlockLookupTable",
     "ByteArrayBlt",
     "ExtentBlt",

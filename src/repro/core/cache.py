@@ -13,19 +13,14 @@ allocation cost), resolves the file's device blocks once (the "mmap"), and
 thereafter serves hits and fills with raw PM loads/stores plus the small
 bookkeeping costs from :mod:`repro.core.calibration`.
 
-Two optional modes (both default-off so the write-invalidate fingerprints
-stay bit-identical):
-
-* **write-back** (``write_back=True``): writes to cache-resident blocks
-  update the DAX slot in place and mark the block dirty in a per-file
-  :class:`~repro.core.intervals.BlockIntervalSet`; dirty runs are later
-  destaged to the owning slow tier in coalesced batches via the
-  ``destage_fn`` callback installed by the Mux layer (eviction, fsync,
-  close, migration and the writeback budget all trigger it there).
-* **scan resistance** (``scan_resist=True``): per-file sequential-stream
-  detection lets large streaming read misses bypass the fill, so a scan
-  cannot flush the hot set out of the MGLRU (the anti-thrash intent of the
-  kernel's lru_gen).
+One optional mode (default-off so the write-invalidate fingerprints stay
+bit-identical), **write-back** (``write_back=True``): writes to
+cache-resident blocks update the DAX slot in place and mark the block
+dirty in a per-file :class:`~repro.core.intervals.BlockIntervalSet`;
+dirty runs are later destaged to the owning slow tier in coalesced
+batches via the ``destage_fn`` callback installed by the Mux layer
+(eviction, fsync, close, migration and the writeback budget all trigger
+it there).
 
 A per-ino secondary index keeps :meth:`invalidate_file` and
 :meth:`invalidate_range` O(blocks-of-the-file) instead of O(cache).
@@ -69,7 +64,6 @@ class ScmCacheManager:
         block_size: int,
         num_generations: int = 4,
         write_back: bool = False,
-        scan_resist: bool = False,
     ) -> None:
         if capacity_blocks <= 0:
             raise ValueError("cache needs positive capacity")
@@ -77,7 +71,6 @@ class ScmCacheManager:
         self.block_size = block_size
         self.capacity_blocks = capacity_blocks
         self.write_back = write_back
-        self.scan_resist = scan_resist
         self.stats = CounterSet()
         self._mglru: MultiGenLru[CacheKey] = MultiGenLru(
             capacity_blocks, num_generations
@@ -90,8 +83,6 @@ class ScmCacheManager:
         #: ino -> dirty (written-back-pending) blocks; always a subset of
         #: the cached blocks of that ino
         self._dirty: Dict[int, BlockIntervalSet] = {}
-        #: ino -> (expected next block, streak length) for scan detection
-        self._streams: Dict[int, Tuple[int, int]] = {}
         #: installed by Mux once it can route destage writes to tiers
         self.destage_fn: Optional[DestageFn] = None
         #: installed by Mux: called with (ino, [(fb, count)]) whenever an
@@ -225,45 +216,6 @@ class ScmCacheManager:
             out[pos : pos + len(data)] = data
             pos += len(data)
             i = j
-
-    # -- scan-resistant admission ------------------------------------------
-
-    def observe_span(self, ino: int, first_block: int, count: int) -> None:
-        """Update per-file stream state after a read span completes.
-
-        Called at the *end* of the read path so admission decisions for a
-        span use the pre-span stream state only.
-        """
-        if not self.scan_resist or count <= 0:
-            return
-        prev = self._streams.get(ino)
-        if prev is not None and prev[0] == first_block:
-            streak = prev[1] + count
-        else:
-            streak = count
-        self._streams[ino] = (first_block + count, streak)
-
-    def should_admit(self, ino: int, first_block: int, count: int) -> bool:
-        """Whether a miss run should be filled into the cache (no charges).
-
-        False only when scan resistance is on, the file's sequential
-        streak has reached ``SCAN_RESIST_STREAM_BLOCKS``, the run
-        continues that stream, and the run is at least
-        ``SCAN_RESIST_MIN_RUN`` blocks (large streaming reads bypass the
-        fill; small point reads still cache).
-        """
-        if not self.scan_resist:
-            return True
-        prev = self._streams.get(ino)
-        if (
-            prev is not None
-            and prev[0] == first_block
-            and prev[1] >= cal.SCAN_RESIST_STREAM_BLOCKS
-            and count >= cal.SCAN_RESIST_MIN_RUN
-        ):
-            self.stats.add("admit_bypass", count)
-            return False
-        return True
 
     # -- fills / invalidation ----------------------------------------------------
 
@@ -520,13 +472,11 @@ class ScmCacheManager:
         blocks = self._by_ino.get(ino)
         self._lost.pop(ino, None)  # dead file: its lost intervals are moot
         if not blocks:
-            self._streams.pop(ino, None)
             self._dirty.pop(ino, None)  # defensive: orphaned marks die too
             return 0
         targets = sorted(blocks)
         for fb in targets:
             self.invalidate(ino, fb)
-        self._streams.pop(ino, None)
         return len(targets)
 
     # -- introspection -----------------------------------------------------------

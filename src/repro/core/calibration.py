@@ -105,14 +105,6 @@ CACHE_WRITEBACK_INTERVAL_NS = 2_000_000
 #: capacity (pressure trigger, independent of the time budget).
 CACHE_WRITEBACK_MAX_DIRTY_FRAC = 0.25
 
-#: Scan-resistant admission: a per-file sequential streak at least this
-#: many blocks long marks the stream as a scan.
-SCAN_RESIST_STREAM_BLOCKS = 256
-
-#: ... and miss runs at least this large within a detected scan bypass the
-#: cache fill (small point reads still cache even mid-scan).
-SCAN_RESIST_MIN_RUN = 8
-
 # ---------------------------------------------------------------------------
 # OCC migration (§2.4)
 # ---------------------------------------------------------------------------

@@ -167,7 +167,6 @@ class MuxFileSystem(FileSystem):
         enable_cache: bool = True,
         cache_fraction: float = 0.25,
         cache_write_back: bool = False,
-        cache_scan_resist: bool = False,
         scheduler: Optional[IoScheduler] = None,
     ) -> None:
         self.vfs = vfs
@@ -177,7 +176,6 @@ class MuxFileSystem(FileSystem):
         self.enable_cache = enable_cache
         self.cache_fraction = cache_fraction
         self.cache_write_back = cache_write_back
-        self.cache_scan_resist = cache_scan_resist
         #: next simulated-time writeback deadline (lazily armed on the
         #: first absorbed write)
         self._next_writeback_ns: Optional[int] = None
@@ -429,7 +427,6 @@ class MuxFileSystem(FileSystem):
                 capacity,
                 self.block_size,
                 write_back=self.cache_write_back,
-                scan_resist=self.cache_scan_resist,
             )
             self.cache.destage_fn = self._destage_evicted
             self.cache.on_lost = self._note_destage_lost
@@ -791,6 +788,8 @@ class MuxFileSystem(FileSystem):
             for name, child_ino in inode.entries.items():
                 child = self.ns.get(child_ino)
                 self._rename_backing(child, vpath.join(new_rel, name))
+            # the emptied skeleton would shadow a later file of the old name
+            self._remove_tier_dirs(old_rel)
             return
         for tier_id in sorted(inode.tiers_present):
             tier = self.registry.get(tier_id)
@@ -821,14 +820,18 @@ class MuxFileSystem(FileSystem):
         self._charge_base()
         path = vpath.normalize(path)
         self.ns.rmdir(path, self.clock.now())
-        for tier in self.registry.ordered():
-            full = vpath.join(tier.mount, path.lstrip("/"))
-            if self.vfs.exists(full):
-                self.vfs.rmdir(full)
+        self._remove_tier_dirs(path)
         if self._meta is not None:
             self._meta.note(1)
             self._meta.flush()
         self.stats.add("rmdir")
+
+    def _remove_tier_dirs(self, rel_path: str) -> None:
+        """Remove the (empty) backing directory of ``rel_path`` on every tier."""
+        for tier in self.registry.ordered():
+            full = vpath.join(tier.mount, rel_path.lstrip("/"))
+            if self.vfs.exists(full):
+                self.vfs.rmdir(full)
 
     def readdir(self, path: str) -> List[str]:
         self._charge_base()
@@ -1065,8 +1068,7 @@ class MuxFileSystem(FileSystem):
             raw = self._tier_io(tier, fetch)
             if len(raw) < n * bs:
                 raw += bytes(n * bs - len(raw))
-            if cache.should_admit(ino, start_fb, n):
-                cache.put_many(ino, start_fb, raw)
+            cache.put_many(ino, start_fb, raw)
             lo = max(req.offset, start_fb * bs)
             hi = min(req.offset + req.length, (start_fb + n) * bs)
             dst = req.buffer_offset + (lo - req.offset)
@@ -1097,7 +1099,6 @@ class MuxFileSystem(FileSystem):
             self._hit_run(inode, start, n, req, out)
         if pending is not None:
             flush_misses(*pending)
-        cache.observe_span(ino, first_fb, end_fb - first_fb)
 
     def _hit_run(
         self,

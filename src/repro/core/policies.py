@@ -15,9 +15,13 @@
   ``TierState.pressure`` signals, demotes off backlogged tiers, and
   defers migrations toward hot channels.  Hysteresis (separate spill and
   resume thresholds) keeps placement from flapping at the boundary.
-* :class:`TpfsPressurePolicy` / :class:`HotColdPressurePolicy` —
-  pressure-augmented variants of the blind heuristics above, for
-  like-for-like comparisons in the trace-replay benchmark.
+* :class:`MirrorPolicy` — pressure-aware tiering plus MOST-style mirrors
+  of hot read-mostly files on the fastest healthy tier.
+
+The policies are built from three collaborators, each defined once:
+:class:`SizeRule` (the TPFS size/synchronicity → rank rule),
+:class:`HeatMap` (per-file access tally with decay) and
+:class:`PressureRouter` (hysteresis routing around loaded tiers).
 """
 
 from __future__ import annotations
@@ -42,6 +46,76 @@ from repro.errors import PolicyError
 
 #: granularity of recency tracking, in blocks (64 blocks = 256 KiB chunks)
 CHUNK_BLOCKS = 64
+
+
+class SizeRule:
+    """The TPFS size/synchronicity rule: which rank a write *aims* at.
+
+    Small or synchronous writes aim at the fastest tier (rank 0), medium
+    writes at rank 1, large writes at rank 2 — judged on the mean of the
+    file's last ``history_window`` write sizes (the "access history"
+    input §2.1 names).
+    """
+
+    def __init__(
+        self,
+        small_io_bytes: int = 64 * 1024,
+        medium_io_bytes: int = 1024 * 1024,
+        history_window: int = 8,
+    ) -> None:
+        self.small_io_bytes = small_io_bytes
+        self.medium_io_bytes = medium_io_bytes
+        self.history_window = history_window
+        #: per-file recent write sizes
+        self._history: Dict[int, List[int]] = {}
+
+    def base_rank(self, request: PlacementRequest) -> int:
+        history = self._history.setdefault(request.ino, [])
+        history.append(request.length)
+        del history[: -self.history_window]
+        avg = sum(history) / len(history)
+        if request.synchronous or avg <= self.small_io_bytes:
+            return 0
+        if avg <= self.medium_io_bytes:
+            return 1
+        return 2
+
+    def forget(self, ino: int) -> None:
+        self._history.pop(ino, None)
+
+
+class HeatMap:
+    """Per-file access tally with exponential decay."""
+
+    #: :meth:`cool_all` drops tallies that decayed below this
+    FORGET_BELOW = 0.05
+
+    def __init__(self, decay: float = 0.8) -> None:
+        self.decay = decay
+        self._heat: Dict[int, float] = {}
+
+    def touch(self, ino: int) -> None:
+        self._heat[ino] = self._heat.get(ino, 0.0) + 1.0
+
+    def get(self, ino: int) -> float:
+        return self._heat.get(ino, 0.0)
+
+    def cool(self, ino: int) -> float:
+        """Decay one file's heat; returns its heat *before* the decay."""
+        heat = self._heat.get(ino, 0.0)
+        if heat:
+            self._heat[ino] = heat * self.decay
+        return heat
+
+    def cool_all(self) -> None:
+        """Decay every file, dropping entries below ``FORGET_BELOW``."""
+        for ino in list(self._heat):
+            self._heat[ino] *= self.decay
+            if self._heat[ino] < self.FORGET_BELOW:
+                del self._heat[ino]
+
+    def forget(self, ino: int) -> None:
+        self._heat.pop(ino, None)
 
 
 @register_policy("lru")
@@ -178,17 +252,10 @@ class TpfsPolicy(Policy):
         medium_io_bytes: int = 1024 * 1024,
         history_window: int = 8,
     ) -> None:
-        self.small_io_bytes = small_io_bytes
-        self.medium_io_bytes = medium_io_bytes
-        self.history_window = history_window
-        #: per-file recent write sizes (access history input to the rule)
-        self._history: Dict[int, List[int]] = {}
+        self.sizes = SizeRule(small_io_bytes, medium_io_bytes, history_window)
 
     def place_write(self, request: PlacementRequest, tiers: List[TierState]) -> int:
-        history = self._history.setdefault(request.ino, [])
-        history.append(request.length)
-        del history[: -self.history_window]
-        avg = sum(history) / len(history)
+        base_rank = self.sizes.base_rank(request)
         by_rank = sorted(writable_tiers(tiers), key=lambda t: t.rank)
         if not by_rank:
             raise PolicyError("no writable tier (all offline)")
@@ -200,14 +267,10 @@ class TpfsPolicy(Policy):
                 return pick(rank + 1)
             return tier
 
-        if request.synchronous or avg <= self.small_io_bytes:
-            return pick(0).tier_id
-        if avg <= self.medium_io_bytes:
-            return pick(1).tier_id
-        return pick(2).tier_id
+        return pick(base_rank).tier_id
 
     def forget(self, ino: int) -> None:
-        self._history.pop(ino, None)
+        self.sizes.forget(ino)
 
 
 @register_policy("hotcold")
@@ -223,9 +286,8 @@ class HotColdPolicy(Policy):
     ) -> None:
         self.hot_threshold = hot_threshold
         self.cold_threshold = cold_threshold
-        self.decay = decay
         self.max_orders_per_plan = max_orders_per_plan
-        self._heat: Dict[int, float] = {}
+        self.heat = HeatMap(decay)
 
     def place_write(self, request: PlacementRequest, tiers: List[TierState]) -> int:
         return fastest_with_room(tiers, request.length).tier_id
@@ -233,10 +295,10 @@ class HotColdPolicy(Policy):
     def on_access(
         self, ino: int, block_start: int, count: int, tier_id: int, kind: str, now: float
     ) -> None:
-        self._heat[ino] = self._heat.get(ino, 0.0) + 1.0
+        self.heat.touch(ino)
 
     def forget(self, ino: int) -> None:
-        self._heat.pop(ino, None)
+        self.heat.forget(ino)
 
     def plan_migrations(
         self, tiers: List[TierState], files: Iterable[FileView]
@@ -247,8 +309,7 @@ class HotColdPolicy(Policy):
         fastest, slowest = by_rank[0], by_rank[-1]
         orders: List[MigrationOrder] = []
         for view in files:
-            heat = self._heat.get(view.ino, 0.0)
-            self._heat[view.ino] = heat * self.decay
+            heat = self.heat.cool(view.ino)
             if len(orders) >= self.max_orders_per_plan:
                 break
             if heat >= self.hot_threshold:
@@ -271,7 +332,7 @@ class HotColdPolicy(Policy):
 
 
 class PressureRouter:
-    """Shared pressure-routing machinery for the *-pressure policies.
+    """Hysteresis routing around loaded, SUSPECT or full tiers.
 
     Keeps a per-tier *avoid* flag with hysteresis: a tier is avoided once
     its sampled per-channel load reaches ``spill_load`` and stays avoided
@@ -289,9 +350,7 @@ class PressureRouter:
     tier in either direction.  OFFLINE tiers are never candidates.
     """
 
-    def _init_pressure(
-        self, spill_load: float = 0.75, resume_load: float = 0.3
-    ) -> None:
+    def __init__(self, spill_load: float = 0.75, resume_load: float = 0.3) -> None:
         if resume_load >= spill_load:
             raise PolicyError("resume_load must be below spill_load")
         self.spill_load = spill_load
@@ -303,7 +362,8 @@ class PressureRouter:
         #: migration orders dropped because their target channel was hot
         self.deferred_orders = 0
 
-    def _update_avoid(self, tiers: List[TierState]) -> None:
+    def observe(self, tiers: List[TierState]) -> None:
+        """Advance the avoid flags from this round's sampled loads."""
         for t in tiers:
             load = tier_load(t)
             if self._avoiding.get(t.tier_id):
@@ -315,7 +375,15 @@ class PressureRouter:
     def _avoided(self, tier_id: int) -> bool:
         return self._avoiding.get(tier_id, False)
 
-    def _route(
+    def is_cool(self, tier: TierState) -> bool:
+        """Whether ``tier`` may receive migration traffic right now."""
+        return (
+            not self._avoided(tier.tier_id)
+            and tier_load(tier) < self.spill_load
+            and tier.health is HealthState.HEALTHY
+        )
+
+    def route(
         self,
         base_rank: int,
         tiers: List[TierState],
@@ -323,7 +391,7 @@ class PressureRouter:
         reserve_fraction: float = 0.02,
     ) -> int:
         """Pick a tier near ``base_rank``, spilling around pressure."""
-        self._update_avoid(tiers)
+        self.observe(tiers)
         candidates = writable_tiers(tiers)
         if not candidates:
             raise PolicyError("no writable tier (all offline)")
@@ -366,12 +434,12 @@ class PressureRouter:
 
 
 @register_policy("pressure")
-class PressureAwarePolicy(PressureRouter, Policy):
+class PressureAwarePolicy(Policy):
     """Queue/health-fed placement with pressure-deferred migrations.
 
-    Placement starts from the TPFS size/synchronicity rule (small or sync
-    writes aim at the fastest tier, large writes downhill) and then routes
-    around saturated or SUSPECT tiers via :class:`PressureRouter`.
+    Placement starts from :class:`SizeRule` (small or sync writes aim at
+    the fastest tier, large writes downhill) and then routes around
+    saturated or SUSPECT tiers via its :class:`PressureRouter`.
     Migration planning demotes the coldest resident files off any tier
     whose load reaches ``demote_load``, promotes hot files to the fastest
     tier only while it is cool, and drops (defers) any order whose
@@ -397,69 +465,46 @@ class PressureAwarePolicy(PressureRouter, Policy):
         demote_files_per_plan: int = 4,
         promote_files_per_plan: int = 2,
     ) -> None:
-        self._init_pressure(spill_load, resume_load)
+        self.router = PressureRouter(spill_load, resume_load)
+        self.sizes = SizeRule(small_io_bytes, medium_io_bytes, history_window)
+        self.heat = HeatMap(decay)
         self.demote_load = demote_load
         self.demote_util = demote_util
         self.promote_util = promote_util
         self.promote_files_per_plan = promote_files_per_plan
-        self.small_io_bytes = small_io_bytes
-        self.medium_io_bytes = medium_io_bytes
-        self.history_window = history_window
         self.hot_threshold = hot_threshold
         self.cold_threshold = cold_threshold
-        self.decay = decay
         self.max_orders_per_plan = max_orders_per_plan
         self.demote_files_per_plan = demote_files_per_plan
-        self._history: Dict[int, List[int]] = {}
-        self._heat: Dict[int, float] = {}
 
     # -- placement --------------------------------------------------------
 
     def place_write(self, request: PlacementRequest, tiers: List[TierState]) -> int:
-        history = self._history.setdefault(request.ino, [])
-        history.append(request.length)
-        del history[: -self.history_window]
-        avg = sum(history) / len(history)
-        if request.synchronous or avg <= self.small_io_bytes:
-            base_rank = 0
-        elif avg <= self.medium_io_bytes:
-            base_rank = 1
-        else:
-            base_rank = 2
-        return self._route(base_rank, tiers, request.length)
+        return self.router.route(
+            self.sizes.base_rank(request), tiers, request.length
+        )
 
     def on_access(
         self, ino: int, block_start: int, count: int, tier_id: int, kind: str, now: float
     ) -> None:
-        self._heat[ino] = self._heat.get(ino, 0.0) + 1.0
+        self.heat.touch(ino)
 
     def forget(self, ino: int) -> None:
-        self._history.pop(ino, None)
-        self._heat.pop(ino, None)
+        self.sizes.forget(ino)
+        self.heat.forget(ino)
 
     # -- planning ---------------------------------------------------------
-
-    def _dst_is_cool(self, tier: TierState) -> bool:
-        return (
-            not self._avoiding.get(tier.tier_id)
-            and tier_load(tier) < self.spill_load
-            and tier.health is HealthState.HEALTHY
-        )
 
     def plan_migrations(
         self, tiers: List[TierState], files: Iterable[FileView]
     ) -> List[MigrationOrder]:
-        self._update_avoid(tiers)
+        router = self.router
+        router.observe(tiers)
         writable = sorted(writable_tiers(tiers), key=lambda t: t.rank)
         if not writable:
             return []
         views = list(files)
-        heats: Dict[int, float] = {}
-        for view in views:
-            heat = self._heat.get(view.ino, 0.0)
-            heats[view.ino] = heat
-            if heat:
-                self._heat[view.ino] = heat * self.decay
+        heats = {view.ino: self.heat.cool(view.ino) for view in views}
         orders: List[MigrationOrder] = []
         fastest = writable[0]
 
@@ -484,10 +529,10 @@ class PressureAwarePolicy(PressureRouter, Policy):
             dsts = [
                 t
                 for t in writable
-                if t.tier_id != src.tier_id and self._dst_is_cool(t)
+                if t.tier_id != src.tier_id and router.is_cool(t)
             ]
             if not dsts:
-                self.deferred_orders += 1
+                router.deferred_orders += 1
                 continue
             dst = min(
                 dsts,
@@ -523,7 +568,7 @@ class PressureAwarePolicy(PressureRouter, Policy):
         # is the cheaper way to cut the tail.  ``promote_files_per_plan``
         # rations the copy traffic each round so promotions trickle into
         # cool windows instead of warring with foreground I/O.
-        if self._dst_is_cool(fastest) and fastest.utilization < self.promote_util:
+        if router.is_cool(fastest) and fastest.utilization < self.promote_util:
             hot = [v for v in views if heats[v.ino] >= self.hot_threshold]
             hot.sort(key=lambda v: (-heats[v.ino], v.ino))
             promoted = 0
@@ -550,66 +595,8 @@ class PressureAwarePolicy(PressureRouter, Policy):
                 if moved:
                     promoted += 1
         else:
-            self.deferred_orders += 1
+            router.deferred_orders += 1
         return orders[: self.max_orders_per_plan]
-
-
-@register_policy("tpfs-pressure")
-class TpfsPressurePolicy(PressureRouter, TpfsPolicy):
-    """TPFS size/synchronicity rule, spilling around saturated tiers."""
-
-    defer_hot_migrations = True
-
-    def __init__(
-        self,
-        spill_load: float = 0.75,
-        resume_load: float = 0.3,
-        **kwargs: object,
-    ) -> None:
-        TpfsPolicy.__init__(self, **kwargs)
-        self._init_pressure(spill_load, resume_load)
-
-    def place_write(self, request: PlacementRequest, tiers: List[TierState]) -> int:
-        base_id = TpfsPolicy.place_write(self, request, tiers)
-        base_rank = next(t.rank for t in tiers if t.tier_id == base_id)
-        return self._route(base_rank, tiers, request.length)
-
-
-@register_policy("hotcold-pressure")
-class HotColdPressurePolicy(PressureRouter, HotColdPolicy):
-    """Hot/cold temperature tiering that respects channel pressure."""
-
-    defer_hot_migrations = True
-
-    def __init__(
-        self,
-        spill_load: float = 0.75,
-        resume_load: float = 0.3,
-        **kwargs: object,
-    ) -> None:
-        HotColdPolicy.__init__(self, **kwargs)
-        self._init_pressure(spill_load, resume_load)
-
-    def place_write(self, request: PlacementRequest, tiers: List[TierState]) -> int:
-        base_rank = fastest_with_room(tiers, request.length).rank
-        return self._route(base_rank, tiers, request.length)
-
-    def plan_migrations(
-        self, tiers: List[TierState], files: Iterable[FileView]
-    ) -> List[MigrationOrder]:
-        self._update_avoid(tiers)
-        by_id = {t.tier_id: t for t in tiers}
-        orders = HotColdPolicy.plan_migrations(self, tiers, files)
-        kept: List[MigrationOrder] = []
-        for order in orders:
-            dst = by_id.get(order.dst_tier)
-            if dst is not None and (
-                self._avoiding.get(dst.tier_id) or tier_load(dst) >= self.spill_load
-            ):
-                self.deferred_orders += 1
-                continue
-            kept.append(order)
-        return kept
 
 
 @register_policy("mirror")
@@ -646,8 +633,8 @@ class MirrorPolicy(PressureAwarePolicy):
         self.reclaim_util = reclaim_util
         self.mirrors_per_plan = mirrors_per_plan
         #: per-file read/write op counts, decayed alongside the heat map
-        self._reads: Dict[int, float] = {}
-        self._writes: Dict[int, float] = {}
+        self._reads = HeatMap(self.heat.decay)
+        self._writes = HeatMap(self.heat.decay)
         #: ino -> tier currently holding this file's mirror
         self._mirrored_on: Dict[int, int] = {}
 
@@ -655,20 +642,17 @@ class MirrorPolicy(PressureAwarePolicy):
         self, ino: int, block_start: int, count: int, tier_id: int, kind: str, now: float
     ) -> None:
         super().on_access(ino, block_start, count, tier_id, kind, now)
-        if kind == "read":
-            self._reads[ino] = self._reads.get(ino, 0.0) + 1.0
-        else:
-            self._writes[ino] = self._writes.get(ino, 0.0) + 1.0
+        (self._reads if kind == "read" else self._writes).touch(ino)
 
     def forget(self, ino: int) -> None:
         super().forget(ino)
-        self._reads.pop(ino, None)
-        self._writes.pop(ino, None)
+        self._reads.forget(ino)
+        self._writes.forget(ino)
         self._mirrored_on.pop(ino, None)
 
     def _read_fraction(self, ino: int) -> float:
-        reads = self._reads.get(ino, 0.0)
-        writes = self._writes.get(ino, 0.0)
+        reads = self._reads.get(ino)
+        writes = self._writes.get(ino)
         total = reads + writes
         return reads / total if total else 0.0
 
@@ -677,12 +661,9 @@ class MirrorPolicy(PressureAwarePolicy):
     ) -> List[MirrorOrder]:
         views = list(files)
         by_id = {t.tier_id: t for t in tiers}
-        heats = {v.ino: self._heat.get(v.ino, 0.0) for v in views}
-        for table in (self._reads, self._writes):
-            for ino in list(table):
-                table[ino] *= self.decay
-                if table[ino] < 0.05:
-                    del table[ino]
+        heats = {v.ino: self.heat.get(v.ino) for v in views}
+        self._reads.cool_all()
+        self._writes.cool_all()
         orders: List[MirrorOrder] = []
 
         # reclaim first: capacity freed this round funds the adds below
@@ -691,7 +672,7 @@ class MirrorPolicy(PressureAwarePolicy):
             if tier is None or tier.health is HealthState.OFFLINE:
                 orders.append(MirrorOrder(ino, tier_id, "drop", "tier-gone"))
                 del self._mirrored_on[ino]
-            elif heats.get(ino, self._heat.get(ino, 0.0)) <= self.cold_threshold:
+            elif heats.get(ino, self.heat.get(ino)) <= self.cold_threshold:
                 orders.append(MirrorOrder(ino, tier_id, "drop", "cooled"))
                 del self._mirrored_on[ino]
         # space pressure on the mirror tier: shed the coldest mirrors
@@ -750,7 +731,7 @@ class MirrorPolicy(PressureAwarePolicy):
         kept: List[MigrationOrder] = []
         for order in orders:
             if self._mirrored_on.get(order.ino) == order.dst_tier:
-                self.deferred_orders += 1
+                self.router.deferred_orders += 1
                 continue
             kept.append(order)
         return kept

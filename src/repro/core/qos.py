@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.scheduler import DeficitRoundRobin
 from repro.errors import InvalidArgument
 from repro.sim.clock import SimClock
 from repro.sim.stats import CounterSet
@@ -88,27 +87,7 @@ class QosManager:
             DEFAULT_CLASS: IoClass(DEFAULT_CLASS)
         }
         self._buckets: Dict[str, _Bucket] = {}
-        self._drr: Optional[DeficitRoundRobin] = None
         self.stats = CounterSet()
-
-    def enable_fair_share(
-        self, quantum_bytes: int = 64 * 1024, rate_bytes_per_sec: float = 2e9
-    ) -> DeficitRoundRobin:
-        """Arbitrate foreground streams with deficit round-robin.
-
-        Quotas (token buckets) cap each class in isolation; DRR divides
-        the *shared* dispatch capacity evenly among the classes actually
-        competing at each instant — a class running alone pays nothing,
-        two busy classes each get half the rounds.  Opt-in: until this is
-        called, ``charge`` behaves exactly as before (goldens unchanged).
-        Returns the arbiter (its ``snapshot()`` feeds ``bench trace``).
-        """
-        self._drr = DeficitRoundRobin(quantum_bytes, rate_bytes_per_sec)
-        return self._drr
-
-    def drr_snapshot(self) -> Dict[str, Dict[str, int]]:
-        """Per-stream deficit counters, empty when fair share is off."""
-        return self._drr.snapshot() if self._drr is not None else {}
 
     def register(self, io_class: IoClass) -> None:
         if io_class.name in self._classes:
@@ -153,12 +132,6 @@ class QosManager:
                 self.clock.advance_ns(delay_ns)
                 self.stats.add(f"throttle_ns.{name}", delay_ns)
                 self.stats.add(f"throttled_ops.{name}")
-        if self._drr is not None:
-            drr_ns = self._drr.account(name, nbytes, self.clock.now_ns)
-            if drr_ns:
-                self.clock.advance_ns(drr_ns)
-                self.stats.add(f"drr_defer_ns.{name}", drr_ns)
-            delay_ns += drr_ns
         return delay_ns
 
     def placement_override(self, handle: FileHandle) -> Optional[int]:

@@ -17,99 +17,10 @@ The scheduler can be disabled for the ablation benchmark.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.devices.profile import DeviceKind
-from repro.errors import InvalidArgument
-
-
-@dataclass
-class DrrStream:
-    """Per-stream DRR state + lifetime fairness counters."""
-
-    #: bytes of credit left in the current round
-    deficit: float
-    bytes: int = 0
-    ops: int = 0
-    #: rounds this stream sat out waiting for credit
-    rounds_waited: int = 0
-    #: total simulated deferral charged to this stream
-    defer_ns: int = 0
-    #: instant the stream's queued work drains (idle detection)
-    busy_until_ns: int = 0
-
-
-class DeficitRoundRobin:
-    """Deficit round-robin arbitration between foreground streams.
-
-    Shreedhar & Varghese's algorithm in its deterministic-simulation
-    form: every stream holds a byte *deficit counter*; each scheduler
-    round grants every backlogged stream one ``quantum`` of credit and
-    serves it while credit lasts.  An op larger than the stream's credit
-    waits whole rounds until enough quanta accumulate, and one round
-    takes ``active_streams * quantum / rate`` of simulated time — the
-    interval in which the shared dispatcher serves a quantum from every
-    competitor.  A stream arriving *idle* (its previous work already
-    drained) starts a fresh round with one quantum of credit, so light,
-    bursty streams pay nothing; only streams that keep the dispatcher
-    continuously busy shave each other — byte-accurate fairness that a
-    per-stream token bucket (an absolute cap, blind to who else is
-    running) cannot express.  The two compose: the bucket bounds a
-    stream in isolation, DRR splits the residual capacity evenly.
-    """
-
-    def __init__(
-        self, quantum_bytes: int = 64 * 1024, rate_bytes_per_sec: float = 2e9
-    ) -> None:
-        if quantum_bytes < 1 or rate_bytes_per_sec <= 0:
-            raise InvalidArgument("DRR needs a positive quantum and rate")
-        self.quantum = quantum_bytes
-        self.rate = rate_bytes_per_sec
-        self.streams: Dict[str, DrrStream] = {}
-
-    def _active_at(self, now_ns: int) -> int:
-        return sum(1 for s in self.streams.values() if s.busy_until_ns > now_ns)
-
-    def account(self, name: str, nbytes: int, now_ns: int) -> int:
-        """Charge ``nbytes`` on stream ``name``; returns the deferral ns.
-
-        Streams register implicitly on first use — handle tags already
-        name them (QoS classes), so the arbiter needs no setup.
-        """
-        stream = self.streams.get(name)
-        if stream is None:
-            stream = self.streams[name] = DrrStream(deficit=float(self.quantum))
-        if stream.busy_until_ns <= now_ns:
-            # queue drained since the last op: classic DRR zeroes the
-            # deficit on empty and grants a fresh quantum on arrival
-            stream.deficit = float(self.quantum)
-        active = max(1, self._active_at(now_ns) + (stream.busy_until_ns <= now_ns))
-        round_ns = active * self.quantum * 1e9 / self.rate
-        shortfall = nbytes - stream.deficit
-        rounds = 0 if shortfall <= 0 else math.ceil(shortfall / self.quantum)
-        delay_ns = round(rounds * round_ns)
-        stream.deficit += rounds * self.quantum - nbytes
-        stream.busy_until_ns = now_ns + delay_ns
-        stream.bytes += nbytes
-        stream.ops += 1
-        stream.rounds_waited += rounds
-        stream.defer_ns += delay_ns
-        return delay_ns
-
-    def snapshot(self) -> Dict[str, Dict[str, int]]:
-        """Per-stream deficit counters (deterministic, fingerprint-safe)."""
-        return {
-            name: {
-                "deficit": round(s.deficit),
-                "bytes": s.bytes,
-                "ops": s.ops,
-                "rounds_waited": s.rounds_waited,
-                "defer_ns": s.defer_ns,
-            }
-            for name, s in sorted(self.streams.items())
-        }
 
 
 @dataclass

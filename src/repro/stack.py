@@ -71,7 +71,6 @@ def build_stack(
     policy: Optional[Union[Policy, str]] = None,
     enable_cache: bool = True,
     cache_write_back: bool = False,
-    cache_scan_resist: bool = False,
     scheduler: Optional[IoScheduler] = None,
     blt_factory=None,
     clock: Optional[SimClock] = None,
@@ -131,7 +130,6 @@ def build_stack(
         policy=policy,
         enable_cache=enable_cache,
         cache_write_back=cache_write_back,
-        cache_scan_resist=cache_scan_resist,
         scheduler=scheduler,
         **kwargs,
     )

@@ -86,3 +86,47 @@ class TestReporting:
         assert "title" in text
         assert "metric" in text
         assert "1.1x" in text
+
+
+class TestTraceCli:
+    """``python -m repro.bench trace`` argv handling."""
+
+    @pytest.mark.parametrize(
+        "argv, complaint",
+        [
+            (["--ops"], "--ops requires a value"),
+            (["--no-faults", "--seed"], "--seed requires a value"),
+            (["--ops", "--seed", "3"], "--ops requires a value"),
+            (["--ops", "many"], "invalid literal"),
+            (["--drr"], "unknown argument '--drr'"),
+            (["--no-faults", "bogus"], "unknown argument 'bogus'"),
+        ],
+    )
+    def test_bad_argv_is_one_usage_line_and_exit_2(self, argv, complaint, capsys):
+        from repro.bench.trace import main
+
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any workload ran
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert complaint in lines[0] and "usage: python -m repro.bench trace" in lines[0]
+
+    def test_wallclock_shares_the_flag_helper(self, capsys):
+        from repro.bench.wallclock import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--smoke", "--out"])
+        assert exc.value.code == 2
+        assert "--out requires a value" in capsys.readouterr().err
+
+    def test_value_flags_are_honoured(self, capsys):
+        from repro.bench.trace import main
+
+        assert main(["--no-faults", "--ops", "20", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "migrations (no faults):" in out and "engine totals:" in out

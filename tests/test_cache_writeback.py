@@ -9,9 +9,7 @@ The tentpole semantics under test:
   on the receiving tier;
 * a crash with dirty SCM blocks is legal (the cache file is on PM):
   fsck reports them as destageable and ``reconcile_cache`` pushes them
-  out on recovery;
-* scan-resistant admission keeps streaming reads from flushing the
-  MGLRU hot set.
+  out on recovery.
 """
 
 import pytest
@@ -441,45 +439,6 @@ class TestDegradedDestage:
         assert tier.health.consecutive_errors == 0
         mux.cache.invalidate_file(handle.ino)
         assert mux.read(handle, 0, BS) == b"\x70" * BS
-        mux.close(handle)
-
-
-class TestScanResist:
-    def test_streaming_read_bypasses_fill(self):
-        stack = build_stack(cache_scan_resist=True)
-        mux = stack.mux
-        blocks = cal.SCAN_RESIST_STREAM_BLOCKS + 256
-        handle = mux.create("/stream")
-        mux.write(handle, 0, bytes(blocks * BS))
-        mux.engine.migrate_now(
-            MigrationOrder(
-                handle.ino, 0, blocks, stack.tier_id("pm"), stack.tier_id("hdd")
-            )
-        )
-        span = 128 * BS
-        for off in range(0, blocks * BS, span):
-            mux.read(handle, off, span)
-        assert mux.cache.stats.get("admit_bypass") >= 256
-        # the stream stopped filling once the streak passed the threshold
-        assert mux.cache.cached_blocks <= cal.SCAN_RESIST_STREAM_BLOCKS
-        # correctness unaffected: re-read still returns the data
-        assert mux.read(handle, (blocks - 1) * BS, BS) == bytes(BS)
-        mux.close(handle)
-
-    def test_point_reads_still_admitted(self):
-        stack = build_stack(cache_scan_resist=True)
-        mux = stack.mux
-        handle = mux.create("/point")
-        mux.write(handle, 0, bytes(8 * BS))
-        mux.engine.migrate_now(
-            MigrationOrder(
-                handle.ino, 0, 8, stack.tier_id("pm"), stack.tier_id("hdd")
-            )
-        )
-        for fb in (5, 1, 3):
-            mux.read(handle, fb * BS, BS)
-        assert mux.cache.cached_blocks == 3
-        assert mux.cache.stats.get("admit_bypass") == 0
         mux.close(handle)
 
 

@@ -137,6 +137,17 @@ class TestRename:
         assert mux.read_file("/d2/f") == b"deep"
         assert stack.vfs.exists("/tiers/pm/d2/f")
 
+    def test_file_can_take_a_renamed_directorys_old_name(self, stack):
+        """Found by test_namespace_model: the emptied backing directory
+        used to stay behind on the tier and shadow the new file."""
+        mux = stack.mux
+        mux.mkdir("/d1")
+        mux.write_file("/d1/f", b"deep")
+        mux.rename("/d1", "/d2")
+        assert not stack.vfs.exists("/tiers/pm/d1")
+        mux.write_file("/d1", b"now a file")
+        assert mux.read_file("/d1") == b"now a file"
+
     def test_rename_overwrite(self, stack):
         mux = stack.mux
         mux.write_file("/a", b"new")

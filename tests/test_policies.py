@@ -54,10 +54,26 @@ THREE_TIERS = [
 
 
 class TestRegistry:
-    def test_builtins_registered(self):
-        names = registered_policies()
-        for expected in ("lru", "tpfs", "hotcold", "pinned"):
-            assert expected in names
+    def test_builtins_are_exactly_the_golden_pinned_set(self):
+        """A policy variant cannot (re)appear without a golden: every
+        built-in except the static ``pinned`` router must be duelled by a
+        wallclock workload or be the stack default."""
+        from repro.bench import wallclock
+        from repro.core.mux import MuxFileSystem
+        from repro.sim.clock import SimClock
+        from repro.vfs.vfs import VFS
+
+        # names other test classes register in this process start "test-"
+        names = [n for n in registered_policies() if not n.startswith("test-")]
+        assert names == ["hotcold", "lru", "mirror", "pinned", "pressure", "tpfs"]
+        clock = SimClock()
+        default = MuxFileSystem(VFS(clock), clock).policy.name
+        pinned_by_golden = (
+            set(wallclock._DUEL_POLICIES)
+            | set(wallclock._MIRROR_DUEL_POLICIES)
+            | {default}
+        )
+        assert set(names) - {"pinned"} <= pinned_by_golden
 
     def test_make_policy(self):
         policy = make_policy("lru", high_watermark=0.8, low_watermark=0.6)
