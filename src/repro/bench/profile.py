@@ -22,6 +22,8 @@ import pstats
 import sys
 from typing import List, Optional
 
+from repro.bench.harness import pop_flag_value
+
 DEFAULT_TOP_N = 25
 
 #: pstats sort keys accepted by --sort; "cumulative" finds the expensive
@@ -65,56 +67,37 @@ def profile_workload(
     return header + buf.getvalue()
 
 
+USAGE = (
+    "usage: python -m repro.bench profile <workload> [--smoke] [-n N]"
+    " [--sort cumulative|tottime|ncalls] | --list"
+)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     workloads = _registered()
-    if "--list" in argv or not [a for a in argv if not a.startswith("-")]:
+    try:
+        top = pop_flag_value(argv, "-n", USAGE) or pop_flag_value(argv, "--top", USAGE)
+        top_n = int(top) if top is not None else DEFAULT_TOP_N
+    except ValueError as exc:
+        print(f"{exc}; {USAGE}", file=sys.stderr)
+        return 2
+    sort = pop_flag_value(argv, "--sort", USAGE) or "cumulative"
+    if sort not in SORT_KEYS:
+        print(f"--sort must be one of {', '.join(SORT_KEYS)}; {USAGE}", file=sys.stderr)
+        return 2
+    positional = [a for a in argv if not a.startswith("-")]
+    if "--list" in argv or not positional:
         print("registered workloads:")
         for name in workloads:
             print(f"  {name}")
-        print(
-            "usage: python -m repro.bench profile <workload> [--smoke] [-n N]"
-            " [--sort cumulative|tottime|ncalls]"
-        )
+        print(USAGE)
         return 0 if "--list" in argv else 2
-    smoke = "--smoke" in argv
-    top_n = DEFAULT_TOP_N
-    consumed: List[str] = []
-    for flag in ("-n", "--top"):
-        if flag in argv:
-            idx = argv.index(flag)
-            if idx + 1 >= len(argv):
-                print(f"profile: {flag} requires a number", file=sys.stderr)
-                return 2
-            consumed.append(argv[idx + 1])
-            try:
-                top_n = int(argv[idx + 1])
-            except ValueError:
-                print(
-                    f"profile: bad {flag} value {argv[idx + 1]!r}", file=sys.stderr
-                )
-                return 2
-            break
-    sort = "cumulative"
-    if "--sort" in argv:
-        idx = argv.index("--sort")
-        if idx + 1 >= len(argv) or argv[idx + 1] not in SORT_KEYS:
-            print(
-                f"profile: --sort requires one of {', '.join(SORT_KEYS)}",
-                file=sys.stderr,
-            )
-            return 2
-        sort = argv[idx + 1]
-        consumed.append(sort)
-    positional = [a for a in argv if not a.startswith("-") and a not in consumed]
-    if not positional:
-        print("profile: no workload named; --list shows choices", file=sys.stderr)
-        return 2
     name = positional[0]
     if name not in workloads:
-        print(f"profile: unknown workload {name!r}; --list shows choices", file=sys.stderr)
+        print(f"unknown workload {name!r}; --list shows choices; {USAGE}", file=sys.stderr)
         return 2
-    print(profile_workload(name, smoke=smoke, top_n=top_n, sort=sort))
+    print(profile_workload(name, smoke="--smoke" in argv, top_n=top_n, sort=sort))
     return 0
 
 

@@ -84,10 +84,7 @@ def _run_mixed(
             MigrationOrder(scan.ino, 0, scan_blocks, pm, ssd, reason="trace")
         )
         migrations.append(("/t/scan", result))
-        for fs in stack.filesystems.values():
-            cache = getattr(fs, "page_cache", None)
-            if cache is not None:
-                cache.drop_clean()
+        stack.drop_page_caches()
         bs = mux.block_size
         for block in range(scan_blocks):
             mux.read(scan, block * bs, bs)

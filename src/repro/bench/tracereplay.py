@@ -127,10 +127,6 @@ def dumps_trace(trace: BlockTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_trace(trace: BlockTrace, path) -> None:
-    Path(path).write_text(dumps_trace(trace))
-
-
 def parse_trace(text: str) -> BlockTrace:
     """Parse the canonical text form; validates shape and ordering."""
     lines = text.splitlines()
@@ -522,14 +518,11 @@ def replay_trace(
         mux.engine.drain()
         mux.mirrors.drain()
     if drop_page_caches:
-        # make every page clean first — drop_clean() models a crash and
-        # discards dirty pages too, which would lose warm-pass writes
+        # make every page clean first — the drop discards dirty pages
+        # too, which would lose warm-pass writes
         for handle in handles:
             mux.fsync(handle)
-        for fs in stack.filesystems.values():
-            cache = getattr(fs, "page_cache", None)
-            if cache is not None:
-                cache.drop_clean()
+        stack.drop_page_caches()
 
     result = TraceReplayResult()
     ring = mux.open_ring(depth=ring_depth)

@@ -726,10 +726,7 @@ def _wl_mirror_skew(smoke: bool) -> Dict[str, object]:
         # system's page cache (it is 10% of the device — the whole
         # working set fits); drop it so the measured stream starts
         # against cold media, the tiered-storage shape under test
-        for fs in stack.filesystems.values():
-            cache = getattr(fs, "page_cache", None)
-            if cache is not None:
-                cache.drop_clean()
+        stack.drop_page_caches()
         rng = DeterministicRng(11).fork("mirror-skew")
         # mild skew across files (every file stays warm enough to earn
         # placement), sharper skew within each file's blocks

@@ -579,10 +579,7 @@ def striped_reads(
 
     total_ns = 0
     for _ in range(reads):
-        for fs in stack.filesystems.values():
-            cache = getattr(fs, "page_cache", None)
-            if cache is not None:
-                cache.drop_clean()
+        stack.drop_page_caches()
         t0 = clock.now_ns
         mux.read(handle, 0, file_bytes)
         total_ns += clock.now_ns - t0

@@ -8,10 +8,12 @@ file-system call path entirely, and replacement uses Multi-generational
 LRU.
 
 The model does exactly that: at attach time it creates and preallocates
-``/.mux_cache`` through the PM tier's file system (charging the real
-allocation cost), resolves the file's device blocks once (the "mmap"), and
-thereafter serves hits and fills with raw PM loads/stores plus the small
-bookkeeping costs from :mod:`repro.core.calibration`.
+``/.mux_cache`` through the hosting tier's file system (charging the real
+allocation cost), maps it with :meth:`FileSystem.dax_map` (the mmap), and
+thereafter serves hits and fills through the mapping — slot ``i`` is file
+block ``i`` — plus the small bookkeeping costs from
+:mod:`repro.core.calibration`.  Any file system that can map a file can
+host the cache; this module names none.
 
 One optional mode (default-off so the write-invalidate fingerprints stay
 bit-identical), **write-back** (``write_back=True``): writes to
@@ -33,9 +35,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.core import calibration as cal
 from repro.core.intervals import BlockIntervalSet, Run, intersect_runs
 from repro.core.mglru import MultiGenLru
-from repro.devices.pm import PersistentMemoryDevice
-from repro.errors import CrashTriggered, ReproError
-from repro.fs.nova import NovaFileSystem
+from repro.errors import CrashTriggered, NotSupported, ReproError
 from repro.sim.clock import SimClock
 from repro.sim.stats import CounterSet
 from repro.vfs.interface import FileSystem, OpenFlags
@@ -92,21 +92,18 @@ class ScmCacheManager:
         #: dirty intervals dropped by failed destages, for fsck reporting:
         #: ino -> [(file_block, count)]
         self._lost: Dict[int, List[Run]] = {}
-        self._pm, self._slot_addrs = self._map_cache_file(scm_fs)
+        self._map = self._map_cache_file(scm_fs)
 
-    def _map_cache_file(
-        self, scm_fs: FileSystem
-    ) -> Tuple[PersistentMemoryDevice, List[int]]:
-        """Create + preallocate the cache file; resolve its DAX addresses."""
-        if not isinstance(scm_fs, NovaFileSystem):
-            raise ReproError(
-                "the SCM cache needs a DAX-capable (NOVA) file system"
-            )
+    def _map_cache_file(self, scm_fs: FileSystem):
+        """Create, preallocate and DAX-map the cache file."""
         if scm_fs.exists(CACHE_FILE):
             scm_fs.unlink(CACHE_FILE)
         handle = scm_fs.create(CACHE_FILE)
         try:
-            # preallocate: write zeros so every slot has a PM block.  The
+            # probe on the empty file: a file system with no DAX path
+            # answers NotSupported before a byte is preallocated
+            scm_fs.dax_map(handle)
+            # preallocate: write zeros so every slot has a block.  The
             # chunk buffer is built once — per-iteration ``zero * n``
             # allocation used to dominate build_stack host time — and the
             # write calls (offsets and sizes) are unchanged, so the charged
@@ -120,16 +117,12 @@ class ScmCacheManager:
                 buf = chunk if n == chunk_blocks else zero * n
                 scm_fs.write(handle, written * self.block_size, buf)
                 written += n
-            inode = scm_fs.inodes.get(handle.ino)
-            addrs: List[int] = []
-            for slot in range(self.capacity_blocks):
-                dev_block = inode.blockmap.lookup(slot)
-                if dev_block is None:
-                    raise ReproError("cache preallocation left a hole")
-                addrs.append(dev_block * self.block_size)
+            return scm_fs.dax_map(handle)
+        except NotSupported:
+            scm_fs.unlink(CACHE_FILE)  # leave nothing on a tier that cannot host
+            raise
         finally:
             scm_fs.close(handle)
-        return scm_fs.pm, addrs
 
     # -- lookups -----------------------------------------------------------
 
@@ -144,7 +137,7 @@ class ScmCacheManager:
         self._mglru.touch(key)
         self.clock.advance_ns(cal.CACHE_MGLRU_NS)
         self.stats.add("hit")
-        return self._pm.load(self._slot_addrs[slot], self.block_size)
+        return self._map.load(slot)
 
     def contains(self, ino: int, file_block: int) -> bool:
         """Membership probe with no charges or stats (batch-path planning)."""
@@ -191,14 +184,12 @@ class ScmCacheManager:
 
         Every block must be cached (check with :meth:`span_cached` first).
         Timing-equivalent to ``count`` :meth:`get` calls: same MGLRU touch
-        order and identical per-block lookup/load charges, but contiguous
-        PM slot addresses coalesce into single :meth:`load_run` copies.
+        order and identical per-block lookup/load charges, but slots the
+        mapping finds contiguous coalesce into single copies.
         """
         if count <= 0:
             return
         self.clock.advance_ns(count * (cal.CACHE_LOOKUP_NS + cal.CACHE_MGLRU_NS))
-        bs = self.block_size
-        addrs = self._slot_addrs
         slots: List[int] = []
         for i in range(count):
             key = (ino, first_block + i)
@@ -206,16 +197,7 @@ class ScmCacheManager:
             self._mglru.touch(key)
             slots.append(slot)
         self.stats.add("hit", count)
-        i = 0
-        pos = out_off
-        while i < count:
-            j = i + 1
-            while j < count and addrs[slots[j]] == addrs[slots[j - 1]] + bs:
-                j += 1
-            data = self._pm.load_run(addrs[slots[i]], j - i, bs)
-            out[pos : pos + len(data)] = data
-            pos += len(data)
-            i = j
+        self._map.load_blocks(slots, out, out_off)
 
     # -- fills / invalidation ----------------------------------------------------
 
@@ -275,8 +257,8 @@ class ScmCacheManager:
         Charged as one lookup + MGLRU insert + slot-metadata persist per
         block; inserts and evictions run per key in ascending order (so the
         victim sequence and slot assignment are those of one :meth:`put`
-        per block) while the PM stores/flushes coalesce over contiguous
-        slot addresses.
+        per block) while the stores/flushes coalesce over the slots the
+        mapping finds contiguous.
         """
         bs = self.block_size
         if len(data) == 0 or len(data) % bs:
@@ -293,17 +275,7 @@ class ScmCacheManager:
             if slot is None:
                 slot = self._claim_slot(key)
             slots.append(slot)
-        src = memoryview(data)
-        addrs = self._slot_addrs
-        i = 0
-        while i < count:
-            j = i + 1
-            while j < count and addrs[slots[j]] == addrs[slots[j - 1]] + bs:
-                j += 1
-            addr = addrs[slots[i]]
-            self._pm.store_run(addr, src[i * bs : j * bs], bs)
-            self._pm.flush_range(addr, (j - i) * bs, ops=j - i)
-            i = j
+        self._map.store_blocks(slots, data)
 
     # -- write-back --------------------------------------------------------
 
@@ -329,9 +301,7 @@ class ScmCacheManager:
             cal.CACHE_LOOKUP_NS + cal.CACHE_MGLRU_NS + cal.CACHE_DIRTY_META_NS
         )
         self._mglru.touch(key)
-        addr = self._slot_addrs[slot] + offset
-        self._pm.store(addr, bytes(data))
-        self._pm.flush_range(addr, len(data))
+        self._map.store(slot, offset, bytes(data))
         self._dirty.setdefault(ino, BlockIntervalSet()).add(file_block)
         self.stats.add("write_hit")
         return True
@@ -372,25 +342,14 @@ class ScmCacheManager:
     def load_for_destage(self, ino: int, first_block: int, count: int) -> bytes:
         """Read ``count`` consecutive cached blocks for writeback.
 
-        Charges per-block lookups plus coalesced PM loads, but does *not*
+        Charges per-block lookups plus coalesced loads, but does *not*
         touch the MGLRU or count hits: a destage is bookkeeping traffic,
         not an access that should renew the blocks' recency.
         """
         self.clock.advance_ns(count * cal.CACHE_LOOKUP_NS)
-        bs = self.block_size
-        addrs = self._slot_addrs
         slots = [self._slots[(ino, first_block + i)] for i in range(count)]
-        out = bytearray(count * bs)
-        i = 0
-        pos = 0
-        while i < count:
-            j = i + 1
-            while j < count and addrs[slots[j]] == addrs[slots[j - 1]] + bs:
-                j += 1
-            data = self._pm.load_run(addrs[slots[i]], j - i, bs)
-            out[pos : pos + len(data)] = data
-            pos += len(data)
-            i = j
+        out = bytearray(count * self.block_size)
+        self._map.load_blocks(slots, out, 0)
         return bytes(out)
 
     def note_destage(self, runs: int, blocks: int) -> None:

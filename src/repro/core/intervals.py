@@ -24,9 +24,10 @@ class BlockIntervalSet:
     """A mutable set of block numbers stored as disjoint intervals.
 
     Drop-in for the ``Set[int]`` previously used for
-    ``dirty_during_migration``: supports ``add``/``update``/``clear``,
+    ``dirty_during_migration``: supports ``add``/``clear``, membership,
     truthiness, iteration and equality against plain sets, while keeping
-    interval-level access (:meth:`runs`) for the O(runs) OCC path.
+    interval-level access (:meth:`add_range`, :meth:`remove_range`,
+    :meth:`runs`) for the O(runs) OCC path.
     """
 
     __slots__ = ("_ivals",)
@@ -75,13 +76,6 @@ class BlockIntervalSet:
             last += 1
         ivals[first:last] = [(new_start, new_end)]
 
-    def update(self, blocks: Iterable[int]) -> None:
-        for b in blocks:
-            self.add(b)
-
-    def discard(self, block: int) -> None:
-        self.remove_range(block, 1)
-
     def remove_range(self, start: int, count: int) -> None:
         """Remove ``[start, start+count)``, splitting intervals as needed."""
         if count <= 0:
@@ -116,9 +110,6 @@ class BlockIntervalSet:
     def runs(self) -> List[Run]:
         """The content as sorted, disjoint (start, length) runs."""
         return [(s, e - s) for s, e in self._ivals]
-
-    def intervals(self) -> List[Interval]:
-        return list(self._ivals)
 
     def __contains__(self, block: int) -> bool:
         ivals = self._ivals

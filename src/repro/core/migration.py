@@ -123,10 +123,6 @@ class MigrationEngine:
             background=self._mux.scheduler.parallel,
         )
 
-    def busy(self, ino: int) -> bool:
-        """True while any async migration for ``ino`` is in flight."""
-        return bool(self._inflight_ranges.get(ino))
-
     def _exclusive(self, order: MigrationOrder, inner):
         """Drop async orders that overlap an in-flight copy of the file.
 
@@ -297,11 +293,3 @@ class MigrationEngine:
         if result.lock_fallback:
             self.stats.add("lock_fallbacks")
         return result
-
-    def throughput_matrix(self) -> Dict[Tuple[int, int], float]:
-        """(src, dst) -> MB/s for every pair that has moved data."""
-        return {
-            pair: stats.throughput_mb_s()
-            for pair, stats in self.pair_stats.items()
-            if stats.bytes_moved
-        }

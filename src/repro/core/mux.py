@@ -55,12 +55,12 @@ from repro.errors import (
     InvalidArgument,
     IsADirectory,
     NoSpace,
+    NotSupported,
     PolicyError,
     ReproError,
     TierUnavailable,
     WritebackError,
 )
-from repro.fs.nova import NovaFileSystem
 from repro.sim.clock import SimClock
 from repro.sim.stats import CounterSet
 from repro.vfs import path as vpath
@@ -75,6 +75,9 @@ from repro.vfs.stat import FsStats, Stat
 from repro.vfs.vfs import VFS
 
 META_FILE = "/.mux_meta"
+
+#: share of the hosting tier's free blocks preallocated as the SCM cache
+CACHE_FRACTION = 0.25
 
 
 class MuxMetaWriter:
@@ -165,7 +168,6 @@ class MuxFileSystem(FileSystem):
         *,
         blt_factory=ExtentBlt,
         enable_cache: bool = True,
-        cache_fraction: float = 0.25,
         cache_write_back: bool = False,
         scheduler: Optional[IoScheduler] = None,
     ) -> None:
@@ -174,7 +176,6 @@ class MuxFileSystem(FileSystem):
         self.policy = policy if policy is not None else LruTieringPolicy()
         self.blt_factory = blt_factory
         self.enable_cache = enable_cache
-        self.cache_fraction = cache_fraction
         self.cache_write_back = cache_write_back
         #: next simulated-time writeback deadline (lazily armed on the
         #: first absorbed write)
@@ -190,10 +191,9 @@ class MuxFileSystem(FileSystem):
         #: grants a file a mirror, so unmirrored runs cost nothing
         self.mirrors = MirrorEngine(self)
         self.cache: Optional[ScmCacheManager] = None
-        #: rank of the tier hosting the SCM cache (0 = fastest); kept in
-        #: sync by _refresh_cache_and_meta / remove_tier so _cacheable
-        #: never falls back to a stale default
-        self._cache_tier_rank = 0
+        #: id of the tier hosting the SCM cache; None exactly when
+        #: ``cache`` is (kept in sync by _refresh_cache_and_meta / remove_tier)
+        self._cache_tier_id: Optional[int] = None
         self.block_size = 0
         self.stats = CounterSet()
         self._meta: Optional[MuxMetaWriter] = None
@@ -276,25 +276,22 @@ class MuxFileSystem(FileSystem):
         resolved, _ = self.vfs.resolve(mount)
         if resolved is not fs:
             raise InvalidArgument(f"{mount!r} does not resolve to {fs.fs_name!r}")
-        fs_block = getattr(fs, "block_size", None)
-        if fs_block is None:
-            raise InvalidArgument("tier file system must expose block_size")
+        fs_block = fs.statfs().block_size
         if self.block_size and fs_block != self.block_size:
             raise InvalidArgument(
                 f"tier block size {fs_block} != mux block size {self.block_size}"
             )
         self.block_size = fs_block
         tier = self.registry.add(name, fs, mount, profile, rank)
-        device = getattr(fs, "device", None)
-        timeline = getattr(device, "timeline", None)
-        if timeline is not None:
-            self.pressure.attach(tier.tier_id, timeline)
+        hint = fs.load_hint()
+        if hint is not None:
+            self.pressure.attach(tier.tier_id, hint)
         self._refresh_cache_and_meta()
         return tier
 
     def remove_tier(self, tier_id: int) -> None:
         """Detach a tier after migrating all of its data off (§2.1)."""
-        victim = self.registry.get(tier_id)
+        self.registry.get(tier_id)  # validates
         if len(self.registry) < 2:
             raise InvalidArgument("cannot remove the last tier")
         # mirror copies never migrate — the tier is leaving, so they are
@@ -314,12 +311,12 @@ class MuxFileSystem(FileSystem):
         # no file may keep any reference to the departed tier, data or not
         for inode in self.ns.files():
             self._forget_tier(inode, tier_id)
-        if self.cache is not None and victim.kind is DeviceKind.PERSISTENT_MEMORY:
-            # the cache lived on the departing tier: write every absorbed
-            # block back before its PM slots disappear, then drop it
+        if tier_id == self._cache_tier_id:
+            # the cache lives on the departing tier: write every absorbed
+            # block back before its slots disappear, then drop it
             self._destage_all(durable=True)
             self.cache = None
-            self._cache_tier_rank = 0
+            self._cache_tier_id = None
         self.registry.remove(tier_id)
         self.pressure.detach(tier_id)
         # tier paths resolved through the dentry cache must not survive
@@ -410,27 +407,27 @@ class MuxFileSystem(FileSystem):
             self._meta = MuxMetaWriter(fastest.fs, self.clock)
         if not self.enable_cache or self.cache is not None:
             return
-        scm_tiers = [
-            t
-            for t in self.registry.ordered()
-            if t.kind is DeviceKind.PERSISTENT_MEMORY
-            and isinstance(t.fs, NovaFileSystem)
-        ]
-        slower = [t for t in self.registry.ordered() if t.rank > 0]
-        if scm_tiers and slower:
-            scm = scm_tiers[0]
+        if not any(t.rank > 0 for t in self.registry.ordered()):
+            return  # nothing slower to cache for
+        # the host is the fastest PM-class tier whose file system can
+        # DAX-map the cache file; asking is the only test
+        for scm in self.registry.ordered():
+            if scm.kind is not DeviceKind.PERSISTENT_MEMORY:
+                continue
             free_blocks = scm.fs.statfs().free_blocks
-            capacity = max(16, int(free_blocks * self.cache_fraction))
-            self.cache = ScmCacheManager(
-                self.clock,
-                scm.fs,
-                capacity,
-                self.block_size,
-                write_back=self.cache_write_back,
-            )
+            try:
+                self.cache = ScmCacheManager(
+                    self.clock,
+                    scm.fs,
+                    max(16, int(free_blocks * CACHE_FRACTION)),
+                    self.block_size,
+                    write_back=self.cache_write_back,
+                )
+            except NotSupported:
+                continue
             self.cache.destage_fn = self._destage_evicted
             self.cache.on_lost = self._note_destage_lost
-            self._cache_tier_rank = scm.rank
+            self._cache_tier_id = scm.tier_id
             self.pressure.set_dirty_gauge(
                 scm.tier_id,
                 lambda: (
@@ -439,6 +436,7 @@ class MuxFileSystem(FileSystem):
                     else 0.0
                 ),
             )
+            return
 
     def tier_ids(self) -> List[int]:
         return self.registry.ids()
@@ -891,11 +889,7 @@ class MuxFileSystem(FileSystem):
                 SubRequest(tier_id, run_off, run_end - run_off, run_off - offset)
             )
         kinds = {t.tier_id: t.kind for t in self.registry.ordered()}
-        backlog = None
-        if self.scheduler.pressure_order:
-            self.pressure.sample(self.clock.global_now_ns)
-            backlog = self.pressure.backlog_map()
-        plan = self.scheduler.plan(subrequests, kinds, backlog)
+        plan = self.scheduler.plan(subrequests, kinds)
         self.stats.add("split_reads", max(0, len(plan) - 1))
 
         # error-scoped degraded reads (§2.4 robustness): fail with EIO
@@ -1151,10 +1145,10 @@ class MuxFileSystem(FileSystem):
         out[dst : dst + (hi - lo)] = block[lo - block_lo : hi - block_lo]
 
     def _cacheable(self, tier: Tier) -> bool:
-        return (
-            self.cache is not None
-            and tier.rank >= self._cache_tier_rank + cal.CACHE_MIN_RANK_GAP
-        )
+        if self.cache is None:
+            return False
+        host_rank = self.registry.get(self._cache_tier_id).rank
+        return tier.rank >= host_rank + cal.CACHE_MIN_RANK_GAP
 
     # -- write-back cache: absorption + destaging ---------------------------
 

@@ -3,9 +3,9 @@
 The parallel I/O engine already tracks the load signals that matter for
 placement — per-device channel backlog, utilization, the saturation
 knee — but until now policies saw only capacity and per-inode hotness.
-This module samples each tier's
-:class:`~repro.devices.base.DeviceTimeline` on SimClock time,
-EWMA-smooths the gauges, and exposes them through
+This module samples each tier's load hint (what the tier's file system
+returns from :meth:`~repro.vfs.interface.FileSystem.load_hint`) on
+SimClock time, EWMA-smooths the gauges, and exposes them through
 ``TierState.pressure`` so any policy in the registry can route bursts
 around saturated channels, demote off a backlogged tier, or defer a
 migration whose target is hot.
@@ -19,7 +19,7 @@ timeline gauges, making the signals bit-deterministic across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,10 @@ class TierPressure:
 
 
 class _TierGauges:
-    """Mutable per-tier EWMA state (one per attached timeline)."""
+    """Mutable per-tier EWMA state (one per attached load hint)."""
 
     __slots__ = (
-        "timeline",
+        "hint",
         "ewma_backlog",
         "ewma_util",
         "queued",
@@ -65,8 +65,8 @@ class _TierGauges:
         "snapshot_obj",
     )
 
-    def __init__(self, timeline) -> None:
-        self.timeline = timeline
+    def __init__(self, hint) -> None:
+        self.hint = hint
         self.ewma_backlog = 0.0
         self.ewma_util = 0.0
         self.queued = 0.0
@@ -77,10 +77,11 @@ class _TierGauges:
 
 
 class PressureMonitor:
-    """Samples per-tier ``DeviceTimeline`` gauges into :class:`TierPressure`.
+    """Samples per-tier load hints into :class:`TierPressure`.
 
-    The mux attaches one timeline per tier whose file system exposes a
-    device; :meth:`sample` is interval-gated so calling it on every
+    The mux attaches one hint per tier whose file system offers one
+    (``queued_at(now_ns)``, ``nchannels``, ``busy_ns``);
+    :meth:`sample` is interval-gated so calling it on every
     placement stays cheap, and :meth:`decorate` stamps the cached
     snapshots onto a list of ``TierState``.
     """
@@ -101,9 +102,9 @@ class PressureMonitor:
 
     # -- wiring ------------------------------------------------------------
 
-    def attach(self, tier_id: int, timeline) -> None:
-        """Track one tier's :class:`~repro.devices.base.DeviceTimeline`."""
-        self._tiers[tier_id] = _TierGauges(timeline)
+    def attach(self, tier_id: int, hint) -> None:
+        """Track one tier's load hint."""
+        self._tiers[tier_id] = _TierGauges(hint)
 
     def detach(self, tier_id: int) -> None:
         self._tiers.pop(tier_id, None)
@@ -115,9 +116,6 @@ class PressureMonitor:
         """Report the write-back cache's dirty fraction on ``tier_id``."""
         self._dirty_tier = tier_id
         self._dirty_fn = fn
-
-    def tracked_tiers(self) -> List[int]:
-        return sorted(self._tiers)
 
     # -- sampling ----------------------------------------------------------
 
@@ -135,7 +133,7 @@ class PressureMonitor:
                     continue
             else:
                 dt = 0
-            tl = g.timeline
+            tl = g.hint
             inst_queued = tl.queued_at(now_ns) / tl.nchannels
             g.queued = inst_queued
             if g.samples == 0:
@@ -166,10 +164,6 @@ class PressureMonitor:
 
     # -- reading -----------------------------------------------------------
 
-    def pressure_of(self, tier_id: int) -> Optional[TierPressure]:
-        g = self._tiers.get(tier_id)
-        return g.snapshot_obj if g is not None else None
-
     def load_of(self, tier_id: int) -> float:
         """Current load signal for one tier (0.0 when untracked)."""
         g = self._tiers.get(tier_id)
@@ -180,7 +174,7 @@ class PressureMonitor:
     def instant_load_of(self, tier_id: int, now_ns: int) -> float:
         """Per-channel backlog right now, bypassing the sample gate.
 
-        Pure read of the timeline (no gauge state is touched), for
+        Pure read of the hint (no gauge state is touched), for
         decisions that must see a burst the moment it lands — e.g. the
         migration engine pacing chunks between foreground ops that all
         share one arrival instant, where the interval-gated snapshot is
@@ -189,16 +183,8 @@ class PressureMonitor:
         g = self._tiers.get(tier_id)
         if g is None:
             return 0.0
-        tl = g.timeline
+        tl = g.hint
         return tl.queued_at(now_ns) / tl.nchannels
-
-    def backlog_map(self) -> Dict[int, float]:
-        """tier_id -> load, for dispatch-order hints (see IoScheduler)."""
-        return {
-            tid: g.snapshot_obj.load
-            for tid, g in self._tiers.items()
-            if g.snapshot_obj is not None
-        }
 
     def decorate(self, states: list) -> list:
         """Return ``TierState`` list with pressure snapshots attached."""

@@ -18,7 +18,7 @@ The scheduler can be disabled for the ablation benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.devices.profile import DeviceKind
 
@@ -54,19 +54,10 @@ class IoScheduler:
     file-offset space and never sees devices directly).
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        parallel: bool = True,
-        pressure_order: bool = False,
-    ) -> None:
+    def __init__(self, enabled: bool = True, parallel: bool = True) -> None:
         self.enabled = enabled
         #: overlap sub-requests of one split op across tiers
         self.parallel = parallel
-        #: opt-in: when a backlog map is supplied, dispatch the most
-        #: backlogged tier first (its queueing delay dominates the op's
-        #: completion).  Off by default so golden timings are unchanged.
-        self.pressure_order = pressure_order
         self.merges = 0
         self.dispatches = 0
         #: plans that contained more than one sub-request after merging
@@ -106,10 +97,7 @@ class IoScheduler:
         return snap
 
     def plan(
-        self,
-        subrequests: List[SubRequest],
-        tier_kinds: Dict[int, DeviceKind],
-        backlog: Optional[Dict[int, float]] = None,
+        self, subrequests: List[SubRequest], tier_kinds: Dict[int, DeviceKind]
     ) -> List[SubRequest]:
         """Return the dispatch plan for one split operation.
 
@@ -129,7 +117,6 @@ class IoScheduler:
             return self._account(list(subrequests))
 
         flip = -1 if self.parallel else 1
-        loads = backlog if self.pressure_order and backlog is not None else None
 
         def sort_key(req: SubRequest):
             kind = tier_kinds.get(req.tier_id, DeviceKind.SOLID_STATE)
@@ -139,10 +126,7 @@ class IoScheduler:
                 DeviceKind.SOLID_STATE: 1,
                 DeviceKind.HARD_DISK: 2,
             }[kind]
-            # pressure ordering: the deepest queue is the completion
-            # bottleneck regardless of nominal tier speed, so it goes first
-            load = -loads.get(req.tier_id, 0.0) if loads is not None else 0.0
-            return (load, flip * rank, req.tier_id, req.offset)
+            return (flip * rank, req.tier_id, req.offset)
 
         ordered = sorted(subrequests, key=sort_key)
         merged: List[SubRequest] = []

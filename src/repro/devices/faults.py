@@ -47,14 +47,6 @@ class FaultConfig:
     #: (:data:`repro.devices.profile.DEFAULT_SPIKE_MULT`)
     latency_spike_mult: Optional[float] = None
 
-    def any_enabled(self) -> bool:
-        return (
-            self.read_error_p > 0.0
-            or self.write_error_p > 0.0
-            or self.torn_write_p > 0.0
-            or self.latency_spike_p > 0.0
-        )
-
 
 class FaultInjector:
     """Per-device fault schedule, seeded and fully deterministic.

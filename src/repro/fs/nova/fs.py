@@ -20,16 +20,72 @@ model of NOVA's guarantee.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.devices.pm import CACHE_LINE, PersistentMemoryDevice
+from repro.errors import ReproError
 from repro.fscommon.allocator import BitmapAllocator
 from repro.fscommon.basefs import MetaRecord, NativeFileSystem
 from repro.fscommon.inode import Inode
 from repro.sim.clock import SimClock
+from repro.vfs.interface import FileHandle
 
 #: size of one NOVA log entry (a cache line)
 LOG_ENTRY_BYTES = CACHE_LINE
+
+
+class DaxMapping:
+    """A DAX mmap of one NOVA file: block-indexed PM loads and stores.
+
+    The file's blocks were resolved to device addresses once, at map
+    time.  A run of requested blocks becomes one device access exactly
+    when their addresses are contiguous; stores are flushed (CLWB) before
+    they return.  The device is looked up per call, never pre-bound, so
+    wrappers installed on the device *instance* (tracers, crash taps) see
+    every access.
+    """
+
+    def __init__(
+        self, pm: PersistentMemoryDevice, addrs: List[int], block_size: int
+    ) -> None:
+        self._pm = pm
+        self._addrs = addrs
+        self._bs = block_size
+
+    def _runs(self, blocks: Sequence[int]) -> Iterator[Tuple[int, int, int]]:
+        """``(index, count, addr)`` per device-contiguous run of ``blocks``."""
+        addrs, bs = self._addrs, self._bs
+        i = 0
+        while i < len(blocks):
+            j = i + 1
+            while j < len(blocks) and addrs[blocks[j]] == addrs[blocks[j - 1]] + bs:
+                j += 1
+            yield i, j - i, addrs[blocks[i]]
+            i = j
+
+    def load(self, block: int) -> bytes:
+        return self._pm.load(self._addrs[block], self._bs)
+
+    def load_blocks(self, blocks: Sequence[int], out: bytearray, pos: int) -> None:
+        """Copy ``blocks`` (whole, in the order given) into ``out`` at ``pos``."""
+        for _, count, addr in self._runs(blocks):
+            data = self._pm.load_run(addr, count, self._bs)
+            out[pos : pos + len(data)] = data
+            pos += len(data)
+
+    def store(self, block: int, offset: int, data: bytes) -> None:
+        """Persist ``data`` at byte ``offset`` inside one block."""
+        addr = self._addrs[block] + offset
+        self._pm.store(addr, data)
+        self._pm.flush_range(addr, len(data))
+
+    def store_blocks(self, blocks: Sequence[int], data) -> None:
+        """Persist block-aligned ``data`` over ``blocks``, in the order given."""
+        bs = self._bs
+        src = memoryview(data)
+        for i, count, addr in self._runs(blocks):
+            self._pm.store_run(addr, src[i * bs : (i + count) * bs], bs)
+            self._pm.flush_range(addr, count * bs, ops=count)
 
 
 class NovaFileSystem(NativeFileSystem):
@@ -92,6 +148,22 @@ class NovaFileSystem(NativeFileSystem):
 
     def _block_addr(self, dev_block: int) -> int:
         return dev_block * self.block_size
+
+    def dax_map(self, handle: FileHandle) -> DaxMapping:
+        """mmap the file: resolve every block to its PM address, once.
+
+        Charges nothing — the model's mmap cost is the preallocation the
+        caller already paid through :meth:`write`.
+        """
+        handle.ensure_open()
+        inode = self.inodes.get(handle.ino)
+        addrs: List[int] = []
+        for fb in range(-(-inode.size // self.block_size)):
+            dev_block = inode.blockmap.lookup(fb)
+            if dev_block is None:
+                raise ReproError(f"{self.fs_name}: cannot DAX-map a file with holes")
+            addrs.append(self._block_addr(dev_block))
+        return DaxMapping(self.pm, addrs, self.block_size)
 
     def _read_block(self, inode: Inode, file_block: int) -> Optional[bytes]:
         dev_block = inode.blockmap.lookup(file_block)

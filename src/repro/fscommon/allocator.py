@@ -173,10 +173,6 @@ class AllocationGroups:
     def free_blocks(self) -> int:
         return sum(g.free_blocks for g in self.groups)
 
-    @property
-    def used_blocks(self) -> int:
-        return sum(g.used_blocks for g in self.groups)
-
     def alloc_extent(self, count: int, hint: Optional[int] = None) -> List[Tuple[int, int]]:
         """Allocate ``count`` blocks, preferring one group, spilling across."""
         if count > self.free_blocks:

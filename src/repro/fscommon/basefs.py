@@ -586,6 +586,10 @@ class NativeFileSystem(FileSystem):
             free_blocks=self._free_data_blocks(),
         )
 
+    def load_hint(self):
+        """The device timeline: channel backlog and busy time."""
+        return self.device.timeline
+
     # ------------------------------------------------------------------
     # crash / recovery (overridden by journaled file systems)
     # ------------------------------------------------------------------

@@ -65,9 +65,6 @@ class ExtentTree:
         """Total number of mapped file blocks."""
         return sum(e.count for e in self._extents)
 
-    def is_empty(self) -> bool:
-        return not self._extents
-
     def end_block(self) -> int:
         """One past the highest mapped block (0 when empty)."""
         if not self._extents:
@@ -87,11 +84,6 @@ class ExtentTree:
         if i < 0:
             return None
         return self._extents[i].value_at(block, self.value_is_offset)
-
-    def lookup_extent(self, block: int) -> Optional[Extent]:
-        """The extent containing ``block``, or None."""
-        i = self._index_for(block)
-        return self._extents[i] if i >= 0 else None
 
     def runs(self, start: int, count: int) -> Iterator[Tuple[int, int, Optional[int]]]:
         """Decompose [start, start+count) into (block, run_len, value) runs.
@@ -197,10 +189,6 @@ class ExtentTree:
             cur.count += nxt.count
             del self._extents[i + 1]
             del self._starts[i + 1]
-
-    def clear(self) -> None:
-        self._starts.clear()
-        self._extents.clear()
 
     def copy(self) -> "ExtentTree":
         clone = ExtentTree(self.value_is_offset)

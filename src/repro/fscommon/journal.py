@@ -52,10 +52,6 @@ class Transaction:
             raise FsError("transaction already committed")
         self._records.append((kind, fields))
 
-    @property
-    def records(self) -> List[JournalRecord]:
-        return list(self._records)
-
     def commit(self) -> None:
         """Write the transaction to the journal region; durable on return."""
         if self._committed:

@@ -234,9 +234,12 @@ class PageCache:
             del self._pages[key]
 
     def drop_clean(self) -> None:
-        """Drop every clean page (crash simulation keeps nothing volatile)."""
-        for key in [k for k, p in self._pages.items()]:
-            del self._pages[key]
+        """Drop every page, *dirty ones included* — the name is historical.
+
+        ``crash()`` relies on exactly that (nothing volatile survives), so
+        a caller that only wants cold reads must flush first.
+        """
+        self._pages.clear()
 
     # -- introspection ------------------------------------------------------------
 

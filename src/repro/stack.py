@@ -64,6 +64,15 @@ class Stack:
     def tier_id(self, name: str) -> int:
         return self.tier_ids[name]
 
+    def drop_page_caches(self) -> None:
+        """Empty every tier file system's DRAM page cache, so the next
+        reads go to media.  Dirty pages are dropped too (see
+        :meth:`PageCache.drop_clean`): fsync first if they matter."""
+        for fs in self.filesystems.values():
+            cache = getattr(fs, "page_cache", None)
+            if cache is not None:
+                cache.drop_clean()
+
 
 def build_stack(
     tiers: Optional[List[str]] = None,
@@ -195,16 +204,3 @@ def build_stack(
         tier_ids=tier_ids,
         injectors=injectors,
     )
-
-
-def build_cluster(shards: int = 2, **kwargs):
-    """Assemble ``shards`` full stacks on one SimClock behind a ClusterMux.
-
-    Convenience re-export of :func:`repro.cluster.cluster.build_cluster`
-    (imported lazily — the cluster package imports this module for
-    :func:`build_stack`); cluster-level knobs (``vnodes``, ``rtt_us``,
-    ``bandwidth``) and per-shard ``build_stack`` knobs all pass through.
-    """
-    from repro.cluster.cluster import build_cluster as _build
-
-    return _build(shards=shards, **kwargs)

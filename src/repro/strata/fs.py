@@ -268,9 +268,6 @@ class StrataFileSystem(NativeFileSystem):
         else:
             device.write_blocks(start_block, payload)
 
-    def _write_device_block(self, device_index: int, block: int, data: bytes) -> None:
-        self._write_device_blocks(device_index, block, [data])
-
     # ------------------------------------------------------------------
     # migration: static routing (Figure 3a)
     # ------------------------------------------------------------------

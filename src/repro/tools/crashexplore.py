@@ -39,74 +39,15 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.mux import MuxFileSystem
 from repro.core.policy import MigrationOrder
-from repro.devices.hdd import HardDiskDrive
-from repro.devices.pm import PersistentMemoryDevice
-from repro.devices.profile import (
-    OPTANE_PMEM_200,
-    OPTANE_SSD_P4800X,
-    SEAGATE_EXOS_X18,
-)
-from repro.devices.ssd import SolidStateDrive
 from repro.errors import CrashTriggered, ReproError
-from repro.fs.ext4 import Ext4FileSystem
-from repro.fs.nova import NovaFileSystem
-from repro.fs.xfs import XfsFileSystem
-from repro.sim.clock import SimClock
+from repro.stack import Stack, build_stack
 from repro.tools import fsck
-from repro.vfs.vfs import VFS
 
 MIB = 1024 * 1024
 BS = 4096
 
 #: states explored by ``--smoke`` (full mode visits every state)
 SMOKE_STATES = 16
-
-
-# ---------------------------------------------------------------------------
-# tapped devices: every media write reports to the explorer before landing
-# ---------------------------------------------------------------------------
-
-
-class TappedPm(PersistentMemoryDevice):
-    """PM device whose stores are crash points (no torn variant: a single
-    store is a cache-line-granular operation, atomic in the NOVA model)."""
-
-    explorer: Optional["CrashExplorer"] = None
-
-    def store(self, addr: int, data) -> None:
-        if self.explorer is not None:
-            self.explorer.on_media_write(self.name, 1)
-        super().store(addr, data)
-
-
-class _TappedBlockDevice:
-    """Mixin for block devices: multi-block writes get torn variants."""
-
-    explorer: Optional["CrashExplorer"] = None
-
-    def write_blocks(self, block_no: int, data) -> None:
-        if self.explorer is not None:
-            count = len(data) // self.block_size
-            prefix = self.explorer.on_media_write(self.name, count)
-            if prefix:
-                # torn write: a prefix of the payload reached media before
-                # the power failed
-                self._write_span_raw(
-                    block_no, data[: prefix * self.block_size]
-                )
-                raise CrashTriggered(
-                    f"power lost mid-write on {self.name}: "
-                    f"{prefix}/{count} blocks landed"
-                )
-        super().write_blocks(block_no, data)  # type: ignore[misc]
-
-
-class TappedSsd(_TappedBlockDevice, SolidStateDrive):
-    pass
-
-
-class TappedHdd(_TappedBlockDevice, HardDiskDrive):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +161,6 @@ class DurabilityOracle:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Stack:
-    clock: SimClock
-    vfs: VFS
-    mux: MuxFileSystem
-    devices: Dict[str, object]
-    filesystems: Dict[str, object]
-    tier_ids: Dict[str, int]
-
-
 class CrashExplorer:
     """Census + replay harness over the canonical workload."""
 
@@ -240,6 +171,9 @@ class CrashExplorer:
         self.target: Optional[int] = None
         self.torn_prefix = 0
         self.fired = False
+        #: the device taps report here only while attached (power is on
+        #: and the workload, not setup or verification, is running)
+        self.attached = False
         self._labels: List[str] = []
 
     # -- device callback -------------------------------------------------
@@ -303,41 +237,55 @@ class CrashExplorer:
 
     # -- stack assembly ---------------------------------------------------
 
-    def build_stack(self) -> _Stack:
-        """PM+SSD+HDD write-back stack on tapped devices.
+    def _tap_store(self, pm) -> None:
+        """PM stores are crash points (no torn variant: a single store is
+        a cache-line-granular operation, atomic in the NOVA model)."""
+        inner = pm.store
 
-        Devices are attached to the explorer only *after* assembly, so
-        setup traffic (cache-file preallocation, mkfs-equivalents) is not
-        part of the explored workload.
+        def store(addr: int, data) -> None:
+            if self.attached:
+                self.on_media_write(pm.name, 1)
+            inner(addr, data)
+
+        pm.store = store
+
+    def _tap_write_blocks(self, device) -> None:
+        """Block-device writes are crash points; multi-block writes get
+        torn variants."""
+        inner = device.write_blocks
+
+        def write_blocks(block_no: int, data) -> None:
+            if self.attached:
+                count = len(data) // device.block_size
+                prefix = self.on_media_write(device.name, count)
+                if prefix:
+                    # torn write: a prefix of the payload reached media
+                    # before the power failed
+                    device._write_span_raw(block_no, data[: prefix * device.block_size])
+                    raise CrashTriggered(
+                        f"power lost mid-write on {device.name}: "
+                        f"{prefix}/{count} blocks landed"
+                    )
+            inner(block_no, data)
+
+        device.write_blocks = write_blocks
+
+    def build_stack(self) -> Stack:
+        """PM+SSD+HDD write-back stack with every media write tapped.
+
+        The taps go on the device *instances* and attach only *after*
+        assembly, so setup traffic (cache-file preallocation,
+        mkfs-equivalents) is not part of the explored workload.
         """
-        clock = SimClock()
-        vfs = VFS(clock)
-        mux = MuxFileSystem(vfs, clock, cache_write_back=True)
-        pm = TappedPm("pm", 16 * MIB, clock, OPTANE_PMEM_200)
-        ssd = TappedSsd("ssd", 32 * MIB, clock, OPTANE_SSD_P4800X)
-        hdd = TappedHdd("hdd", 64 * MIB, clock, SEAGATE_EXOS_X18)
-        nova = NovaFileSystem("nova", pm, clock)
-        xfs = XfsFileSystem("xfs", ssd, clock)
-        ext4 = Ext4FileSystem("ext4", hdd, clock)
-        mounts = {"pm": "/tiers/pm", "ssd": "/tiers/ssd", "hdd": "/tiers/hdd"}
-        profiles = {
-            "pm": OPTANE_PMEM_200,
-            "ssd": OPTANE_SSD_P4800X,
-            "hdd": SEAGATE_EXOS_X18,
-        }
-        filesystems = {"pm": nova, "ssd": xfs, "hdd": ext4}
-        devices = {"pm": pm, "ssd": ssd, "hdd": hdd}
-        tier_ids = {}
-        for name in ("pm", "ssd", "hdd"):
-            vfs.mount(mounts[name], filesystems[name])
-            tier = mux.add_tier(
-                name, filesystems[name], mounts[name], profiles[name]
-            )
-            tier_ids[name] = tier.tier_id
-        vfs.mount("/mux", mux)
-        # power taps on
-        for device in devices.values():
-            device.explorer = self
+        stack = build_stack(
+            capacities={"pm": 16 * MIB, "ssd": 32 * MIB, "hdd": 64 * MIB},
+            cache_write_back=True,
+        )
+        mux = stack.mux
+        self._tap_store(stack.devices["pm"])
+        self._tap_write_blocks(stack.devices["ssd"])
+        self._tap_write_blocks(stack.devices["hdd"])
+        self.attached = True
         # sync-point labels (instance-level wrappers; census + replay see
         # the same call structure, so indices line up run to run)
         self._wrap_label(mux, "_destage_blocks", "destage")
@@ -345,20 +293,19 @@ class CrashExplorer:
         self._wrap_label(mux, "blt_commit_move", "blt_commit")
         self._wrap_label_gen(mux.engine.occ, "_copy_runs", "migration_copy")
         self._wrap_label(mux.engine.occ, "_commit", "migration_commit")
-        for fs in (xfs, ext4):
-            self._wrap_label(fs.journal, "_write_txn", "journal_commit")
-            self._wrap_label(fs.journal, "checkpoint", "checkpoint")
-        return _Stack(clock, vfs, mux, devices, filesystems, tier_ids)
+        for name in ("ssd", "hdd"):
+            journal = stack.filesystems[name].journal
+            self._wrap_label(journal, "_write_txn", "journal_commit")
+            self._wrap_label(journal, "checkpoint", "checkpoint")
+        return stack
 
-    @staticmethod
-    def detach(stack: _Stack) -> None:
+    def detach(self) -> None:
         """Power restored: recovery and verification I/O is not explored."""
-        for device in stack.devices.values():
-            device.explorer = None
+        self.attached = False
 
     # -- canonical workload -----------------------------------------------
 
-    def workload(self, stack: _Stack, oracle: DurabilityOracle) -> None:
+    def workload(self, stack: Stack, oracle: DurabilityOracle) -> None:
         """The recorded workload: covers data writes, fsyncs, migrations
         (two-phase copy + BLT commit), cache absorption + destaging,
         journal commits/checkpoints, and an unlink window."""
@@ -425,7 +372,7 @@ class CrashExplorer:
         oracle = DurabilityOracle(stack.mux)
         self.workload(stack, oracle)
         # healthy-path sanity: the uncrashed end state must be clean
-        self.detach(stack)
+        self.detach()
         for name, fs in stack.filesystems.items():
             problems = fsck.check_native_fs(fs)
             if problems:
@@ -454,12 +401,12 @@ class CrashExplorer:
                 f"crash point #{point.index} never reached on replay"
             )
             return result
-        self.detach(stack)
+        self.detach()
         self._verify(stack, oracle, result)
         return result
 
     def _verify(
-        self, stack: _Stack, oracle: DurabilityOracle, result: StateResult
+        self, stack: Stack, oracle: DurabilityOracle, result: StateResult
     ) -> None:
         mux = stack.mux
         try:

@@ -6,6 +6,14 @@ Strata baseline) implements this interface.  That is the paper's central
 architectural bet: because Mux both *implements* the VFS interface upward
 and *consumes* it downward, any file system that speaks VFS can be plugged
 in as a tier without modification (§2.1).
+
+Beyond the abstract POSIX surface there are four *optional capabilities*,
+each with a default a file system overrides only if it has the feature:
+``link`` and ``punch_hole`` (default ENOTSUP), ``dax_map`` (default
+ENOTSUP; a file system that implements it can host Mux's SCM cache, §2.5)
+and ``load_hint`` (default None; a file system that returns a gauge is
+sampled by Mux's pressure monitor).  Mux asks for a capability by calling
+it — never by checking what class a tier's file system is.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import BadFileHandle, InvalidArgument, WritebackError
+from repro.errors import BadFileHandle, InvalidArgument, NotSupported, WritebackError
 from repro.vfs.stat import FsStats, Stat
 
 
@@ -169,8 +177,6 @@ class FileSystem(ABC):
 
     def link(self, existing_path: str, new_path: str) -> None:
         """Create a hard link (optional: default ENOTSUP)."""
-        from repro.errors import NotSupported
-
         raise NotSupported(f"{self.fs_name} does not support hard links")
 
     @abstractmethod
@@ -220,9 +226,19 @@ class FileSystem(ABC):
         Mux uses this to release a tier's copy after migration commits.
         Offsets must be block aligned.  Optional: default ENOTSUP.
         """
-        from repro.errors import NotSupported
-
         raise NotSupported(f"{self.fs_name} does not support hole punching")
+
+    def dax_map(self, handle: FileHandle):
+        """Map an open, fully allocated file for direct access (DAX mmap).
+
+        Returns a mapping addressed by *file block* that bypasses the
+        file-system call path: ``load(block)`` and ``load_blocks(blocks,
+        out, pos)`` read whole blocks, ``store(block, offset, data)`` and
+        ``store_blocks(blocks, data)`` write and persist them.  The
+        file's blocks are resolved once, at map time; a file with a hole
+        cannot be mapped.  Optional: default ENOTSUP.
+        """
+        raise NotSupported(f"{self.fs_name} has no DAX path")
 
     # -- metadata -----------------------------------------------------------
 
@@ -237,6 +253,16 @@ class FileSystem(ABC):
     @abstractmethod
     def statfs(self) -> FsStats:
         """Space accounting for the whole file system."""
+
+    def load_hint(self):
+        """The queue gauge behind this file system, or None (the default).
+
+        What Mux's pressure monitor samples to route around a backlogged
+        tier: an object with ``queued_at(now_ns)``, ``nchannels`` and
+        ``busy_ns``.  A file system that returns None is simply not
+        load-tracked.
+        """
+        return None
 
     # -- conveniences (shared implementations) -------------------------------
 

@@ -130,3 +130,46 @@ class TestTraceCli:
         assert main(["--no-faults", "--ops", "20", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "migrations (no faults):" in out and "engine totals:" in out
+
+
+class TestProfileCli:
+    """``python -m repro.bench profile`` argv handling (same flag helper)."""
+
+    @pytest.mark.parametrize(
+        "argv, complaint",
+        [
+            (["seq_read", "-n"], "-n requires a value"),
+            (["seq_read", "--top", "--smoke"], "--top requires a value"),
+            (["seq_read", "-n", "many"], "invalid literal"),
+            (["seq_read", "--sort"], "--sort requires a value"),
+            (["seq_read", "--sort", "callers"], "--sort must be one of"),
+            (["no_such_workload"], "unknown workload 'no_such_workload'"),
+        ],
+    )
+    def test_bad_argv_is_one_usage_line_and_exit_2(self, argv, complaint, capsys):
+        from repro.bench.profile import main
+
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any workload ran
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert complaint in lines[0] and "usage: python -m repro.bench profile" in lines[0]
+
+    def test_list_and_no_workload(self, capsys):
+        from repro.bench.profile import main
+
+        assert main(["--list"]) == 0
+        assert "seq_read" in capsys.readouterr().out
+        assert main(["--smoke"]) == 2  # nothing named: listing, exit 2
+
+    def test_value_flags_are_honoured(self, capsys):
+        from repro.bench.profile import main
+
+        assert main(["metadata_churn", "--smoke", "-n", "3", "--sort", "tottime"]) == 0
+        out = capsys.readouterr().out
+        assert "top 3 functions by tottime host time" in out

@@ -22,6 +22,7 @@ from repro.core.cache import ScmCacheManager
 from repro.core.intervals import BlockIntervalSet
 from repro.core.policy import MigrationOrder
 from repro.core.health import HealthState
+from repro.devices.faults import FaultConfig
 from repro.errors import CrashTriggered, DeviceIoError, TierUnavailable
 from repro.stack import build_stack
 from repro.tools.fsck import check_mux, reconcile_cache
@@ -440,6 +441,41 @@ class TestDegradedDestage:
         mux.cache.invalidate_file(handle.ino)
         assert mux.read(handle, 0, BS) == b"\x70" * BS
         mux.close(handle)
+
+    def test_owner_dying_between_destage_write_and_flush_is_counted(self):
+        """A durable destage whose tier write landed (in the tier's DRAM
+        page cache) but whose flush found the device gone: the close must
+        not fail, the blocks are clean in the cache, and the volatile
+        window is on record for fsck's cache reconciliation."""
+        wb = build_stack(cache_write_back=True, faults={"hdd": FaultConfig()})
+        mux = wb.mux
+        handle = demoted_warm_file(wb, blocks=2)
+        mux.write(handle, 0, b"\x71" * (2 * BS))
+        assert mux.cache.dirty_block_count == 2
+        wb.injectors["hdd"].set_offline()  # the device, not yet the tier
+        mux.close(handle)  # destage with durable=True
+        assert mux.stats.get("destage_flush_failed") == 1
+        assert mux.cache.dirty_block_count == 0
+        assert mux.cache.stats.get("destaged_blocks") == 2
+        assert mux.registry.get(wb.tier_id("hdd")).health.is_offline
+
+    def test_metafile_flush_defers_while_its_tier_is_offline(self):
+        """Mux's own bookkeeping must never fail a user op: records stay
+        buffered while the metafile's device rejects I/O and land on the
+        first flush after it returns."""
+        wb = build_stack(faults={"pm": FaultConfig()})
+        mux = wb.mux
+        meta = mux._meta
+        flushes = meta.stats.get("flushes")
+        wb.injectors["pm"].set_offline()
+        mux.mkdir("/d")  # notes a record and flushes: must not raise
+        assert meta.stats.get("flush_deferred") == 1
+        assert meta.stats.get("flushes") == flushes
+        assert meta._buffered == 1
+        wb.injectors["pm"].set_online()
+        meta.flush()
+        assert meta._buffered == 0
+        assert meta.stats.get("flushes") == flushes + 1
 
 
 class TestSlowTierWriteReduction:

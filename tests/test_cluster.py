@@ -131,6 +131,58 @@ class TestClusterNamespace:
         assert cluster.readdir("/tenants") == sorted(names)
         assert cluster.readdir("/") == ["tenants"]
 
+    def test_setattr_fans_out_over_a_global_directory_only(self):
+        cluster = small_cluster(2).mux
+        cluster.mkdir("/tenants")
+        cluster.mkdir("/tenants/a")
+        cluster.write_file("/tenants/a/f", b"x")
+        # a depth-1 directory exists on every shard: all copies change
+        assert cluster.setattr("/tenants", mode=0o700).mode == 0o700
+        for shard in cluster.shards:
+            assert shard.mux.getattr("/tenants").mode == 0o700
+        # anything deeper lives on its owner alone
+        owner = cluster.subtree_owner("tenants/a")
+        assert cluster.setattr("/tenants/a/f", mode=0o600).mode == 0o600
+        assert cluster.getattr("/tenants/a/f").mode == 0o600
+        assert cluster.shards[owner].mux.stats.get("setattr") == 2
+        assert cluster.shards[1 - owner].mux.stats.get("setattr") == 1
+
+    def test_read_into_routes_like_read(self):
+        cluster = small_cluster(2).mux
+        cluster.mkdir("/t")
+        cluster.mkdir("/t/a")
+        cluster.write_file("/t/a/f", b"0123456789")
+        handle = cluster.open("/t/a/f", OpenFlags.RDONLY)
+        heat = cluster._subtree_ops["t/a"]
+        out = bytearray(b"." * 8)
+        assert cluster.read_into(handle, 2, 4, out, 3) == 4
+        assert bytes(out) == b"...2345."
+        # counted like a read: the rebalancer's subtree heat saw it
+        assert cluster._subtree_ops["t/a"] == heat + 1
+        cluster.close(handle)
+
+    def test_maintain_runs_every_shards_policy_runner(self):
+        cluster = small_cluster(2).mux
+        calls = []
+
+        def stub(name, shard_id, result):
+            def runner(*args):
+                calls.append((name, shard_id) + args)
+                return result
+
+            return runner
+
+        for shard in cluster.shards:
+            sid = shard.shard_id
+            shard.mux.maintain = stub("maintain", sid, sid + 1)
+            shard.mux.maintain_async = stub("maintain_async", sid, 10 * (sid + 1))
+        assert cluster.maintain(max_rounds=2) == 1 + 2
+        assert cluster.maintain_async() == 10 + 20
+        assert calls == [
+            ("maintain", 0, 2), ("maintain", 1, 2),
+            ("maintain_async", 0), ("maintain_async", 1),
+        ]
+
     def test_subtree_ops_route_to_owner(self):
         cluster = small_cluster(2).mux
         cluster.mkdir("/t")
@@ -380,33 +432,52 @@ class TestSubtreeMigration:
         assert cluster.subtree_owner("t/a") == dst
         assert cluster.read_file("/t/a/f") == b"x" * BS
 
-    def test_foreground_writes_conflict_and_retry(self):
+    def _race_a_migration(self, racing):
+        """Interleave a subtree move with foreground mutations of one of
+        its files; whatever the racer did must be detected by the OCC
+        write sequence and be there, exactly, after the move."""
         cluster = small_cluster(2).mux
         cluster.mkdir("/t")
         cluster.mkdir("/t/a")
         path = "/t/a/busy"
-        cluster.write_file(path, bytes(64 * BS))
+        model = bytearray(b"\x11" * (64 * BS))
+        cluster.write_file(path, bytes(model))
         src = cluster.subtree_owner("t/a")
         dst = 1 - src
         handle = cluster.open(path, OpenFlags.RDWR)
-        writes = []
 
         def racer(step):
             # dirty the file during the first few copy rounds, then stop
             # so OCC validation can eventually succeed
-            if step < 2:
+            if step >= 2:
+                return
+            if racing == "write":
                 data = f"racer-{step}".encode()
                 cluster.write(handle, step * BS, data)
-                writes.append((step * BS, data))
+                model[step * BS : step * BS + len(data)] = data
+            elif racing == "truncate":
+                cluster.truncate(handle, (60 - step) * BS)
+                del model[(60 - step) * BS :]
+            else:
+                cluster.punch_hole(handle, (step + 1) * BS, BS)
+                model[(step + 1) * BS : (step + 2) * BS] = bytes(BS)
 
         task = Task(cluster.migrate_subtree_task("t/a", dst))
         summary = run_interleaved(task, racer)
         cluster.close(handle)
-        assert summary["conflicts"] > 0, "racer writes must be detected"
+        assert summary["conflicts"] > 0, f"racing {racing} must be detected"
         assert summary["attempts"] > 1
         assert cluster.subtree_owner("t/a") == dst
-        for offset, data in writes:
-            assert cluster.read_file(path)[offset : offset + len(data)] == data
+        assert cluster.read_file(path) == bytes(model)
+
+    def test_foreground_writes_conflict_and_retry(self):
+        self._race_a_migration("write")
+
+    @pytest.mark.parametrize("racing", ["truncate", "punch_hole"])
+    def test_foreground_truncate_and_punch_conflict_and_retry(self, racing):
+        """They bump the same OCC write sequence a write does: a copy
+        taken before one of them must not win the commit."""
+        self._race_a_migration(racing)
 
     def test_lock_fallback_guarantees_completion(self):
         cluster = small_cluster(2).mux
@@ -560,6 +631,23 @@ class TestClusterRing:
         assert snap["reaped"] == 8
         ring.close()
         for handle in handles:
+            cluster.close(handle)
+
+    def test_ring_is_a_context_manager(self):
+        cluster = small_cluster(2).mux
+        handles = self._population(cluster, 2)
+        with cluster.open_ring(depth=4) as ring:
+            for handle in handles:
+                ring.submit_write(handle, 0, b"cm" * 8)
+        # leaving the block drained and closed it (and its shard rings)
+        assert ring.closed and ring.pending == 0
+        assert ring.snapshot()["reaped"] == 2
+        for shard in cluster.shards:
+            assert shard.mux._rings == []
+        with cluster.open_ring() as ring:
+            ring.close()  # an explicit close inside the block is fine
+        for handle in handles:
+            assert cluster.read(handle, 0, 4) == b"cmcm"
             cluster.close(handle)
 
     def test_close_twice_keeps_counters(self):

@@ -20,7 +20,7 @@ from repro.core.health import (
 )
 from repro.core.policy import MigrationOrder
 from repro.devices.faults import FaultConfig
-from repro.errors import FsError, TierUnavailable
+from repro.errors import FsError, NoSpace, TierUnavailable
 from repro.stack import build_stack
 from repro.tools import fsck
 
@@ -239,6 +239,20 @@ class TestTransientFaults:
         mux.close(handle)
 
 
+def fill_up(fs):
+    """Every data write to ``fs`` answers ENOSPC although ``statfs`` still
+    shows room (copy-on-write and delayed allocation can both demand more
+    blocks than the snapshot promised).  Mux's own dot-files still land."""
+    real = fs.write
+
+    def full(handle, offset, data):
+        if handle.path.startswith("/.mux_"):
+            return real(handle, offset, data)
+        raise NoSpace(f"{fs.fs_name}: needs more blocks than are free")
+
+    fs.write = full
+
+
 class TestWriteAtomicity:
     """NoSpace/DeviceError mid-write must not leave a half-updated BLT."""
 
@@ -285,6 +299,130 @@ class TestWriteAtomicity:
         assert ssd not in inode.blt.tiers_used()
         assert mux.read(handle, 0, 4096) == b"\xa5" * 4096
         mux.close(handle)
+
+
+    def test_fs_nospace_spills_downhill_past_an_offline_candidate(self):
+        """The placement check is a snapshot; the tier file system is the
+        authority.  When it answers ENOSPC the segment spills to the next
+        tier in rank order, skipping one that is OFFLINE."""
+        stack = build_stack()
+        mux = stack.mux
+        pm, ssd, hdd = (stack.tier_ids[n] for n in ("pm", "ssd", "hdd"))
+
+        fill_up(stack.filesystems["pm"])
+        mux.mark_tier_offline(ssd)
+        ssd_writes = stack.devices["ssd"].stats.write_ops
+        handle = mux.create("/spilled")
+        mux.write(handle, 0, b"\xa5" * (32 * 1024))
+        assert mux.stats.get("write_spills") == 1
+        inode = mux.ns.resolve("/spilled")
+        assert inode.blt.tiers_used() == [hdd]
+        assert inode.size == 32 * 1024
+        assert stack.devices["ssd"].stats.write_ops == ssd_writes
+        assert mux.read(handle, 0, 4096) == b"\xa5" * 4096
+        mux.close(handle)
+
+    def test_fs_nospace_everywhere_surfaces_enospc_and_keeps_the_blt(self):
+        stack = build_stack(tiers=["pm", "ssd"])
+        mux = stack.mux
+
+        for fs in stack.filesystems.values():
+            fill_up(fs)
+        handle = mux.create("/nowhere")
+        with pytest.raises(NoSpace):
+            mux.write(handle, 0, b"\xa5" * 8192)
+        assert mux.stats.get("write_spills") == 2
+        inode = mux.ns.resolve("/nowhere")
+        assert inode.size == 0 and inode.blt.tiers_used() == []
+        mux.close(handle)
+
+
+class TestCreateSpill:
+    """``create`` hosts the file on the first tier that will take it."""
+
+    HARD = FaultConfig(write_error_p=1.0, transient_fraction=0.0)
+
+    def test_create_spills_past_a_failing_initial_tier(self):
+        stack = build_stack(faults={"pm": self.HARD})
+        mux = stack.mux
+        handle = mux.create("/f")  # NOVA's log append dies; XFS takes it
+        assert mux.stats.get("create_spills_fault") == 1
+        inode = mux.ns.resolve("/f")
+        assert inode.tiers_present == {stack.tier_ids["ssd"]}
+        assert stack.vfs.exists("/tiers/ssd/f")
+        # Mux's own metafile lives on the failing tier: deferred, not fatal
+        assert mux._meta.stats.get("flush_deferred") >= 1
+        mux.close(handle)
+
+    def test_create_rolls_the_namespace_back_when_no_tier_can_host(self):
+        stack = build_stack(faults={"pm": self.HARD})
+        mux = stack.mux
+        mux.mark_tier_offline(stack.tier_ids["ssd"])
+        mux.mark_tier_offline(stack.tier_ids["hdd"])
+        with pytest.raises(TierUnavailable):
+            mux.create("/f")
+        assert mux.stats.get("create_spills_fault") == 1
+        assert mux.stats.get("create") == 0
+        assert not mux.exists("/f")  # the name is free again...
+        assert mux.readdir("/") == []
+        stack.injectors["pm"].config = FaultConfig()
+        stack.injectors["pm"].clear_latched()
+        mux.write_file("/f", b"second try")  # ...and reusable
+        assert mux.read_file("/f") == b"second try"
+
+
+class TestOfflineTierIsSkipped:
+    """unlink / truncate / fsync keep serving a file that spans a dead
+    tier: the survivors are updated, the debt is counted for fsck."""
+
+    @pytest.fixture
+    def spanning(self):
+        stack = build_stack()
+        mux = stack.mux
+        handle = mux.create("/span")
+        mux.write(handle, 0, b"\xa5" * (8 * 4096))
+        pm, ssd, hdd = (stack.tier_ids[n] for n in ("pm", "ssd", "hdd"))
+        mux.engine.migrate_now(MigrationOrder(handle.ino, 0, 4, pm, ssd))
+        mux.engine.migrate_now(MigrationOrder(handle.ino, 4, 4, pm, hdd))
+        mux.mark_tier_offline(ssd)
+        return stack, handle
+
+    def test_fsync_flushes_the_survivors(self, spanning):
+        stack, handle = spanning
+        mux = stack.mux
+        # a sub-block write updates its block in place: dirty on the hdd
+        mux.write(handle, 4 * 4096 + 10, b"\x5a" * 100)
+        hdd_writes = stack.devices["hdd"].stats.write_ops
+        mux.fsync(handle)
+        assert mux.stats.get("fsync_skipped_offline") == 1
+        assert stack.devices["hdd"].stats.write_ops > hdd_writes
+        mux.close(handle)
+
+    def test_truncate_cuts_the_survivors(self, spanning):
+        stack, handle = spanning
+        mux = stack.mux
+        assert stack.vfs.getattr("/tiers/ssd/span").size == 4 * 4096
+        mux.truncate(handle, 2 * 4096)
+        assert mux.stats.get("truncate_skipped_offline") == 1
+        assert mux.getattr("/span").size == 2 * 4096
+        assert stack.vfs.getattr("/tiers/hdd/span").size == 2 * 4096
+        # the dead tier's backing file could not be cut; Mux's own size
+        # governs, so the stale tail is never served once it returns
+        assert stack.vfs.getattr("/tiers/ssd/span").size == 4 * 4096
+        mux.mark_tier_online(stack.tier_ids["ssd"])
+        assert mux.read(handle, 0, 8 * 4096) == b"\xa5" * (2 * 4096)
+        assert fsck.check_mux(mux) == []
+        mux.close(handle)
+
+    def test_unlink_leaves_the_dead_tiers_backing_file_for_fsck(self, spanning):
+        stack, handle = spanning
+        mux = stack.mux
+        mux.close(handle)
+        mux.unlink("/span")
+        assert mux.stats.get("unlink_skipped_offline") == 1
+        assert not mux.exists("/span")
+        assert not stack.vfs.exists("/tiers/hdd/span")
+        assert stack.vfs.exists("/tiers/ssd/span")  # the orphan
 
 
 class TestEvacuation:

@@ -242,6 +242,44 @@ class TestMuxErrseq:
         late = mux.open("/f")
         mux.fsync(late)  # opened after the failure: nothing to report
 
+    def test_tier_writeback_error_folds_into_the_mux_ledger_once_per_fd(self):
+        """The tier→mux hop of the errseq invariant: a *tier file system*
+        owes Mux's long-lived tier handle a WritebackError; ``mux.fsync``
+        folds it into the mux ledger, so every mux fd open at the time
+        sees EIO exactly once and a later fd sees nothing."""
+        stack = build_stack()
+        mux = stack.mux
+        ext4 = stack.filesystems["hdd"]
+        first = mux.create("/f")
+        mux.set_placement("/f", stack.tier_id("hdd"))
+        mux.write(first, 0, b"D" * (2 * BS))  # dirty in ext4's page cache
+        second = mux.open("/f")
+        # writeback fails behind Mux's back (another fd on the tier file
+        # stands in for the background flusher): ext4 latches the error
+        # on the inode, and Mux's own tier handle has not seen it yet
+        flusher = ext4.open("/f")
+        fail_data_writes(ext4)
+        with pytest.raises(DeviceIoError):
+            ext4.fsync(flusher)
+        heal(ext4)
+        assert mux.stats.get("wb_errors") == 0
+
+        with pytest.raises(WritebackError) as excinfo:
+            mux.fsync(first)
+        assert excinfo.value.errno == errno.EIO
+        assert "mux" in str(excinfo.value)  # the mux ledger's report
+        assert mux.stats.get("wb_errors") == 1
+        assert mux.stats.get("fsync") == 1  # the fan-out itself completed
+        mux.fsync(first)  # observed once on this fd
+        with pytest.raises(WritebackError):
+            mux.fsync(second)  # open at the time: its own single EIO
+        mux.fsync(second)
+        late = mux.open("/f")
+        mux.fsync(late)  # opened after the failure: nothing to report
+        assert mux.stats.get("wb_errors") == 1  # folded once, not per fd
+        # the tier stayed HEALTHY: lost data is not a failing device
+        assert mux.registry.get(stack.tier_id("hdd")).health.accepts_writes
+
     def test_reconcile_reports_the_lost_intervals(self):
         wb = build_stack(cache_write_back=True)
         mux = wb.mux

@@ -21,6 +21,7 @@ from repro.core.policy import (
     MirrorOrder,
     TierState,
 )
+from repro.devices.faults import FaultConfig
 from repro.devices.profile import DeviceKind
 from repro.stack import build_stack
 from repro.tools import fsck
@@ -474,6 +475,96 @@ class TestPacingAndDeadline:
         assert mux.read(handle, 0, 16 * BS) == pattern(16 * BS)
         mux.close(handle)
 
+
+class TestSyncFailure:
+    """A copy that dies leaves what it did not make durable *stale* — "a
+    stale replica is never served" rests on these three branches."""
+
+    @staticmethod
+    def split_file(stack):
+        """/f with blocks 0-7 on the HDD and 8-15 on the SSD."""
+        mux = stack.mux
+        handle = place_on(stack, "/f", "hdd")
+        mux.engine.migrate_now(
+            MigrationOrder(
+                handle.ino, 8, 8, stack.tier_ids["hdd"], stack.tier_ids["ssd"]
+            )
+        )
+        mux.fsync(handle)
+        return handle, mux.ns.resolve("/f")
+
+    def test_source_dying_mid_copy_keeps_its_interval_stale(self):
+        stack = build_stack(enable_cache=False, faults={"ssd": FaultConfig()})
+        mux = stack.mux
+        handle, inode = self.split_file(stack)
+        pm = stack.tier_ids["pm"]
+        mux.mirrors.add_mirror(inode, pm)
+        stack.drop_page_caches()  # the copy must read the media
+        stack.injectors["ssd"].set_offline()
+        # the HDD-sourced run copies and commits; the SSD-sourced one dies
+        # (sync_file goes round once more before it gives up on it)
+        assert mux.mirrors.sync_file(inode) == 8
+        assert mux.mirrors.stats.get("sync_skipped_offline") == 2
+        assert inode.replicas.covers_clean(pm, 0, 8)
+        assert inode.replicas.stale_runs(pm) == [(8, 8)]
+        assert mux.read(handle, 0, 8 * BS) == pattern(16 * BS)[: 8 * BS]
+        stack.injectors["ssd"].set_online()
+        mux.mark_tier_online(stack.tier_ids["ssd"])
+        assert mux.mirrors.sync_file(inode) == 8  # retried once it is back
+        assert not inode.replicas.has_stale()
+        assert mux.read(handle, 0, 16 * BS) == pattern(16 * BS)
+        assert mux.stats.get("reads_from_mirror") > 0
+        mux.close(handle)
+
+    def test_mirror_dying_mid_copy_leaves_every_interval_stale(self):
+        stack = build_stack(enable_cache=False, faults={"pm": FaultConfig()})
+        mux = stack.mux
+        handle, inode = self.split_file(stack)
+        pm = stack.tier_ids["pm"]
+        mux.mirrors.add_mirror(inode, pm)
+        media_write = mux.mirrors._media_write
+        copies = []
+
+        def dies_after_the_first_run(inode_, tier_id, offset, data):
+            if copies:
+                stack.injectors["pm"].set_offline()
+            copies.append(offset)
+            media_write(inode_, tier_id, offset, data)
+
+        mux.mirrors._media_write = dies_after_the_first_run
+        # the first run landed, but the mirror cannot fsync it: nothing
+        # is durable there, so nothing may be marked clean
+        assert mux.mirrors.sync_file(inode) == 0
+        assert copies == [0, 8 * BS]
+        assert mux.mirrors.stats.get("sync_skipped_offline") == 2
+        assert inode.replicas.clean_blocks() == 0
+        assert inode.replicas.stale_blocks() == 16
+        assert mux.read(handle, 0, 16 * BS) == pattern(16 * BS)
+        assert mux.stats.get("reads_from_mirror") == 0
+        mux.close(handle)
+
+    def test_mirror_dying_at_its_fsync_leaves_every_interval_stale(self):
+        stack = build_stack(enable_cache=False, faults={"ssd": FaultConfig()})
+        mux = stack.mux
+        handle = place_on(stack, "/f", "hdd")
+        inode = mux.ns.resolve("/f")
+        ssd = stack.tier_ids["ssd"]
+        mux.mirrors.add_mirror(inode, ssd)
+        # XFS buffers the copies in DRAM; the device is first needed at
+        # the fsync that would make them durable
+        stack.injectors["ssd"].set_offline()
+        assert mux.mirrors.sync_file(inode) == 0
+        assert mux.mirrors.stats.get("sync_skipped_offline") == 1
+        assert mux.mirrors.stats.get("syncs") == 0
+        assert inode.replicas.clean_blocks() == 0
+        assert inode.replicas.stale_blocks() == 16
+        assert mux.read(handle, 0, 16 * BS) == pattern(16 * BS)  # from the HDD
+        assert mux.stats.get("reads_from_mirror") == 0
+        stack.injectors["ssd"].set_online()
+        mux.mark_tier_online(ssd)
+        assert mux.mirrors.sync_file(inode) == 16
+        assert inode.replicas.covers_clean(ssd, 0, 16)
+        mux.close(handle)
 
 # ---------------------------------------------------------------------------
 # fsck replica-divergence audit (injected corruption)

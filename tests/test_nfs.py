@@ -75,6 +75,24 @@ class TestNetworkFileSystem:
         assert nfs.read(handle, 0, 4) == bytes(4)
         nfs.close(handle)
 
+    def test_truncate_setattr_and_sync_are_forwarded_and_charged(self, remote_env):
+        nfs, backing, clock = remote_env
+        handle = nfs.create("/f")
+        nfs.write(handle, 0, b"x" * (2 * BS))
+        rpcs = nfs.stats.get("rpcs")
+        t0 = clock.now_ns
+        nfs.truncate(handle, BS)
+        assert backing.getattr("/f").size == BS
+        stat = nfs.setattr("/f", mode=0o600, mtime=12.5)
+        assert (stat.mode, stat.mtime) == (0o600, 12.5)
+        assert backing.getattr("/f").mode == 0o600
+        assert backing.page_cache.dirty_pages > 0
+        nfs.sync()  # flushes the remote file system, not just this file
+        assert backing.page_cache.dirty_pages == 0
+        assert nfs.stats.get("rpcs") == rpcs + 3
+        assert clock.now_ns - t0 >= 3 * nfs.rtt_ns
+        nfs.close(handle)
+
     def test_crash_recovery_delegates(self, remote_env):
         nfs, _, _ = remote_env
         handle = nfs.create("/f")

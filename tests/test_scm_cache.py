@@ -195,3 +195,116 @@ class TestCacheThroughMux:
         mux.engine.migrate_now(MigrationOrder(handle.ino, 0, 2, hdd_id, ssd_id))
         assert mux.cache.cached_blocks == 0
         mux.close(handle)
+
+
+class TestPmCallTranscript:
+    """Characterisation: the exact calls the cache makes on the PM device.
+
+    Recorded before ``FileSystem.dax_map`` replaced the cache's own
+    address table; whatever sits between the cache and the device must
+    issue the same methods, addresses, sizes and ``ops=`` in the same
+    order — simulated time and the muxbench ``devices.pm`` counts are
+    sums over exactly these calls.
+    """
+
+    TAPPED = ("load", "store", "load_run", "store_run", "flush_range", "drain")
+
+    #: preallocation of the 8-slot cache file on a fragmented NOVA: slots
+    #: 0-5 land on device blocks 26-31, slots 6-7 on blocks 16-17
+    MAP_CALLS = [
+        ("store", 1536, 64), ("store_run", 1536, 64, 64), ("flush_range", 1536, 64),
+        ("store", 1600, 64), ("store_run", 1600, 64, 64), ("flush_range", 1600, 64),
+        ("store", 0, 8), ("store_run", 0, 8, 8), ("flush_range", 0, 8),
+        ("drain",),
+        ("store", 106496, 24576), ("store_run", 106496, 24576, 24576),
+        ("flush_range", 106496, 24576),
+        ("store", 65536, 8192), ("store_run", 65536, 8192, 8192),
+        ("flush_range", 65536, 8192),
+        ("drain",),
+        ("store", 1664, 64), ("store_run", 1664, 64, 64), ("flush_range", 1664, 64),
+        ("store", 0, 8), ("store_run", 0, 8, 8), ("flush_range", 0, 8),
+        ("drain",),
+    ]
+    USE_CALLS = [
+        # put_many(1, 0..7): one run per device-contiguous slot range
+        ("store_run", 106496, 24576, 4096), ("flush_range", 106496, 24576, ("ops", 6)),
+        ("store_run", 65536, 8192, 4096), ("flush_range", 65536, 8192, ("ops", 2)),
+        # put_many(2, 0..1) into the recycled slots 3 and 1
+        ("store_run", 118784, 4096, 4096), ("flush_range", 118784, 4096, ("ops", 1)),
+        ("store_run", 110592, 4096, 4096), ("flush_range", 110592, 4096, ("ops", 1)),
+        # get(2, 1)
+        ("load", 110592, 4096), ("load_run", 110592, 1, 4096),
+        # get_many(1, 4..7) across the discontiguity
+        ("load_run", 122880, 2, 4096), ("load_run", 65536, 2, 4096),
+        # get_many(2, 0..1): adjacent file blocks, non-adjacent slots
+        ("load_run", 118784, 1, 4096), ("load_run", 110592, 1, 4096),
+        # write_hit(1, 6) partial block
+        ("store", 65836, 100), ("store_run", 65836, 100, 100),
+        ("flush_range", 65836, 100),
+        # load_for_destage(1, 4..7)
+        ("load_run", 122880, 2, 4096), ("load_run", 65536, 2, 4096),
+        # put_many(3, 0..4): MGLRU evicts, freed slots are reused
+        ("store_run", 106496, 4096, 4096), ("flush_range", 106496, 4096, ("ops", 1)),
+        ("store_run", 114688, 4096, 4096), ("flush_range", 114688, 4096, ("ops", 1)),
+        ("store_run", 122880, 8192, 4096), ("flush_range", 122880, 8192, ("ops", 2)),
+        ("store_run", 69632, 4096, 4096), ("flush_range", 69632, 4096, ("ops", 1)),
+    ]
+
+    def _record(self, pm, log):
+        for name in self.TAPPED:
+            inner = getattr(pm, name)
+
+            def tap(*args, _name=name, _inner=inner, **kwargs):
+                sized = tuple(len(a) if hasattr(a, "__len__") else a for a in args)
+                log.append((_name,) + sized + tuple(sorted(kwargs.items())))
+                return _inner(*args, **kwargs)
+
+            setattr(pm, name, tap)
+
+    def test_fixed_script_issues_the_recorded_pm_calls(self, clock):
+        from repro.devices.pm import PersistentMemoryDevice
+        from repro.fs.nova import NovaFileSystem
+
+        pm = PersistentMemoryDevice("pm0", 32 * BS, clock)
+        nova = NovaFileSystem("nova", pm, clock)
+        # fragment the allocator so the cache file is not one extent
+        for name, blocks in (("/a", 3), ("/b", 2), ("/c", 3), ("/d", 2), ("/e", 3)):
+            nova.write_file(name, bytes(blocks * BS))
+        for name in ("/a", "/c", "/e"):
+            nova.unlink(name)
+        log = []
+        self._record(pm, log)
+        cache = ScmCacheManager(
+            clock, nova, capacity_blocks=8, block_size=BS, write_back=True
+        )
+        assert log == self.MAP_CALLS
+        del log[:]
+
+        def blocks(base, n):
+            return b"".join(bytes([base + i]) * BS for i in range(n))
+
+        cache.put_many(1, 0, blocks(0, 8))
+        cache.invalidate(1, 1)
+        cache.invalidate(1, 3)
+        cache.put_many(2, 0, blocks(0x20, 2))
+        assert cache.get(2, 1) == bytes([0x21]) * BS
+        out = bytearray(5 * BS)
+        cache.get_many(1, 4, 4, out, BS)
+        assert bytes(out) == bytes(BS) + blocks(4, 4)
+        out = bytearray(2 * BS)
+        cache.get_many(2, 0, 2, out, 0)
+        assert bytes(out) == blocks(0x20, 2)
+        assert cache.write_hit(1, 6, b"W" * 100, 300)
+        patched = bytes([6]) * 300 + b"W" * 100 + bytes([6]) * (BS - 400)
+        assert cache.load_for_destage(1, 4, 4) == (
+            blocks(4, 2) + patched + blocks(7, 1)
+        )
+        # overfill: MGLRU evicts (a dirty victim is dropped: no destage_fn)
+        cache.put_many(3, 0, blocks(0x30, 5))
+        assert log == self.USE_CALLS
+        assert cache.cache_counters() == {
+            "fill": 15, "invalidate": 2, "hit": 7, "write_hit": 1,
+            "evict": 5, "dirty_blocks": 1,
+        }
+        assert clock.now_ns == 86925
+        cache.check_invariants()

@@ -65,6 +65,16 @@ class TestDispatch:
         vfs.fsync(handle)
         vfs.close(handle)
 
+    def test_setattr_reaches_the_mounted_fs(self, vfs, xfs, clock):
+        vfs.write_file("/ssd/f", b"abc")
+        t0 = clock.now_ns
+        stat = vfs.setattr("/ssd/f", mode=0o600, atime=7.0)
+        assert (stat.mode, stat.atime) == (0o600, 7.0)
+        assert xfs.getattr("/f").mode == 0o600  # mount prefix stripped
+        assert clock.now_ns > t0
+        with pytest.raises(InvalidArgument):
+            vfs.setattr("/ssd/f", size=0)  # not a settable attribute
+
     def test_rename_within_fs(self, vfs):
         vfs.write_file("/pm/a", b"1")
         vfs.rename("/pm/a", "/pm/b")
