@@ -12,30 +12,28 @@ explores a strided subset for CI)."""
 from __future__ import annotations
 
 import sys
+from importlib import import_module
 
 from repro.bench.experiments import run_all
+from repro.bench.harness import reject_unknown
+
+#: subcommand -> the module whose ``main(argv)`` serves it
+SUBCOMMANDS = {
+    "wallclock": "repro.bench.wallclock",
+    "profile": "repro.bench.profile",
+    "trace": "repro.bench.trace",
+    "crashexplore": "repro.tools.crashexplore",
+}
+
+USAGE = f"usage: python -m repro.bench [--fast] | {'|'.join(SUBCOMMANDS)} [options]"
 
 
 def main() -> int:
     argv = sys.argv[1:]
-    if argv and argv[0] == "wallclock":
-        from repro.bench.wallclock import main as wallclock_main
-
-        return wallclock_main(argv[1:])
-    if argv and argv[0] == "profile":
-        from repro.bench.profile import main as profile_main
-
-        return profile_main(argv[1:])
-    if argv and argv[0] == "trace":
-        from repro.bench.trace import main as trace_main
-
-        return trace_main(argv[1:])
-    if argv and argv[0] == "crashexplore":
-        from repro.tools.crashexplore import main as crashexplore_main
-
-        return crashexplore_main(argv[1:])
-    fast = "--fast" in argv
-    print(run_all(fast=fast))
+    if argv and argv[0] in SUBCOMMANDS:
+        return import_module(SUBCOMMANDS[argv[0]]).main(argv[1:])
+    reject_unknown(argv, ("--fast",), USAGE)
+    print(run_all(fast="--fast" in argv))
     return 0
 
 

@@ -32,6 +32,15 @@ def pop_flag_value(argv: List[str], flag: str, usage: str) -> Optional[str]:
     return value
 
 
+def reject_unknown(argv: List[str], known, usage: str) -> None:
+    """Exit 2 with ``usage`` on one line if ``argv`` (value flags already
+    popped) holds anything outside ``known`` — before any work starts."""
+    unknown = [arg for arg in argv if arg not in known]
+    if unknown:
+        print(f"unknown argument {unknown[0]!r}; {usage}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 @dataclass
 class StrataStack:
     """A Strata instance plus its devices and clock."""

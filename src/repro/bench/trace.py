@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 from typing import List, Optional
 
-from repro.bench.harness import pop_flag_value
+from repro.bench.harness import pop_flag_value, reject_unknown
 
 USAGE = (
     "usage: python -m repro.bench trace [--no-faults] [--write-back] "
@@ -110,12 +110,12 @@ def _cluster_report(ops: int, seed: int) -> int:
         for i in range(4)
     ]
     duration = max(1_000_000, ops * 30_000)
-    result, makespan_ns = run_cluster_load(
+    result = run_cluster_load(
         cluster, specs, duration_ns=duration, ring_depth=8, seed=seed
     )
     print(
         f"cluster: shards={len(cluster.shards)} "
-        f"ops={result.completed_ops} makespan={makespan_ns / 1e9:.6f} sim-s"
+        f"ops={result.completed_ops} makespan={result.makespan_ns / 1e9:.6f} sim-s"
     )
     for row in cluster.shard_report():
         print(
@@ -138,10 +138,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"{exc}; {USAGE}", file=sys.stderr)
         return 2
-    unknown = [arg for arg in argv if arg not in _SWITCHES]
-    if unknown:
-        print(f"unknown argument {unknown[0]!r}; {USAGE}", file=sys.stderr)
-        return 2
+    reject_unknown(argv, _SWITCHES, USAGE)
     faulty = "--no-faults" not in argv
     write_back = "--write-back" in argv
     readahead_bg = "--readahead-bg" in argv

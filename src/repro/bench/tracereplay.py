@@ -3,11 +3,11 @@
 Synthetic arrival processes answer "does the policy react to pressure";
 block traces answer "does it react to *this* workload".  This module
 defines a small canonical trace format, deterministic generators for the
-three interesting shapes (zipf steady-state, bursty writers over a read
-floor, phase-change hot sets), and an open-loop replay engine that drives
-a trace through the async ring API against any stack — so every
-registered policy can be benchmarked head-to-head on identical offered
-load.
+two shapes the policy duels run on (zipf steady-state, bursty writers
+over a read floor), and :func:`replay_trace`, which drives a trace
+through the one open-loop harness (:mod:`repro.bench.openloop`) against
+any stack — so every registered policy can be benchmarked head-to-head
+on identical offered load.
 
 Format — one record per line, integer fields, ``#`` comments::
 
@@ -32,32 +32,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.bench.multi_tenant import _exp_gap, _zipf_cdf, _zipf_pick
+from repro.bench.multi_tenant import exp_gap, zipf_cdf, zipf_pick
+from repro.bench.openloop import (
+    PAYLOAD_BYTE,
+    MultiTenantResult,
+    TraceOp,
+    drive_open_loop,
+    populate,
+    pump,
+    settle,
+)
 from repro.errors import InvalidArgument
-from repro.sim.histogram import LatencyHistogram
 from repro.sim.rng import DeterministicRng
 
 KIB = 1024
 MIB = 1024 * KIB
 
 TRACE_MAGIC = "# muxtrace v1"
-
-#: deterministic write payload byte (content never affects placement)
-_PAYLOAD_BYTE = 0x6B
-
-
-@dataclass(frozen=True)
-class TraceOp:
-    """One record: an I/O against the trace's file population."""
-
-    arrival_ns: int
-    op: str  # "read" | "write" | "fsync"
-    file_id: int
-    offset: int
-    length: int
-
 
 @dataclass
 class BlockTrace:
@@ -188,17 +181,17 @@ def zipf_trace(
 ) -> BlockTrace:
     """Steady-state zipf traffic: Poisson arrivals, skewed file/block picks."""
     rng = DeterministicRng(seed).fork("zipf-trace")
-    file_cdf = _zipf_cdf(files, alpha)
-    block_cdf = _zipf_cdf(file_bytes // io_bytes, alpha)
+    file_cdf = zipf_cdf(files, alpha)
+    block_cdf = zipf_cdf(file_bytes // io_bytes, alpha)
     ops: List[TraceOp] = []
     t = 0
     while True:
-        t += _exp_gap(rng, mean_gap_ns)
+        t += exp_gap(rng, mean_gap_ns)
         if t >= duration_ns:
             break
         op = "read" if rng.random() < read_fraction else "write"
-        file_id = _zipf_pick(rng, file_cdf)
-        offset = _zipf_pick(rng, block_cdf) * io_bytes
+        file_id = zipf_pick(rng, file_cdf)
+        offset = zipf_pick(rng, block_cdf) * io_bytes
         ops.append(TraceOp(t, op, file_id, offset, io_bytes))
     trace = BlockTrace(
         ops,
@@ -223,48 +216,46 @@ def bursty_trace(
     burst_gap_ns: int = 120_000,
     burst_size: int = 8,
     alpha: float = 1.1,
-    fsync_bursts: bool = True,
     seed: int = 7,
 ) -> BlockTrace:
     """A zipf read floor with write bursts landing at Poisson instants.
 
     Every op in a burst shares one arrival — the worst case for a queue:
     the backlog jumps by ``burst_size`` writes instantly, and any read
-    arriving behind it eats the whole queue.  With ``fsync_bursts`` each
-    file the burst touched is fsynced right after it (arrival + 1 ns),
-    the database/logger pattern: the burst demands durability, so its
-    cost cannot hide in volatile write buffers.  This is the shape where
-    pressure-blind placement loses its read tail.
+    arriving behind it eats the whole queue.  Each file the burst touched
+    is fsynced right after it (arrival + 1 ns), the database/logger
+    pattern: the burst demands durability, so its cost cannot hide in
+    volatile write buffers.  This is the shape where pressure-blind
+    placement loses its read tail.
     """
     rng = DeterministicRng(seed).fork("bursty-trace")
-    file_cdf = _zipf_cdf(files, alpha)
-    read_cdf = _zipf_cdf(file_bytes // read_bytes, alpha)
+    file_cdf = zipf_cdf(files, alpha)
+    read_cdf = zipf_cdf(file_bytes // read_bytes, alpha)
     write_slots = file_bytes // write_bytes
-    write_cdf = _zipf_cdf(write_slots, alpha)
+    write_cdf = zipf_cdf(write_slots, alpha)
     ops: List[TraceOp] = []
     t = 0
     while True:  # read floor
-        t += _exp_gap(rng, read_gap_ns)
+        t += exp_gap(rng, read_gap_ns)
         if t >= duration_ns:
             break
-        file_id = _zipf_pick(rng, file_cdf)
-        offset = _zipf_pick(rng, read_cdf) * read_bytes
+        file_id = zipf_pick(rng, file_cdf)
+        offset = zipf_pick(rng, read_cdf) * read_bytes
         ops.append(TraceOp(t, "read", file_id, offset, read_bytes))
     t = 0
     while True:  # write bursts
-        t += _exp_gap(rng, burst_gap_ns)
+        t += exp_gap(rng, burst_gap_ns)
         if t >= duration_ns:
             break
         touched: List[int] = []
         for _ in range(burst_size):
-            file_id = _zipf_pick(rng, file_cdf)
-            offset = _zipf_pick(rng, write_cdf) * write_bytes
+            file_id = zipf_pick(rng, file_cdf)
+            offset = zipf_pick(rng, write_cdf) * write_bytes
             ops.append(TraceOp(t, "write", file_id, offset, write_bytes))
             if file_id not in touched:
                 touched.append(file_id)
-        if fsync_bursts:
-            for file_id in touched:
-                ops.append(TraceOp(t + 1, "fsync", file_id, 0, 0))
+        for file_id in touched:
+            ops.append(TraceOp(t + 1, "fsync", file_id, 0, 0))
     ops.sort(key=lambda op: (op.arrival_ns, op.op, op.file_id, op.offset))
     trace = BlockTrace(
         ops,
@@ -279,75 +270,18 @@ def bursty_trace(
     return trace
 
 
-def phase_trace(
-    duration_ns: int,
-    files: int = 16,
-    file_bytes: int = 1 * MIB,
-    io_bytes: int = 16 * KIB,
-    mean_gap_ns: int = 6_000,
-    alpha: float = 1.2,
-    read_fraction: float = 0.8,
-    phases: int = 2,
-    seed: int = 7,
-) -> BlockTrace:
-    """Zipf traffic whose hot set rotates every ``duration/phases`` ns.
-
-    Each phase shifts the file popularity ranking by a fixed stride, so
-    yesterday's cold tail becomes today's hot head — the workload that
-    punishes stale placement and rewards policies that keep migrating.
-    """
-    if phases < 1:
-        raise InvalidArgument("phases must be >= 1")
-    rng = DeterministicRng(seed).fork("phase-trace")
-    file_cdf = _zipf_cdf(files, alpha)
-    block_cdf = _zipf_cdf(file_bytes // io_bytes, alpha)
-    phase_ns = duration_ns // phases
-    stride = max(1, files // phases)
-    ops: List[TraceOp] = []
-    t = 0
-    while True:
-        t += _exp_gap(rng, mean_gap_ns)
-        if t >= duration_ns:
-            break
-        phase = min(t // phase_ns, phases - 1)
-        rank = _zipf_pick(rng, file_cdf)
-        file_id = (rank + phase * stride) % files
-        op = "read" if rng.random() < read_fraction else "write"
-        offset = _zipf_pick(rng, block_cdf) * io_bytes
-        ops.append(TraceOp(t, op, file_id, offset, io_bytes))
-    trace = BlockTrace(
-        ops,
-        files,
-        file_bytes,
-        [
-            f"generator phase seed={seed} alpha={alpha} phases={phases} "
-            f"io={io_bytes} gap={mean_gap_ns} rf={read_fraction}"
-        ],
-    )
-    trace.validate()
-    return trace
-
-
-GENERATORS: Dict[str, Callable[..., BlockTrace]] = {
-    "zipf": zipf_trace,
-    "bursty": bursty_trace,
-    "phase": phase_trace,
-}
-
-
 # ---------------------------------------------------------------------------
-# canonical traces — checked into benchmarks/traces/, regenerable from here
+# canonical traces — generated from pinned parameters
 # ---------------------------------------------------------------------------
 
-#: the three canonical shapes the policy duels run on.  ``bursty`` is the
+#: the two canonical shapes the policy duels run on.  ``bursty`` is the
 #: headline scenario: a 16 KiB zipf read floor with 4 MiB fsynced write
 #: bursts every ~4 ms — long enough (60 ms) that placement decisions,
 #: not population luck, decide the read tail.  Parameters are part of the
-#: benchmark contract: the files in ``benchmarks/traces/`` are generated
-#: from exactly these (test_tracereplay pins file == generator).
+#: benchmark contract (test_tracereplay pins each trace's sha256).
 CANONICAL_TRACE_PARAMS: Dict[str, Dict[str, object]] = {
     "bursty": dict(
-        generator="bursty",
+        generator=bursty_trace,
         duration_ns=60_000_000,
         files=48,
         file_bytes=2 * MIB,
@@ -360,7 +294,7 @@ CANONICAL_TRACE_PARAMS: Dict[str, Dict[str, object]] = {
         seed=7,
     ),
     "zipf": dict(
-        generator="zipf",
+        generator=zipf_trace,
         duration_ns=30_000_000,
         files=48,
         file_bytes=2 * MIB,
@@ -368,18 +302,6 @@ CANONICAL_TRACE_PARAMS: Dict[str, Dict[str, object]] = {
         mean_gap_ns=12_000,
         alpha=1.1,
         read_fraction=0.8,
-        seed=7,
-    ),
-    "phase": dict(
-        generator="phase",
-        duration_ns=30_000_000,
-        files=48,
-        file_bytes=2 * MIB,
-        io_bytes=16 * KIB,
-        mean_gap_ns=12_000,
-        alpha=1.2,
-        read_fraction=0.8,
-        phases=3,
         seed=7,
     ),
 }
@@ -390,50 +312,17 @@ def canonical_trace(name: str) -> BlockTrace:
     if name not in CANONICAL_TRACE_PARAMS:
         raise InvalidArgument(f"unknown canonical trace {name!r}")
     params = dict(CANONICAL_TRACE_PARAMS[name])
-    generator = GENERATORS[params.pop("generator")]
-    return generator(**params)
+    return params.pop("generator")(**params)
 
 
-def traces_dir() -> Path:
-    """The checked-in trace directory (``benchmarks/traces/``)."""
-    return Path(__file__).resolve().parents[3] / "benchmarks" / "traces"
-
-
-def load_canonical(name: str) -> BlockTrace:
-    """Load a canonical trace from ``benchmarks/traces/``.
-
-    Falls back to regenerating from :data:`CANONICAL_TRACE_PARAMS` when
-    the checked-in file is absent (e.g. an installed package without the
-    repo tree) — both paths yield bit-identical traces.
-    """
-    path = traces_dir() / f"{name}.muxtrace"
-    if path.is_file():
-        return load_trace(path)
-    return canonical_trace(name)
+#: generating takes as long as parsing a checked-in copy would (5-11 ms),
+#: so the generator is the only source
+load_canonical = canonical_trace
 
 
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TraceReplayResult:
-    """Latency outcome of one trace replay against one stack."""
-
-    reads: LatencyHistogram = field(default_factory=LatencyHistogram)
-    writes: LatencyHistogram = field(default_factory=LatencyHistogram)
-    submitted: int = 0
-    errors: int = 0
-    #: failed completions by exception class name (NoSpace, TierOffline…)
-    error_kinds: Dict[str, int] = field(default_factory=dict)
-    #: migration orders the policy submitted during maintenance
-    migrations_submitted: int = 0
-    final_now_ns: int = 0
-
-    def percentiles_ns(self, op: str = "read") -> Dict[str, int]:
-        hist = self.reads if op == "read" else self.writes
-        return hist.percentiles_ns(0.5, 0.99, 0.999)
 
 
 def replay_trace(
@@ -442,22 +331,21 @@ def replay_trace(
     ring_depth: int = 8,
     maintain_every: int = 64,
     population_tier: Optional[str] = "ssd",
-    root: str = "/trace",
     warm_passes: int = 0,
     drop_page_caches: bool = False,
-) -> TraceReplayResult:
-    """Open-loop replay of ``trace`` against ``stack``.
+) -> MultiTenantResult:
+    """Open-loop replay of ``trace`` against ``stack`` (one stream).
 
     The file population (``trace.files`` files of ``trace.file_bytes``)
-    is written before the measured window — pinned to ``population_tier``
-    (a tier *name*) when given, so head-to-head policy comparisons start
-    from identical block placement and measure steady-state behaviour,
-    not population luck.  The pin is cleared before replay.
+    is written and made durable before the measured window — pinned to
+    ``population_tier`` (a tier *name*) when given, so head-to-head
+    policy comparisons start from identical block placement
+    (:func:`~repro.bench.openloop.populate`).
 
-    Every ``maintain_every`` events the mux plans migrations
-    (``maintain_async``) and the engine advances in-flight ones one
-    cooperative step, so policies that migrate get to — on background
-    channels, contending only when the device is genuinely busy.
+    ``maintain_every`` is the harness's planning cadence
+    (:func:`~repro.bench.openloop.pump`): policies that migrate or mirror
+    get to — on background channels, contending only when the device is
+    genuinely busy.
 
     ``warm_passes`` replays the trace that many times closed-loop and
     *untimed* first — the epochs that preceded the measured window.
@@ -473,50 +361,24 @@ def replay_trace(
     same cache, hiding what *placement* bought.
     """
     mux = stack.mux
-    clock = stack.clock
     trace.validate()
-
-    mux.mkdir(root)
-    pin = (
-        stack.tier_ids[population_tier] if population_tier is not None else None
+    tier = stack.tier_ids[population_tier] if population_tier is not None else None
+    handles = populate(
+        mux, "/trace", trace.files, trace.file_bytes, tier, durable=True
     )
-    payload = bytes([_PAYLOAD_BYTE]) * trace.file_bytes
-    handles = []
-    for i in range(trace.files):
-        path = f"{root}/f{i}"
-        if pin is not None:
-            mux.close(mux.create(path))
-            mux.set_placement(path, pin)
-            mux.write_file(path, payload)
-            mux.set_placement(path, None)
-        else:
-            mux.write_file(path, payload)
-        handle = mux.open(path)
-        # make the population durable before the measured window: dirty
-        # page-cache debt and a full device write buffer would otherwise
-        # bill population cleanup to the first measured reads
-        mux.fsync(handle)
-        handles.append(handle)
 
     for _ in range(warm_passes):
         for index, op in enumerate(trace.ops):
-            if maintain_every:
-                if index and index % maintain_every == 0:
-                    mux.maintain_async()
-                mux.engine.tick()
-                mux.mirrors.tick()
+            pump(mux, index, maintain_every)
             handle = handles[op.file_id]
             if op.op == "read":
                 mux.read(handle, op.offset, op.length)
             elif op.op == "write":
-                mux.write(handle, op.offset, bytes([_PAYLOAD_BYTE]) * op.length)
+                mux.write(handle, op.offset, bytes([PAYLOAD_BYTE]) * op.length)
             else:
                 mux.fsync(handle)
     if warm_passes:
-        # settle before the measured window opens
-        mux.maintain_async()
-        mux.engine.drain()
-        mux.mirrors.drain()
+        settle(mux)
     if drop_page_caches:
         # make every page clean first — the drop discards dirty pages
         # too, which would lose warm-pass writes
@@ -524,51 +386,9 @@ def replay_trace(
             mux.fsync(handle)
         stack.drop_page_caches()
 
-    result = TraceReplayResult()
-    ring = mux.open_ring(depth=ring_depth)
-    outstanding: Dict[int, Tuple[int, str]] = {}
-
-    def harvest(completions) -> None:
-        for c in completions:
-            arrival, op = outstanding.pop(c.seq)
-            if c.error is not None:
-                result.errors += 1
-                kind = type(c.error).__name__
-                result.error_kinds[kind] = result.error_kinds.get(kind, 0) + 1
-                continue
-            latency = c.completed_ns - arrival
-            (result.reads if op == "read" else result.writes).record(latency)
-
-    start_ns = clock.now_ns
-    for index, op in enumerate(trace.ops):
-        clock.advance_to(start_ns + op.arrival_ns)
-        harvest(ring.poll())
-        if maintain_every:
-            if index and index % maintain_every == 0:
-                result.migrations_submitted += mux.maintain_async()
-            # the background copier runs continuously: advance in-flight
-            # migrations every event, otherwise a multi-chunk copy spans
-            # many bursts of foreground writes and OCC-aborts on each
-            mux.engine.tick()
-            # mirror convergence rides the same cadence (instant no-op
-            # for policies that never grant mirrors)
-            mux.mirrors.tick()
-        handle = handles[op.file_id]
-        if op.op == "read":
-            sub = ring.submit_read(handle, op.offset, op.length)
-        elif op.op == "write":
-            sub = ring.submit_write(
-                handle, op.offset, bytes([_PAYLOAD_BYTE]) * op.length
-            )
-        else:
-            sub = ring.submit_fsync(handle)
-        outstanding[sub.seq] = (start_ns + op.arrival_ns, op.op)
-        result.submitted += 1
-
-    harvest(ring.drain())
-    ring.close()
-    mux.engine.drain()
+    result = drive_open_loop(
+        mux, ["trace"], trace.ops, [handles], ring_depth, maintain_every
+    )
     for handle in handles:
         mux.close(handle)
-    result.final_now_ns = clock.now_ns
     return result

@@ -33,14 +33,17 @@ import time
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bench.harness import build_strata, pop_flag_value
+from repro.bench.harness import build_strata, pop_flag_value, reject_unknown
 from repro.bench.macro import fileserver, varmail, webserver
 from repro.bench.multi_tenant import (
     TenantSpec,
     fairness_slowdowns,
     run_multi_tenant,
     slowdown_x,
+    zipf_cdf,
+    zipf_pick,
 )
+from repro.bench.openloop import populate, pump, settle
 from repro.bench.tracereplay import load_canonical, replay_trace
 from repro.bench.workloads import (
     cache_writeback,
@@ -54,7 +57,6 @@ from repro.bench.workloads import (
     sequential_write,
     striped_reads,
 )
-from repro.bench.multi_tenant import _zipf_cdf, _zipf_pick
 from repro.core.qos import IoClass
 from repro.core.scheduler import IoScheduler
 from repro.devices.faults import FaultConfig
@@ -470,6 +472,51 @@ def _duel_stack(policy: str) -> Stack:
     )
 
 
+def _policy_duel(
+    policies: Tuple[str, ...],
+    pinned: str,
+    setup: Callable[[str], Tuple[Stack, Callable[[], object]]],
+    rows: Callable[[Stack, object], Tuple[Dict[str, object], Dict[str, object]]],
+) -> Tuple[float, int, Dict[str, object], Dict[str, object], Dict[str, object]]:
+    """Run one measured section per policy on otherwise identical stacks.
+
+    ``setup(policy)`` builds the stack (plus any unmeasured preparation)
+    and returns it with the section to time; ``rows(stack, result)`` gives
+    that policy's ``(events-table row, pinned values)``.  The fingerprint
+    pins the ``pinned`` policy's devices (its run is the reported
+    simulated time) plus every policy's final clock and pinned values, so
+    drift in any policy's placement trips the smoke guard.  Returns
+    ``(host s, pinned policy's simulated ns, fingerprint, table, results)``.
+    """
+    wall = 0.0
+    sim_elapsed_ns = 0
+    fingerprint: Dict[str, object] = {}
+    policies_fp: Dict[str, object] = {}
+    table: Dict[str, object] = {}
+    results: Dict[str, object] = {}
+    for name in policies:
+        stack, section = setup(name)
+        results[name], host_s, sim_ns = _timed(stack.clock, section)
+        wall += host_s
+        table[name], pinned_values = rows(stack, results[name])
+        policies_fp[name] = {"now_ns": stack.clock.now_ns, **pinned_values}
+        if name == pinned:
+            sim_elapsed_ns = sim_ns
+            fingerprint = _mux_fingerprint(stack)
+    fingerprint["policies"] = policies_fp
+    return wall, sim_elapsed_ns, fingerprint, table, results
+
+
+def _tail_row(res) -> Dict[str, object]:
+    """The events-table columns every latency duel shows."""
+    reads = res.percentiles_ns("read")
+    return {
+        "read_p99_us": round(reads["p99"] / 1e3, 1),
+        "read_p999_us": round(reads["p999"] / 1e3, 1),
+        "migrations": res.migrations_submitted,
+    }
+
+
 def _trace_duel(
     trace_name: str,
     smoke: bool,
@@ -481,9 +528,6 @@ def _trace_duel(
 ) -> Dict[str, object]:
     """Replay a canonical trace open-loop against one stack per policy.
 
-    The fingerprint pins the ``pinned`` policy's devices (its run is the
-    reported simulated time) plus every policy's full latency table, so
-    drift in any policy's placement trips the smoke guard.
     ``counters(mux)`` are extra per-policy counters to pin and show;
     ``headline(trace, read tails per policy)`` adds the workload's own
     events next to the per-policy table.
@@ -491,44 +535,28 @@ def _trace_duel(
     trace = load_canonical(trace_name)
     if smoke:
         trace = trace.truncated(0.2)
-    wall = 0.0
-    ops = 0
-    sim_elapsed_ns = 0
-    fingerprint: Dict[str, object] = {}
-    policies_fp: Dict[str, object] = {}
-    table: Dict[str, object] = {}
-    reads_by_policy: Dict[str, Dict[str, int]] = {}
-    for name in policies:
+
+    def setup(name: str):
         stack = _duel_stack(name)
-        res, host_s, sim_ns = _timed(
-            stack.clock,
-            lambda: replay_trace(stack, trace, ring_depth=32, **replay_kwargs),
-        )
-        wall += host_s
-        ops += res.submitted
-        reads = reads_by_policy[name] = res.percentiles_ns("read")
+        return stack, lambda: replay_trace(stack, trace, ring_depth=32, **replay_kwargs)
+
+    def rows(stack: Stack, res):
         extra = counters(stack.mux)
-        table[name] = {
-            "read_p99_us": round(reads["p99"] / 1e3, 1),
-            "read_p999_us": round(reads["p999"] / 1e3, 1),
-            "migrations": res.migrations_submitted,
-            **extra,
-        }
-        policies_fp[name] = {
-            "now_ns": stack.clock.now_ns,
+        return {**_tail_row(res), **extra}, {
             **_tails(res, "read", "write"),
             "submitted": res.submitted,
             "errors": res.errors,
             "migrations": res.migrations_submitted,
             **extra,
         }
-        if name == pinned:
-            sim_elapsed_ns = sim_ns
-            fingerprint = _mux_fingerprint(stack)
-    fingerprint["policies"] = policies_fp
+
+    wall, sim_elapsed_ns, fingerprint, table, results = _policy_duel(
+        policies, pinned, setup, rows
+    )
+    reads_by_policy = {name: res.percentiles_ns("read") for name, res in results.items()}
     return _result(
         wall,
-        ops,
+        sum(res.submitted for res in results.values()),
         sum(op.length for op in trace.ops) * len(policies),
         sim_elapsed_ns / 1e9,
         fingerprint,
@@ -539,12 +567,11 @@ def _trace_duel(
 def _wl_trace_replay(smoke: bool) -> Dict[str, object]:
     """Canonical bursty trace replayed head-to-head across policies.
 
-    The checked-in ``benchmarks/traces/bursty.muxtrace`` (a zipf read
-    floor with 4 MiB fsynced write bursts) is replayed open-loop against
-    one stack per registered policy; the headline is each policy's read
-    tail on identical offered load.  The fingerprint pins the
-    pressure-aware stack's devices plus every policy's full latency
-    table, so drift in any policy's placement trips the smoke guard.
+    The canonical ``bursty`` trace (a zipf read floor with 4 MiB fsynced
+    write bursts) is replayed open-loop against one stack per registered
+    policy; the headline is each policy's read tail on identical offered
+    load.  The fingerprint pins the pressure-aware stack's devices plus
+    every policy's full latency table.
     """
     return _trace_duel(
         "bursty",
@@ -611,56 +638,31 @@ def _wl_tenant_policy_duel(smoke: bool) -> Dict[str, object]:
     """
     duration_ns = 12_000_000 if smoke else 60_000_000
     specs = _duel_specs()
-    wall = 0.0
-    ops = 0
-    bytes_moved = 0
-    sim_elapsed_ns = 0
-    fingerprint: Dict[str, object] = {}
-    policies_fp: Dict[str, object] = {}
-    table: Dict[str, object] = {}
+    run_kwargs = dict(
+        ring_depth=32,
+        population_tier="ssd",
+        maintain_every=256,
+        durable_population=True,
+    )
 
-    def _run(stack: Stack):
-        return run_multi_tenant(
-            stack,
-            specs,
-            duration_ns=duration_ns,
-            ring_depth=32,
-            population_tier=stack.tier_ids["ssd"],
-            maintain_every=256,
-            durable_population=True,
-        )
-
-    for name in _DUEL_POLICIES:
+    def setup(name: str):
         stack = _duel_stack(name)
-        res, host_s, sim_ns = _timed(stack.clock, lambda: _run(stack))
-        wall += host_s
-        ops += res.completed_ops
-        bytes_moved += _tenant_bytes(specs, res)
-        reads = res.percentiles_ns("read")
-        table[name] = {
-            "read_p99_us": round(reads["p99"] / 1e3, 1),
-            "read_p999_us": round(reads["p999"] / 1e3, 1),
-            "migrations": res.migrations_submitted,
-        }
-        policies_fp[name] = {
-            "now_ns": stack.clock.now_ns,
+        return stack, lambda: run_multi_tenant(stack, specs, duration_ns, **run_kwargs)
+
+    def rows(stack: Stack, res):
+        return _tail_row(res), {
             **_tails(res, "read", "write"),
             "migrations": res.migrations_submitted,
         }
-        if name == "pressure":
-            sim_elapsed_ns = sim_ns
-            fingerprint = _mux_fingerprint(stack)
+
+    wall, sim_elapsed_ns, fingerprint, table, results = _policy_duel(
+        _DUEL_POLICIES, "pressure", setup, rows
+    )
 
     # fairness for the winner: shared tail over isolated counterfactual
     t0 = time.perf_counter()
     _, fairness = fairness_slowdowns(
-        lambda: _duel_stack("pressure"),
-        specs,
-        duration_ns=duration_ns,
-        ring_depth=32,
-        population_tier_name="ssd",
-        maintain_every=256,
-        durable_population=True,
+        lambda: _duel_stack("pressure"), specs, duration_ns, **run_kwargs
     )
     wall += time.perf_counter() - t0
     slowdowns = {
@@ -668,10 +670,13 @@ def _wl_tenant_policy_duel(smoke: bool) -> Dict[str, object]:
         for name, entry in fairness.items()
         if entry["isolated_p99_ns"]
     }
-    fingerprint["policies"] = policies_fp
     fingerprint["fairness"] = fairness
     return _result(
-        wall, ops, bytes_moved, sim_elapsed_ns / 1e9, fingerprint,
+        wall,
+        sum(res.completed_ops for res in results.values()),
+        sum(_tenant_bytes(specs, res) for res in results.values()),
+        sim_elapsed_ns / 1e9,
+        fingerprint,
         {"policies": table, "fairness_slowdown_x": slowdowns},
     )
 
@@ -691,14 +696,8 @@ def _wl_mirror_skew(smoke: bool) -> Dict[str, object]:
     """
     files, file_bytes, io_bytes = 56, 1 * MIB, 16 * KIB
     warm_reads, measured_reads = (2500, 1000) if smoke else (5000, 2500)
-    maintain_every = 100
-    wall = 0.0
-    sim_elapsed_ns = 0
-    fingerprint: Dict[str, object] = {}
-    policies_fp: Dict[str, object] = {}
-    table: Dict[str, object] = {}
-    p99_by_policy: Dict[str, int] = {}
-    for name in ("pressure", "mirror"):
+
+    def setup(name: str):
         # two tiers, and an HDD small enough that its page cache (10%
         # of the device) cannot swallow whatever the policy leaves
         # behind: placement, not DRAM, decides the read tail
@@ -709,76 +708,60 @@ def _wl_mirror_skew(smoke: bool) -> Dict[str, object]:
             enable_cache=False,
         )
         mux = stack.mux
-        hdd = stack.tier_ids["hdd"]
-        mux.mkdir("/skew")
-        payload = b"\x6b" * file_bytes
-        handles = []
-        for i in range(files):
-            path = f"/skew/f{i}"
-            mux.close(mux.create(path))
-            mux.set_placement(path, hdd)
-            mux.write_file(path, payload)
-            mux.set_placement(path, None)
-            handle = mux.open(path)
-            mux.fsync(handle)
-            handles.append(handle)
+        handles = populate(
+            mux, "/skew", files, file_bytes, stack.tier_ids["hdd"], durable=True
+        )
         # the population leaves every block clean in the HDD file
         # system's page cache (it is 10% of the device — the whole
         # working set fits); drop it so the measured stream starts
         # against cold media, the tiered-storage shape under test
         stack.drop_page_caches()
-        rng = DeterministicRng(11).fork("mirror-skew")
-        # mild skew across files (every file stays warm enough to earn
-        # placement), sharper skew within each file's blocks
-        file_cdf = _zipf_cdf(files, 0.5)
-        block_cdf = _zipf_cdf(file_bytes // io_bytes, 1.1)
-        hist = LatencyHistogram()
-        sim0 = stack.clock.now_ns
-        t0 = time.perf_counter()
-        for index in range(warm_reads + measured_reads):
-            if index and index % maintain_every == 0:
-                mux.maintain_async()
-            mux.engine.tick()
-            mux.mirrors.tick()
-            fid = _zipf_pick(rng, file_cdf)
-            offset = _zipf_pick(rng, block_cdf) * io_bytes
-            if index == warm_reads:
-                # settle between the phases: converge in-flight
-                # migrations and mirror syncs so the measured window
-                # sees each policy's steady-state placement, not the
-                # transient cost of reaching it
-                mux.maintain_async()
-                mux.engine.drain()
-                mux.mirrors.drain()
-            s0 = stack.clock.now_ns
-            mux.read(handles[fid], offset, io_bytes)
-            if index >= warm_reads:
-                hist.record(stack.clock.now_ns - s0)
-        wall += time.perf_counter() - t0
-        for handle in handles:
-            mux.close(handle)
-        reads = hist.percentiles_ns(0.5, 0.99, 0.999)
-        p99_by_policy[name] = reads["p99"]
-        table[name] = {
+
+        def reads() -> Dict[str, int]:
+            rng = DeterministicRng(11).fork("mirror-skew")
+            # mild skew across files (every file stays warm enough to earn
+            # placement), sharper skew within each file's blocks
+            file_cdf = zipf_cdf(files, 0.5)
+            block_cdf = zipf_cdf(file_bytes // io_bytes, 1.1)
+            hist = LatencyHistogram()
+            for index in range(warm_reads + measured_reads):
+                pump(mux, index, 100)
+                fid = zipf_pick(rng, file_cdf)
+                offset = zipf_pick(rng, block_cdf) * io_bytes
+                if index == warm_reads:
+                    settle(mux)
+                s0 = stack.clock.now_ns
+                mux.read(handles[fid], offset, io_bytes)
+                if index >= warm_reads:
+                    hist.record(stack.clock.now_ns - s0)
+            for handle in handles:
+                mux.close(handle)
+            return hist.percentiles_ns(0.5, 0.99, 0.999)
+
+        return stack, reads
+
+    def rows(stack: Stack, reads: Dict[str, int]):
+        mux = stack.mux
+        from_mirror = mux.stats.get("reads_from_mirror")
+        synced = mux.mirrors.stats.get("blocks_synced")
+        return {
             "read_p50_us": round(reads["p50"] / 1e3, 1),
             "read_p99_us": round(reads["p99"] / 1e3, 1),
-            "reads_from_mirror": mux.stats.get("reads_from_mirror"),
-            "mirror_blocks_synced": mux.mirrors.stats.get("blocks_synced"),
-        }
-        policies_fp[name] = {
-            "now_ns": stack.clock.now_ns,
+            "reads_from_mirror": from_mirror,
+            "mirror_blocks_synced": synced,
+        }, {
             **{f"read_{k}": v for k, v in reads.items()},
-            "reads_from_mirror": mux.stats.get("reads_from_mirror"),
-            "blocks_synced": mux.mirrors.stats.get("blocks_synced"),
+            "reads_from_mirror": from_mirror,
+            "blocks_synced": synced,
             "deadline_promotions": mux.mirrors.stats.get("deadline_promotions"),
         }
-        if name == "mirror":
-            sim_elapsed_ns = stack.clock.now_ns - sim0
-            fingerprint = _mux_fingerprint(stack)
-    fingerprint["policies"] = policies_fp
+
+    wall, sim_elapsed_ns, fingerprint, table, reads = _policy_duel(
+        ("pressure", "mirror"), "mirror", setup, rows
+    )
     ratio = (
-        p99_by_policy["pressure"] / p99_by_policy["mirror"]
-        if p99_by_policy.get("mirror")
+        reads["pressure"]["p99"] / reads["mirror"]["p99"]
+        if reads["mirror"]["p99"]
         else 0.0
     )
     total_reads = 2 * (warm_reads + measured_reads)
@@ -968,25 +951,24 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
     specs = _cluster_specs(names)
     for n in shard_counts:
         cluster = make_cluster(n).mux
-        hdd = cluster.shards[0].stack.tier_ids["hdd"]
-        (res, makespan_ns), host_s, sim_ns = _timed(
+        res, host_s, sim_ns = _timed(
             cluster.clock,
             lambda: run_cluster_load(
                 cluster, specs, duration_ns=duration_ns, ring_depth=8,
-                population_tier=hdd,
+                population_tier="hdd",
             ),
         )
         wall += host_s
         ops += res.completed_ops
         bytes_moved += _tenant_bytes(specs, res)
-        throughput[n] = res.completed_ops * 1e9 / makespan_ns
+        throughput[n] = res.completed_ops * 1e9 / res.makespan_ns
         reads = res.percentiles_ns("read")
         table[f"shards_{n}"] = {
             "kops_per_sim_s": round(throughput[n] / 1e3, 1),
             "read_p99_us": round(reads["p99"] / 1e3, 1),
         }
         scaling_fp[f"shards_{n}"] = {
-            "makespan_ns": makespan_ns,
+            "makespan_ns": res.makespan_ns,
             "completed": res.completed_ops,
             **_tails(res, "read"),
         }
@@ -997,21 +979,20 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
 
     # -- phase 2: hotspot + rebalance -----------------------------------
     cluster = make_cluster(4).mux
-    hdd = cluster.shards[0].stack.tier_ids["hdd"]
     hot_names, hot_shard = colocated_tenant_names(
         cluster.ring, "tenants", tenant_count
     )
     hot_specs = _cluster_specs(hot_names)
     sim0 = cluster.clock.now_ns
     t0 = time.perf_counter()
-    hot_res, hot_span = run_cluster_load(
+    hot_res = run_cluster_load(
         cluster, hot_specs, duration_ns=duration_ns, ring_depth=8,
-        population_tier=hdd,
+        population_tier="hdd",
     )
     moved = cluster.rebalance(max_moves=tenant_count - 2)
-    cold_res, cold_span = run_cluster_load(
+    cold_res = run_cluster_load(
         cluster, hot_specs, duration_ns=duration_ns, ring_depth=8,
-        population_tier=hdd,
+        population_tier="hdd",
     )
     wall += time.perf_counter() - t0
     sim_elapsed_ns += cluster.clock.now_ns - sim0
@@ -1021,9 +1002,9 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
     fingerprint["scaling"] = scaling_fp
     fingerprint["hotspot"] = {
         "hot_shard": hot_shard,
-        "hot_makespan_ns": hot_span,
+        "hot_makespan_ns": hot_res.makespan_ns,
         "hot_read_p99": hot_p99,
-        "rebalanced_makespan_ns": cold_span,
+        "rebalanced_makespan_ns": cold_res.makespan_ns,
         "rebalanced_read_p99": cold_p99,
         "subtrees_moved": moved["moves"],
         "files_moved": moved["files_moved"],
@@ -1217,9 +1198,13 @@ def _run_smoke(out_path: str) -> int:
     t0 = time.perf_counter()
     observed = run_workloads(smoke=True)
     failures = 0
+    for name in sorted(set(golden) - set(observed)):
+        failures += 1
+        print(f"  {name}: GOLDEN WITHOUT A WORKLOAD")
     for name, result in observed.items():
         if name not in golden:
-            print(f"  {name}: SKIP (no golden recorded)")
+            failures += 1
+            print(f"  {name}: NO GOLDEN RECORDED")
             continue
         diffs = compare_fingerprints(golden[name], result["fingerprint"])
         if diffs:
@@ -1232,7 +1217,7 @@ def _run_smoke(out_path: str) -> int:
     total = time.perf_counter() - t0
     print(f"wallclock --smoke: {len(observed)} workloads in {total:.1f}s host time")
     if failures:
-        print(f"wallclock --smoke: {failures} workload(s) drifted from golden")
+        print(f"wallclock --smoke: {failures} workload(s) drifted from or lack a golden")
         return 1
     print("wallclock --smoke: simulated time matches golden values")
     return 0
@@ -1240,10 +1225,12 @@ def _run_smoke(out_path: str) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    smoke = "--smoke" in argv
     out_path = pop_flag_value(argv, "--out", USAGE) or DEFAULT_OUT
     before_path = pop_flag_value(argv, "--before", USAGE)
-    if smoke:
+    # a typo must not fall through to the full run, which rewrites the
+    # goldens
+    reject_unknown(argv, ("--smoke",), USAGE)
+    if "--smoke" in argv:
         return _run_smoke(out_path)
     return _run_full(out_path, before_path)
 

@@ -1,7 +1,8 @@
 """Open-loop load against a ClusterMux: the scale-out measurement rig.
 
 Reuses the deterministic arrival machinery of
-:mod:`repro.bench.multi_tenant` (pre-generated Poisson/zipf schedules,
+:mod:`repro.bench.multi_tenant` and the harness of
+:mod:`repro.bench.openloop` (pre-generated Poisson/zipf schedules,
 per-tenant async rings, latency from *intended* arrival) but drives a
 :class:`~repro.cluster.cluster.ClusterMux` instead of a single Mux, and
 reports **makespan throughput**: the same offered schedule replayed
@@ -15,13 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.bench.multi_tenant import (
-    MultiTenantResult,
-    TenantSpec,
-    generate_schedule,
-    _drive_open_loop,
-    _PAYLOAD_BYTE,
-)
+from repro.bench.multi_tenant import TENANT_ROOT, TenantSpec, replay_schedule
+from repro.bench.openloop import MultiTenantResult, populate
 from repro.cluster.cluster import ClusterMux
 from repro.cluster.hashring import HashRing
 
@@ -85,62 +81,31 @@ def run_cluster_load(
     duration_ns: int,
     ring_depth: int = 8,
     seed: int = 2026,
-    root: str = "/tenants",
-    population_tier: Optional[int] = None,
-    durable_population: bool = True,
-) -> Tuple[MultiTenantResult, int]:
+    population_tier: Optional[str] = None,
+) -> MultiTenantResult:
     """Replay the open-loop schedule against ``cluster``.
 
     Identical measurement discipline to
-    :func:`repro.bench.multi_tenant.run_multi_tenant` — the clock
-    advances to each op's intended arrival, submissions overlap through
-    per-tenant cluster rings, latency is completion minus intended
-    arrival — so single-Mux and cluster numbers are directly comparable.
-    Returns the result plus the **makespan** (ns of simulated time from
-    the first measured op to the last drained completion); aggregate
-    throughput is ``completed_ops / makespan``, the number that must
-    scale with shard count.
+    :func:`repro.bench.multi_tenant.run_multi_tenant` — same schedule,
+    same population helper, same ring driver — so single-Mux and cluster
+    numbers are directly comparable.  The population is idempotent
+    (``reuse``): a hotspot run can be replayed after a rebalance against
+    the already-moved subtrees.  The number that must scale with shard
+    count is ``result.completed_ops / result.makespan_ns``.
     """
-    events = generate_schedule(specs, duration_ns, seed)
-
-    # -- population (unmeasured; idempotent so a hotspot run can be
-    # replayed after a rebalance against the already-moved subtrees) -----
-    if not cluster.exists(root):
-        cluster.mkdir(root)
-    handles: List[List] = []
-    for spec in specs:
-        if not cluster.exists(f"{root}/{spec.name}"):
-            cluster.mkdir(f"{root}/{spec.name}")
-        payload = bytes([_PAYLOAD_BYTE]) * spec.file_bytes
-        tenant_handles = []
-        for i in range(spec.files):
-            path = f"{root}/{spec.name}/f{i}"
-            if population_tier is not None:
-                if not cluster.exists(path):
-                    cluster.close(cluster.create(path))
-                cluster.set_placement(path, population_tier)
-                cluster.write_file(path, payload)
-                cluster.set_placement(path, None)
-            else:
-                cluster.write_file(path, payload)
-            handle = cluster.open(path)
-            if durable_population:
-                cluster.fsync(handle)
-            tenant_handles.append(handle)
-        handles.append(tenant_handles)
+    if not cluster.exists(TENANT_ROOT):
+        cluster.mkdir(TENANT_ROOT)
+    tier = (
+        cluster.shards[0].stack.tier_ids[population_tier]
+        if population_tier is not None
+        else None
+    )
+    handles = [
+        populate(
+            cluster, f"{TENANT_ROOT}/{spec.name}", spec.files, spec.file_bytes,
+            tier, durable=True, reuse=True,
+        )
+        for spec in specs
+    ]
     cluster.sync()
-
-    results, _, makespan_ns = _drive_open_loop(
-        cluster, specs, events, handles, ring_depth
-    )
-    for tenant_handles in handles:
-        for handle in tenant_handles:
-            cluster.close(handle)
-
-    result = MultiTenantResult(
-        tenants=results,
-        offered_ops=len(events),
-        duration_ns=duration_ns,
-        ring_depth=ring_depth,
-    )
-    return result, makespan_ns
+    return replay_schedule(cluster, specs, handles, duration_ns, seed, ring_depth)

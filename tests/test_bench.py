@@ -1,5 +1,8 @@
 """Benchmark harness: workloads are deterministic and systems comparable."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench import workloads
@@ -130,6 +133,78 @@ class TestTraceCli:
         assert main(["--no-faults", "--ops", "20", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "migrations (no faults):" in out and "engine totals:" in out
+
+
+class TestWallclockCli:
+    """``python -m repro.bench [wallclock]``: a typo may not start the
+    multi-minute full run (which rewrites the goldens), and the smoke
+    guard may not skip what it cannot compare."""
+
+    GOLDENS = Path(__file__).resolve().parent.parent / "BENCH_wallclock.json"
+
+    def _one_usage_line(self, capsys, complaint, usage):
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any workload ran
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert complaint in lines[0] and usage in lines[0]
+
+    @pytest.mark.parametrize("argv", [["--smok"], ["--smoke", "extra"]])
+    def test_unknown_wallclock_argument_exits_2(self, argv, tmp_path, capsys):
+        from repro.bench.wallclock import main
+
+        out = tmp_path / "bench.json"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        self._one_usage_line(
+            capsys, f"unknown argument {argv[-1]!r}", "usage: python -m repro.bench wallclock"
+        )
+
+    @pytest.mark.parametrize("arg", ["walclock", "--fats"])
+    def test_unknown_subcommand_exits_2(self, arg, monkeypatch, capsys):
+        from repro.bench.__main__ import main
+
+        monkeypatch.setattr("sys.argv", ["repro.bench", arg])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        self._one_usage_line(
+            capsys, f"unknown argument {arg!r}", "usage: python -m repro.bench [--fast]"
+        )
+
+    def test_every_workload_has_both_goldens_and_no_golden_is_orphaned(self):
+        from repro.bench.wallclock import WORKLOADS
+
+        doc = json.loads(self.GOLDENS.read_text())
+        names = {name for name, _ in WORKLOADS}
+        assert len(names) == len(WORKLOADS) == 19
+        assert names == set(doc["golden_sim"]) == set(doc["golden_sim_smoke"])
+
+    def test_smoke_fails_on_a_missing_or_orphaned_golden(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro.bench import wallclock
+
+        registered = dict(wallclock.WORKLOADS)
+        monkeypatch.setattr(
+            wallclock,
+            "WORKLOADS",
+            [(n, registered[n]) for n in ("seq_read", "metadata_churn")],
+        )
+        smoke = json.loads(self.GOLDENS.read_text())["golden_sim_smoke"]
+        out = tmp_path / "bench.json"
+        out.write_text(
+            json.dumps(
+                {"golden_sim_smoke": {"seq_read": smoke["seq_read"], "gone": {}}}
+            )
+        )
+        assert wallclock.main(["--smoke", "--out", str(out)]) == 1
+        printed = capsys.readouterr().out
+        assert "seq_read: ok" in printed
+        assert "metadata_churn: NO GOLDEN RECORDED" in printed
+        assert "gone: GOLDEN WITHOUT A WORKLOAD" in printed
 
 
 class TestProfileCli:

@@ -121,3 +121,19 @@ def test_core_has_no_type_checks_on_tiers():
                 )
             if node.func.id == "getattr" and node.args:
                 assert ast.unparse(node.args[0]) != "fs", (path.name, node.lineno)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_no_private_names_cross_a_module_boundary(path):
+    """A ``_name`` is its module's own: another module that needs it is
+    the signal to make it public (or move it), not to reach in."""
+    bad = sorted(
+        f"{alias.name} from {node.module} (line {node.lineno})"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+    assert not bad, f"{path.relative_to(SRC)} imports {bad}"

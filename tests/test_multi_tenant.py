@@ -176,3 +176,46 @@ class TestFairnessAcceptance:
             lambda: build_stack(), _specs(), duration_ns=2 * MS
         )
         assert one == two
+
+
+class TestMirrorCadence:
+    def test_stale_mirrors_converge_between_planning_rounds(self, monkeypatch):
+        """Mirror sync rides every op, like in-flight migrations — not the
+        planning cadence.  The first ``maintain_async`` round grants the
+        mirrors (every block starts stale) and syncs one tick's budget;
+        by the time the second round starts, the ops in between must
+        have converged the rest."""
+        stack = build_stack(tiers=["pm", "hdd"], policy="mirror", enable_cache=False)
+        mirrors = stack.mux.mirrors
+        plan = stack.mux.maintain_async
+        entering = []  # (blocks synced so far, stale backlog) per round
+
+        def spy():
+            entering.append((mirrors.stats.get("blocks_synced"), mirrors.stale_backlog()))
+            return plan()
+
+        monkeypatch.setattr(stack.mux, "maintain_async", spy)
+        spec = TenantSpec(
+            "reader",
+            mean_interarrival_ns=200_000,
+            files=4,
+            file_bytes=2 * KIB * KIB,
+            io_bytes=16 * KIB,
+            read_fraction=1.0,
+            zipf_alpha=0.2,
+        )
+        res = run_multi_tenant(
+            stack,
+            [spec],
+            duration_ns=60 * MS,
+            ring_depth=4,
+            population_tier="hdd",
+            maintain_every=100,
+            durable_population=True,
+        )
+        assert res.offered_ops // 100 == len(entering) == 2
+        assert entering[0] == (0, 0)
+        assert mirrors.stats.get("mirrors_added") == 4
+        synced, backlog = entering[1]
+        assert synced > mirrors.MAX_SYNC_BLOCKS_PER_TICK
+        assert backlog == 0
