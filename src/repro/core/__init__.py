@@ -5,7 +5,8 @@ from repro.core.cache import ScmCacheManager
 from repro.core.metadata import CollectiveInode, MetadataAffinity, MuxNamespace
 from repro.core.migration import MigrationEngine, PairStats
 from repro.core.mglru import MultiGenLru
-from repro.core.mux import MuxFileSystem, MuxMetaWriter
+from repro.core.bookkeeper import MuxMetaWriter
+from repro.core.mux import MuxFileSystem
 from repro.core.occ import MigrationResult, OccSynchronizer
 from repro.core.policies import (
     HotColdPolicy,

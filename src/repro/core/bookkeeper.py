@@ -1,0 +1,103 @@
+"""State Bookkeeper (Figure 1c): Mux's own metadata, lazily persisted (§2.3).
+
+BLT deltas, affinity changes and collective-inode attributes are appended
+as records to a metafile on the fastest tier; records are batched and made
+durable (append + fsync) every ``META_SYNC_RECORDS`` records — the paper's
+lazy synchronization.  The writer exists before any tier does: with
+nowhere to write yet there is nothing to record, so callers just ``note``.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from repro.core import calibration as cal
+from repro.core.tierfiles import retry_transient
+from repro.errors import DeviceError
+from repro.sim.clock import SimClock
+from repro.sim.stats import CounterSet
+from repro.vfs.interface import FileHandle, FileSystem
+
+META_FILE = "/.mux_meta"
+
+
+class MuxMetaWriter:
+    """Appends Mux metadata records to the metafile of its current home."""
+
+    #: the metafile is a circular log: once it reaches this size, appends
+    #: wrap (a real implementation would checkpoint + truncate)
+    MAX_BYTES = 4 * 1024 * 1024
+
+    def __init__(self, clock: SimClock) -> None:
+        self.clock = clock
+        self.fs: Optional[FileSystem] = None
+        self._handle: Optional[FileHandle] = None
+        self._offset = 0
+        self._buffered = 0
+        self.stats = CounterSet()
+
+    def rehome(self, fs: FileSystem) -> None:
+        """Keep the metafile on ``fs`` (the fastest tier), starting it afresh
+        when that is a new home."""
+        if fs is self.fs:
+            return
+        self.close()
+        if fs.exists(META_FILE):
+            fs.unlink(META_FILE)
+        self.fs = fs
+        self._handle = fs.create(META_FILE)
+        self._offset = 0
+
+    def note(self, records: int = 1, flush: bool = False) -> None:
+        """Buffer ``records`` metadata records; flush on the sync interval,
+        or at once when ``flush`` (namespace changes persist immediately)."""
+        if self.fs is None:
+            return
+        self._buffered += records
+        self.stats.add("records", records)
+        if flush or self._buffered >= cal.META_SYNC_RECORDS:
+            self.flush()
+
+    def flush(self, durable: bool = True) -> None:
+        """Append buffered records to the metafile.
+
+        ``durable=False`` writes the records but skips the explicit fsync —
+        used when the caller is about to fsync data on the same file
+        system, whose (file-system-global) journal commit covers the
+        metafile update too.
+        """
+        if self._buffered == 0:
+            return
+        payload = bytes(self._buffered * cal.META_RECORD_BYTES)
+        if self._offset + len(payload) > self.MAX_BYTES:
+            self._offset = 0
+
+        def append() -> None:
+            self.fs.write(self._handle, self._offset, payload)
+            if durable:
+                self.fs.fsync(self._handle)
+
+        try:
+            retry_transient(
+                self.clock, append, lambda _delay: self.stats.add("flush_retries")
+            )
+        except DeviceError:
+            # the bookkeeping tier is failing hard: keep the records
+            # buffered and let a later flush retry — lazy sync already
+            # tolerates a durability window, and a user op must not fail
+            # (nor a tier's health move) because Mux's own append did
+            self.stats.add("flush_deferred")
+            return
+        self._offset += len(payload)
+        self._buffered = 0
+        self.stats.add("flushes")
+
+    def replay(self) -> None:
+        """Recovery: charge the metafile scan that rebuilds Mux's state."""
+        if self.fs is not None and self.fs.exists(META_FILE):
+            self.fs.read_file(META_FILE)
+
+    def close(self) -> None:
+        self.flush()
+        if self._handle is not None and self._handle.is_open:
+            self.fs.close(self._handle)

@@ -52,12 +52,6 @@ class MetadataAffinity:
     def owners(self) -> Dict[str, Optional[int]]:
         return dict(self._owners)
 
-    def check_single_owner(self) -> None:
-        """Invariant: every attribute has at most one owner (trivially true
-        by construction; kept as an explicit property-test hook)."""
-        for attr, owner in self._owners.items():
-            assert owner is None or isinstance(owner, int), (attr, owner)
-
 
 class CollectiveInode:
     """Mux's per-file metadata hub: cached attributes, affinity, BLT, OCC state."""
@@ -288,13 +282,14 @@ class MuxNamespace:
 
     def rename(
         self, old_path: str, new_path: str, now: float
-    ) -> Tuple[CollectiveInode, Optional[int]]:
+    ) -> Tuple[CollectiveInode, Optional[CollectiveInode]]:
         """Move ``old_path`` to ``new_path``; returns the moving inode and
-        the ino of a clobbered regular-file target (None otherwise).
+        the inode of a clobbered regular-file target (None otherwise).
 
-        The caller must drop per-ino state for the replaced file (policy
-        hotness, cache slots): its inode is deleted here and ino numbers
-        are never reused, so any state left keyed on it leaks forever.
+        The caller must drop what the replaced file left behind (backing
+        files, policy hotness, cache slots): its inode is deleted here and
+        ino numbers are never reused, so any state left keyed on it leaks
+        forever.
         """
         old_path = vpath.normalize(old_path)
         new_path = vpath.normalize(new_path)
@@ -309,7 +304,7 @@ class MuxNamespace:
         if old_name not in old_parent.entries:
             raise FileNotFound(f"mux: {old_path!r} does not exist")
         moving = self._inodes[old_parent.entries[old_name]]
-        replaced_ino: Optional[int] = None
+        replaced: Optional[CollectiveInode] = None
         if new_name in new_parent.entries:
             existing = self._inodes[new_parent.entries[new_name]]
             if existing.is_dir:
@@ -323,7 +318,7 @@ class MuxNamespace:
                 if moving.is_dir:
                     raise NotADirectory(f"mux: {new_path!r} is not a directory")
                 del self._inodes[existing.ino]
-                replaced_ino = existing.ino
+                replaced = existing
         del old_parent.entries[old_name]
         new_parent.entries[new_name] = moving.ino
         if moving.is_dir:
@@ -339,7 +334,17 @@ class MuxNamespace:
         else:
             self.dcache.invalidate(old_path)
             self.dcache.invalidate(new_path)
-        return moving, replaced_ino
+        return moving, replaced
+
+    def walk(
+        self, inode: CollectiveInode, path: str
+    ) -> Iterator[Tuple[CollectiveInode, str]]:
+        """``(inode, path)`` for everything under ``inode`` — taken to sit
+        at ``path`` — and then ``inode`` itself: children first."""
+        if inode.is_dir:
+            for name, child in inode.entries.items():
+                yield from self.walk(self._inodes[child], vpath.join(path, name))
+        yield inode, path
 
     def readdir(self, path: str) -> List[str]:
         inode = self.resolve(path)

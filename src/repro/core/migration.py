@@ -259,13 +259,13 @@ class MigrationEngine:
         need = min(order.count, inode.blt.blocks_on(order.src_tier))
         need_bytes = need * self._mux.block_size
         pending = self._inflight_bytes.get(order.dst_tier, 0)
-        if not self._mux._tier_has_room(dst, need_bytes + pending):
+        if not dst.has_room(need_bytes + pending):
             self.stats.add("skipped_no_space")
             return MigrationResult(aborted_no_space=True)
         pair = (order.src_tier, order.dst_tier)
         stats = self.pair_stats.setdefault(pair, PairStats())
         started_ns = self._mux.clock.now_ns
-        # transient-fault retry/backoff happens inside the mux's tier I/O;
+        # transient-fault retry/backoff happens inside the VFS Call Maker;
         # the deltas across the movement are this migration's share
         retries_before = self._mux.stats.get("fault_retries")
         backoff_before = self._mux.stats.get("fault_backoff_ns")

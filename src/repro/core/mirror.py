@@ -25,7 +25,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import calibration as cal
-from repro.core.blt import ReplicaSet
+from repro.core.blt import ReplicaSet, replica_runs
+from repro.core.health import HealthState
 from repro.core.intervals import subtract_runs
 from repro.core.metadata import CollectiveInode
 from repro.errors import FileNotFound, TierUnavailable
@@ -85,6 +86,7 @@ class MirrorEngine:
         if inode.replicas is None or not inode.replicas.has_tier(tier_id):
             return
         runs = inode.replicas.retire_tier(tier_id)
+        bs = self._mux.block_size
         if punch and runs and tier_id in inode.tiers_present:
             for start, count in runs:
                 # only mirror copies are reclaimed; blocks the tier owns
@@ -96,7 +98,7 @@ class MirrorEngine:
                 ]
                 for s, n in subtract_runs([(start, count)], owned):
                     try:
-                        self._mux.tier_punch(inode, tier_id, s, n)
+                        self._mux.files.punch(inode, tier_id, s * bs, n * bs)
                     except TierUnavailable:
                         break  # unreachable tier: fsck reclaims later
         if not inode.replicas.tiers():
@@ -120,6 +122,54 @@ class MirrorEngine:
                 self._mirrored.pop(ino, None)
                 continue
             self.drop_mirror(inode, tier_id, punch=punch)
+
+    # -- read routing ------------------------------------------------------
+
+    def route_reads(
+        self, inode: CollectiveInode, first_fb: int, count: int
+    ) -> List[Tuple[int, int, Optional[int]]]:
+        """Re-home each read span on the fastest tier with a clean replica.
+
+        Candidate order is (health class, rank): a HEALTHY mirror beats a
+        SUSPECT authoritative owner of any rank, and among equals the
+        faster tier wins, with ties going to the authoritative copy.
+        Adjacent spans routed to the same tier re-coalesce so mirroring
+        never inflates the sub-request count for uniform placement.
+        """
+        registry = self._mux.registry
+
+        def route_key(tier_id: int) -> Tuple[int, int]:
+            tier = registry.get(tier_id)
+            if tier.health.is_offline:
+                hclass = 2
+            elif tier.health.state is HealthState.SUSPECT:
+                hclass = 1
+            else:
+                hclass = 0
+            return (hclass, tier.rank)
+
+        routed: List[Tuple[int, int, Optional[int]]] = []
+        for start, n, tid, mirrors in replica_runs(
+            inode.blt, inode.replicas, first_fb, count
+        ):
+            chosen = tid
+            if tid is not None and mirrors:
+                live = [m for m in mirrors if registry.maybe_get(m)]
+                if live:
+                    chosen = min([tid] + live, key=route_key)
+                    if chosen != tid:
+                        self._mux.stats.add("reads_from_mirror")
+                        if route_key(tid)[0] > 0:
+                            self._mux.stats.add("reads_degraded_mirror")
+            if (
+                routed
+                and routed[-1][2] == chosen
+                and routed[-1][0] + routed[-1][1] == start
+            ):
+                routed[-1] = (routed[-1][0], routed[-1][1] + n, chosen)
+            else:
+                routed.append((start, n, chosen))
+        return routed
 
     # -- sync --------------------------------------------------------------
 
@@ -277,12 +327,7 @@ class MirrorEngine:
         try:
             # absorbed writes first: the authoritative media must hold the
             # bytes the copy loop reads
-            if mux.cache is not None and mux.cache.write_back:
-                dirty: List[Tuple[int, int]] = []
-                for start, count in stale:
-                    dirty.extend(mux.cache.dirty_runs_in(inode.ino, start, count))
-                if dirty:
-                    mux._destage_blocks(inode, dirty, durable=True)
+            mux.cachectl.destage_ranges(inode, stale)
             copied: List[Tuple[int, int]] = []
             blocks = 0
             failed = False
@@ -303,8 +348,9 @@ class MirrorEngine:
                         replicas.clear_stale(tier_id, run_start, run_len)
                         continue
                     try:
-                        data = mux.tier_read_raw(
-                            inode, src, run_start * bs, want
+                        data = mux.files.read(
+                            inode, src, run_start * bs, want,
+                            create=True, dispatch=True,
                         )
                         self._media_write(inode, tier_id, run_start * bs, data)
                     except TierUnavailable:
@@ -317,7 +363,7 @@ class MirrorEngine:
                     blocks += run_len
             if copied:
                 try:
-                    mux.tier_fsync(inode, tier_id)
+                    mux.files.fsync(inode, tier_id)
                 except TierUnavailable:
                     self.stats.add("sync_skipped_offline")
                     return 0  # nothing durable: every interval stays stale
@@ -335,5 +381,5 @@ class MirrorEngine:
         self, inode: CollectiveInode, tier_id: int, offset: int, data: bytes
     ) -> None:
         """One mirror-sync media write (crash-explorer sync-point label)."""
-        self._mux.tier_write_raw(inode, tier_id, offset, data)
+        self._mux.files.write(inode, tier_id, offset, data, dispatch=True)
 

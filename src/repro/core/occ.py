@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Generator, List, Protocol, Tuple
 
 from repro.core import calibration as cal
+from repro.core.cachectl import CacheController
 from repro.core.intervals import (
     Run,
     normalize_runs,
@@ -47,56 +48,37 @@ from repro.core.intervals import (
     subtract_runs,
 )
 from repro.core.metadata import CollectiveInode
+from repro.core.tierfiles import TierFiles
 from repro.errors import NoSpace, TierUnavailable
 from repro.sim.clock import SimClock
 from repro.sim.stats import CounterSet
 
 
 class MigrationIo(Protocol):
-    """The raw per-tier I/O the synchronizer needs (implemented by Mux)."""
+    """The host the synchronizer moves data for (implemented by Mux)."""
 
     block_size: int
     clock: SimClock
-
-    def tier_read_raw(
-        self, inode: CollectiveInode, tier_id: int, offset: int, length: int
-    ) -> bytes: ...
-
-    def tier_write_raw(
-        self, inode: CollectiveInode, tier_id: int, offset: int, data: bytes
-    ) -> None: ...
-
-    def tier_punch(
-        self, inode: CollectiveInode, tier_id: int, block_start: int, count: int
-    ) -> None: ...
-
-    def tier_fsync(self, inode: CollectiveInode, tier_id: int) -> None: ...
+    #: raw per-tier I/O: ``read``/``write``/``punch``/``fsync`` of one
+    #: tier's backing file
+    files: TierFiles
+    #: its ``destage_ranges`` runs once, before the first attempt:
+    #: absorption is refused while ``migration_active`` is set and the
+    #: synchronizer never yields between validation and the next attempt's
+    #: flag set, so that one destage never races :meth:`blt_commit_move`
+    cachectl: CacheController
 
     def blt_commit_move(
         self, inode: CollectiveInode, runs: List[Run], src_tier: int, dst_tier: int
     ) -> None: ...
 
-    def destage_for_migration(
-        self, inode: CollectiveInode, block_start: int, count: int
-    ) -> None:
-        """Write back any dirty write-back cache blocks in the range.
-
-        Optional (looked up with ``getattr``): implementations without a
-        write-back cache may omit it.  Called once before the first OCC
-        attempt — absorption is refused while ``migration_active`` is set
-        and the synchronizer never yields between validation and the next
-        attempt's flag set, so one destage up front is sufficient for a
-        destage never to race :meth:`blt_commit_move`.
-        """
-        ...
-
     def quiesce_inflight(self, ino: int) -> None:
         """Wait for async ring ops in flight against ``ino`` to complete.
 
-        Optional (looked up with ``getattr``): called by the pessimistic
-        lock fallback *after* :meth:`SimClock.suspend_frames`, so the
-        wait lands on the global clock and the lock covers every
-        submission the user had outstanding when the lock was requested.
+        Called by the pessimistic lock fallback *after*
+        :meth:`SimClock.suspend_frames`, so the wait lands on the global
+        clock and the lock covers every submission the user had
+        outstanding when the lock was requested.
         """
         ...
 
@@ -155,9 +137,7 @@ class OccSynchronizer:
         result = MigrationResult()
         if src_tier == dst_tier or count <= 0:
             return result
-        destage = getattr(self.io, "destage_for_migration", None)
-        if destage is not None:
-            destage(inode, block_start, count)
+        self.io.cachectl.destage_ranges(inode, [(block_start, count)])
         targets = self._runs_on_src(inode, [(block_start, count)], src_tier)
         result.skipped_blocks = count - runs_length(targets)
 
@@ -232,11 +212,8 @@ class OccSynchronizer:
             token = self.io.clock.suspend_frames()
             # The lock also cannot be granted while async ring ops are
             # still completing against the file: wait them out on the
-            # global clock first (optional — implementations without
-            # rings may omit it).
-            quiesce = getattr(self.io, "quiesce_inflight", None)
-            if quiesce is not None:
-                quiesce(inode.ino)
+            # global clock first.
+            self.io.quiesce_inflight(inode.ino)
             self.io.clock.advance_ns(cal.LOCK_FALLBACK_NS)
             inode.locked = True
             try:
@@ -281,10 +258,11 @@ class OccSynchronizer:
             while copied < span_len:
                 chunk = min(cal.MIGRATION_CHUNK_BLOCKS, span_len - copied)
                 offset = (span_start + copied) * block_size
-                data = self.io.tier_read_raw(
-                    inode, src_tier, offset, chunk * block_size
+                data = self.io.files.read(
+                    inode, src_tier, offset, chunk * block_size,
+                    create=True, dispatch=True,
                 )
-                self.io.tier_write_raw(inode, dst_tier, offset, data)
+                self.io.files.write(inode, dst_tier, offset, data, dispatch=True)
                 copied += chunk
                 self.stats.add("blocks_copied", chunk)
                 yield
@@ -305,18 +283,21 @@ class OccSynchronizer:
         """
         if not runs:
             return
-        self.io.tier_fsync(inode, dst_tier)
+        block_size = self.io.block_size
+        self.io.files.fsync(inode, dst_tier)
         self.io.blt_commit_move(inode, runs, src_tier, dst_tier)
         for span_start, span_len in runs:
             try:
-                self.io.tier_punch(inode, src_tier, span_start, span_len)
+                self.io.files.punch(
+                    inode, src_tier, span_start * block_size, span_len * block_size
+                )
             except TierUnavailable:
                 # data is already durable on dst and the BLT is flipped;
                 # a dead source just can't release its stale copy yet
                 self.stats.add("punch_failures")
         moved = runs_length(runs)
         result.moved_blocks += moved
-        result.bytes_moved += moved * self.io.block_size
+        result.bytes_moved += moved * block_size
         result.committed_runs += len(runs)
         self.stats.add("blocks_committed", moved)
         self.stats.add("runs_committed", len(runs))

@@ -34,6 +34,16 @@ class Tier:
     def kind(self) -> DeviceKind:
         return self.profile.kind
 
+    @property
+    def reserve_bytes(self) -> int:
+        """Headroom kept free on every tier: copy-on-write file systems
+        need transient blocks, and Mux's own metafile must stay writable."""
+        stats = self.fs.statfs()
+        return max(64 * stats.block_size, stats.total_bytes // 100)
+
+    def has_room(self, length: int) -> bool:
+        return self.fs.statfs().free_bytes >= length + self.reserve_bytes
+
     def state(self) -> TierState:
         fsstats = self.fs.statfs()
         return TierState(

@@ -271,7 +271,7 @@ class IoRing:
             return []
         out = self.drain()
         self.closed = True
-        self.mux._rings.remove(self)
+        self.mux.rings.remove(self)
         return out
 
     # -- introspection ---------------------------------------------------

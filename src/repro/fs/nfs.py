@@ -69,7 +69,7 @@ class NetworkFileSystem(FileSystem):
     def _remote_call(self, fn, *args, **kwargs):
         """Run a remote operation, translating remote health failures.
 
-        Mux's ``_tier_io`` drives a tier's HEALTHY→SUSPECT→OFFLINE
+        Mux's VFS Call Maker drives a tier's HEALTHY→SUSPECT→OFFLINE
         machine exclusively from :class:`DeviceIoError` /
         :class:`DeviceOffline`; a remote shard whose own tiers are
         degraded raises :class:`TierUnavailable` (EIO) instead, which

@@ -188,38 +188,6 @@ class SimClock:
         """Advance the clock by ``delta_seconds`` (float seconds)."""
         return self.advance_ns(seconds(delta_seconds))
 
-    def charge_us(self, delta_us: float) -> int:
-        """Advance the clock by ``delta_us`` microseconds."""
-        return self.advance_ns(microseconds(delta_us))
-
-    # -- measurement helper ----------------------------------------------
-
-    def stopwatch(self) -> "Stopwatch":
-        """Return a stopwatch started at the current instant."""
-        return Stopwatch(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SimClock(t={self.now():.9f}s)"
 
-
-class Stopwatch:
-    """Measures elapsed simulated time between two instants."""
-
-    __slots__ = ("_clock", "_start_ns")
-
-    def __init__(self, clock: SimClock) -> None:
-        self._clock = clock
-        self._start_ns = clock.now_ns
-
-    def restart(self) -> None:
-        """Reset the start point to now."""
-        self._start_ns = self._clock.now_ns
-
-    @property
-    def elapsed_ns(self) -> int:
-        return self._clock.now_ns - self._start_ns
-
-    @property
-    def elapsed(self) -> float:
-        """Elapsed simulated seconds since start/restart."""
-        return self.elapsed_ns / NSEC_PER_SEC

@@ -52,16 +52,3 @@ class DeterministicRng:
 
     def shuffle(self, items: List[T]) -> None:
         self._random.shuffle(items)
-
-    def sample_offsets(self, span: int, count: int, align: int = 1) -> List[int]:
-        """``count`` uniform offsets in [0, span), aligned to ``align``."""
-        if span <= 0:
-            raise ValueError("span must be positive")
-        if align <= 0:
-            raise ValueError("alignment must be positive")
-        slots = max(1, span // align)
-        return [self._random.randrange(slots) * align for _ in range(count)]
-
-    def bytes(self, n: int) -> bytes:
-        """``n`` pseudo-random bytes."""
-        return self._random.randbytes(n)

@@ -334,13 +334,6 @@ class StrataFileSystem(NativeFileSystem):
             return device.load(block * self.block_size, self.block_size)
         return device.read_blocks(block, 1)
 
-    def throughput_matrix(self) -> Dict[Tuple[str, str], float]:
-        return {
-            pair: stats.throughput_mb_s()
-            for pair, stats in self.pair_stats.items()
-            if stats.bytes_moved
-        }
-
     # ------------------------------------------------------------------
     # remaining NativeFileSystem hooks
     # ------------------------------------------------------------------

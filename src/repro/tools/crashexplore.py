@@ -288,7 +288,7 @@ class CrashExplorer:
         self.attached = True
         # sync-point labels (instance-level wrappers; census + replay see
         # the same call structure, so indices line up run to run)
-        self._wrap_label(mux, "_destage_blocks", "destage")
+        self._wrap_label(mux.cachectl, "destage_blocks", "destage")
         self._wrap_label(mux.mirrors, "_media_write", "mirror_sync")
         self._wrap_label(mux, "blt_commit_move", "blt_commit")
         self._wrap_label_gen(mux.engine.occ, "_copy_runs", "migration_copy")

@@ -319,7 +319,7 @@ def reconcile_cache(
             reconciled += sum(count for _, count in cache.dirty_runs(ino))
             cache.invalidate_file(ino)
             continue
-        reconciled += mux._destage_file(inode, durable=True)
+        reconciled += mux.cachectl.destage_file(inode, durable=True)
     return reconciled
 
 

@@ -76,10 +76,6 @@ def join(base: str, *names: str) -> str:
     return normalize(SEP.join(pieces))
 
 
-def basename(path: str) -> str:
-    return split(path)[1]
-
-
 def dirname(path: str) -> str:
     return split(path)[0]
 

@@ -465,7 +465,7 @@ class TestDegradedDestage:
         first flush after it returns."""
         wb = build_stack(faults={"pm": FaultConfig()})
         mux = wb.mux
-        meta = mux._meta
+        meta = mux.meta
         flushes = meta.stats.get("flushes")
         wb.injectors["pm"].set_offline()
         mux.mkdir("/d")  # notes a record and flushes: must not raise

@@ -643,7 +643,7 @@ class TestClusterRing:
         assert ring.closed and ring.pending == 0
         assert ring.snapshot()["reaped"] == 2
         for shard in cluster.shards:
-            assert shard.mux._rings == []
+            assert shard.mux.rings == []
         with cluster.open_ring() as ring:
             ring.close()  # an explicit close inside the block is fine
         for handle in handles:

@@ -20,7 +20,7 @@ from repro.core.health import (
 )
 from repro.core.policy import MigrationOrder
 from repro.devices.faults import FaultConfig
-from repro.errors import FsError, NoSpace, TierUnavailable
+from repro.errors import DeviceOffline, FsError, NoSpace, TierUnavailable
 from repro.stack import build_stack
 from repro.tools import fsck
 
@@ -351,7 +351,7 @@ class TestCreateSpill:
         assert inode.tiers_present == {stack.tier_ids["ssd"]}
         assert stack.vfs.exists("/tiers/ssd/f")
         # Mux's own metafile lives on the failing tier: deferred, not fatal
-        assert mux._meta.stats.get("flush_deferred") >= 1
+        assert mux.meta.stats.get("flush_deferred") >= 1
         mux.close(handle)
 
     def test_create_rolls_the_namespace_back_when_no_tier_can_host(self):
@@ -423,6 +423,89 @@ class TestOfflineTierIsSkipped:
         assert not mux.exists("/span")
         assert not stack.vfs.exists("/tiers/hdd/span")
         assert stack.vfs.exists("/tiers/ssd/span")  # the orphan
+
+
+class TestDeviceDiesUnderANamespaceOp:
+    """unlink / rename / truncate / punch_hole / rmdir reach the tiers
+    through the same door as reads and writes: a device that dies under
+    one of them surfaces EIO and takes its tier OFFLINE — never a raw
+    device error, never a tier left HEALTHY."""
+
+    @pytest.fixture
+    def on_dead_ssd(self):
+        stack = build_stack(faults={"ssd": FaultConfig()})
+        handle = place_on(stack, "/f", "ssd")
+        stack.mux.fsync(handle)
+        stack.injectors["ssd"].set_offline()
+        return stack, handle
+
+    def test_unlink_fails_with_eio_then_skips_the_dead_tier(self, on_dead_ssd):
+        stack, handle = on_dead_ssd
+        mux = stack.mux
+        mux.close(handle)
+        with pytest.raises(TierUnavailable) as err:
+            mux.unlink("/f")
+        assert err.value.errno == errno.EIO
+        assert mux.registry.get(stack.tier_ids["ssd"]).health.is_offline
+        assert mux.exists("/f")  # the namespace entry is intact
+        mux.unlink("/f")  # the tier is now known dead: skipped, not retried
+        assert mux.stats.get("unlink_skipped_offline") == 1
+        assert not mux.exists("/f")
+
+    def test_rename_fails_with_eio(self, on_dead_ssd):
+        stack, _ = on_dead_ssd
+        mux = stack.mux
+        with pytest.raises(TierUnavailable) as err:
+            mux.rename("/f", "/g")
+        assert err.value.errno == errno.EIO
+        assert mux.registry.get(stack.tier_ids["ssd"]).health.is_offline
+
+    def test_rename_is_refused_while_a_participating_tier_is_offline(self):
+        stack = build_stack()
+        mux = stack.mux
+        mux.close(place_on(stack, "/f", "ssd"))
+        mux.mark_tier_offline(stack.tier_ids["ssd"])
+        with pytest.raises(TierUnavailable):
+            mux.rename("/f", "/g")
+        assert mux.stats.get("rename_refused_offline") == 1
+        assert mux.exists("/f") and not mux.exists("/g")
+        mux.mark_tier_online(stack.tier_ids["ssd"])
+        mux.rename("/f", "/g")
+        assert mux.read_file("/g") == b"\xa5" * (64 * 1024)
+
+    NAMESPACE_OPS = {
+        "unlink": lambda mux, handle: mux.unlink("/d/f"),
+        "rename": lambda mux, handle: mux.rename("/d/f", "/g"),
+        "truncate": lambda mux, handle: mux.truncate(handle, 100),
+        "punch_hole": lambda mux, handle: mux.punch_hole(handle, 0, 4096),
+        "rmdir": lambda mux, handle: mux.rmdir("/d/empty"),
+    }
+
+    @pytest.mark.parametrize("vfs_call", sorted(NAMESPACE_OPS))
+    def test_no_tier_call_escapes_the_call_maker(self, monkeypatch, vfs_call):
+        stack = build_stack()
+        mux = stack.mux
+        mux.mkdir("/d")
+        handle = place_on(stack, "/d/f", "ssd")
+        mux.mkdir("/d/empty")
+        mux.close(place_on(stack, "/d/empty/x", "ssd"))
+        mux.unlink("/d/empty/x")  # leaves the directory's skeleton on the ssd
+
+        real = getattr(stack.vfs, vfs_call)
+
+        def dies_on_ssd(target, *args):
+            fs = target.fs if vfs_call in ("truncate", "punch_hole") else (
+                stack.vfs.resolve(target)[0]
+            )
+            if fs is stack.filesystems["ssd"]:
+                raise DeviceOffline("ssd0 is offline")
+            return real(target, *args)
+
+        monkeypatch.setattr(stack.vfs, vfs_call, dies_on_ssd)
+        with pytest.raises(FsError) as err:
+            self.NAMESPACE_OPS[vfs_call](mux, handle)
+        assert err.value.errno == errno.EIO
+        assert mux.registry.get(stack.tier_ids["ssd"]).health.is_offline
 
 
 class TestEvacuation:

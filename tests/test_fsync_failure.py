@@ -205,7 +205,7 @@ def warm_absorbed_file(stack, path="/f", blocks=8):
 class TestMuxErrseq:
     def test_loss_wiring_installed(self):
         wb = build_stack(cache_write_back=True)
-        assert wb.mux.cache.on_lost == wb.mux._note_destage_lost
+        assert wb.mux.cache.on_lost == wb.mux.cachectl.note_destage_lost
 
     def test_eviction_loss_latches_eio_once_per_fd(self):
         # a small PM keeps the SCM cache small enough to overflow quickly
@@ -285,7 +285,7 @@ class TestMuxErrseq:
         mux = wb.mux
         handle = warm_absorbed_file(wb, blocks=2)
         mux.cache._lost.setdefault(handle.ino, []).append((0, 1))
-        mux._note_destage_lost(handle.ino, [(0, 1)])
+        mux.cachectl.note_destage_lost(handle.ino, [(0, 1)])
         report = []
         reconcile_cache(mux, report)
         assert any("lost to a failed destage" in line for line in report)
@@ -295,7 +295,7 @@ class TestMuxErrseq:
         wb = build_stack(cache_write_back=True)
         mux = wb.mux
         handle = warm_absorbed_file(wb, path="/doomed", blocks=2)
-        mux._note_destage_lost(handle.ino, [(0, 1)])
+        mux.cachectl.note_destage_lost(handle.ino, [(0, 1)])
         mux.close(handle)
         mux.unlink("/doomed")
         assert mux.lost_intervals() == []
@@ -307,7 +307,7 @@ class TestRingCompletionErrno:
         mux = wb.mux
         handle = warm_absorbed_file(wb, blocks=2)
         mux.fsync(handle)  # destage cleanly first
-        mux._note_destage_lost(handle.ino, [(0, 2)])
+        mux.cachectl.note_destage_lost(handle.ino, [(0, 2)])
         ring = mux.open_ring(depth=2)
         done = ring.wait(ring.submit_fsync(handle))
         assert isinstance(done.error, WritebackError)

@@ -128,25 +128,6 @@ class TestLatencyHistogram:
         assert sum(count for _, count in pairs) == 2
 
 
-class TestMuxLatencyRecording:
-    def test_disabled_by_default(self, stack):
-        mux = stack.mux
-        mux.write_file("/f", b"x")
-        assert mux.latencies is None
-
-    def test_records_reads_and_writes(self, stack):
-        mux = stack.mux
-        mux.enable_latency_recording()
-        handle = mux.create("/f")
-        mux.write(handle, 0, b"x" * 5000)
-        mux.read(handle, 0, 5000)
-        mux.read(handle, 100, 10)
-        assert mux.latencies["write"].count == 1
-        assert mux.latencies["read"].count == 2
-        assert mux.latencies["read"].mean_ns > 0
-        mux.close(handle)
-
-
 class TestOSync:
     def test_sync_write_durable_without_fsync(self):
         stack = build_stack(enable_cache=False)

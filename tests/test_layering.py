@@ -137,3 +137,89 @@ def test_no_private_names_cross_a_module_boundary(path):
         if alias.name.startswith("_") and not alias.name.startswith("__")
     )
     assert not bad, f"{path.relative_to(SRC)} imports {bad}"
+
+
+#: the known reaches into another module's private state, outside ``core/``:
+#: (module path under src/repro, attribute).  Checked for dead entries.
+PRIVATE_REACHES = {
+    # journal replay re-marks recovered blocks in the allocator's bitmap
+    ("fscommon/journaledfs.py", "_bitmap"),
+    ("fscommon/journaledfs.py", "_free"),
+    # fsck audits a native file system from the inside
+    ("tools/fsck.py", "_delalloc"),
+    ("tools/fsck.py", "_root"),
+    ("tools/fsck.py", "_resolve"),
+    # the crash explorer lands the torn prefix of a media write
+    ("tools/crashexplore.py", "_write_span_raw"),
+}
+
+
+def _is_own_base(node):
+    if isinstance(node, ast.Name):
+        return node.id in ("self", "cls")
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "super"
+    )
+
+
+def _foreign_private_attrs(tree):
+    """``_names`` read off an object other than self/cls/super() that the
+    module itself never defines (as a def, a class, a variable or an
+    attribute it sets on self)."""
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            own.add(node.id)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and _is_own_base(node.value)
+        ):
+            own.add(node.attr)
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and not _is_own_base(node.value)
+        and node.attr not in own
+    }
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_no_private_attribute_of_another_modules_object(path):
+    """What another module needs of an object is that object's public
+    surface: ``mux._destage_file`` from fsck was the signal to publish it
+    (``mux.cachectl.destage_file``), not to reach in."""
+    rel = path.relative_to(SRC).as_posix()
+    bad = sorted(
+        attr
+        for attr in _foreign_private_attrs(ast.parse(path.read_text()))
+        if (rel, attr) not in PRIVATE_REACHES
+    )
+    assert not bad, f"{rel} reaches into {bad}"
+
+
+def test_private_reach_list_has_no_dead_entries():
+    for mod, attr in PRIVATE_REACHES:
+        tree = ast.parse((SRC / mod).read_text())
+        assert attr in _foreign_private_attrs(tree), (mod, attr)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted((SRC / "core").glob("*.py")) if p.name != "__init__.py"],
+    ids=lambda p: p.name,
+)
+def test_core_collaborators_do_not_import_the_facade(path):
+    """``MuxFileSystem`` composes its collaborators; none of them may
+    import it back (the package ``__init__`` re-exports it, nothing else)."""
+    tree = ast.parse(path.read_text())
+    assert not any(_under(name, "repro.core.mux") for name in _imports(tree)), path.name

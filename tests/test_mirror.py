@@ -268,7 +268,7 @@ class TestFailoverOrdering:
         want = pattern(16 * BS)
 
         def routed(mux, inode):
-            return {tid for _, _, tid in mux._route_replicas(inode, 0, 16)}
+            return {tid for _, _, tid in mux.mirrors.route_reads(inode, 0, 16)}
 
         # all healthy: the PM mirror (rank 0) wins
         assert routed(mux, inode) == {pm}

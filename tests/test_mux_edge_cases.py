@@ -84,7 +84,7 @@ class TestPlansOverDeletedFiles:
 class TestMetafileWraparound:
     def test_metafile_write_wraps_at_cap(self, stack):
         mux = stack.mux
-        meta = mux._meta
+        meta = mux.meta
         # drive enough records through to exceed MAX_BYTES several times
         records_needed = (meta.MAX_BYTES // cal.META_RECORD_BYTES) + 100
         for _ in range(records_needed // cal.META_SYNC_RECORDS + 2):

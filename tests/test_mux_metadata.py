@@ -35,10 +35,6 @@ class TestMetadataAffinity:
         owners["size"] = 99
         assert affinity.owner("size") == 0
 
-    def test_single_owner_invariant(self):
-        affinity = MetadataAffinity(1)
-        affinity.check_single_owner()
-
 
 class TestAffinityThroughMux:
     def test_creation_host_owns_everything(self, stack):

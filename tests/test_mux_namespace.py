@@ -155,6 +155,26 @@ class TestRename:
         mux.rename("/a", "/b")
         assert mux.read_file("/b") == b"new"
 
+    def test_rename_overwrite_drops_the_replaced_files_backing(self, stack):
+        """The replaced file lived on a tier the moving file never touched:
+        its backing file used to stay behind under the new name, and its
+        bytes showed through the holes of the file that took the name."""
+        mux = stack.mux
+        hdd = stack.tier_ids["hdd"]
+        handle = mux.create("/b")
+        mux.set_placement("/b", hdd)
+        mux.write(handle, 0, b"B" * 8192)
+        mux.fsync(handle)
+        mux.close(handle)
+        mux.write_file("/a", b"new")  # on PM
+        mux.rename("/a", "/b")
+        assert not stack.vfs.exists("/tiers/hdd/b")
+        mux.set_placement("/b", hdd)
+        handle = mux.open("/b", OpenFlags.RDWR)
+        mux.write(handle, 4196, b"x" * 10)  # sub-block write into a hole
+        assert mux.read(handle, 4096, 8) == bytes(8)
+        mux.close(handle)
+
     def test_reopen_after_rename(self, stack):
         mux = stack.mux
         mux.write_file("/a", b"v")

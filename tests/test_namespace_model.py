@@ -2,22 +2,25 @@
 
 Random sequences of create/mkdir/unlink/rmdir/rename run in lockstep
 against a plain dict-of-dicts model; the file system (every native FS and
-Mux) must agree on success/failure and on the resulting tree.
+Mux) must agree on success/failure and on the resulting tree.  On Mux
+every created file is pinned to a drawn tier and gets one block written,
+and afterwards no tier may hold a backing file nobody owns.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.devices.pm import PersistentMemoryDevice
 from repro.errors import FsError
 from repro.fs.nova import NovaFileSystem
 from repro.sim.clock import SimClock
-from repro.stack import build_stack
+from repro.stack import MOUNTS, build_stack
 
 MIB = 1024 * 1024
+TIERS = ["pm", "ssd", "hdd"]
 
 NAMES = ["a", "b", "c", "d"]
 # small path universe so operations collide interestingly
@@ -30,6 +33,7 @@ op_strategy = st.tuples(
     st.sampled_from(["create", "mkdir", "unlink", "rmdir", "rename"]),
     st.sampled_from(PATHS),
     st.sampled_from(PATHS),
+    st.sampled_from(TIERS),  # where a created file's block goes (Mux only)
 )
 
 
@@ -116,9 +120,13 @@ class TreeModel:
         return out
 
 
-def run_ops(fs, ops):
+def plain_create(fs, path, tier):
+    fs.close(fs.create(path))
+
+
+def run_ops(fs, ops, create=plain_create):
     model = TreeModel()
-    for op, path1, path2 in ops:
+    for op, path1, path2, tier in ops:
         try:
             if op == "create":
                 model.create(path1)
@@ -135,7 +143,7 @@ def run_ops(fs, ops):
             model_ok = False
         try:
             if op == "create":
-                fs.close(fs.create(path1))
+                create(fs, path1, tier)
             elif op == "mkdir":
                 fs.mkdir(path1)
             elif op == "unlink":
@@ -166,9 +174,48 @@ def test_native_fs_namespace_matches_model(ops):
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(ops=st.lists(op_strategy, max_size=25))
+@example(
+    # rename over a file whose block lives on a tier the moving file never
+    # touched: the replaced file's backing file must go with it
+    ops=[
+        ("create", "/a", "/a", "ssd"),
+        ("create", "/b", "/b", "hdd"),
+        ("rename", "/a", "/b", "pm"),
+    ]
+)
 def test_mux_namespace_matches_model(ops):
     stack = build_stack(
         capacities={"pm": 8 * MIB, "ssd": 16 * MIB, "hdd": 16 * MIB},
         enable_cache=False,
     )
-    run_ops(stack.mux, ops)
+    mux = stack.mux
+
+    def create_on_tier(fs, path, tier):
+        handle = fs.create(path)
+        fs.set_placement(path, stack.tier_ids[tier])
+        fs.write(handle, 0, b"\xa5" * fs.block_size)
+        fs.close(handle)
+
+    run_ops(mux, ops, create_on_tier)
+    # no orphans: every regular file under a tier mount backs a live file
+    # that lists the tier (Mux's own .mux_* files aside)
+    owners = {
+        (tier_id, inode.rel_path)
+        for inode in mux.ns.files()
+        for tier_id in inode.tiers_present
+    }
+    for tier in TIERS:
+        for rel in backing_files(stack.vfs, MOUNTS[tier]):
+            assert (stack.tier_ids[tier], rel) in owners, (tier, rel)
+
+
+def backing_files(vfs, mount, rel=""):
+    """Paths (relative to ``mount``) of the regular files under it."""
+    for name in vfs.readdir(mount + rel):
+        if name.startswith(".mux_"):
+            continue
+        path = f"{rel}/{name}"
+        if vfs.getattr(mount + path).is_dir:
+            yield from backing_files(vfs, mount, path)
+        else:
+            yield path

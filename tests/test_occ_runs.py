@@ -115,10 +115,11 @@ class ScalarOccSynchronizer(OccSynchronizer):
             while copied < span_len:
                 chunk = min(cal.MIGRATION_CHUNK_BLOCKS, span_len - copied)
                 offset = (span_start + copied) * block_size
-                data = self.io.tier_read_raw(
-                    inode, src_tier, offset, chunk * block_size
+                data = self.io.files.read(
+                    inode, src_tier, offset, chunk * block_size,
+                    create=True, dispatch=True,
                 )
-                self.io.tier_write_raw(inode, dst_tier, offset, data)
+                self.io.files.write(inode, dst_tier, offset, data, dispatch=True)
                 copied += chunk
                 self.stats.add("blocks_copied", chunk)
                 yield
@@ -126,11 +127,14 @@ class ScalarOccSynchronizer(OccSynchronizer):
     def _scalar_commit(self, inode, blocks, src_tier, dst_tier, result):
         if not blocks:
             return
-        self.io.tier_fsync(inode, dst_tier)
+        self.io.files.fsync(inode, dst_tier)
         spans = _contiguous_spans(blocks)
         self.io.blt_commit_move(inode, spans, src_tier, dst_tier)
         for span_start, span_len in spans:
-            self.io.tier_punch(inode, src_tier, span_start, span_len)
+            self.io.files.punch(
+                inode, src_tier, span_start * self.io.block_size,
+                span_len * self.io.block_size,
+            )
         result.moved_blocks += len(blocks)
         result.bytes_moved += len(blocks) * self.io.block_size
         self.stats.add("blocks_committed", len(blocks))

@@ -95,7 +95,7 @@ class TestSubmitComplete:
         with mux.open_ring(depth=2) as ring:
             ring.submit_read(handle, 0, 10)
         assert ring.closed
-        assert ring not in mux._rings
+        assert ring not in mux.rings
         with pytest.raises(InvalidArgument):
             ring.submit_read(handle, 0, 10)
         mux.close(handle)

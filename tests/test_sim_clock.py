@@ -55,11 +55,6 @@ class TestSimClock:
         clock.charge(0.5)
         assert clock.now_ns == NSEC_PER_SEC // 2
 
-    def test_charge_us(self):
-        clock = SimClock()
-        clock.charge_us(2.5)
-        assert clock.now_ns == 2500
-
     def test_now_seconds(self):
         clock = SimClock()
         clock.advance_ns(NSEC_PER_SEC)
@@ -70,28 +65,6 @@ class TestSimClock:
         for _ in range(1_000):
             clock.advance_ns(3)
         assert clock.now_ns == 3_000
-
-
-class TestStopwatch:
-    def test_elapsed(self):
-        clock = SimClock()
-        watch = clock.stopwatch()
-        clock.advance_ns(42)
-        assert watch.elapsed_ns == 42
-
-    def test_elapsed_seconds(self):
-        clock = SimClock()
-        watch = clock.stopwatch()
-        clock.charge(2.0)
-        assert watch.elapsed == pytest.approx(2.0)
-
-    def test_restart(self):
-        clock = SimClock()
-        watch = clock.stopwatch()
-        clock.advance_ns(10)
-        watch.restart()
-        clock.advance_ns(5)
-        assert watch.elapsed_ns == 5
 
 
 class TestFrames:

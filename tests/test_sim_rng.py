@@ -1,7 +1,5 @@
 """Unit tests for the deterministic RNG."""
 
-import pytest
-
 from repro.sim.rng import DeterministicRng
 
 
@@ -35,27 +33,6 @@ class TestDeterminism:
 
 
 class TestHelpers:
-    def test_sample_offsets_range(self):
-        rng = DeterministicRng(7)
-        offsets = rng.sample_offsets(1000, 100, align=8)
-        assert len(offsets) == 100
-        assert all(0 <= off < 1000 for off in offsets)
-        assert all(off % 8 == 0 for off in offsets)
-
-    def test_sample_offsets_bad_span(self):
-        with pytest.raises(ValueError):
-            DeterministicRng(1).sample_offsets(0, 1)
-
-    def test_sample_offsets_bad_align(self):
-        with pytest.raises(ValueError):
-            DeterministicRng(1).sample_offsets(10, 1, align=0)
-
-    def test_bytes(self):
-        rng = DeterministicRng(3)
-        data = rng.bytes(64)
-        assert len(data) == 64
-        assert data == DeterministicRng(3).bytes(64)
-
     def test_choice_and_shuffle(self):
         rng = DeterministicRng(5)
         items = list(range(10))

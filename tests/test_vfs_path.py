@@ -55,7 +55,7 @@ class TestSplitJoin:
         assert vpath.join("/a/", "/b/") == "/a/b"
 
     def test_basename_dirname(self):
-        assert vpath.basename("/x/y") == "y"
+        assert vpath.split("/x/y") == ("/x", "y")
         assert vpath.dirname("/x/y") == "/x"
 
 
