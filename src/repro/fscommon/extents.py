@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -45,7 +45,12 @@ class Extent:
 
 
 class ExtentTree:
-    """Sorted non-overlapping extent map with coalescing."""
+    """Sorted non-overlapping extent map with coalescing.
+
+    Point queries go through :meth:`lookup` (one bisection each); a caller
+    that already holds its blocks in ascending order — the write-back path
+    does — resolves them all with :meth:`lookup_ascending` in one walk.
+    """
 
     def __init__(self, value_is_offset: bool = True) -> None:
         self.value_is_offset = value_is_offset
@@ -84,6 +89,47 @@ class ExtentTree:
         if i < 0:
             return None
         return self._extents[i].value_at(block, self.value_is_offset)
+
+    def lookup_ascending(self, blocks: Sequence[int]) -> List[Optional[int]]:
+        """:meth:`lookup` of every block of an *ascending* sequence.
+
+        Precondition: ``blocks`` is sorted (duplicates allowed); anything
+        else raises ``ValueError``.  That is what lets one merge walk
+        replace a bisection per block: one bisect places a cursor at the
+        first block's extent and it only ever moves forward, stepping to
+        the next extent or bisecting over the remainder across a gap.
+        """
+        out: List[Optional[int]] = []
+        if not blocks:
+            return out
+        starts = self._starts
+        extents = self._extents
+        n = len(extents)
+        offset = self.value_is_offset
+        prev = blocks[0]
+        # the cursor is extent ``i`` = [lo, hi); it starts parked (empty)
+        # just before the first block's candidate extent
+        i = max(bisect_right(starts, prev) - 1, 0) - 1
+        lo = hi = prev
+        value = 0
+        for block in blocks:
+            if block < prev:
+                raise ValueError(f"blocks not ascending: {block} after {prev}")
+            prev = block
+            if block >= hi and i < n:
+                i += 1
+                if i < n and extents[i].end <= block:
+                    i = bisect_right(starts, block, i + 1) - 1
+                if i < n:
+                    ext = extents[i]
+                    lo = ext.start
+                    hi = lo + ext.count
+                    value = ext.value
+            if lo <= block < hi:
+                out.append(value + (block - lo) if offset else value)
+            else:
+                out.append(None)
+        return out
 
     def runs(self, start: int, count: int) -> Iterator[Tuple[int, int, Optional[int]]]:
         """Decompose [start, start+count) into (block, run_len, value) runs.

@@ -295,16 +295,18 @@ class JournaledFileSystem(NativeFileSystem):
             pos += take
             idx += take
         if self.delayed_allocation:
-            marks = self._delalloc.setdefault(inode.ino, set())
-            for fb in dirtied:
-                if inode.blockmap.lookup(fb) is None:
-                    marks.add(fb)
+            mapped = inode.blockmap.lookup_ascending(dirtied)
+            self._delalloc.setdefault(inode.ino, set()).update(
+                fb for fb, dev in zip(dirtied, mapped) if dev is None
+            )
         else:
             self._allocate_for(inode, dirtied)
 
     def _allocate_for(self, inode: Inode, file_blocks: List[int]) -> None:
-        """Map any unmapped blocks in ``file_blocks``, preferring contiguity."""
-        unmapped = [fb for fb in file_blocks if inode.blockmap.lookup(fb) is None]
+        """Map any unmapped blocks in ``file_blocks`` (ascending), preferring
+        contiguity."""
+        mapped = inode.blockmap.lookup_ascending(file_blocks)
+        unmapped = [fb for fb, dev in zip(file_blocks, mapped) if dev is None]
         if not unmapped:
             return
         # group consecutive file blocks into spans, allocate per span
@@ -405,10 +407,11 @@ class JournaledFileSystem(NativeFileSystem):
         dirty = self.page_cache.dirty_items(inode.ino)
         if not dirty:
             return
-        self._allocate_for(inode, [fb for fb, _ in dirty])
+        fbs = [fb for fb, _ in dirty]
+        self._allocate_for(inode, fbs)
         self._delalloc.pop(inode.ino, None)
         by_dev = sorted(
-            (inode.blockmap.lookup(fb), fb, data) for fb, data in dirty
+            zip(inode.blockmap.lookup_ascending(fbs), fbs, (d for _, d in dirty))
         )
         batch_start_dev: Optional[int] = None
         batch: List[bytes] = []

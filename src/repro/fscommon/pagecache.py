@@ -8,12 +8,27 @@ the page cache); Mux's *shared* SCM cache is a separate component built in
 
 Write-back semantics: dirty pages accumulate and are flushed on fsync or
 when evicted by LRU pressure.  DRAM hits charge only a copy cost.
+
+Beside the LRU-ordered page table the cache keeps two per-inode indexes so
+that an fsync, unlink or truncate costs what that file has cached or dirty,
+not what the whole cache holds:
+
+* ``_cached[ino]`` is exactly the set of file blocks ``fb`` with
+  ``(ino, fb)`` in the page table;
+* ``_dirty[ino]`` is exactly the subset of those whose page has its dirty
+  bit set (dirty ⊆ cached = keys of the page table);
+* neither index ever holds an empty set.
+
+Every place a page appears, disappears or changes its dirty bit updates
+them.  They are host-side bookkeeping only: no index operation charges the
+clock, touches LRU order or bumps a counter, so simulated results do not
+depend on them.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.sim.clock import SimClock
 from repro.sim.stats import CounterSet
@@ -53,7 +68,51 @@ class PageCache:
         self.page_size = page_size
         self._writeback = writeback
         self._pages: "OrderedDict[PageKey, Page]" = OrderedDict()
+        #: ino -> file blocks in the page table / with the dirty bit set
+        self._cached: Dict[int, Set[int]] = {}
+        self._dirty: Dict[int, Set[int]] = {}
         self.stats = CounterSet()
+
+    # -- index maintenance ---------------------------------------------------
+
+    def _insert(self, key: PageKey, page: Page) -> None:
+        """Add an absent page at the MRU end and index it."""
+        self._pages[key] = page
+        ino, fb = key
+        cached = self._cached.get(ino)
+        if cached is None:
+            cached = self._cached[ino] = set()
+        cached.add(fb)
+        if page.dirty:
+            self._index_dirty(ino, fb)
+
+    def _index_dirty(self, ino: int, fb: int) -> None:
+        dirty = self._dirty.get(ino)
+        if dirty is None:
+            dirty = self._dirty[ino] = set()
+        dirty.add(fb)
+
+    def _unindex_dirty(self, ino: int, file_blocks: Iterable[int]) -> None:
+        dirty = self._dirty.get(ino)
+        if dirty is not None:
+            dirty.difference_update(file_blocks)
+            if not dirty:
+                del self._dirty[ino]
+
+    def _unindex(self, ino: int, file_blocks: Iterable[int]) -> None:
+        """Forget cached pages of ``ino`` that just left the page table."""
+        cached = self._cached[ino]
+        cached.difference_update(file_blocks)
+        if not cached:
+            del self._cached[ino]
+        self._unindex_dirty(ino, file_blocks)
+
+    def _drop(self, ino: int, file_blocks: List[int]) -> None:
+        """Remove cached pages of ``ino`` from the table and both indexes."""
+        if file_blocks:
+            for fb in file_blocks:
+                del self._pages[(ino, fb)]
+            self._unindex(ino, file_blocks)
 
     # -- lookup ------------------------------------------------------------
 
@@ -128,48 +187,69 @@ class PageCache:
             )
         count = len(data) // ps
         src = memoryview(data)
+        pages = self._pages
+        capacity = self.capacity_pages
         self.clock.advance_ns(count * DRAM_PAGE_COPY_NS)
         for i in range(count):
-            key = (ino, first_block + i)
+            fb = first_block + i
+            key = (ino, fb)
             block = bytes(src[i * ps : (i + 1) * ps])
-            existing = self._pages.get(key)
+            existing = pages.get(key)
             if existing is not None:
                 existing.data = block
-                existing.dirty = existing.dirty or dirty
-                self._pages.move_to_end(key)
+                if dirty and not existing.dirty:
+                    existing.dirty = True
+                    self._index_dirty(ino, fb)
+                pages.move_to_end(key)
             else:
-                self._pages[key] = Page(block, dirty)
+                self._insert(key, Page(block, dirty))
                 self.stats.add("insert")
-            self._evict_to_capacity()
+            if len(pages) > capacity:
+                self._evict_to_capacity()
 
     def _evict_to_capacity(self) -> None:
         # bound the scan so a cache full of unevictable pages (every
         # writeback refused under a keep-dirty policy) degrades to running
         # over capacity instead of livelocking
-        attempts = len(self._pages)
-        while len(self._pages) > self.capacity_pages and attempts > 0:
+        pages = self._pages
+        attempts = len(pages)
+        while len(pages) > self.capacity_pages and attempts > 0:
             attempts -= 1
-            key, page = self._pages.popitem(last=False)
+            key, page = pages.popitem(last=False)
+            ino, fb = key
+            self._unindex(ino, (fb,))
             self.stats.add("evict")
             if page.dirty:
                 self.stats.add("evict_dirty")
-                if self._writeback(key[0], key[1], page.data) is False:
+                try:
+                    kept = self._writeback(ino, fb, page.data) is False
+                except BaseException:
+                    # the write never happened (e.g. a transient device
+                    # error the caller will retry): the victim goes back
+                    # to the LRU end it came from, still dirty, so the
+                    # retried operation evicts and writes it again
+                    self._insert(key, page)
+                    pages.move_to_end(key, last=False)
+                    raise
+                if kept:
                     # the FS kept the page dirty (failed write under a
                     # keep-dirty policy): reinsert at the MRU end and try
                     # the next victim
                     self.stats.add("evict_kept")
-                    self._pages[key] = page
+                    self._insert(key, page)
 
     # -- flushing ---------------------------------------------------------------
 
     def flush_inode(self, ino: int) -> int:
         """Write back all dirty pages of one inode; returns pages flushed."""
         flushed = 0
+        # visits in LRU order, which only the page table knows
         for key, page in list(self._pages.items()):
             if key[0] == ino and page.dirty:
                 if self._writeback(key[0], key[1], page.data) is False:
                     continue  # write refused; the page stays dirty
                 page.dirty = False
+                self._unindex_dirty(ino, (key[1],))
                 flushed += 1
         self.stats.add("fsync_pages", flushed)
         return flushed
@@ -182,6 +262,7 @@ class PageCache:
                 if self._writeback(key[0], key[1], page.data) is False:
                     continue  # write refused; the page stays dirty
                 page.dirty = False
+                self._unindex_dirty(key[0], (key[1],))
                 flushed += 1
         return flushed
 
@@ -191,47 +272,38 @@ class PageCache:
         Used by the journaled file systems to batch writeback into large
         contiguous device writes instead of page-at-a-time callbacks.
         """
-        items = [
-            (key[1], page.data)
-            for key, page in self._pages.items()
-            if key[0] == ino and page.dirty
-        ]
-        items.sort()
-        return items
+        pages = self._pages
+        return [(fb, pages[(ino, fb)].data) for fb in sorted(self._dirty.get(ino, ()))]
 
     def mark_clean(self, ino: int, file_blocks: Iterable[int]) -> None:
         """Clear the dirty bit on specific pages after a batched writeback."""
-        for fb in file_blocks:
-            page = self._pages.get((ino, fb))
-            if page is not None:
-                page.dirty = False
+        dirty = self._dirty.get(ino)
+        if dirty is None:
+            return
+        cleaned = [fb for fb in file_blocks if fb in dirty]
+        for fb in cleaned:
+            self._pages[(ino, fb)].dirty = False
+        self._unindex_dirty(ino, cleaned)
 
     def invalidate_inode(self, ino: int) -> None:
         """Drop all pages of an inode (unlink/truncate); dirty pages are lost."""
-        for key in [k for k in self._pages if k[0] == ino]:
-            del self._pages[key]
+        self._drop(ino, list(self._cached.get(ino, ())))
 
     def invalidate_range(self, ino: int, first_block: int, count: int) -> None:
         """Drop pages of ``ino`` in [first_block, first_block+count)."""
-        if count >= len(self._pages):
-            keys = [
-                k
-                for k in self._pages
-                if k[0] == ino and first_block <= k[1] < first_block + count
-            ]
+        cached = self._cached.get(ino, ())
+        end = first_block + count
+        if count >= len(cached):
+            blocks = [fb for fb in cached if first_block <= fb < end]
         else:
-            keys = [
-                (ino, fb)
-                for fb in range(first_block, first_block + count)
-                if (ino, fb) in self._pages
-            ]
-        for key in keys:
-            del self._pages[key]
+            blocks = [fb for fb in range(first_block, end) if fb in cached]
+        self._drop(ino, blocks)
 
     def invalidate_from(self, ino: int, first_block: int) -> None:
         """Drop pages of ``ino`` at or beyond ``first_block`` (truncate)."""
-        for key in [k for k in self._pages if k[0] == ino and k[1] >= first_block]:
-            del self._pages[key]
+        self._drop(
+            ino, [fb for fb in self._cached.get(ino, ()) if fb >= first_block]
+        )
 
     def drop_clean(self) -> None:
         """Drop every page, *dirty ones included* — the name is historical.
@@ -240,6 +312,8 @@ class PageCache:
         a caller that only wants cold reads must flush first.
         """
         self._pages.clear()
+        self._cached.clear()
+        self._dirty.clear()
 
     # -- introspection ------------------------------------------------------------
 
@@ -249,7 +323,7 @@ class PageCache:
 
     @property
     def dirty_pages(self) -> int:
-        return sum(1 for p in self._pages.values() if p.dirty)
+        return sum(len(blocks) for blocks in self._dirty.values())
 
     def hit_ratio(self) -> float:
         hits = self.stats.get("hit")

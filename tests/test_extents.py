@@ -188,3 +188,28 @@ def test_runs_cover_range_exactly(ops):
         assert count > 0
         pos += count
     assert pos == 300
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ops=ops_strategy,
+    offset_mode=st.booleans(),
+    # holes, blocks before the first and past the last extent, duplicates
+    # and the empty list all come out of a sorted draw over a wider range
+    blocks=st.lists(st.integers(min_value=0, max_value=300), max_size=40).map(sorted),
+)
+def test_lookup_ascending_equals_lookup_per_block(ops, offset_mode, blocks):
+    tree = ExtentTree(value_is_offset=offset_mode)
+    for op, start, count, value in ops:
+        if op == "map":
+            tree.map_range(start + 20, count, value)  # leave room before the first
+        else:
+            tree.unmap_range(start + 20, count)
+    assert tree.lookup_ascending(blocks) == [tree.lookup(b) for b in blocks]
+
+
+def test_lookup_ascending_rejects_descending_input():
+    tree = ExtentTree()
+    tree.map_range(0, 10, 100)
+    with pytest.raises(ValueError):
+        tree.lookup_ascending([5, 4])

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.policy import MigrationOrder
 from repro.errors import DeviceIoError, TierUnavailable, WritebackError
+from repro.fs.ext4 import Ext4FileSystem
 from repro.stack import build_stack
 from repro.tools.fsck import check_native_fs, reconcile_cache
 from repro.vfs.interface import OpenFlags
@@ -131,6 +132,31 @@ class TestExt4CleanPolicy:
             ext4.write(handle, 0, b"S" * BS)
         heal(ext4)
         ext4.write(handle, BS, b"T" * BS)  # fd already observed the error
+
+
+class TestTransientErrorDuringEviction:
+    def test_retried_write_does_not_lose_the_evicted_page(self, clock, hdd):
+        """Transient errors propagate for the caller to retry; the dirty
+        page whose eviction hit one must still be there for the retry."""
+        small = type("Ext4With64Pages", (Ext4FileSystem,), {"page_cache_max_pages": 64})
+        fs = small("ext4", hdd, clock)
+        handle = fs.create("/f")
+        fs.write(handle, 0, b"A" * (64 * BS))  # cache full of dirty pages
+        real = fs.device.write_blocks
+
+        def fail_once(block_no, data):
+            if block_no >= fs._data_base:
+                del fs.device.write_blocks
+                raise DeviceIoError("transient fault", transient=True)
+            return real(block_no, data)
+
+        fs.device.write_blocks = fail_once
+        with pytest.raises(DeviceIoError):
+            fs.write(handle, 64 * BS, b"B" * BS)  # evicting block 0 hits the fault
+        fs.write(handle, 64 * BS, b"B" * BS)  # what TierFiles' retry does
+        fs.fsync(handle)
+        assert fs.lost_intervals(handle.ino) == []
+        assert fs.read(handle, 0, 8) == b"AAAAAAAA"
 
 
 class TestXfsKeepPolicy:

@@ -84,6 +84,32 @@ class TestEviction:
             cache.put(1, fb, page(fb), dirty=False)
         assert cache.cached_pages == 4
 
+    def test_failed_writeback_keeps_the_victim(self):
+        """A callback that raises (a transient device error the caller
+        retries) must not cost the dirty page it was asked to write."""
+        written = []
+        fail = [True]
+
+        def writeback(ino, fb, data):
+            if fail:
+                fail.clear()
+                raise OSError("transient")
+            written.append((ino, fb, data))
+
+        cache = PageCache(SimClock(), 4, PAGE, writeback)
+        for fb in range(4):
+            cache.put(1, fb, page(fb), dirty=True)
+        with pytest.raises(OSError):
+            cache.put(1, 4, page(4), dirty=True)  # evicting block 0 fails
+        assert cache.contains(1, 0)
+        assert (0, page(0)) in cache.dirty_items(1)
+        assert cache.dirty_pages == 5
+        assert written == []
+        cache.put(1, 4, page(4), dirty=True)  # the retry evicts block 0 again
+        assert written == [(1, 0, page(0))]
+        assert not cache.contains(1, 0)
+        assert cache.cached_pages == 4
+
 
 class TestFlush:
     def test_flush_inode(self, cache_env):
