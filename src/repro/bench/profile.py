@@ -6,11 +6,20 @@ This makes perf work profile-guided: before optimising a path, run the
 closest workload here and read where the host CPU actually goes (the
 simulated clock is unaffected — profiling only observes the host).
 
+``--sample`` swaps cProfile for :class:`SamplingProfiler`, a stdlib
+statistical sampler.  cProfile charges a fixed hook cost to every Python
+call, so it inflates paths made of many cheap calls (an interval-set
+scan looks twice its real size) and hides per-call allocation cost
+spread over many call sites; sampling the stack on a CPU-time timer
+does neither, so use it to *choose* a target and cProfile to count
+calls on it.
+
 Usage::
 
     PYTHONPATH=src python -m repro.bench profile metadata_churn
     PYTHONPATH=src python -m repro.bench profile seq_read --smoke -n 40
     PYTHONPATH=src python -m repro.bench profile hot_set_reads --sort tottime
+    PYTHONPATH=src python -m repro.bench profile mirror_skew --sample
     PYTHONPATH=src python -m repro.bench profile --list
 """
 
@@ -18,8 +27,11 @@ from __future__ import annotations
 
 import cProfile
 import io
+import os
 import pstats
+import signal
 import sys
+from collections import Counter
 from typing import List, Optional
 
 from repro.bench.harness import pop_flag_value
@@ -35,6 +47,14 @@ def _registered():
     from repro.bench.wallclock import WORKLOADS
 
     return dict(WORKLOADS)
+
+
+def _header(name: str, smoke: bool, result: dict) -> str:
+    return (
+        f"profile: {name} ({'smoke' if smoke else 'full'} size) — "
+        f"wall={result['wall_s']:.3f}s host, "
+        f"sim={result['sim_elapsed_s']:.4f}s simulated\n"
+    )
 
 
 def profile_workload(
@@ -58,18 +78,118 @@ def profile_workload(
     stats = pstats.Stats(profiler, stream=buf)
     stats.sort_stats(sort)
     stats.print_stats(top_n)
-    header = (
-        f"profile: {name} ({'smoke' if smoke else 'full'} size) — "
-        f"wall={result['wall_s']:.3f}s host, "
-        f"sim={result['sim_elapsed_s']:.4f}s simulated\n"
-        f"top {top_n} functions by {sort} host time:\n"
+    return (
+        _header(name, smoke, result)
+        + f"top {top_n} functions by {sort} host time:\n"
+        + buf.getvalue()
     )
-    return header + buf.getvalue()
+
+
+#: host CPU time between two stack samples
+SAMPLE_INTERVAL_S = 0.001
+
+
+class SamplingProfiler:
+    """Statistical profiler on the process CPU-time timer (stdlib only).
+
+    Used as a context manager: every ``SAMPLE_INTERVAL_S`` of host CPU
+    time a ``SIGPROF`` handler walks the interrupted Python stack once and counts
+    each function's code object as *inclusive* (on the stack; counted once
+    per sample however deep the recursion) and the innermost one as
+    *self*.  Time inside a C builtin is the self time of the Python
+    function that called it.  Main thread only (signals are delivered
+    there); the simulated clock is never touched.
+    """
+
+    def __init__(self) -> None:
+        self.samples = 0
+        self.inclusive: Counter = Counter()
+        self.self_time: Counter = Counter()
+        self._previous = None
+
+    @staticmethod
+    def _key(frame):
+        """The frame's code object; generated code (dataclass ``__init__``
+        and friends live in ``<string>``) is told apart by its class."""
+        code = frame.f_code
+        owner = frame.f_locals.get("self") if code.co_filename == "<string>" else None
+        return code if owner is None else (code, type(owner).__qualname__)
+
+    def _on_sample(self, signum, frame) -> None:
+        if frame is None:
+            return
+        self.samples += 1
+        self.self_time[self._key(frame)] += 1
+        seen = set()
+        while frame is not None:
+            key = self._key(frame)
+            if key not in seen:
+                seen.add(key)
+                self.inclusive[key] += 1
+            frame = frame.f_back
+
+    def __enter__(self) -> "SamplingProfiler":
+        self._previous = signal.signal(signal.SIGPROF, self._on_sample)
+        signal.setitimer(signal.ITIMER_PROF, SAMPLE_INTERVAL_S, SAMPLE_INTERVAL_S)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        signal.setitimer(signal.ITIMER_PROF, 0, 0)
+        signal.signal(signal.SIGPROF, self._previous)
+
+    @staticmethod
+    def label(key) -> str:
+        """``module:qualname`` for code under a package, ``file:name`` for
+        other files, ``<string>:Class.name`` for generated code."""
+        if isinstance(key, tuple):
+            code, owner = key
+            return f"{code.co_filename}:{owner}.{code.co_name}"
+        code = key
+        path = code.co_filename
+        parts = path.replace(os.sep, "/").split("/")
+        if "repro" in parts:
+            module = ".".join(parts[parts.index("repro") :])
+        else:
+            module = parts[-1]
+        if module.endswith(".py"):
+            module = module[:-3]
+        return f"{module}:{code.co_qualname}"
+
+    def shares(self, counts: Counter, top_n: int) -> List[tuple]:
+        """``(share, label)`` of the ``top_n`` largest entries of ``counts``."""
+        total = self.samples or 1
+        return [(n / total, self.label(key)) for key, n in counts.most_common(top_n)]
+
+    def report(self, top_n: int = DEFAULT_TOP_N) -> str:
+        lines = [
+            f"{self.samples} samples, one per "
+            f"{SAMPLE_INTERVAL_S * 1e3:g} ms of host CPU"
+        ]
+        for title, counts in (
+            ("inclusive", self.inclusive),
+            ("self", self.self_time),
+        ):
+            lines.append(f"top {top_n} functions by {title} share:")
+            for share, label in self.shares(counts, top_n):
+                lines.append(f"  {100 * share:6.2f} %  {label}")
+        return "\n".join(lines) + "\n"
+
+
+def sample_workload(
+    name: str, smoke: bool = False, top_n: int = DEFAULT_TOP_N
+) -> str:
+    """Run one registered workload under :class:`SamplingProfiler`."""
+    workloads = _registered()
+    if name not in workloads:
+        raise KeyError(name)
+    with SamplingProfiler() as sampler:
+        result = workloads[name](smoke)
+    return _header(name, smoke, result) + sampler.report(top_n)
 
 
 USAGE = (
     "usage: python -m repro.bench profile <workload> [--smoke] [-n N]"
-    " [--sort cumulative|tottime|ncalls] | --list"
+    " [--sort cumulative|tottime|ncalls | --sample] | --list"
 )
 
 
@@ -82,9 +202,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"{exc}; {USAGE}", file=sys.stderr)
         return 2
-    sort = pop_flag_value(argv, "--sort", USAGE) or "cumulative"
-    if sort not in SORT_KEYS:
+    sort = pop_flag_value(argv, "--sort", USAGE)
+    if sort is not None and sort not in SORT_KEYS:
         print(f"--sort must be one of {', '.join(SORT_KEYS)}; {USAGE}", file=sys.stderr)
+        return 2
+    sample = "--sample" in argv
+    if sample and sort is not None:
+        print(f"--sort and --sample exclude each other; {USAGE}", file=sys.stderr)
         return 2
     positional = [a for a in argv if not a.startswith("-")]
     if "--list" in argv or not positional:
@@ -97,7 +221,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if name not in workloads:
         print(f"unknown workload {name!r}; --list shows choices; {USAGE}", file=sys.stderr)
         return 2
-    print(profile_workload(name, smoke="--smoke" in argv, top_n=top_n, sort=sort))
+    smoke = "--smoke" in argv
+    if sample:
+        print(sample_workload(name, smoke=smoke, top_n=top_n))
+    else:
+        print(profile_workload(name, smoke=smoke, top_n=top_n, sort=sort or "cumulative"))
     return 0
 
 

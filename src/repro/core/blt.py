@@ -21,6 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.core import calibration as cal
 from repro.core.intervals import BlockIntervalSet, Run, intersect_runs, normalize_runs
 from repro.fscommon.extents import ExtentTree
 
@@ -32,7 +33,15 @@ ReplicaRun = Tuple[int, int, Optional[int], Tuple[int, ...]]
 
 
 class BlockLookupTable(ABC):
-    """Per-file map from file block index to owning tier."""
+    """Per-file map from file block index to owning tier.
+
+    ``version`` counts the :meth:`map_range`/:meth:`unmap_range` calls
+    made on this table: anything derived from its contents (a planning
+    :class:`~repro.core.policy.FileView`) stays valid while it is
+    unchanged.
+    """
+
+    version: int = 0
 
     @abstractmethod
     def lookup(self, block: int) -> Optional[int]:
@@ -86,6 +95,7 @@ class ExtentBlt(BlockLookupTable):
         return self._tree.lookup(block)
 
     def map_range(self, start: int, count: int, tier_id: int) -> None:
+        self.version += 1
         for run_start, run_len, old in list(self._tree.runs(start, count)):
             if old is not None:
                 self._per_tier[old] -= run_len
@@ -93,6 +103,7 @@ class ExtentBlt(BlockLookupTable):
         self._per_tier[tier_id] = self._per_tier.get(tier_id, 0) + count
 
     def unmap_range(self, start: int, count: int) -> None:
+        self.version += 1
         for run_start, run_len, old in list(self._tree.runs(start, count)):
             if old is not None:
                 self._per_tier[old] -= run_len
@@ -102,8 +113,6 @@ class ExtentBlt(BlockLookupTable):
         return self._tree.runs(start, count)
 
     def lookup_cost_ns(self, runs_touched: int, blocks_touched: int) -> int:
-        from repro.core import calibration as cal
-
         return cal.MUX_BLT_LOOKUP_NS + cal.MUX_BLT_RUN_NS * max(0, runs_touched - 1)
 
     def tiers_used(self) -> List[int]:
@@ -152,10 +161,12 @@ class ByteArrayBlt(BlockLookupTable):
     def map_range(self, start: int, count: int, tier_id: int) -> None:
         if not 0 <= tier_id < self.HOLE:
             raise ValueError(f"tier id {tier_id} does not fit in one byte")
+        self.version += 1
         self._grow_to(start + count)
         self._table[start : start + count] = bytes([tier_id]) * count
 
     def unmap_range(self, start: int, count: int) -> None:
+        self.version += 1
         end = min(start + count, len(self._table))
         if end > start:
             self._table[start:end] = bytes([self.HOLE]) * (end - start)
@@ -172,8 +183,6 @@ class ByteArrayBlt(BlockLookupTable):
             pos += run
 
     def lookup_cost_ns(self, runs_touched: int, blocks_touched: int) -> int:
-        from repro.core import calibration as cal
-
         return cal.MUX_BLT_BYTEARRAY_PER_BLOCK_NS * max(1, blocks_touched)
 
     def tiers_used(self) -> List[int]:
@@ -266,10 +275,14 @@ class ReplicaSet:
         """Clean plus stale runs — everything the mirror tier holds bytes for."""
         return normalize_runs(self.clean_runs(tier_id) + self.stale_runs(tier_id))
 
+    def clean_overlap(self, tier_id: int, start: int, count: int) -> List[Run]:
+        """The tier's clean runs inside ``[start, +count)``."""
+        ivals = self._clean.get(tier_id)
+        return ivals.overlap(start, count) if ivals is not None else []
+
     def covers_clean(self, tier_id: int, start: int, count: int) -> bool:
         """True if the tier holds a clean copy of all of ``[start, +count)``."""
-        got = intersect_runs(self.clean_runs(tier_id), [(start, count)])
-        return sum(n for _, n in got) == count
+        return sum(n for _, n in self.clean_overlap(tier_id, start, count)) == count
 
     # -- state transitions -------------------------------------------------
 
@@ -404,23 +417,26 @@ def replica_runs(
     the run.  This is the read path's routing substrate: any tier in
     ``{tier} | mirrors`` can serve the run's bytes.
     """
+    mirror_tiers = replicas.tiers() if replicas is not None else ()
     for run_start, run_len, tier in blt.runs(start, count):
         if tier is None or replicas is None:
             yield run_start, run_len, tier, ()
             continue
         cover: List[Tuple[int, int, int]] = []  # (start, end, mirror tier)
         cuts = {run_start, run_start + run_len}
-        for mirror in replicas.tiers():
+        for mirror in mirror_tiers:
             if mirror == tier:
                 continue
-            for s, n in intersect_runs(
-                replicas.clean_runs(mirror), [(run_start, run_len)]
-            ):
+            for s, n in replicas.clean_overlap(mirror, run_start, run_len):
                 cover.append((s, s + n, mirror))
                 cuts.add(s)
                 cuts.add(s + n)
         if not cover:
             yield run_start, run_len, tier, ()
+            continue
+        if len(cover) == 1 and len(cuts) == 2:
+            # the common case: one mirror covers the whole run cleanly
+            yield run_start, run_len, tier, (cover[0][2],)
             continue
         pts = sorted(cuts)
         pending: Optional[Tuple[int, int, Tuple[int, ...]]] = None

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core import calibration as cal
-from repro.core.intervals import BlockIntervalSet, Run, intersect_runs
+from repro.core.intervals import BlockIntervalSet, Run
 from repro.core.mglru import MultiGenLru
 from repro.errors import CrashTriggered, NotSupported, ReproError
 from repro.sim.clock import SimClock
@@ -318,9 +318,7 @@ class ScmCacheManager:
     def dirty_runs_in(self, ino: int, first_block: int, count: int) -> List[Run]:
         """Dirty runs of ``ino`` intersected with ``[first_block, +count)``."""
         dirty = self._dirty.get(ino)
-        if dirty is None or count <= 0:
-            return []
-        return intersect_runs(dirty.runs(), [(first_block, count)])
+        return dirty.overlap(first_block, count) if dirty is not None else []
 
     def dirty_files(self) -> List[int]:
         """Inos with at least one dirty block, ascending."""

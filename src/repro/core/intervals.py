@@ -12,6 +12,7 @@ Everything here is host-side bookkeeping: no simulated-clock charges.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Iterator, List, Tuple
 
 #: a run as (start_block, length)
@@ -110,6 +111,30 @@ class BlockIntervalSet:
     def runs(self) -> List[Run]:
         """The content as sorted, disjoint (start, length) runs."""
         return [(s, e - s) for s, e in self._ivals]
+
+    def overlap(self, start: int, count: int) -> List[Run]:
+        """The content inside ``[start, start+count)`` as sorted runs.
+
+        Equals ``intersect_runs(self.runs(), [(start, count)])`` but costs
+        one bisection plus the intervals it returns, not the whole set.
+        """
+        if count <= 0:
+            return []
+        end = start + count
+        ivals = self._ivals
+        i = bisect_right(ivals, (start, end))
+        if i and ivals[i - 1][1] > start:
+            i -= 1
+        out: List[Run] = []
+        while i < len(ivals):
+            s, e = ivals[i]
+            if s >= end:
+                break
+            s = s if s > start else start
+            e = e if e < end else end
+            out.append((s, e - s))
+            i += 1
+        return out
 
     def __contains__(self, block: int) -> bool:
         ivals = self._ivals

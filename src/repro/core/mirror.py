@@ -18,11 +18,19 @@ All replica bookkeeping lives in :class:`repro.core.blt.ReplicaSet`
 (host-side interval algebra); this module only moves bytes.  Files
 without mirrors never reach this engine, so the unmirrored hot paths
 keep bit-identical simulated fingerprints.
+
+Host cost: a tick rides on every user op, so it must cost the files
+that may need a sync, not every mirrored file.  The engine keeps a
+*work set* — a superset of the files whose ``ReplicaSet.has_stale()``
+is true, because the only three ways an interval goes stale
+(:meth:`MirrorEngine.add_mirror`, a write's :meth:`MirrorEngine.note_stale`,
+the crash path's ``note_stale``) all add the file — and visits it in
+rotation order; a file found clean leaves the set.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core import calibration as cal
 from repro.core.blt import ReplicaSet, replica_runs
@@ -48,14 +56,29 @@ class MirrorEngine:
     def __init__(self, mux) -> None:  # mux: MuxFileSystem (circular type)
         self._mux = mux
         self.stats = CounterSet()
-        #: inos that have (or recently had) mirrors; insertion-ordered so
+        #: ino -> rotation stamp for every file that has (or recently had)
+        #: mirrors.  Stamps ascend in dict order: a file is stamped when it
+        #: joins and re-stamped to the back when a tick serviced it, so
         #: ticks rotate through files instead of re-serving the first
-        self._mirrored: Dict[int, None] = {}
+        self._mirrored: Dict[int, int] = {}
+        self._stamps = 0
+        #: the work set (module docstring): a subset of ``_mirrored`` and
+        #: a superset of the files holding stale mirror intervals
+        self._work: Set[int] = set()
 
     # -- membership --------------------------------------------------------
 
     def mirrored_inos(self) -> List[int]:
         return list(self._mirrored)
+
+    def _stamp(self, ino: int) -> None:
+        self._stamps += 1
+        self._mirrored[ino] = self._stamps
+
+    def _enqueue(self, ino: int) -> None:
+        if ino not in self._mirrored:
+            self._stamp(ino)
+        self._work.add(ino)
 
     def add_mirror(self, inode: CollectiveInode, tier_id: int) -> None:
         """Start mirroring ``inode`` onto ``tier_id``.
@@ -76,7 +99,7 @@ class MirrorEngine:
         for start, count, tid in inode.blt.runs(0, end) if end else ():
             if tid is not None and tid != tier_id:
                 inode.replicas.mark_stale(tier_id, start, count, now_ns)
-        self._mirrored[inode.ino] = None
+        self._enqueue(inode.ino)
         self.stats.add("mirrors_added")
 
     def drop_mirror(
@@ -103,15 +126,17 @@ class MirrorEngine:
                         break  # unreachable tier: fsck reclaims later
         if not inode.replicas.tiers():
             inode.replicas = None
-            self._mirrored.pop(inode.ino, None)
+            self.forget(inode.ino)
         self.stats.add("mirrors_dropped")
 
     def note_stale(self, ino: int) -> None:
-        """A write dirtied a mirrored file; make sure ticks revisit it."""
-        self._mirrored[ino] = None
+        """A write (or a crash) made mirror intervals of ``ino`` stale;
+        put it in the work set so ticks revisit it."""
+        self._enqueue(ino)
 
     def forget(self, ino: int) -> None:
         self._mirrored.pop(ino, None)
+        self._work.discard(ino)
 
     def drop_tier(self, tier_id: int, punch: bool = True) -> None:
         """A tier is leaving (evacuate/remove): retire all its mirrors."""
@@ -119,9 +144,16 @@ class MirrorEngine:
             try:
                 inode = self._mux.inode_by_ino(ino)
             except FileNotFound:
-                self._mirrored.pop(ino, None)
+                self.forget(ino)
                 continue
             self.drop_mirror(inode, tier_id, punch=punch)
+
+    def check_invariants(self) -> None:
+        """Every file with stale mirror intervals is in the work set."""
+        assert self._work <= self._mirrored.keys(), self._work - self._mirrored.keys()
+        for inode in self._mux.ns.files():
+            if inode.replicas is not None and inode.replicas.has_stale():
+                assert inode.ino in self._work, f"stale ino {inode.ino} not queued"
 
     # -- read routing ------------------------------------------------------
 
@@ -176,7 +208,7 @@ class MirrorEngine:
     def stale_backlog(self) -> int:
         """Blocks awaiting sync across every mirrored file."""
         total = 0
-        for ino in self._mirrored:
+        for ino in self._work:
             try:
                 inode = self._mux.inode_by_ino(ino)
             except FileNotFound:
@@ -193,25 +225,27 @@ class MirrorEngine:
         :data:`MAX_SYNC_BLOCKS_PER_TICK`) stale blocks, skipping tiers
         whose channels are loaded — unless a mirror has been stale past
         the deadline, which promotes it over the load gate.  Returns
-        blocks synced; zero-cost when nothing is mirrored.
+        blocks synced; zero-cost when no file is in the work set.
         """
-        if not self._mirrored:
+        if not self._work:
             return 0
         budget = max_blocks if max_blocks is not None else self.MAX_SYNC_BLOCKS_PER_TICK
         synced = 0
-        for ino in list(self._mirrored):
+        # the work set in rotation order
+        for ino in sorted(self._work, key=self._mirrored.__getitem__):
             if budget <= 0:
                 break
             try:
                 inode = self._mux.inode_by_ino(ino)
             except FileNotFound:
-                self._mirrored.pop(ino, None)
+                self.forget(ino)
                 continue
             replicas = inode.replicas
             if replicas is None:
-                self._mirrored.pop(ino, None)
+                self.forget(ino)
                 continue
             if not replicas.has_stale():
+                self._work.discard(ino)
                 continue
             if inode.migration_active or inode.locked:
                 continue  # OCC owns the file's placement right now
@@ -219,8 +253,8 @@ class MirrorEngine:
             if moved:
                 # rotate: the file we just serviced goes to the back so
                 # the next tick reaches the others first
-                self._mirrored.pop(ino, None)
-                self._mirrored[ino] = None
+                del self._mirrored[ino]
+                self._stamp(ino)
             budget -= moved
             synced += moved
         return synced
@@ -246,7 +280,7 @@ class MirrorEngine:
             try:
                 inode = self._mux.inode_by_ino(ino)
             except FileNotFound:
-                self._mirrored.pop(ino, None)
+                self.forget(ino)
                 continue
             if inode.migration_active or inode.locked:
                 continue

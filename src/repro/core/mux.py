@@ -134,6 +134,8 @@ class MuxFileSystem(FileSystem):
         self.qos = None
         #: open submit/complete rings (see open_ring)
         self.rings: List["IoRing"] = []
+        #: ino -> (validity key, FileView) from the last file_views()
+        self._views: Dict[int, Tuple[tuple, FileView]] = {}
 
     @property
     def cache(self) -> Optional[ScmCacheManager]:
@@ -326,7 +328,8 @@ class MuxFileSystem(FileSystem):
     def tier_states(self) -> List[TierState]:
         """Registry snapshots with sampled pressure signals attached."""
         self.pressure.sample(self.clock.global_now_ns)
-        return self.pressure.decorate(self.registry.states())
+        pressure_of = self.pressure.pressure_of
+        return [t.state(pressure_of(t.tier_id)) for t in self.registry.ordered()]
 
     def inode_by_ino(self, ino: int) -> CollectiveInode:
         return self.ns.get(ino)
@@ -1130,21 +1133,33 @@ class MuxFileSystem(FileSystem):
     # ==================================================================
 
     def file_views(self) -> List[FileView]:
+        """One read-only view per regular file, for the Policy Runner.
+
+        A view is shared across calls while its file's ``(BLT object,
+        blt.version, size, rel_path)`` is unchanged — everything a view
+        holds is a function of those — so a planning round walks only the
+        block maps that changed since the previous one.
+        """
+        previous = self._views
+        self._views = current = {}
         views: List[FileView] = []
         for inode in self.ns.files():
-            end = inode.blt.end_block()
-            runs = list(inode.blt.runs(0, end)) if end else []
-            views.append(
-                FileView(
+            blt = inode.blt
+            key = (blt, blt.version, inode.size, inode.rel_path)
+            cached = previous.get(inode.ino)
+            if cached is not None and cached[0] == key:
+                view = cached[1]
+            else:
+                end = blt.end_block()
+                view = FileView(
                     ino=inode.ino,
                     path=inode.rel_path,
                     size=inode.size,
-                    blocks_by_tier={
-                        t: inode.blt.blocks_on(t) for t in inode.blt.tiers_used()
-                    },
-                    runs=runs,
+                    blocks_by_tier={t: blt.blocks_on(t) for t in blt.tiers_used()},
+                    runs=tuple(blt.runs(0, end)) if end else (),
                 )
-            )
+            current[inode.ino] = (key, view)
+            views.append(view)
         return views
 
     def _planned_orders(

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.health import HealthState
 from repro.core.pressure import TierPressure
@@ -87,16 +88,29 @@ class MirrorOrder:
     reason: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileView:
-    """Read-only per-file view for migration planning."""
+    """Read-only per-file view for migration planning.
+
+    Immutable, and enforced so: Mux hands the *same* view object to every
+    planning round until the file's BLT, size or path changes, so a policy
+    that could edit one would corrupt every later round's input.  ``runs``
+    is stored as a tuple and ``blocks_by_tier`` as a read-only mapping,
+    whatever the constructor was given.
+    """
 
     ino: int
     path: str
     size: int
-    blocks_by_tier: Dict[int, int] = field(default_factory=dict)
+    blocks_by_tier: Mapping[int, int] = field(default_factory=dict)
     #: (block_start, count, tier) runs — the BLT contents
-    runs: List = field(default_factory=list)
+    runs: Tuple[Tuple[int, int, Optional[int]], ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "runs", tuple(self.runs))
+        object.__setattr__(
+            self, "blocks_by_tier", MappingProxyType(dict(self.blocks_by_tier))
+        )
 
 
 class Policy(ABC):

@@ -18,7 +18,7 @@ timeline gauges, making the signals bit-deterministic across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 
@@ -42,13 +42,18 @@ class TierPressure:
 
     @property
     def load(self) -> float:
-        """The signal placement thresholds on: current or trending backlog.
+        """The placement signal; see :func:`_load`."""
+        return _load(self.queued, self.backlog)
 
-        ``max(queued, backlog)`` reacts within one sample when a burst
-        lands (instantaneous term) while the EWMA term keeps the signal
-        elevated through the burst's tail instead of flapping.
-        """
-        return self.queued if self.queued > self.backlog else self.backlog
+
+def _load(queued: float, backlog: float) -> float:
+    """The signal placement thresholds on: current or trending backlog.
+
+    ``max(queued, backlog)`` reacts within one sample when a burst
+    lands (instantaneous term) while the EWMA term keeps the signal
+    elevated through the burst's tail instead of flapping.
+    """
+    return queued if queued > backlog else backlog
 
 
 class _TierGauges:
@@ -59,6 +64,7 @@ class _TierGauges:
         "ewma_backlog",
         "ewma_util",
         "queued",
+        "dirty",
         "last_busy_ns",
         "last_sample_ns",
         "samples",
@@ -70,9 +76,11 @@ class _TierGauges:
         self.ewma_backlog = 0.0
         self.ewma_util = 0.0
         self.queued = 0.0
+        self.dirty = 0.0
         self.last_busy_ns = 0
         self.last_sample_ns = -1
         self.samples = 0
+        #: the last sample as a TierPressure, built on first read
         self.snapshot_obj: Optional[TierPressure] = None
 
 
@@ -82,8 +90,9 @@ class PressureMonitor:
     The mux attaches one hint per tier whose file system offers one
     (``queued_at(now_ns)``, ``nchannels``, ``busy_ns``);
     :meth:`sample` is interval-gated so calling it on every
-    placement stays cheap, and :meth:`decorate` stamps the cached
-    snapshots onto a list of ``TierState``.
+    placement stays cheap, and only updates the gauges: the frozen
+    :class:`TierPressure` a policy sees is built by :meth:`pressure_of`
+    the first time a sample is read, then shared until the next one.
     """
 
     def __init__(
@@ -151,25 +160,35 @@ class PressureMonitor:
             g.last_busy_ns = tl.busy_ns
             g.last_sample_ns = now_ns
             g.samples += 1
-            dirty = 0.0
+            g.dirty = 0.0
             if tier_id == self._dirty_tier and self._dirty_fn is not None:
-                dirty = self._dirty_fn()
+                g.dirty = self._dirty_fn()
+            g.snapshot_obj = None
+
+    # -- reading -----------------------------------------------------------
+
+    def pressure_of(self, tier_id: int) -> Optional[TierPressure]:
+        """The tier's last sample (None when untracked or never sampled)."""
+        g = self._tiers.get(tier_id)
+        if g is None or not g.samples:
+            return None
+        if g.snapshot_obj is None:
             g.snapshot_obj = TierPressure(
                 queued=g.queued,
                 backlog=g.ewma_backlog,
                 utilization=g.ewma_util,
-                dirty_fraction=dirty,
-                sampled_ns=now_ns,
+                dirty_fraction=g.dirty,
+                sampled_ns=g.last_sample_ns,
             )
-
-    # -- reading -----------------------------------------------------------
+        return g.snapshot_obj
 
     def load_of(self, tier_id: int) -> float:
-        """Current load signal for one tier (0.0 when untracked)."""
+        """Current load signal for one tier (0.0 when untracked); the
+        same number as ``pressure_of(tier_id).load``."""
         g = self._tiers.get(tier_id)
-        if g is None or g.snapshot_obj is None:
+        if g is None or not g.samples:
             return 0.0
-        return g.snapshot_obj.load
+        return _load(g.queued, g.ewma_backlog)
 
     def instant_load_of(self, tier_id: int, now_ns: int) -> float:
         """Per-channel backlog right now, bypassing the sample gate.
@@ -186,22 +205,12 @@ class PressureMonitor:
         tl = g.hint
         return tl.queued_at(now_ns) / tl.nchannels
 
-    def decorate(self, states: list) -> list:
-        """Return ``TierState`` list with pressure snapshots attached."""
-        out = []
-        for state in states:
-            g = self._tiers.get(state.tier_id)
-            if g is not None and g.snapshot_obj is not None:
-                state = replace(state, pressure=g.snapshot_obj)
-            out.append(state)
-        return out
-
     def snapshot(self) -> Dict[int, Dict[str, float]]:
         """Rounded per-tier gauges for dumps (``bench trace --pressure``)."""
         snap: Dict[int, Dict[str, float]] = {}
         for tier_id in sorted(self._tiers):
             g = self._tiers[tier_id]
-            p = g.snapshot_obj
+            p = self.pressure_of(tier_id)
             if p is None:
                 continue
             snap[tier_id] = {

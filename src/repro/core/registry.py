@@ -9,13 +9,16 @@ Adding or removing a device can be done at runtime."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.health import HealthState, TierHealth
 from repro.core.policy import TierState
 from repro.devices.profile import DeviceKind, DeviceProfile
 from repro.errors import InvalidArgument, ReproError
 from repro.vfs.interface import FileSystem
+
+if TYPE_CHECKING:
+    from repro.core.pressure import TierPressure
 
 
 @dataclass
@@ -44,7 +47,8 @@ class Tier:
     def has_room(self, length: int) -> bool:
         return self.fs.statfs().free_bytes >= length + self.reserve_bytes
 
-    def state(self) -> TierState:
+    def state(self, pressure: Optional[TierPressure]) -> TierState:
+        """Policy snapshot; ``pressure`` is the tier's sampled load signal."""
         fsstats = self.fs.statfs()
         return TierState(
             tier_id=self.tier_id,
@@ -54,6 +58,7 @@ class Tier:
             free_bytes=fsstats.free_bytes,
             total_bytes=fsstats.total_bytes,
             health=self.health.state,
+            pressure=pressure,
         )
 
 
@@ -116,9 +121,6 @@ class TierRegistry:
     def ordered(self) -> List[Tier]:
         """Tiers sorted fastest-first."""
         return sorted(self._tiers.values(), key=lambda t: (t.rank, t.tier_id))
-
-    def states(self) -> List[TierState]:
-        return [tier.state() for tier in self.ordered()]
 
     def fastest(self) -> Tier:
         ordered = self.ordered()

@@ -9,7 +9,8 @@ the sparse-file behaviour the native file systems rely on.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, TYPE_CHECKING
+from bisect import bisect_right, insort
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.devices.profile import DeviceProfile
 from repro.errors import DeviceError
@@ -42,6 +43,12 @@ class DeviceTimeline:
     order, so the whole schedule is a pure function of the op sequence —
     determinism survives.
 
+    ``_inflight`` holds the completion times of requests still in flight
+    at the last submit, kept *sorted*: a submit prunes the finished
+    prefix with one bisection, inserts its own completion in order, and
+    :meth:`queued_at` is one bisection — bookkeeping costs the requests
+    in flight, never the requests ever booked.
+
     With a saturation knee configured (``knee_depth > 0``), service time
     inflates convexly once the backlog at submit time reaches the knee:
     ``cost * (1 + knee_penalty * excess**2)`` where ``excess`` counts
@@ -53,7 +60,7 @@ class DeviceTimeline:
     __slots__ = (
         "nchannels",
         "busy_until",
-        "_bg_channels",
+        "_bg_first",
         "_inflight",
         "foreground_ops",
         "background_ops",
@@ -71,14 +78,14 @@ class DeviceTimeline:
     ) -> None:
         self.nchannels = max(1, nchannels)
         self.busy_until = [0] * self.nchannels
-        nbg = max(1, self.nchannels // 4)
-        self._bg_channels = (
-            tuple(range(self.nchannels))
-            if self.nchannels == 1
-            else tuple(range(self.nchannels - nbg, self.nchannels))
+        #: first channel of the reserved background tail (the whole
+        #: spindle on a single-channel device)
+        self._bg_first = (
+            0 if self.nchannels == 1 else self.nchannels - max(1, self.nchannels // 4)
         )
-        #: completion times of requests still in flight at the last submit
-        self._inflight: list = []
+        #: completion times of requests still in flight at the last
+        #: submit, ascending
+        self._inflight: List[int] = []
         self.foreground_ops = 0
         self.background_ops = 0
         #: total time requests spent queued behind a busy channel
@@ -95,35 +102,39 @@ class DeviceTimeline:
 
     def acquire(self, start_ns: int, cost_ns: int, background: bool = False):
         """Book one request; returns ``(begin_ns, complete_ns)``."""
+        inflight = self._inflight
+        done = bisect_right(inflight, start_ns)
+        if done:
+            del inflight[:done]
         if self.knee_depth > 0:
-            self._inflight = [c for c in self._inflight if c > start_ns]
-            backlog = len(self._inflight)
+            backlog = len(inflight)
             if backlog >= self.knee_depth:
                 excess = backlog - self.knee_depth + 1
                 inflated = round(cost_ns * (1.0 + self.knee_penalty * excess * excess))
                 self.knee_ops += 1
                 self.knee_extra_ns += inflated - cost_ns
                 cost_ns = inflated
-        channels = self._bg_channels if background else range(self.nchannels)
-        best = -1
-        best_free = 0
-        for ch in channels:
-            free = self.busy_until[ch]
-            if best < 0 or free < best_free:
-                best, best_free = ch, free
+        # least-busy eligible channel; index() keeps the lowest-index tie
+        busy = self.busy_until
+        if background and self._bg_first:
+            first = self._bg_first
+            best_free = min(busy[first:])
+            best = busy.index(best_free, first)
+        else:
+            best_free = min(busy)
+            best = busy.index(best_free)
         begin = start_ns if start_ns > best_free else best_free
         complete = begin + cost_ns
-        self.busy_until[best] = complete
+        busy[best] = complete
         self.wait_ns += begin - start_ns
         self.busy_ns += cost_ns
         if background:
             self.background_ops += 1
         else:
             self.foreground_ops += 1
-        self._inflight = [c for c in self._inflight if c > start_ns]
-        self._inflight.append(complete)
-        if len(self._inflight) > self.max_queued:
-            self.max_queued = len(self._inflight)
+        insort(inflight, complete)
+        if len(inflight) > self.max_queued:
+            self.max_queued = len(inflight)
         return begin, complete
 
     def queued_at(self, now_ns: int) -> int:
@@ -132,11 +143,7 @@ class DeviceTimeline:
         The backlog signal the pressure monitor samples: completions
         booked past ``now_ns`` are work the device still owes.
         """
-        count = 0
-        for complete in self._inflight:
-            if complete > now_ns:
-                count += 1
-        return count
+        return len(self._inflight) - bisect_right(self._inflight, now_ns)
 
     def utilization(self, now_ns: int) -> float:
         """Fraction of total channel-time spent servicing requests."""

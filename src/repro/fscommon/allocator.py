@@ -49,8 +49,10 @@ class BitmapAllocator:
         """Allocate up to ``want`` contiguous blocks; returns (start, got).
 
         Uses next-fit from an optional ``hint`` (or the rolling cursor) and
-        returns the longest contiguous run available at the chosen spot, up
-        to ``want``.  Raises :class:`NoSpace` when nothing is free.
+        returns the first free run of ``want`` blocks met walking the
+        bitmap once around from there, else the longest shorter run met
+        (the earliest of equals).  A run ends at the end of the bitmap —
+        it never wraps.  Raises :class:`NoSpace` when nothing is free.
         """
         if want <= 0:
             raise ValueError("want must be positive")
@@ -61,38 +63,47 @@ class BitmapAllocator:
         # simply ignored rather than rejected.
         if hint is not None and not self.base <= hint < self.base + self.count:
             hint = None
-        start_idx = self._cursor if hint is None else self._index(hint)
-        best: Optional[Tuple[int, int]] = None
-        idx = start_idx
-        scanned = 0
-        while scanned < self.count:
-            if not self._bitmap[idx]:
-                run_len = self._run_length(idx, want)
-                if run_len >= want:
-                    best = (idx, want)
-                    break
-                if best is None or run_len > best[1]:
-                    best = (idx, run_len)
-                idx = (idx + run_len) % self.count
-                scanned += run_len
-            else:
-                idx = (idx + 1) % self.count
-                scanned += 1
-        if best is None:
+        bitmap, n = self._bitmap, self.count
+        start = self._cursor if hint is None else self._index(hint)
+        # the first whole run the walk meets starts at or after ``start``,
+        # or, once it wrapped, before it (and may reach past it): one
+        # C-level substring search for each half of the walk
+        whole = b"\x00" * want
+        found = bitmap.find(whole, start)
+        if found < 0 and start:
+            found = bitmap.find(whole, 0, min(n, start - 1 + want))
+        if found >= 0:
+            best_start, best_len = found, want
+        else:
+            best_start, best_len = self._longest_run(start)
+        if best_len == 0:
             raise NoSpace("no free run found")
-        run_start, run_len = best
-        for i in range(run_start, run_start + run_len):
-            self._bitmap[i] = 1
-        self._free -= run_len
-        self._cursor = (run_start + run_len) % self.count
-        return self.base + run_start, run_len
+        bitmap[best_start : best_start + best_len] = b"\x01" * best_len
+        self._free -= best_len
+        self._cursor = (best_start + best_len) % n
+        return self.base + best_start, best_len
 
-    def _run_length(self, idx: int, cap: int) -> int:
-        """Length of the free run starting at bitmap index ``idx`` (<= cap)."""
-        n = 0
-        while idx + n < self.count and n < cap and not self._bitmap[idx + n]:
-            n += 1
-        return n
+    def _longest_run(self, start: int) -> Tuple[int, int]:
+        """``(index, length)`` of the longest free run met walking the
+        bitmap once around from ``start``, the first of equals.  A run the
+        walk enters mid-way counts from there; no run wraps past the end."""
+        bitmap, n = self._bitmap, self.count
+        idx, left = start, n  # left: positions the walk may still visit
+        best_start, best_len = -1, 0
+        while left > 0:
+            limit = min(n, idx + left)
+            free = bitmap.find(0, idx, limit)
+            if free < 0:
+                left -= limit - idx
+                idx = limit % n
+                continue
+            used = bitmap.find(1, free)
+            run_len = (n if used < 0 else used) - free
+            if run_len > best_len:
+                best_start, best_len = free, run_len
+            left -= free - idx + run_len
+            idx = (free + run_len) % n
+        return best_start, best_len
 
     def alloc_extent(self, count: int, hint: Optional[int] = None) -> List[Tuple[int, int]]:
         """Allocate exactly ``count`` blocks as a list of (start, len) runs.

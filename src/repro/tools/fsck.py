@@ -226,6 +226,10 @@ def check_mux(mux: MuxFileSystem, deep: bool = True) -> List[str]:
         problems += _check_replicas(mux, inode, label)
         if deep:
             problems += _check_backing_blocks(mux, inode, label)
+    try:
+        mux.mirrors.check_invariants()
+    except AssertionError as exc:
+        problems.append(f"mirrors: sync work set lost a stale file: {exc}")
     problems += _check_cache_dirty(mux)
     return problems
 

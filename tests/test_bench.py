@@ -248,3 +248,40 @@ class TestProfileCli:
         assert main(["metadata_churn", "--smoke", "-n", "3", "--sort", "tottime"]) == 0
         out = capsys.readouterr().out
         assert "top 3 functions by tottime host time" in out
+
+    def test_sample_reports_inclusive_and_self_shares(self, capsys):
+        from repro.bench.profile import main
+
+        assert main(["mirror_skew", "--smoke", "--sample", "-n", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "samples, one per 1 ms of host CPU" in out
+        inclusive, self_time = out.split("top 4 functions by inclusive share:")[1].split(
+            "top 4 functions by self share:"
+        )
+        assert len(inclusive.strip().splitlines()) == 4
+        assert len(self_time.strip().splitlines()) == 4
+        assert "repro.bench.wallclock:" in inclusive
+
+    def test_sample_and_sort_exclude_each_other(self, capsys):
+        from repro.bench.profile import main
+
+        assert main(["seq_read", "--sample", "--sort", "tottime"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exclude each other" in captured.err
+
+    def test_sampler_attributes_self_and_inclusive_time(self):
+        from repro.bench.profile import SamplingProfiler
+
+        def leaf():
+            return sum(i * i for i in range(20_000))
+
+        def caller():
+            for _ in range(200):
+                leaf()
+
+        with SamplingProfiler() as sampler:
+            caller()
+        assert sampler.samples > 0
+        inclusive = dict((label, share) for share, label in sampler.shares(sampler.inclusive, 50))
+        label = next(name for name in inclusive if name.endswith(".caller"))
+        assert inclusive[label] > 0.9  # on the stack for (nearly) every sample
