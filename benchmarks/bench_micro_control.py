@@ -18,6 +18,7 @@ import timeit
 import pytest
 
 from repro.core.blt import ReplicaSet
+from repro.core.policies import CHUNK_BLOCKS, LruTieringPolicy
 from repro.devices.base import DeviceTimeline
 from repro.fscommon.allocator import BitmapAllocator
 from repro.stack import build_stack
@@ -213,8 +214,9 @@ def routed_file(clean_intervals: int):
 @pytest.mark.parametrize("clean_intervals", [1, 4096])
 def test_route_reads(benchmark, clean_intervals):
     mux, inode = routed_file(clean_intervals)
+    runs = list(inode.blt.runs(4, 8))
     routed = benchmark.pedantic(
-        mux.mirrors.route_reads, args=(inode, 4, 8), rounds=50, iterations=20
+        mux.mirrors.route_reads, args=(inode, runs), rounds=50, iterations=20
     )
     assert routed == [(4, 8, mux.registry.by_name("pm").tier_id)]
 
@@ -225,5 +227,43 @@ def test_route_reads_cost_does_not_follow_mirror_intervals():
     t = {}
     for n in (1, 4096):
         mux, inode = routed_file(n)
-        t[n] = best_of_5(lambda: mux.mirrors.route_reads(inode, 4, 8), 2000)
+        runs = list(inode.blt.runs(4, 8))
+        t[n] = best_of_5(lambda: mux.mirrors.route_reads(inode, runs), 2000)
     assert t[4096] <= 3 * t[1], t
+
+
+# -- LruTieringPolicy.forget ---------------------------------------------------
+
+
+def lru_with_files(files: int):
+    """An LRU policy that has seen four chunks of each of ``files`` files
+    (writes: no promotion queued), and a step that touches one more file
+    and forgets it, as an unlink does."""
+    policy = LruTieringPolicy()
+    for ino in range(1, files + 1):
+        policy.on_access(ino, 0, 4 * CHUNK_BLOCKS, 1, "write", 0.0)
+    gone = files + 1
+
+    def touch_and_forget():
+        policy.on_access(gone, 0, 4 * CHUNK_BLOCKS, 1, "write", 0.0)
+        policy.forget(gone)
+
+    return policy, touch_and_forget
+
+
+@pytest.mark.benchmark(group="policy.lru_forget")
+@pytest.mark.parametrize("files", [16, 4096])
+def test_lru_forget(benchmark, files):
+    policy, step = lru_with_files(files)
+    benchmark.pedantic(step, rounds=50, iterations=20)
+    assert len(policy._recency) == 4 * files
+
+
+def test_lru_forget_cost_does_not_follow_recency_size():
+    """256x the recency map, same file forgotten: at most 3x the cost
+    (forget scanned every recency entry, ~250x here)."""
+    t = {}
+    for files in (16, 4096):
+        _, step = lru_with_files(files)
+        t[files] = best_of_5(step, 500)
+    assert t[4096] <= 3 * t[16], t

@@ -1,0 +1,173 @@
+"""Microbenchmarks of the per-op host path under one ring read.
+
+Every ring read pays for a submission and a reap, a few clock frames, one
+call through the tier door per sub-request and, on a hit, one page-cache
+span copy.  ``muxbench`` sees their sum only; these time each piece and,
+where a population could make it slower, grow that population and assert
+the cost stays flat:
+
+* ring submit + reap at depth 1 / 8 / 64 (the in-flight completions a
+  submit scans are bounded by the depth);
+* ``SimClock`` push / advance / pop under 0 and 64 enclosing frames;
+* one ``TierFiles._call`` on a healthy tier;
+* a ``PageCache.get_span`` hit in a 256- vs 16,384-page cache.
+
+These measure *host* time; simulated time only matters to the ring case,
+where it decides how many completions are still in flight.
+"""
+
+import timeit
+
+import pytest
+
+from repro.fscommon.pagecache import PageCache
+from repro.sim.clock import SimClock
+from repro.stack import build_stack
+from repro.vfs.interface import OpenFlags
+
+MIB = 1024 * 1024
+BS = 4096
+
+
+def best_of_5(fn, number: int) -> float:
+    return min(timeit.repeat(fn, repeat=5, number=number)) / number
+
+
+# -- IoRing submit + reap ------------------------------------------------------
+
+DEPTHS = [1, 8, 64]
+
+
+def ring_reader(depth: int):
+    """A ring of ``depth`` over a one-file, one-tier stack, and a step that
+    keeps it full: reap the earliest completion once ``depth`` are queued,
+    then submit one more 4 KiB read."""
+    stack = build_stack(
+        tiers=["ssd"], capacities={"ssd": 16 * MIB}, enable_cache=False
+    )
+    mux = stack.mux
+    handle = mux.open("/f", OpenFlags.RDWR | OpenFlags.CREAT)
+    mux.write(handle, 0, bytes(16 * BS))
+    ring = mux.open_ring(depth=depth)
+    offsets = iter(range(10**12))
+
+    def step():
+        if ring.pending >= depth:
+            ring.wait()
+        ring.submit_read(handle, (next(offsets) % 16) * BS, BS)
+
+    for _ in range(2 * depth):
+        step()
+    return ring, step
+
+
+@pytest.mark.benchmark(group="ring.submit_reap")
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_ring_submit_reap(benchmark, depth):
+    ring, step = ring_reader(depth)
+    benchmark.pedantic(step, rounds=50, iterations=20)
+    assert ring.pending == depth
+
+
+def test_ring_cost_does_not_follow_depth():
+    """64 queued completions vs one: at most 2x the submit+reap cost (the
+    read under it dominates; scanning the queued completions must not)."""
+    t = {}
+    for depth in (1, 64):
+        _, step = ring_reader(depth)
+        t[depth] = best_of_5(step, 400)
+    assert t[64] <= 2 * t[1], t
+
+
+# -- SimClock frames -----------------------------------------------------------
+
+
+def nested_clock(depth: int) -> SimClock:
+    clock = SimClock()
+    for i in range(depth):
+        clock.push_frame(background=i % 2 == 0)
+        clock.advance_ns(10)
+    return clock
+
+
+def frame_cycle(clock: SimClock):
+    def cycle():
+        clock.push_frame()
+        clock.advance_ns(100)
+        clock.advance_to(clock.now_ns + 50)
+        clock.pop_frame()
+
+    return cycle
+
+
+@pytest.mark.benchmark(group="clock.frame_cycle")
+@pytest.mark.parametrize("depth", [0, 64])
+def test_clock_frame_cycle(benchmark, depth):
+    clock = nested_clock(depth)
+    benchmark.pedantic(frame_cycle(clock), rounds=50, iterations=200)
+    assert clock.in_frame == bool(depth)
+
+
+def test_clock_cost_does_not_follow_nesting():
+    """A push/advance/pop cycle under 64 enclosing frames costs what it
+    costs on the bare clock, within 2x."""
+    t = {d: best_of_5(frame_cycle(nested_clock(d)), 5000) for d in (0, 64)}
+    assert t[64] <= 2 * t[0], t
+
+
+# -- TierFiles._call -----------------------------------------------------------
+
+
+@pytest.mark.benchmark(group="tierfiles.call_healthy")
+def test_tier_door_healthy_call(benchmark):
+    stack = build_stack(enable_cache=False)
+    files = stack.mux.files
+    tier_id = stack.tier_ids["ssd"]
+    stats = stack.mux.stats.snapshot()
+    got = benchmark.pedantic(
+        files._call,
+        args=(tier_id, lambda tier: tier.tier_id),
+        rounds=50,
+        iterations=200,
+    )
+    assert got == tier_id
+    # the healthy path neither retries nor counts anything
+    assert stack.mux.stats.snapshot() == stats
+
+
+# -- PageCache.get_span --------------------------------------------------------
+
+PS = 8
+SPAN = 16
+SIZES = [256, 16384]
+
+
+def cache_with_hit(pages: int) -> PageCache:
+    """A full cache whose inode 1 holds ``SPAN`` clean pages."""
+    cache = PageCache(SimClock(), pages, PS, lambda ino, fb, data: None)
+    cache.put_span(1, 0, bytes(SPAN * PS), dirty=False)
+    for ino in range(2, 2 + (pages - SPAN) // 48):
+        cache.put_span(ino, 0, bytes(48 * PS), dirty=False)
+    assert cache.span_cached(1, 0, SPAN) == SPAN
+    return cache
+
+
+@pytest.mark.benchmark(group="pagecache.get_span_hit")
+@pytest.mark.parametrize("pages", SIZES)
+def test_get_span_hit(benchmark, pages):
+    cache = cache_with_hit(pages)
+    out = bytearray(SPAN * PS)
+    benchmark.pedantic(
+        cache.get_span, args=(1, 0, SPAN, out, 0), rounds=50, iterations=50
+    )
+    assert cache.stats.get("hit") >= 50 * 50 * SPAN
+
+
+def test_get_span_cost_does_not_follow_cache_size():
+    """64x the cached pages, same span: at most 2x the hit cost."""
+    t = {}
+    for pages in SIZES:
+        cache = cache_with_hit(pages)
+        out = bytearray(SPAN * PS)
+        t[pages] = best_of_5(lambda: cache.get_span(1, 0, SPAN, out, 0), 2000)
+    assert t[SIZES[1]] <= 2 * t[SIZES[0]], t

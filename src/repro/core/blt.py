@@ -19,7 +19,7 @@ from :mod:`repro.core.calibration`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core import calibration as cal
 from repro.core.intervals import BlockIntervalSet, Run, intersect_runs, normalize_runs
@@ -404,21 +404,21 @@ class ReplicaSet:
 
 
 def replica_runs(
-    blt: BlockLookupTable,
-    replicas: Optional[ReplicaSet],
-    start: int,
-    count: int,
+    runs: Iterable[BltRun], replicas: Optional[ReplicaSet]
 ) -> Iterator[ReplicaRun]:
-    """Decompose a range into runs annotated with their clean mirror tiers.
+    """Split BLT ``runs`` (``blt.runs(start, count)``) into runs annotated
+    with their clean mirror tiers.
 
     Each yielded ``(first_block, count, tier, mirrors)`` run has a uniform
     replica set: ``tier`` is the authoritative owner from the BLT (None for
     holes) and ``mirrors`` the tiers whose *clean* intervals fully cover
     the run.  This is the read path's routing substrate: any tier in
-    ``{tier} | mirrors`` can serve the run's bytes.
+    ``{tier} | mirrors`` can serve the run's bytes.  Taking the runs, not
+    the BLT, lets the read path walk the BLT once for its lookup cost and
+    its routing.
     """
     mirror_tiers = replicas.tiers() if replicas is not None else ()
-    for run_start, run_len, tier in blt.runs(start, count):
+    for run_start, run_len, tier in runs:
         if tier is None or replicas is None:
             yield run_start, run_len, tier, ()
             continue

@@ -30,10 +30,10 @@ rotation order; a file found clean leaves the set.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core import calibration as cal
-from repro.core.blt import ReplicaSet, replica_runs
+from repro.core.blt import BltRun, ReplicaSet, replica_runs
 from repro.core.health import HealthState
 from repro.core.intervals import subtract_runs
 from repro.core.metadata import CollectiveInode
@@ -158,9 +158,10 @@ class MirrorEngine:
     # -- read routing ------------------------------------------------------
 
     def route_reads(
-        self, inode: CollectiveInode, first_fb: int, count: int
+        self, inode: CollectiveInode, runs: Iterable[BltRun]
     ) -> List[Tuple[int, int, Optional[int]]]:
-        """Re-home each read span on the fastest tier with a clean replica.
+        """Re-home each of a read's BLT ``runs`` on the fastest tier with a
+        clean replica.
 
         Candidate order is (health class, rank): a HEALTHY mirror beats a
         SUSPECT authoritative owner of any rank, and among equals the
@@ -181,9 +182,7 @@ class MirrorEngine:
             return (hclass, tier.rank)
 
         routed: List[Tuple[int, int, Optional[int]]] = []
-        for start, n, tid, mirrors in replica_runs(
-            inode.blt, inode.replicas, first_fb, count
-        ):
+        for start, n, tid, mirrors in replica_runs(runs, inode.replicas):
             chosen = tid
             if tid is not None and mirrors:
                 live = [m for m in mirrors if registry.maybe_get(m)]

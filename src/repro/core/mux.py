@@ -582,7 +582,7 @@ class MuxFileSystem(FileSystem):
             # a clean replica; an unhealthy authoritative owner fails over
             # to a clean mirror instead of EIO.  Pure interval algebra —
             # unmirrored files never enter this branch.
-            runs = self.mirrors.route_reads(inode, first_fb, last_fb - first_fb + 1)
+            runs = self.mirrors.route_reads(inode, runs)
 
         # build per-tier sub-requests (FS Multiplexer)
         subrequests: List[SubRequest] = []
@@ -596,21 +596,19 @@ class MuxFileSystem(FileSystem):
             subrequests.append(
                 SubRequest(tier_id, run_off, run_end - run_off, run_off - offset)
             )
-        kinds = {t.tier_id: t.kind for t in self.registry.ordered()}
-        plan = self.scheduler.plan(subrequests, kinds)
+        plan = self.scheduler.plan(subrequests, self.registry.kinds)
         self.stats.add("split_reads", max(0, len(plan) - 1))
 
         # error-scoped degraded reads (§2.4 robustness): fail with EIO
         # *before* dispatching anything if any needed block lives on an
         # offline tier; requests touching only surviving tiers keep serving
-        if self.registry.any_unhealthy():
-            for req in plan:
-                if self.registry.get(req.tier_id).health.is_offline:
-                    self.stats.add("reads_failed_offline")
-                    raise TierUnavailable(
-                        f"blocks of {handle.path!r} live on offline tier "
-                        f"{self.registry.get(req.tier_id).name!r}"
-                    )
+        for req in plan:
+            tier = self.registry.get(req.tier_id)
+            if tier.health.is_offline:
+                self.stats.add("reads_failed_offline")
+                raise TierUnavailable(
+                    f"blocks of {handle.path!r} live on offline tier {tier.name!r}"
+                )
 
         out = bytearray(length)
 
@@ -1143,7 +1141,7 @@ class MuxFileSystem(FileSystem):
         previous = self._views
         self._views = current = {}
         views: List[FileView] = []
-        for inode in self.ns.files():
+        for inode in list(self.ns.files()):
             blt = inode.blt
             key = (blt, blt.version, inode.size, inode.rel_path)
             cached = previous.get(inode.ino)
@@ -1342,7 +1340,7 @@ class MuxFileSystem(FileSystem):
         state.  Mux's durable metadata is modeled by the metafile appends;
         collective-inode state is reconstructed from it on recovery (the
         reconstruction itself is charged as a metafile scan)."""
-        for inode in self.ns.files():
+        for inode in list(self.ns.files()):
             inode.tier_handles.clear()
             inode.migration_active = False
             inode.dirty_during_migration.clear()
@@ -1375,7 +1373,7 @@ class MuxFileSystem(FileSystem):
         dangling tier pointers.  Offline tiers are left alone: their
         backing files are unreachable, not deleted.
         """
-        for inode in self.ns.files():
+        for inode in list(self.ns.files()):
             for tier_id in sorted(inode.tiers_present):
                 tier = self.registry.maybe_get(tier_id)
                 if tier is None or tier.health.is_offline:

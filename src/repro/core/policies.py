@@ -26,8 +26,8 @@ The policies are built from three collaborators, each defined once:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections import OrderedDict, deque
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.health import HealthState
 from repro.core.policy import (
@@ -138,8 +138,12 @@ class LruTieringPolicy(Policy):
         #: LRU recency: (ino, chunk) -> tier of last-known residence;
         #: most-recently-used at the end
         self._recency: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
-        #: promotion requests gathered from on_access
-        self._promotions: List[MigrationOrder] = []
+        #: ino -> its chunks in ``_recency``, so ``forget`` touches only them
+        self._chunks: Dict[int, Set[int]] = {}
+        #: promotion requests gathered from on_access, oldest first
+        self._promotions: Deque[MigrationOrder] = deque()
+        #: ino -> its orders in ``_promotions`` (no entry: none queued)
+        self._queued: Dict[int, int] = {}
 
     # -- placement --------------------------------------------------------
 
@@ -159,11 +163,14 @@ class LruTieringPolicy(Policy):
     ) -> None:
         first_chunk = block_start // CHUNK_BLOCKS
         last_chunk = (block_start + count - 1) // CHUNK_BLOCKS
+        chunks = self._chunks.setdefault(ino, set())
         for chunk in range(first_chunk, last_chunk + 1):
             key = (ino, chunk)
             self._recency.pop(key, None)
             self._recency[key] = tier_id
+            chunks.add(chunk)
         if self.promote_on_access and tier_id != 0 and kind == "read":
+            self._queued[ino] = self._queued.get(ino, 0) + 1
             self._promotions.append(
                 MigrationOrder(
                     ino=ino,
@@ -176,9 +183,10 @@ class LruTieringPolicy(Policy):
             )
 
     def forget(self, ino: int) -> None:
-        for key in [k for k in self._recency if k[0] == ino]:
-            del self._recency[key]
-        self._promotions = [o for o in self._promotions if o.ino != ino]
+        for chunk in self._chunks.pop(ino, ()):
+            del self._recency[(ino, chunk)]
+        if self._queued.pop(ino, 0):
+            self._promotions = deque(o for o in self._promotions if o.ino != ino)
 
     # -- planning ---------------------------------------------------------------
 
@@ -234,7 +242,12 @@ class LruTieringPolicy(Policy):
 
         # promotions gathered from accesses, space permitting
         while self._promotions and len(orders) < self.max_orders_per_plan:
-            order = self._promotions.pop(0)
+            order = self._promotions.popleft()
+            left = self._queued[order.ino] - 1
+            if left:
+                self._queued[order.ino] = left
+            else:
+                del self._queued[order.ino]
             dst = tier_by_id.get(order.dst_tier)
             if dst is None or dst.utilization >= self.high_watermark:
                 continue

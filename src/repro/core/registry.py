@@ -75,6 +75,10 @@ class TierRegistry:
 
     def __init__(self) -> None:
         self._tiers: Dict[int, Tier] = {}
+        #: tier id -> device kind, kept in step by :meth:`add` and
+        #: :meth:`remove` (a tier's kind never changes); the read path
+        #: hands it to the scheduler without rebuilding it per op
+        self.kinds: Dict[int, DeviceKind] = {}
         self._next_id = 0
 
     def add(
@@ -91,14 +95,17 @@ class TierRegistry:
             rank = _DEFAULT_RANK.get(profile.kind, len(self._tiers))
         tier = Tier(self._next_id, name, fs, mount, profile, rank)
         self._tiers[tier.tier_id] = tier
+        self.kinds[tier.tier_id] = tier.kind
         self._next_id += 1
         return tier
 
     def remove(self, tier_id: int) -> Tier:
         try:
-            return self._tiers.pop(tier_id)
+            tier = self._tiers.pop(tier_id)
         except KeyError:
             raise InvalidArgument(f"no tier with id {tier_id}")
+        del self.kinds[tier_id]
+        return tier
 
     def get(self, tier_id: int) -> Tier:
         try:

@@ -41,16 +41,19 @@ from __future__ import annotations
 
 import errno as _errno
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any, List, NamedTuple, Optional
 
 from repro.core import calibration as cal
 from repro.errors import InvalidArgument, ReproError
 from repro.vfs.interface import FileHandle
 
+#: reap order: completion time, then submission order for ties
+_REAP_ORDER = attrgetter("completed_ns", "seq")
 
-@dataclass(frozen=True)
-class Submission:
+
+class Submission(NamedTuple):
     """Ticket for one submitted op (the SQE, after the doorbell)."""
 
     seq: int
@@ -59,7 +62,7 @@ class Submission:
     submitted_ns: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Completion:
     """One finished op (the CQE)."""
 
@@ -128,21 +131,17 @@ class IoRing:
 
     def submit_read(self, handle: FileHandle, offset: int, length: int) -> Submission:
         """Queue a read; returns its :class:`Submission` ticket."""
-        return self._submit(
-            "read", handle, lambda: self.mux.read(handle, offset, length)
-        )
+        return self._submit("read", handle, self.mux.read, (handle, offset, length))
 
     def submit_write(self, handle: FileHandle, offset: int, data: bytes) -> Submission:
         """Queue a write; completion ``result`` is the byte count."""
-        return self._submit(
-            "write", handle, lambda: self.mux.write(handle, offset, data)
-        )
+        return self._submit("write", handle, self.mux.write, (handle, offset, data))
 
     def submit_fsync(self, handle: FileHandle) -> Submission:
         """Queue an fsync; completion ``result`` is None."""
-        return self._submit("fsync", handle, lambda: self.mux.fsync(handle))
+        return self._submit("fsync", handle, self.mux.fsync, (handle,))
 
-    def _submit(self, op: str, handle: FileHandle, thunk) -> Submission:
+    def _submit(self, op: str, handle: FileHandle, run, args: tuple) -> Submission:
         if self.closed:
             raise InvalidArgument("submit on a closed ring")
         clock = self.clock
@@ -152,33 +151,40 @@ class IoRing:
         # completes (its CQE stays queued for the user to reap)
         while True:
             horizon = clock.now_ns
-            inflight = [c for c in self._pending if c.completed_ns > horizon]
-            if len(inflight) < self.depth:
+            inflight = 0
+            earliest = None
+            for c in self._pending:
+                done = c.completed_ns
+                if done > horizon:
+                    inflight += 1
+                    if earliest is None or done < earliest:
+                        earliest = done
+            if inflight < self.depth:
                 break
             self.backpressure_waits += 1
-            clock.advance_to(min(c.completed_ns for c in inflight))
+            clock.advance_to(earliest)
         seq = self._next_seq
         self._next_seq += 1
         submitted_ns = clock.now_ns
-        completion = Completion(
-            seq=seq, op=op, ino=handle.ino, submitted_ns=submitted_ns,
-            completed_ns=submitted_ns,
-        )
+        ino = handle.ino
+        result = error = None
         overlap = self.mux.scheduler.parallel
         if overlap:
             clock.push_frame(submitted_ns)
         try:
-            completion.result = thunk()
+            result = run(*args)
         except ReproError as exc:
-            completion.error = exc
+            error = exc
         finally:
-            completion.completed_ns = clock.pop_frame() if overlap else clock.now_ns
-        self._pending.append(completion)
+            completed_ns = clock.pop_frame() if overlap else clock.now_ns
+        self._pending.append(
+            Completion(seq, op, ino, submitted_ns, completed_ns, result, error)
+        )
         self.submitted += 1
         self.mux.scheduler.ring_ops += 1
-        if len(inflight) + 1 > self.max_inflight:
-            self.max_inflight = len(inflight) + 1
-        return Submission(seq=seq, op=op, ino=handle.ino, submitted_ns=submitted_ns)
+        if inflight >= self.max_inflight:
+            self.max_inflight = inflight + 1
+        return Submission(seq, op, ino, submitted_ns)
 
     # -- completion ------------------------------------------------------
 
@@ -196,11 +202,12 @@ class IoRing:
             if c.completed_ns > now and (ino is None or c.ino == ino)
         )
 
-    def _reap(self, completion: Completion) -> Completion:
-        self._pending.remove(completion)
-        self.reaped += 1
-        self.clock.advance_ns(cal.RING_REAP_NS)
-        return completion
+    def _reap(self, completions: List[Completion]) -> List[Completion]:
+        """Count ``completions`` (already off ``_pending``) as reaped."""
+        if completions:
+            self.reaped += len(completions)
+            self.clock.advance_ns(cal.RING_REAP_NS * len(completions))
+        return completions
 
     def wait(self, submission: Optional[Submission] = None) -> Completion:
         """Reap one completion, advancing the clock to it.
@@ -213,7 +220,7 @@ class IoRing:
         if not self._pending:
             raise InvalidArgument("wait on an empty ring")
         if submission is None:
-            target = min(self._pending, key=lambda c: (c.completed_ns, c.seq))
+            target = min(self._pending, key=_REAP_ORDER)
         else:
             target = next(
                 (c for c in self._pending if c.seq == submission.seq), None
@@ -223,7 +230,8 @@ class IoRing:
                     f"submission #{submission.seq} is not pending on this ring"
                 )
         self.clock.advance_to(target.completed_ns)
-        return self._reap(target)
+        self._pending.remove(target)
+        return self._reap([target])[0]
 
     def poll(self) -> List[Completion]:
         """Reap every completion already due, without waiting.
@@ -232,18 +240,24 @@ class IoRing:
         has passed; an empty list if everything is still in flight.
         """
         now = self.clock.now_ns
-        due = sorted(
-            (c for c in self._pending if c.completed_ns <= now),
-            key=lambda c: (c.completed_ns, c.seq),
-        )
-        return [self._reap(c) for c in due]
+        pending = self._pending
+        due = [c for c in pending if c.completed_ns <= now]
+        if not due:
+            return due
+        if len(due) == len(pending):
+            self._pending = []
+        else:
+            self._pending = [c for c in pending if c.completed_ns > now]
+        due.sort(key=_REAP_ORDER)
+        return self._reap(due)
 
     def drain(self) -> List[Completion]:
         """Reap everything, advancing the clock to the last completion."""
-        out = sorted(self._pending, key=lambda c: (c.completed_ns, c.seq))
+        out = sorted(self._pending, key=_REAP_ORDER)
+        self._pending = []
         if out:
             self.clock.advance_to(out[-1].completed_ns)
-        return [self._reap(c) for c in out]
+        return self._reap(out)
 
     def quiesce(self, ino: Optional[int] = None) -> None:
         """Wait (on the global clock) for in-flight ops to finish.

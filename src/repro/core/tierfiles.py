@@ -63,6 +63,10 @@ def retry_transient(
         delay *= cal.FAULT_BACKOFF_MULT
 
 
+def _no_op(handle: FileHandle) -> None:
+    """``create``'s operation: opening the handle is the whole job."""
+
+
 class TierFiles:
     """The backing files of collective inodes, one tier at a time."""
 
@@ -78,25 +82,39 @@ class TierFiles:
     # -- the one door ----------------------------------------------------
 
     def _call(
-        self, tier_id: int, op: Callable[[Tier], T], dispatch: bool = False
+        self,
+        tier_id: int,
+        op: Callable[..., T],
+        args: tuple = (),
+        inode: Optional[CollectiveInode] = None,
+        create: bool = False,
+        dispatch: bool = False,
     ) -> T:
         """Run one tier operation with health tracking and bounded retry.
 
-        ``dispatch`` charges ``MUX_DISPATCH_NS`` per attempt, for callers
-        outside the read/write pipelines (whose fan-out charges dispatch
-        itself, once, on the caller's clock).
+        ``op(tier, *args)``, or ``op(handle, *args)`` on the file's backing
+        handle (opened by ``create`` rules) when ``inode`` is given.  A
+        transient device error is retried like :func:`retry_transient`,
+        inline so the healthy path is one frame.  ``dispatch`` charges
+        ``MUX_DISPATCH_NS`` per attempt, for callers outside the read/write
+        pipelines (whose fan-out charges dispatch itself, once, on the
+        caller's clock).
         """
         tier = self.registry.get(tier_id)
         health = tier.health
         if health.is_offline:
             self.stats.add("io_rejected_offline")
             raise TierUnavailable(f"tier {tier.name!r} is offline")
-
-        def attempt() -> T:
+        delay = cal.FAULT_RETRY_BASE_NS
+        retries_left = cal.FAULT_MAX_RETRIES
+        while True:
             try:
                 if dispatch:
                     self.clock.advance_ns(cal.MUX_DISPATCH_NS)
-                result = op(tier)
+                if inode is None:
+                    result = op(tier, *args)
+                else:
+                    result = op(self._handle(inode, tier, create), *args)
             except DeviceOffline as exc:
                 health.mark_offline()
                 self.stats.add("io_rejected_offline")
@@ -105,31 +123,17 @@ class TierFiles:
                 health.record_error()
                 if health.is_offline:
                     raise TierUnavailable(str(exc)) from exc
-                raise
-            health.record_success()
-            return result
-
-        try:
-            return retry_transient(self.clock, attempt, self._note_retry)
-        except DeviceIoError as exc:
-            self.stats.add("fault_gave_up")
-            raise TierUnavailable(str(exc)) from exc
-
-    def _note_retry(self, delay_ns: int) -> None:
-        self.stats.add("fault_retries")
-        self.stats.add("fault_backoff_ns", delay_ns)
-
-    def _on_handle(
-        self,
-        inode: CollectiveInode,
-        tier_id: int,
-        op: Callable[[FileHandle], T],
-        create: bool = False,
-        dispatch: bool = False,
-    ) -> T:
-        return self._call(
-            tier_id, lambda tier: op(self._handle(inode, tier, create)), dispatch
-        )
+                if not (exc.transient and retries_left):
+                    self.stats.add("fault_gave_up")
+                    raise TierUnavailable(str(exc)) from exc
+            else:
+                health.record_success()
+                return result
+            retries_left -= 1
+            self.stats.add("fault_retries")
+            self.stats.add("fault_backoff_ns", delay)
+            self.clock.advance_ns(delay)
+            delay *= cal.FAULT_BACKOFF_MULT
 
     # -- paths and handles -----------------------------------------------
 
@@ -177,7 +181,7 @@ class TierFiles:
 
     def create(self, inode: CollectiveInode, tier_id: int) -> None:
         """Create (or open) the file's backing file on one tier."""
-        self._on_handle(inode, tier_id, lambda handle: None, create=True)
+        self._call(tier_id, _no_op, (), inode, create=True)
 
     def read(
         self,
@@ -194,12 +198,8 @@ class TierFiles:
         probe + O_CREAT): the copy engines have always read their source
         that way, and the probe is simulated time the goldens pin.
         """
-        data = self._on_handle(
-            inode,
-            tier_id,
-            lambda handle: self.vfs.read(handle, offset, length),
-            create,
-            dispatch,
+        data = self._call(
+            tier_id, self.vfs.read, (offset, length), inode, create, dispatch
         )
         if len(data) < length:
             data += bytes(length - len(data))
@@ -215,11 +215,7 @@ class TierFiles:
         out_off: int,
     ) -> None:
         """Read straight into ``out``: one copy, tier to caller."""
-        self._on_handle(
-            inode,
-            tier_id,
-            lambda handle: self.vfs.read_into(handle, offset, length, out, out_off),
-        )
+        self._call(tier_id, self.vfs.read_into, (offset, length, out, out_off), inode)
 
     def write(
         self,
@@ -230,28 +226,18 @@ class TierFiles:
         dispatch: bool = False,
     ) -> None:
         """Write ``data`` at ``offset``, creating the backing file if needed."""
-        self._on_handle(
-            inode,
-            tier_id,
-            lambda handle: self.vfs.write(handle, offset, data),
-            create=True,
-            dispatch=dispatch,
-        )
+        self._call(tier_id, self.vfs.write, (offset, data), inode, True, dispatch)
 
     def fsync(self, inode: CollectiveInode, tier_id: int) -> None:
-        self._on_handle(inode, tier_id, self.vfs.fsync)
+        self._call(tier_id, self.vfs.fsync, (), inode)
 
     def punch(
         self, inode: CollectiveInode, tier_id: int, offset: int, length: int
     ) -> None:
-        self._on_handle(
-            inode, tier_id, lambda handle: self.vfs.punch_hole(handle, offset, length)
-        )
+        self._call(tier_id, self.vfs.punch_hole, (offset, length), inode)
 
     def truncate(self, inode: CollectiveInode, tier_id: int, size: int) -> None:
-        self._on_handle(
-            inode, tier_id, lambda handle: self.vfs.truncate(handle, size)
-        )
+        self._call(tier_id, self.vfs.truncate, (size,), inode)
 
     # -- namespace ---------------------------------------------------------
 

@@ -140,6 +140,11 @@ class ExtentTree:
         """
         if count < 0:
             raise ValueError("count must be non-negative")
+        # every read walks this: extent bounds and values are read as
+        # fields (``Extent.end``/``value_at`` inlined), not through frames
+        extents = self._extents
+        n = len(extents)
+        offset = self.value_is_offset
         pos = start
         end = start + count
         i = bisect_right(self._starts, start) - 1
@@ -147,17 +152,18 @@ class ExtentTree:
             i = 0
         while pos < end:
             # advance to the extent that could contain pos
-            while i < len(self._extents) and self._extents[i].end <= pos:
+            while i < n and extents[i].start + extents[i].count <= pos:
                 i += 1
-            if i >= len(self._extents) or self._extents[i].start >= end:
+            if i >= n or extents[i].start >= end:
                 yield pos, end - pos, None
                 return
-            ext = self._extents[i]
-            if ext.start > pos:
-                yield pos, ext.start - pos, None
-                pos = ext.start
-            take = min(end, ext.end) - pos
-            yield pos, take, ext.value_at(pos, self.value_is_offset)
+            ext = extents[i]
+            lo = ext.start
+            if lo > pos:
+                yield pos, lo - pos, None
+                pos = lo
+            take = min(end, lo + ext.count) - pos
+            yield pos, take, ext.value + (pos - lo) if offset else ext.value
             pos += take
 
     # -- mutation ----------------------------------------------------------------

@@ -194,18 +194,17 @@ class JournaledFileSystem(NativeFileSystem):
         cached = self.page_cache.get(inode.ino, file_block)
         if cached is not None:
             return cached
-        dev_block = inode.blockmap.lookup(file_block)
-        if dev_block is None:
-            return None
         # extend the read over device-contiguous, uncached blocks up to the
         # readahead window: one large device access instead of many small
-        count = 1
-        while (
-            count < window
-            and inode.blockmap.lookup(file_block + count) == dev_block + count
-            and not self.page_cache.contains(inode.ino, file_block + count)
-        ):
-            count += 1
+        runs = inode.blockmap.runs(file_block, window)
+        _, count, dev_block = next(runs)
+        if dev_block is None:
+            return None
+        for _, run, dev in runs:
+            if dev != dev_block + count:
+                break
+            count += run
+        count = 1 + self.page_cache.span_uncached(inode.ino, file_block + 1, count - 1)
         if self.readahead_background and count > 1:
             # demand block foreground; the speculative tail rides a
             # background frame against the device's reserved channels, so

@@ -139,6 +139,14 @@ class PageCache:
             n += 1
         return n
 
+    def span_uncached(self, ino: int, first_block: int, count: int) -> int:
+        """Length of the contiguous *uncached* prefix of the span (no charges)."""
+        pages = self._pages
+        n = 0
+        while n < count and (ino, first_block + n) not in pages:
+            n += 1
+        return n
+
     def get_span(
         self, ino: int, first_block: int, count: int, out: bytearray, out_off: int
     ) -> None:

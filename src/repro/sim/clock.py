@@ -39,7 +39,7 @@ class SimClock:
     All simulated components share one instance.  Components call
     :meth:`charge` (or :meth:`advance_ns`) to account for the time their
     operation takes; measurement harnesses bracket a workload with
-    :meth:`now_ns` reads.
+    :attr:`now_ns` reads.
 
     **Frames** are the parallel-I/O-engine extension: :meth:`push_frame`
     starts an independent time cursor, so code running inside the frame
@@ -51,26 +51,33 @@ class SimClock:
     on the device timelines).  Frames move *time accounting* only; state
     mutations still happen in program order, which is what keeps the
     simulation deterministic.
+
+    Invariant: ``now_ns`` is always the *innermost* cursor — the global
+    clock when no frame is active — and ``in_background`` is true exactly
+    when some active frame is a background one.  Both are plain
+    attributes, so reading the clock and advancing it cost one attribute
+    access.  :meth:`push_frame` saves the outer ``(cursor, background)``
+    pair and :meth:`pop_frame` restores it; an outer cursor cannot move
+    while a frame above it is active (only :meth:`resume_frames` pulls
+    saved cursors up to the global clock).  Writing ``now_ns`` directly
+    bypasses the monotonicity check: use the ``advance_*`` methods.
     """
 
-    __slots__ = ("_now_ns", "_frames", "_background_depth")
+    __slots__ = ("now_ns", "in_background", "_saved")
 
     def __init__(self, start_ns: int = 0) -> None:
         if start_ns < 0:
             raise ValueError("clock cannot start before t=0")
-        self._now_ns = start_ns
-        #: active frame cursors, innermost last: [cursor_ns, background]
-        self._frames: list = []
-        self._background_depth = 0
+        #: current simulated time in ns: the innermost frame's cursor
+        self.now_ns = start_ns
+        #: true while the active frames include a background one; devices
+        #: use it to steer a request onto their reserved background channels
+        self.in_background = False
+        #: ``(cursor, background)`` of each enclosing level, outermost
+        #: (the global clock) first
+        self._saved: list = []
 
     # -- reading ---------------------------------------------------------
-
-    @property
-    def now_ns(self) -> int:
-        """Current simulated time in nanoseconds (frame cursor if active)."""
-        if self._frames:
-            return self._frames[-1][0]
-        return self._now_ns
 
     def now(self) -> float:
         """Current simulated time in seconds."""
@@ -79,23 +86,14 @@ class SimClock:
     @property
     def global_now_ns(self) -> int:
         """The global (foreground) time, ignoring any active frame."""
-        return self._now_ns
+        return self._saved[0][0] if self._saved else self.now_ns
 
     # -- frames ----------------------------------------------------------
 
     @property
     def in_frame(self) -> bool:
         """True while at least one frame is active."""
-        return bool(self._frames)
-
-    @property
-    def in_background(self) -> bool:
-        """True while the innermost active frames include a background one.
-
-        Devices use this to steer a request onto their reserved
-        background channels.
-        """
-        return self._background_depth > 0
+        return bool(self._saved)
 
     def push_frame(self, start_ns: Optional[int] = None, background: bool = False) -> int:
         """Start a new time frame at ``start_ns`` (default: current instant).
@@ -103,12 +101,14 @@ class SimClock:
         Returns the frame's starting cursor.  All ``advance_*`` calls and
         ``now_ns`` reads operate on this cursor until :meth:`pop_frame`.
         """
-        start = self.now_ns if start_ns is None else start_ns
+        outer = self.now_ns
+        start = outer if start_ns is None else start_ns
         if start < 0:
             raise ValueError("frame cannot start before t=0")
-        self._frames.append([start, background])
+        self._saved.append((outer, self.in_background))
+        self.now_ns = start
         if background:
-            self._background_depth += 1
+            self.in_background = True
         return start
 
     def pop_frame(self) -> int:
@@ -118,11 +118,10 @@ class SimClock:
         frame's completion folds back (``advance_to(max(...))`` for
         overlapped foreground sub-requests, nothing for background work).
         """
-        if not self._frames:
+        if not self._saved:
             raise RuntimeError("pop_frame with no active frame")
-        cursor, background = self._frames.pop()
-        if background:
-            self._background_depth -= 1
+        cursor = self.now_ns
+        self.now_ns, self.in_background = self._saved.pop()
         return cursor
 
     def suspend_frames(self) -> tuple:
@@ -134,9 +133,10 @@ class SimClock:
         blocks every user operation, so the locked copy stalls the global
         clock instead of hiding on background time.
         """
-        token = (self._frames, self._background_depth)
-        self._frames = []
-        self._background_depth = 0
+        token = (self._saved, self.now_ns, self.in_background)
+        self.now_ns = self.global_now_ns
+        self._saved = []
+        self.in_background = False
         return token
 
     def resume_frames(self, token: tuple) -> None:
@@ -145,12 +145,11 @@ class SimClock:
         Frames cannot resume in the past: any cursor behind the global
         clock (which the foreground work just advanced) is pulled up.
         """
-        frames, depth = token
-        for frame in frames:
-            if frame[0] < self._now_ns:
-                frame[0] = self._now_ns
-        self._frames = frames
-        self._background_depth = depth
+        saved, cursor, background = token
+        now = self.global_now_ns
+        self._saved = [(max(c, now), bg) for c, bg in saved]
+        self.now_ns = max(cursor, now)
+        self.in_background = background
 
     # -- advancing -------------------------------------------------------
 
@@ -162,12 +161,8 @@ class SimClock:
         """
         if delta_ns < 0:
             raise ValueError(f"cannot advance clock by {delta_ns}ns")
-        if self._frames:
-            frame = self._frames[-1]
-            frame[0] += delta_ns
-            return frame[0]
-        self._now_ns += delta_ns
-        return self._now_ns
+        self.now_ns += delta_ns
+        return self.now_ns
 
     def advance_to(self, t_ns: int) -> int:
         """Advance to ``t_ns`` if it is in the future; never moves backwards.
@@ -175,14 +170,9 @@ class SimClock:
         This is the completion-time primitive: a device hands back "your
         request completes at C" and the caller syncs with ``advance_to(C)``.
         """
-        if self._frames:
-            frame = self._frames[-1]
-            if t_ns > frame[0]:
-                frame[0] = t_ns
-            return frame[0]
-        if t_ns > self._now_ns:
-            self._now_ns = t_ns
-        return self._now_ns
+        if t_ns > self.now_ns:
+            self.now_ns = t_ns
+        return self.now_ns
 
     def charge(self, delta_seconds: float) -> int:
         """Advance the clock by ``delta_seconds`` (float seconds)."""
@@ -190,4 +180,3 @@ class SimClock:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SimClock(t={self.now():.9f}s)"
-

@@ -347,7 +347,7 @@ def test_replica_runs_matches_scan_reference(maps, mirror_ops, query, mirrored):
                 replicas.mark_stale(tier, s, n, 0)
             else:
                 replicas.note_write(s, n, tier, 0)
-    got = list(replica_runs(blt, replicas, *query))
+    got = list(replica_runs(blt.runs(*query), replicas))
     assert got == list(scan_replica_runs(blt, replicas, *query))
 
 
@@ -358,8 +358,8 @@ def test_replica_runs_single_full_cover():
     replicas = ReplicaSet()
     replicas.add_tier(0)
     replicas.mark_synced(0, 0, 32)
-    assert list(replica_runs(blt, replicas, 4, 8)) == [(4, 8, 2, (0,))]
-    assert list(replica_runs(blt, replicas, 4, 8)) == list(
+    assert list(replica_runs(blt.runs(4, 8), replicas)) == [(4, 8, 2, (0,))]
+    assert list(replica_runs(blt.runs(4, 8), replicas)) == list(
         scan_replica_runs(blt, replicas, 4, 8)
     )
 

@@ -157,7 +157,7 @@ class TestReplicaRuns:
         replicas.add_tier(1)
         replicas.mark_stale(1, 0, 8, now_ns=0)
         replicas.mark_synced(1, 0, 4)  # only the first half is clean
-        segs = list(replica_runs(blt, replicas, 0, 8))
+        segs = list(replica_runs(blt.runs(0, 8), replicas))
         assert segs == [(0, 4, 3, (1,)), (4, 4, 3, ())]
 
     def test_owner_tier_never_lists_itself_as_mirror(self):
@@ -169,7 +169,7 @@ class TestReplicaRuns:
         # surface tier 1 as its own mirror
         replicas.mark_stale(1, 0, 4, now_ns=0)
         replicas.mark_synced(1, 0, 4)
-        segs = list(replica_runs(blt, replicas, 0, 4))
+        segs = list(replica_runs(blt.runs(0, 4), replicas))
         assert segs == [(0, 4, 1, ())]
 
 
@@ -268,7 +268,8 @@ class TestFailoverOrdering:
         want = pattern(16 * BS)
 
         def routed(mux, inode):
-            return {tid for _, _, tid in mux.mirrors.route_reads(inode, 0, 16)}
+            spans = mux.mirrors.route_reads(inode, inode.blt.runs(0, 16))
+            return {tid for _, _, tid in spans}
 
         # all healthy: the PM mirror (rank 0) wins
         assert routed(mux, inode) == {pm}

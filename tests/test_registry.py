@@ -45,6 +45,26 @@ class TestTierRegistry:
         with pytest.raises(ReproError):
             registry.get(tier.tier_id)
 
+    def test_kinds_follow_add_and_remove(self, nova, xfs, ext4):
+        # the read path hands ``kinds`` to the scheduler as is: it must
+        # equal the map rebuilt from the registered tiers after every
+        # add/remove, and a rank change must leave it alone
+        registry = TierRegistry()
+
+        def rebuilt():
+            return {t.tier_id: t.kind for t in registry.ordered()}
+
+        pm = registry.add("pm", nova, "/p", OPTANE_PMEM_200)
+        ssd = registry.add("ssd", xfs, "/s", OPTANE_SSD_P4800X)
+        assert registry.kinds == rebuilt()
+        ssd.rank = -1
+        assert registry.kinds == rebuilt()
+        registry.remove(pm.tier_id)
+        assert registry.kinds == rebuilt() == {ssd.tier_id: ssd.kind}
+        hdd = registry.add("hdd", ext4, "/h", SEAGATE_EXOS_X18)
+        assert registry.kinds == rebuilt()
+        assert registry.kinds[hdd.tier_id] is hdd.kind
+
     def test_by_name(self, nova):
         registry = TierRegistry()
         tier = registry.add("t", nova, "/a", OPTANE_PMEM_200)
