@@ -24,11 +24,16 @@ def occupancy(stack):
     return " | ".join(cells)
 
 
+# the policy is tuned by overriding its constants: demote from 70 % full
+# down to 50 %, so the small PM tier churns
+class EagerLru(LruTieringPolicy):
+    HIGH_WATERMARK, LOW_WATERMARK = 0.7, 0.5
+
+
 def main():
-    policy = LruTieringPolicy(high_watermark=0.7, low_watermark=0.5)
     stack = build_stack(
         capacities={"pm": 16 * MIB, "ssd": 48 * MIB, "hdd": 128 * MIB},
-        policy=policy,
+        policy=EagerLru(),
         enable_cache=False,
     )
     mux = stack.mux

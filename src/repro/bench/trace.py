@@ -3,9 +3,9 @@
 Runs a seeded mixed workload against a (optionally fault-injected) Mux
 stack, drives migrations through ``migrate_now``, and prints the
 retry/backoff telemetry each migration accumulated, followed by the
-cache, engine, scheduler and device counters the run left behind.
-``--pressure`` adds the per-tier pressure gauges, ``--cluster`` prints
-per-shard and rebalance counters for a two-shard cluster instead.
+cache, engine, scheduler and device counters and the per-tier pressure
+gauges the run left behind.  ``--cluster`` prints per-shard and
+rebalance counters for a two-shard cluster instead.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from repro.bench.harness import pop_flag_value, reject_unknown
 
 USAGE = (
     "usage: python -m repro.bench trace [--no-faults] [--write-back] "
-    "[--readahead-bg] [--pressure] [--cluster] [--ops N] [--seed N]"
+    "[--readahead-bg] [--cluster] [--ops N] [--seed N]"
 )
-_SWITCHES = ("--no-faults", "--write-back", "--readahead-bg", "--pressure", "--cluster")
+_SWITCHES = ("--no-faults", "--write-back", "--readahead-bg", "--cluster")
 
 
 def _run_mixed(
@@ -142,7 +142,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     faulty = "--no-faults" not in argv
     write_back = "--write-back" in argv
     readahead_bg = "--readahead-bg" in argv
-    show_pressure = "--pressure" in argv
     if "--cluster" in argv:
         return _cluster_report(ops, seed)
 
@@ -209,13 +208,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"readahead: bg_blocks={sum(ra_blocks.values())} per-fs=[{per_fs}]"
         )
-    if show_pressure:
-        monitor = stack.mux.pressure
-        monitor.sample(now_ns, force=True)
-        names = {tid: name for name, tid in stack.tier_ids.items()}
-        print("pressure:")
-        for tier_id, gauges in monitor.snapshot().items():
-            fields = " ".join(f"{k}={v}" for k, v in gauges.items())
-            print(f"  tier {names.get(tier_id, tier_id)}: {fields}")
+    monitor = stack.mux.pressure
+    monitor.sample(now_ns, force=True)
+    names = {tid: name for name, tid in stack.tier_ids.items()}
+    print("pressure:")
+    for tier_id, gauges in monitor.snapshot().items():
+        fields = " ".join(f"{k}={v}" for k, v in gauges.items())
+        print(f"  tier {names.get(tier_id, tier_id)}: {fields}")
 
     return 0

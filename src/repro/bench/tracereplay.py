@@ -1,25 +1,19 @@
-"""Trace-driven replay benchmark (the ``muxtrace v1`` format).
+"""Trace-driven replay benchmark.
 
 Synthetic arrival processes answer "does the policy react to pressure";
 block traces answer "does it react to *this* workload".  This module
-defines a small canonical trace format, deterministic generators for the
-two shapes the policy duels run on (zipf steady-state, bursty writers
-over a read floor), and :func:`replay_trace`, which drives a trace
-through the one open-loop harness (:mod:`repro.bench.openloop`) against
-any stack — so every registered policy can be benchmarked head-to-head
-on identical offered load.
+defines a block trace, deterministic generators for the two shapes the
+policy duels run on (zipf steady-state, bursty writers over a read
+floor), and :func:`replay_trace`, which drives a trace through the one
+open-loop harness (:mod:`repro.bench.openloop`) against any stack — so
+every registered policy can be benchmarked head-to-head on identical
+offered load.
 
-Format — one record per line, integer fields, ``#`` comments::
-
-    # muxtrace v1
-    # files 16
-    # file_bytes 1048576
-    <arrival_ns> <R|W|F> <file_id> <offset> <length>
-
-``files``/``file_bytes`` describe the pre-populated file set the trace
-addresses (``file_id`` in ``[0, files)``, ``offset + length <=
-file_bytes``).  ``F`` is an fsync of ``file_id`` (offset and length are
-0) — bursty writers in the wild are databases and loggers, and what
+A trace is a list of ``(arrival_ns, op, file_id, offset, length)``
+records against a pre-populated file set of ``files`` files of
+``file_bytes`` each (``file_id`` in ``[0, files)``, ``offset + length <=
+file_bytes``).  An ``fsync`` record syncs ``file_id`` (offset and length
+are 0) — bursty writers in the wild are databases and loggers, and what
 makes their bursts hurt is that they demand durability: the fsync is
 where buffered writes become device traffic.  Arrivals are offsets from
 replay start and must be non-decreasing.  The replay is open-loop: the
@@ -30,8 +24,7 @@ a slower trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.bench.multi_tenant import exp_gap, zipf_cdf, zipf_pick
@@ -50,17 +43,14 @@ from repro.sim.rng import DeterministicRng
 KIB = 1024
 MIB = 1024 * KIB
 
-TRACE_MAGIC = "# muxtrace v1"
 
 @dataclass
 class BlockTrace:
-    """A parsed (or generated) muxtrace."""
+    """A generated block trace."""
 
     ops: List[TraceOp]
     files: int
     file_bytes: int
-    #: free-form provenance comments, one per line (no leading '#')
-    comments: List[str] = field(default_factory=list)
 
     @property
     def duration_ns(self) -> int:
@@ -78,7 +68,7 @@ class BlockTrace:
             raise InvalidArgument("fraction must be in (0, 1]")
         cutoff = int(self.duration_ns * fraction)
         ops = [op for op in self.ops if op.arrival_ns <= cutoff]
-        return BlockTrace(ops, self.files, self.file_bytes, list(self.comments))
+        return BlockTrace(ops, self.files, self.file_bytes)
 
     def validate(self) -> None:
         last = 0
@@ -98,70 +88,6 @@ class BlockTrace:
                 raise InvalidArgument("bad offset/length")
             if op.offset + op.length > self.file_bytes:
                 raise InvalidArgument("op extends past file_bytes")
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def dumps_trace(trace: BlockTrace) -> str:
-    """Serialize to the canonical text form."""
-    lines = [TRACE_MAGIC]
-    lines.append(f"# files {trace.files}")
-    lines.append(f"# file_bytes {trace.file_bytes}")
-    for comment in trace.comments:
-        lines.append(f"# {comment}")
-    letters = {"read": "R", "write": "W", "fsync": "F"}
-    for op in trace.ops:
-        lines.append(
-            f"{op.arrival_ns} {letters[op.op]} {op.file_id} {op.offset} {op.length}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def parse_trace(text: str) -> BlockTrace:
-    """Parse the canonical text form; validates shape and ordering."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != TRACE_MAGIC:
-        raise InvalidArgument(f"not a muxtrace (missing {TRACE_MAGIC!r} header)")
-    files = None
-    file_bytes = None
-    comments: List[str] = []
-    ops: List[TraceOp] = []
-    kinds = {"R": "read", "W": "write", "F": "fsync"}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            parts = body.split()
-            if len(parts) == 2 and parts[0] == "files":
-                files = int(parts[1])
-            elif len(parts) == 2 and parts[0] == "file_bytes":
-                file_bytes = int(parts[1])
-            elif body:
-                comments.append(body)
-            continue
-        fields = line.split()
-        if len(fields) != 5:
-            raise InvalidArgument(f"line {lineno}: expected 5 fields")
-        arrival, letter, file_id, offset, length = fields
-        if letter not in kinds:
-            raise InvalidArgument(f"line {lineno}: op must be R, W or F")
-        ops.append(
-            TraceOp(int(arrival), kinds[letter], int(file_id), int(offset), int(length))
-        )
-    if files is None or file_bytes is None:
-        raise InvalidArgument("trace missing '# files N' / '# file_bytes N'")
-    trace = BlockTrace(ops, files, file_bytes, comments)
-    trace.validate()
-    return trace
-
-
-def load_trace(path) -> BlockTrace:
-    return parse_trace(Path(path).read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +119,7 @@ def zipf_trace(
         file_id = zipf_pick(rng, file_cdf)
         offset = zipf_pick(rng, block_cdf) * io_bytes
         ops.append(TraceOp(t, op, file_id, offset, io_bytes))
-    trace = BlockTrace(
-        ops,
-        files,
-        file_bytes,
-        [
-            f"generator zipf seed={seed} alpha={alpha} io={io_bytes} "
-            f"gap={mean_gap_ns} rf={read_fraction}"
-        ],
-    )
+    trace = BlockTrace(ops, files, file_bytes)
     trace.validate()
     return trace
 
@@ -257,15 +175,7 @@ def bursty_trace(
         for file_id in touched:
             ops.append(TraceOp(t + 1, "fsync", file_id, 0, 0))
     ops.sort(key=lambda op: (op.arrival_ns, op.op, op.file_id, op.offset))
-    trace = BlockTrace(
-        ops,
-        files,
-        file_bytes,
-        [
-            f"generator bursty seed={seed} alpha={alpha} read={read_bytes}@"
-            f"{read_gap_ns} write={write_bytes}x{burst_size}@{burst_gap_ns}"
-        ],
-    )
+    trace = BlockTrace(ops, files, file_bytes)
     trace.validate()
     return trace
 
@@ -278,7 +188,8 @@ def bursty_trace(
 #: headline scenario: a 16 KiB zipf read floor with 4 MiB fsynced write
 #: bursts every ~4 ms — long enough (60 ms) that placement decisions,
 #: not population luck, decide the read tail.  Parameters are part of the
-#: benchmark contract (test_tracereplay pins each trace's sha256).
+#: benchmark contract (test_tracereplay pins a sha256 of each trace's
+#: records).
 CANONICAL_TRACE_PARAMS: Dict[str, Dict[str, object]] = {
     "bursty": dict(
         generator=bursty_trace,
@@ -313,11 +224,6 @@ def canonical_trace(name: str) -> BlockTrace:
         raise InvalidArgument(f"unknown canonical trace {name!r}")
     params = dict(CANONICAL_TRACE_PARAMS[name])
     return params.pop("generator")(**params)
-
-
-#: generating takes as long as parsing a checked-in copy would (5-11 ms),
-#: so the generator is the only source
-load_canonical = canonical_trace
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from repro.bench.multi_tenant import (
     zipf_pick,
 )
 from repro.bench.openloop import populate, pump, settle
-from repro.bench.tracereplay import load_canonical, replay_trace
+from repro.bench.tracereplay import canonical_trace, replay_trace
 from repro.bench.workloads import (
     cache_writeback,
     fault_storm,
@@ -532,7 +532,7 @@ def _trace_duel(
     ``headline(trace, read tails per policy)`` adds the workload's own
     events next to the per-policy table.
     """
-    trace = load_canonical(trace_name)
+    trace = canonical_trace(trace_name)
     if smoke:
         trace = trace.truncated(0.2)
 
@@ -686,7 +686,7 @@ def _wl_mirror_skew(smoke: bool) -> Dict[str, object]:
 
     A zipf read stream hammers a working set that starts *cold on the
     HDD* (too large for exclusive promotion to rescue outright: the
-    pressure policy stops promoting at ``promote_util`` of PM).  The
+    pressure policy stops promoting at ``PROMOTE_UTIL`` of PM).  The
     ``mirror`` policy instead grants hot read-mostly files replicas on
     PM — authority stays downhill, reads route uphill — so its measured
     steady-state read tail collapses to fast-tier latency while the

@@ -87,28 +87,18 @@ class ClusterMux(FileSystem):
 
     fs_name = "cluster"
 
-    def __init__(
-        self,
-        stacks: List[object],
-        clock: SimClock,
-        vnodes: int = 64,
-        rtt_us: float = 100.0,
-        bandwidth: float = 1.25e9,
-    ) -> None:
+    def __init__(self, stacks: List[object], clock: SimClock) -> None:
         if not stacks:
             raise InvalidArgument("a cluster needs at least one shard")
         self.clock = clock
-        self.ring = HashRing(vnodes)
+        self.ring = HashRing()
         self.shards: List[_Shard] = []
         for shard_id, stack in enumerate(stacks):
             if stack.clock is not clock:
                 raise InvalidArgument(
                     f"shard {shard_id} runs on a different SimClock"
                 )
-            wire = NetworkFileSystem(
-                f"wire-s{shard_id}", stack.mux, clock,
-                rtt_us=rtt_us, bandwidth=bandwidth,
-            )
+            wire = NetworkFileSystem(f"wire-s{shard_id}", stack.mux, clock)
             self.shards.append(_Shard(shard_id, stack, wire))
             self.ring.add_node(shard_id)
         self.block_size = self.shards[0].mux.block_size
@@ -984,9 +974,6 @@ class Cluster:
 def build_cluster(
     shards: int = 2,
     clock: Optional[SimClock] = None,
-    vnodes: int = 64,
-    rtt_us: float = 100.0,
-    bandwidth: float = 1.25e9,
     **stack_kwargs,
 ) -> Cluster:
     """Assemble ``shards`` full Mux stacks on one SimClock behind a ClusterMux.
@@ -1002,7 +989,4 @@ def build_cluster(
         raise InvalidArgument("a cluster needs at least one shard")
     clock = clock if clock is not None else SimClock()
     stacks = [build_stack(clock=clock, **stack_kwargs) for _ in range(shards)]
-    mux = ClusterMux(
-        stacks, clock, vnodes=vnodes, rtt_us=rtt_us, bandwidth=bandwidth
-    )
-    return Cluster(clock=clock, mux=mux, shards=stacks)
+    return Cluster(clock=clock, mux=ClusterMux(stacks, clock), shards=stacks)

@@ -1,6 +1,6 @@
 """Consistent hashing of directory subtrees onto shards.
 
-The classic Karger ring with virtual nodes: each shard owns ``vnodes``
+The classic Karger ring with virtual nodes: each shard owns ``VNODES``
 points on a 64-bit circle, a key maps to the first point clockwise from
 its hash.  Adding or removing one shard therefore remaps only the keys
 whose arc the new/old shard's points cover — about ``1/N`` of the
@@ -20,6 +20,9 @@ from typing import Dict, List, Tuple
 
 from repro.errors import InvalidArgument
 
+#: ring points per shard; more points even out the shards' shares of the keys
+VNODES = 64
+
 
 def _point(data: str) -> int:
     """Deterministic 64-bit position on the circle."""
@@ -29,10 +32,7 @@ def _point(data: str) -> int:
 class HashRing:
     """Consistent-hash ring mapping string keys to integer shard ids."""
 
-    def __init__(self, vnodes: int = 64) -> None:
-        if vnodes < 1:
-            raise InvalidArgument(f"vnodes must be >= 1, got {vnodes}")
-        self.vnodes = vnodes
+    def __init__(self) -> None:
         #: sorted circle positions and the shard owning each
         self._points: List[Tuple[int, int]] = []
         self._nodes: Dict[int, None] = {}
@@ -41,7 +41,7 @@ class HashRing:
         if node_id in self._nodes:
             raise InvalidArgument(f"shard {node_id} already on the ring")
         self._nodes[node_id] = None
-        for v in range(self.vnodes):
+        for v in range(VNODES):
             self._points.append((_point(f"shard-{node_id}#vn-{v}"), node_id))
         self._points.sort()
 

@@ -62,7 +62,6 @@ class ScmCacheManager:
         scm_fs: FileSystem,
         capacity_blocks: int,
         block_size: int,
-        num_generations: int = 4,
         write_back: bool = False,
     ) -> None:
         if capacity_blocks <= 0:
@@ -72,9 +71,7 @@ class ScmCacheManager:
         self.capacity_blocks = capacity_blocks
         self.write_back = write_back
         self.stats = CounterSet()
-        self._mglru: MultiGenLru[CacheKey] = MultiGenLru(
-            capacity_blocks, num_generations
-        )
+        self._mglru: MultiGenLru[CacheKey] = MultiGenLru(capacity_blocks)
         #: key -> slot index in the cache file
         self._slots: Dict[CacheKey, int] = {}
         self._free_slots: List[int] = list(range(capacity_blocks - 1, -1, -1))

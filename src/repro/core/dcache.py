@@ -35,8 +35,10 @@ _NEGATIVE = -1
 class DentryCache:
     """Bounded positive + negative path-resolution cache."""
 
-    def __init__(self, capacity: int = 8192) -> None:
-        self.capacity = capacity
+    #: entries kept; the oldest is evicted first
+    CAPACITY = 8192
+
+    def __init__(self) -> None:
         self._entries: "OrderedDict[str, int]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -59,7 +61,7 @@ class DentryCache:
     # -- population --------------------------------------------------------
 
     def put(self, path: str, ino: int) -> None:
-        if len(self._entries) >= self.capacity and path not in self._entries:
+        if len(self._entries) >= self.CAPACITY and path not in self._entries:
             self._entries.popitem(last=False)
         self._entries[path] = ino
 

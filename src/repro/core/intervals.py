@@ -33,10 +33,8 @@ class BlockIntervalSet:
 
     __slots__ = ("_ivals",)
 
-    def __init__(self, blocks: Iterable[int] = ()) -> None:
+    def __init__(self) -> None:
         self._ivals: List[Interval] = []
-        for b in blocks:
-            self.add(b)
 
     # -- mutation ---------------------------------------------------------
 

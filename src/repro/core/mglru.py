@@ -3,7 +3,7 @@
 "We use Multi-generational LRU for cache replacement, which is also the
 algorithm Linux uses for its page caches."
 
-The model keeps ``num_generations`` ordered generations; new entries enter
+The model keeps ``NUM_GENERATIONS`` ordered generations; new entries enter
 the youngest generation, accessed entries are promoted back to it, and
 eviction takes the head (least recent) of the *oldest* non-empty
 generation.  Aging shifts every generation down one step whenever the
@@ -32,17 +32,17 @@ K = TypeVar("K", bound=Hashable)
 class MultiGenLru(Generic[K]):
     """Fixed-capacity multi-generational LRU over hashable keys."""
 
-    def __init__(self, capacity: int, num_generations: int = 4) -> None:
+    #: generations kept (the oldest two merge on every age step)
+    NUM_GENERATIONS = 4
+
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        if num_generations < 2:
-            raise ValueError("need at least 2 generations")
         self.capacity = capacity
-        self.num_generations = num_generations
         #: leftmost = oldest generation; absolute number of the head
         #: generation is ``_base`` and numbers increase rightward
         self._gens: Deque["OrderedDict[K, None]"] = deque(
-            OrderedDict() for _ in range(num_generations)
+            OrderedDict() for _ in range(self.NUM_GENERATIONS)
         )
         self._base = 0
         #: key -> absolute (monotonic) generation number
@@ -58,7 +58,7 @@ class MultiGenLru(Generic[K]):
 
     @property
     def _youngest(self) -> int:
-        return self._base + self.num_generations - 1
+        return self._base + self.NUM_GENERATIONS - 1
 
     @property
     def generation_sizes(self) -> List[int]:
@@ -104,7 +104,7 @@ class MultiGenLru(Generic[K]):
             evicted.append(victim)
         self._gens[-1][key] = None
         self._where[key] = self._youngest
-        if len(self._gens[-1]) > max(1, self.capacity // self.num_generations):
+        if len(self._gens[-1]) > max(1, self.capacity // self.NUM_GENERATIONS):
             self.age()
         return evicted
 
@@ -153,7 +153,7 @@ class MultiGenLru(Generic[K]):
 
     def check_invariants(self) -> None:
         assert len(self._where) <= self.capacity
-        assert len(self._gens) == self.num_generations
+        assert len(self._gens) == self.NUM_GENERATIONS
         seen: Dict[K, int] = {}
         for offset, gen in enumerate(self._gens):
             for key in gen:

@@ -38,6 +38,7 @@ from repro.core.policy import (
     Policy,
     TierState,
     fastest_with_room,
+    has_room,
     register_policy,
     tier_load,
     writable_tiers,
@@ -47,36 +48,40 @@ from repro.errors import PolicyError
 #: granularity of recency tracking, in blocks (64 blocks = 256 KiB chunks)
 CHUNK_BLOCKS = 64
 
+#: whole-file heat at or above which a file is hot, and at or below which
+#: (but above zero) it is cold — :class:`HotColdPolicy`,
+#: :class:`PressureAwarePolicy` and :class:`MirrorPolicy`'s mirror reclaim
+HOT_THRESHOLD = 4.0
+COLD_THRESHOLD = 0.5
+#: cap on the migration orders one heat-driven planning round returns
+MAX_ORDERS_PER_PLAN = 32
+
 
 class SizeRule:
     """The TPFS size/synchronicity rule: which rank a write *aims* at.
 
     Small or synchronous writes aim at the fastest tier (rank 0), medium
     writes at rank 1, large writes at rank 2 — judged on the mean of the
-    file's last ``history_window`` write sizes (the "access history"
+    file's last ``HISTORY_WINDOW`` write sizes (the "access history"
     input §2.1 names).
     """
 
-    def __init__(
-        self,
-        small_io_bytes: int = 64 * 1024,
-        medium_io_bytes: int = 1024 * 1024,
-        history_window: int = 8,
-    ) -> None:
-        self.small_io_bytes = small_io_bytes
-        self.medium_io_bytes = medium_io_bytes
-        self.history_window = history_window
+    SMALL_IO_BYTES = 64 * 1024
+    MEDIUM_IO_BYTES = 1024 * 1024
+    HISTORY_WINDOW = 8
+
+    def __init__(self) -> None:
         #: per-file recent write sizes
         self._history: Dict[int, List[int]] = {}
 
     def base_rank(self, request: PlacementRequest) -> int:
         history = self._history.setdefault(request.ino, [])
         history.append(request.length)
-        del history[: -self.history_window]
+        del history[: -self.HISTORY_WINDOW]
         avg = sum(history) / len(history)
-        if request.synchronous or avg <= self.small_io_bytes:
+        if request.synchronous or avg <= self.SMALL_IO_BYTES:
             return 0
-        if avg <= self.medium_io_bytes:
+        if avg <= self.MEDIUM_IO_BYTES:
             return 1
         return 2
 
@@ -87,11 +92,12 @@ class SizeRule:
 class HeatMap:
     """Per-file access tally with exponential decay."""
 
+    #: factor each cooling step multiplies a tally by
+    DECAY = 0.8
     #: :meth:`cool_all` drops tallies that decayed below this
     FORGET_BELOW = 0.05
 
-    def __init__(self, decay: float = 0.8) -> None:
-        self.decay = decay
+    def __init__(self) -> None:
         self._heat: Dict[int, float] = {}
 
     def touch(self, ino: int) -> None:
@@ -104,13 +110,13 @@ class HeatMap:
         """Decay one file's heat; returns its heat *before* the decay."""
         heat = self._heat.get(ino, 0.0)
         if heat:
-            self._heat[ino] = heat * self.decay
+            self._heat[ino] = heat * self.DECAY
         return heat
 
     def cool_all(self) -> None:
         """Decay every file, dropping entries below ``FORGET_BELOW``."""
         for ino in list(self._heat):
-            self._heat[ino] *= self.decay
+            self._heat[ino] *= self.DECAY
             if self._heat[ino] < self.FORGET_BELOW:
                 del self._heat[ino]
 
@@ -122,19 +128,14 @@ class HeatMap:
 class LruTieringPolicy(Policy):
     """LRU block-chunk tiering: fill fast tiers, demote cold, promote hot."""
 
-    def __init__(
-        self,
-        high_watermark: float = 0.90,
-        low_watermark: float = 0.75,
-        promote_on_access: bool = True,
-        max_orders_per_plan: int = 64,
-    ) -> None:
-        if not 0 < low_watermark <= high_watermark <= 1:
-            raise PolicyError("watermarks must satisfy 0 < low <= high <= 1")
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
-        self.promote_on_access = promote_on_access
-        self.max_orders_per_plan = max_orders_per_plan
+    #: a tier above this utilisation demotes its coldest chunks ...
+    HIGH_WATERMARK = 0.90
+    #: ... until it is back down to this one
+    LOW_WATERMARK = 0.75
+    #: cap on the migration orders one planning round returns
+    MAX_ORDERS = 64
+
+    def __init__(self) -> None:
         #: LRU recency: (ino, chunk) -> tier of last-known residence;
         #: most-recently-used at the end
         self._recency: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
@@ -169,7 +170,7 @@ class LruTieringPolicy(Policy):
             self._recency.pop(key, None)
             self._recency[key] = tier_id
             chunks.add(chunk)
-        if self.promote_on_access and tier_id != 0 and kind == "read":
+        if tier_id != 0 and kind == "read":
             self._queued[ino] = self._queued.get(ino, 0) + 1
             self._promotions.append(
                 MigrationOrder(
@@ -211,17 +212,17 @@ class LruTieringPolicy(Policy):
 
         # demotions: for each overfull tier, evict coldest chunks downward
         for idx, tier in enumerate(by_rank):
-            if tier.utilization <= self.high_watermark:
+            if tier.utilization <= self.HIGH_WATERMARK:
                 continue
             if idx + 1 >= len(by_rank):
                 continue  # slowest tier has nowhere to demote
             dst = by_rank[idx + 1]
             bytes_to_free = int(
-                (tier.utilization - self.low_watermark) * tier.total_bytes
+                (tier.utilization - self.LOW_WATERMARK) * tier.total_bytes
             )
             freed = 0
             for key in list(self._recency):  # oldest first
-                if freed >= bytes_to_free or len(orders) >= self.max_orders_per_plan:
+                if freed >= bytes_to_free or len(orders) >= self.MAX_ORDERS:
                     break
                 ino, chunk = key
                 if residence.get(key) != tier.tier_id:
@@ -241,7 +242,7 @@ class LruTieringPolicy(Policy):
                 self._recency[key] = dst.tier_id
 
         # promotions gathered from accesses, space permitting
-        while self._promotions and len(orders) < self.max_orders_per_plan:
+        while self._promotions and len(orders) < self.MAX_ORDERS:
             order = self._promotions.popleft()
             left = self._queued[order.ino] - 1
             if left:
@@ -249,7 +250,7 @@ class LruTieringPolicy(Policy):
             else:
                 del self._queued[order.ino]
             dst = tier_by_id.get(order.dst_tier)
-            if dst is None or dst.utilization >= self.high_watermark:
+            if dst is None or dst.utilization >= self.HIGH_WATERMARK:
                 continue
             orders.append(order)
         return orders
@@ -259,13 +260,8 @@ class LruTieringPolicy(Policy):
 class TpfsPolicy(Policy):
     """TPFS-style placement: small/sync writes to PM, large writes downhill."""
 
-    def __init__(
-        self,
-        small_io_bytes: int = 64 * 1024,
-        medium_io_bytes: int = 1024 * 1024,
-        history_window: int = 8,
-    ) -> None:
-        self.sizes = SizeRule(small_io_bytes, medium_io_bytes, history_window)
+    def __init__(self) -> None:
+        self.sizes = SizeRule()
 
     def place_write(self, request: PlacementRequest, tiers: List[TierState]) -> int:
         base_rank = self.sizes.base_rank(request)
@@ -290,17 +286,8 @@ class TpfsPolicy(Policy):
 class HotColdPolicy(Policy):
     """Whole-file temperature with exponential decay; hot files float up."""
 
-    def __init__(
-        self,
-        hot_threshold: float = 4.0,
-        cold_threshold: float = 0.5,
-        decay: float = 0.8,
-        max_orders_per_plan: int = 32,
-    ) -> None:
-        self.hot_threshold = hot_threshold
-        self.cold_threshold = cold_threshold
-        self.max_orders_per_plan = max_orders_per_plan
-        self.heat = HeatMap(decay)
+    def __init__(self) -> None:
+        self.heat = HeatMap()
 
     def place_write(self, request: PlacementRequest, tiers: List[TierState]) -> int:
         return fastest_with_room(tiers, request.length).tier_id
@@ -323,9 +310,9 @@ class HotColdPolicy(Policy):
         orders: List[MigrationOrder] = []
         for view in files:
             heat = self.heat.cool(view.ino)
-            if len(orders) >= self.max_orders_per_plan:
+            if len(orders) >= MAX_ORDERS_PER_PLAN:
                 break
-            if heat >= self.hot_threshold:
+            if heat >= HOT_THRESHOLD:
                 for start, count, tier in view.runs:
                     if tier is not None and tier != fastest.tier_id:
                         orders.append(
@@ -333,7 +320,7 @@ class HotColdPolicy(Policy):
                                 view.ino, start, count, tier, fastest.tier_id, "hot"
                             )
                         )
-            elif heat <= self.cold_threshold and heat > 0:
+            elif heat <= COLD_THRESHOLD and heat > 0:
                 for start, count, tier in view.runs:
                     if tier is not None and tier != slowest.tier_id:
                         orders.append(
@@ -348,8 +335,8 @@ class PressureRouter:
     """Hysteresis routing around loaded, SUSPECT or full tiers.
 
     Keeps a per-tier *avoid* flag with hysteresis: a tier is avoided once
-    its sampled per-channel load reaches ``spill_load`` and stays avoided
-    until the load decays to ``resume_load``, so placement does not flap
+    its sampled per-channel load reaches ``SPILL_LOAD`` and stays avoided
+    until the load decays to ``RESUME_LOAD``, so placement does not flap
     when the load hovers at one threshold.
 
     Saturation spills go *uphill only* (toward a cool, roomy, faster
@@ -363,11 +350,10 @@ class PressureRouter:
     tier in either direction.  OFFLINE tiers are never candidates.
     """
 
-    def __init__(self, spill_load: float = 0.75, resume_load: float = 0.3) -> None:
-        if resume_load >= spill_load:
-            raise PolicyError("resume_load must be below spill_load")
-        self.spill_load = spill_load
-        self.resume_load = resume_load
+    SPILL_LOAD = 0.75
+    RESUME_LOAD = 0.3
+
+    def __init__(self) -> None:
         #: tiers currently routed around (hysteresis state)
         self._avoiding: Dict[int, bool] = {}
         #: placements that left the base-rank tier because of pressure
@@ -380,9 +366,9 @@ class PressureRouter:
         for t in tiers:
             load = tier_load(t)
             if self._avoiding.get(t.tier_id):
-                if load <= self.resume_load:
+                if load <= self.RESUME_LOAD:
                     del self._avoiding[t.tier_id]
-            elif load >= self.spill_load:
+            elif load >= self.SPILL_LOAD:
                 self._avoiding[t.tier_id] = True
 
     def _avoided(self, tier_id: int) -> bool:
@@ -392,29 +378,23 @@ class PressureRouter:
         """Whether ``tier`` may receive migration traffic right now."""
         return (
             not self._avoided(tier.tier_id)
-            and tier_load(tier) < self.spill_load
+            and tier_load(tier) < self.SPILL_LOAD
             and tier.health is HealthState.HEALTHY
         )
 
-    def route(
-        self,
-        base_rank: int,
-        tiers: List[TierState],
-        length: int,
-        reserve_fraction: float = 0.02,
-    ) -> int:
+    def route(self, base_rank: int, tiers: List[TierState], length: int) -> int:
         """Pick a tier near ``base_rank``, spilling around pressure."""
         self.observe(tiers)
         candidates = writable_tiers(tiers)
         if not candidates:
             raise PolicyError("no writable tier (all offline)")
 
-        def roomy(t: TierState) -> bool:
-            reserve = int(t.total_bytes * reserve_fraction)
-            return t.free_bytes - reserve >= length
-
         base = next((t for t in candidates if t.rank == base_rank), None)
-        if base is not None and base.health is HealthState.HEALTHY and roomy(base):
+        if (
+            base is not None
+            and base.health is HealthState.HEALTHY
+            and has_room(base, length)
+        ):
             if not self._avoided(base.tier_id):
                 return base.tier_id
             # saturation spill: only a cool, roomy, *faster* tier
@@ -424,7 +404,7 @@ class PressureRouter:
                 if t.rank < base_rank
                 and t.health is HealthState.HEALTHY
                 and not self._avoided(t.tier_id)
-                and roomy(t)
+                and has_room(t, length)
             ]
             if uphill:
                 self.pressure_spills += 1
@@ -435,7 +415,7 @@ class PressureRouter:
             return base.tier_id  # nowhere cool and faster: eat the queue
         # base tier SUSPECT, full or unregistered: the write must move —
         # nearest healthy non-avoided tier in either direction wins
-        pool = [t for t in candidates if roomy(t)] or candidates
+        pool = [t for t in candidates if has_room(t, length)] or candidates
 
         def key(t: TierState):
             health = 0 if t.health is HealthState.HEALTHY else 1
@@ -454,41 +434,28 @@ class PressureAwarePolicy(Policy):
     the fastest tier, large writes downhill) and then routes around
     saturated or SUSPECT tiers via its :class:`PressureRouter`.
     Migration planning demotes the coldest resident files off any tier
-    whose load reaches ``demote_load``, promotes hot files to the fastest
+    whose load reaches ``DEMOTE_LOAD``, promotes hot files to the fastest
     tier only while it is cool, and drops (defers) any order whose
-    destination is currently avoided or above ``spill_load``.
+    destination is currently avoided or above ``PressureRouter.SPILL_LOAD``.
     """
 
     defer_hot_migrations = True
 
-    def __init__(
-        self,
-        spill_load: float = 0.75,
-        resume_load: float = 0.3,
-        demote_load: float = 1.5,
-        demote_util: float = 0.85,
-        promote_util: float = 0.5,
-        small_io_bytes: int = 64 * 1024,
-        medium_io_bytes: int = 1024 * 1024,
-        history_window: int = 8,
-        hot_threshold: float = 4.0,
-        cold_threshold: float = 0.5,
-        decay: float = 0.8,
-        max_orders_per_plan: int = 32,
-        demote_files_per_plan: int = 4,
-        promote_files_per_plan: int = 2,
-    ) -> None:
-        self.router = PressureRouter(spill_load, resume_load)
-        self.sizes = SizeRule(small_io_bytes, medium_io_bytes, history_window)
-        self.heat = HeatMap(decay)
-        self.demote_load = demote_load
-        self.demote_util = demote_util
-        self.promote_util = promote_util
-        self.promote_files_per_plan = promote_files_per_plan
-        self.hot_threshold = hot_threshold
-        self.cold_threshold = cold_threshold
-        self.max_orders_per_plan = max_orders_per_plan
-        self.demote_files_per_plan = demote_files_per_plan
+    #: a tier whose load reaches this sheds its cold files
+    DEMOTE_LOAD = 1.5
+    #: a tier at least this full sheds its coldest files, hot or not
+    DEMOTE_UTIL = 0.85
+    #: promotions stop once the fastest tier is this full
+    PROMOTE_UTIL = 0.5
+    #: files one planning round may demote off each relieved tier
+    DEMOTE_FILES_PER_PLAN = 4
+    #: files one planning round may promote
+    PROMOTE_FILES_PER_PLAN = 2
+
+    def __init__(self) -> None:
+        self.router = PressureRouter()
+        self.sizes = SizeRule()
+        self.heat = HeatMap()
 
     # -- placement --------------------------------------------------------
 
@@ -532,9 +499,9 @@ class PressureAwarePolicy(Policy):
         for t in tiers:
             if t.health is HealthState.OFFLINE:
                 continue
-            if tier_load(t) >= self.demote_load or t.health is HealthState.SUSPECT:
+            if tier_load(t) >= self.DEMOTE_LOAD or t.health is HealthState.SUSPECT:
                 relieving.append((t, True))
-            elif t.utilization >= self.demote_util and any(
+            elif t.utilization >= self.DEMOTE_UTIL and any(
                 d.rank > t.rank for d in writable
             ):
                 relieving.append((t, False))
@@ -554,12 +521,12 @@ class PressureAwarePolicy(Policy):
             resident = [
                 v
                 for v in views
-                if (not cold_gated or heats[v.ino] <= self.cold_threshold)
+                if (not cold_gated or heats[v.ino] <= COLD_THRESHOLD)
                 and any(r[2] == src.tier_id for r in v.runs)
             ]
             resident.sort(key=lambda v: (heats[v.ino], v.ino))
-            for view in resident[: self.demote_files_per_plan]:
-                if len(orders) >= self.max_orders_per_plan:
+            for view in resident[: self.DEMOTE_FILES_PER_PLAN]:
+                if len(orders) >= MAX_ORDERS_PER_PLAN:
                     break
                 for start, count, tier in view.runs:
                     if tier == src.tier_id:
@@ -578,17 +545,17 @@ class PressureAwarePolicy(Policy):
         # its channels are cool — promoting into a burst makes the tail —
         # and only while it has headroom: a fast tier filled to the brim
         # with promoted files cannot absorb the next burst, and absorption
-        # is the cheaper way to cut the tail.  ``promote_files_per_plan``
+        # is the cheaper way to cut the tail.  ``PROMOTE_FILES_PER_PLAN``
         # rations the copy traffic each round so promotions trickle into
         # cool windows instead of warring with foreground I/O.
-        if router.is_cool(fastest) and fastest.utilization < self.promote_util:
-            hot = [v for v in views if heats[v.ino] >= self.hot_threshold]
+        if router.is_cool(fastest) and fastest.utilization < self.PROMOTE_UTIL:
+            hot = [v for v in views if heats[v.ino] >= HOT_THRESHOLD]
             hot.sort(key=lambda v: (-heats[v.ino], v.ino))
             promoted = 0
             for view in hot:
                 if (
-                    promoted >= self.promote_files_per_plan
-                    or len(orders) >= self.max_orders_per_plan
+                    promoted >= self.PROMOTE_FILES_PER_PLAN
+                    or len(orders) >= MAX_ORDERS_PER_PLAN
                 ):
                     break
                 moved = False
@@ -609,7 +576,7 @@ class PressureAwarePolicy(Policy):
                     promoted += 1
         else:
             router.deferred_orders += 1
-        return orders[: self.max_orders_per_plan]
+        return orders[:MAX_ORDERS_PER_PLAN]
 
 
 @register_policy("mirror")
@@ -621,33 +588,31 @@ class MirrorPolicy(PressureAwarePolicy):
     mirror on the fastest healthy tier, so their reads serve at PM/SSD
     speed even while the authoritative copy stays (or demotes) downhill.
     Mirrors are reclaimed when the file cools, when the mirror tier needs
-    the capacity back (``reclaim_util``), or when the tier goes OFFLINE.
+    the capacity back (``RECLAIM_UTIL``), or when the tier goes OFFLINE.
 
     Promotion orders *into* a file's mirror tier are suppressed — the
     mirror already serves reads there, so moving authority up as well
     would just burn copy bandwidth and fast-tier capacity twice.
     """
 
-    def __init__(
-        self,
-        mirror_heat: float = 3.0,
-        mirror_read_fraction: float = 0.6,
-        max_file_bytes: int = 4 * 1024 * 1024,
-        mirror_budget_fraction: float = 0.5,
-        reclaim_util: float = 0.85,
-        mirrors_per_plan: int = 4,
-        **kwargs: object,
-    ) -> None:
-        super().__init__(**kwargs)
-        self.mirror_heat = mirror_heat
-        self.mirror_read_fraction = mirror_read_fraction
-        self.max_file_bytes = max_file_bytes
-        self.mirror_budget_fraction = mirror_budget_fraction
-        self.reclaim_util = reclaim_util
-        self.mirrors_per_plan = mirrors_per_plan
+    #: a file this hot (and read-mostly) earns a mirror
+    MIRROR_HEAT = 3.0
+    #: share of a file's accesses that must be reads for it to earn one
+    MIRROR_READ_FRACTION = 0.6
+    #: files larger than this are never mirrored
+    MAX_FILE_BYTES = 4 * 1024 * 1024
+    #: share of the fastest tier's free space one round may grant
+    MIRROR_BUDGET_FRACTION = 0.5
+    #: a mirror tier this full sheds its coldest mirrors
+    RECLAIM_UTIL = 0.85
+    #: mirrors one round may add, and may reclaim per tier
+    MIRRORS_PER_PLAN = 4
+
+    def __init__(self) -> None:
+        super().__init__()
         #: per-file read/write op counts, decayed alongside the heat map
-        self._reads = HeatMap(self.heat.decay)
-        self._writes = HeatMap(self.heat.decay)
+        self._reads = HeatMap()
+        self._writes = HeatMap()
         #: ino -> tier currently holding this file's mirror
         self._mirrored_on: Dict[int, int] = {}
 
@@ -685,19 +650,19 @@ class MirrorPolicy(PressureAwarePolicy):
             if tier is None or tier.health is HealthState.OFFLINE:
                 orders.append(MirrorOrder(ino, tier_id, "drop", "tier-gone"))
                 del self._mirrored_on[ino]
-            elif heats.get(ino, self.heat.get(ino)) <= self.cold_threshold:
+            elif heats.get(ino, self.heat.get(ino)) <= COLD_THRESHOLD:
                 orders.append(MirrorOrder(ino, tier_id, "drop", "cooled"))
                 del self._mirrored_on[ino]
         # space pressure on the mirror tier: shed the coldest mirrors
         for tier_id in set(self._mirrored_on.values()):
             tier = by_id.get(tier_id)
-            if tier is None or tier.utilization < self.reclaim_util:
+            if tier is None or tier.utilization < self.RECLAIM_UTIL:
                 continue
             victims = sorted(
                 (ino for ino, t in self._mirrored_on.items() if t == tier_id),
                 key=lambda ino: (heats.get(ino, 0.0), ino),
             )
-            for ino in victims[: self.mirrors_per_plan]:
+            for ino in victims[: self.MIRRORS_PER_PLAN]:
                 orders.append(MirrorOrder(ino, tier_id, "drop", "reclaim"))
                 del self._mirrored_on[ino]
 
@@ -711,19 +676,19 @@ class MirrorPolicy(PressureAwarePolicy):
         )
         if fastest is None:
             return orders
-        budget = int(fastest.free_bytes * self.mirror_budget_fraction)
+        budget = int(fastest.free_bytes * self.MIRROR_BUDGET_FRACTION)
         candidates = [
             v
             for v in views
             if v.ino not in self._mirrored_on
-            and 0 < v.size <= self.max_file_bytes
-            and heats.get(v.ino, 0.0) >= self.mirror_heat
-            and self._read_fraction(v.ino) >= self.mirror_read_fraction
+            and 0 < v.size <= self.MAX_FILE_BYTES
+            and heats.get(v.ino, 0.0) >= self.MIRROR_HEAT
+            and self._read_fraction(v.ino) >= self.MIRROR_READ_FRACTION
         ]
         candidates.sort(key=lambda v: (-heats.get(v.ino, 0.0), v.ino))
         added = 0
         for view in candidates:
-            if added >= self.mirrors_per_plan or budget < view.size:
+            if added >= self.MIRRORS_PER_PLAN or budget < view.size:
                 break
             mapped = sum(view.blocks_by_tier.values())
             on_fastest = view.blocks_by_tier.get(fastest.tier_id, 0)

@@ -176,16 +176,23 @@ def tier_load(tier: TierState) -> float:
     return tier.pressure.load if tier.pressure is not None else 0.0
 
 
-def fastest_with_room(
-    tiers: List[TierState], length: int, reserve_fraction: float = 0.02
-) -> TierState:
+#: share of a tier's capacity that placement keeps free: a write goes
+#: to a tier only if it fits with this headroom left over
+PLACEMENT_RESERVE = 0.02
+
+
+def has_room(tier: TierState, length: int) -> bool:
+    """Whether ``tier`` can absorb ``length`` bytes and keep its reserve."""
+    return tier.free_bytes - int(tier.total_bytes * PLACEMENT_RESERVE) >= length
+
+
+def fastest_with_room(tiers: List[TierState], length: int) -> TierState:
     """The fastest writable tier that can absorb ``length`` bytes with headroom."""
     candidates = writable_tiers(tiers)
     if not candidates:
         raise PolicyError("no writable tier (all offline)")
     for tier in sorted(candidates, key=lambda t: t.rank):
-        reserve = int(tier.total_bytes * reserve_fraction)
-        if tier.free_bytes - reserve >= length:
+        if has_room(tier, length):
             return tier
     # last resort: the writable tier with the most free space
     best = max(candidates, key=lambda t: t.free_bytes)
@@ -214,7 +221,7 @@ def register_policy(name: str) -> Callable[[type], type]:
     return decorate
 
 
-def make_policy(name: str, **kwargs: object) -> Policy:
+def make_policy(name: str) -> Policy:
     """Instantiate a registered policy by name."""
     try:
         ctor = _REGISTRY[name]
@@ -222,7 +229,7 @@ def make_policy(name: str, **kwargs: object) -> Policy:
         raise PolicyError(
             f"unknown policy {name!r}; registered: {sorted(_REGISTRY)}"
         )
-    return ctor(**kwargs)
+    return ctor()
 
 
 def registered_policies() -> List[str]:

@@ -95,15 +95,13 @@ class PressureMonitor:
     the first time a sample is read, then shared until the next one.
     """
 
-    def __init__(
-        self, sample_interval_ns: int = 20_000, alpha: float = 0.3
-    ) -> None:
-        if sample_interval_ns <= 0:
-            raise ValueError("sample interval must be positive")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.sample_interval_ns = sample_interval_ns
-        self.alpha = alpha
+    #: weight of the newest sample in each EWMA gauge
+    ALPHA = 0.3
+
+    def __init__(self) -> None:
+        #: minimum simulated time between two samples of a tier; the
+        #: stack builder may shorten it (``pressure_interval_ns``)
+        self.sample_interval_ns = 20_000
         self._tiers: Dict[int, _TierGauges] = {}
         #: tier hosting the write-back cache -> dirty-fraction gauge
         self._dirty_tier: Optional[int] = None
@@ -134,7 +132,7 @@ class PressureMonitor:
         Pure host-side: no simulated time is charged and no randomness
         is consumed, so fingerprints cannot drift from sampling.
         """
-        alpha = self.alpha
+        alpha = self.ALPHA
         for tier_id, g in self._tiers.items():
             if g.last_sample_ns >= 0:
                 dt = now_ns - g.last_sample_ns
@@ -206,7 +204,7 @@ class PressureMonitor:
         return tl.queued_at(now_ns) / tl.nchannels
 
     def snapshot(self) -> Dict[int, Dict[str, float]]:
-        """Rounded per-tier gauges for dumps (``bench trace --pressure``)."""
+        """Rounded per-tier gauges for dumps (``bench trace``)."""
         snap: Dict[int, Dict[str, float]] = {}
         for tier_id in sorted(self._tiers):
             g = self._tiers[tier_id]

@@ -65,11 +65,9 @@ class SimClock:
 
     __slots__ = ("now_ns", "in_background", "_saved")
 
-    def __init__(self, start_ns: int = 0) -> None:
-        if start_ns < 0:
-            raise ValueError("clock cannot start before t=0")
+    def __init__(self) -> None:
         #: current simulated time in ns: the innermost frame's cursor
-        self.now_ns = start_ns
+        self.now_ns = 0
         #: true while the active frames include a background one; devices
         #: use it to steer a request onto their reserved background channels
         self.in_background = False

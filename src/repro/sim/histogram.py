@@ -3,7 +3,7 @@
 Benchmarks and examples use these to report tail latencies (p50/p99/p999)
 without storing every sample: values land in exponentially sized buckets,
 so memory stays constant while percentile error stays within one bucket
-(~7% with the default growth factor).  Percentile queries interpolate
+(~7%, set by ``GROWTH``).  Percentile queries interpolate
 linearly *within* the winning bucket, so a quantile moves smoothly with
 the sample distribution instead of quantizing to bucket boundaries —
 which matters for p999 sweeps, where adjacent load points would otherwise
@@ -19,12 +19,13 @@ from typing import Dict, List, Tuple
 class LatencyHistogram:
     """Exponential-bucket histogram over nanosecond latencies."""
 
-    def __init__(self, growth: float = 1.07, min_ns: int = 10) -> None:
-        if growth <= 1.0:
-            raise ValueError("growth factor must exceed 1")
-        self.growth = growth
-        self.min_ns = min_ns
-        self._log_growth = math.log(growth)
+    #: each bucket's upper bound is this factor times the previous one's
+    GROWTH = 1.07
+    _LOG_GROWTH = math.log(GROWTH)
+    #: upper bound of bucket 0, which holds every latency below it
+    MIN_NS = 10
+
+    def __init__(self) -> None:
         self._buckets: Dict[int, int] = {}
         self.count = 0
         self.total_ns = 0
@@ -44,19 +45,19 @@ class LatencyHistogram:
         self._buckets[index] = self._buckets.get(index, 0) + 1
 
     def _bucket_index(self, latency_ns: int) -> int:
-        if latency_ns < self.min_ns:
+        if latency_ns < self.MIN_NS:
             return 0
-        return 1 + int(math.log(latency_ns / self.min_ns) / self._log_growth)
+        return 1 + int(math.log(latency_ns / self.MIN_NS) / self._LOG_GROWTH)
 
     def _bucket_upper_ns(self, index: int) -> float:
         if index == 0:
-            return float(self.min_ns)
-        return self.min_ns * self.growth**index
+            return float(self.MIN_NS)
+        return self.MIN_NS * self.GROWTH**index
 
     def _bucket_lower_ns(self, index: int) -> float:
         if index == 0:
             return 0.0
-        return self.min_ns * self.growth ** (index - 1)
+        return self.MIN_NS * self.GROWTH ** (index - 1)
 
     # -- queries -----------------------------------------------------------
 
@@ -117,9 +118,7 @@ class LatencyHistogram:
         }
 
     def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram (same parameters) into this one."""
-        if other.growth != self.growth or other.min_ns != self.min_ns:
-            raise ValueError("histogram parameters differ")
+        """Fold another histogram into this one."""
         for index, count in other._buckets.items():
             self._buckets[index] = self._buckets.get(index, 0) + count
         self.count += other.count

@@ -101,7 +101,7 @@ def build_stack(
 
     ``pressure_interval_ns`` overrides the PressureMonitor's sampling
     interval — shorter means placement reacts to a burst sooner, at a
-    little more host CPU per operation.
+    little more host CPU per operation.  It must be positive.
 
     ``faults`` maps tier names to :class:`FaultConfig`s; each named tier's
     device gets a :class:`FaultInjector` with an independent rng substream
@@ -121,6 +121,10 @@ def build_stack(
     serializing after it.  Off by default — the timing model is
     bit-identical unless a stack opts in.
     """
+    if pressure_interval_ns is not None and pressure_interval_ns <= 0:
+        raise InvalidArgument(
+            f"pressure_interval_ns must be positive, got {pressure_interval_ns}"
+        )
     tiers = list(tiers) if tiers is not None else ["pm", "ssd", "hdd"]
     caps = dict(DEFAULT_CAPACITIES)
     if capacities:

@@ -63,6 +63,8 @@ class StrataFileSystem(NativeFileSystem):
     op_cost_ns = cal.STRATA_OP_NS
     #: fraction of PM reserved for the operation log
     log_fraction = 0.25
+    #: fraction of the log that, once filled, triggers a digest
+    digest_threshold_fraction = 0.75
 
     def __init__(
         self,
@@ -72,7 +74,6 @@ class StrataFileSystem(NativeFileSystem):
         hdd: Device,
         clock: SimClock,
         pin_target: Optional[str] = None,
-        digest_threshold_fraction: float = 0.75,
     ) -> None:
         super().__init__(fs_name, pm, clock)
         self.pm = pm
@@ -88,7 +89,7 @@ class StrataFileSystem(NativeFileSystem):
         }
         #: (ino, file_block) -> log block, in append (digest) order
         self._log_entries: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
-        self._digest_threshold = int(log_blocks * digest_threshold_fraction)
+        self._digest_threshold = int(log_blocks * self.digest_threshold_fraction)
         #: static per-file placement ("always directed to the target
         #: device" in the paper's microbenchmark); None = capacity fill
         self.pin_target = pin_target

@@ -8,7 +8,7 @@ from repro.vfs.stat import (
     FsStats,
     Stat,
 )
-from repro.vfs.vfs import DEFAULT_DISPATCH_COST_NS, VFS
+from repro.vfs.vfs import DISPATCH_COST_NS, VFS
 
 __all__ = [
     "FileHandle",
@@ -19,6 +19,6 @@ __all__ = [
     "FileType",
     "FsStats",
     "Stat",
-    "DEFAULT_DISPATCH_COST_NS",
+    "DISPATCH_COST_NS",
     "VFS",
 ]

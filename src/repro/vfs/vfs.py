@@ -23,10 +23,10 @@ from repro.vfs import path as vpath
 from repro.vfs.interface import FileHandle, FileSystem, OpenFlags
 from repro.vfs.stat import FsStats, Stat
 
-#: Default CPU cost of one VFS dispatch (path lookup in the mount table,
+#: CPU cost of one VFS dispatch (path lookup in the mount table,
 #: permission checks, fd table work).  Roughly the syscall+VFS overhead of
 #: a warm Linux path, in nanoseconds.
-DEFAULT_DISPATCH_COST_NS = 300
+DISPATCH_COST_NS = 300
 
 
 class VFS:
@@ -36,11 +36,8 @@ class VFS:
     #: the mount table, so entries only die on mount/unmount)
     RESOLVE_CACHE_SIZE = 4096
 
-    def __init__(
-        self, clock: SimClock, dispatch_cost_ns: int = DEFAULT_DISPATCH_COST_NS
-    ) -> None:
+    def __init__(self, clock: SimClock) -> None:
         self.clock = clock
-        self.dispatch_cost_ns = dispatch_cost_ns
         self._mounts: Dict[str, FileSystem] = {}
         #: canonical path -> (fs, inner path); a memo of resolve() results.
         #: Purely host-side: no simulated cost depends on it.
@@ -111,7 +108,7 @@ class VFS:
     # -- dispatch helpers -----------------------------------------------------
 
     def _charge(self) -> None:
-        self.clock.advance_ns(self.dispatch_cost_ns)
+        self.clock.advance_ns(DISPATCH_COST_NS)
 
     # -- path-based operations ---------------------------------------------------
 

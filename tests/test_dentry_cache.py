@@ -9,6 +9,10 @@ from repro.errors import FileNotFound
 from repro.vfs.interface import OpenFlags
 
 
+def small_dcache(capacity):
+    return type("SmallDcache", (DentryCache,), {"CAPACITY": capacity})()
+
+
 class TestDentryCacheUnit:
     def test_positive_and_negative_entries(self):
         dc = DentryCache()
@@ -40,7 +44,7 @@ class TestDentryCacheUnit:
         assert dc.get("/dirx") == 3
 
     def test_capacity_bounded_fifo(self):
-        dc = DentryCache(capacity=4)
+        dc = small_dcache(4)
         for i in range(6):
             dc.put(f"/f{i}", i)
         assert len(dc) == 4
@@ -48,7 +52,7 @@ class TestDentryCacheUnit:
         assert dc.get("/f5") == 5
 
     def test_overwrite_does_not_evict(self):
-        dc = DentryCache(capacity=2)
+        dc = small_dcache(2)
         dc.put("/a", 1)
         dc.put("/b", 2)
         dc.put("/a", 10)  # update in place

@@ -21,7 +21,7 @@ class TestLatencyHistogram:
         assert hist.min_seen_ns == 100
 
     def test_percentiles_bounded_by_bucket(self):
-        hist = LatencyHistogram(growth=1.07)
+        hist = LatencyHistogram()
         for value in range(1000, 2000):
             hist.record(value)
         p50 = hist.percentile(0.5)
@@ -40,7 +40,7 @@ class TestLatencyHistogram:
         # 100 samples land in one middle bucket (the envelope is widened by
         # one outlier on each side); quantiles should move smoothly through
         # that bucket instead of snapping to its upper bound.
-        hist = LatencyHistogram(growth=1.07)
+        hist = LatencyHistogram()
         hist.record(10)
         for _ in range(100):
             hist.record(1000)
@@ -55,7 +55,7 @@ class TestLatencyHistogram:
     def test_identical_samples_collapse_to_value(self):
         # With every sample equal, clamping to the observed envelope makes
         # every quantile exactly that value — no bucket-bound inflation.
-        hist = LatencyHistogram(growth=1.07)
+        hist = LatencyHistogram()
         for _ in range(50):
             hist.record(777)
         assert hist.percentile(0.5) == 777
@@ -65,8 +65,8 @@ class TestLatencyHistogram:
         # Two histograms whose tails differ within one bucket must report
         # different p999 values — the pre-interpolation behaviour returned
         # the shared bucket upper bound for both.
-        a = LatencyHistogram(growth=1.07)
-        b = LatencyHistogram(growth=1.07)
+        a = LatencyHistogram()
+        b = LatencyHistogram()
         for _ in range(2000):
             a.record(1000)
             b.record(1000)
@@ -91,8 +91,6 @@ class TestLatencyHistogram:
             hist.record(-1)
         with pytest.raises(ValueError):
             hist.percentile(0.0)
-        with pytest.raises(ValueError):
-            LatencyHistogram(growth=1.0)
 
     def test_merge(self):
         a = LatencyHistogram()
@@ -102,10 +100,6 @@ class TestLatencyHistogram:
         a.merge(b)
         assert a.count == 2
         assert a.max_ns == 300
-
-    def test_merge_parameter_mismatch(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram(growth=1.07).merge(LatencyHistogram(growth=1.5))
 
     def test_summary(self):
         hist = LatencyHistogram()

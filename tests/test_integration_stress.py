@@ -19,11 +19,16 @@ MIB = 1024 * 1024
 BS = 4096
 
 
+class EagerLru(LruTieringPolicy):
+    HIGH_WATERMARK = 0.7
+    LOW_WATERMARK = 0.5
+
+
 @pytest.fixture
 def world():
     return build_stack(
         capacities={"pm": 24 * MIB, "ssd": 64 * MIB, "hdd": 256 * MIB},
-        policy=LruTieringPolicy(high_watermark=0.7, low_watermark=0.5),
+        policy=EagerLru(),
     )
 
 

@@ -37,7 +37,7 @@ class ReferenceLru(LruTieringPolicy):
             key = (ino, chunk)
             self._recency.pop(key, None)
             self._recency[key] = tier_id
-        if self.promote_on_access and tier_id != 0 and kind == "read":
+        if tier_id != 0 and kind == "read":
             self._promotions.append(
                 MigrationOrder(
                     ino=ino,
@@ -70,17 +70,17 @@ class ReferenceLru(LruTieringPolicy):
                 ):
                     residence[(view.ino, chunk)] = tier
         for idx, tier in enumerate(by_rank):
-            if tier.utilization <= self.high_watermark:
+            if tier.utilization <= self.HIGH_WATERMARK:
                 continue
             if idx + 1 >= len(by_rank):
                 continue
             dst = by_rank[idx + 1]
             bytes_to_free = int(
-                (tier.utilization - self.low_watermark) * tier.total_bytes
+                (tier.utilization - self.LOW_WATERMARK) * tier.total_bytes
             )
             freed = 0
             for key in list(self._recency):
-                if freed >= bytes_to_free or len(orders) >= self.max_orders_per_plan:
+                if freed >= bytes_to_free or len(orders) >= self.MAX_ORDERS:
                     break
                 ino, chunk = key
                 if residence.get(key) != tier.tier_id:
@@ -97,10 +97,10 @@ class ReferenceLru(LruTieringPolicy):
                 )
                 freed += CHUNK_BLOCKS * 4096
                 self._recency[key] = dst.tier_id
-        while self._promotions and len(orders) < self.max_orders_per_plan:
+        while self._promotions and len(orders) < self.MAX_ORDERS:
             order = self._promotions.pop(0)
             dst = tier_by_id.get(order.dst_tier)
-            if dst is None or dst.utilization >= self.high_watermark:
+            if dst is None or dst.utilization >= self.HIGH_WATERMARK:
                 continue
             orders.append(order)
         return orders
@@ -145,7 +145,7 @@ def _apply(policy, step):
     if step[0] == "forget":
         return policy.forget(step[1])
     _, free, placed, max_orders = step
-    policy.max_orders_per_plan = max_orders
+    policy.MAX_ORDERS = max_orders
     tiers = [_tier(t, f) for t, f in enumerate(free)]
     views = [
         FileView(

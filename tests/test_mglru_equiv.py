@@ -127,7 +127,7 @@ def assert_equivalent(fast: MultiGenLru, oracle: ScalarMglru, keys) -> None:
 
 
 def drive(ops, capacity, gens):
-    fast = MultiGenLru(capacity, num_generations=gens)
+    fast = type("Mglru", (MultiGenLru,), {"NUM_GENERATIONS": gens})(capacity)
     oracle = ScalarMglru(capacity, num_generations=gens)
     keys = set()
     for op, key in ops:
@@ -209,7 +209,7 @@ class WriteCountingDict(dict):
 
 @pytest.mark.parametrize("population", [400, 4000])
 def test_age_writes_bounded_by_merged_generation(population):
-    lru = MultiGenLru(population, num_generations=4)
+    lru = MultiGenLru(population)
     for i in range(population):
         lru.insert(i)
     counting = WriteCountingDict(lru._where)
@@ -228,12 +228,12 @@ def test_age_write_count_independent_of_other_generations():
     """Same merged-generation size, 10x population: identical age cost."""
 
     def age_writes(population: int) -> int:
-        lru = MultiGenLru(population * 2, num_generations=4)
+        lru = MultiGenLru(population * 2)
         for i in range(population):
             lru.insert(i)
         # push everything out of the two oldest generations, then age with
         # empty oldest pair: the merge itself is O(0) regardless of size
-        for _ in range(lru.num_generations):
+        for _ in range(lru.NUM_GENERATIONS):
             lru.age()
         for i in range(population):
             lru.touch(i)

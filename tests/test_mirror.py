@@ -674,10 +674,10 @@ class TestMirrorPolicy:
         assert policy.plan_mirrors(self.tiers(), [self.view(1)]) == []
 
     def test_large_file_is_not_mirrored(self):
-        policy = MirrorPolicy(max_file_bytes=MIB)
+        policy = MirrorPolicy()
         for _ in range(10):
             policy.on_access(1, 0, 16, 3, "read", 0.0)
-        view = self.view(1, size=2 * MIB)
+        view = self.view(1, size=2 * MirrorPolicy.MAX_FILE_BYTES)
         assert policy.plan_mirrors(self.tiers(), [view]) == []
 
     def test_file_already_on_the_fast_tier_is_skipped(self):
@@ -718,7 +718,7 @@ class TestMirrorPolicy:
                 policy.on_access(ino, 0, 16, 3, "read", 0.0)
         views = [self.view(1), self.view(2)]
         assert len(policy.plan_mirrors(self.tiers(), views)) == 2
-        # the mirror tier fills past reclaim_util: coldest mirrors go
+        # the mirror tier fills past RECLAIM_UTIL: coldest mirrors go
         orders = policy.plan_mirrors(
             self.tiers(pm_free=MIB), views  # 63/64 MiB used
         )
@@ -741,11 +741,12 @@ class TestMirrorPolicy:
 
 class TestMaintainIntegration:
     def test_maintain_grants_syncs_and_serves_a_mirror(self):
-        # promote_util=0.0 disables promotion so the test isolates the
+        # PROMOTE_UTIL = 0.0 disables promotion so the test isolates the
         # mirror grant (otherwise the hot file is simply moved to PM)
-        stack = build_stack(
-            policy=MirrorPolicy(promote_util=0.0), enable_cache=False
-        )
+        class MirrorOnly(MirrorPolicy):
+            PROMOTE_UTIL = 0.0
+
+        stack = build_stack(policy=MirrorOnly(), enable_cache=False)
         mux = stack.mux
         handle = place_on(stack, "/hot", "hdd")
         for _ in range(10):

@@ -63,7 +63,11 @@ class TestPlansOverDeletedFiles:
 
         stack = stack_nocache
         mux = stack.mux
-        mux.policy = LruTieringPolicy(high_watermark=0.3, low_watermark=0.2)
+        class EagerLru(LruTieringPolicy):
+            HIGH_WATERMARK = 0.3
+            LOW_WATERMARK = 0.2
+
+        mux.policy = EagerLru()
         handle = mux.create("/doomed")
         mux.write(handle, 0, bytes(8 * MIB))
         mux.close(handle)

@@ -46,6 +46,16 @@ def request(length=4096, ino=1, synchronous=False):
     )
 
 
+class HalfFullLru(LruTieringPolicy):
+    HIGH_WATERMARK = 0.5
+    LOW_WATERMARK = 0.4
+
+
+class AlmostEmptyLru(LruTieringPolicy):
+    HIGH_WATERMARK = 0.1
+    LOW_WATERMARK = 0.05
+
+
 THREE_TIERS = [
     tier(0, 0, 32 * MIB, kind=DeviceKind.PERSISTENT_MEMORY),
     tier(1, 1, 48 * MIB, kind=DeviceKind.SOLID_STATE),
@@ -76,9 +86,9 @@ class TestRegistry:
         assert set(names) - {"pinned"} <= pinned_by_golden
 
     def test_make_policy(self):
-        policy = make_policy("lru", high_watermark=0.8, low_watermark=0.6)
-        assert isinstance(policy, LruTieringPolicy)
-        assert policy.high_watermark == 0.8
+        assert isinstance(make_policy("lru"), LruTieringPolicy)
+        with pytest.raises(TypeError):
+            make_policy("lru", high_watermark=0.8)
 
     def test_unknown_policy(self):
         with pytest.raises(PolicyError):
@@ -104,14 +114,8 @@ class TestLruPolicy:
         policy = LruTieringPolicy()
         assert policy.place_write(request(), THREE_TIERS) == 0
 
-    def test_watermark_validation(self):
-        with pytest.raises(PolicyError):
-            LruTieringPolicy(high_watermark=0.5, low_watermark=0.9)
-
     def test_demotes_coldest_from_overfull_tier(self):
-        policy = LruTieringPolicy(
-            high_watermark=0.5, low_watermark=0.4, promote_on_access=False
-        )
+        policy = HalfFullLru()
         # tier 0 is 75% full -> over the watermark
         tiers = [
             tier(0, 0, 16 * MIB, total=64 * MIB),
@@ -150,14 +154,12 @@ class TestLruPolicy:
         assert promotes[0].dst_tier == 1
 
     def test_no_demotion_below_watermark(self):
-        policy = LruTieringPolicy(promote_on_access=False)
+        policy = LruTieringPolicy()
         orders = policy.plan_migrations(THREE_TIERS, [])
         assert orders == []
 
     def test_slowest_tier_never_demotes(self):
-        policy = LruTieringPolicy(
-            high_watermark=0.1, low_watermark=0.05, promote_on_access=False
-        )
+        policy = AlmostEmptyLru()
         tiers = [tier(0, 0, 1 * MIB, total=64 * MIB)]
         policy.on_access(1, 0, CHUNK_BLOCKS, 0, "write", 1.0)
         view = FileView(ino=1, path="/f", size=0, runs=[(0, CHUNK_BLOCKS, 0)])
@@ -191,7 +193,7 @@ class TestTpfsPolicy:
         )
 
     def test_history_smooths_decisions(self):
-        policy = TpfsPolicy(history_window=4)
+        policy = TpfsPolicy()
         for _ in range(4):
             policy.place_write(request(length=8 * MIB, ino=9), THREE_TIERS)
         # one small write amid a large-write history stays on the large tier
@@ -208,7 +210,7 @@ class TestTpfsPolicy:
 
 class TestHotColdPolicy:
     def test_hot_file_promoted(self):
-        policy = HotColdPolicy(hot_threshold=3.0)
+        policy = HotColdPolicy()
         for _ in range(5):
             policy.on_access(1, 0, 4, 2, "read", 1.0)
         view = FileView(ino=1, path="/f", size=4 * 4096, runs=[(0, 4, 2)])
@@ -218,11 +220,13 @@ class TestHotColdPolicy:
         assert orders[0].reason == "hot"
 
     def test_cold_file_demoted(self):
-        policy = HotColdPolicy(cold_threshold=0.9, decay=0.5)
+        policy = HotColdPolicy()
         policy.on_access(1, 0, 4, 0, "read", 1.0)
         view = FileView(ino=1, path="/f", size=4 * 4096, runs=[(0, 4, 0)])
-        # first plan decays 1.0 -> 0.5; second sees 0.5 <= 0.9 -> demote
-        policy.plan_migrations(THREE_TIERS, [view])
+        # each plan sees the heat, then decays it: 1.0, 0.8, 0.64 and
+        # 0.512 are warm; the fifth plan sees 0.4096 <= COLD_THRESHOLD
+        for _ in range(4):
+            assert policy.plan_migrations(THREE_TIERS, [view]) == []
         orders = policy.plan_migrations(THREE_TIERS, [view])
         demotes = [o for o in orders if o.reason == "cold"]
         assert demotes

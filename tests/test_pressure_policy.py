@@ -81,7 +81,7 @@ class TestSpill:
 
 class TestHysteresis:
     def test_avoided_until_resume_threshold(self):
-        pol = PressureAwarePolicy(spill_load=0.75, resume_load=0.3)
+        pol = PressureAwarePolicy()
         loaded = [_tier(0, 0), _tier(1, 1, load=0.8), _tier(2, 2)]
         assert pol.place_write(_req(512 * KIB), loaded) == 0
 
@@ -89,15 +89,9 @@ class TestHysteresis:
         band = [_tier(0, 0), _tier(1, 1, load=0.5), _tier(2, 2)]
         assert pol.place_write(_req(512 * KIB), band) == 0
 
-        # only below resume_load does placement return to the base tier
+        # only below RESUME_LOAD does placement return to the base tier
         cool = [_tier(0, 0), _tier(1, 1, load=0.1), _tier(2, 2)]
         assert pol.place_write(_req(512 * KIB), cool) == 1
-
-    def test_resume_must_be_below_spill(self):
-        from repro.errors import PolicyError
-
-        with pytest.raises(PolicyError):
-            PressureAwarePolicy(spill_load=0.5, resume_load=0.5)
 
 
 class TestHealthRouting:
@@ -134,7 +128,7 @@ def _view(ino: int, tier: int, blocks: int = 64) -> FileView:
 
 class TestPlanning:
     def test_backlogged_tier_demotes_cold_files(self):
-        pol = PressureAwarePolicy(demote_load=1.5)
+        pol = PressureAwarePolicy()
         tiers = [_tier(0, 0), _tier(1, 1, load=2.0), _tier(2, 2)]
         orders = pol.plan_migrations(tiers, [_view(1, tier=1)])
         assert orders
@@ -155,7 +149,7 @@ class TestPlanning:
     def test_watermark_demotion_ignores_heat(self):
         # a nearly-full fast tier sheds even warm files: absorption of
         # the next burst is worth more than any one file's placement
-        pol = PressureAwarePolicy(demote_util=0.85)
+        pol = PressureAwarePolicy()
         for _ in range(8):
             pol.on_access(1, 0, 1, 0, "read", 0.0)
         full = _tier(0, 0, free=64 * MIB, total=1024 * MIB)
@@ -178,7 +172,7 @@ class TestPlanning:
         assert orders and orders[0].reason == "pressure-promote"
 
     def test_promotion_respects_headroom_cap(self):
-        pol = PressureAwarePolicy(promote_util=0.5)
+        pol = PressureAwarePolicy()
         for _ in range(8):
             pol.on_access(1, 0, 1, 1, "read", 0.0)
         crowded = _tier(0, 0, free=400 * MIB, total=1024 * MIB)
@@ -186,7 +180,7 @@ class TestPlanning:
         assert pol.plan_migrations(tiers, [_view(1, tier=1)]) == []
 
     def test_promotion_rationed_per_plan(self):
-        pol = PressureAwarePolicy(promote_files_per_plan=2)
+        pol = PressureAwarePolicy()
         views = [_view(i, tier=1) for i in range(1, 6)]
         for v in views:
             for _ in range(8):
@@ -201,9 +195,9 @@ class TestIntegrationSpill:
         """End-to-end: replaying the canonical bursty trace, the fsynced
         write bursts saturate the small-buffer SSD's channels and the
         sampled load pushes subsequent burst writes uphill to PM."""
-        from repro.bench.tracereplay import load_canonical, replay_trace
+        from repro.bench.tracereplay import canonical_trace, replay_trace
 
-        trace = load_canonical("bursty")
+        trace = canonical_trace("bursty")
         stack = build_stack(
             policy="pressure",
             enable_cache=False,

@@ -23,13 +23,6 @@ class TestSimClock:
     def test_starts_at_zero(self):
         assert SimClock().now_ns == 0
 
-    def test_custom_start(self):
-        assert SimClock(start_ns=500).now_ns == 500
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock(start_ns=-1)
-
     def test_advance(self):
         clock = SimClock()
         clock.advance_ns(100)

@@ -123,7 +123,11 @@ class TestMigrationUnderPressure:
         mux = stack.mux
         from repro.core.policies import LruTieringPolicy
 
-        mux.policy = LruTieringPolicy(high_watermark=0.6, low_watermark=0.4)
+        class EagerLru(LruTieringPolicy):
+            HIGH_WATERMARK = 0.6
+            LOW_WATERMARK = 0.4
+
+        mux.policy = EagerLru()
         for i in range(8):
             handle = mux.create(f"/f{i}")
             mux.write(handle, 0, bytes([i]) * (1 * MIB))

@@ -62,3 +62,10 @@ class TestBuildStack:
     def test_tier_id_lookup(self):
         stack = build_stack()
         assert stack.tier_id("pm") in stack.mux.tier_ids()
+
+    @pytest.mark.parametrize("interval", [0, -5])
+    def test_non_positive_pressure_interval_rejected(self, interval):
+        # a zero or negative interval would make the monitor sample on
+        # every call instead of failing
+        with pytest.raises(InvalidArgument, match="pressure_interval_ns"):
+            build_stack(pressure_interval_ns=interval)

@@ -1,4 +1,4 @@
-"""Tests for the muxtrace format, generators, and replay engine."""
+"""Tests for the block-trace generators and the replay engine."""
 
 import hashlib
 
@@ -11,49 +11,11 @@ from repro.bench.tracereplay import (
     TraceOp,
     bursty_trace,
     canonical_trace,
-    dumps_trace,
-    load_canonical,
-    load_trace,
-    parse_trace,
     replay_trace,
     zipf_trace,
 )
 from repro.errors import InvalidArgument
 from repro.stack import build_stack
-
-
-class TestFormat:
-    def test_dumps_parse_round_trip(self):
-        trace = zipf_trace(duration_ns=500_000, files=4, file_bytes=64 * KIB)
-        again = parse_trace(dumps_trace(trace))
-        assert again.ops == trace.ops
-        assert again.files == trace.files
-        assert again.file_bytes == trace.file_bytes
-        assert again.comments == trace.comments
-
-    def test_load_trace_reads_a_file(self, tmp_path):
-        trace = bursty_trace(duration_ns=500_000, files=4, file_bytes=256 * KIB)
-        path = tmp_path / "user.muxtrace"
-        path.write_text(dumps_trace(trace))
-        assert load_trace(path).ops == trace.ops
-
-    def test_missing_magic_rejected(self):
-        with pytest.raises(InvalidArgument, match="muxtrace"):
-            parse_trace("# files 4\n# file_bytes 65536\n0 R 0 0 4096\n")
-
-    def test_missing_headers_rejected(self):
-        with pytest.raises(InvalidArgument, match="files"):
-            parse_trace("# muxtrace v1\n0 R 0 0 4096\n")
-
-    def test_bad_field_count_rejected(self):
-        text = "# muxtrace v1\n# files 1\n# file_bytes 65536\n0 R 0 0\n"
-        with pytest.raises(InvalidArgument, match="5 fields"):
-            parse_trace(text)
-
-    def test_bad_op_letter_rejected(self):
-        text = "# muxtrace v1\n# files 1\n# file_bytes 65536\n0 X 0 0 4096\n"
-        with pytest.raises(InvalidArgument, match="R, W or F"):
-            parse_trace(text)
 
 
 class TestValidate:
@@ -129,11 +91,17 @@ class TestGenerators:
                 assert op.arrival_ns - 1 in writes_at
 
 
-#: sha256 of ``dumps_trace(canonical_trace(name))``
+#: sha256 of the ``repr`` of ``canonical_trace(name)``'s records as
+#: ``(arrival_ns, op, file_id, offset, length)`` tuples
 CANONICAL_SHA256 = {
-    "bursty": "3458e2da8bf6a2ba6a23f01681ffcd569d74fafb95f7f95647cb2d7c09f9e6d8",
-    "zipf": "8e79c6a7fc2af18082f2e7ad77a09f24da097db30fffc94a2f4d52311277183a",
+    "bursty": "2ed2e01b74f92ff2d415e802d4935f73a69f2aed61955fbaae0aedd226911fb5",
+    "zipf": "ec5bf23730ae44375c1e942680036e8578bc55b4bb10e41410d4d3bc57c3c9ea",
 }
+
+
+def records_sha256(trace):
+    rows = [(op.arrival_ns, op.op, op.file_id, op.offset, op.length) for op in trace.ops]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 class TestCanonical:
@@ -146,12 +114,11 @@ class TestCanonical:
         """The generator is the only source of the canonical traces, so
         its exact output is the contract: CANONICAL_TRACE_PARAMS, the
         generators and the rng may not drift under the goldens."""
-        text = dumps_trace(canonical_trace(name))
-        assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_SHA256[name]
+        assert records_sha256(canonical_trace(name)) == CANONICAL_SHA256[name]
 
     @pytest.mark.parametrize("name", sorted(CANONICAL_TRACE_PARAMS))
     def test_load_canonical(self, name):
-        trace = load_canonical(name)
+        trace = canonical_trace(name)
         trace.validate()
         assert trace.ops
 

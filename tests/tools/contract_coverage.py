@@ -63,7 +63,7 @@ def contract_commands() -> List[List[str]]:
         BENCH + ["crashexplore", "--smoke"],
         BENCH,  # the paper tables
         BENCH + ["trace"],
-        BENCH + ["trace", "--no-faults", "--pressure"],
+        BENCH + ["trace", "--no-faults"],
         BENCH + ["trace", "--no-faults", "--cluster"],
         BENCH + ["trace", "--write-back"],
         BENCH + ["trace", "--readahead-bg"],
