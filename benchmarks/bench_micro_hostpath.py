@@ -10,7 +10,12 @@ the cost stays flat:
   submit scans are bounded by the depth);
 * ``SimClock`` push / advance / pop under 0 and 64 enclosing frames;
 * one ``TierFiles._call`` on a healthy tier;
-* a ``PageCache.get_span`` hit in a 256- vs 16,384-page cache.
+* a ``PageCache.get_span`` hit in a 256- vs 16,384-page cache;
+* the PM persist path: a 64 B NOVA log entry (``store`` + ``flush_range``)
+  and a 16 KiB ``store_run`` + ``flush_range``;
+* one journal commit (a one-record transaction written to the journal
+  region);
+* a dentry-cache hit in Mux's namespace.
 
 These measure *host* time; simulated time only matters to the ring case,
 where it decides how many completions are still in flight.
@@ -20,6 +25,9 @@ import timeit
 
 import pytest
 
+from repro.devices.pm import CACHE_LINE, PersistentMemoryDevice
+from repro.devices.ssd import SolidStateDrive
+from repro.fscommon.journal import Journal
 from repro.fscommon.pagecache import PageCache
 from repro.sim.clock import SimClock
 from repro.stack import build_stack
@@ -171,3 +179,64 @@ def test_get_span_cost_does_not_follow_cache_size():
         out = bytearray(SPAN * PS)
         t[pages] = best_of_5(lambda: cache.get_span(1, 0, SPAN, out, 0), 2000)
     assert t[SIZES[1]] <= 2 * t[SIZES[0]], t
+
+
+# -- PM persist path -------------------------------------------------------------
+
+
+def pm_persist(nbytes: int, chunk: int):
+    """A PM device and one persist of ``nbytes`` at a fixed address: the
+    stores (``chunk`` bytes each), then the cache-line flush."""
+    pm = PersistentMemoryDevice("pm", 64 * MIB, SimClock())
+    data = bytes(nbytes)
+    addr = 8 * MIB
+
+    def persist():
+        pm.store_run(addr, data, chunk)
+        pm.flush_range(addr, nbytes)
+
+    return pm, persist
+
+
+@pytest.mark.benchmark(group="pm.persist")
+@pytest.mark.parametrize(
+    "nbytes, chunk", [(CACHE_LINE, CACHE_LINE), (16 * 1024, BS)], ids=["log64", "run16k"]
+)
+def test_pm_store_flush(benchmark, nbytes, chunk):
+    pm, persist = pm_persist(nbytes, chunk)
+    benchmark.pedantic(persist, rounds=50, iterations=50)
+    assert pm.unflushed_lines == 0
+    assert pm.stats.write_ops >= 50 * 50 * (nbytes // chunk)
+
+
+# -- journal commit --------------------------------------------------------------
+
+
+@pytest.mark.benchmark(group="journal.commit")
+def test_journal_commit(benchmark):
+    journal = Journal(SolidStateDrive("ssd", 64 * MIB, SimClock()), 0, 8192)
+
+    def commit():
+        txn = journal.begin()
+        txn.add("set_size", ino=7, size=4096)
+        txn.commit()
+
+    benchmark.pedantic(commit, rounds=50, iterations=50)
+    assert journal.stats.get("commits") >= 50 * 50
+    assert journal.pending_transactions == journal.stats.get("commits")
+
+
+# -- dentry hit ----------------------------------------------------------------------
+
+
+@pytest.mark.benchmark(group="dcache.hit")
+def test_dentry_hit(benchmark):
+    stack = build_stack(enable_cache=False)
+    mux = stack.mux
+    mux.mkdir("/d")
+    mux.close(mux.create("/d/f"))
+    inode = mux.ns.resolve("/d/f")
+    hits = mux.ns.dcache.hits
+    got = benchmark.pedantic(mux.ns.resolve, args=("/d/f",), rounds=50, iterations=200)
+    assert got is inode
+    assert mux.ns.dcache.hits >= hits + 50 * 200

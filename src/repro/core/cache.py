@@ -198,20 +198,11 @@ class ScmCacheManager:
 
     # -- fills / invalidation ----------------------------------------------------
 
-    def _claim_slot(self, key: CacheKey) -> int:
-        """MGLRU-insert ``key`` (destaging/evicting victims) and assign a slot."""
-        for victim in self._mglru.insert(key):
-            self._release(victim)
-        slot = self._free_slots.pop()
-        self._slots[key] = slot
-        self._by_ino.setdefault(key[0], set()).add(key[1])
-        self.stats.add("fill")
-        return slot
-
     def _release(self, victim: CacheKey) -> None:
         """Free an evicted key's slot, destaging it first if dirty."""
         v_ino, v_fb = victim
-        if self.is_dirty(v_ino, v_fb):
+        dirty = self._dirty.get(v_ino)  # is_dirty, inlined: most victims are clean
+        if dirty is not None and v_fb in dirty:
             if self.destage_fn is not None:
                 try:
                     self.destage_fn(v_ino, [(v_fb, 1)])
@@ -265,13 +256,26 @@ class ScmCacheManager:
             count
             * (cal.CACHE_LOOKUP_NS + cal.CACHE_MGLRU_NS + cal.CACHE_SLOT_META_NS)
         )
+        slot_of = self._slots
+        insert = self._mglru.insert
         slots: List[int] = []
-        for i in range(count):
-            key = (ino, first_block + i)
-            slot = self._slots.get(key)
-            if slot is None:
-                slot = self._claim_slot(key)
-            slots.append(slot)
+        filled = 0
+        try:
+            for fb in range(first_block, first_block + count):
+                key = (ino, fb)
+                slot = slot_of.get(key)
+                if slot is None:
+                    # claim a slot: MGLRU-insert (destaging/evicting
+                    # victims), then take a free slot and index it
+                    for victim in insert(key):
+                        self._release(victim)
+                    slot = slot_of[key] = self._free_slots.pop()
+                    self._by_ino.setdefault(ino, set()).add(fb)
+                    filled += 1
+                slots.append(slot)
+        finally:
+            if filled:
+                self.stats.add("fill", filled)
         self._map.store_blocks(slots, data)
 
     # -- write-back --------------------------------------------------------

@@ -354,7 +354,9 @@ class MuxNamespace:
 
     def files(self) -> Iterator[CollectiveInode]:
         """All regular files (policy runners scan these)."""
-        return (i for i in self._inodes.values() if not i.is_dir)
+        return (
+            i for i in self._inodes.values() if i.file_type is not FileType.DIRECTORY
+        )
 
     def path_of(self, target: CollectiveInode) -> Optional[str]:
         """Reverse lookup of a file's current path (O(n); tooling only)."""

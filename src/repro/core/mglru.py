@@ -93,18 +93,21 @@ class MultiGenLru(Generic[K]):
 
     def insert(self, key: K) -> List[K]:
         """Insert ``key`` (idempotent: re-insert = touch); returns evictees."""
-        if key in self._where:
+        where = self._where
+        if key in where:
             self.touch(key)
             return []
         evicted: List[K] = []
-        while len(self._where) >= self.capacity:
+        capacity = self.capacity
+        while len(where) >= capacity:
             victim = self._evict_one()
             if victim is None:
                 break
             evicted.append(victim)
-        self._gens[-1][key] = None
-        self._where[key] = self._youngest
-        if len(self._gens[-1]) > max(1, self.capacity // self.NUM_GENERATIONS):
+        youngest = self._gens[-1]
+        youngest[key] = None
+        where[key] = self._base + self.NUM_GENERATIONS - 1
+        if len(youngest) > max(1, capacity // self.NUM_GENERATIONS):
             self.age()
         return evicted
 

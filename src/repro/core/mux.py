@@ -36,7 +36,7 @@ tier, preserving file offsets so no extra translation layer is needed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core import calibration as cal
 from repro.core.blt import ExtentBlt
@@ -745,13 +745,13 @@ class MuxFileSystem(FileSystem):
         else:
             target = self._place(
                 PlacementRequest(
-                    path=handle.path,
-                    ino=inode.ino,
-                    offset=offset,
-                    length=len(data),
-                    file_size=inode.size,
-                    is_append=offset >= inode.size,
-                    synchronous=synchronous,
+                    handle.path,
+                    inode.ino,
+                    offset,
+                    len(data),
+                    inode.size,
+                    offset >= inode.size,  # is_append
+                    synchronous,
                 )
             )
 
@@ -860,17 +860,8 @@ class MuxFileSystem(FileSystem):
         is the authority (copy-on-write and delayed allocation can both
         demand more blocks than the snapshot promised).
         """
-        candidates = [tier_id] + [
-            t.tier_id
-            for t in self.registry.ordered()
-            if t.tier_id != tier_id and t.rank >= self.registry.get(tier_id).rank
-        ] + [
-            t.tier_id
-            for t in self.registry.ordered()
-            if t.tier_id != tier_id and t.rank < self.registry.get(tier_id).rank
-        ]
         last_error: Optional[Exception] = None
-        for candidate in candidates:
+        for candidate in self._spill_order(tier_id):
             if self.registry.get(candidate).health.is_offline:
                 continue  # a dead tier cannot absorb new writes
             try:
@@ -886,6 +877,16 @@ class MuxFileSystem(FileSystem):
                 self.stats.add("write_spills_fault")
                 continue
         raise last_error if last_error else NoSpace("all tiers full")
+
+    def _spill_order(self, tier_id: int) -> Iterator[int]:
+        """``tier_id``, then every other tier: slower (or equal) ranks
+        first, then faster ones, each fastest-first.  The rest of the order
+        is only built if the placed tier is skipped or fails."""
+        yield tier_id
+        rank = self.registry.get(tier_id).rank
+        others = [t for t in self.registry.ordered() if t.tier_id != tier_id]
+        yield from (t.tier_id for t in others if t.rank >= rank)
+        yield from (t.tier_id for t in others if t.rank < rank)
 
     def _segment_write(
         self, inode: CollectiveInode, offset: int, data: bytes, policy_tier: int

@@ -201,21 +201,25 @@ class LruTieringPolicy(Policy):
         if not by_rank:
             return orders
 
-        # residence truth from the BLT views (recency map may be stale)
-        residence: Dict[Tuple[int, int], int] = {}
-        for view in files:
-            for start, count, tier in view.runs:
-                if tier is None:
-                    continue
-                for chunk in range(start // CHUNK_BLOCKS, (start + count - 1) // CHUNK_BLOCKS + 1):
-                    residence[(view.ino, chunk)] = tier
-
         # demotions: for each overfull tier, evict coldest chunks downward
+        residence: Optional[Dict[Tuple[int, int], int]] = None
         for idx, tier in enumerate(by_rank):
             if tier.utilization <= self.HIGH_WATERMARK:
                 continue
             if idx + 1 >= len(by_rank):
                 continue  # slowest tier has nowhere to demote
+            if residence is None:
+                # residence truth from the BLT views (recency map may be
+                # stale), built only once some tier has to demote
+                residence = {}
+                for view in files:
+                    for start, count, tier_id in view.runs:
+                        if tier_id is None:
+                            continue
+                        for chunk in range(
+                            start // CHUNK_BLOCKS, (start + count - 1) // CHUNK_BLOCKS + 1
+                        ):
+                            residence[(view.ino, chunk)] = tier_id
             dst = by_rank[idx + 1]
             bytes_to_free = int(
                 (tier.utilization - self.LOW_WATERMARK) * tier.total_bytes

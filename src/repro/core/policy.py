@@ -16,7 +16,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.health import HealthState
 from repro.core.pressure import TierPressure
@@ -24,9 +24,13 @@ from repro.devices.profile import DeviceKind
 from repro.errors import PolicyError
 
 
-@dataclass(frozen=True)
-class TierState:
-    """Read-only snapshot of one tier, handed to policy callbacks."""
+class TierState(NamedTuple):
+    """Read-only snapshot of one tier, handed to policy callbacks.
+
+    A ``NamedTuple`` rather than a frozen dataclass: placement builds one
+    per tier on every write, and a tuple is built in one step instead of
+    one ``object.__setattr__`` per field.
+    """
 
     tier_id: int
     name: str
@@ -48,8 +52,7 @@ class TierState:
         return self.used_bytes / self.total_bytes if self.total_bytes else 0.0
 
 
-@dataclass(frozen=True)
-class PlacementRequest:
+class PlacementRequest(NamedTuple):
     """One write that needs a home."""
 
     path: str

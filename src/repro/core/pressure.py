@@ -18,12 +18,10 @@ timeline gauges, making the signals bit-deterministic across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TierPressure:
+class TierPressure(NamedTuple):
     """Load snapshot for one tier, attached to ``TierState.pressure``.
 
     ``queued`` is the instantaneous per-channel backlog at the last
@@ -90,7 +88,7 @@ class PressureMonitor:
     The mux attaches one hint per tier whose file system offers one
     (``queued_at(now_ns)``, ``nchannels``, ``busy_ns``);
     :meth:`sample` is interval-gated so calling it on every
-    placement stays cheap, and only updates the gauges: the frozen
+    placement stays cheap, and only updates the gauges: the immutable
     :class:`TierPressure` a policy sees is built by :meth:`pressure_of`
     the first time a sample is read, then shared until the next one.
     """
@@ -172,11 +170,7 @@ class PressureMonitor:
             return None
         if g.snapshot_obj is None:
             g.snapshot_obj = TierPressure(
-                queued=g.queued,
-                backlog=g.ewma_backlog,
-                utilization=g.ewma_util,
-                dirty_fraction=g.dirty,
-                sampled_ns=g.last_sample_ns,
+                g.queued, g.ewma_backlog, g.ewma_util, g.dirty, g.last_sample_ns
             )
         return g.snapshot_obj
 

@@ -50,15 +50,16 @@ class Tier:
     def state(self, pressure: Optional[TierPressure]) -> TierState:
         """Policy snapshot; ``pressure`` is the tier's sampled load signal."""
         fsstats = self.fs.statfs()
+        # positional: a NamedTuple builds several times faster that way
         return TierState(
-            tier_id=self.tier_id,
-            name=self.name,
-            rank=self.rank,
-            kind=self.kind,
-            free_bytes=fsstats.free_bytes,
-            total_bytes=fsstats.total_bytes,
-            health=self.health.state,
-            pressure=pressure,
+            self.tier_id,
+            self.name,
+            self.rank,
+            self.profile.kind,
+            fsstats.free_bytes,
+            fsstats.total_bytes,
+            self.health.state,
+            pressure,
         )
 
 

@@ -45,7 +45,8 @@ class DeviceTimeline:
 
     ``_inflight`` holds the completion times of requests still in flight
     at the last submit, kept *sorted*: a submit prunes the finished
-    prefix with one bisection, inserts its own completion in order, and
+    prefix with one bisection (none when the earliest completion is still
+    ahead), inserts its own completion in order, and
     :meth:`queued_at` is one bisection — bookkeeping costs the requests
     in flight, never the requests ever booked.
 
@@ -103,9 +104,8 @@ class DeviceTimeline:
     def acquire(self, start_ns: int, cost_ns: int, background: bool = False):
         """Book one request; returns ``(begin_ns, complete_ns)``."""
         inflight = self._inflight
-        done = bisect_right(inflight, start_ns)
-        if done:
-            del inflight[:done]
+        if inflight and inflight[0] <= start_ns:
+            del inflight[: bisect_right(inflight, start_ns)]
         if self.knee_depth > 0:
             backlog = len(inflight)
             if backlog >= self.knee_depth:
@@ -257,6 +257,13 @@ class Device:
     def _read_span_raw(self, block_no: int, count: int) -> bytes:
         """Copy ``count`` blocks out of the arena (zeros where unwritten)."""
         bs = self.block_size
+        ci, cb = divmod(block_no, self._chunk_blocks)
+        if cb + count <= self._chunk_blocks:
+            # inside one chunk: a single copy straight into the result
+            chunk = self._chunks.get(ci)
+            if chunk is None:
+                return bytes(count * bs)
+            return memoryview(chunk)[cb * bs : (cb + count) * bs].tobytes()
         out = bytearray(count * bs)
         bno, remaining, pos = block_no, count, 0
         while remaining:

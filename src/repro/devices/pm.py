@@ -36,6 +36,9 @@ class PersistentMemoryDevice(Device):
         #: as disjoint half-open [start, end) line intervals so a span
         #: store/flush is O(intervals), not O(lines).
         self._dirty_runs: list[tuple[int, int]] = []
+        #: chunk size -> ``write_latency + transfer_ns(chunk)``, the cost of
+        #: one store of that size (the profile is immutable)
+        self._store_ns: dict[int, int] = {}
 
     def _mark_dirty(self, first_line: int, end_line: int) -> None:
         merged_lo, merged_hi = first_line, end_line
@@ -121,25 +124,31 @@ class PersistentMemoryDevice(Device):
         contiguous addresses, one :meth:`store` per piece.
         """
         length = len(data)
-        if length % chunk:
-            raise DeviceError(
-                f"{self.name}: store_run length {length} not a multiple of {chunk}"
-            )
-        self._check_span(addr, length)
+        if length % chunk or addr < 0 or addr + length > self.capacity_bytes:
+            if length % chunk:
+                raise DeviceError(
+                    f"{self.name}: store_run length {length} not a multiple of {chunk}"
+                )
+            self._check_span(addr, length)
         if length == 0:
             return
         count = length // chunk
-        cost = count * (
-            self.profile.write_latency_ns
-            + self.profile.transfer_ns(chunk, write=True)
-        )
-        if self.faults is not None:
-            cost += self.faults.extra_latency_ns(cost)
-        self._occupy(cost)
+        per_store = self._store_ns.get(chunk)
+        if per_store is None:
+            per_store = self._store_ns[chunk] = (
+                self.profile.write_latency_ns
+                + self.profile.transfer_ns(chunk, write=True)
+            )
+        cost = count * per_store
+        faults = self.faults
+        if faults is not None:
+            cost += faults.extra_latency_ns(cost)
+        clock, timeline = self.clock, self.timeline  # _occupy, inlined
+        clock.advance_to(timeline.acquire(clock.now_ns, cost, clock.in_background)[1])
         self.stats.record_write(length, cost, ops=count)
-        if self.faults is not None:
+        if faults is not None:
             bno, cnt = self._fault_blocks(addr, length)
-            fault = self.faults.check_write(bno, cnt, torn_units=count)
+            fault = faults.check_write(bno, cnt, torn_units=count)
             if fault is not None:
                 prefix_chunks, exc = fault
                 if prefix_chunks > 0:
@@ -153,8 +162,11 @@ class PersistentMemoryDevice(Device):
                 raise exc
         self._poke_span(addr, data)
         first = addr // CACHE_LINE
-        last = (addr + length - 1) // CACHE_LINE
-        self._mark_dirty(first, last + 1)
+        end = (addr + length - 1) // CACHE_LINE + 1
+        if self._dirty_runs:
+            self._mark_dirty(first, end)
+        else:
+            self._dirty_runs = [(first, end)]
 
     def flush_range(self, addr: int, length: int, ops: int = 1) -> None:
         """Flush the cache lines covering [addr, addr+length) (CLWB model).
@@ -162,16 +174,22 @@ class PersistentMemoryDevice(Device):
         ``ops`` lets one contiguous flush stand in for ``ops`` logical
         flush calls (same line count either way, so the cost is identical).
         """
-        self._check_span(addr, length)
-        if length == 0:
-            return
+        if length <= 0 or addr < 0 or addr + length > self.capacity_bytes:
+            self._check_span(addr, length)
+            if length == 0:
+                return
         first = addr // CACHE_LINE
-        last = (addr + length - 1) // CACHE_LINE
-        lines = last - first + 1
-        cost = lines * self.profile.flush_latency_ns
-        self._occupy(cost)
+        end = (addr + length - 1) // CACHE_LINE + 1
+        cost = (end - first) * self.profile.flush_latency_ns
+        clock, timeline = self.clock, self.timeline  # _occupy, inlined
+        clock.advance_to(timeline.acquire(clock.now_ns, cost, clock.in_background)[1])
         self.stats.record_flush(cost, ops=ops)
-        self._clear_dirty(first, last + 1)
+        runs = self._dirty_runs
+        if len(runs) == 1 and first <= runs[0][0] and runs[0][1] <= end:
+            # the usual store-then-flush: the one dirty run is covered
+            self._dirty_runs = []
+        elif runs:
+            self._clear_dirty(first, end)
 
     def drain(self) -> None:
         """SFENCE model: order prior flushes.  Charged as one flush op."""
@@ -186,6 +204,13 @@ class PersistentMemoryDevice(Device):
     # -- span helpers over the arena --------------------------------------------
 
     def _peek_span(self, addr: int, length: int) -> bytes:
+        ci, off = divmod(addr, self._chunk_bytes)
+        if off + length <= self._chunk_bytes:
+            # inside one chunk: a single copy straight into the result
+            chunk = self._chunks.get(ci)
+            if chunk is None:
+                return bytes(length)
+            return memoryview(chunk)[off : off + length].tobytes()
         out = bytearray(length)
         idx = 0
         while idx < length:
@@ -200,6 +225,22 @@ class PersistentMemoryDevice(Device):
     def _poke_span(self, addr: int, data) -> None:
         length = len(data)
         if length == 0:
+            return
+        ci, off = divmod(addr, self._chunk_bytes)
+        if off + length <= self._chunk_bytes:
+            # inside one chunk: one slice copy, presence marked in place
+            chunk = self._chunks.get(ci)
+            if chunk is None:
+                chunk = self._chunks[ci] = bytearray(self._chunk_bytes)
+            chunk[off : off + length] = data
+            bs = self.block_size
+            cb = off // bs
+            run_mask = ((1 << ((off + length - 1) // bs - cb + 1)) - 1) << cb
+            mask = self._present.get(ci, 0)
+            added = run_mask & ~mask
+            if added:
+                self._materialized += added.bit_count()
+                self._present[ci] = mask | run_mask
             return
         src = memoryview(data)
         idx = 0

@@ -32,6 +32,10 @@ from repro.vfs.interface import FileHandle
 
 #: size of one NOVA log entry (a cache line)
 LOG_ENTRY_BYTES = CACHE_LINE
+#: what a log entry and the 8-byte tail pointer store (the model persists
+#: their cost and placement, not their contents)
+_ZERO_ENTRY = bytes(LOG_ENTRY_BYTES)
+_ZERO_TAIL = bytes(8)
 
 
 class DaxMapping:
@@ -54,11 +58,11 @@ class DaxMapping:
 
     def _runs(self, blocks: Sequence[int]) -> Iterator[Tuple[int, int, int]]:
         """``(index, count, addr)`` per device-contiguous run of ``blocks``."""
-        addrs, bs = self._addrs, self._bs
+        addrs, bs, n = self._addrs, self._bs, len(blocks)
         i = 0
-        while i < len(blocks):
+        while i < n:
             j = i + 1
-            while j < len(blocks) and addrs[blocks[j]] == addrs[blocks[j - 1]] + bs:
+            while j < n and addrs[blocks[j]] == addrs[blocks[j - 1]] + bs:
                 j += 1
             yield i, j - i, addrs[blocks[i]]
             i = j
@@ -121,17 +125,18 @@ class NovaFileSystem(NativeFileSystem):
     def _log_append(self, entries: int = 1) -> None:
         """Append ``entries`` log entries: store a cache line each, flush,
         then atomically bump the log tail (8-byte store + flush + fence)."""
-        reserve_bytes = self._data_base * self.block_size
+        pm = self.pm
+        wrap = max(LOG_ENTRY_BYTES, self._data_base * self.block_size - LOG_ENTRY_BYTES)
         for _ in range(entries):
-            addr = self._log_cursor % max(LOG_ENTRY_BYTES, reserve_bytes - LOG_ENTRY_BYTES)
+            addr = self._log_cursor % wrap
             addr -= addr % LOG_ENTRY_BYTES
-            self.pm.store(addr, bytes(LOG_ENTRY_BYTES))
-            self.pm.flush_range(addr, LOG_ENTRY_BYTES)
+            pm.store(addr, _ZERO_ENTRY)
+            pm.flush_range(addr, LOG_ENTRY_BYTES)
             self._log_cursor += LOG_ENTRY_BYTES
         # atomic tail pointer update
-        self.pm.store(0, bytes(8))
-        self.pm.flush_range(0, 8)
-        self.pm.drain()
+        pm.store(0, _ZERO_TAIL)
+        pm.flush_range(0, 8)
+        pm.drain()
         self.stats.add("log_entries", entries)
 
     def _record_namespace(self, records: List[MetaRecord]) -> None:
@@ -209,17 +214,21 @@ class NovaFileSystem(NativeFileSystem):
 
         # Assemble the new contents of the touched span in one buffer;
         # only the edge blocks need a base read (RMW of a partial block).
-        buf = bytearray(count * bs)
+        # A block-aligned write is its own buffer.
         head_off = offset - first_fb * bs
-        if head_off or (first_fb == last_fb and end % bs):
-            base = self._read_block(inode, first_fb)
-            if base is not None:
-                buf[0:bs] = base
-        if last_fb != first_fb and end % bs:
-            base = self._read_block(inode, last_fb)
-            if base is not None:
-                buf[(count - 1) * bs :] = base
-        buf[head_off : head_off + len(data)] = data
+        if head_off or end % bs:
+            buf = bytearray(count * bs)
+            if head_off or first_fb == last_fb:
+                base = self._read_block(inode, first_fb)
+                if base is not None:
+                    buf[0:bs] = base
+            if last_fb != first_fb and end % bs:
+                base = self._read_block(inode, last_fb)
+                if base is not None:
+                    buf[(count - 1) * bs :] = base
+            buf[head_off : head_off + len(data)] = data
+        else:
+            buf = data
 
         # Allocate fresh blocks (log-structured: never overwrite in place).
         hint = inode.blockmap.lookup(first_fb - 1) if first_fb else None

@@ -581,9 +581,7 @@ class NativeFileSystem(FileSystem):
 
     def statfs(self) -> FsStats:
         return FsStats(
-            block_size=self.block_size,
-            total_blocks=self._total_data_blocks(),
-            free_blocks=self._free_data_blocks(),
+            self.block_size, self._total_data_blocks(), self._free_data_blocks()
         )
 
     def load_hint(self):

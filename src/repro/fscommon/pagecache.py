@@ -194,26 +194,35 @@ class PageCache:
                 f"span must be a positive multiple of {ps} bytes, got {len(data)}"
             )
         count = len(data) // ps
-        src = memoryview(data)
+        if count == 1:
+            # one page (every ``put``): no view, no slicing
+            blocks = (bytes(data),)
+        else:
+            src = memoryview(data)
+            blocks = [bytes(src[i * ps : (i + 1) * ps]) for i in range(count)]
         pages = self._pages
         capacity = self.capacity_pages
+        inserted = 0
         self.clock.advance_ns(count * DRAM_PAGE_COPY_NS)
-        for i in range(count):
-            fb = first_block + i
-            key = (ino, fb)
-            block = bytes(src[i * ps : (i + 1) * ps])
-            existing = pages.get(key)
-            if existing is not None:
-                existing.data = block
-                if dirty and not existing.dirty:
-                    existing.dirty = True
-                    self._index_dirty(ino, fb)
-                pages.move_to_end(key)
-            else:
-                self._insert(key, Page(block, dirty))
-                self.stats.add("insert")
-            if len(pages) > capacity:
-                self._evict_to_capacity()
+        try:
+            for fb, block in enumerate(blocks, first_block):
+                key = (ino, fb)
+                existing = pages.get(key)
+                if existing is not None:
+                    existing.data = block
+                    if dirty and not existing.dirty:
+                        existing.dirty = True
+                        self._index_dirty(ino, fb)
+                    pages.move_to_end(key)
+                else:
+                    self._insert(key, Page(block, dirty))
+                    inserted += 1
+                if len(pages) > capacity:
+                    self._evict_to_capacity()
+        finally:
+            # counted once, also when an eviction's write-back raised
+            if inserted:
+                self.stats.add("insert", inserted)
 
     def _evict_to_capacity(self) -> None:
         # bound the scan so a cache full of unevictable pages (every
@@ -225,7 +234,12 @@ class PageCache:
             attempts -= 1
             key, page = pages.popitem(last=False)
             ino, fb = key
-            self._unindex(ino, (fb,))
+            cached = self._cached[ino]
+            cached.discard(fb)
+            if not cached:
+                del self._cached[ino]
+            if page.dirty:
+                self._unindex_dirty(ino, (fb,))
             self.stats.add("evict")
             if page.dirty:
                 self.stats.add("evict_dirty")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 
 class FileType(Enum):
@@ -44,9 +44,9 @@ class Stat:
         return replace(self, extra=dict(self.extra))
 
 
-@dataclass(frozen=True)
-class FsStats:
-    """Result of ``statfs``: space accounting for one file system."""
+class FsStats(NamedTuple):
+    """Result of ``statfs``: space accounting for one file system (a
+    ``NamedTuple``: placement reads several per write)."""
 
     block_size: int
     total_blocks: int

@@ -295,3 +295,81 @@ EXPECTED["mirror"] = [('place', 'healthy', [0, 1, 2, 0]), ('place', 'loaded', [0
 @pytest.mark.parametrize("name", ["lru", "tpfs", "hotcold", "pressure", "mirror"])
 def test_transcript_matches_recording(name):
     assert transcript(name) == EXPECTED[name]
+
+
+# -- watermark transcripts -------------------------------------------------------
+#
+# Demotion is planned only for a tier over its high watermark.  Two more
+# fixed scripts pin the plans when no tier is over it and when two tiers
+# are (the fastest demotes onto a tier that is itself over and demoting).
+# Recorded at commit ee8ac4d, before the LRU planner stopped building its
+# residence map on rounds where no tier has to demote.
+
+WATERMARK_SCENARIOS = {
+    # every tier ~41 % used
+    "none-over": [_tier(0, free=600 * MIB), _tier(1, free=600 * MIB), _tier(2, free=600 * MIB)],
+    # tiers 0 and 1 at ~96 % and ~94 %, tier 2 nearly empty
+    "two-over": [_tier(0, free=40 * MIB), _tier(1, free=60 * MIB), _tier(2, free=1000 * MIB)],
+}
+
+
+def watermark_transcript(name):
+    policy = make_policy(name)
+    _touch(policy, 3, "write", 2)
+    _touch(policy, 1, "read", 3)
+    _touch(policy, 4, "read", 2)
+    _touch(policy, 2, "write", 1)
+    out = []
+    for scenario in ("none-over", "two-over", "none-over", "two-over"):
+        tiers = WATERMARK_SCENARIOS[scenario]
+        migrations = [
+            (o.ino, o.block_start, o.count, o.src_tier, o.dst_tier, o.reason)
+            for o in policy.plan_migrations(tiers, _views())
+        ]
+        mirrors = [
+            (o.ino, o.tier_id, o.action, o.reason)
+            for o in policy.plan_mirrors(tiers, _views())
+        ]
+        out.append((scenario, migrations, mirrors))
+    return out
+
+
+_LRU_TWO_OVER = [
+    (3, 0, 64, 0, 1, 'lru-evict'), (3, 64, 64, 0, 1, 'lru-evict'),
+    (3, 128, 64, 0, 1, 'lru-evict'), (3, 192, 64, 0, 1, 'lru-evict'),
+    (1, 0, 64, 1, 2, 'lru-evict'),
+]
+_PRESSURE_TWO_OVER = [
+    (3, 0, 256, 0, 1, 'pressure-demote'), (4, 0, 32, 1, 2, 'pressure-demote'),
+    (1, 0, 64, 1, 2, 'pressure-demote'),
+]
+_NOTHING = [('none-over', [], []), ('two-over', [], []), ('none-over', [], []),
+            ('two-over', [], [])]
+
+WATERMARK_EXPECTED = {
+    "lru": [
+        ('none-over',
+         [(1, 0, 64, 1, 0, 'promote-on-access'), (1, 0, 64, 1, 0, 'promote-on-access'),
+          (1, 0, 64, 1, 0, 'promote-on-access'), (4, 0, 64, 1, 0, 'promote-on-access'),
+          (4, 0, 64, 1, 0, 'promote-on-access')],
+         []),
+        ('two-over', _LRU_TWO_OVER, []),
+        ('none-over', [], []),
+        ('two-over', _LRU_TWO_OVER, []),
+    ],
+    "tpfs": _NOTHING,
+    "hotcold": _NOTHING,
+    "pressure": [
+        ('none-over', [], []), ('two-over', _PRESSURE_TWO_OVER, []),
+        ('none-over', [], []), ('two-over', _PRESSURE_TWO_OVER, []),
+    ],
+    "mirror": [
+        ('none-over', [], []), ('two-over', _PRESSURE_TWO_OVER, []),
+        ('none-over', [], []), ('two-over', _PRESSURE_TWO_OVER, []),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["lru", "tpfs", "hotcold", "pressure", "mirror"])
+def test_watermark_transcript_matches_recording(name):
+    assert watermark_transcript(name) == WATERMARK_EXPECTED[name]

@@ -2,7 +2,7 @@
 """Sample muxbench's timed window: host self time per module, in µs/op.
 
     PYTHONPATH=src python tests/tools/sample_muxbench.py <workload>
-        [--seconds S] [--seed N] [--top N]
+        [--seconds S] [--seed N] [--top N] [--repeat N]
 
 ``python -m repro.bench profile --sample`` only knows the wall-clock
 harness's workloads.  This script builds, populates and warms one muxbench
@@ -14,12 +14,17 @@ thin layer (``core.*`` + ``sim.clock``) against the file systems under it
 (``fs.*`` + ``fscommon.*``), per module (``core.mux``, ``fs.nova.fs`` …)
 and for the top functions, in host CPU µs per timed op.  ``muxbench/``
 is only imported.
+
+On a noisy host one window is not a measurement: ``--repeat N`` runs N
+fresh set-ups of the same seed, prints each window's host CPU µs/op with
+their min and median, and reports the samples of all N pooled.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import statistics
 import sys
 import time
 from collections import Counter
@@ -41,15 +46,15 @@ def module_of(label: str) -> str:
     return module[len("repro."):] if module.startswith("repro.") else module
 
 
-def sample(name: str, seconds: float, seed: int) -> tuple:
-    """``(sampler, timed ops, host CPU seconds of the timed window)``."""
+def sample(name: str, seconds: float, seed: int, sampler: SamplingProfiler) -> tuple:
+    """Set up once and run the timed window under ``sampler`` (which keeps
+    counting across calls); returns ``(timed ops, host CPU seconds)``."""
     workload = BY_NAME[name]
     plan = workload.plan(workload, seed, workload.phase_ops(seconds, False), False)
     rig = workload.build(workload, plan, False)
     rig.populate(plan)
     rig.warm(plan)
     gc.collect()
-    sampler = SamplingProfiler()
     cpu_s = 0.0
     for index, phase in enumerate(plan.phases):
         with sampler:
@@ -57,7 +62,7 @@ def sample(name: str, seconds: float, seed: int) -> tuple:
             rig.run_phase(phase, lambda _: None)
             cpu_s += time.process_time() - t0
         rig.settle(index)
-    return sampler, sum(len(p.ops) for p in plan.phases), cpu_s
+    return sum(len(p.ops) for p in plan.phases), cpu_s
 
 
 #: ROADMAP 1(b)'s comparison: the thin layer against the file systems under it
@@ -104,8 +109,25 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--repeat", type=int, default=1)
     args = parser.parse_args(argv)
-    print(report(*sample(args.workload, args.seconds, args.seed), args.top))
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    sampler = SamplingProfiler()
+    runs = [
+        sample(args.workload, args.seconds, args.seed, sampler)
+        for _ in range(args.repeat)
+    ]
+    if args.repeat > 1:
+        per_op = [cpu_s * 1e6 / ops for ops, cpu_s in runs]
+        for index, us in enumerate(per_op, 1):
+            print(f"run {index}: {us:.2f} host CPU µs/op")
+        print(
+            f"min {min(per_op):.2f}, median {statistics.median(per_op):.2f} "
+            f"host CPU µs/op over {args.repeat} runs; samples below are pooled"
+        )
+    ops = sum(n for n, _ in runs)
+    print(report(sampler, ops, sum(cpu_s for _, cpu_s in runs), args.top))
     return 0
 
 
