@@ -3,7 +3,6 @@
 from repro.bench.harness import (
     ResultRow,
     StrataStack,
-    VfsView,
     build_pinned_mux,
     build_strata,
     format_rows,
@@ -27,7 +26,6 @@ __all__ = [
     "webserver",
     "ResultRow",
     "StrataStack",
-    "VfsView",
     "build_pinned_mux",
     "build_strata",
     "format_rows",

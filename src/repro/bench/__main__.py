@@ -1,13 +1,14 @@
 """CLI entry point: ``python -m repro.bench`` reruns every paper experiment
 and prints the paper-vs-measured tables recorded in EXPERIMENTS.md.
 
-Subcommands: ``wallclock`` (host-CPU trajectory harness + ``--smoke`` CI
-drift guard), ``profile`` (cProfile hotspot report for any registered
-wall-clock workload), ``trace`` (run a mixed workload under fault
-injection, print per-migration retry/backoff telemetry and the cache,
-engine, scheduler and device counters) and ``crashexplore`` (enumerate every sync point of the
-canonical workload, crash at each one, verify recovery; ``--smoke``
-explores a strided subset for CI)."""
+Subcommands: ``wallclock`` (the simulated goldens of 19 workloads;
+``--smoke`` is the CI drift guard), ``profile`` (sampled host-CPU
+hotspots of any registered wall-clock workload), ``trace`` (run a mixed
+workload under fault injection, print per-migration retry/backoff
+telemetry and the cache, engine, scheduler and device counters) and
+``crashexplore`` (enumerate every sync point of the canonical workload,
+crash at each one, verify recovery; ``--smoke`` explores a strided
+subset for CI).  Host time is measured by ``muxbench/run.py``."""
 
 from __future__ import annotations
 

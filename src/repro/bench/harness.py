@@ -86,51 +86,6 @@ def build_pinned_mux(
     return stack
 
 
-class VfsView:
-    """Adapter: run a workload against one FS *through* the shared VFS.
-
-    The paper's baselines are native file systems reached via the kernel
-    VFS; charging the same VFS dispatch cost to both the native and the
-    Mux configurations keeps the overhead comparison fair.  The adapter
-    rewrites workload paths under the file system's mount point and
-    forwards handle-based calls through the VFS.
-    """
-
-    def __init__(self, vfs, mount: str) -> None:
-        self.vfs = vfs
-        self.mount = mount.rstrip("/")
-
-    def _full(self, path: str) -> str:
-        return self.mount + path
-
-    def open(self, path: str, flags):
-        return self.vfs.open(self._full(path), flags)
-
-    def create(self, path: str, mode: int = 0o644):
-        return self.vfs.create(self._full(path), mode)
-
-    def close(self, handle) -> None:
-        self.vfs.close(handle)
-
-    def read(self, handle, offset: int, length: int) -> bytes:
-        return self.vfs.read(handle, offset, length)
-
-    def write(self, handle, offset: int, data: bytes) -> int:
-        return self.vfs.write(handle, offset, data)
-
-    def truncate(self, handle, size: int) -> None:
-        self.vfs.truncate(handle, size)
-
-    def fsync(self, handle) -> None:
-        self.vfs.fsync(handle)
-
-    def getattr(self, path: str):
-        return self.vfs.getattr(self._full(path))
-
-    def unlink(self, path: str) -> None:
-        self.vfs.unlink(self._full(path))
-
-
 # ---------------------------------------------------------------------------
 # reporting
 # ---------------------------------------------------------------------------

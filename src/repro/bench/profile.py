@@ -1,88 +1,39 @@
 """Hotspot profiler: ``python -m repro.bench profile <workload>``.
 
 Runs any workload registered in the wall-clock harness under
-:mod:`cProfile` and prints the top-N functions by cumulative host time.
-This makes perf work profile-guided: before optimising a path, run the
-closest workload here and read where the host CPU actually goes (the
-simulated clock is unaffected — profiling only observes the host).
-
-``--sample`` swaps cProfile for :class:`SamplingProfiler`, a stdlib
-statistical sampler.  cProfile charges a fixed hook cost to every Python
-call, so it inflates paths made of many cheap calls (an interval-set
-scan looks twice its real size) and hides per-call allocation cost
-spread over many call sites; sampling the stack on a CPU-time timer
-does neither, so use it to *choose* a target and cProfile to count
-calls on it.
+:class:`SamplingProfiler`, a stdlib statistical sampler, and prints the
+top-N functions by inclusive and by self share of host CPU.  This makes
+perf work profile-guided: before optimising a path, run the closest
+workload here and read where the host CPU actually goes (the simulated
+clock is unaffected — profiling only observes the host).  Sampling the
+stack on a CPU-time timer charges nothing per call, so cheap calls are
+not inflated the way a tracing profiler inflates them; for call counts,
+run ``python -m cProfile -m repro.bench profile …``.
 
 Usage::
 
     PYTHONPATH=src python -m repro.bench profile metadata_churn
-    PYTHONPATH=src python -m repro.bench profile seq_read --smoke -n 40
-    PYTHONPATH=src python -m repro.bench profile hot_set_reads --sort tottime
-    PYTHONPATH=src python -m repro.bench profile mirror_skew --sample
+    PYTHONPATH=src python -m repro.bench profile seq_read --smoke --top 40
     PYTHONPATH=src python -m repro.bench profile --list
 """
 
 from __future__ import annotations
 
-import cProfile
-import io
 import os
-import pstats
 import signal
 import sys
 from collections import Counter
 from typing import List, Optional
 
-from repro.bench.harness import pop_flag_value
+from repro.bench.harness import pop_flag_value, reject_unknown
 
 DEFAULT_TOP_N = 25
-
-#: pstats sort keys accepted by --sort; "cumulative" finds the expensive
-#: call path, "tottime" finds the function burning the cycles itself
-SORT_KEYS = ("cumulative", "tottime", "ncalls")
 
 
 def _registered():
     from repro.bench.wallclock import WORKLOADS
 
     return dict(WORKLOADS)
-
-
-def _header(name: str, smoke: bool, result: dict) -> str:
-    return (
-        f"profile: {name} ({'smoke' if smoke else 'full'} size) — "
-        f"wall={result['wall_s']:.3f}s host, "
-        f"sim={result['sim_elapsed_s']:.4f}s simulated\n"
-    )
-
-
-def profile_workload(
-    name: str,
-    smoke: bool = False,
-    top_n: int = DEFAULT_TOP_N,
-    sort: str = "cumulative",
-) -> str:
-    """Run one registered workload under cProfile; returns the report text."""
-    workloads = _registered()
-    if name not in workloads:
-        raise KeyError(name)
-    if sort not in SORT_KEYS:
-        raise ValueError(f"sort must be one of {SORT_KEYS}, not {sort!r}")
-    fn = workloads[name]
-    profiler = cProfile.Profile()
-    profiler.enable()
-    result = fn(smoke)
-    profiler.disable()
-    buf = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buf)
-    stats.sort_stats(sort)
-    stats.print_stats(top_n)
-    return (
-        _header(name, smoke, result)
-        + f"top {top_n} functions by {sort} host time:\n"
-        + buf.getvalue()
-    )
 
 
 #: host CPU time between two stack samples
@@ -184,33 +135,26 @@ def sample_workload(
         raise KeyError(name)
     with SamplingProfiler() as sampler:
         result = workloads[name](smoke)
-    return _header(name, smoke, result) + sampler.report(top_n)
+    return (
+        f"profile: {name} ({'smoke' if smoke else 'full'} size) — "
+        f"sim={result['sim_elapsed_s']:.4f}s simulated\n" + sampler.report(top_n)
+    )
 
 
-USAGE = (
-    "usage: python -m repro.bench profile <workload> [--smoke] [-n N]"
-    " [--sort cumulative|tottime|ncalls | --sample] | --list"
-)
+USAGE = "usage: python -m repro.bench profile <workload> [--smoke] [--top N] | --list"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     workloads = _registered()
     try:
-        top = pop_flag_value(argv, "-n", USAGE) or pop_flag_value(argv, "--top", USAGE)
+        top = pop_flag_value(argv, "--top", USAGE)
         top_n = int(top) if top is not None else DEFAULT_TOP_N
     except ValueError as exc:
         print(f"{exc}; {USAGE}", file=sys.stderr)
         return 2
-    sort = pop_flag_value(argv, "--sort", USAGE)
-    if sort is not None and sort not in SORT_KEYS:
-        print(f"--sort must be one of {', '.join(SORT_KEYS)}; {USAGE}", file=sys.stderr)
-        return 2
-    sample = "--sample" in argv
-    if sample and sort is not None:
-        print(f"--sort and --sample exclude each other; {USAGE}", file=sys.stderr)
-        return 2
     positional = [a for a in argv if not a.startswith("-")]
+    reject_unknown(argv, ("--smoke", "--list", *positional[:1]), USAGE)
     if "--list" in argv or not positional:
         print("registered workloads:")
         for name in workloads:
@@ -221,11 +165,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if name not in workloads:
         print(f"unknown workload {name!r}; --list shows choices; {USAGE}", file=sys.stderr)
         return 2
-    smoke = "--smoke" in argv
-    if sample:
-        print(sample_workload(name, smoke=smoke, top_n=top_n))
-    else:
-        print(profile_workload(name, smoke=smoke, top_n=top_n, sort=sort or "cumulative"))
+    print(sample_workload(name, smoke="--smoke" in argv, top_n=top_n))
     return 0
 
 

@@ -1,18 +1,16 @@
-"""Wall-clock benchmark harness: host-CPU cost of the simulated data path.
+"""Wall-clock drift guard: the simulated fingerprints of 19 workloads.
 
-Every other benchmark in this repo reports **simulated** time — numbers
-produced by the timing model, identical on any machine.  This harness
-additionally measures how long the *host* takes to push the bytes through
-the stack (``time.perf_counter`` seconds and ops/sec), so data-path
-optimisations show up as a perf trajectory across PRs even though the
-simulated results are bit-identical by design.
+Every workload here builds a fresh stack, drives it, and records a
+*simulated fingerprint* (``clock.now_ns``, per-device ``DeviceStats``,
+SCM-cache hit/miss counters and the workload's own tails and counters)
+plus its simulated elapsed time.  The numbers come from the timing
+model, so they are identical on any machine.  Host time is not measured
+here: muxbench (``muxbench/run.py``) owns it.
 
 Two guarantees this module enforces:
 
-* **Determinism** — each workload builds a fresh stack and records a
-  *simulated fingerprint* (``clock.now_ns``, per-device ``DeviceStats``,
-  SCM-cache hit/miss counters).  Repetitions must produce identical
-  fingerprints or the run aborts.
+* **Determinism** — a full run executes each workload twice and aborts
+  if the two fingerprints differ.
 * **Drift detection** — ``--smoke`` reruns a reduced version of every
   workload and compares fingerprints against the golden values recorded
   in ``BENCH_wallclock.json``, exiting nonzero on any mismatch.  This is
@@ -22,14 +20,13 @@ Usage::
 
     PYTHONPATH=src python -m repro.bench wallclock            # full run
     PYTHONPATH=src python -m repro.bench wallclock --smoke    # CI guard
-    PYTHONPATH=src python -m repro.bench wallclock --out F --before G
+    PYTHONPATH=src python -m repro.bench wallclock --out F    # elsewhere
 """
 
 from __future__ import annotations
 
 import json
 import sys
-import time
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -71,10 +68,11 @@ MIB = 1024 * KIB
 #: output file written at the repo root (cwd of the bench invocation)
 DEFAULT_OUT = "BENCH_wallclock.json"
 
-USAGE = "usage: python -m repro.bench wallclock [--smoke] [--out FILE] [--before FILE]"
+USAGE = "usage: python -m repro.bench wallclock [--smoke] [--out FILE]"
 
-#: repetitions per workload; wall_s is the minimum (least-noise) rep
-FULL_REPS = 3
+#: repetitions per workload: a full run compares two, the smoke guard
+#: compares its one against the golden
+FULL_REPS = 2
 SMOKE_REPS = 1
 
 
@@ -125,25 +123,19 @@ def _strata_fingerprint(clock, devices) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 #
 # Each workload is a callable (smoke: bool) -> result dict.  It builds a
-# fresh stack (so reps are independent and deterministic), times only the
-# measured section with perf_counter, and reports the simulated
-# fingerprint of the *whole* run including setup.
+# fresh stack (so reps are independent and deterministic), reports the
+# simulated time of its measured section, and the simulated fingerprint
+# of the *whole* run including setup.
 
 
 def _result(
-    wall_s: float,
-    ops: int,
-    nbytes: int,
     sim_elapsed_s: float,
     fingerprint: Dict[str, object],
     events: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    """The record every workload returns (``run_workloads`` reads
-    ``wall_s``/``ops``/``fingerprint``; the rest lands in the bench file)."""
+    """The record every workload returns (``run_workloads`` compares the
+    ``fingerprint``; the rest lands in the bench file)."""
     out: Dict[str, object] = {
-        "wall_s": wall_s,
-        "ops": ops,
-        "bytes": nbytes,
         "sim_elapsed_s": sim_elapsed_s,
         "fingerprint": fingerprint,
     }
@@ -152,25 +144,19 @@ def _result(
     return out
 
 
-def _timed(clock, fn) -> Tuple[object, float, int]:
-    """``fn()`` bracketed by both clocks: (its result, host s, simulated ns)."""
+def _timed(clock, fn) -> Tuple[object, int]:
+    """``fn()`` on the simulated clock: (its result, simulated ns)."""
     sim0 = clock.now_ns
-    t0 = time.perf_counter()
     out = fn()
-    return out, time.perf_counter() - t0, clock.now_ns - sim0
+    return out, clock.now_ns - sim0
 
 
 def _wl_seq_write(smoke: bool) -> Dict[str, object]:
     total = 8 * MIB if smoke else 48 * MIB
     stack = build_stack()
     stack.mux.mkdir("/bench")
-    res, wall, _ = _timed(
-        stack.clock,
-        lambda: sequential_write(stack.mux, stack.clock, "/bench/seq", total),
-    )
-    return _result(
-        wall, total // (4 * MIB), res.bytes_moved, res.elapsed_s, _mux_fingerprint(stack)
-    )
+    res = sequential_write(stack.mux, stack.clock, "/bench/seq", total)
+    return _result(res.elapsed_s, _mux_fingerprint(stack))
 
 
 def _wl_seq_read(smoke: bool) -> Dict[str, object]:
@@ -181,16 +167,12 @@ def _wl_seq_read(smoke: bool) -> Dict[str, object]:
     handle = make_file(stack.mux, stack.clock, "/bench/rdfile", size)
     stack.mux.close(handle)
 
-    def run() -> int:
-        return sum(
-            sequential_read(stack.mux, stack.clock, "/bench/rdfile", size).bytes_moved
-            for _ in range(passes)
-        )
+    def run() -> None:
+        for _ in range(passes):
+            sequential_read(stack.mux, stack.clock, "/bench/rdfile", size)
 
-    moved, wall, sim_ns = _timed(stack.clock, run)
-    return _result(
-        wall, passes * (size // (4 * MIB)), moved, sim_ns / 1e9, _mux_fingerprint(stack)
-    )
+    _, sim_ns = _timed(stack.clock, run)
+    return _result(sim_ns / 1e9, _mux_fingerprint(stack))
 
 
 def _wl_hot_set(smoke: bool) -> Dict[str, object]:
@@ -200,13 +182,11 @@ def _wl_hot_set(smoke: bool) -> Dict[str, object]:
     stack.mux.mkdir("/bench")
     handle = make_file(stack.mux, stack.clock, "/bench/hot", size)
     stack.mux.close(handle)
-    res, wall, sim_ns = _timed(
+    _, sim_ns = _timed(
         stack.clock,
         lambda: hot_set_reads(stack.mux, stack.clock, "/bench/hot", size, 2 * MIB, iters),
     )
-    return _result(
-        wall, res.operations, res.operations * 4096, sim_ns / 1e9, _mux_fingerprint(stack)
-    )
+    return _result(sim_ns / 1e9, _mux_fingerprint(stack))
 
 
 def _macro_workload(
@@ -218,10 +198,8 @@ def _macro_workload(
     def workload(smoke: bool) -> Dict[str, object]:
         stack = build_stack()
         shape = smoke_shape if smoke else full_shape
-        res, wall, _ = _timed(
-            stack.clock, lambda: macro(stack.mux, stack.clock, **shape)
-        )
-        return _result(wall, res.operations, 0, res.elapsed_s, _mux_fingerprint(stack))
+        res = macro(stack.mux, stack.clock, **shape)
+        return _result(res.elapsed_s, _mux_fingerprint(stack))
 
     return workload
 
@@ -229,33 +207,23 @@ def _macro_workload(
 def _wl_metadata_churn(smoke: bool) -> Dict[str, object]:
     files, ops = (60, 400) if smoke else (200, 12000)
     stack = build_stack()
-    # tree construction is setup; the timed section is the steady-state
+    # tree construction is setup; the measured section is the steady-state
     # metadata traffic, routed through the VFS like a real application
     live = metadata_tree(stack.vfs, files=files, root="/mux")
-    res, wall, _ = _timed(
-        stack.clock,
-        lambda: metadata_churn(
-            stack.vfs, stack.clock, files=files, operations=ops, root="/mux", live=live
-        ),
+    res = metadata_churn(
+        stack.vfs, stack.clock, files=files, operations=ops, root="/mux", live=live
     )
-    return _result(
-        wall, res.operations, 0, res.total_ns / 1e9, _mux_fingerprint(stack)
-    )
+    return _result(res.total_ns / 1e9, _mux_fingerprint(stack))
 
 
 def _wl_migration_churn(smoke: bool) -> Dict[str, object]:
     files, size, rounds = (2, 1 * MIB, 2) if smoke else (2, 16 * MIB, 6)
     stack = build_stack()
     tier_ids = [stack.tier_id(n) for n in ("pm", "ssd", "hdd") if n in stack.tier_ids]
-    res, wall, _ = _timed(
-        stack.clock,
-        lambda: migration_churn(
-            stack.mux, stack.clock, tier_ids, files=files, file_bytes=size, rounds=rounds
-        ),
+    res = migration_churn(
+        stack.mux, stack.clock, tier_ids, files=files, file_bytes=size, rounds=rounds
     )
-    return _result(
-        wall, files * rounds, res.bytes_moved, res.elapsed_s, _mux_fingerprint(stack)
-    )
+    return _result(res.elapsed_s, _mux_fingerprint(stack))
 
 
 def _wl_fault_storm(smoke: bool) -> Dict[str, object]:
@@ -272,21 +240,19 @@ def _wl_fault_storm(smoke: bool) -> Dict[str, object]:
         },
         fault_seed=2025,
     )
-    events, wall, sim_ns = _timed(
+    events, sim_ns = _timed(
         stack.clock, lambda: fault_storm(stack, operations=ops, files=files)
     )
-    return _result(wall, ops, 0, sim_ns / 1e9, _mux_fingerprint(stack), events)
+    return _result(sim_ns / 1e9, _mux_fingerprint(stack), events)
 
 
 def _wl_cache_writeback(smoke: bool) -> Dict[str, object]:
     size, ops = (2 * MIB, 400) if smoke else (8 * MIB, 4000)
     stack = build_stack(cache_write_back=True)
-    counts, wall, sim_ns = _timed(
+    counts, sim_ns = _timed(
         stack.clock, lambda: cache_writeback(stack, file_bytes=size, operations=ops)
     )
-    return _result(
-        wall, ops, ops * 4096, sim_ns / 1e9, _mux_fingerprint(stack, extended=True), counts
-    )
+    return _result(sim_ns / 1e9, _mux_fingerprint(stack, extended=True), counts)
 
 
 def _wl_parallel_stripe(smoke: bool) -> Dict[str, object]:
@@ -301,7 +267,6 @@ def _wl_parallel_stripe(smoke: bool) -> Dict[str, object]:
     size, reads = (2 * MIB, 2) if smoke else (16 * MIB, 4)
     results: Dict[str, float] = {}
     fingerprint: Dict[str, object] = {}
-    wall = 0.0
     # dispatch-model ablation: saturation knees off, so the measured gap
     # is parallel-vs-serial dispatch alone — a 16 MiB stripe floods the
     # queues far past any calibrated knee, which would penalize both
@@ -318,11 +283,7 @@ def _wl_parallel_stripe(smoke: bool) -> Dict[str, object]:
             profiles=no_knee,
         )
         tier_ids = [stack.tier_id(n) for n in ("pm", "ssd")]
-        res, host_s, _ = _timed(
-            stack.clock,
-            lambda: striped_reads(stack, tier_ids, file_bytes=size, reads=reads),
-        )
-        wall += host_s
+        res = striped_reads(stack, tier_ids, file_bytes=size, reads=reads)
         results[mode] = res.mean_ns
         if parallel:
             fingerprint = _mux_fingerprint(stack)
@@ -330,7 +291,7 @@ def _wl_parallel_stripe(smoke: bool) -> Dict[str, object]:
             fingerprint["serial_now_ns"] = stack.clock.now_ns
     speedup = results["serial"] / results["parallel"] if results["parallel"] else 0.0
     return _result(
-        wall, 2 * reads, 2 * reads * size, (results["parallel"] * reads) / 1e9,
+        (results["parallel"] * reads) / 1e9,
         fingerprint,
         {
             "parallel_read_us": round(results["parallel"] / 1e3, 2),
@@ -345,10 +306,6 @@ def _tails(res, *ops: str) -> Dict[str, int]:
     return {
         f"{op}_{pct}": ns for op in ops for pct, ns in res.percentiles_ns(op).items()
     }
-
-
-def _tenant_bytes(specs: List[TenantSpec], res) -> int:
-    return sum(t.ops * spec.io_bytes for spec, t in zip(specs, res.tenants.values()))
 
 
 def _mt_specs(load_mult: float) -> List[TenantSpec]:
@@ -401,9 +358,6 @@ def _wl_multi_tenant(smoke: bool) -> Dict[str, object]:
     """
     duration_ns = 300_000 if smoke else 1_000_000
     loads = [1.0] if smoke else [4.0, 2.0, 1.0]
-    wall = 0.0
-    ops = 0
-    bytes_moved = 0
     sim_elapsed_ns = 0
     fingerprint: Dict[str, object] = {}
     tails: Dict[str, object] = {}
@@ -414,15 +368,12 @@ def _wl_multi_tenant(smoke: bool) -> Dict[str, object]:
         point: Dict[str, Dict[str, int]] = {}
         for depth in (8, 1):
             stack = _mt_stack()
-            res, host_s, sim_ns = _timed(
+            res, sim_ns = _timed(
                 stack.clock,
                 lambda: run_multi_tenant(
                     stack, specs, duration_ns=duration_ns, ring_depth=depth
                 ),
             )
-            wall += host_s
-            ops += res.completed_ops
-            bytes_moved += _tenant_bytes(specs, res)
             label = "async" if depth == 8 else "depth1"
             point[label] = _tails(res, "read", "write")
             if depth == 8:
@@ -442,8 +393,7 @@ def _wl_multi_tenant(smoke: bool) -> Dict[str, object]:
             ratio = point["depth1"]["read_p99"] / point["async"]["read_p99"]
     fingerprint["tails"] = tails
     return _result(
-        wall, ops, bytes_moved, sim_elapsed_ns / 1e9, fingerprint,
-        {"p99_ratio_x": round(ratio, 1), "sweep": table},
+        sim_elapsed_ns / 1e9, fingerprint, {"p99_ratio_x": round(ratio, 1), "sweep": table}
     )
 
 
@@ -477,18 +427,17 @@ def _policy_duel(
     pinned: str,
     setup: Callable[[str], Tuple[Stack, Callable[[], object]]],
     rows: Callable[[Stack, object], Tuple[Dict[str, object], Dict[str, object]]],
-) -> Tuple[float, int, Dict[str, object], Dict[str, object], Dict[str, object]]:
+) -> Tuple[int, Dict[str, object], Dict[str, object], Dict[str, object]]:
     """Run one measured section per policy on otherwise identical stacks.
 
     ``setup(policy)`` builds the stack (plus any unmeasured preparation)
-    and returns it with the section to time; ``rows(stack, result)`` gives
-    that policy's ``(events-table row, pinned values)``.  The fingerprint
-    pins the ``pinned`` policy's devices (its run is the reported
-    simulated time) plus every policy's final clock and pinned values, so
-    drift in any policy's placement trips the smoke guard.  Returns
-    ``(host s, pinned policy's simulated ns, fingerprint, table, results)``.
+    and returns it with the section to measure; ``rows(stack, result)``
+    gives that policy's ``(events-table row, pinned values)``.  The
+    fingerprint pins the ``pinned`` policy's devices (its run is the
+    reported simulated time) plus every policy's final clock and pinned
+    values, so drift in any policy's placement trips the smoke guard.
+    Returns ``(pinned policy's simulated ns, fingerprint, table, results)``.
     """
-    wall = 0.0
     sim_elapsed_ns = 0
     fingerprint: Dict[str, object] = {}
     policies_fp: Dict[str, object] = {}
@@ -496,15 +445,14 @@ def _policy_duel(
     results: Dict[str, object] = {}
     for name in policies:
         stack, section = setup(name)
-        results[name], host_s, sim_ns = _timed(stack.clock, section)
-        wall += host_s
+        results[name], sim_ns = _timed(stack.clock, section)
         table[name], pinned_values = rows(stack, results[name])
         policies_fp[name] = {"now_ns": stack.clock.now_ns, **pinned_values}
         if name == pinned:
             sim_elapsed_ns = sim_ns
             fingerprint = _mux_fingerprint(stack)
     fingerprint["policies"] = policies_fp
-    return wall, sim_elapsed_ns, fingerprint, table, results
+    return sim_elapsed_ns, fingerprint, table, results
 
 
 def _tail_row(res) -> Dict[str, object]:
@@ -550,14 +498,11 @@ def _trace_duel(
             **extra,
         }
 
-    wall, sim_elapsed_ns, fingerprint, table, results = _policy_duel(
+    sim_elapsed_ns, fingerprint, table, results = _policy_duel(
         policies, pinned, setup, rows
     )
     reads_by_policy = {name: res.percentiles_ns("read") for name, res in results.items()}
     return _result(
-        wall,
-        sum(res.submitted for res in results.values()),
-        sum(op.length for op in trace.ops) * len(policies),
         sim_elapsed_ns / 1e9,
         fingerprint,
         {"trace": trace_name, **headline(trace, reads_by_policy), "policies": table},
@@ -655,16 +600,14 @@ def _wl_tenant_policy_duel(smoke: bool) -> Dict[str, object]:
             "migrations": res.migrations_submitted,
         }
 
-    wall, sim_elapsed_ns, fingerprint, table, results = _policy_duel(
+    sim_elapsed_ns, fingerprint, table, _ = _policy_duel(
         _DUEL_POLICIES, "pressure", setup, rows
     )
 
     # fairness for the winner: shared tail over isolated counterfactual
-    t0 = time.perf_counter()
     _, fairness = fairness_slowdowns(
         lambda: _duel_stack("pressure"), specs, duration_ns, **run_kwargs
     )
-    wall += time.perf_counter() - t0
     slowdowns = {
         name: round(slowdown_x(entry), 2)
         for name, entry in fairness.items()
@@ -672,9 +615,6 @@ def _wl_tenant_policy_duel(smoke: bool) -> Dict[str, object]:
     }
     fingerprint["fairness"] = fairness
     return _result(
-        wall,
-        sum(res.completed_ops for res in results.values()),
-        sum(_tenant_bytes(specs, res) for res in results.values()),
         sim_elapsed_ns / 1e9,
         fingerprint,
         {"policies": table, "fairness_slowdown_x": slowdowns},
@@ -756,7 +696,7 @@ def _wl_mirror_skew(smoke: bool) -> Dict[str, object]:
             "deadline_promotions": mux.mirrors.stats.get("deadline_promotions"),
         }
 
-    wall, sim_elapsed_ns, fingerprint, table, reads = _policy_duel(
+    sim_elapsed_ns, fingerprint, table, reads = _policy_duel(
         ("pressure", "mirror"), "mirror", setup, rows
     )
     ratio = (
@@ -764,9 +704,9 @@ def _wl_mirror_skew(smoke: bool) -> Dict[str, object]:
         if reads["mirror"]["p99"]
         else 0.0
     )
-    total_reads = 2 * (warm_reads + measured_reads)
     return _result(
-        wall, total_reads, total_reads * io_bytes, sim_elapsed_ns / 1e9, fingerprint,
+        sim_elapsed_ns / 1e9,
+        fingerprint,
         {
             "population": "hdd-cold",
             "policies": table,
@@ -828,14 +768,8 @@ def _wl_mirror_trace_duel(smoke: bool) -> Dict[str, object]:
 def _wl_strata_fileserver(smoke: bool) -> Dict[str, object]:
     files, ops = (8, 100) if smoke else (20, 300)
     strata = build_strata()
-    res, wall, _ = _timed(
-        strata.clock,
-        lambda: fileserver(strata.fs, strata.clock, files=files, operations=ops),
-    )
-    return _result(
-        wall, res.operations, 0, res.elapsed_s,
-        _strata_fingerprint(strata.clock, strata.devices),
-    )
+    res = fileserver(strata.fs, strata.clock, files=files, operations=ops)
+    return _result(res.elapsed_s, _strata_fingerprint(strata.clock, strata.devices))
 
 
 def _wl_crash_matrix(smoke: bool) -> Dict[str, object]:
@@ -844,11 +778,9 @@ def _wl_crash_matrix(smoke: bool) -> Dict[str, object]:
     bit-stable, and every explored state must still recover cleanly."""
     from repro.tools.crashexplore import explore
 
-    t0 = time.perf_counter()
     report = explore(smoke=smoke)
-    wall = time.perf_counter() - t0
     return _result(
-        wall, report["states_explored"], 0, report["clock_sum_ns"] / 1e9,
+        report["clock_sum_ns"] / 1e9,
         {
             "now_ns": report["clock_sum_ns"],
             "devices": {},
@@ -935,9 +867,6 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
         # shard itself the bottleneck, which is what sharding must fix.
         return build_cluster(shards=n, tiers=["hdd"], enable_cache=False)
 
-    wall = 0.0
-    ops = 0
-    bytes_moved = 0
     sim_elapsed_ns = 0
     fingerprint: Dict[str, object] = {}
     table: Dict[str, object] = {}
@@ -951,16 +880,13 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
     specs = _cluster_specs(names)
     for n in shard_counts:
         cluster = make_cluster(n).mux
-        res, host_s, sim_ns = _timed(
+        res, sim_ns = _timed(
             cluster.clock,
             lambda: run_cluster_load(
                 cluster, specs, duration_ns=duration_ns, ring_depth=8,
                 population_tier="hdd",
             ),
         )
-        wall += host_s
-        ops += res.completed_ops
-        bytes_moved += _tenant_bytes(specs, res)
         throughput[n] = res.completed_ops * 1e9 / res.makespan_ns
         reads = res.percentiles_ns("read")
         table[f"shards_{n}"] = {
@@ -984,7 +910,6 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
     )
     hot_specs = _cluster_specs(hot_names)
     sim0 = cluster.clock.now_ns
-    t0 = time.perf_counter()
     hot_res = run_cluster_load(
         cluster, hot_specs, duration_ns=duration_ns, ring_depth=8,
         population_tier="hdd",
@@ -994,9 +919,7 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
         cluster, hot_specs, duration_ns=duration_ns, ring_depth=8,
         population_tier="hdd",
     )
-    wall += time.perf_counter() - t0
     sim_elapsed_ns += cluster.clock.now_ns - sim0
-    ops += hot_res.completed_ops + cold_res.completed_ops
     hot_p99 = hot_res.percentiles_ns("read")["p99"]
     cold_p99 = cold_res.percentiles_ns("read")["p99"]
     fingerprint["scaling"] = scaling_fp
@@ -1012,7 +935,7 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
         "final_now_ns": cluster.clock.now_ns,
     }
     return _result(
-        wall, ops, bytes_moved + moved["bytes_moved"], sim_elapsed_ns / 1e9,
+        sim_elapsed_ns / 1e9,
         fingerprint,
         {
             "scaling_x": round(scaling_x, 2),
@@ -1068,7 +991,7 @@ WORKLOADS: List[Tuple[str, Callable[[bool], Dict[str, object]]]] = [
 
 
 def run_workloads(smoke: bool, reps: Optional[int] = None) -> Dict[str, Dict[str, object]]:
-    """Run every workload ``reps`` times; return name -> best-rep result.
+    """Run every workload ``reps`` times; return name -> first-rep result.
 
     Raises ``RuntimeError`` if any repetition of a workload produces a
     different simulated fingerprint (the stack lost determinism).
@@ -1076,26 +999,13 @@ def run_workloads(smoke: bool, reps: Optional[int] = None) -> Dict[str, Dict[str
     reps = reps if reps is not None else (SMOKE_REPS if smoke else FULL_REPS)
     out: Dict[str, Dict[str, object]] = {}
     for name, fn in WORKLOADS:
-        best: Optional[Dict[str, object]] = None
-        fingerprint = None
-        for rep in range(reps):
-            result = fn(smoke)
-            if fingerprint is None:
-                fingerprint = result["fingerprint"]
-            elif result["fingerprint"] != fingerprint:
+        out[name] = fn(smoke)
+        for rep in range(1, reps):
+            if fn(smoke)["fingerprint"] != out[name]["fingerprint"]:
                 raise RuntimeError(
                     f"workload {name!r} rep {rep} produced a different simulated "
                     f"fingerprint — the stack is not deterministic"
                 )
-            if best is None or result["wall_s"] < best["wall_s"]:
-                best = result
-        assert best is not None
-        ops = best["ops"]
-        best["ops_per_host_s"] = (
-            round(ops / best["wall_s"], 1) if best["wall_s"] > 0 and ops else 0.0
-        )
-        best["wall_s"] = round(best["wall_s"], 4)
-        out[name] = best
     return out
 
 
@@ -1127,60 +1037,25 @@ def compare_fingerprints(
 # ---------------------------------------------------------------------------
 
 
-def _run_full(out_path: str, before_path: Optional[str]) -> int:
+def _run_full(out_path: str) -> int:
     print("wallclock: full run (this takes a few minutes)...")
     full = run_workloads(smoke=False)
-    smoke = run_workloads(smoke=True, reps=1)
-
-    before: Dict[str, Dict[str, object]] = {}
-    if before_path:
-        with open(before_path) as f:
-            prior = json.load(f)
-        # accept either a raw run_workloads dump or a full BENCH file
-        source = prior.get("workloads", prior)
-        for name, entry in source.items():
-            before[name] = entry.get("after", entry)
-
-    doc: Dict[str, object] = {
+    smoke = run_workloads(smoke=True)
+    doc = {
         "bench": "wallclock",
-        "units": {
-            "wall_s": "host seconds (time.perf_counter, best of "
-            f"{FULL_REPS} reps)",
-            "sim_elapsed_s": "simulated seconds (machine-independent)",
-            "ops_per_host_s": "workload ops per host second",
+        "workloads": {
+            name: {k: v for k, v in result.items() if k != "fingerprint"}
+            for name, result in full.items()
         },
-        "workloads": {},
-        "golden_sim": {},
-        "golden_sim_smoke": {},
+        "golden_sim": {name: result["fingerprint"] for name, result in full.items()},
+        "golden_sim_smoke": {
+            name: result["fingerprint"] for name, result in smoke.items()
+        },
     }
-    for name, result in full.items():
-        entry: Dict[str, object] = {
-            "after": {
-                k: v for k, v in result.items() if k != "fingerprint"
-            }
-        }
-        if name in before:
-            b = dict(before[name])
-            b.pop("fingerprint", None)
-            entry["before"] = b
-            bw, aw = b.get("wall_s"), result["wall_s"]
-            if isinstance(bw, (int, float)) and isinstance(aw, (int, float)) and aw > 0:
-                entry["speedup"] = round(bw / aw, 2)
-        doc["workloads"][name] = entry
-        doc["golden_sim"][name] = result["fingerprint"]
-    for name, result in smoke.items():
-        doc["golden_sim_smoke"][name] = result["fingerprint"]
-
     with open(out_path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"wallclock: wrote {out_path}")
-    for name, entry in doc["workloads"].items():
-        after = entry["after"]
-        line = f"  {name:18s} wall={after['wall_s']:8.3f}s"
-        if "speedup" in entry:
-            line += f"  speedup={entry['speedup']:.2f}x"
-        print(line)
+    print(f"wallclock: wrote {out_path} ({len(full)} workloads)")
     return 0
 
 
@@ -1195,7 +1070,6 @@ def _run_smoke(out_path: str) -> int:
     if not golden:
         print(f"wallclock --smoke: {out_path} has no golden_sim_smoke section")
         return 2
-    t0 = time.perf_counter()
     observed = run_workloads(smoke=True)
     failures = 0
     for name in sorted(set(golden) - set(observed)):
@@ -1213,9 +1087,8 @@ def _run_smoke(out_path: str) -> int:
             for d in diffs:
                 print(f"    {d}")
         else:
-            print(f"  {name}: ok (wall={result['wall_s']:.3f}s)")
-    total = time.perf_counter() - t0
-    print(f"wallclock --smoke: {len(observed)} workloads in {total:.1f}s host time")
+            print(f"  {name}: ok")
+    print(f"wallclock --smoke: {len(observed)} workloads compared")
     if failures:
         print(f"wallclock --smoke: {failures} workload(s) drifted from or lack a golden")
         return 1
@@ -1226,13 +1099,12 @@ def _run_smoke(out_path: str) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     out_path = pop_flag_value(argv, "--out", USAGE) or DEFAULT_OUT
-    before_path = pop_flag_value(argv, "--before", USAGE)
     # a typo must not fall through to the full run, which rewrites the
     # goldens
     reject_unknown(argv, ("--smoke",), USAGE)
     if "--smoke" in argv:
         return _run_smoke(out_path)
-    return _run_full(out_path, before_path)
+    return _run_full(out_path)
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.bench.harness import reject_unknown
 from repro.core.mux import MuxFileSystem
 from repro.core.policy import MigrationOrder
 from repro.errors import CrashTriggered, ReproError
@@ -531,8 +532,13 @@ def explore(smoke: bool = False, verbose: bool = False) -> Dict[str, object]:
     }
 
 
+USAGE = "usage: python -m repro.bench crashexplore [--smoke] [--verbose|-v]"
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # a typo must not fall through to the full sweep
+    reject_unknown(argv, ("--smoke", "--verbose", "-v"), USAGE)
     smoke = "--smoke" in argv
     verbose = "--verbose" in argv or "-v" in argv
     mode = "smoke subset" if smoke else "full sweep"

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import workloads
-from repro.bench.harness import VfsView, build_pinned_mux, build_strata, format_rows, ResultRow
+from repro.bench.harness import build_pinned_mux, build_strata, format_rows, ResultRow
 from repro.stack import build_stack
 
 MIB = 1024 * 1024
@@ -67,19 +67,6 @@ class TestBuilders:
         stack = build_pinned_mux("hdd", enable_cache=False)
         stack.mux.write_file("/f", b"x" * 4096)
         assert stack.vfs.exists("/tiers/hdd/f")
-
-    def test_vfs_view(self):
-        stack = build_stack(enable_cache=False)
-        view = VfsView(stack.vfs, "/mux")
-        handle = view.create("/f")
-        view.write(handle, 0, b"through the view")
-        assert view.read(handle, 0, 16) == b"through the view"
-        assert view.getattr("/f").size == 16
-        view.fsync(handle)
-        view.truncate(handle, 7)
-        view.close(handle)
-        view.unlink("/f")
-        assert not stack.mux.exists("/f")
 
 
 class TestReporting:
@@ -207,17 +194,73 @@ class TestWallclockCli:
         assert "gone: GOLDEN WITHOUT A WORKLOAD" in printed
 
 
+class TestRunWorkloads:
+    """``run_workloads`` repeats each workload and compares fingerprints."""
+
+    def test_a_fingerprint_that_changes_between_reps_is_named(self, monkeypatch):
+        from repro.bench import wallclock
+
+        reps = []
+
+        def flaky(smoke):
+            reps.append(smoke)
+            return {"sim_elapsed_s": 0.0, "fingerprint": {"now_ns": len(reps)}}
+
+        registered = dict(wallclock.WORKLOADS)
+        monkeypatch.setattr(
+            wallclock,
+            "WORKLOADS",
+            [("metadata_churn", registered["metadata_churn"]), ("flaky", flaky)],
+        )
+        with pytest.raises(RuntimeError, match="workload 'flaky' rep 1"):
+            wallclock.run_workloads(smoke=True, reps=2)
+        assert reps == [True, True]
+
+    def test_a_stable_workload_records_simulated_values_only(self, monkeypatch):
+        from repro.bench import wallclock
+
+        registered = dict(wallclock.WORKLOADS)
+        monkeypatch.setattr(
+            wallclock, "WORKLOADS", [("metadata_churn", registered["metadata_churn"])]
+        )
+        record = wallclock.run_workloads(smoke=True, reps=2)["metadata_churn"]
+        assert set(record) == {"sim_elapsed_s", "fingerprint"}
+        assert record["sim_elapsed_s"] > 0
+        assert record["fingerprint"]["now_ns"] > 0
+
+
+class TestCrashexploreCli:
+    """``python -m repro.bench crashexplore``: a typo may not start the
+    full sweep in place of the smoke subset."""
+
+    @pytest.mark.parametrize("argv", [["--smok"], ["--smoke", "extra"], ["-s"]])
+    def test_unknown_argument_exits_2_before_the_sweep(self, argv, capsys):
+        from repro.tools.crashexplore import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any state was explored
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert f"unknown argument {argv[-1]!r}" in lines[0]
+        assert "usage: python -m repro.bench crashexplore" in lines[0]
+
+
 class TestProfileCli:
     """``python -m repro.bench profile`` argv handling (same flag helper)."""
 
     @pytest.mark.parametrize(
         "argv, complaint",
         [
-            (["seq_read", "-n"], "-n requires a value"),
+            (["seq_read", "--top"], "--top requires a value"),
             (["seq_read", "--top", "--smoke"], "--top requires a value"),
-            (["seq_read", "-n", "many"], "invalid literal"),
-            (["seq_read", "--sort"], "--sort requires a value"),
-            (["seq_read", "--sort", "callers"], "--sort must be one of"),
+            (["seq_read", "--top", "many"], "invalid literal"),
+            # a misspelt flag, or a second spelling of --top, may not be
+            # ignored while the workload runs
+            (["metadata_churn", "--smoke", "--sampel"], "unknown argument '--sampel'"),
+            (["seq_read", "-n", "3", "--top", "5"], "unknown argument '-n'"),
             (["no_such_workload"], "unknown workload 'no_such_workload'"),
         ],
     )
@@ -245,14 +288,14 @@ class TestProfileCli:
     def test_value_flags_are_honoured(self, capsys):
         from repro.bench.profile import main
 
-        assert main(["metadata_churn", "--smoke", "-n", "3", "--sort", "tottime"]) == 0
+        assert main(["metadata_churn", "--smoke", "--top", "3"]) == 0
         out = capsys.readouterr().out
-        assert "top 3 functions by tottime host time" in out
+        assert "top 3 functions by self share" in out
 
     def test_sample_reports_inclusive_and_self_shares(self, capsys):
         from repro.bench.profile import main
 
-        assert main(["mirror_skew", "--smoke", "--sample", "-n", "4"]) == 0
+        assert main(["mirror_skew", "--smoke", "--top", "4"]) == 0
         out = capsys.readouterr().out
         assert "samples, one per 1 ms of host CPU" in out
         inclusive, self_time = out.split("top 4 functions by inclusive share:")[1].split(
@@ -261,13 +304,6 @@ class TestProfileCli:
         assert len(inclusive.strip().splitlines()) == 4
         assert len(self_time.strip().splitlines()) == 4
         assert "repro.bench.wallclock:" in inclusive
-
-    def test_sample_and_sort_exclude_each_other(self, capsys):
-        from repro.bench.profile import main
-
-        assert main(["seq_read", "--sample", "--sort", "tottime"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "exclude each other" in captured.err
 
     def test_sampler_attributes_self_and_inclusive_time(self):
         from repro.bench.profile import SamplingProfiler

@@ -4,8 +4,8 @@
     PYTHONPATH=src python tests/tools/sample_muxbench.py <workload>
         [--seconds S] [--seed N] [--top N] [--repeat N]
 
-``python -m repro.bench profile --sample`` only knows the wall-clock
-harness's workloads.  This script builds, populates and warms one muxbench
+``python -m repro.bench profile`` only knows the wall-clock harness's
+workloads, and samples the whole run.  This script builds, populates and warms one muxbench
 workload exactly as ``muxbench.measure.run_once`` does (one set-up, no
 tracer), then runs each timed phase's ``rig.run_phase`` under
 :class:`~repro.bench.profile.SamplingProfiler`: set-up, warm-up and the
