@@ -7,6 +7,7 @@ actual file blocks ... such logging is not necessary on persistent memory
 devices", causing write amplification.
 """
 
+from repro.bench import workloads
 from repro.bench.harness import build_strata
 from repro.bench.workloads import sequential_write
 from repro.devices.pm import PersistentMemoryDevice
@@ -22,9 +23,7 @@ def strata_pm_write() -> dict:
     user_bytes = 16 * MIB
     before = pm.stats.bytes_written
     t0 = stack.clock.now_ns
-    result = sequential_write(
-        stack.fs, stack.clock, "/f", user_bytes, io_size=MIB, fsync_every=0
-    )
+    result = sequential_write(stack.fs, stack.clock, "/f", user_bytes)
     stack.fs.digest()  # land everything in its final PM home
     elapsed = (stack.clock.now_ns - t0) / 1e9
     return {
@@ -39,14 +38,18 @@ def nova_pm_write() -> dict:
     nova = NovaFileSystem("nova", pm, clock)
     user_bytes = 16 * MIB
     before = pm.stats.bytes_written
-    result = sequential_write(nova, clock, "/f", user_bytes, io_size=MIB, fsync_every=0)
+    result = sequential_write(nova, clock, "/f", user_bytes)
     return {
         "mb_s": result.mb_per_s,
         "write_amp": (pm.stats.bytes_written - before) / user_bytes,
     }
 
 
-def test_ablation_strata_log_write_amplification(benchmark):
+def test_ablation_strata_log_write_amplification(benchmark, monkeypatch):
+    # 1 MiB writes and no fsync until the end: the log, not the journal
+    monkeypatch.setattr(workloads, "STREAM_IO_BYTES", MIB)
+    monkeypatch.setattr(workloads, "SEQ_FSYNC_EVERY", 0)
+
     def run():
         return {"strata": strata_pm_write(), "nova": nova_pm_write()}
 

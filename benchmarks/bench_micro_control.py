@@ -42,10 +42,10 @@ def steady_timeline(backlog: int):
     completes and queues behind the newest."""
     tl = DeviceTimeline(1)
     for _ in range(backlog):
-        tl.acquire(0, COST)
+        tl.acquire(0, COST, False)
     assert tl.queued_at(0) == backlog
     clock = iter(range(COST, 10**15, COST))
-    return tl, lambda: tl.acquire(next(clock), COST)
+    return tl, lambda: tl.acquire(next(clock), COST, False)
 
 
 @pytest.mark.benchmark(group="timeline.acquire")

@@ -5,7 +5,7 @@ Subcommands: ``wallclock`` (the simulated goldens of 19 workloads;
 ``--smoke`` is the CI drift guard), ``profile`` (sampled host-CPU
 hotspots of any registered wall-clock workload), ``trace`` (run a mixed
 workload under fault injection, print per-migration retry/backoff
-telemetry and the cache, engine, scheduler and device counters) and
+telemetry, every counter section and a two-shard cluster's) and
 ``crashexplore`` (enumerate every sync point of the canonical workload,
 crash at each one, verify recovery; ``--smoke`` explores a strided
 subset for CI).  Host time is measured by ``muxbench/run.py``."""

@@ -95,7 +95,7 @@ def _fmt(value: Optional[float]) -> str:
     return f"{value:.0f}" if value is not None else "N/S"
 
 
-def experiment_fig3a(file_mib: int = 16) -> Fig3aResult:
+def experiment_fig3a(file_mib: int) -> Fig3aResult:
     """Measure migration throughput for every device pair, both systems."""
     result = Fig3aResult()
     size = file_mib * MIB
@@ -171,11 +171,16 @@ class Fig3bResult:
         return rows
 
 
-def experiment_fig3b(
-    total_mib: int = 24, span_mib: int = 40, io_kib: int = 16
-) -> Fig3bResult:
-    """Random writes always directed to one target device (both systems)."""
+#: Fig. 3b's random writes land anywhere in a 40 MiB span
+FIG3B_SPAN_MIB = 40
+
+
+def experiment_fig3b(total_mib: int) -> Fig3bResult:
+    """Random 16 KiB writes always directed to one target device (both
+    systems); the paper's microbenchmark measures streaming I/O, so no
+    fsync until the end."""
     result = Fig3bResult()
+    span_mib = FIG3B_SPAN_MIB
     for tier in TIERS:
         # ---- Mux ----------------------------------------------------------
         stack = build_pinned_mux(tier, enable_cache=False)
@@ -185,8 +190,6 @@ def experiment_fig3b(
             "/io.bin",
             file_size=span_mib * MIB,
             total_bytes=total_mib * MIB,
-            io_size=io_kib * 1024,
-            fsync_every=0,  # the paper's microbenchmark measures streaming I/O
         )
         result.mux_mb_s[tier] = res.mb_per_s
 
@@ -201,8 +204,6 @@ def experiment_fig3b(
             "/io.bin",
             file_size=span_mib * MIB,
             total_bytes=total_mib * MIB,
-            io_size=io_kib * 1024,
-            fsync_every=0,
         )
         if tier != "pm":
             # data bound for SSD/HDD is not on its device until digested;
@@ -252,7 +253,7 @@ class ReadOverheadResult:
         ]
 
 
-def experiment_read_overhead(iterations: int = 1200) -> ReadOverheadResult:
+def experiment_read_overhead(iterations: int) -> ReadOverheadResult:
     """Worst-case read path: one random byte from a large file."""
     result = ReadOverheadResult()
     for tier in TIERS:
@@ -332,7 +333,7 @@ def experiment_write_overhead() -> WriteOverheadResult:
 # ===========================================================================
 
 
-def run_all(fast: bool = False) -> str:
+def run_all(fast: bool) -> str:
     """Run every experiment; returns the combined report text."""
     sections: List[str] = []
     fig3a = experiment_fig3a(file_mib=8 if fast else 16)

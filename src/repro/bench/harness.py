@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.policies import PinnedPolicy
-from repro.core.scheduler import IoScheduler
 from repro.devices.hdd import HardDiskDrive
 from repro.devices.pm import PersistentMemoryDevice
 from repro.devices.ssd import SolidStateDrive
@@ -71,7 +70,6 @@ def build_pinned_mux(
     tiers: Optional[List[str]] = None,
     capacities: Optional[Dict[str, int]] = None,
     enable_cache: bool = True,
-    scheduler: Optional[IoScheduler] = None,
 ) -> Stack:
     """A Mux stack whose policy pins every write to ``target``."""
     tiers = tiers if tiers is not None else ["pm", "ssd", "hdd"]
@@ -80,7 +78,6 @@ def build_pinned_mux(
         capacities=capacities,
         policy=PinnedPolicy(0),  # placeholder; fixed below once ids exist
         enable_cache=enable_cache,
-        scheduler=scheduler,
     )
     stack.mux.policy = PinnedPolicy(stack.tier_id(target))
     return stack
@@ -106,7 +103,7 @@ class ResultRow:
         return " | ".join(c.ljust(w) for c, w in zip(cells, widths))
 
 
-def format_rows(rows: List[ResultRow], title: str = "") -> str:
+def format_rows(rows: List[ResultRow], title: str) -> str:
     header = ResultRow("experiment", "config", "metric", "paper", "measured")
     all_rows = [header] + rows
     widths = [

@@ -27,6 +27,11 @@ from repro.vfs.interface import FileSystem, OpenFlags
 KIB = 1024
 MIB = 1024 * KIB
 
+#: per-personality seeds; a run's file names carry its seed
+FILESERVER_SEED = 31
+WEBSERVER_SEED = 37
+VARMAIL_SEED = 41
+
 
 @dataclass
 class MacroResult:
@@ -61,11 +66,10 @@ def fileserver(
     fs: FileSystem,
     clock: SimClock,
     files: int = 40,
-    file_size: int = 256 * KIB,
     operations: int = 600,
-    seed: int = 31,
 ) -> MacroResult:
-    """Create/write/append/read/stat/delete mix over a directory tree."""
+    """Create/write/append/read/stat/delete mix over 256 KiB files."""
+    seed, file_size = FILESERVER_SEED, 256 * KIB
     rng = DeterministicRng(seed)
     if not fs.exists("/srv"):
         fs.mkdir("/srv")
@@ -123,13 +127,11 @@ def webserver(
     fs: FileSystem,
     clock: SimClock,
     files: int = 100,
-    file_size: int = 32 * KIB,
     operations: int = 1000,
-    hot_fraction: float = 0.1,
-    seed: int = 37,
 ) -> MacroResult:
-    """Skewed whole-file reads of small files + a shared access log."""
-    rng = DeterministicRng(seed)
+    """Skewed whole-file reads of 32 KiB files + a shared access log."""
+    file_size = 32 * KIB
+    rng = DeterministicRng(WEBSERVER_SEED)
     if not fs.exists("/www"):
         fs.mkdir("/www")
     paths = []
@@ -139,7 +141,7 @@ def webserver(
         paths.append(path)
     log = fs.open("/www/access.log", OpenFlags.RDWR | OpenFlags.CREAT)
     log_offset = fs.getattr("/www/access.log").size
-    hot = max(1, int(files * hot_fraction))
+    hot = max(1, int(files * 0.1))
     mix: Dict[str, int] = {}
 
     start_ns = clock.now_ns
@@ -166,10 +168,10 @@ def varmail(
     fs: FileSystem,
     clock: SimClock,
     operations: int = 300,
-    message_size: int = 8 * KIB,
-    seed: int = 41,
 ) -> MacroResult:
-    """Mail-spool cycles: create, append, fsync, read, delete."""
+    """Mail-spool cycles of 8 KiB messages: create, append, fsync, read,
+    delete."""
+    seed, message_size = VARMAIL_SEED, 8 * KIB
     rng = DeterministicRng(seed)
     if not fs.exists("/mail"):
         fs.mkdir("/mail")

@@ -161,14 +161,15 @@ def generate_schedule(
 
 #: every tenant's population lives in ``/tenants/<name>/f<i>``
 TENANT_ROOT = "/tenants"
+#: the seed of every replayed schedule
+SCHEDULE_SEED = 2026
 
 
 def run_multi_tenant(
     stack,
     specs: List[TenantSpec],
     duration_ns: int,
-    ring_depth: int = 8,
-    seed: int = 2026,
+    ring_depth: int,
     population_tier: Optional[str] = None,
     maintain_every: int = 0,
     durable_population: bool = False,
@@ -204,9 +205,7 @@ def run_multi_tenant(
             qos.register(spec.qos_class)
             for handle in handles[-1]:
                 qos.tag(handle, spec.qos_class.name)
-    return replay_schedule(
-        mux, specs, handles, duration_ns, seed, ring_depth, maintain_every
-    )
+    return replay_schedule(mux, specs, handles, duration_ns, ring_depth, maintain_every)
 
 
 def replay_schedule(
@@ -214,9 +213,8 @@ def replay_schedule(
     specs: List[TenantSpec],
     handles: List[List],
     duration_ns: int,
-    seed: int,
     ring_depth: int,
-    maintain_every: int = 0,
+    maintain_every: int,
 ) -> MultiTenantResult:
     """The measured window of a tenant run: generate the schedule, replay
     it against ``front`` (a Mux or a ``ClusterMux``) with one stream per
@@ -227,7 +225,7 @@ def replay_schedule(
             0 if op == "fsync" else specs[idx].io_bytes, idx,
         )
         for arrival, idx, _seq, op, file_idx, offset in generate_schedule(
-            specs, duration_ns, seed
+            specs, duration_ns, SCHEDULE_SEED
         )
     ]
     result = drive_open_loop(
@@ -286,7 +284,7 @@ def fairness_slowdowns(
     return shared, report
 
 
-def slowdown_x(entry: Dict[str, int], pct: str = "p99") -> float:
-    """Shared/isolated ratio for one :func:`fairness_slowdowns` entry."""
-    isolated = entry[f"isolated_{pct}_ns"]
-    return entry[f"shared_{pct}_ns"] / isolated if isolated else 0.0
+def slowdown_x(entry: Dict[str, int]) -> float:
+    """Shared/isolated read-p99 ratio for one :func:`fairness_slowdowns` entry."""
+    isolated = entry["isolated_p99_ns"]
+    return entry["shared_p99_ns"] / isolated if isolated else 0.0

@@ -71,14 +71,14 @@ class MultiTenantResult:
     #: the throughput that must scale with shard count
     makespan_ns: int = 0
 
-    def merged(self, op: str = "read") -> LatencyHistogram:
+    def merged(self, op: str) -> LatencyHistogram:
         """All streams' latencies for ``op`` folded into one histogram."""
         out = LatencyHistogram()
         for tenant in self.tenants.values():
             out.merge(tenant.reads if op == "read" else tenant.writes)
         return out
 
-    def percentiles_ns(self, op: str = "read") -> Dict[str, int]:
+    def percentiles_ns(self, op: str) -> Dict[str, int]:
         """Aggregate p50/p99/p999 for ``op`` in integer ns."""
         return self.merged(op).percentiles_ns(0.5, 0.99, 0.999)
 
@@ -100,8 +100,8 @@ def populate(
     directory: str,
     files: int,
     file_bytes: int,
-    tier: Optional[int] = None,
-    durable: bool = False,
+    tier: Optional[int],
+    durable: bool,
     reuse: bool = False,
 ) -> List:
     """Create ``directory`` and write ``f0..f<files-1>`` into it (unmeasured
@@ -185,7 +185,7 @@ def drive_open_loop(
     ops: Sequence[TraceOp],
     handles: Sequence[Sequence],
     ring_depth: int,
-    plan_every: int = 0,
+    plan_every: int,
 ) -> MultiTenantResult:
     """The measured window: replay ``ops`` through one ring per stream.
 

@@ -23,7 +23,7 @@ import os
 import signal
 import sys
 from collections import Counter
-from typing import List, Optional
+from typing import List
 
 from repro.bench.harness import pop_flag_value, reject_unknown
 
@@ -111,7 +111,7 @@ class SamplingProfiler:
         total = self.samples or 1
         return [(n / total, self.label(key)) for key, n in counts.most_common(top_n)]
 
-    def report(self, top_n: int = DEFAULT_TOP_N) -> str:
+    def report(self, top_n: int) -> str:
         lines = [
             f"{self.samples} samples, one per "
             f"{SAMPLE_INTERVAL_S * 1e3:g} ms of host CPU"
@@ -126,9 +126,7 @@ class SamplingProfiler:
         return "\n".join(lines) + "\n"
 
 
-def sample_workload(
-    name: str, smoke: bool = False, top_n: int = DEFAULT_TOP_N
-) -> str:
+def sample_workload(name: str, smoke: bool, top_n: int) -> str:
     """Run one registered workload under :class:`SamplingProfiler`."""
     workloads = _registered()
     if name not in workloads:
@@ -144,8 +142,8 @@ def sample_workload(
 USAGE = "usage: python -m repro.bench profile <workload> [--smoke] [--top N] | --list"
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def main(argv: List[str]) -> int:
+    argv = list(argv)
     workloads = _registered()
     try:
         top = pop_flag_value(argv, "--top", USAGE)
@@ -170,4 +168,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -1,34 +1,26 @@
 """``python -m repro.bench trace``: counters dump for one mixed workload.
 
-Runs a seeded mixed workload against a (optionally fault-injected) Mux
-stack, drives migrations through ``migrate_now``, and prints the
-retry/backoff telemetry each migration accumulated, followed by the
-cache, engine, scheduler and device counters and the per-tier pressure
-gauges the run left behind.  ``--cluster`` prints per-shard and
-rebalance counters for a two-shard cluster instead.
+Runs a seeded mixed workload against a fault-injected Mux stack with the
+write-back SCM cache and background readahead on, drives migrations
+through ``migrate_now``, and prints the retry/backoff telemetry each
+migration accumulated, followed by the cache, engine, scheduler, device
+and readahead counters and the per-tier pressure gauges the run left
+behind; then per-shard and rebalance counters for a two-shard cluster.
+``--no-faults`` runs the mixed workload without fault injection.
 """
 
 from __future__ import annotations
 
-import sys
-from typing import List, Optional
+from typing import List
 
-from repro.bench.harness import pop_flag_value, reject_unknown
+from repro.bench.harness import reject_unknown
 
-USAGE = (
-    "usage: python -m repro.bench trace [--no-faults] [--write-back] "
-    "[--readahead-bg] [--cluster] [--ops N] [--seed N]"
-)
-_SWITCHES = ("--no-faults", "--write-back", "--readahead-bg", "--cluster")
+USAGE = "usage: python -m repro.bench trace [--no-faults]"
+#: metadata-churn operations of the mixed workload
+OPS = 600
 
 
-def _run_mixed(
-    ops: int,
-    seed: int,
-    faulty: bool,
-    write_back: bool = False,
-    readahead_bg: bool = False,
-):
+def _run_mixed(faulty: bool):
     from repro.bench.workloads import metadata_churn, metadata_tree
     from repro.core.policy import MigrationOrder
     from repro.devices.faults import FaultConfig
@@ -42,10 +34,7 @@ def _run_mixed(
             )
         }
     stack = build_stack(
-        faults=faults,
-        fault_seed=seed,
-        cache_write_back=write_back,
-        readahead_background=readahead_bg,
+        faults=faults, cache_write_back=True, readahead_background=True
     )
     mux = stack.mux
     mux.mkdir("/t")
@@ -55,8 +44,7 @@ def _run_mixed(
         handle = mux.create(f"/t/f{i}")
         mux.write(handle, 0, blob)
         handles.append(handle)
-    live = metadata_tree(mux, files=40)
-    metadata_churn(mux, stack.clock, files=40, operations=ops, live=live)
+    metadata_churn(mux, stack.clock, metadata_tree(mux, 40, ""), OPS, "")
     blocks = len(blob) // mux.block_size
     pm, ssd = stack.tier_ids["pm"], stack.tier_ids["ssd"]
     migrations = []
@@ -67,33 +55,32 @@ def _run_mixed(
         migrations.append((f"/t/f{i}", result))
     for handle in handles:
         # read the migrated blocks back (fills the SCM cache), then
-        # overwrite a slice — with --write-back those writes are absorbed
-        # in place and the close destages them in coalesced runs
+        # overwrite a slice — the write-back cache absorbs those writes in
+        # place and the close destages them in coalesced runs
         mux.read(handle, 0, len(blob))
         mux.write(handle, 0, b"\x5a" * 8192)
         mux.close(handle)
-    if readahead_bg:
-        # sequential single-block scan of an SSD-resident file: the demand
-        # block stays on foreground time while the speculative tail
-        # prefetches on background channels (readahead_bg_blocks)
-        scan = mux.create("/t/scan")
-        scan_bytes = 4 * len(blob)
-        mux.write(scan, 0, b"\xc3" * scan_bytes)
-        scan_blocks = scan_bytes // mux.block_size
-        result = mux.engine.migrate_now(
-            MigrationOrder(scan.ino, 0, scan_blocks, pm, ssd, reason="trace")
-        )
-        migrations.append(("/t/scan", result))
-        stack.drop_page_caches()
-        bs = mux.block_size
-        for block in range(scan_blocks):
-            mux.read(scan, block * bs, bs)
-        mux.close(scan)
+    # sequential single-block scan of an SSD-resident file: the demand
+    # block stays on foreground time while the speculative tail
+    # prefetches on background channels (readahead_bg_blocks)
+    scan = mux.create("/t/scan")
+    scan_bytes = 4 * len(blob)
+    mux.write(scan, 0, b"\xc3" * scan_bytes)
+    scan_blocks = scan_bytes // mux.block_size
+    result = mux.engine.migrate_now(
+        MigrationOrder(scan.ino, 0, scan_blocks, pm, ssd, reason="trace")
+    )
+    migrations.append(("/t/scan", result))
+    stack.drop_page_caches()
+    bs = mux.block_size
+    for block in range(scan_blocks):
+        mux.read(scan, block * bs, bs)
+    mux.close(scan)
     return stack, migrations
 
 
-def _cluster_report(ops: int, seed: int) -> int:
-    """``trace --cluster``: per-shard queue/backlog/ops + rebalance counters."""
+def _cluster_report() -> None:
+    """Per-shard queue/backlog/ops + rebalance counters of a two-shard cluster."""
     from repro.bench.multi_tenant import TenantSpec
     from repro.cluster.bench import run_cluster_load
     from repro.cluster.cluster import build_cluster
@@ -109,10 +96,7 @@ def _cluster_report(ops: int, seed: int) -> int:
         )
         for i in range(4)
     ]
-    duration = max(1_000_000, ops * 30_000)
-    result = run_cluster_load(
-        cluster, specs, duration_ns=duration, ring_depth=8, seed=seed
-    )
+    result = run_cluster_load(cluster, specs, OPS * 30_000, None)
     print(
         f"cluster: shards={len(cluster.shards)} "
         f"ops={result.completed_ops} makespan={result.makespan_ns / 1e9:.6f} sim-s"
@@ -127,37 +111,24 @@ def _cluster_report(ops: int, seed: int) -> int:
     counters = cluster.rebalance_counters()
     fields = " ".join(f"{k}={v}" for k, v in counters.items())
     print(f"rebalance: moves={moved['moves']} {fields}")
-    return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        ops = int(pop_flag_value(argv, "--ops", USAGE) or 600)
-        seed = int(pop_flag_value(argv, "--seed", USAGE) or 2025)
-    except ValueError as exc:
-        print(f"{exc}; {USAGE}", file=sys.stderr)
-        return 2
-    reject_unknown(argv, _SWITCHES, USAGE)
+def main(argv: List[str]) -> int:
+    reject_unknown(argv, ("--no-faults",), USAGE)
     faulty = "--no-faults" not in argv
-    write_back = "--write-back" in argv
-    readahead_bg = "--readahead-bg" in argv
-    if "--cluster" in argv:
-        return _cluster_report(ops, seed)
 
-    stack, migrations = _run_mixed(ops, seed, faulty, write_back, readahead_bg)
-    if stack.mux.cache is not None:
-        counters = stack.mux.cache.cache_counters()
-        print(
-            "cache: "
-            f"hit={counters.get('hit', 0)} miss={counters.get('miss', 0)} "
-            f"evict={counters.get('evict', 0)} "
-            f"write_hit={counters.get('write_hit', 0)} "
-            f"destage_runs={counters.get('destage_runs', 0)} "
-            f"destaged_blocks={counters.get('destaged_blocks', 0)} "
-            f"dirty_blocks={counters.get('dirty_blocks', 0)} "
-            f"destage_lost={counters.get('destage_lost', 0)}"
-        )
+    stack, migrations = _run_mixed(faulty)
+    counters = stack.mux.cache.cache_counters()
+    print(
+        "cache: "
+        f"hit={counters.get('hit', 0)} miss={counters.get('miss', 0)} "
+        f"evict={counters.get('evict', 0)} "
+        f"write_hit={counters.get('write_hit', 0)} "
+        f"destage_runs={counters.get('destage_runs', 0)} "
+        f"destaged_blocks={counters.get('destaged_blocks', 0)} "
+        f"dirty_blocks={counters.get('dirty_blocks', 0)} "
+        f"destage_lost={counters.get('destage_lost', 0)}"
+    )
 
     label = "faulty ssd" if faulty else "no faults"
     print(f"migrations ({label}):")
@@ -203,11 +174,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name, fs in sorted(stack.filesystems.items())
         if getattr(fs, "readahead_bg_blocks", 0)
     }
-    if readahead_bg or ra_blocks:
-        per_fs = ", ".join(f"{n}:{v}" for n, v in ra_blocks.items()) or "none"
-        print(
-            f"readahead: bg_blocks={sum(ra_blocks.values())} per-fs=[{per_fs}]"
-        )
+    per_fs = ", ".join(f"{n}:{v}" for n, v in ra_blocks.items()) or "none"
+    print(f"readahead: bg_blocks={sum(ra_blocks.values())} per-fs=[{per_fs}]")
     monitor = stack.mux.pressure
     monitor.sample(now_ns, force=True)
     names = {tid: name for name, tid in stack.tier_ids.items()}
@@ -216,4 +184,5 @@ def main(argv: Optional[List[str]] = None) -> int:
         fields = " ".join(f"{k}={v}" for k, v in gauges.items())
         print(f"  tier {names.get(tier_id, tier_id)}: {fields}")
 
+    _cluster_report()
     return 0

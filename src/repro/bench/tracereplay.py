@@ -97,13 +97,13 @@ class BlockTrace:
 
 def zipf_trace(
     duration_ns: int,
-    files: int = 16,
-    file_bytes: int = 1 * MIB,
-    io_bytes: int = 16 * KIB,
-    mean_gap_ns: int = 6_000,
-    alpha: float = 1.1,
-    read_fraction: float = 0.8,
-    seed: int = 7,
+    files: int,
+    file_bytes: int,
+    io_bytes: int,
+    mean_gap_ns: int,
+    alpha: float,
+    read_fraction: float,
+    seed: int,
 ) -> BlockTrace:
     """Steady-state zipf traffic: Poisson arrivals, skewed file/block picks."""
     rng = DeterministicRng(seed).fork("zipf-trace")
@@ -126,15 +126,15 @@ def zipf_trace(
 
 def bursty_trace(
     duration_ns: int,
-    files: int = 16,
-    file_bytes: int = 1 * MIB,
-    read_bytes: int = 16 * KIB,
-    read_gap_ns: int = 6_000,
-    write_bytes: int = 128 * KIB,
-    burst_gap_ns: int = 120_000,
-    burst_size: int = 8,
-    alpha: float = 1.1,
-    seed: int = 7,
+    files: int,
+    file_bytes: int,
+    read_bytes: int,
+    read_gap_ns: int,
+    write_bytes: int,
+    burst_gap_ns: int,
+    burst_size: int,
+    alpha: float,
+    seed: int,
 ) -> BlockTrace:
     """A zipf read floor with write bursts landing at Poisson instants.
 
@@ -234,9 +234,9 @@ def canonical_trace(name: str) -> BlockTrace:
 def replay_trace(
     stack,
     trace: BlockTrace,
-    ring_depth: int = 8,
-    maintain_every: int = 64,
-    population_tier: Optional[str] = "ssd",
+    ring_depth: int,
+    maintain_every: int,
+    population_tier: Optional[str],
     warm_passes: int = 0,
     drop_page_caches: bool = False,
 ) -> MultiTenantResult:

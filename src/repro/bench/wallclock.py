@@ -209,10 +209,8 @@ def _wl_metadata_churn(smoke: bool) -> Dict[str, object]:
     stack = build_stack()
     # tree construction is setup; the measured section is the steady-state
     # metadata traffic, routed through the VFS like a real application
-    live = metadata_tree(stack.vfs, files=files, root="/mux")
-    res = metadata_churn(
-        stack.vfs, stack.clock, files=files, operations=ops, root="/mux", live=live
-    )
+    live = metadata_tree(stack.vfs, files, "/mux")
+    res = metadata_churn(stack.vfs, stack.clock, live, ops, "/mux")
     return _result(res.total_ns / 1e9, _mux_fingerprint(stack))
 
 
@@ -238,7 +236,6 @@ def _wl_fault_storm(smoke: bool) -> Dict[str, object]:
             ),
             "hdd": FaultConfig(latency_spike_p=0.2),
         },
-        fault_seed=2025,
     )
     events, sim_ns = _timed(
         stack.clock, lambda: fault_storm(stack, operations=ops, files=files)
@@ -813,7 +810,7 @@ def _cluster_fingerprint(cluster) -> Dict[str, object]:
     }
 
 
-def _cluster_specs(names: List[str], load: float = 1.0) -> List[TenantSpec]:
+def _cluster_specs(names: List[str]) -> List[TenantSpec]:
     """Durability-bound tenants: the shape that makes one Mux the
     bottleneck and therefore makes sharding pay.  Every write burst
     fsyncs (the database/logger pattern), so its cost is an HDD journal
@@ -822,7 +819,7 @@ def _cluster_specs(names: List[str], load: float = 1.0) -> List[TenantSpec]:
     return [
         TenantSpec(
             name=name,
-            mean_interarrival_ns=round(25_000 / load),
+            mean_interarrival_ns=25_000,
             files=4,
             file_bytes=128 * KIB,
             io_bytes=4 * KIB,
@@ -881,11 +878,7 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
     for n in shard_counts:
         cluster = make_cluster(n).mux
         res, sim_ns = _timed(
-            cluster.clock,
-            lambda: run_cluster_load(
-                cluster, specs, duration_ns=duration_ns, ring_depth=8,
-                population_tier="hdd",
-            ),
+            cluster.clock, lambda: run_cluster_load(cluster, specs, duration_ns, "hdd")
         )
         throughput[n] = res.completed_ops * 1e9 / res.makespan_ns
         reads = res.percentiles_ns("read")
@@ -910,15 +903,9 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
     )
     hot_specs = _cluster_specs(hot_names)
     sim0 = cluster.clock.now_ns
-    hot_res = run_cluster_load(
-        cluster, hot_specs, duration_ns=duration_ns, ring_depth=8,
-        population_tier="hdd",
-    )
+    hot_res = run_cluster_load(cluster, hot_specs, duration_ns, "hdd")
     moved = cluster.rebalance(max_moves=tenant_count - 2)
-    cold_res = run_cluster_load(
-        cluster, hot_specs, duration_ns=duration_ns, ring_depth=8,
-        population_tier="hdd",
-    )
+    cold_res = run_cluster_load(cluster, hot_specs, duration_ns, "hdd")
     sim_elapsed_ns += cluster.clock.now_ns - sim0
     hot_p99 = hot_res.percentiles_ns("read")["p99"]
     cold_p99 = cold_res.percentiles_ns("read")["p99"]
@@ -990,13 +977,14 @@ WORKLOADS: List[Tuple[str, Callable[[bool], Dict[str, object]]]] = [
 # ---------------------------------------------------------------------------
 
 
-def run_workloads(smoke: bool, reps: Optional[int] = None) -> Dict[str, Dict[str, object]]:
-    """Run every workload ``reps`` times; return name -> first-rep result.
+def run_workloads(smoke: bool) -> Dict[str, Dict[str, object]]:
+    """Run every workload ``SMOKE_REPS``/``FULL_REPS`` times; return name ->
+    first-rep result.
 
     Raises ``RuntimeError`` if any repetition of a workload produces a
     different simulated fingerprint (the stack lost determinism).
     """
-    reps = reps if reps is not None else (SMOKE_REPS if smoke else FULL_REPS)
+    reps = SMOKE_REPS if smoke else FULL_REPS
     out: Dict[str, Dict[str, object]] = {}
     for name, fn in WORKLOADS:
         out[name] = fn(smoke)
@@ -1096,8 +1084,8 @@ def _run_smoke(out_path: str) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def main(argv: List[str]) -> int:
+    argv = list(argv)
     out_path = pop_flag_value(argv, "--out", USAGE) or DEFAULT_OUT
     # a typo must not fall through to the full run, which rewrites the
     # goldens
@@ -1108,4 +1096,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

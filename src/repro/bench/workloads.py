@@ -9,13 +9,21 @@ machine-independent and deterministic for a given seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.sim.clock import SimClock
 from repro.sim.rng import DeterministicRng
 from repro.vfs.interface import FileHandle, FileSystem, OpenFlags
 
 MIB = 1024 * 1024
+
+#: the §3.2 streaming benchmarks move 4 MiB per call; the sequential
+#: writer fsyncs every 4th write
+STREAM_IO_BYTES = 4 * MIB
+SEQ_FSYNC_EVERY = 4
+#: the metadata tree: files spread over 8 leaf directories, 1 KiB each
+META_DIRS = 8
+META_PAYLOAD = 1024
 
 
 @dataclass
@@ -49,13 +57,12 @@ def make_file(
     clock: SimClock,
     path: str,
     size: int,
-    io_size: int = 4 * MIB,
-    fsync_every: int = 8,
-    pattern: int = 0xA5,
 ) -> FileHandle:
-    """Create ``path`` and fill it sequentially to ``size`` bytes."""
+    """Create ``path`` and fill it to ``size`` bytes of 0xA5 in 4 MiB
+    writes, fsyncing every 8th."""
+    io_size = 4 * MIB
     handle = fs.open(path, OpenFlags.RDWR | OpenFlags.CREAT | OpenFlags.TRUNC)
-    chunk = bytes([pattern]) * io_size
+    chunk = b"\xa5" * io_size
     written = 0
     ops = 0
     while written < size:
@@ -63,7 +70,7 @@ def make_file(
         fs.write(handle, written, chunk[:n])
         written += n
         ops += 1
-        if fsync_every and ops % fsync_every == 0:
+        if ops % 8 == 0:
             fs.fsync(handle)
     fs.fsync(handle)
     return handle
@@ -74,10 +81,9 @@ def sequential_write(
     clock: SimClock,
     path: str,
     total_bytes: int,
-    io_size: int = 4 * MIB,
-    fsync_every: int = 4,
 ) -> ThroughputResult:
-    """The §3.2 write benchmark: repeatedly write ``io_size`` sequentially."""
+    """The §3.2 write benchmark: repeatedly write 4 MiB sequentially."""
+    io_size, fsync_every = STREAM_IO_BYTES, SEQ_FSYNC_EVERY
     handle = fs.open(path, OpenFlags.RDWR | OpenFlags.CREAT | OpenFlags.TRUNC)
     chunk = bytes(io_size)
     start_ns = clock.now_ns
@@ -101,9 +107,9 @@ def sequential_read(
     clock: SimClock,
     path: str,
     total_bytes: int,
-    io_size: int = 4 * MIB,
 ) -> ThroughputResult:
-    """Sequential whole-file read in ``io_size`` chunks."""
+    """Sequential whole-file read in 4 MiB chunks."""
+    io_size = STREAM_IO_BYTES
     handle = fs.open(path, OpenFlags.RDONLY)
     start_ns = clock.now_ns
     read = 0
@@ -123,26 +129,21 @@ def random_write(
     path: str,
     file_size: int,
     total_bytes: int,
-    io_size: int = 16 * 1024,
-    seed: int = 7,
-    fsync_every: int = 64,
 ) -> ThroughputResult:
-    """Fig. 3b workload: random aligned writes over a preallocated span."""
-    rng = DeterministicRng(seed)
+    """Fig. 3b workload: random aligned 16 KiB writes over a preallocated
+    span, one fsync at the end (the paper measures streaming I/O)."""
+    io_size = 16 * 1024
+    rng = DeterministicRng(7)
     handle = fs.open(path, OpenFlags.RDWR | OpenFlags.CREAT | OpenFlags.TRUNC)
     fs.truncate(handle, file_size)  # sparse span; writes materialize blocks
     chunk = bytes(io_size)
     start_ns = clock.now_ns
     written = 0
-    ops = 0
     slots = max(1, file_size // io_size)
     while written < total_bytes:
         offset = rng.randint(0, slots - 1) * io_size
         fs.write(handle, offset, chunk)
         written += io_size
-        ops += 1
-        if fsync_every and ops % fsync_every == 0:
-            fs.fsync(handle)
     fs.fsync(handle)
     elapsed = (clock.now_ns - start_ns) / 1e9
     fs.close(handle)
@@ -155,17 +156,13 @@ def random_read_single_byte(
     path: str,
     file_size: int,
     iterations: int,
-    seed: int = 11,
-    warmup: int = 0,
 ) -> LatencyResult:
     """§3.2 read benchmark: repeatedly read one byte at random offsets."""
-    rng = DeterministicRng(seed)
+    rng = DeterministicRng(11)
     handle = fs.open(path, OpenFlags.RDONLY)
-    offsets = [rng.randint(0, file_size - 1) for _ in range(warmup + iterations)]
-    for offset in offsets[:warmup]:
-        fs.read(handle, offset, 1)
+    offsets = [rng.randint(0, file_size - 1) for _ in range(iterations)]
     start_ns = clock.now_ns
-    for offset in offsets[warmup:]:
+    for offset in offsets:
         data = fs.read(handle, offset, 1)
         assert len(data) == 1, f"short read at {offset}"
     total = clock.now_ns - start_ns
@@ -180,11 +177,10 @@ def hot_set_reads(
     file_size: int,
     hot_bytes: int,
     iterations: int,
-    io_size: int = 4096,
-    seed: int = 13,
 ) -> LatencyResult:
-    """Skewed reads over a hot subset — exercises the SCM cache."""
-    rng = DeterministicRng(seed)
+    """Skewed 4 KiB reads over a hot subset — exercises the SCM cache."""
+    io_size = 4096
+    rng = DeterministicRng(13)
     handle = fs.open(path, OpenFlags.RDONLY)
     hot_slots = max(1, hot_bytes // io_size)
     start_ns = clock.now_ns
@@ -196,13 +192,7 @@ def hot_set_reads(
     return LatencyResult(iterations, total)
 
 
-def metadata_tree(
-    fs: FileSystem,
-    files: int = 200,
-    dirs: int = 8,
-    payload: int = 1024,
-    root: str = "",
-) -> List[str]:
+def metadata_tree(fs: FileSystem, files: int, root: str) -> List[str]:
     """Build the deep tree :func:`metadata_churn` runs over.
 
     Every file sits five components below the root — the depth real
@@ -213,12 +203,12 @@ def metadata_tree(
     for d in (f"{root}/meta", f"{root}/meta/sub", f"{root}/meta/sub/tree"):
         if not fs.exists(d):
             fs.mkdir(d)
-    for d in range(dirs):
+    for d in range(META_DIRS):
         fs.mkdir(f"{root}/meta/sub/tree/d{d:02d}")
-    blob = bytes(payload)
+    blob = bytes(META_PAYLOAD)
     live: List[str] = []
     for n in range(files):
-        path = f"{root}/meta/sub/tree/d{n % dirs:02d}/f{n:06d}"
+        path = f"{root}/meta/sub/tree/d{n % META_DIRS:02d}/f{n:06d}"
         handle = fs.create(path)
         fs.write(handle, 0, blob)
         fs.close(handle)
@@ -229,13 +219,9 @@ def metadata_tree(
 def metadata_churn(
     fs: FileSystem,
     clock: SimClock,
-    files: int = 200,
-    operations: int = 2000,
-    dirs: int = 8,
-    payload: int = 1024,
-    seed: int = 17,
-    root: str = "",
-    live: Optional[List[str]] = None,
+    live: List[str],
+    operations: int,
+    root: str,
 ) -> LatencyResult:
     """Namespace-heavy churn: stat/open/close/lookup deep small files.
 
@@ -245,24 +231,23 @@ def metadata_churn(
     measures the control plane — dentry cache, path normalization,
     mount-table lookup — with barely any data movement.  Pass a VFS as
     ``fs`` (with ``root`` set to Mux's mount point) to exercise the full
-    dispatch path applications actually take.
+    dispatch path applications actually take.  ``live`` is the file list
+    :func:`metadata_tree` returned; the churn creates and unlinks in it.
     """
-    rng = DeterministicRng(seed)
-    if live is None:
-        live = metadata_tree(fs, files, dirs, payload, root)
-    blob = bytes(payload)
-    next_id = files
+    rng = DeterministicRng(17)
+    blob = bytes(META_PAYLOAD)
+    next_id = len(live)
     # the negative-lookup pool is fixed names that never exist; built up
     # front so the timed loop measures resolution, not string formatting
     gone = [
         f"{root}/meta/sub/tree/d{d:02d}/gone{g:03d}"
-        for d in range(dirs)
+        for d in range(META_DIRS)
         for g in range(25)
     ]
 
     def spawn() -> None:
         nonlocal next_id
-        path = f"{root}/meta/sub/tree/d{next_id % dirs:02d}/f{next_id:06d}"
+        path = f"{root}/meta/sub/tree/d{next_id % META_DIRS:02d}/f{next_id:06d}"
         next_id += 1
         handle = fs.create(path)
         fs.write(handle, 0, blob)
@@ -292,22 +277,20 @@ def migration_churn(
     mux,
     clock: SimClock,
     tier_ids: List[int],
-    files: int = 4,
-    file_bytes: int = 4 * MIB,
-    rounds: int = 6,
-    write_every: int = 3,
-    seed: int = 23,
+    files: int,
+    file_bytes: int,
+    rounds: int,
 ) -> ThroughputResult:
     """Promotion/demotion churn under concurrent writes (Policy Runner path).
 
     Files bounce between the fastest and slowest tiers through the OCC
-    Synchronizer while a writer dirties random blocks between migration
-    steps — the adversarial §2.4 pattern at benchmark scale.  Measures
+    Synchronizer while a writer dirties a random block every third
+    migration step — the adversarial §2.4 pattern at benchmark scale.  Measures
     dirty-block tracking, clean-set computation and BLT commit cost.
     """
     from repro.core.policy import MigrationOrder
 
-    rng = DeterministicRng(seed)
+    rng = DeterministicRng(23)
     if not mux.exists("/churn"):
         mux.mkdir("/churn")
     bs = mux.block_size
@@ -337,7 +320,7 @@ def migration_churn(
             )
             step = 0
             while task.step():
-                if step % write_every == 0:
+                if step % 3 == 0:
                     offset = rng.randint(0, blocks - 1) * bs
                     mux.write(handle, offset, b"\xcd" * 512)
                 step += 1
@@ -350,14 +333,7 @@ def migration_churn(
     return ThroughputResult(moved_bytes, elapsed)
 
 
-def cache_writeback(
-    stack,
-    file_bytes: int = 8 * MIB,
-    operations: int = 4000,
-    io_size: int = 4096,
-    hot_fraction: int = 8,
-    seed: int = 31,
-) -> Dict[str, int]:
+def cache_writeback(stack, file_bytes: int, operations: int) -> Dict[str, int]:
     """Durable-small-write mix: O_SYNC hot writes over a slow-tier file.
 
     A file is demoted to the HDD tier and pinned there (a capacity-tier
@@ -365,7 +341,7 @@ def cache_writeback(
     sequential read pass, then reopened ``O_SYNC`` — the varmail/database
     commit pattern where every small write must be durable immediately.
     The measured loop issues block-aligned writes concentrated on a hot
-    1/``hot_fraction`` of the file, mixed with reads.
+    1/8 of the file, mixed with reads.
 
     With write-back *off*, each O_SYNC write is an individual slow-tier
     write plus a journal flush.  With write-back *on*, the PM slot store
@@ -377,7 +353,8 @@ def cache_writeback(
     from repro.core.policy import MigrationOrder
 
     mux = stack.mux
-    rng = DeterministicRng(seed)
+    io_size = 4096
+    rng = DeterministicRng(31)
     if not mux.exists("/wb"):
         mux.mkdir("/wb")
     handle = make_file(mux, stack.clock, "/wb/hot", file_bytes)
@@ -396,7 +373,7 @@ def cache_writeback(
         read += n
     mux.close(handle)
     handle = mux.open("/wb/hot", OpenFlags.RDWR | OpenFlags.SYNC)
-    hot_blocks = max(1, blocks // hot_fraction)
+    hot_blocks = max(1, blocks // 8)
     start_ns = stack.clock.now_ns
     for _ in range(operations):
         if rng.random() < 0.8:
@@ -418,13 +395,7 @@ def cache_writeback(
     }
 
 
-def fault_storm(
-    stack,
-    operations: int = 1200,
-    files: int = 24,
-    payload: int = 64 * 1024,
-    seed: int = 29,
-) -> Dict[str, int]:
+def fault_storm(stack, operations: int, files: int) -> Dict[str, int]:
     """Degraded-mode torture mix: survive a failing tier mid-workload.
 
     Requires a stack built with fault injectors on the ``ssd`` tier (and
@@ -443,14 +414,15 @@ def fault_storm(
        spikes prove the stack runs clean again.
 
     Returns the event counts; all randomness is seeded, so for a fixed
-    (seed, fault_seed) pair the schedule — and therefore the simulated
+    fault seed the schedule — and therefore the simulated
     fingerprint — is bit-identical across runs.
     """
     from repro.core.policy import MigrationOrder
     from repro.errors import FsError
 
     mux = stack.mux
-    rng = DeterministicRng(seed)
+    payload = 64 * 1024
+    rng = DeterministicRng(29)
     pm, ssd, hdd = (stack.tier_ids[n] for n in ("pm", "ssd", "hdd"))
     ssd_injector = stack.injectors["ssd"]
     bs = mux.block_size
@@ -517,7 +489,7 @@ def fault_storm(
         )
         counts["migrations"] += 1
         counts["retries"] += result.retries
-    metadata_churn(mux, stack.clock, files=16, operations=phase_ops)
+    metadata_churn(mux, stack.clock, metadata_tree(mux, 16, ""), phase_ops, "")
     for _ in range(phase_ops):
         i = rng.choice([1, 3, 5])
         offset = rng.randint(0, blocks - 1) * bs
@@ -531,13 +503,12 @@ def fault_storm(
 def striped_reads(
     stack,
     tier_ids: List[int],
-    file_bytes: int = 4 * MIB,
-    stripe_blocks: int = 16,
-    reads: int = 4,
+    file_bytes: int,
+    reads: int,
 ) -> LatencyResult:
     """Whole-file reads over a file striped chunk-round-robin across tiers.
 
-    The file's blocks are scattered in ``stripe_blocks``-block chunks
+    The file's blocks are scattered in 16-block chunks
     across the given tiers, so every whole-file read splits into one
     sub-request per chunk.  Under the parallel engine those sub-requests
     overlap — across tiers on separate device timelines and within a tier
@@ -568,6 +539,7 @@ def striped_reads(
     bs = mux.block_size
     blocks = file_bytes // bs
     src = tier_ids[0]
+    stripe_blocks = 16
     for i, start in enumerate(range(0, blocks, stripe_blocks)):
         dst = tier_ids[i % len(tier_ids)]
         if dst == src:

@@ -21,9 +21,12 @@ from repro.bench.openloop import MultiTenantResult, populate
 from repro.cluster.cluster import ClusterMux
 from repro.cluster.hashring import HashRing
 
+#: every tenant's async window on the cluster
+RING_DEPTH = 8
+
 
 def colocated_tenant_names(
-    ring: HashRing, root_key: str, count: int, prefix: str = "hot"
+    ring: HashRing, root_key: str, count: int
 ) -> Tuple[List[str], int]:
     """Deterministically pick ``count`` tenant names whose subtrees all
     hash to one shard — the recipe for a deliberate hotspot.
@@ -35,7 +38,7 @@ def colocated_tenant_names(
     names: List[str] = []
     probe = 0
     while len(names) < count:
-        name = f"{prefix}{probe}"
+        name = f"hot{probe}"
         probe += 1
         shard = ring.node_for(f"{root_key}/{name}")
         if target is None:
@@ -45,10 +48,8 @@ def colocated_tenant_names(
     return names, target
 
 
-def balanced_tenant_names(
-    ring: HashRing, root_key: str, count: int, prefix: str = "t"
-) -> List[str]:
-    """Deterministically pick ``count`` tenant names spreading evenly
+def balanced_tenant_names(ring: HashRing, root_key: str, count: int) -> List[str]:
+    """Deterministically pick ``count`` tenant names ``t<probe>`` spreading evenly
     across the ring's shards (round-robin over probe results).
 
     A handful of tenants over a consistent-hash ring is dominated by
@@ -63,7 +64,7 @@ def balanced_tenant_names(
     probe = 0
     picked = 0
     while picked < count:
-        name = f"{prefix}{probe}"
+        name = f"t{probe}"
         probe += 1
         shard = ring.node_for(f"{root_key}/{name}")
         limit = quota + (1 if shard < extra else 0)
@@ -71,7 +72,7 @@ def balanced_tenant_names(
             per_shard[shard].append(name)
             picked += 1
     names = [n for bucket in per_shard.values() for n in bucket]
-    names.sort(key=lambda n: int(n[len(prefix):]))
+    names.sort(key=lambda n: int(n[1:]))
     return names
 
 
@@ -79,9 +80,7 @@ def run_cluster_load(
     cluster: ClusterMux,
     specs: List[TenantSpec],
     duration_ns: int,
-    ring_depth: int = 8,
-    seed: int = 2026,
-    population_tier: Optional[str] = None,
+    population_tier: Optional[str],
 ) -> MultiTenantResult:
     """Replay the open-loop schedule against ``cluster``.
 
@@ -108,4 +107,4 @@ def run_cluster_load(
         for spec in specs
     ]
     cluster.sync()
-    return replay_schedule(cluster, specs, handles, duration_ns, seed, ring_depth)
+    return replay_schedule(cluster, specs, handles, duration_ns, RING_DEPTH, 0)

@@ -135,6 +135,14 @@ class ClusterMux(FileSystem):
             shard_id = self.ring.node_for(key)
         return self.shards[shard_id]
 
+    @staticmethod
+    def _user_path(path: str) -> str:
+        """``path`` normalized; the housekeeping directory is not the user's."""
+        path = vpath.normalize(path)
+        if path == META_DIR or path.startswith(META_DIR + "/"):
+            raise InvalidArgument(f"cluster: {path!r} is reserved")
+        return path
+
     def _shard_for(self, path: str) -> _Shard:
         key = self.subtree_key(path)
         if key is None:
@@ -182,14 +190,14 @@ class ClusterMux(FileSystem):
     # -- namespace ---------------------------------------------------------
 
     def create(self, path: str, mode: int = 0o644) -> FileHandle:
-        path = vpath.normalize(path)
+        path = self._user_path(path)
         shard = self._shard_for(path)
         inner = shard.mux.create(path, mode)
         self._note_ns(self.subtree_key(path))
         return self._wrap(shard, inner, path, OpenFlags.RDWR)
 
     def open(self, path: str, flags: int = OpenFlags.RDWR) -> FileHandle:
-        path = vpath.normalize(path)
+        path = self._user_path(path)
         shard = self._shard_for(path)
         existed = (flags & OpenFlags.CREAT) and shard.mux.ns.exists(path)
         inner = shard.mux.open(path, flags)
@@ -203,12 +211,12 @@ class ClusterMux(FileSystem):
         shard.mux.close(inner)
 
     def unlink(self, path: str) -> None:
-        path = vpath.normalize(path)
+        path = self._user_path(path)
         self._shard_for(path).mux.unlink(path)
         self._note_ns(self.subtree_key(path))
 
     def mkdir(self, path: str, mode: int = 0o755) -> None:
-        path = vpath.normalize(path)
+        path = self._user_path(path)
         comps = vpath.components(path)
         if not comps:
             raise InvalidArgument("mkdir on root")
@@ -222,7 +230,7 @@ class ClusterMux(FileSystem):
             self._note_ns(self.subtree_key(path))
 
     def rmdir(self, path: str) -> None:
-        path = vpath.normalize(path)
+        path = self._user_path(path)
         comps = vpath.components(path)
         if len(comps) == 1:
             # global directory: refuse unless empty on *every* shard, so a
@@ -237,7 +245,7 @@ class ClusterMux(FileSystem):
             self._note_ns(self.subtree_key(path))
 
     def readdir(self, path: str) -> List[str]:
-        path = vpath.normalize(path)
+        path = self._user_path(path)
         comps = vpath.components(path)
         if len(comps) >= 2:
             return self._shard_for(path).mux.readdir(path)
@@ -257,11 +265,11 @@ class ClusterMux(FileSystem):
         return sorted(names)
 
     def getattr(self, path: str) -> Stat:
-        path = vpath.normalize(path)
+        path = self._user_path(path)
         return self._shard_for(path).mux.getattr(path)
 
     def setattr(self, path: str, **attrs: object) -> Stat:
-        path = vpath.normalize(path)
+        path = self._user_path(path)
         comps = vpath.components(path)
         owner = self._shard_for(path)
         result = owner.mux.setattr(path, **attrs)
@@ -275,10 +283,20 @@ class ClusterMux(FileSystem):
     # -- rename ------------------------------------------------------------
 
     def rename(self, old_path: str, new_path: str) -> None:
-        old_path = vpath.normalize(old_path)
-        new_path = vpath.normalize(new_path)
+        old_path = self._user_path(old_path)
+        new_path = self._user_path(new_path)
         src = self._shard_for(old_path)
         dst = self._shard_for(new_path)
+        old_depth = len(vpath.components(old_path))
+        new_depth = len(vpath.components(new_path))
+        if 1 in (old_depth, new_depth) and src.mux.ns.resolve(old_path).is_dir:
+            # a depth-1 directory is global: renaming one, or surfacing a
+            # subtree as one, would have to touch every shard
+            if old_depth == 1:
+                raise NotSupported("cluster: cannot rename a global top-level directory")
+            raise CrossDevice(
+                f"cluster: directory rename {old_path!r} -> {new_path!r} crosses shards"
+            )
         if src.shard_id == dst.shard_id:
             src.mux.rename(old_path, new_path)
             self._note_ns(self.subtree_key(old_path))
@@ -301,11 +319,7 @@ class ClusterMux(FileSystem):
         subtree inside another shard's subtree are EXDEV, like POSIX
         cross-mount renames.
         """
-        old_comps = vpath.components(old_path)
-        new_comps = vpath.components(new_path)
-        if len(old_comps) == 1:
-            raise NotSupported("cluster: cannot rename a global top-level directory")
-        if len(old_comps) != 2 or len(new_comps) != 2:
+        if len(vpath.components(old_path)) != 2 or len(vpath.components(new_path)) != 2:
             raise CrossDevice(
                 f"cluster: directory rename {old_path!r} -> {new_path!r} "
                 "crosses shards"
@@ -455,7 +469,7 @@ class ClusterMux(FileSystem):
     def set_placement(self, path: str, tier_id: Optional[int]) -> None:
         """Pin ``path`` to a tier id on its owning shard (shards are
         built identically, so tier ids are cluster-wide)."""
-        self._shard_for(vpath.normalize(path)).mux.set_placement(path, tier_id)
+        self._shard_for(self._user_path(path)).mux.set_placement(path, tier_id)
 
     # -- async rings -------------------------------------------------------
 
@@ -480,8 +494,8 @@ class ClusterMux(FileSystem):
         for shard in self.shards:
             shard.mux.sync()
 
-    def maintain(self, max_rounds: int = 4) -> int:
-        return sum(s.mux.maintain(max_rounds) for s in self.shards)
+    def maintain(self) -> int:
+        return sum(s.mux.maintain() for s in self.shards)
 
     def maintain_async(self) -> int:
         return sum(s.mux.maintain_async() for s in self.shards)
@@ -593,9 +607,7 @@ class ClusterMux(FileSystem):
     def subtree_owner(self, key: str) -> int:
         return self.shard_of_key(key).shard_id
 
-    def rebalance(
-        self, max_moves: int = 4, imbalance: float = 2.0
-    ) -> Dict[str, int]:
+    def rebalance(self, max_moves: int, imbalance: float = 2.0) -> Dict[str, int]:
         """Shed hot subtrees from the most-loaded shard to its peers.
 
         Triggered when the hottest shard's pressure load exceeds
@@ -781,7 +793,7 @@ class ClusterMux(FileSystem):
     # -- telemetry ---------------------------------------------------------
 
     def shard_report(self) -> List[Dict[str, object]]:
-        """Per-shard queue/backlog/ops gauges for ``bench trace --cluster``."""
+        """Per-shard queue/backlog/ops gauges for ``bench trace``."""
         report: List[Dict[str, object]] = []
         for shard in self.shards:
             monitor = shard.mux.pressure
@@ -838,7 +850,7 @@ class ClusterRing:
     as a single Mux ring.
     """
 
-    def __init__(self, cluster: ClusterMux, depth: int = 8) -> None:
+    def __init__(self, cluster: ClusterMux, depth: int) -> None:
         if depth < 1:
             raise InvalidArgument(f"ring depth must be >= 1, got {depth}")
         self.cluster = cluster

@@ -382,11 +382,9 @@ class ReplicaSet:
     def stale_blocks(self) -> int:
         return sum(len(s) for s in self._stale.values())
 
-    def clean_blocks(self, tier_id: Optional[int] = None) -> int:
-        if tier_id is not None:
-            ivals = self._clean.get(tier_id)
-            return len(ivals) if ivals is not None else 0
-        return sum(len(c) for c in self._clean.values())
+    def clean_blocks(self, tier_id: int) -> int:
+        ivals = self._clean.get(tier_id)
+        return len(ivals) if ivals is not None else 0
 
     def stale_since_ns(self, tier_id: int) -> Optional[int]:
         """When the tier's stale set became non-empty (None if in sync)."""

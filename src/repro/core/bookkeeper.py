@@ -48,7 +48,7 @@ class MuxMetaWriter:
         self._handle = fs.create(META_FILE)
         self._offset = 0
 
-    def note(self, records: int = 1, flush: bool = False) -> None:
+    def note(self, records: int, flush: bool = False) -> None:
         """Buffer ``records`` metadata records; flush on the sync interval,
         or at once when ``flush`` (namespace changes persist immediately)."""
         if self.fs is None:

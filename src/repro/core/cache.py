@@ -280,9 +280,7 @@ class ScmCacheManager:
 
     # -- write-back --------------------------------------------------------
 
-    def write_hit(
-        self, ino: int, file_block: int, data: bytes, offset: int = 0
-    ) -> bool:
+    def write_hit(self, ino: int, file_block: int, data: bytes, offset: int) -> bool:
         """Absorb a write into a cache-resident block (write-back mode).
 
         Updates the DAX slot in place (a partial block writes only its
@@ -358,27 +356,22 @@ class ScmCacheManager:
         if blocks:
             self.stats.add("destaged_blocks", blocks)
 
-    def lost_intervals(self, ino: Optional[int] = None) -> List[Tuple[int, int, int]]:
+    def lost_intervals(self) -> List[Tuple[int, int, int]]:
         """``(ino, file_block, count)`` intervals dropped by failed destages.
 
         The ledger survives until :meth:`clear_lost` (or the file's
         invalidation), so fsck can report the loss after recovery instead
         of silently repairing around it.
         """
-        if ino is not None:
-            return [(ino, fb, n) for fb, n in self._lost.get(ino, [])]
         return [
             (i, fb, n)
             for i in sorted(self._lost)
             for fb, n in self._lost[i]
         ]
 
-    def clear_lost(self, ino: Optional[int] = None) -> None:
-        """Acknowledge reported losses (fsck's reconcile does this)."""
-        if ino is None:
-            self._lost.clear()
-        else:
-            self._lost.pop(ino, None)
+    def clear_lost(self) -> None:
+        """Acknowledge every reported loss (fsck's reconcile does this)."""
+        self._lost.clear()
 
     # -- invalidation ------------------------------------------------------
 

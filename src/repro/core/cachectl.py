@@ -301,8 +301,8 @@ class CacheController:
         self,
         inode: CollectiveInode,
         runs: List[Run],
+        durable: bool,
         defer_offline: bool = False,
-        durable: bool = False,
         background: bool = False,
     ) -> int:
         """Write dirty cached runs back to their owning tiers.

@@ -146,7 +146,7 @@ class MuxNamespace:
     def __init__(self, now: float) -> None:
         self._inodes: Dict[int, CollectiveInode] = {}
         self._next_ino = self.ROOT_INO
-        self.root = self._alloc(FileType.DIRECTORY, now, 0o755, None)
+        self.root = self._alloc(FileType.DIRECTORY, now, 0o755, None, None)
         #: path -> ino lookup cache (positive + negative entries).  Safe
         #: because inode numbers are never reused: a stale positive entry
         #: misses in ``_inodes`` and falls back to the walk.  Mutators
@@ -159,7 +159,7 @@ class MuxNamespace:
         now: float,
         mode: int,
         initial_tier: Optional[int],
-        blt: Optional[BlockLookupTable] = None,
+        blt: Optional[BlockLookupTable],
     ) -> CollectiveInode:
         inode = CollectiveInode(
             self._next_ino, file_type, now, mode, blt=blt, initial_tier=initial_tier
@@ -222,7 +222,7 @@ class MuxNamespace:
         now: float,
         mode: int,
         initial_tier: Optional[int],
-        blt: Optional[BlockLookupTable] = None,
+        blt: Optional[BlockLookupTable],
     ) -> CollectiveInode:
         path = vpath.normalize(path)
         parent, name = self.resolve_parent(path)
@@ -239,7 +239,7 @@ class MuxNamespace:
         parent, name = self.resolve_parent(path)
         if name in parent.entries:
             raise FileExists(f"mux: {path!r} exists")
-        inode = self._alloc(FileType.DIRECTORY, now, mode, None)
+        inode = self._alloc(FileType.DIRECTORY, now, mode, None, None)
         parent.entries[name] = inode.ino
         parent.nlink += 1
         parent.mtime = parent.ctime = now

@@ -118,9 +118,7 @@ class MigrationEngine:
         if defer_while_hot:
             gen = self._paced(order, gen)
         return self.runner.spawn(
-            self._exclusive(order, gen),
-            name=f"mig-{order.ino}-{order.block_start}",
-            background=self._mux.scheduler.parallel,
+            self._exclusive(order, gen), background=self._mux.scheduler.parallel
         )
 
     def _exclusive(self, order: MigrationOrder, inner):

@@ -138,7 +138,7 @@ class MirrorEngine:
         self._mirrored.pop(ino, None)
         self._work.discard(ino)
 
-    def drop_tier(self, tier_id: int, punch: bool = True) -> None:
+    def drop_tier(self, tier_id: int, punch: bool) -> None:
         """A tier is leaving (evacuate/remove): retire all its mirrors."""
         for ino in list(self._mirrored):
             try:
@@ -216,19 +216,18 @@ class MirrorEngine:
                 total += inode.replicas.stale_blocks()
         return total
 
-    def tick(self, max_blocks: Optional[int] = None) -> int:
+    def tick(self) -> int:
         """Advance mirror convergence by one bounded, paced step.
 
         Called like ``MigrationEngine.tick`` from maintenance paths:
-        copies at most ``max_blocks`` (default
-        :data:`MAX_SYNC_BLOCKS_PER_TICK`) stale blocks, skipping tiers
-        whose channels are loaded — unless a mirror has been stale past
-        the deadline, which promotes it over the load gate.  Returns
-        blocks synced; zero-cost when no file is in the work set.
+        copies at most :data:`MAX_SYNC_BLOCKS_PER_TICK` stale blocks,
+        skipping tiers whose channels are loaded — unless a mirror has been
+        stale past the deadline, which promotes it over the load gate.
+        Returns blocks synced; zero-cost when no file is in the work set.
         """
         if not self._work:
             return 0
-        budget = max_blocks if max_blocks is not None else self.MAX_SYNC_BLOCKS_PER_TICK
+        budget = self.MAX_SYNC_BLOCKS_PER_TICK
         synced = 0
         # the work set in rotation order
         for ino in sorted(self._work, key=self._mirrored.__getitem__):

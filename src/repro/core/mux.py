@@ -84,11 +84,25 @@ from repro.vfs.interface import (
 from repro.vfs.stat import FsStats, Stat
 from repro.vfs.vfs import VFS
 
+#: names Mux keeps for its own files on the tiers (the State Bookkeeper's
+#: metafile, the SCM cache file): a user name may not start with it
+RESERVED_PREFIX = ".mux_"
+
+
+def _check_name(path: str) -> None:
+    """Refuse a new name that could collide with a Mux file on a tier."""
+    if RESERVED_PREFIX in path and any(
+        part.startswith(RESERVED_PREFIX) for part in path.split("/")
+    ):
+        raise InvalidArgument(f"mux: {path!r} uses the reserved prefix .mux_")
+
 
 class MuxFileSystem(FileSystem):
     """The Mux tiered file system."""
 
     fs_name = "mux"
+    #: :meth:`maintain` plans and migrates at most this many rounds
+    MAINTAIN_ROUNDS = 4
 
     def __init__(
         self,
@@ -173,8 +187,8 @@ class MuxFileSystem(FileSystem):
         self.rings.append(ring)
         return ring
 
-    def quiesce_inflight(self, ino: Optional[int] = None) -> None:
-        """Wait for in-flight ring ops (on ``ino``, or all) to complete.
+    def quiesce_inflight(self, ino: int) -> None:
+        """Wait for in-flight ring ops on ``ino`` to complete.
 
         Called by the OCC Synchronizer's lock fallback after it suspends
         clock frames: the pessimistic lock must cover async submissions
@@ -384,6 +398,7 @@ class MuxFileSystem(FileSystem):
     def create(self, path: str, mode: int = 0o644) -> FileHandle:
         self._charge_base()
         path = vpath.normalize(path)
+        _check_name(path)
         now = self.clock.now()
         initial = self._place(
             PlacementRequest(path, 0, 0, 0, 0, is_append=True)
@@ -426,9 +441,9 @@ class MuxFileSystem(FileSystem):
 
     # -- writeback-error ledger (mux-level errseq_t) ---------------------
 
-    def lost_intervals(self, ino: Optional[int] = None) -> List[Tuple[int, int, int]]:
+    def lost_intervals(self) -> List[Tuple[int, int, int]]:
         """``(ino, file_block, count)`` intervals lost to failed destages."""
-        return self._wb.lost_intervals(ino)
+        return self._wb.lost_intervals()
 
     def open(self, path: str, flags: int = OpenFlags.RDWR) -> FileHandle:
         self._charge_base()
@@ -492,6 +507,7 @@ class MuxFileSystem(FileSystem):
         self._charge_base()
         old_path = vpath.normalize(old_path)
         new_path = vpath.normalize(new_path)
+        _check_name(new_path)
         moving = self.ns.resolve(old_path)  # must exist
         if old_path == new_path:
             return  # successful no-op
@@ -528,6 +544,7 @@ class MuxFileSystem(FileSystem):
     def mkdir(self, path: str, mode: int = 0o755) -> None:
         self._charge_base()
         path = vpath.normalize(path)
+        _check_name(path)
         inode = self.ns.mkdir(path, self.clock.now(), mode)
         inode.rel_path = path
         self.meta.note(1, flush=True)
@@ -545,7 +562,7 @@ class MuxFileSystem(FileSystem):
         self._charge_base()
         self.stats.add("readdir")
         # Mux's own namespace is authoritative: the merged view (§2.1)
-        return [n for n in self.ns.readdir(path) if not n.startswith(".mux_")]
+        return self.ns.readdir(path)
 
     # ==================================================================
     # data path
@@ -805,7 +822,7 @@ class MuxFileSystem(FileSystem):
         offset: int,
         nbytes: int,
         owner_tier: int,
-        settle=None,
+        settle,
     ) -> None:
         """Epilogue of every write: collective inode + affinity (§2.3).
 
@@ -1185,13 +1202,13 @@ class MuxFileSystem(FileSystem):
                 runnable.append(order)
         return states, views, len(planned), runnable
 
-    def maintain(self, max_rounds: int = 4) -> int:
+    def maintain(self) -> int:
         """Ask the policy for migrations and run them to completion.
 
         Returns the number of migration orders executed.
         """
         executed = 0
-        for _ in range(max_rounds):
+        for _ in range(self.MAINTAIN_ROUNDS):
             states, views, planned, orders = self._planned_orders()
             self._maintain_mirrors(states, views)
             if not planned:

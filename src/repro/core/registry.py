@@ -88,7 +88,7 @@ class TierRegistry:
         fs: FileSystem,
         mount: str,
         profile: DeviceProfile,
-        rank: Optional[int] = None,
+        rank: Optional[int],
     ) -> Tier:
         if any(t.name == name for t in self._tiers.values()):
             raise InvalidArgument(f"tier name {name!r} already registered")

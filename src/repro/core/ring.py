@@ -109,7 +109,7 @@ class IoRing:
     overlaps — the ring degenerates to a queue of already-done ops.
     """
 
-    def __init__(self, mux, depth: int = 8) -> None:
+    def __init__(self, mux, depth: int) -> None:
         if depth < 1:
             raise InvalidArgument(f"ring depth must be >= 1, got {depth}")
         self.mux = mux

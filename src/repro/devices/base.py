@@ -101,7 +101,7 @@ class DeviceTimeline:
         self.knee_ops = 0
         self.knee_extra_ns = 0
 
-    def acquire(self, start_ns: int, cost_ns: int, background: bool = False):
+    def acquire(self, start_ns: int, cost_ns: int, background: bool):
         """Book one request; returns ``(begin_ns, complete_ns)``."""
         inflight = self._inflight
         if inflight and inflight[0] <= start_ns:

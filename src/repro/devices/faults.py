@@ -75,12 +75,10 @@ class FaultInjector:
     def set_online(self) -> None:
         self.offline = False
 
-    def fail_block(self, block_no: int, *, write: bool = True, read: bool = True) -> None:
-        """Latch a persistent media defect on ``block_no`` (test helper)."""
-        if read:
-            self._latched_read.add(block_no)
-        if write:
-            self._latched_write.add(block_no)
+    def fail_block(self, block_no: int) -> None:
+        """Latch a persistent read and write defect on ``block_no`` (test helper)."""
+        self._latched_read.add(block_no)
+        self._latched_write.add(block_no)
 
     def clear_latched(self) -> None:
         """Repair all latched media defects (device replacement)."""

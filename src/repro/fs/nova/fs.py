@@ -122,7 +122,7 @@ class NovaFileSystem(NativeFileSystem):
     # per-inode log
     # ------------------------------------------------------------------
 
-    def _log_append(self, entries: int = 1) -> None:
+    def _log_append(self, entries: int) -> None:
         """Append ``entries`` log entries: store a cache line each, flush,
         then atomically bump the log tail (8-byte store + flush + fence)."""
         pm = self.pm

@@ -45,7 +45,7 @@ class BitmapAllocator:
 
     # -- allocation ----------------------------------------------------------
 
-    def alloc_run(self, want: int, hint: Optional[int] = None) -> Tuple[int, int]:
+    def alloc_run(self, want: int, hint: Optional[int]) -> Tuple[int, int]:
         """Allocate up to ``want`` contiguous blocks; returns (start, got).
 
         Uses next-fit from an optional ``hint`` (or the rolling cursor) and
@@ -133,12 +133,12 @@ class BitmapAllocator:
             raise
         return runs
 
-    def alloc_block(self, hint: Optional[int] = None) -> int:
+    def alloc_block(self) -> int:
         """Allocate a single block."""
-        start, _ = self.alloc_run(1, hint)
+        start, _ = self.alloc_run(1, None)
         return start
 
-    def mark_allocated(self, start: int, count: int = 1) -> None:
+    def mark_allocated(self, start: int, count: int) -> None:
         """Force-mark a run allocated (recovery scans rebuilding the bitmap
         from inode block maps; already-set bits are left alone)."""
         for block in range(start, start + count):
@@ -222,17 +222,25 @@ class AllocationGroups:
         group = self.groups[group_index]
         return group.base <= block < group.base + group.count
 
-    def free_run(self, start: int, count: int = 1) -> None:
-        """Free a run, routing each span to its owning group."""
-        remaining = count
-        block = start
-        while remaining > 0:
+    def _spans(self, start: int, count: int):
+        """Split a run into ``(group, block, span)`` pieces, one per owning group."""
+        block, end = start, start + count
+        while block < end:
             for group in self.groups:
                 if group.base <= block < group.base + group.count:
-                    span = min(remaining, group.base + group.count - block)
-                    group.free_run(block, span)
+                    span = min(end, group.base + group.count) - block
+                    yield group, block, span
                     block += span
-                    remaining -= span
                     break
             else:
                 raise DeviceError(f"block {block} outside all allocation groups")
+
+    def free_run(self, start: int, count: int = 1) -> None:
+        """Free a run, routing each span to its owning group."""
+        for group, block, span in self._spans(start, count):
+            group.free_run(block, span)
+
+    def mark_allocated(self, start: int, count: int) -> None:
+        """Force-mark a run allocated, routing each span to its owning group."""
+        for group, block, span in self._spans(start, count):
+            group.mark_allocated(block, span)

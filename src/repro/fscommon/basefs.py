@@ -214,9 +214,9 @@ class NativeFileSystem(FileSystem):
         self._wb.note(ino, lost)
         self.stats.add("wb_errors")
 
-    def lost_intervals(self, ino: Optional[int] = None) -> List[Tuple[int, int, int]]:
+    def lost_intervals(self) -> List[Tuple[int, int, int]]:
         """Dirty ``(ino, file_block, count)`` intervals writeback dropped."""
-        return self._wb.lost_intervals(ino)
+        return self._wb.lost_intervals()
 
     def close(self, handle: FileHandle) -> None:
         handle.ensure_open()

@@ -52,6 +52,8 @@ class Allocator(Protocol):
 
     def free_run(self, start: int, count: int = 1) -> None: ...
 
+    def mark_allocated(self, start: int, count: int) -> None: ...
+
 
 class JournaledFileSystem(NativeFileSystem):
     """Ordered-mode journaling file system over a block device."""
@@ -565,28 +567,10 @@ class JournaledFileSystem(NativeFileSystem):
         self._root = table.get(InodeTable.ROOT_INO)
         # rebuild the allocator from the recovered extent ownership
         self.allocator = self._make_allocator(self._data_base, self._data_blocks)
+        data_end = self._data_base + self._data_blocks
         for dev_start, count in self._meta.allocated_runs():
-            self._claim_allocated(dev_start, count)
-
-    def _claim_allocated(self, dev_start: int, count: int) -> None:
-        """Mark a recovered run as allocated in a fresh allocator."""
-        remaining = count
-        block = dev_start
-        # BitmapAllocator and AllocationGroups both expose free_run; claiming
-        # needs allocator-specific access, done via duck typing on groups.
-        groups = getattr(self.allocator, "groups", None)
-        allocators = groups if groups is not None else [self.allocator]
-        while remaining > 0:
-            for alloc in allocators:
-                if alloc.base <= block < alloc.base + alloc.count:
-                    span = min(remaining, alloc.base + alloc.count - block)
-                    for b in range(block, block + span):
-                        idx = b - alloc.base
-                        if not alloc._bitmap[idx]:
-                            alloc._bitmap[idx] = 1
-                            alloc._free -= 1
-                    block += span
-                    remaining -= span
-                    break
-            else:
-                raise NoSpace(f"recovered block {block} outside data region")
+            if dev_start < self._data_base or dev_start + count > data_end:
+                raise NoSpace(
+                    f"recovered run [{dev_start},+{count}) outside data region"
+                )
+            self.allocator.mark_allocated(dev_start, count)

@@ -120,11 +120,11 @@ class TaskRunner:
         #: latest background-task completion seen so far
         self.completed_until_ns = 0
 
-    def spawn(self, gen: Step, name: str = "", background: bool = False) -> Task:
-        if not name:
-            name = f"task-{self._next_id}"
+    def spawn(self, gen: Step, background: bool) -> Task:
+        task = Task(
+            gen, name=f"task-{self._next_id}", clock=self._clock, background=background
+        )
         self._next_id += 1
-        task = Task(gen, name=name, clock=self._clock, background=background)
         self._tasks.append(task)
         return task
 

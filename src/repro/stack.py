@@ -47,6 +47,9 @@ DEFAULT_CAPACITIES = {
 
 MOUNTS = {"pm": "/tiers/pm", "ssd": "/tiers/ssd", "hdd": "/tiers/hdd"}
 
+#: the root of every fault injector's rng substream
+FAULT_SEED = 2025
+
 
 @dataclass
 class Stack:
@@ -84,7 +87,6 @@ def build_stack(
     blt_factory=None,
     clock: Optional[SimClock] = None,
     faults: Optional[Dict[str, FaultConfig]] = None,
-    fault_seed: int = 2025,
     profiles: Optional[Dict[str, "DeviceProfile"]] = None,
     readahead_background: bool = False,
     pressure_interval_ns: Optional[int] = None,
@@ -105,7 +107,7 @@ def build_stack(
 
     ``faults`` maps tier names to :class:`FaultConfig`s; each named tier's
     device gets a :class:`FaultInjector` with an independent rng substream
-    derived from ``fault_seed`` and the tier name, so schedules are
+    derived from :data:`FAULT_SEED` and the tier name, so schedules are
     reproducible per device regardless of which other tiers are faulted.
     A tier absent from the map (or a ``None`` map — the default) has no
     injector and charges not one extra nanosecond.
@@ -181,7 +183,7 @@ def build_stack(
 
     injectors: Dict[str, FaultInjector] = {}
     if faults:
-        fault_rng = DeterministicRng(fault_seed)
+        fault_rng = DeterministicRng(FAULT_SEED)
         for name, config in faults.items():
             if name not in devices:
                 raise InvalidArgument(f"faults for unknown tier {name!r}")

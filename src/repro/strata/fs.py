@@ -200,15 +200,13 @@ class StrataFileSystem(NativeFileSystem):
                 return device_index
         raise NoSpace("strata: all devices full")
 
-    def digest(self, max_entries: Optional[int] = None) -> int:
-        """Move log entries to their final device; returns blocks digested."""
+    def digest(self) -> int:
+        """Move every log entry to its final device; returns blocks digested."""
         digested = 0
         self._tree_busy = True
         self.stats.add("digests")
         try:
             while self._log_entries:
-                if max_entries is not None and digested >= max_entries:
-                    break
                 unit: List[Tuple[Tuple[int, int], int]] = []
                 while self._log_entries and len(unit) < cal.STRATA_DIGEST_UNIT_BLOCKS:
                     unit.append(self._log_entries.popitem(last=False))
@@ -225,7 +223,7 @@ class StrataFileSystem(NativeFileSystem):
                     if inode is not None:
                         live.append((inode, fb, data))
                     digested += 1
-                self._digest_unit_out(target, live)
+                self._digest_unit_out(target, live, cal.STRATA_DEVICE_BATCH_BLOCKS)
                 self.stats.add("digest_units")
             self.stats.add("blocks_digested", digested)
             return digested
@@ -236,13 +234,11 @@ class StrataFileSystem(NativeFileSystem):
         self,
         target: int,
         live: List[Tuple[Inode, int, bytes]],
-        batch_blocks: Optional[int] = None,
+        batch_blocks: int,
     ) -> None:
         """Write one digest unit to its final device, log-entry batched."""
         if not live:
             return
-        if batch_blocks is None:
-            batch_blocks = cal.STRATA_DEVICE_BATCH_BLOCKS
         runs = self.allocators[target].alloc_extent(len(live))
         index = 0
         for run_start, run_len in runs:
@@ -318,9 +314,7 @@ class StrataFileSystem(NativeFileSystem):
                     self.allocators[src_index].free_run(src_block, 1)
                     live.append((inode, fb, data))
                     moved += 1
-                self._digest_unit_out(
-                    dst_index, live, batch_blocks=cal.STRATA_MIGRATION_BATCH_BLOCKS
-                )
+                self._digest_unit_out(dst_index, live, cal.STRATA_MIGRATION_BATCH_BLOCKS)
         finally:
             self._tree_busy = False
         stats.bytes_moved += moved * self.block_size

@@ -419,10 +419,12 @@ class CrashExplorer:
         # a crash invalidates every mirror: no replica interval may come
         # back clean, or a stale mirror could be read as authoritative
         for inode in mux.ns.files():
-            if inode.replicas is not None and inode.replicas.clean_blocks():
+            replicas = inode.replicas
+            clean = 0 if replicas is None else sum(map(replicas.clean_blocks, replicas.tiers()))
+            if clean:
                 result.problems.append(
                     f"mirror: ino {inode.ino} recovered with "
-                    f"{inode.replicas.clean_blocks()} clean replica "
+                    f"{clean} clean replica "
                     f"block(s) — stale mirror could shadow the "
                     f"authoritative copy"
                 )
@@ -491,7 +493,7 @@ def _select_states(
     return chosen
 
 
-def explore(smoke: bool = False, verbose: bool = False) -> Dict[str, object]:
+def explore(smoke: bool, verbose: bool = False) -> Dict[str, object]:
     """Run the census + the selected crash states; return the report."""
     explorer = CrashExplorer()
     points = explorer.census()
@@ -535,8 +537,8 @@ def explore(smoke: bool = False, verbose: bool = False) -> Dict[str, object]:
 USAGE = "usage: python -m repro.bench crashexplore [--smoke] [--verbose|-v]"
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def main(argv: List[str]) -> int:
+    argv = list(argv)
     # a typo must not fall through to the full sweep
     reject_unknown(argv, ("--smoke", "--verbose", "-v"), USAGE)
     smoke = "--smoke" in argv
@@ -568,4 +570,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -180,12 +180,12 @@ def _check_delalloc(fs: JournaledFileSystem) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-def check_mux(mux: MuxFileSystem, deep: bool = True) -> List[str]:
+def check_mux(mux: MuxFileSystem, deep: bool) -> List[str]:
     """Validate Mux's cross-file-system invariants.
 
-    ``deep=True`` additionally verifies that every BLT-mapped block is
-    materialized in the owning tier's backing file (reads device state;
-    charges simulated time).
+    ``deep=True`` (what recovery checks want) additionally verifies that
+    every BLT-mapped block is materialized in the owning tier's backing
+    file (reads device state; charges simulated time).
     """
     problems: List[str] = []
     tier_ids = set(mux.tier_ids())
@@ -290,9 +290,7 @@ def _check_cache_dirty(mux: MuxFileSystem) -> List[str]:
     return problems
 
 
-def reconcile_cache(
-    mux: MuxFileSystem, report: Optional[List[str]] = None
-) -> int:
+def reconcile_cache(mux: MuxFileSystem, report: Optional[List[str]]) -> int:
     """Destage every dirty block that survived a crash; returns blocks handled.
 
     Dirty marks whose file no longer exists are dropped (the unlink won);
@@ -449,7 +447,7 @@ def _check_backing_blocks(mux: MuxFileSystem, inode, label: str) -> List[str]:
     return problems
 
 
-def report(problems: List[str], subject: str = "file system") -> str:
+def report(problems: List[str], subject: str) -> str:
     """Format a checker result as a human-readable report."""
     if not problems:
         return f"{subject}: clean"

@@ -125,10 +125,8 @@ class WritebackLedger:
         see it again at its next fsync."""
         handle.wb_err = self._seq.get(handle.ino, 0)
 
-    def lost_intervals(self, ino: Optional[int] = None) -> List[Tuple[int, int, int]]:
+    def lost_intervals(self) -> List[Tuple[int, int, int]]:
         """Dirty ``(ino, file_block, count)`` intervals writeback dropped."""
-        if ino is not None:
-            return [(ino, fb, n) for fb, n in self._lost.get(ino, [])]
         return [(i, fb, n) for i in sorted(self._lost) for fb, n in self._lost[i]]
 
     def forget(self, ino: int) -> None:

@@ -104,6 +104,16 @@ class TestAllocationGroups:
             groups.free_run(start, got)
         assert groups.free_blocks == 40
 
+    def test_mark_allocated_routes_spans_to_owners(self):
+        groups = AllocationGroups(0, 40, 4)
+        groups.mark_allocated(5, 3)
+        groups.mark_allocated(8, 10)  # crosses group 0 -> 1; 8, 9 newly set
+        assert [g.free_blocks for g in groups.groups] == [5, 2, 10, 10]
+        groups.free_run(5, 13)  # every marked block is really allocated
+        assert groups.free_blocks == 40
+        with pytest.raises(DeviceError):
+            groups.mark_allocated(38, 4)
+
     def test_exhaustion(self):
         groups = AllocationGroups(0, 8, 2)
         groups.alloc_extent(8)

@@ -21,9 +21,7 @@ class TestWorkloads:
 
     def test_sequential_write_throughput(self):
         stack = build_stack(enable_cache=False)
-        res = workloads.sequential_write(
-            stack.mux, stack.clock, "/f", 4 * MIB, io_size=MIB
-        )
+        res = workloads.sequential_write(stack.mux, stack.clock, "/f", 4 * MIB)
         assert res.bytes_moved == 4 * MIB
         assert res.mb_per_s > 0
 
@@ -31,7 +29,7 @@ class TestWorkloads:
         def run():
             stack = build_stack(enable_cache=False)
             return workloads.random_write(
-                stack.mux, stack.clock, "/f", 4 * MIB, 1 * MIB, io_size=16 * 1024
+                stack.mux, stack.clock, "/f", 4 * MIB, 1 * MIB
             ).elapsed_s
 
         assert run() == run()
@@ -79,17 +77,19 @@ class TestReporting:
 
 
 class TestTraceCli:
-    """``python -m repro.bench trace`` argv handling."""
+    """``python -m repro.bench trace`` argv handling: ``--no-faults`` is
+    the only argument."""
 
     @pytest.mark.parametrize(
         "argv, complaint",
         [
-            (["--ops"], "--ops requires a value"),
-            (["--no-faults", "--seed"], "--seed requires a value"),
-            (["--ops", "--seed", "3"], "--ops requires a value"),
-            (["--ops", "many"], "invalid literal"),
+            (["--ops", "20"], "unknown argument '--ops'"),
+            (["--no-faults", "--seed", "7"], "unknown argument '--seed'"),
+            (["--cluster"], "unknown argument '--cluster'"),
+            (["--write-back"], "unknown argument '--write-back'"),
             (["--drr"], "unknown argument '--drr'"),
             (["--no-faults", "bogus"], "unknown argument 'bogus'"),
+            (["--readahead-bg"], "unknown argument '--readahead-bg'"),
         ],
     )
     def test_bad_argv_is_one_usage_line_and_exit_2(self, argv, complaint, capsys):
@@ -114,12 +114,19 @@ class TestTraceCli:
         assert exc.value.code == 2
         assert "--out requires a value" in capsys.readouterr().err
 
-    def test_value_flags_are_honoured(self, capsys):
+    def test_one_run_prints_every_section(self, capsys):
         from repro.bench.trace import main
 
-        assert main(["--no-faults", "--ops", "20", "--seed", "7"]) == 0
+        assert main(["--no-faults"]) == 0
         out = capsys.readouterr().out
-        assert "migrations (no faults):" in out and "engine totals:" in out
+        for section in (
+            "cache:", "migrations (no faults):", "engine totals:", "fairness:",
+            "scheduler:", "device ssd:", "readahead:", "pressure:", "cluster:",
+            "rebalance:",
+        ):
+            assert section in out, section
+        assert "write_hit=0 " not in out  # the write-back cache absorbed writes
+        assert "readahead: bg_blocks=0 " not in out
 
 
 class TestWallclockCli:
@@ -212,8 +219,9 @@ class TestRunWorkloads:
             "WORKLOADS",
             [("metadata_churn", registered["metadata_churn"]), ("flaky", flaky)],
         )
+        monkeypatch.setattr(wallclock, "SMOKE_REPS", 2)
         with pytest.raises(RuntimeError, match="workload 'flaky' rep 1"):
-            wallclock.run_workloads(smoke=True, reps=2)
+            wallclock.run_workloads(smoke=True)
         assert reps == [True, True]
 
     def test_a_stable_workload_records_simulated_values_only(self, monkeypatch):
@@ -223,7 +231,8 @@ class TestRunWorkloads:
         monkeypatch.setattr(
             wallclock, "WORKLOADS", [("metadata_churn", registered["metadata_churn"])]
         )
-        record = wallclock.run_workloads(smoke=True, reps=2)["metadata_churn"]
+        monkeypatch.setattr(wallclock, "SMOKE_REPS", 2)
+        record = wallclock.run_workloads(smoke=True)["metadata_churn"]
         assert set(record) == {"sim_elapsed_s", "fingerprint"}
         assert record["sim_elapsed_s"] > 0
         assert record["fingerprint"]["now_ns"] > 0

@@ -268,7 +268,7 @@ class TestEvictionDestage:
         cache.destage_fn = destage
         for fb in range(4):
             cache.put(1, fb, bytes([fb]) * BS)
-        cache.write_hit(1, 0, b"Q" * BS)
+        cache.write_hit(1, 0, b"Q" * BS, 0)
         for fb in range(4, 8):  # force evictions
             cache.put(2, fb, bytes([fb]) * BS)
         assert (1, ((0, 1),)) in calls
@@ -284,7 +284,7 @@ class TestEvictionDestage:
         cache.destage_fn = destage
         for fb in range(4):
             cache.put(1, fb, bytes([fb]) * BS)
-        cache.write_hit(1, 0, b"R" * BS)
+        cache.write_hit(1, 0, b"R" * BS, 0)
         for fb in range(4, 8):
             cache.put(2, fb, bytes([fb]) * BS)
         assert cache.stats.get("destage_lost") == 1
@@ -303,12 +303,12 @@ class TestEvictionDestage:
         cache.on_lost = lambda ino, runs: latched.append((ino, tuple(runs)))
         for fb in range(4):
             cache.put(1, fb, bytes([fb]) * BS)
-        cache.write_hit(1, 2, b"S" * BS)
+        cache.write_hit(1, 2, b"S" * BS, 0)
         for fb in range(4, 8):
             cache.put(2, fb, bytes([fb]) * BS)
         assert cache.lost_intervals() == [(1, 2, 1)]
         assert latched == [(1, ((2, 1),))]
-        cache.clear_lost(1)
+        cache.clear_lost()
         assert cache.lost_intervals() == []
         cache.check_invariants()
 
@@ -322,7 +322,7 @@ class TestEvictionDestage:
         )
         for fb in range(4):
             cache.put(1, fb, bytes([fb]) * BS)
-        cache.write_hit(1, 0, b"T" * BS)
+        cache.write_hit(1, 0, b"T" * BS, 0)
         with pytest.raises(CrashTriggered):
             for fb in range(4, 8):
                 cache.put(2, fb, bytes([fb]) * BS)
@@ -345,7 +345,7 @@ class TestCrashAndReconcile:
         # the cache still serves the absorbed bytes meanwhile
         handle = mux.open("/f")
         assert mux.read(handle, 1 * BS, BS) == b"S" * BS
-        assert reconcile_cache(mux) == 2
+        assert reconcile_cache(mux, None) == 2
         assert mux.cache.dirty_block_count == 0
         mux.cache.invalidate_file(handle.ino)
         assert mux.read(handle, 1 * BS, BS) == b"S" * BS  # now from hdd
@@ -359,12 +359,12 @@ class TestCrashAndReconcile:
         mux.cache._dirty[9999] = dirty
         problems = check_mux(mux, deep=False)
         assert any("dead ino 9999" in p for p in problems)
-        assert reconcile_cache(mux) == 1
+        assert reconcile_cache(mux, None) == 1
         assert mux.cache.dirty_block_count == 0
 
     def test_reconcile_noop_without_write_back(self):
         stack = build_stack()
-        assert reconcile_cache(stack.mux) == 0
+        assert reconcile_cache(stack.mux, None) == 0
 
     def test_lost_ledger_survives_crash_and_is_reported(self, wb):
         """The loss ledger lives with the cache metadata on PM, so a
@@ -582,7 +582,7 @@ class TestPropertyInvariants:
             if op == "put":
                 cache.put(ino, fb, bytes([ino]) * BS)
             elif op == "write_hit":
-                if cache.write_hit(ino, fb, bytes([fb]) * BS):
+                if cache.write_hit(ino, fb, bytes([fb]) * BS, 0):
                     marked.add((ino, fb))
             elif op == "get":
                 cache.get(ino, fb)

@@ -174,10 +174,10 @@ class TestClusterNamespace:
             sid = shard.shard_id
             shard.mux.maintain = stub("maintain", sid, sid + 1)
             shard.mux.maintain_async = stub("maintain_async", sid, 10 * (sid + 1))
-        assert cluster.maintain(max_rounds=2) == 1 + 2
+        assert cluster.maintain() == 1 + 2
         assert cluster.maintain_async() == 10 + 20
         assert calls == [
-            ("maintain", 0, 2), ("maintain", 1, 2),
+            ("maintain", 0), ("maintain", 1),
             ("maintain_async", 0), ("maintain_async", 1),
         ]
 
@@ -317,6 +317,90 @@ class TestClusterRename:
         cluster.mkdir("/top")
         with pytest.raises(NotSupported):
             cluster.rename("/top", "/renamed-top")
+
+
+    @staticmethod
+    def _name_pair(cluster, prefix_a, prefix_b, same_shard):
+        """``(a, b)``: names whose subtree keys hash to one shard or two."""
+        for i in range(64):
+            for j in range(64):
+                a, b = f"{prefix_a}{i}", f"{prefix_b}{j}"
+                if a == b:
+                    continue
+                one = cluster.subtree_owner(a[1:]) == cluster.subtree_owner(b[1:])
+                if one == same_shard:
+                    return a, b
+        raise AssertionError("no such name pair")
+
+    @pytest.mark.parametrize("same_shard", [True, False])
+    def test_global_directory_rename_is_refused_on_any_hash(self, same_shard):
+        cluster = small_cluster(4).mux
+        old, new = self._name_pair(cluster, "/d", "/d", same_shard)
+        cluster.mkdir(old)
+        cluster.mkdir(f"{old}/sub")
+        with pytest.raises(NotSupported):
+            cluster.rename(old, new)
+        assert cluster.readdir("/") == [old[1:]]
+        assert cluster.getattr(f"{old}/sub").is_dir
+        for shard in cluster.shards:
+            assert shard.mux.ns.exists(old) and not shard.mux.ns.exists(new)
+
+    @pytest.mark.parametrize("same_shard", [True, False])
+    def test_subtree_surfacing_at_depth_one_is_exdev_on_any_hash(self, same_shard):
+        cluster = small_cluster(4).mux
+        cluster.mkdir("/t")
+        old, new = self._name_pair(cluster, "/t/d", "/n", same_shard)
+        cluster.mkdir(old)
+        with pytest.raises(CrossDevice):
+            cluster.rename(old, new)
+        assert cluster.getattr(old).is_dir
+        assert not cluster.exists(new)
+        # a file may still move up to depth 1
+        cluster.write_file(f"{old}/f", b"up")
+        cluster.rename(f"{old}/f", new)
+        assert cluster.read_file(new) == b"up"
+
+
+class TestReservedHousekeeping:
+    """``/.cluster`` holds the routing overrides and rename intents: the
+    cluster API cannot reach it."""
+
+    def test_every_namespace_op_refuses_it(self):
+        cluster = small_cluster(2).mux
+        cluster.mkdir("/a")
+        cluster.write_file("/a/f", b"x")
+        for op in (
+            lambda: cluster.getattr("/.cluster"),
+            lambda: cluster.readdir("/.cluster"),
+            lambda: cluster.rmdir("/.cluster"),
+            lambda: cluster.mkdir("/.cluster/x"),
+            lambda: cluster.create("/.cluster/overrides"),
+            lambda: cluster.open("/.cluster/overrides", OpenFlags.RDONLY),
+            lambda: cluster.unlink("/.cluster/overrides"),
+            lambda: cluster.setattr("/.cluster", mode=0o700),
+            lambda: cluster.rename("/a/f", "/.cluster/f"),
+            lambda: cluster.rename("/.cluster", "/b"),
+            lambda: cluster.set_placement("/.cluster/overrides", 0),
+        ):
+            with pytest.raises(InvalidArgument, match="reserved"):
+                op()
+        assert cluster.readdir("/") == ["a"]
+
+    def test_cross_shard_dir_rename_still_persists_its_override(self):
+        """``rmdir("/.cluster")`` used to succeed; the next cross-shard
+        directory rename then failed in ``_persist_overrides``."""
+        cluster = small_cluster(2).mux
+        with pytest.raises(InvalidArgument):
+            cluster.rmdir("/.cluster")
+        src_dir, _ = _make_cross_shard_pair(cluster)
+        owner = cluster.subtree_owner(src_dir[1:])
+        probe = 0
+        while cluster.ring.node_for(f"t/moved{probe}") == owner:
+            probe += 1
+        cluster.rename(src_dir, f"/t/moved{probe}")
+        cluster.crash()
+        cluster.recover()
+        assert cluster.subtree_owner(f"t/moved{probe}") == owner
 
 
 class TestCrossShardRenameCrash:
@@ -585,7 +669,7 @@ class TestRebalance:
             cluster.mkdir(f"/tenants/{name}")
             cluster.write_file(f"/tenants/{name}/f", b"x" * BS)
             cluster.read_file(f"/tenants/{name}/f")
-        summary = cluster.rebalance()
+        summary = cluster.rebalance(max_moves=4)
         assert summary["moves"] == 0
 
 
@@ -598,7 +682,7 @@ class TestClusterRing:
     def _population(self, cluster, count):
         cluster.mkdir("/t")
         # balanced placement so multi-shard runs actually use every shard
-        names = balanced_tenant_names(cluster.ring, "t", count, prefix="d")
+        names = balanced_tenant_names(cluster.ring, "t", count)
         handles = []
         for name in names:
             cluster.mkdir(f"/t/{name}")

@@ -36,7 +36,7 @@ class TestParallelMigrations:
         for i, handle in enumerate(handles):
             assert mux.read(handle, 0, 4) == bytes([i + 1]) * 4
             mux.close(handle)
-        assert check_mux(mux) == []
+        assert check_mux(mux, deep=True) == []
 
     def test_disjoint_ranges_same_file(self, env):
         stack, mux = env
@@ -54,7 +54,7 @@ class TestParallelMigrations:
         assert inode.blt.blocks_on(stack.tier_id("hdd")) == 256
         assert inode.blt.blocks_on(stack.tier_id("pm")) == 0
         assert mux.read(handle, 0, 512 * BS) == bytes(512 * BS)
-        assert check_mux(mux) == []
+        assert check_mux(mux, deep=True) == []
         mux.close(handle)
 
     def test_overlapping_migrations_same_file_converge(self, env):
@@ -78,7 +78,7 @@ class TestParallelMigrations:
         assert inode.blt.blocks_on(stack.tier_id("pm")) == 0
         assert mux.read(handle, 0, len(payload)) == payload
         assert not inode.migration_active
-        assert check_mux(mux) == []
+        assert check_mux(mux, deep=True) == []
         mux.close(handle)
 
     def test_chained_migration_after_drain(self, env):
@@ -122,5 +122,5 @@ class TestParallelMigrations:
             writes += 1
         assert writes > 0
         assert mux.read(handle, 0, blocks * BS) == bytes(model)
-        assert check_mux(mux) == []
+        assert check_mux(mux, deep=True) == []
         mux.close(handle)

@@ -60,7 +60,10 @@ def mirror_sync_transcript() -> dict:
     handles = {}
 
     def tick(budget=None):
-        moved = mux.mirrors.tick(budget)
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(mux.mirrors, "MAX_SYNC_BLOCKS_PER_TICK", budget)
+            moved = mux.mirrors.tick()
         events.append(["tick", moved, mux.mirrors.stale_backlog()])
         if not mux.registry.any_unhealthy():  # offline tiers are findings
             assert fsck.check_mux(mux, deep=False) == []

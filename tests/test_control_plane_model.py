@@ -129,9 +129,9 @@ def test_timeline_matches_scan_reference(stream, in_order, nchannels, knee):
 def test_timeline_tie_break_is_lowest_channel_index():
     """Equal horizons: the lowest eligible index wins, for both classes."""
     tl = DeviceTimeline(8)
-    assert [tl.acquire(0, 10)[0] for _ in range(8)] == [0] * 8
+    assert [tl.acquire(0, 10, False)[0] for _ in range(8)] == [0] * 8
     assert tl.busy_until == [10] * 8
-    tl.acquire(0, 5)  # all equal -> channel 0
+    tl.acquire(0, 5, False)  # all equal -> channel 0
     assert tl.busy_until[0] == 15
     tl.acquire(0, 5, background=True)  # reserved tail = channels 6, 7
     assert tl.busy_until[6] == 15 and tl.busy_until[7] == 10
@@ -252,7 +252,7 @@ def test_allocator_matches_scan_reference_exhaustively_on_small_bitmaps():
                         alloc._bitmap[:] = bits
                         alloc._free = n - sum(bits)
                         alloc._cursor = cursor
-                        results.append((alloc.alloc_run(want), _observe(alloc)))
+                        results.append((alloc.alloc_run(want, None), _observe(alloc)))
                     assert results[0] == results[1], (bits, cursor, want)
 
 
@@ -262,15 +262,15 @@ def test_allocator_next_fit_wraps_and_keeps_the_longest_short_run():
     3 that straddles the start point."""
     for cls in (BitmapAllocator, ScanAllocator):
         alloc = cls(0, 10)
-        alloc.alloc_run(10)
+        alloc.alloc_run(10, None)
         alloc.free_run(3, 5)
         alloc.free_run(9, 1)
         alloc._cursor = 5
-        assert alloc.alloc_run(5) == (3, 5)
+        assert alloc.alloc_run(5, None) == (3, 5)
         assert alloc._cursor == 8
-        assert alloc.alloc_run(4) == (9, 1)  # longest short run when none fits
+        assert alloc.alloc_run(4, None) == (9, 1)  # longest short run when none fits
         with pytest.raises(NoSpace):
-            alloc.alloc_run(1)
+            alloc.alloc_run(1, None)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.core.health import (
 from repro.core.policy import MigrationOrder
 from repro.devices.faults import FaultConfig
 from repro.errors import DeviceOffline, FsError, NoSpace, TierUnavailable
+from repro import stack as stack_module
 from repro.stack import build_stack
 from repro.tools import fsck
 
@@ -98,8 +99,9 @@ class TestScriptedScenario:
     """The acceptance scenario: SSD dies mid-run, the stack keeps serving."""
 
     @pytest.fixture
-    def stack(self):
-        return build_stack(faults={"ssd": FaultConfig()}, fault_seed=3)
+    def stack(self, monkeypatch):
+        monkeypatch.setattr(stack_module, "FAULT_SEED", 3)
+        return build_stack(faults={"ssd": FaultConfig()})
 
     def test_ssd_offline_mid_run(self, stack):
         mux = stack.mux
@@ -145,7 +147,7 @@ class TestScriptedScenario:
 
         # data is intact and fsck has nothing to report
         assert mux.read(on_ssd, 0, 4096) == b"\xa5" * 4096
-        assert fsck.check_mux(mux) == []
+        assert fsck.check_mux(mux, deep=True) == []
         for handle in (on_pm, on_ssd, on_hdd):
             mux.close(handle)
 
@@ -182,12 +184,13 @@ class TestTransientFaults:
     """p=0.3 transient write errors: retried invisibly, deterministically."""
 
     def run_workload(self):
-        stack = build_stack(
-            faults={
-                "pm": FaultConfig(write_error_p=0.3, transient_fraction=1.0)
-            },
-            fault_seed=17,
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stack_module, "FAULT_SEED", 17)
+            stack = build_stack(
+                faults={
+                    "pm": FaultConfig(write_error_p=0.3, transient_fraction=1.0)
+                },
+            )
         mux = stack.mux
         mux.mkdir("/w")
         handles = [mux.create(f"/w/f{i}") for i in range(10)]
@@ -213,12 +216,12 @@ class TestTransientFaults:
         ]
         assert a.clock.now_ns == b.clock.now_ns
 
-    def test_migration_surfaces_retry_stats(self):
+    def test_migration_surfaces_retry_stats(self, monkeypatch):
+        monkeypatch.setattr(stack_module, "FAULT_SEED", 5)
         stack = build_stack(
             faults={
                 "ssd": FaultConfig(write_error_p=0.4, transient_fraction=1.0)
             },
-            fault_seed=5,
         )
         mux = stack.mux
         handle = mux.create("/mig")
@@ -411,7 +414,7 @@ class TestOfflineTierIsSkipped:
         assert stack.vfs.getattr("/tiers/ssd/span").size == 4 * 4096
         mux.mark_tier_online(stack.tier_ids["ssd"])
         assert mux.read(handle, 0, 8 * 4096) == b"\xa5" * (2 * 4096)
-        assert fsck.check_mux(mux) == []
+        assert fsck.check_mux(mux, deep=True) == []
         mux.close(handle)
 
     def test_unlink_leaves_the_dead_tiers_backing_file_for_fsck(self, spanning):
@@ -526,7 +529,9 @@ class TestEvacuation:
         assert mux.ns.resolve("/stuck").blt.blocks_on(ssd) > 0
         mux.close(handle)
 
-    def test_evacuate_is_deterministic(self):
+    def test_evacuate_is_deterministic(self, monkeypatch):
+        monkeypatch.setattr(stack_module, "FAULT_SEED", 23)
+
         def run():
             stack = build_stack(
                 faults={
@@ -534,7 +539,6 @@ class TestEvacuation:
                         read_error_p=0.2, transient_fraction=1.0
                     )
                 },
-                fault_seed=23,
             )
             handles = [
                 place_on(stack, f"/e{i}", "ssd") for i in range(4)

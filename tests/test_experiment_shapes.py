@@ -8,6 +8,7 @@ Magnitudes are recorded by the benches and EXPERIMENTS.md, not here.
 
 import pytest
 
+from repro.bench import experiments
 from repro.bench.experiments import (
     TIERS,
     experiment_fig3a,
@@ -22,7 +23,9 @@ def fig3a():
 
 @pytest.fixture(scope="module")
 def fig3b():
-    return experiment_fig3b(total_mib=4, span_mib=8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "FIG3B_SPAN_MIB", 8)
+        return experiment_fig3b(total_mib=4)
 
 
 class TestFig3aShape:

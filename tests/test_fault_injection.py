@@ -13,6 +13,7 @@ from repro.devices.profile import OPTANE_SSD_P4800X
 from repro.errors import DeviceIoError, DeviceOffline
 from repro.sim.clock import SimClock
 from repro.sim.rng import DeterministicRng
+from repro import stack as stack_module
 from repro.stack import build_stack
 
 MIB = 1024 * 1024
@@ -168,11 +169,12 @@ class TestStackWiring:
         with pytest.raises(InvalidArgument):
             build_stack(faults={"tape": FaultConfig()})
 
-    def test_per_device_streams_independent(self):
+    def test_per_device_streams_independent(self, monkeypatch):
         """Faulting hdd too must not perturb ssd's schedule."""
+        monkeypatch.setattr(stack_module, "FAULT_SEED", 11)
 
         def ssd_draws(fault_map):
-            stack = build_stack(faults=fault_map, fault_seed=11)
+            stack = build_stack(faults=fault_map)
             return [stack.injectors["ssd"].rng.random() for _ in range(8)]
 
         only_ssd = ssd_draws({"ssd": FaultConfig(write_error_p=0.2)})

@@ -86,7 +86,7 @@ class TestNativeFsck:
 
 class TestMuxFsck:
     def test_fresh_stack_clean(self, stack):
-        assert check_mux(stack.mux) == []
+        assert check_mux(stack.mux, deep=True) == []
 
     def test_busy_stack_clean(self, stack):
         mux = stack.mux
@@ -101,7 +101,7 @@ class TestMuxFsck:
         )
         mux.read(handle, 0, 32 * BS)
         mux.fsync(handle)
-        assert check_mux(stack.mux) == []
+        assert check_mux(stack.mux, deep=True) == []
         mux.close(handle)
 
     def test_clean_after_policy_maintenance(self, stack_nocache):
@@ -112,7 +112,7 @@ class TestMuxFsck:
             mux.write(handle, 0, bytes([i]) * (2 * 1024 * 1024))
             mux.close(handle)
             mux.maintain()
-        assert check_mux(mux) == []
+        assert check_mux(mux, deep=True) == []
         for fs in stack.filesystems.values():
             assert check_native_fs(fs) == []
 
@@ -125,7 +125,7 @@ class TestMuxFsck:
         # corrupt: claim blocks live on the hdd tier where nothing exists
         hdd_id = stack.tier_id("hdd")
         inode.blt.map_range(0, 2, hdd_id)
-        problems = check_mux(mux)
+        problems = check_mux(mux, deep=True)
         assert problems
         mux.close(handle)
 

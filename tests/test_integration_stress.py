@@ -8,6 +8,7 @@ durability was guaranteed.
 
 import pytest
 
+from repro.bench import macro
 from repro.bench.macro import fileserver, varmail, webserver
 from repro.core.policies import LruTieringPolicy
 from repro.sim.rng import DeterministicRng
@@ -33,14 +34,17 @@ def world():
 
 
 class TestDayInTheLife:
-    def test_full_lifecycle(self, world):
+    def test_full_lifecycle(self, world, monkeypatch):
         mux = world.mux
         rng = DeterministicRng(99)
 
         # --- phase 1: applications do their thing --------------------------
-        fileserver(mux, world.clock, files=12, operations=120, seed=1)
-        webserver(mux, world.clock, files=40, operations=200, seed=2)
-        varmail(mux, world.clock, operations=80, seed=3)
+        monkeypatch.setattr(macro, "FILESERVER_SEED", 1)
+        monkeypatch.setattr(macro, "WEBSERVER_SEED", 2)
+        monkeypatch.setattr(macro, "VARMAIL_SEED", 3)
+        fileserver(mux, world.clock, files=12, operations=120)
+        webserver(mux, world.clock, files=40, operations=200)
+        varmail(mux, world.clock, operations=80)
         mux.maintain()
 
         # --- phase 2: a durable database file + async migration races ------
@@ -63,7 +67,7 @@ class TestDayInTheLife:
         mux.fsync(db)
 
         # --- phase 3: consistency audit of every layer -----------------------
-        assert check_mux(mux) == []
+        assert check_mux(mux, deep=True) == []
         for fs in world.filesystems.values():
             assert check_native_fs(fs) == []
         assert mux.read(db, 0, 4 * MIB) == bytes(golden)
@@ -78,9 +82,10 @@ class TestDayInTheLife:
             assert check_native_fs(fs) == []
 
         # --- phase 5: life goes on ---------------------------------------------
-        varmail(mux, world.clock, operations=40, seed=4)
+        monkeypatch.setattr(macro, "VARMAIL_SEED", 4)  # fresh spool names
+        varmail(mux, world.clock, operations=40)
         mux.maintain()
-        assert check_mux(mux) == []
+        assert check_mux(mux, deep=True) == []
         mux.close(db2)
 
     def test_maintain_async_runs_policy_plan(self, world):
@@ -95,12 +100,13 @@ class TestDayInTheLife:
         pm_fs = world.filesystems["pm"]
         assert pm_fs.statfs().utilization < 0.75  # back under the watermark
         assert mux.read(handle, 0, 16) == bytes(16)
-        assert check_mux(mux) == []
+        assert check_mux(mux, deep=True) == []
         mux.close(handle)
 
-    def test_report_after_stress(self, world):
+    def test_report_after_stress(self, world, monkeypatch):
         mux = world.mux
-        fileserver(mux, world.clock, files=6, operations=40, seed=5)
+        monkeypatch.setattr(macro, "FILESERVER_SEED", 5)
+        fileserver(mux, world.clock, files=6, operations=40)
         mux.maintain()
         text = mux.report()
         assert "tiers:" in text

@@ -142,9 +142,6 @@ def test_no_private_names_cross_a_module_boundary(path):
 #: the known reaches into another module's private state, outside ``core/``:
 #: (module path under src/repro, attribute).  Checked for dead entries.
 PRIVATE_REACHES = {
-    # journal replay re-marks recovered blocks in the allocator's bitmap
-    ("fscommon/journaledfs.py", "_bitmap"),
-    ("fscommon/journaledfs.py", "_free"),
     # fsck audits a native file system from the inside
     ("tools/fsck.py", "_delalloc"),
     ("tools/fsck.py", "_root"),

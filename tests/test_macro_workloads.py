@@ -59,7 +59,7 @@ class TestWorkloadMechanics:
         for workload in ALL_WORKLOADS.values():
             workload(small_stack.mux, small_stack.clock, operations=30)
         small_stack.mux.maintain()
-        assert check_mux(small_stack.mux) == []
+        assert check_mux(small_stack.mux, deep=True) == []
         for fs in small_stack.filesystems.values():
             assert check_native_fs(fs) == []
 

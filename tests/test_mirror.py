@@ -31,6 +31,10 @@ KIB = 1024
 MIB = 1024 * 1024
 
 
+def _clean_total(replicas: ReplicaSet) -> int:
+    return sum(replicas.clean_blocks(t) for t in replicas.tiers())
+
+
 def pattern(size: int, salt: int = 0) -> bytes:
     return bytes((i * 31 + 7 + salt) % 256 for i in range(size))
 
@@ -62,7 +66,7 @@ class TestReplicaSet:
         replicas = ReplicaSet()
         assert replicas.tiers() == []
         assert not replicas.has_stale()
-        assert replicas.clean_blocks() == 0
+        assert _clean_total(replicas) == 0
 
     def test_stale_then_synced(self):
         replicas = ReplicaSet()
@@ -123,7 +127,7 @@ class TestReplicaSet:
         replicas.mark_synced(1, 0, 8)
         replicas.mark_stale(2, 4, 4, now_ns=0)
         replicas.mark_all_stale(now_ns=99)
-        assert replicas.clean_blocks() == 0
+        assert _clean_total(replicas) == 0
         assert replicas.stale_runs(1) == [(0, 8)]
         assert replicas.stale_runs(2) == [(4, 4)]
         replicas.check_invariants()
@@ -196,7 +200,7 @@ class TestMirrorServing:
         before = mux.stats.get("reads_from_mirror")
         assert mux.read(handle, 0, 16 * BS) == pattern(16 * BS)
         assert mux.stats.get("reads_from_mirror") == before + 1
-        assert fsck.check_mux(mux) == []
+        assert fsck.check_mux(mux, deep=True) == []
         mux.close(handle)
 
     def test_mirror_is_cheaper_than_the_hdd(self, stack):
@@ -235,7 +239,7 @@ class TestMirrorServing:
         assert not inode.replicas.has_stale()
         got = mux.read(handle, 0, 16 * BS)
         assert got[4 * BS : 5 * BS] == b"\xee" * BS
-        assert fsck.check_mux(mux) == []
+        assert fsck.check_mux(mux, deep=True) == []
         mux.close(handle)
 
     def test_unmirrored_files_never_touch_the_replica_path(self, stack):
@@ -323,16 +327,16 @@ class TestCrashInvalidation:
         pm = stack.tier_ids["pm"]
         mux.mirrors.add_mirror(inode, pm)
         mux.mirrors.sync_file(inode)
-        assert inode.replicas.clean_blocks() == 16
+        assert _clean_total(inode.replicas) == 16
         mux.close(handle)
 
         mux.crash()
         mux.recover()
         inode = mux.ns.resolve("/f")
         assert inode.replicas is not None
-        assert inode.replicas.clean_blocks() == 0
+        assert _clean_total(inode.replicas) == 0
         assert inode.replicas.stale_blocks() == 16
-        assert fsck.check_mux(mux) == []
+        assert fsck.check_mux(mux, deep=True) == []
 
         # reads fall back to the authoritative copy, and the sync engine
         # re-converges the invalidated mirror afterwards
@@ -361,7 +365,7 @@ class TestLifecycle:
         mux.mirrors.sync_file(inode)
         mux.truncate(handle, 8 * BS)
         assert inode.replicas.clean_runs(stack.tier_ids["pm"]) == [(0, 8)]
-        assert fsck.check_mux(mux) == []
+        assert fsck.check_mux(mux, deep=True) == []
         mux.close(handle)
 
     def test_punch_hole_clears_mirror_coverage(self, stack):
@@ -375,7 +379,7 @@ class TestLifecycle:
         assert inode.replicas.clean_runs(pm) == [(0, 4), (8, 8)]
         got = mux.read(handle, 0, 16 * BS)
         assert got[4 * BS : 8 * BS] == bytes(4 * BS)
-        assert fsck.check_mux(mux) == []
+        assert fsck.check_mux(mux, deep=True) == []
         mux.close(handle)
 
     def test_unlink_forgets_the_mirror_registration(self, stack):
@@ -400,7 +404,7 @@ class TestLifecycle:
         # tier pm now *owns* [0,+8): it cannot also mirror those blocks
         assert inode.replicas.clean_runs(pm) == [(8, 8)]
         assert mux.read(handle, 0, 16 * BS) == pattern(16 * BS)
-        assert fsck.check_mux(mux) == []
+        assert fsck.check_mux(mux, deep=True) == []
         mux.close(handle)
 
     def test_drop_mirror_punches_only_unowned_blocks(self, stack):
@@ -429,7 +433,7 @@ class TestLifecycle:
         mux.evacuate(pm)
         assert inode.replicas is None
         assert mux.read(handle, 0, 16 * BS) == pattern(16 * BS)
-        assert fsck.check_mux(mux) == []
+        assert fsck.check_mux(mux, deep=True) == []
         mux.close(handle)
 
 
@@ -538,7 +542,7 @@ class TestSyncFailure:
         assert mux.mirrors.sync_file(inode) == 0
         assert copies == [0, 8 * BS]
         assert mux.mirrors.stats.get("sync_skipped_offline") == 2
-        assert inode.replicas.clean_blocks() == 0
+        assert _clean_total(inode.replicas) == 0
         assert inode.replicas.stale_blocks() == 16
         assert mux.read(handle, 0, 16 * BS) == pattern(16 * BS)
         assert mux.stats.get("reads_from_mirror") == 0
@@ -557,7 +561,7 @@ class TestSyncFailure:
         assert mux.mirrors.sync_file(inode) == 0
         assert mux.mirrors.stats.get("sync_skipped_offline") == 1
         assert mux.mirrors.stats.get("syncs") == 0
-        assert inode.replicas.clean_blocks() == 0
+        assert _clean_total(inode.replicas) == 0
         assert inode.replicas.stale_blocks() == 16
         assert mux.read(handle, 0, 16 * BS) == pattern(16 * BS)  # from the HDD
         assert mux.stats.get("reads_from_mirror") == 0
@@ -580,7 +584,7 @@ class TestFsckDivergence:
         inode = stack.mux.ns.resolve("/f")
         stack.mux.mirrors.add_mirror(inode, stack.tier_ids["pm"])
         stack.mux.mirrors.sync_file(inode)
-        assert fsck.check_mux(stack.mux) == []
+        assert fsck.check_mux(stack.mux, deep=True) == []
         return stack, inode
 
     def test_clean_and_stale_overlap_detected(self, mirrored):
@@ -588,14 +592,14 @@ class TestFsckDivergence:
         pm = stack.tier_ids["pm"]
         # corrupt the bookkeeping directly: [2,+2) both clean and stale
         inode.replicas._stale[pm].add_range(2, 2)
-        problems = fsck.check_mux(stack.mux)
+        problems = fsck.check_mux(stack.mux, deep=True)
         assert any("both clean and stale" in p for p in problems)
 
     def test_clean_claim_beyond_mapped_range_detected(self, mirrored):
         stack, inode = mirrored
         pm = stack.tier_ids["pm"]
         inode.replicas._clean[pm].add_range(100, 4)
-        problems = fsck.check_mux(stack.mux)
+        problems = fsck.check_mux(stack.mux, deep=True)
         assert any("beyond the mapped range" in p for p in problems)
 
     def test_clean_claim_over_hole_detected(self, mirrored):
@@ -605,7 +609,7 @@ class TestFsckDivergence:
         stack.mux.close(handle)
         pm = stack.tier_ids["pm"]
         inode.replicas._clean[pm].add_range(5, 1)  # claims a punched block
-        problems = fsck.check_mux(stack.mux)
+        problems = fsck.check_mux(stack.mux, deep=True)
         assert any("over a hole" in p for p in problems)
 
     def test_self_mirroring_authority_detected(self, mirrored):
@@ -613,13 +617,13 @@ class TestFsckDivergence:
         hdd = stack.tier_ids["hdd"]  # the authoritative owner
         inode.replicas.add_tier(hdd)
         inode.replicas._clean[hdd].add_range(0, 4)
-        problems = fsck.check_mux(stack.mux)
+        problems = fsck.check_mux(stack.mux, deep=True)
         assert any("owns authoritatively" in p for p in problems)
 
     def test_unknown_tier_reference_detected(self, mirrored):
         stack, inode = mirrored
         inode.replicas.add_tier(77)
-        problems = fsck.check_mux(stack.mux)
+        problems = fsck.check_mux(stack.mux, deep=True)
         assert any("unknown tier 77" in p for p in problems)
 
 
@@ -757,7 +761,7 @@ class TestMaintainIntegration:
                 break
         inode = mux.ns.resolve("/hot")
         assert inode.replicas is not None
-        assert inode.replicas.clean_blocks() == 16
+        assert _clean_total(inode.replicas) == 16
         before = mux.stats.get("reads_from_mirror")
         assert mux.read(handle, 0, 16 * BS) == pattern(16 * BS)
         assert mux.stats.get("reads_from_mirror") == before + 1

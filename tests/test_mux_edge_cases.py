@@ -1,12 +1,14 @@
 """Mux edge cases: removal with a live cache, reads at EOF boundaries,
-plans over deleted files, metafile wraparound."""
+plans over deleted files, metafile wraparound, reserved names."""
 
 import pytest
 
 from repro.core import calibration as cal
 from repro.core.policy import MigrationOrder
+from repro.errors import InvalidArgument
 from repro.stack import build_stack
 from repro.tools.fsck import check_mux
+from repro.vfs.interface import OpenFlags
 
 MIB = 1024 * 1024
 BS = 4096
@@ -24,7 +26,7 @@ class TestTierRemovalWithCache:
         assert mux.cache is None
         # everything still works cache-less
         assert mux.read_file("/f") == bytes(8 * BS)
-        assert check_mux(mux) == []
+        assert check_mux(mux, deep=True) == []
 
 
 class TestEofBoundaries:
@@ -121,3 +123,39 @@ class TestStatsSurfaces:
         assert mux.stats.get("bytes_written") == 1000
         assert mux.stats.get("bytes_read") == 1000
         mux.close(handle)
+
+
+class TestReservedNames:
+    """``.mux_*`` names are Mux's own files on the tiers (the metafile, the
+    SCM cache file): a user name that starts with one is refused."""
+
+    @pytest.mark.parametrize("name", ["/.mux_meta", "/.mux_cache", "/d/.mux_x"])
+    def test_every_new_name_is_refused(self, name):
+        mux = build_stack().mux
+        mux.mkdir("/d")
+        handle = mux.create("/d/f")
+        mux.close(handle)
+        for op in (
+            lambda: mux.create(name),
+            lambda: mux.open(name, OpenFlags.RDWR | OpenFlags.CREAT),
+            lambda: mux.mkdir(name),
+            lambda: mux.rename("/d/f", name),
+        ):
+            with pytest.raises(InvalidArgument, match="reserved"):
+                op()
+        assert mux.readdir("/") == ["d"] and mux.readdir("/d") == ["f"]
+
+    def test_a_user_file_cannot_delete_the_metafile(self):
+        """Creating and unlinking ``/.mux_meta`` used to delete the State
+        Bookkeeper's metafile and wedge every later namespace op."""
+        stack = build_stack()
+        mux = stack.mux
+        with pytest.raises(InvalidArgument):
+            mux.close(mux.create("/.mux_meta"))
+        with pytest.raises(InvalidArgument):
+            mux.close(mux.create("/.mux_cache"))
+        assert stack.vfs.exists("/tiers/pm/.mux_meta")
+        assert stack.vfs.exists("/tiers/pm/.mux_cache")
+        mux.mkdir("/after")
+        mux.close(mux.create("/after/f"))
+        assert check_mux(mux, deep=True) == []

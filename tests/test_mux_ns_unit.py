@@ -30,16 +30,16 @@ class TestResolution:
 
     def test_nested(self, ns):
         ns.mkdir("/a", 1.0, 0o755)
-        inode = ns.create_file("/a/f", 2.0, 0o644, initial_tier=0)
+        inode = ns.create_file("/a/f", 2.0, 0o644, initial_tier=0, blt=None)
         assert ns.resolve("/a/f") is inode
 
     def test_file_as_directory(self, ns):
-        ns.create_file("/f", 1.0, 0o644, initial_tier=0)
+        ns.create_file("/f", 1.0, 0o644, initial_tier=0, blt=None)
         with pytest.raises(NotADirectory):
             ns.resolve("/f/below")
 
     def test_get_by_ino(self, ns):
-        inode = ns.create_file("/f", 1.0, 0o644, initial_tier=0)
+        inode = ns.create_file("/f", 1.0, 0o644, initial_tier=0, blt=None)
         assert ns.get(inode.ino) is inode
         with pytest.raises(FileNotFound):
             ns.get(424242)
@@ -47,13 +47,13 @@ class TestResolution:
 
 class TestMutation:
     def test_create_updates_parent_times(self, ns):
-        ns.create_file("/f", 5.0, 0o644, initial_tier=0)
+        ns.create_file("/f", 5.0, 0o644, initial_tier=0, blt=None)
         assert ns.root.mtime == 5.0
 
     def test_duplicate(self, ns):
-        ns.create_file("/f", 1.0, 0o644, initial_tier=0)
+        ns.create_file("/f", 1.0, 0o644, initial_tier=0, blt=None)
         with pytest.raises(FileExists):
-            ns.create_file("/f", 2.0, 0o644, initial_tier=0)
+            ns.create_file("/f", 2.0, 0o644, initial_tier=0, blt=None)
 
     def test_mkdir_nlink(self, ns):
         base_nlink = ns.root.nlink
@@ -63,7 +63,7 @@ class TestMutation:
         assert ns.root.nlink == base_nlink
 
     def test_unlink_frees_inode(self, ns):
-        inode = ns.create_file("/f", 1.0, 0o644, initial_tier=0)
+        inode = ns.create_file("/f", 1.0, 0o644, initial_tier=0, blt=None)
         ns.unlink("/f", 2.0)
         with pytest.raises(FileNotFound):
             ns.get(inode.ino)
@@ -75,7 +75,7 @@ class TestMutation:
 
     def test_rmdir_nonempty(self, ns):
         ns.mkdir("/d", 1.0, 0o755)
-        ns.create_file("/d/f", 2.0, 0o644, initial_tier=0)
+        ns.create_file("/d/f", 2.0, 0o644, initial_tier=0, blt=None)
         with pytest.raises(DirectoryNotEmpty):
             ns.rmdir("/d", 3.0)
 
@@ -91,7 +91,7 @@ class TestMutation:
             ns.rename("/d", "/d/sub", 2.0)
 
     def test_rename_same_path_is_noop(self, ns):
-        inode = ns.create_file("/f", 1.0, 0o644, initial_tier=0)
+        inode = ns.create_file("/f", 1.0, 0o644, initial_tier=0, blt=None)
         moved, replaced = ns.rename("/f", "/f", 2.0)
         assert moved is inode
         assert replaced is None
@@ -104,27 +104,27 @@ class TestMutation:
 
 class TestIntrospection:
     def test_readdir_sorted(self, ns):
-        ns.create_file("/b", 1.0, 0o644, initial_tier=0)
-        ns.create_file("/a", 1.0, 0o644, initial_tier=0)
+        ns.create_file("/b", 1.0, 0o644, initial_tier=0, blt=None)
+        ns.create_file("/a", 1.0, 0o644, initial_tier=0, blt=None)
         assert ns.readdir("/") == ["a", "b"]
 
     def test_files_iterates_regular_only(self, ns):
         ns.mkdir("/d", 1.0, 0o755)
-        ns.create_file("/f", 1.0, 0o644, initial_tier=0)
+        ns.create_file("/f", 1.0, 0o644, initial_tier=0, blt=None)
         files = list(ns.files())
         assert len(files) == 1
         assert files[0].file_type is FileType.REGULAR
 
     def test_path_of(self, ns):
         ns.mkdir("/a", 1.0, 0o755)
-        inode = ns.create_file("/a/deep", 2.0, 0o644, initial_tier=0)
+        inode = ns.create_file("/a/deep", 2.0, 0o644, initial_tier=0, blt=None)
         assert ns.path_of(inode) == "/a/deep"
         assert ns.path_of(ns.root) == "/"
 
     def test_len_counts_inodes(self, ns):
         assert len(ns) == 1  # root
         ns.mkdir("/d", 1.0, 0o755)
-        ns.create_file("/f", 1.0, 0o644, initial_tier=0)
+        ns.create_file("/f", 1.0, 0o644, initial_tier=0, blt=None)
         assert len(ns) == 3
 
 

@@ -98,7 +98,7 @@ class TestFiveTierHierarchy:
         inode = mux.ns.get(handle.ino)
         assert len(inode.blt.tiers_used()) == 5
         assert mux.read(handle, 0, len(payload)) == payload
-        assert check_mux(mux) == []
+        assert check_mux(mux, deep=True) == []
         mux.close(handle)
 
     def test_archive_tier_charged_realistically(self, five_tier):
@@ -127,7 +127,7 @@ class TestFiveTierHierarchy:
                 stack.tier_id("pm"), stack.tier_id("cxl"),
             )
         )
-        assert check_mux(mux) == []
+        assert check_mux(mux, deep=True) == []
         for mount in ("/tiers/pm", "/tiers/cxl", "/tiers/cold"):
             fs, _ = stack.vfs.resolve(mount)
             assert check_native_fs(fs) == []
@@ -210,7 +210,7 @@ class TestCacheHostIsACapability:
         assert mux.cache.dirty_block_count == 0
         assert stack.devices["hdd"].stats.write_ops > hdd_writes
         mux.close(handle)
-        assert check_mux(mux) == []
+        assert check_mux(mux, deep=True) == []
 
     def test_pm_kind_tier_without_a_dax_path_gets_no_cache(self):
         stack = _slow_stack()

@@ -16,6 +16,7 @@ from repro.core.policy import MigrationOrder
 from repro.core.scheduler import IoScheduler
 from repro.devices.faults import FaultConfig
 from repro.errors import TierUnavailable
+from repro import stack as stack_module
 from repro.stack import build_stack
 
 MIB = 1024 * 1024
@@ -225,13 +226,14 @@ class TestBackgroundMigration:
 
 
 class TestFaultsThroughParallelDispatch:
-    def _faulty_split_stack(self, config, seed=7):
-        stack = build_stack(
-            enable_cache=False,
-            scheduler=IoScheduler(parallel=True),
-            faults={"ssd": config},
-            fault_seed=seed,
-        )
+    def _faulty_split_stack(self, config):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stack_module, "FAULT_SEED", 7)
+            stack = build_stack(
+                enable_cache=False,
+                scheduler=IoScheduler(parallel=True),
+                faults={"ssd": config},
+            )
         mux, handle, blocks = (None, None, 64)
         mux = stack.mux
         handle = mux.create("/split")

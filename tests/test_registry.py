@@ -19,9 +19,9 @@ BS = 4096
 class TestTierRegistry:
     def test_default_rank_by_device_kind(self, nova, xfs, ext4):
         registry = TierRegistry()
-        hdd_tier = registry.add("hdd", ext4, "/h", SEAGATE_EXOS_X18)
-        pm_tier = registry.add("pm", nova, "/p", OPTANE_PMEM_200)
-        ssd_tier = registry.add("ssd", xfs, "/s", OPTANE_SSD_P4800X)
+        hdd_tier = registry.add("hdd", ext4, "/h", SEAGATE_EXOS_X18, None)
+        pm_tier = registry.add("pm", nova, "/p", OPTANE_PMEM_200, None)
+        ssd_tier = registry.add("ssd", xfs, "/s", OPTANE_SSD_P4800X, None)
         assert [t.name for t in registry.ordered()] == ["pm", "ssd", "hdd"]
         assert registry.fastest() is pm_tier
 
@@ -33,13 +33,13 @@ class TestTierRegistry:
 
     def test_duplicate_name_rejected(self, nova, xfs):
         registry = TierRegistry()
-        registry.add("t", nova, "/a", OPTANE_PMEM_200)
+        registry.add("t", nova, "/a", OPTANE_PMEM_200, None)
         with pytest.raises(InvalidArgument):
-            registry.add("t", xfs, "/b", OPTANE_SSD_P4800X)
+            registry.add("t", xfs, "/b", OPTANE_SSD_P4800X, None)
 
     def test_remove(self, nova):
         registry = TierRegistry()
-        tier = registry.add("t", nova, "/a", OPTANE_PMEM_200)
+        tier = registry.add("t", nova, "/a", OPTANE_PMEM_200, None)
         registry.remove(tier.tier_id)
         assert len(registry) == 0
         with pytest.raises(ReproError):
@@ -54,27 +54,27 @@ class TestTierRegistry:
         def rebuilt():
             return {t.tier_id: t.kind for t in registry.ordered()}
 
-        pm = registry.add("pm", nova, "/p", OPTANE_PMEM_200)
-        ssd = registry.add("ssd", xfs, "/s", OPTANE_SSD_P4800X)
+        pm = registry.add("pm", nova, "/p", OPTANE_PMEM_200, None)
+        ssd = registry.add("ssd", xfs, "/s", OPTANE_SSD_P4800X, None)
         assert registry.kinds == rebuilt()
         ssd.rank = -1
         assert registry.kinds == rebuilt()
         registry.remove(pm.tier_id)
         assert registry.kinds == rebuilt() == {ssd.tier_id: ssd.kind}
-        hdd = registry.add("hdd", ext4, "/h", SEAGATE_EXOS_X18)
+        hdd = registry.add("hdd", ext4, "/h", SEAGATE_EXOS_X18, None)
         assert registry.kinds == rebuilt()
         assert registry.kinds[hdd.tier_id] is hdd.kind
 
     def test_by_name(self, nova):
         registry = TierRegistry()
-        tier = registry.add("t", nova, "/a", OPTANE_PMEM_200)
+        tier = registry.add("t", nova, "/a", OPTANE_PMEM_200, None)
         assert registry.by_name("t") is tier
         with pytest.raises(ReproError):
             registry.by_name("ghost")
 
     def test_states(self, nova):
         registry = TierRegistry()
-        registry.add("t", nova, "/a", OPTANE_PMEM_200)
+        registry.add("t", nova, "/a", OPTANE_PMEM_200, None)
         states = [tier.state(None) for tier in registry.ordered()]
         assert len(states) == 1
         assert states[0].free_bytes > 0

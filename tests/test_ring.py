@@ -291,7 +291,7 @@ class TestOccInteraction:
         mux.quiesce_inflight(ha.ino)
         # ops on /b keep flying unless their completion already passed
         assert stack.clock.global_now_ns <= horizon_b
-        mux.quiesce_inflight()
+        ring.quiesce()
         assert ring.inflight() == 0
         mux.close(ha)
         mux.close(hb)

@@ -48,14 +48,14 @@ class TestTaskRunner:
     def test_round_robin_interleaving(self):
         log = []
         runner = TaskRunner()
-        runner.spawn(counting(2, log, "a"))
-        runner.spawn(counting(2, log, "b"))
+        runner.spawn(counting(2, log, "a"), background=False)
+        runner.spawn(counting(2, log, "b"), background=False)
         runner.drain()
         assert log == [("a", 0), ("b", 0), ("a", 1), ("b", 1)]
 
     def test_pending_count(self):
         runner = TaskRunner()
-        runner.spawn(counting(3, [], "a"))
+        runner.spawn(counting(3, [], "a"), background=False)
         assert runner.pending == 1
         runner.drain()
         assert runner.pending == 0
@@ -66,13 +66,13 @@ class TestTaskRunner:
             raise ValueError("x")
 
         runner = TaskRunner()
-        runner.spawn(boom())
+        runner.spawn(boom(), background=False)
         with pytest.raises(ValueError):
             runner.drain()
 
     def test_finished_tasks_reaped(self):
         runner = TaskRunner()
-        runner.spawn(counting(1, [], "a"))
+        runner.spawn(counting(1, [], "a"), background=False)
         runner.drain()
         assert list(runner) == []
 
@@ -109,17 +109,9 @@ class TestTaskNaming:
             yield
 
         a, b = TaskRunner(), TaskRunner()
-        assert a.spawn(gen()).name == "task-1"
-        assert a.spawn(gen()).name == "task-2"
-        assert b.spawn(gen()).name == "task-1"
-
-    def test_explicit_name_still_counts(self):
-        def gen():
-            yield
-
-        runner = TaskRunner()
-        runner.spawn(gen(), name="mig-7-0")
-        assert runner.spawn(gen()).name == "task-2"
+        assert a.spawn(gen(), background=False).name == "task-1"
+        assert a.spawn(gen(), background=False).name == "task-2"
+        assert b.spawn(gen(), background=False).name == "task-1"
 
     def test_bare_task_has_stable_name(self):
         def gen():

@@ -74,7 +74,7 @@ class TestWriteSpill:
     def test_consistent_after_pressure(self, tight_stack):
         stack = tight_stack
         fill_tier(stack, "pm")
-        assert check_mux(stack.mux) == []
+        assert check_mux(stack.mux, deep=True) == []
         for fs in stack.filesystems.values():
             assert check_native_fs(fs) == []
 
@@ -133,7 +133,7 @@ class TestMigrationUnderPressure:
             mux.write(handle, 0, bytes([i]) * (1 * MIB))
             mux.close(handle)
             mux.maintain()
-        assert check_mux(mux) == []
+        assert check_mux(mux, deep=True) == []
         for i in range(8):
             assert mux.read_file(f"/f{i}")[:4] == bytes([i]) * 4
 

@@ -338,7 +338,7 @@ class TestPmRunOps:
                 "pm", FaultConfig(torn_write_p=1.0), DeterministicRng(7)
             )
             if fault == "latched":
-                pm.faults.fail_block(2, read=False)
+                pm.faults.fail_block(2)
             return pm
 
         def outcome(pm, op):

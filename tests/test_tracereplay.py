@@ -18,6 +18,24 @@ from repro.errors import InvalidArgument
 from repro.stack import build_stack
 
 
+def _zipf(**overrides):
+    """A small zipf trace: 16 KiB ops, 6 us mean gap, 80 % reads."""
+    params = dict(
+        files=16, file_bytes=1024 * KIB, io_bytes=16 * KIB, mean_gap_ns=6_000,
+        alpha=1.1, read_fraction=0.8, seed=7,
+    )
+    return zipf_trace(**{**params, **overrides})
+
+
+def _bursty(**overrides):
+    """A small bursty trace: 16 KiB reads every 6 us, 8 x 128 KiB bursts."""
+    params = dict(
+        files=16, file_bytes=1024 * KIB, read_bytes=16 * KIB, read_gap_ns=6_000,
+        write_bytes=128 * KIB, burst_gap_ns=120_000, burst_size=8, alpha=1.1, seed=7,
+    )
+    return bursty_trace(**{**params, **overrides})
+
+
 class TestValidate:
     def _trace(self, ops):
         return BlockTrace(ops, files=2, file_bytes=64 * KIB)
@@ -50,14 +68,14 @@ class TestValidate:
             trace.validate()
 
     def test_truncated_keeps_prefix(self):
-        trace = zipf_trace(duration_ns=1_000_000, files=4, file_bytes=64 * KIB)
+        trace = _zipf(duration_ns=1_000_000, files=4, file_bytes=64 * KIB)
         half = trace.truncated(0.5)
         cutoff = int(trace.duration_ns * 0.5)
         assert half.ops == [op for op in trace.ops if op.arrival_ns <= cutoff]
         assert half.files == trace.files
 
     def test_truncated_fraction_bounds(self):
-        trace = zipf_trace(duration_ns=100_000, files=2, file_bytes=64 * KIB)
+        trace = _zipf(duration_ns=100_000, files=2, file_bytes=64 * KIB)
         for bad in (0.0, -0.1, 1.5):
             with pytest.raises(InvalidArgument):
                 trace.truncated(bad)
@@ -66,17 +84,17 @@ class TestValidate:
 class TestGenerators:
     def test_deterministic_in_seed(self):
         kwargs = dict(duration_ns=1_000_000, files=8, file_bytes=256 * KIB)
-        for gen in (zipf_trace, bursty_trace):
+        for gen in (_zipf, _bursty):
             assert gen(**kwargs).ops == gen(**kwargs).ops
             assert gen(seed=1, **kwargs).ops != gen(seed=2, **kwargs).ops
 
     def test_generated_traces_validate(self):
         kwargs = dict(duration_ns=1_000_000, files=8, file_bytes=256 * KIB)
-        for gen in (zipf_trace, bursty_trace):
+        for gen in (_zipf, _bursty):
             gen(**kwargs).validate()  # raises on any malformed record
 
     def test_bursty_fsyncs_follow_bursts(self):
-        trace = bursty_trace(
+        trace = _bursty(
             duration_ns=2_000_000,
             files=8,
             file_bytes=256 * KIB,
@@ -125,11 +143,13 @@ class TestCanonical:
 
 class TestReplay:
     def test_small_replay_completes_all_ops(self):
-        trace = zipf_trace(
+        trace = _zipf(
             duration_ns=300_000, files=4, file_bytes=128 * KIB, mean_gap_ns=10_000
         )
         stack = build_stack(enable_cache=False)
-        result = replay_trace(stack, trace, ring_depth=8, maintain_every=16)
+        result = replay_trace(
+            stack, trace, ring_depth=8, maintain_every=16, population_tier="ssd"
+        )
         assert result.submitted == len(trace.ops)
         assert result.errors == 0
         mix = trace.op_mix()
@@ -139,7 +159,7 @@ class TestReplay:
         assert stack.clock.now_ns > trace.duration_ns
 
     def test_replay_is_deterministic(self):
-        trace = bursty_trace(
+        trace = _bursty(
             duration_ns=300_000,
             files=4,
             file_bytes=128 * KIB,
@@ -149,7 +169,9 @@ class TestReplay:
         runs = []
         for _ in range(2):
             stack = build_stack(enable_cache=False)
-            result = replay_trace(stack, trace, ring_depth=8)
+            result = replay_trace(
+                stack, trace, ring_depth=8, maintain_every=64, population_tier="ssd"
+            )
             runs.append(
                 (result.percentiles_ns("read"), result.percentiles_ns("write"))
             )

@@ -7,7 +7,7 @@
 
 Runs the commands that *are* the repository's contract — the wallclock
 goldens, muxbench's smoke, the crash explorer, the paper tables, every
-example, the ``bench trace`` variants and the profile smokes — each as a
+example, ``bench trace`` with and without faults and the profile smokes — each as a
 subprocess with ``tests/tools/covhook`` on ``PYTHONPATH``, so a
 ``sitecustomize`` line tracer (``sys.settrace`` + ``threading.settrace``)
 rides along in every interpreter they start.  The per-pid dumps are
@@ -64,9 +64,6 @@ def contract_commands() -> List[List[str]]:
         BENCH,  # the paper tables
         BENCH + ["trace"],
         BENCH + ["trace", "--no-faults"],
-        BENCH + ["trace", "--no-faults", "--cluster"],
-        BENCH + ["trace", "--write-back"],
-        BENCH + ["trace", "--readahead-bg"],
         BENCH + ["profile", "mirror_trace_duel", "--smoke"],
         BENCH + ["profile", "cluster_scaleout", "--smoke"],
         BENCH + ["profile", "parallel_stripe", "--smoke"],
