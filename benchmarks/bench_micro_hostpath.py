@@ -6,8 +6,8 @@ span copy.  ``muxbench`` sees their sum only; these time each piece and,
 where a population could make it slower, grow that population and assert
 the cost stays flat:
 
-* ring submit + reap at depth 1 / 8 / 64 (the in-flight completions a
-  submit scans are bounded by the depth);
+* ring submit + reap at depth 1 / 8 / 64 (a submit bisects the
+  in-flight completions, so the depth adds little);
 * ``SimClock`` push / advance / pop under 0 and 64 enclosing frames;
 * one ``TierFiles._call`` on a healthy tier;
 * a ``PageCache.get_span`` hit in a 256- vs 16,384-page cache;
@@ -15,7 +15,10 @@ the cost stays flat:
   and a 16 KiB ``store_run`` + ``flush_range``;
 * one journal commit (a one-record transaction written to the journal
   region);
-* a dentry-cache hit in Mux's namespace.
+* a dentry-cache hit in Mux's namespace;
+* MOST read routing of one 4-block run of a mirrored file, with its one
+  clean mirror covering the run whole or in part;
+* one pressure sample over the three tiers of the default stack.
 
 These measure *host* time; simulated time only matters to the ring case,
 where it decides how many completions are still in flight.
@@ -25,6 +28,7 @@ import timeit
 
 import pytest
 
+from repro.core.policy import MigrationOrder
 from repro.devices.pm import CACHE_LINE, PersistentMemoryDevice
 from repro.devices.ssd import SolidStateDrive
 from repro.fscommon.journal import Journal
@@ -240,3 +244,58 @@ def test_dentry_hit(benchmark):
     got = benchmark.pedantic(mux.ns.resolve, args=("/d/f",), rounds=50, iterations=200)
     assert got is inode
     assert mux.ns.dcache.hits >= hits + 50 * 200
+
+
+# -- MOST read routing ---------------------------------------------------------------
+
+
+def mirrored_read(cover: str):
+    """A 16-block file whose authority is on the HDD, with a PM mirror
+    that is clean on the whole file (``whole``) or on its first two
+    blocks (``part``); returns the mux, the inode and one read's BLT runs."""
+    stack = build_stack()
+    mux = stack.mux
+    handle = mux.create("/f")
+    mux.write(handle, 0, bytes(16 * BS))
+    inode = mux.ns.get(handle.ino)
+    hdd, pm = stack.tier_ids["hdd"], stack.tier_ids["pm"]
+    for start, count, tier in list(inode.blt.runs(0, 16)):
+        if tier != hdd:
+            mux.engine.migrate_now(MigrationOrder(inode.ino, start, count, tier, hdd))
+    mux.mirrors.add_mirror(inode, pm)
+    if cover == "whole":
+        mux.mirrors.sync_file(inode)
+    else:
+        inode.replicas.mark_synced(pm, 0, 2)
+    return mux, inode, list(inode.blt.runs(0, 4))
+
+
+@pytest.mark.benchmark(group="mirror.route_reads")
+@pytest.mark.parametrize("cover", ["whole", "part"])
+def test_mirror_route_reads(benchmark, cover):
+    mux, inode, runs = mirrored_read(cover)
+    routed = benchmark.pedantic(
+        mux.mirrors.route_reads, args=(inode, runs), rounds=50, iterations=200
+    )
+    pm = mux.registry.by_name("pm").tier_id
+    assert routed[0] == ((0, 4, pm) if cover == "whole" else (0, 2, pm))
+    assert mux.stats.get("reads_from_mirror") >= 50 * 200
+
+
+# -- pressure sample -----------------------------------------------------------------
+
+
+@pytest.mark.benchmark(group="pressure.sample")
+def test_pressure_sample(benchmark):
+    """Every call is an interval later than the last, so each one samples
+    all three tiers (the read path's common case)."""
+    monitor = build_stack().mux.pressure
+    step = monitor.sample_interval_ns
+    now = [0]
+
+    def sample():
+        now[0] += step
+        monitor.sample(now[0])
+
+    benchmark.pedantic(sample, rounds=50, iterations=200)
+    assert all(entry["samples"] >= 50 * 200 for entry in monitor.snapshot().values())

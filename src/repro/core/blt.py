@@ -223,6 +223,9 @@ class ReplicaSet:
 
     All state is host-side interval algebra — no simulated-clock charges —
     and per-tier ``clean`` / ``stale`` sets are disjoint by construction.
+    ``_clean`` is kept in ascending tier order (:meth:`add_tier` re-sorts
+    it, removals keep it), so the read path walks the mirrors in the
+    order :meth:`tiers` reports without sorting per read.
     """
 
     __slots__ = ("_clean", "_stale", "_stale_since")
@@ -238,7 +241,7 @@ class ReplicaSet:
 
     def tiers(self) -> List[int]:
         """Mirror tier ids, ascending."""
-        return sorted(self._clean)
+        return list(self._clean)
 
     def has_tier(self, tier_id: int) -> bool:
         return tier_id in self._clean
@@ -248,6 +251,8 @@ class ReplicaSet:
         if tier_id not in self._clean:
             self._clean[tier_id] = BlockIntervalSet()
             self._stale[tier_id] = BlockIntervalSet()
+            if tier_id < max(self._clean):
+                self._clean = {t: self._clean[t] for t in sorted(self._clean)}
 
     def retire_tier(self, tier_id: int) -> List[Run]:
         """Drop a mirror tier; returns the runs it was tracking."""
@@ -275,14 +280,12 @@ class ReplicaSet:
         """Clean plus stale runs — everything the mirror tier holds bytes for."""
         return normalize_runs(self.clean_runs(tier_id) + self.stale_runs(tier_id))
 
-    def clean_overlap(self, tier_id: int, start: int, count: int) -> List[Run]:
-        """The tier's clean runs inside ``[start, +count)``."""
-        ivals = self._clean.get(tier_id)
-        return ivals.overlap(start, count) if ivals is not None else []
-
     def covers_clean(self, tier_id: int, start: int, count: int) -> bool:
         """True if the tier holds a clean copy of all of ``[start, +count)``."""
-        return sum(n for _, n in self.clean_overlap(tier_id, start, count)) == count
+        if count <= 0:
+            return count == 0
+        ivals = self._clean.get(tier_id)
+        return ivals is not None and ivals.covers(start, count)
 
     # -- state transitions -------------------------------------------------
 
@@ -392,6 +395,7 @@ class ReplicaSet:
 
     def check_invariants(self) -> None:
         assert set(self._clean) == set(self._stale)
+        assert list(self._clean) == sorted(self._clean)
         for tier_id, clean in self._clean.items():
             overlap = intersect_runs(clean.runs(), self._stale[tier_id].runs())
             assert not overlap, (tier_id, overlap)
@@ -413,35 +417,44 @@ def replica_runs(
     the run.  This is the read path's routing substrate: any tier in
     ``{tier} | mirrors`` can serve the run's bytes.  Taking the runs, not
     the BLT, lets the read path walk the BLT once for its lookup cost and
-    its routing.
+    its routing.  A run every mirror either covers cleanly or misses
+    entirely — the common case — is yielded whole without cutting it.
     """
-    mirror_tiers = replicas.tiers() if replicas is not None else ()
+    if replicas is None:
+        for run_start, run_len, tier in runs:
+            yield run_start, run_len, tier, ()
+        return
+    clean = replicas._clean  # ascending tier order
     for run_start, run_len, tier in runs:
-        if tier is None or replicas is None:
+        if tier is None:
             yield run_start, run_len, tier, ()
             continue
-        cover: List[Tuple[int, int, int]] = []  # (start, end, mirror tier)
-        cuts = {run_start, run_start + run_len}
-        for mirror in mirror_tiers:
+        full: List[int] = []
+        for mirror, ivals in clean.items():
             if mirror == tier:
                 continue
-            for s, n in replicas.clean_overlap(mirror, run_start, run_len):
+            if ivals.covers(run_start, run_len):
+                full.append(mirror)
+            elif ivals.overlap(run_start, run_len):
+                break
+        else:
+            yield run_start, run_len, tier, tuple(full)
+            continue
+        # a partial cover: cut the run at every edge of a clean interval
+        # into runs with a uniform mirror set
+        cover: List[Tuple[int, int, int]] = []  # (start, end, mirror tier)
+        cuts = {run_start, run_start + run_len}
+        for mirror, ivals in clean.items():
+            if mirror == tier:
+                continue
+            for s, n in ivals.overlap(run_start, run_len):
                 cover.append((s, s + n, mirror))
                 cuts.add(s)
                 cuts.add(s + n)
-        if not cover:
-            yield run_start, run_len, tier, ()
-            continue
-        if len(cover) == 1 and len(cuts) == 2:
-            # the common case: one mirror covers the whole run cleanly
-            yield run_start, run_len, tier, (cover[0][2],)
-            continue
         pts = sorted(cuts)
         pending: Optional[Tuple[int, int, Tuple[int, ...]]] = None
         for a, b in zip(pts, pts[1:]):
-            mirrors = tuple(
-                sorted(m for s, e, m in cover if s <= a and b <= e)
-            )
+            mirrors = tuple(m for s, e, m in cover if s <= a and b <= e)
             if pending is not None and pending[2] == mirrors and pending[1] == a:
                 pending = (pending[0], b, mirrors)
             else:

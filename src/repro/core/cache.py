@@ -80,6 +80,9 @@ class ScmCacheManager:
         #: ino -> dirty (written-back-pending) blocks; always a subset of
         #: the cached blocks of that ino
         self._dirty: Dict[int, BlockIntervalSet] = {}
+        #: blocks in all of ``_dirty``, kept in step where a block turns
+        #: dirty or clean (the pressure monitor reads it on every sample)
+        self.dirty_block_count = 0
         #: installed by Mux once it can route destage writes to tiers
         self.destage_fn: Optional[DestageFn] = None
         #: installed by Mux: called with (ino, [(fb, count)]) whenever an
@@ -301,7 +304,8 @@ class ScmCacheManager:
         )
         self._mglru.touch(key)
         self._map.store(slot, offset, bytes(data))
-        self._dirty.setdefault(ino, BlockIntervalSet()).add(file_block)
+        dirty = self._dirty.setdefault(ino, BlockIntervalSet())
+        self.dirty_block_count += dirty.add(file_block)
         self.stats.add("write_hit")
         return True
 
@@ -323,16 +327,12 @@ class ScmCacheManager:
         """Inos with at least one dirty block, ascending."""
         return sorted(self._dirty)
 
-    @property
-    def dirty_block_count(self) -> int:
-        return sum(len(d) for d in self._dirty.values())
-
     def mark_clean(self, ino: int, first_block: int, count: int) -> None:
         """Clear dirty marks after a destage persisted the blocks."""
         dirty = self._dirty.get(ino)
         if dirty is None:
             return
-        dirty.remove_range(first_block, count)
+        self.dirty_block_count -= dirty.remove_range(first_block, count)
         if not dirty:
             del self._dirty[ino]
 
@@ -391,7 +391,7 @@ class ScmCacheManager:
         self._index_remove(ino, file_block)
         dirty = self._dirty.get(ino)
         if dirty is not None:
-            dirty.remove_range(file_block, 1)
+            self.dirty_block_count -= dirty.remove_range(file_block, 1)
             if not dirty:
                 del self._dirty[ino]
         self.stats.add("invalidate")
@@ -423,7 +423,9 @@ class ScmCacheManager:
         blocks = self._by_ino.get(ino)
         self._lost.pop(ino, None)  # dead file: its lost intervals are moot
         if not blocks:
-            self._dirty.pop(ino, None)  # defensive: orphaned marks die too
+            orphaned = self._dirty.pop(ino, None)  # defensive: they die too
+            if orphaned is not None:
+                self.dirty_block_count -= len(orphaned)
             return 0
         targets = sorted(blocks)
         for fb in targets:
@@ -460,6 +462,7 @@ class ScmCacheManager:
         assert indexed == set(self._slots)
         assert all(self._by_ino.values()), "index keeps no empty entries"
         # dirty blocks are cache-resident and only exist in write-back mode
+        assert self.dirty_block_count == sum(len(d) for d in self._dirty.values())
         for ino, dirty in self._dirty.items():
             assert dirty, "no empty dirty sets"
             assert self.write_back

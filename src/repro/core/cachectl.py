@@ -166,23 +166,7 @@ class CacheController:
         bs = cache.block_size
         ino = inode.ino
         first_fb = req.offset // bs
-        last_fb = (req.offset + req.length - 1) // bs
-
-        def flush_misses(start_fb: int, n: int) -> None:
-            cache.note_misses(n)
-            # one read for the whole contiguous miss run, sized to the
-            # file so we never ask the tier to read past EOF
-            want = min(n * bs, inode.size - start_fb * bs)
-            raw = self.files.read(inode, req.tier_id, start_fb * bs, want)
-            if len(raw) < n * bs:
-                raw += bytes(n * bs - len(raw))
-            cache.put_many(ino, start_fb, raw)
-            lo = max(req.offset, start_fb * bs)
-            hi = min(req.offset + req.length, (start_fb + n) * bs)
-            dst = req.buffer_offset + (lo - req.offset)
-            out[dst : dst + hi - lo] = raw[lo - start_fb * bs : hi - start_fb * bs]
-
-        end_fb = last_fb + 1
+        end_fb = (req.offset + req.length - 1) // bs + 1
         pending: Optional[Tuple[int, int]] = None
         layout = cache.span_cached(ino, first_fb, end_fb - first_fb)
         idx = 0
@@ -194,7 +178,7 @@ class CacheController:
                 continue
             if pending is not None:
                 self._copy_block(cache.get(ino, start), start, req, out)
-                flush_misses(*pending)
+                self._fill(inode, req, out, *pending)
                 pending = None
                 # the fill may have evicted later blocks of this span
                 if start + 1 < end_fb:
@@ -205,7 +189,31 @@ class CacheController:
                 continue
             self._hit_run(ino, start, n, req, out)
         if pending is not None:
-            flush_misses(*pending)
+            self._fill(inode, req, out, *pending)
+
+    def _fill(
+        self,
+        inode: CollectiveInode,
+        req: SubRequest,
+        out: bytearray,
+        start_fb: int,
+        n: int,
+    ) -> None:
+        """Serve a contiguous miss run of ``req``: one tier read for the
+        whole run, sized to the file so the tier never reads past EOF,
+        put into the cache and copied into ``out``."""
+        cache = self.cache
+        bs = cache.block_size
+        cache.note_misses(n)
+        want = min(n * bs, inode.size - start_fb * bs)
+        raw = self.files.read(inode, req.tier_id, start_fb * bs, want)
+        if len(raw) < n * bs:
+            raw += bytes(n * bs - len(raw))
+        cache.put_many(inode.ino, start_fb, raw)
+        lo = max(req.offset, start_fb * bs)
+        hi = min(req.offset + req.length, (start_fb + n) * bs)
+        dst = req.buffer_offset + (lo - req.offset)
+        out[dst : dst + hi - lo] = raw[lo - start_fb * bs : hi - start_fb * bs]
 
     def _hit_run(
         self, ino: int, fb: int, run: int, req: SubRequest, out: bytearray

@@ -20,6 +20,9 @@ Run = Tuple[int, int]
 #: an interval as half-open (start, end)
 Interval = Tuple[int, int]
 
+#: sorts after every ``(start, end)`` interval with the same start
+_AFTER_ANY_END = float("inf")
+
 
 class BlockIntervalSet:
     """A mutable set of block numbers stored as disjoint intervals.
@@ -38,26 +41,29 @@ class BlockIntervalSet:
 
     # -- mutation ---------------------------------------------------------
 
-    def add(self, block: int) -> None:
-        self.add_range(block, 1)
+    def add(self, block: int) -> int:
+        return self.add_range(block, 1)
 
-    def add_range(self, start: int, count: int) -> None:
-        """Insert ``[start, start+count)``, merging with neighbours."""
+    def add_range(self, start: int, count: int) -> int:
+        """Insert ``[start, start+count)``, merging with neighbours;
+        returns how many of its blocks were not in the set before."""
         if count <= 0:
-            return
+            return 0
         end = start + count
         ivals = self._ivals
         if not ivals:
             ivals.append((start, end))
-            return
+            return count
         # common case on sequential write streams: extend/append at the tail
         last_start, last_end = ivals[-1]
         if start >= last_start:
             if start > last_end:
                 ivals.append((start, end))
-            elif end > last_end:
+                return count
+            if end > last_end:
                 ivals[-1] = (last_start, end)
-            return
+                return end - last_end
+            return 0
         # general case: binary search for the insertion point, then merge
         lo, hi = 0, len(ivals)
         while lo < hi:
@@ -69,16 +75,21 @@ class BlockIntervalSet:
         first = lo
         new_start, new_end = start, end
         last = first
+        covered = 0  # blocks of the merged intervals, all in the union
         while last < len(ivals) and ivals[last][0] <= new_end:
-            new_start = min(new_start, ivals[last][0])
-            new_end = max(new_end, ivals[last][1])
+            s, e = ivals[last]
+            covered += e - s
+            new_start = min(new_start, s)
+            new_end = max(new_end, e)
             last += 1
         ivals[first:last] = [(new_start, new_end)]
+        return new_end - new_start - covered
 
-    def remove_range(self, start: int, count: int) -> None:
-        """Remove ``[start, start+count)``, splitting intervals as needed."""
+    def remove_range(self, start: int, count: int) -> int:
+        """Remove ``[start, start+count)``, splitting intervals as needed;
+        returns how many blocks were in the set."""
         if count <= 0:
-            return
+            return 0
         end = start + count
         ivals = self._ivals
         lo, hi = 0, len(ivals)
@@ -90,9 +101,11 @@ class BlockIntervalSet:
                 hi = mid
         first = lo
         last = first
+        removed = 0
         replacement: List[Interval] = []
         while last < len(ivals) and ivals[last][0] < end:
             s, e = ivals[last]
+            removed += (e if e < end else end) - (s if s > start else start)
             if s < start:
                 replacement.append((s, start))
             if e > end:
@@ -100,6 +113,7 @@ class BlockIntervalSet:
             last += 1
         if last > first:
             ivals[first:last] = replacement
+        return removed
 
     def clear(self) -> None:
         self._ivals.clear()
@@ -133,6 +147,13 @@ class BlockIntervalSet:
             out.append((s, e - s))
             i += 1
         return out
+
+    def covers(self, start: int, count: int) -> bool:
+        """True if every block of ``[start, start+count)`` is in the set:
+        one bisection, because touching intervals are always merged."""
+        ivals = self._ivals
+        i = bisect_right(ivals, (start, _AFTER_ANY_END)) - 1
+        return i >= 0 and ivals[i][1] >= start + count
 
     def __contains__(self, block: int) -> bool:
         ivals = self._ivals

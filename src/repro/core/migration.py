@@ -206,6 +206,8 @@ class MigrationEngine:
         after :data:`MAX_BOOKAHEAD_STALLS` consecutive gated ticks, so
         ticking under a static clock still makes progress.
         """
+        if self.runner.idle:
+            return 0
         horizon = self._mux.clock.global_now_ns + self.MAX_BOOKAHEAD_NS
 
         def gate(task) -> bool:

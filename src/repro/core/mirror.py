@@ -41,6 +41,14 @@ from repro.errors import FileNotFound, TierUnavailable
 from repro.sim.stats import CounterSet
 
 
+def _route_key(tier) -> Tuple[int, int]:
+    """A read's preference for ``tier``: (health class, rank), lower wins."""
+    state = tier.health.state
+    if state is HealthState.OFFLINE:
+        return (2, tier.rank)
+    return (1 if state is HealthState.SUSPECT else 0, tier.rank)
+
+
 class MirrorEngine:
     """Copies stale mirror intervals back into sync, lazily."""
 
@@ -170,28 +178,29 @@ class MirrorEngine:
         never inflates the sub-request count for uniform placement.
         """
         registry = self._mux.registry
-
-        def route_key(tier_id: int) -> Tuple[int, int]:
-            tier = registry.get(tier_id)
-            if tier.health.is_offline:
-                hclass = 2
-            elif tier.health.state is HealthState.SUSPECT:
-                hclass = 1
-            else:
-                hclass = 0
-            return (hclass, tier.rank)
-
+        #: tier id -> (health class, rank), ranked at most once per read
+        keys: Dict[int, Tuple[int, int]] = {}
         routed: List[Tuple[int, int, Optional[int]]] = []
         for start, n, tid, mirrors in replica_runs(runs, inode.replicas):
             chosen = tid
-            if tid is not None and mirrors:
-                live = [m for m in mirrors if registry.maybe_get(m)]
-                if live:
-                    chosen = min([tid] + live, key=route_key)
-                    if chosen != tid:
-                        self._mux.stats.add("reads_from_mirror")
-                        if route_key(tid)[0] > 0:
-                            self._mux.stats.add("reads_degraded_mirror")
+            owner_key = None
+            for mirror in mirrors:
+                key = keys.get(mirror)
+                if key is None:
+                    tier = registry.maybe_get(mirror)
+                    if tier is None:
+                        continue  # a mirror on a departed tier serves nothing
+                    key = keys[mirror] = _route_key(tier)
+                if owner_key is None:
+                    owner_key = best = keys.get(tid)
+                    if owner_key is None:
+                        owner_key = best = keys[tid] = _route_key(registry.get(tid))
+                if key < best:
+                    chosen, best = mirror, key
+            if chosen != tid:
+                self._mux.stats.add("reads_from_mirror")
+                if owner_key[0] > 0:
+                    self._mux.stats.add("reads_degraded_mirror")
             if (
                 routed
                 and routed[-1][2] == chosen

@@ -333,7 +333,9 @@ class MuxFileSystem(FileSystem):
             return
         self.meta.rehome(self.registry.fastest().fs)
         host = self.cachectl.provision(self.block_size)
-        if host is not None:
+        if host is not None and self.cachectl.write_back:
+            # only an absorbing cache holds dirty blocks: any other reads a
+            # dirty fraction of 0.0, the gauge's value when it is not set
             self.pressure.set_dirty_gauge(host, self.cachectl.dirty_fraction)
 
     def tier_ids(self) -> List[int]:
@@ -577,12 +579,15 @@ class MuxFileSystem(FileSystem):
         inode = self.ns.get(handle.ino)
         if inode.is_dir:
             raise IsADirectory(f"mux: read from directory {handle.path!r}")
-        self.clock.advance_ns(cal.MUX_OP_BASE_NS + cal.MUX_OCC_CHECK_NS)
+        # the read's charges are non-negative constants and BLT lookup
+        # costs, added to the clock's cursor in place
+        clock = self.clock
+        clock.now_ns += cal.MUX_OP_BASE_NS + cal.MUX_OCC_CHECK_NS
         # keep the pressure gauges fresh on the read path too — reads are
         # the majority op, and a burst the policy only notices at the next
         # *write* is a burst it dodges one burst too late.  Sampling is
         # interval-gated host work: no simulated time, no rng.
-        self.pressure.sample(self.clock.global_now_ns)
+        self.pressure.sample(clock.global_now_ns)
         if offset >= inode.size or length == 0:
             return b""
         length = min(length, inode.size - offset)
@@ -591,9 +596,7 @@ class MuxFileSystem(FileSystem):
         first_fb = offset // self.block_size
         last_fb = (offset + length - 1) // self.block_size
         runs = list(inode.blt.runs(first_fb, last_fb - first_fb + 1))
-        self.clock.advance_ns(
-            inode.blt.lookup_cost_ns(len(runs), last_fb - first_fb + 1)
-        )
+        clock.now_ns += inode.blt.lookup_cost_ns(len(runs), last_fb - first_fb + 1)
         if inode.replicas is not None:
             # MOST routing: each span serves from the fastest tier holding
             # a clean replica; an unhealthy authoritative owner fails over
@@ -627,37 +630,44 @@ class MuxFileSystem(FileSystem):
                     f"blocks of {handle.path!r} live on offline tier {tier.name!r}"
                 )
 
+        # dispatch: :meth:`_fan_out`'s model, inline so that a read makes
+        # no closures — keep the two in step
         out = bytearray(length)
-
-        def served(req: SubRequest) -> None:
+        overlap = self.scheduler.parallel and len(plan) > 1
+        completions: List[int] = []
+        for req in plan:
+            clock.now_ns += cal.MUX_DISPATCH_NS
+            if overlap:
+                clock.push_frame()
+                try:
+                    self.cachectl.read_span(inode, req, out)
+                finally:
+                    completions.append(clock.pop_frame())
+            else:
+                self.cachectl.read_span(inode, req, out)
             self.policy.on_access(
                 inode.ino,
                 req.offset // self.block_size,
                 -(-req.length // self.block_size),
                 req.tier_id,
                 "read",
-                self.clock.now(),
+                clock.now(),
             )
-
-        self._fan_out(
-            plan,
-            lambda req: self.cachectl.read_span(inode, req, out),
-            cal.MUX_DISPATCH_NS,
-            served,
-        )
+        if completions:
+            clock.advance_to(max(completions))
 
         # metadata affinity: the FS fetching the last block owns atime (§2.3)
-        now = self.clock.now()
+        now = clock.now()
         inode.atime = now
         if plan:
             inode.affinity.set_owner("atime", plan[-1].tier_id)
-        self.clock.advance_ns(cal.MUX_AFFINITY_NS)
+        clock.now_ns += cal.MUX_AFFINITY_NS
         self.meta.note(1)
         self.stats.add("read")
         self.stats.add("bytes_read", length)
         return bytes(out)
 
-    def _fan_out(self, requests, run, dispatch_ns: int = 0, after=None) -> list:
+    def _fan_out(self, requests, run, dispatch_ns: int = 0) -> list:
         """``run`` each per-tier sub-request of one op; returns the results.
 
         Parallel dispatch: with more than one sub-request each runs in its
@@ -665,9 +675,9 @@ class MuxFileSystem(FileSystem):
         different tiers overlap and the op completes at the max of their
         completions.  A single sub-request, or the serial scheduler, runs
         inline on the caller's clock.  ``dispatch_ns`` is charged before
-        each sub-request and ``after(request)`` runs once it returns —
-        both on the caller's clock, never in the frame: dispatch CPU cost
-        stays serial (Mux submits one at a time).
+        each sub-request on the caller's clock, never in the frame:
+        dispatch CPU cost stays serial (Mux submits one at a time).
+        :meth:`read` runs the same model inline; keep the two in step.
         """
         clock = self.clock
         overlap = self.scheduler.parallel and len(requests) > 1
@@ -684,8 +694,6 @@ class MuxFileSystem(FileSystem):
                     completions.append(clock.pop_frame())
             else:
                 results.append(run(request))
-            if after is not None:
-                after(request)
         if completions:
             clock.advance_to(max(completions))
         return results

@@ -91,6 +91,12 @@ class PressureMonitor:
     placement stays cheap, and only updates the gauges: the immutable
     :class:`TierPressure` a policy sees is built by :meth:`pressure_of`
     the first time a sample is read, then shared until the next one.
+
+    Invariant: ``_next_due_ns`` is never later than the first instant at
+    which some tier's gate opens (``last_sample_ns + sample_interval_ns``,
+    or at once for a tier never sampled).  A call before it returns after
+    one comparison; any other call walks the tiers and gates each one as
+    before, so which tiers sample, and when, is unchanged.
     """
 
     #: weight of the newest sample in each EWMA gauge
@@ -98,9 +104,12 @@ class PressureMonitor:
 
     def __init__(self) -> None:
         #: minimum simulated time between two samples of a tier; the
-        #: stack builder may shorten it (``pressure_interval_ns``)
+        #: stack builder may shorten it (``pressure_interval_ns``) before
+        #: the first sample
         self.sample_interval_ns = 20_000
         self._tiers: Dict[int, _TierGauges] = {}
+        #: no tier's sample is due before this instant (class docstring)
+        self._next_due_ns = 0
         #: tier hosting the write-back cache -> dirty-fraction gauge
         self._dirty_tier: Optional[int] = None
         self._dirty_fn: Optional[Callable[[], float]] = None
@@ -110,6 +119,7 @@ class PressureMonitor:
     def attach(self, tier_id: int, hint) -> None:
         """Track one tier's load hint."""
         self._tiers[tier_id] = _TierGauges(hint)
+        self._next_due_ns = 0  # a new tier samples at the next call
 
     def detach(self, tier_id: int) -> None:
         self._tiers.pop(tier_id, None)
@@ -130,11 +140,17 @@ class PressureMonitor:
         Pure host-side: no simulated time is charged and no randomness
         is consumed, so fingerprints cannot drift from sampling.
         """
+        if now_ns < self._next_due_ns and not force:
+            return
         alpha = self.ALPHA
+        next_due = now_ns + self.sample_interval_ns  # a tier sampled now
         for tier_id, g in self._tiers.items():
             if g.last_sample_ns >= 0:
                 dt = now_ns - g.last_sample_ns
                 if dt < self.sample_interval_ns and not force:
+                    next_due = min(
+                        next_due, g.last_sample_ns + self.sample_interval_ns
+                    )
                     continue
             else:
                 dt = 0
@@ -160,6 +176,7 @@ class PressureMonitor:
             if tier_id == self._dirty_tier and self._dirty_fn is not None:
                 g.dirty = self._dirty_fn()
             g.snapshot_obj = None
+        self._next_due_ns = next_due
 
     # -- reading -----------------------------------------------------------
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import errno as _errno
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, List, NamedTuple, Optional
@@ -51,6 +52,9 @@ from repro.vfs.interface import FileHandle
 
 #: reap order: completion time, then submission order for ties
 _REAP_ORDER = attrgetter("completed_ns", "seq")
+#: sorts after every reap key of the same instant: ``bisect_right(pending,
+#: (t, _AFTER_ALL), key=_REAP_ORDER)`` counts the completions due by ``t``
+_AFTER_ALL = float("inf")
 
 
 class Submission(NamedTuple):
@@ -107,6 +111,14 @@ class IoRing:
     unregisters it.  With the scheduler's ``parallel`` flag off (the
     serial ablation) submissions execute on the global clock and nothing
     overlaps — the ring degenerates to a queue of already-done ops.
+
+    Invariant: ``_pending`` holds every unreaped completion sorted in reap
+    order, ``(completed_ns, seq)``.  Every question the ring asks of it is
+    one bisection at an instant ``t``: the completions at or before ``t``
+    are due (``poll`` reaps that prefix), the ones after it are in flight
+    (their count is the backpressure test, and the first of them is the
+    earliest completion a full ring stalls for).  Submit and poll
+    therefore search the ring with one bisection, not one pass over it.
     """
 
     def __init__(self, mux, depth: int) -> None:
@@ -116,7 +128,7 @@ class IoRing:
         self.depth = depth
         self.clock = mux.clock
         self._next_seq = 0
-        #: completions not yet reaped by wait/drain/poll, submit order
+        #: unreaped completions in reap order
         self._pending: List[Completion] = []
         self.closed = False
         # lifetime counters (surfaced via snapshot; deterministic)
@@ -145,24 +157,19 @@ class IoRing:
         if self.closed:
             raise InvalidArgument("submit on a closed ring")
         clock = self.clock
-        # SQE build + doorbell: foreground cost, serializes submissions
-        clock.advance_ns(cal.RING_SUBMIT_NS)
+        # SQE build + doorbell: foreground cost, serializes submissions (a
+        # constant charge, added to the cursor in place)
+        clock.now_ns += cal.RING_SUBMIT_NS
         # ring-full backpressure: stall until the earliest in-flight op
         # completes (its CQE stays queued for the user to reap)
+        pending = self._pending
         while True:
-            horizon = clock.now_ns
-            inflight = 0
-            earliest = None
-            for c in self._pending:
-                done = c.completed_ns
-                if done > horizon:
-                    inflight += 1
-                    if earliest is None or done < earliest:
-                        earliest = done
+            due = bisect_right(pending, (clock.now_ns, _AFTER_ALL), key=_REAP_ORDER)
+            inflight = len(pending) - due
             if inflight < self.depth:
                 break
             self.backpressure_waits += 1
-            clock.advance_to(earliest)
+            clock.advance_to(pending[due].completed_ns)
         seq = self._next_seq
         self._next_seq += 1
         submitted_ns = clock.now_ns
@@ -177,8 +184,12 @@ class IoRing:
             error = exc
         finally:
             completed_ns = clock.pop_frame() if overlap else clock.now_ns
-        self._pending.append(
-            Completion(seq, op, ino, submitted_ns, completed_ns, result, error)
+        # the op may have drained the ring: queue on the current list; the
+        # newest seq sorts after every tie
+        insort(
+            self._pending,
+            Completion(seq, op, ino, submitted_ns, completed_ns, result, error),
+            key=_REAP_ORDER,
         )
         self.submitted += 1
         self.mux.scheduler.ring_ops += 1
@@ -195,18 +206,19 @@ class IoRing:
 
     def inflight(self, ino: Optional[int] = None) -> int:
         """Unreaped ops still completing after the current instant."""
-        now = self.clock.global_now_ns
-        return sum(
-            1
-            for c in self._pending
-            if c.completed_ns > now and (ino is None or c.ino == ino)
+        pending = self._pending
+        due = bisect_right(
+            pending, (self.clock.global_now_ns, _AFTER_ALL), key=_REAP_ORDER
         )
+        if ino is None:
+            return len(pending) - due
+        return sum(1 for c in pending[due:] if c.ino == ino)
 
     def _reap(self, completions: List[Completion]) -> List[Completion]:
         """Count ``completions`` (already off ``_pending``) as reaped."""
         if completions:
             self.reaped += len(completions)
-            self.clock.advance_ns(cal.RING_REAP_NS * len(completions))
+            self.clock.now_ns += cal.RING_REAP_NS * len(completions)
         return completions
 
     def wait(self, submission: Optional[Submission] = None) -> Completion:
@@ -217,20 +229,21 @@ class IoRing:
         error (if any) is *not* raised — check ``Completion.error`` or
         call :meth:`Completion.unwrap`.
         """
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             raise InvalidArgument("wait on an empty ring")
         if submission is None:
-            target = min(self._pending, key=_REAP_ORDER)
+            index = 0
         else:
-            target = next(
-                (c for c in self._pending if c.seq == submission.seq), None
+            index = next(
+                (i for i, c in enumerate(pending) if c.seq == submission.seq), None
             )
-            if target is None:
+            if index is None:
                 raise InvalidArgument(
                     f"submission #{submission.seq} is not pending on this ring"
                 )
+        target = pending.pop(index)
         self.clock.advance_to(target.completed_ns)
-        self._pending.remove(target)
         return self._reap([target])[0]
 
     def poll(self) -> List[Completion]:
@@ -239,25 +252,19 @@ class IoRing:
         Returns ``(completed_ns, seq)``-ordered completions whose time
         has passed; an empty list if everything is still in flight.
         """
-        now = self.clock.now_ns
         pending = self._pending
-        due = [c for c in pending if c.completed_ns <= now]
-        if not due:
-            return due
-        if len(due) == len(pending):
-            self._pending = []
-        else:
-            self._pending = [c for c in pending if c.completed_ns > now]
-        due.sort(key=_REAP_ORDER)
-        return self._reap(due)
+        due = bisect_right(pending, (self.clock.now_ns, _AFTER_ALL), key=_REAP_ORDER)
+        completions = pending[:due]
+        del pending[:due]
+        return self._reap(completions)
 
     def drain(self) -> List[Completion]:
         """Reap everything, advancing the clock to the last completion."""
-        out = sorted(self._pending, key=_REAP_ORDER)
+        completions = self._pending
         self._pending = []
-        if out:
-            self.clock.advance_to(out[-1].completed_ns)
-        return self._reap(out)
+        if completions:
+            self.clock.advance_to(completions[-1].completed_ns)
+        return self._reap(completions)
 
     def quiesce(self, ino: Optional[int] = None) -> None:
         """Wait (on the global clock) for in-flight ops to finish.

@@ -23,6 +23,14 @@ from typing import Dict, List
 from repro.devices.profile import DeviceKind
 
 
+#: device classes fastest first, the scheduler's tier order
+_KIND_RANK = {
+    DeviceKind.PERSISTENT_MEMORY: 0,
+    DeviceKind.SOLID_STATE: 1,
+    DeviceKind.HARD_DISK: 2,
+}
+
+
 @dataclass
 class SubRequest:
     """One delegated span of a split user I/O."""
@@ -119,13 +127,8 @@ class IoScheduler:
         flip = -1 if self.parallel else 1
 
         def sort_key(req: SubRequest):
-            kind = tier_kinds.get(req.tier_id, DeviceKind.SOLID_STATE)
             # tier rank by dispatch model; then elevator order within tier
-            rank = {
-                DeviceKind.PERSISTENT_MEMORY: 0,
-                DeviceKind.SOLID_STATE: 1,
-                DeviceKind.HARD_DISK: 2,
-            }[kind]
+            rank = _KIND_RANK[tier_kinds.get(req.tier_id, DeviceKind.SOLID_STATE)]
             return (flip * rank, req.tier_id, req.offset)
 
         ordered = sorted(subrequests, key=sort_key)

@@ -138,24 +138,44 @@ class BitmapAllocator:
         start, _ = self.alloc_run(1, None)
         return start
 
+    def _span(self, start: int, count: int) -> Tuple[int, int]:
+        """Bitmap indexes ``[lo, hi)`` of a run that must lie in range."""
+        if start < self.base:
+            raise DeviceError(f"block {start} outside allocator range")
+        end = self.base + self.count
+        if start + count > end:
+            raise DeviceError(f"block {max(start, end)} outside allocator range")
+        return start - self.base, start - self.base + count
+
     def mark_allocated(self, start: int, count: int) -> None:
         """Force-mark a run allocated (recovery scans rebuilding the bitmap
-        from inode block maps; already-set bits are left alone)."""
-        for block in range(start, start + count):
-            idx = self._index(block)
-            if not self._bitmap[idx]:
-                self._bitmap[idx] = 1
-                self._free -= 1
+        from inode block maps; already-set bits are left alone).  All or
+        nothing: a run reaching outside the range changes no bit."""
+        if count <= 0:
+            return
+        lo, hi = self._span(start, count)
+        self._free -= hi - lo - self._bitmap.count(1, lo, hi)
+        self._bitmap[lo:hi] = b"\x01" * (hi - lo)
 
     # -- freeing ---------------------------------------------------------------
 
+    def _check_free_run(self, start: int, count: int) -> None:
+        """Raise what :meth:`free_run` would raise, changing nothing."""
+        lo, hi = self._span(start, count)
+        free = self._bitmap.find(0, lo, hi)
+        if free >= 0:
+            raise DeviceError(f"double free of block {self.base + free}")
+
     def free_run(self, start: int, count: int = 1) -> None:
-        """Free ``count`` blocks starting at ``start`` (must be allocated)."""
-        for block in range(start, start + count):
-            idx = self._index(block)
-            if not self._bitmap[idx]:
-                raise DeviceError(f"double free of block {block}")
-            self._bitmap[idx] = 0
+        """Free ``count`` blocks starting at ``start`` (must be allocated).
+
+        All or nothing: a run with a block out of range or already free
+        raises before any bit or the free count changes."""
+        if count <= 0:
+            return
+        self._check_free_run(start, count)
+        lo = start - self.base
+        self._bitmap[lo : lo + count] = bytes(count)
         self._free += count
 
     # -- invariants ---------------------------------------------------------------
@@ -236,11 +256,16 @@ class AllocationGroups:
                 raise DeviceError(f"block {block} outside all allocation groups")
 
     def free_run(self, start: int, count: int = 1) -> None:
-        """Free a run, routing each span to its owning group."""
-        for group, block, span in self._spans(start, count):
+        """Free a run, routing each span to its owning group.  All or
+        nothing: every span is checked before any group changes."""
+        spans = list(self._spans(start, count))
+        for group, block, span in spans:
+            group._check_free_run(block, span)
+        for group, block, span in spans:
             group.free_run(block, span)
 
     def mark_allocated(self, start: int, count: int) -> None:
-        """Force-mark a run allocated, routing each span to its owning group."""
-        for group, block, span in self._spans(start, count):
+        """Force-mark a run allocated, routing each span to its owning
+        group; a run reaching outside every group changes nothing."""
+        for group, block, span in list(self._spans(start, count)):
             group.mark_allocated(block, span)

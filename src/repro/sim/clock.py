@@ -60,7 +60,9 @@ class SimClock:
     pair and :meth:`pop_frame` restores it; an outer cursor cannot move
     while a frame above it is active (only :meth:`resume_frames` pulls
     saved cursors up to the global clock).  Writing ``now_ns`` directly
-    bypasses the monotonicity check: use the ``advance_*`` methods.
+    bypasses the monotonicity check: use the ``advance_*`` methods — the
+    one exception is Mux's per-op hot path (``repro.core``), which adds
+    charges that are non-negative by construction to ``now_ns`` in place.
     """
 
     __slots__ = ("now_ns", "in_background", "_saved")

@@ -132,6 +132,11 @@ class TaskRunner:
     def pending(self) -> int:
         return sum(1 for t in self._tasks if not t.done)
 
+    @property
+    def idle(self) -> bool:
+        """No task is registered: :meth:`tick` would step nothing."""
+        return not self._tasks
+
     def tick(self, gate: Optional[Callable[[Task], bool]] = None) -> int:
         """Advance every live task by one step; returns live-task count.
 

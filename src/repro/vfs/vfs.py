@@ -14,7 +14,6 @@ the per-call software overhead of the VFS path.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Tuple
 
 from repro.errors import CrossDevice, FileNotFound, InvalidArgument, NotADirectory
@@ -32,16 +31,9 @@ DISPATCH_COST_NS = 300
 class VFS:
     """Mount table and uniform entry point for all file operations."""
 
-    #: bound on the resolve memo (mount-table lookups are pure functions of
-    #: the mount table, so entries only die on mount/unmount)
-    RESOLVE_CACHE_SIZE = 4096
-
     def __init__(self, clock: SimClock) -> None:
         self.clock = clock
         self._mounts: Dict[str, FileSystem] = {}
-        #: canonical path -> (fs, inner path); a memo of resolve() results.
-        #: Purely host-side: no simulated cost depends on it.
-        self._resolve_cache: "OrderedDict[str, Tuple[FileSystem, str]]" = OrderedDict()
 
     # -- mount management --------------------------------------------------
 
@@ -58,7 +50,6 @@ class VFS:
                     f"mount {mountpoint!r} overlaps existing mount {existing!r}"
                 )
         self._mounts[mountpoint] = fs
-        self._resolve_cache.clear()
 
     def unmount(self, mountpoint: str) -> FileSystem:
         """Detach and return the file system at ``mountpoint``."""
@@ -67,7 +58,6 @@ class VFS:
             fs = self._mounts.pop(mountpoint)
         except KeyError:
             raise FileNotFound(f"no file system mounted at {mountpoint!r}")
-        self._resolve_cache.clear()
         return fs
 
     def mounts(self) -> Dict[str, FileSystem]:
@@ -77,33 +67,24 @@ class VFS:
     def resolve(self, path: str) -> Tuple[FileSystem, str]:
         """Map a global path to (file system, fs-internal path).
 
-        Longest-prefix match against the mount table by walking the
-        path's own ancestor chain (O(depth) dict probes instead of a
-        linear scan over every mount point), memoized per canonical path.
+        Mount points cannot nest, so at most one prefix of the path is a
+        mount point: walking the prefixes down from the root finds it with
+        one dict probe per path component above it.
         """
         path = vpath.normalize(path)
-        cached = self._resolve_cache.get(path)
-        if cached is not None:
-            return cached
-        # mount points cannot nest, so the first hit walking *up* from the
-        # deepest prefix is the unique (and longest) match
-        probe = path
+        mounts = self._mounts
+        fs = mounts.get(vpath.ROOT)
+        if fs is not None:
+            return fs, path  # a root mount is the only mount
+        end = 0
         while True:
-            fs = self._mounts.get(probe)
+            end = path.find(vpath.SEP, end + 1)
+            probe = path if end < 0 else path[:end]
+            fs = mounts.get(probe)
             if fs is not None:
-                break
-            if probe == vpath.ROOT:
+                return fs, path[len(probe):] or vpath.ROOT
+            if end < 0:
                 raise FileNotFound(f"{path!r} is not under any mount point")
-            probe = probe.rsplit(vpath.SEP, 1)[0] or vpath.ROOT
-        if probe == vpath.ROOT:
-            inner = path
-        else:
-            inner = path[len(probe):] or vpath.ROOT
-        result = (fs, inner)
-        if len(self._resolve_cache) >= self.RESOLVE_CACHE_SIZE:
-            self._resolve_cache.popitem(last=False)
-        self._resolve_cache[path] = result
-        return result
 
     # -- dispatch helpers -----------------------------------------------------
 

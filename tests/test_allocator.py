@@ -62,6 +62,35 @@ class TestBitmapAllocator:
         with pytest.raises(DeviceError):
             alloc.free_run(9, 1)
 
+    def test_double_free_in_a_run_changes_nothing(self):
+        alloc = BitmapAllocator(100, 16)
+        alloc.alloc_run(4, None)  # 100..103
+        with pytest.raises(DeviceError, match="double free of block 104"):
+            alloc.free_run(102, 4)
+        assert alloc.free_blocks == 12
+        assert all(alloc.is_allocated(b) for b in range(100, 104))
+        alloc.check_invariants()
+
+    def test_free_past_the_end_changes_nothing(self):
+        alloc = BitmapAllocator(0, 8)
+        alloc.alloc_extent(8)
+        with pytest.raises(DeviceError, match="block 8 outside"):
+            alloc.free_run(6, 4)
+        assert alloc.free_blocks == 0
+        alloc.check_invariants()
+
+    def test_mark_allocated_is_all_or_nothing(self):
+        alloc = BitmapAllocator(10, 8)
+        alloc.mark_allocated(12, 3)
+        alloc.mark_allocated(13, 4)  # 13, 14 already set; 15, 16 newly
+        assert alloc.free_blocks == 3
+        with pytest.raises(DeviceError, match="block 18 outside"):
+            alloc.mark_allocated(16, 4)
+        with pytest.raises(DeviceError, match="block 9 outside"):
+            alloc.mark_allocated(9, 2)
+        assert alloc.free_blocks == 3
+        alloc.check_invariants()
+
     def test_hint_respected_when_free(self):
         alloc = BitmapAllocator(0, 100)
         start, got = alloc.alloc_run(5, hint=40)
@@ -113,6 +142,24 @@ class TestAllocationGroups:
         assert groups.free_blocks == 40
         with pytest.raises(DeviceError):
             groups.mark_allocated(38, 4)
+
+    def test_free_spanning_groups_is_all_or_nothing(self):
+        groups = AllocationGroups(0, 16, 2)
+        groups.alloc_extent(6, 0)
+        with pytest.raises(DeviceError, match="double free of block 6"):
+            groups.free_run(4, 6)  # 4, 5 allocated in group 0; 6.. free
+        assert [g.free_blocks for g in groups.groups] == [2, 8]
+        for group in groups.groups:
+            group.check_invariants()
+        with pytest.raises(DeviceError, match="outside all allocation groups"):
+            groups.free_run(14, 4)
+        assert groups.free_blocks == 10
+
+    def test_mark_allocated_out_of_range_changes_nothing(self):
+        groups = AllocationGroups(0, 40, 4)
+        with pytest.raises(DeviceError):
+            groups.mark_allocated(38, 4)
+        assert groups.free_blocks == 40
 
     def test_exhaustion(self):
         groups = AllocationGroups(0, 8, 2)

@@ -357,6 +357,7 @@ class TestCrashAndReconcile:
         dirty = BlockIntervalSet()
         dirty.add(0)
         mux.cache._dirty[9999] = dirty
+        mux.cache.dirty_block_count += 1  # the mark, as the cache counts it
         problems = check_mux(mux, deep=False)
         assert any("dead ino 9999" in p for p in problems)
         assert reconcile_cache(mux, None) == 1

@@ -380,14 +380,20 @@ class TestBlockIntervalSet:
         s = BlockIntervalSet()
         ref = set()
         for _ in range(400):
-            if rng.random() < 0.7:
+            roll = rng.random()
+            if roll < 0.55:
                 start, n = rng.randint(0, 200), rng.randint(1, 9)
-                s.add_range(start, n)
+                assert s.add_range(start, n) == len(set(range(start, start + n)) - ref)
                 ref.update(range(start, start + n))
-            else:
+            elif roll < 0.8:
                 b = rng.randint(0, 210)
-                s.add(b)
+                assert s.add(b) == (b not in ref)
                 ref.add(b)
+            else:
+                start, n = rng.randint(0, 200), rng.randint(1, 12)
+                assert s.remove_range(start, n) == len(ref & set(range(start, start + n)))
+                ref.difference_update(range(start, start + n))
+            assert runs_length(s.runs()) == len(ref)
         assert s == ref
         assert set(s) == ref
         assert runs_length(s.runs()) == len(ref)

@@ -152,9 +152,7 @@ ALLOWED = {
     "core/mux.py:MuxFileSystem.add_tier.rank":
         "two callers: new_device_types ranks the CXL and archival tiers by hand",
     "core/mux.py:MuxFileSystem._fan_out.dispatch_ns":
-        "two callers: reads and writes pay the dispatch, fsync does not",
-    "core/mux.py:MuxFileSystem._fan_out.after":
-        "two callers: reads count the served mirror, writes and fsyncs nothing",
+        "two callers: writes pay the dispatch, fsync does not",
     "core/pressure.py:PressureMonitor.sample.force":
         "two callers: a burst forces a sample, the per-op path honours the interval",
     "core/tierfiles.py:TierFiles._call.args":

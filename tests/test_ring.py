@@ -198,24 +198,35 @@ class TestOverlap:
 
 class TestCompletionOrdering:
     def test_same_ns_completions_reap_in_seq_order(self):
-        # the reap-order contract, exercised on a manufactured tie: two
-        # completions landing on the same nanosecond must come out in
-        # submission (seq) order, and wait() must pick the tie's lowest seq
-        from repro.core.ring import Completion
+        # the reap-order contract on a real tie: a submission on a closed
+        # handle fails at once, so submitting it exactly when an earlier
+        # read completes lands both on the same nanosecond.  The tie must
+        # queue in submission (seq) order ahead of a later completion, and
+        # wait() must pick the tie's lowest seq
+        from repro.core import calibration as cal
 
         stack = _ssd_stack()
-        ring = stack.mux.open_ring(depth=8)
-        ring._pending.extend(
-            [
-                Completion(seq=2, op="read", ino=1, submitted_ns=0, completed_ns=500),
-                Completion(seq=1, op="read", ino=1, submitted_ns=0, completed_ns=500),
-                Completion(seq=0, op="read", ino=1, submitted_ns=0, completed_ns=700),
-            ]
-        )
-        first = ring.wait()
-        assert (first.completed_ns, first.seq) == (500, 1)
+        mux = stack.mux
+        handle = _prepare_file(mux)
+        closed = mux.open("/f")
+        mux.close(closed)
+        ring = mux.open_ring(depth=8)
+        first = ring.submit_read(handle, 0, 4096)
+        later = ring.submit_read(handle, 64 * 1024, 64 * 1024)
+        pending = {c.seq: c for c in ring._pending}
+        t_first = pending[first.seq].completed_ns
+        assert t_first < pending[later.seq].completed_ns
+        stack.clock.advance_to(t_first - cal.RING_SUBMIT_NS)
+        failed = ring.submit_read(closed, 0, 4096)
+        assert failed.submitted_ns == t_first
+        order = [(c.completed_ns, c.seq) for c in ring._pending]
+        assert order == sorted(order)
+        assert [seq for _, seq in order] == [first.seq, failed.seq, later.seq]
+        assert ring.wait().seq == first.seq
         done = ring.drain()
-        assert [(c.completed_ns, c.seq) for c in done] == [(500, 2), (700, 0)]
+        assert [c.seq for c in done] == [failed.seq, later.seq]
+        assert done[0].completed_ns == t_first and done[0].error is not None
+        mux.close(handle)
 
     def test_drain_orders_by_completion_time(self):
         # end-to-end: reaped completions come out (completed_ns, seq)-sorted

@@ -11,8 +11,9 @@ tracer), then runs each timed phase's ``rig.run_phase`` under
 :class:`~repro.bench.profile.SamplingProfiler`: set-up, warm-up and the
 between-phase ``settle`` are not sampled.  It prints self time for the
 thin layer (``core.*`` + ``sim.clock``) against the file systems under it
-(``fs.*`` + ``fscommon.*``), per module (``core.mux``, ``fs.nova.fs`` …)
-and for the top functions, in host CPU µs per timed op.  ``muxbench/``
+(``fs.*`` + ``fscommon.*``) and their ratio (ROADMAP item 1(b)), per
+module (``core.mux``, ``fs.nova.fs`` …) and for the top functions, in
+host CPU µs per timed op.  ``muxbench/``
 is only imported.
 
 On a noisy host one window is not a measurement: ``--repeat N`` runs N
@@ -93,9 +94,13 @@ def report(sampler: SamplingProfiler, ops: int, cpu_s: float, top_n: int) -> str
         f"{cpu_s * 1e6 / ops:.2f} host CPU µs/op",
         "self time by layer group (µs/op, share):",
     ]
+    group = []
     for title, prefixes in GROUPS:
         n = sum(c for m, c in per_module.items() if m.startswith(prefixes))
+        group.append(n)
         lines.append(row(n, title))
+    ratio = f"{group[0] / group[1]:.2f}x" if group[1] else "n/a"
+    lines.append(f"ratio: {GROUPS[0][0]} / {GROUPS[1][0]} = {ratio}")
     lines.append("self time by module (µs/op, share):")
     lines.extend(row(n, module) for module, n in per_module.most_common())
     lines.append(f"top {top_n} functions by self time (µs/op, share):")
