@@ -162,12 +162,14 @@ def main(argv: List[str]) -> int:
     )
     now_ns = stack.clock.now_ns
     for name, device in sorted(stack.devices.items()):
-        tl = device.timeline.snapshot()
+        timeline = device.timeline
+        tl = timeline.snapshot()
         print(
             f"device {name}: channels={tl['channels']} fg_ops={tl['fg_ops']} "
             f"bg_ops={tl['bg_ops']} max_queued={tl['max_queued']} "
-            f"wait_ns={tl['wait_ns']} "
-            f"util={device.timeline.utilization(now_ns):.4f}"
+            f"wait_ns={tl['wait_ns']} fg_wait_ns={timeline.fg_wait_ns} "
+            f"bg_wait_ns={timeline.bg_wait_ns} "
+            f"util={timeline.utilization(now_ns):.4f}"
         )
     ra_blocks = {
         name: fs.readahead_bg_blocks

@@ -10,8 +10,10 @@ recomputing them from scratch:
   every mirror-sync media write ``(ino, tier, first block, blocks,
   simulated ns)`` and the engine's counters; the transcript in
   ``tests/data/mirror_sync_transcript.json`` was recorded from the
-  full-scan engine and must replay exactly (``python
-  tests/test_control_plane_coherence.py`` prints it);
+  full-scan engine, re-recorded when the device timeline began to fill
+  gaps (the same syncs of the same blocks, each landing earlier), and
+  must replay exactly (``python tests/test_control_plane_coherence.py``
+  prints it);
 * ``file_views()`` must equal a freshly built list after every operation
   that changes a block lookup table, on both BLT implementations.
 """
