@@ -21,6 +21,7 @@ from repro.core.blt import ReplicaSet
 from repro.core.policies import CHUNK_BLOCKS, LruTieringPolicy
 from repro.devices.base import DeviceTimeline
 from repro.fscommon.allocator import BitmapAllocator
+from repro.sim.clock import SimClock
 from repro.stack import build_stack
 
 MIB = 1024 * 1024
@@ -40,7 +41,7 @@ def steady_timeline(backlog: int):
     """One spindle with ``backlog`` requests in flight, and a booking
     function that keeps it there: each call starts as the oldest request
     completes and queues behind the newest."""
-    tl = DeviceTimeline(1)
+    tl = DeviceTimeline(1, SimClock())
     for _ in range(backlog):
         tl.acquire(0, COST, False)
     assert tl.queued_at(0) == backlog
