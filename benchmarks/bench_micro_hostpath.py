@@ -7,7 +7,7 @@ where a population could make it slower, grow that population and assert
 the cost stays flat:
 
 * ring submit + reap at depth 1 / 8 / 64 (a submit bisects the
-  in-flight completions, so the depth adds little);
+  in-flight completions, so the depth adds little), timed and counted;
 * ``SimClock`` push / advance / pop under 0 and 64 enclosing frames;
 * one ``TierFiles._call`` on a healthy tier;
 * a ``PageCache.get_span`` hit in a 256- vs 16,384-page cache;
@@ -24,9 +24,12 @@ These measure *host* time; simulated time only matters to the ring case,
 where it decides how many completions are still in flight.
 """
 
+import sys
 import timeit
 
 import pytest
+
+import repro.core.ring
 
 from repro.core.policy import MigrationOrder
 from repro.devices.pm import CACHE_LINE, PersistentMemoryDevice
@@ -89,6 +92,50 @@ def test_ring_cost_does_not_follow_depth():
         _, step = ring_reader(depth)
         t[depth] = best_of_5(step, 400)
     assert t[64] <= 2 * t[1], t
+
+
+def ring_work(step, steps: int) -> tuple:
+    """``(calls, lines)`` that ``steps`` steps spend in the ring's own code:
+    Python and C calls made into or from ``repro.core.ring`` (``sys.setprofile``)
+    and the lines it executes (``sys.settrace``).  The read under each
+    submit runs elsewhere and is not counted."""
+    ring_file = repro.core.ring.__file__
+    calls = lines = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call") and frame.f_code.co_filename == ring_file:
+            calls += 1
+
+    def trace_lines(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return trace_lines
+
+    def trace(frame, event, arg):
+        return trace_lines if frame.f_code.co_filename == ring_file else None
+
+    sys.setprofile(profile)
+    sys.settrace(trace)
+    try:
+        for _ in range(steps):
+            step()
+    finally:
+        sys.settrace(None)
+        sys.setprofile(None)
+    return calls, lines
+
+
+def test_ring_work_does_not_follow_depth():
+    """The counted twin of the timed assert above: a submit+reap at depth
+    64 makes exactly the calls and runs exactly the lines one at depth 1
+    does, so no part of the ring walks its queued completions."""
+    work = {}
+    for depth in (1, 64):
+        _, step = ring_reader(depth)
+        work[depth] = ring_work(step, 200)
+    assert work[64] == work[1], work
 
 
 # -- SimClock frames -----------------------------------------------------------

@@ -11,6 +11,6 @@ shards over a simulated network wire.
 """
 
 from repro.cluster.hashring import HashRing
-from repro.cluster.cluster import Cluster, ClusterMux, ClusterRing, build_cluster
+from repro.cluster.cluster import Cluster, ClusterMux, build_cluster
 
-__all__ = ["Cluster", "ClusterMux", "ClusterRing", "HashRing", "build_cluster"]
+__all__ = ["Cluster", "ClusterMux", "HashRing", "build_cluster"]

@@ -16,10 +16,11 @@ entries into one view.
 Every shard is a full independent Mux stack (own devices, native file
 systems, VFS), all driven on **one** :class:`~repro.sim.clock.SimClock`.
 Synchronous calls route to the owning shard and charge exactly what a
-single Mux would; the submit/complete path (:class:`ClusterRing`) gives
-each op its own clock frame on its shard, so ops on different shards
-overlap in simulated time and completions reap in ``(completed_ns, seq)``
-order — the discipline of :mod:`repro.core.ring` lifted to the cluster.
+single Mux would.  :meth:`ClusterMux.open_ring` opens a plain
+:class:`~repro.core.ring.IoRing` on the cluster: each op runs those same
+routed calls in its own clock frame, so ops on different shards overlap
+in simulated time, and ``depth`` bounds the whole ring as one io_uring
+submission queue does.
 
 Cross-shard data movement — rename and subtree rebalancing — pays a
 simulated network wire (:class:`~repro.fs.nfs.NetworkFileSystem` around
@@ -35,10 +36,10 @@ completion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from repro.cluster.hashring import HashRing
-from repro.core.ring import Completion, Submission
+from repro.core.ring import IoRing
 from repro.errors import (
     CrossDevice,
     DirectoryNotEmpty,
@@ -67,6 +68,19 @@ MIGRATE_TMP = ".~mig"
 COPY_CHUNK = 256 * 1024
 #: OCC validation attempts before the pessimistic lock fallback
 OCC_MAX_RETRIES = 3
+
+
+class _ShardRings(NamedTuple):
+    """The cluster's rings as one shard Mux sees them (an entry of its
+    ``rings``): the shard's OCC lock fallback quiesces them on the
+    shard-tagged ino, so the lock waits for their in-flight ops too."""
+
+    rings: List[IoRing]
+    shard_id: int
+
+    def quiesce(self, ino: int) -> None:
+        for ring in self.rings:
+            ring.quiesce((self.shard_id << 32) | ino)
 
 
 @dataclass
@@ -116,8 +130,11 @@ class ClusterMux(FileSystem):
         #: test hook: called at labeled points of two-phase protocols so
         #: crash tests can cut power at every step
         self._crash_hook: Optional[Callable[[str], None]] = None
+        #: open submit/complete rings (see open_ring)
+        self.rings: List[IoRing] = []
         for shard in self.shards:
             shard.mux.mkdir(META_DIR)
+            shard.mux.rings.append(_ShardRings(self.rings, shard.shard_id))
 
     # -- routing -----------------------------------------------------------
 
@@ -473,9 +490,16 @@ class ClusterMux(FileSystem):
 
     # -- async rings -------------------------------------------------------
 
-    def open_ring(self, depth: int = 8) -> "ClusterRing":
-        """A cluster-wide submit/complete ring (one inner ring per shard)."""
-        return ClusterRing(self, depth)
+    def open_ring(self, depth: int = 8) -> IoRing:
+        """A cluster-wide submit/complete ring (see :mod:`repro.core.ring`).
+
+        Its ops are the routed ``read``/``write``/``fsync`` above, each in
+        its own clock frame; they overlap only if every shard's scheduler
+        dispatches in parallel.
+        """
+        ring = IoRing(self, depth, all(s.mux.scheduler.parallel for s in self.shards))
+        self.rings.append(ring)
+        return ring
 
     # -- aggregates / housekeeping ----------------------------------------
 
@@ -836,142 +860,6 @@ class ClusterMux(FileSystem):
                 "dir_renames_redirected",
             )
         }
-
-
-class ClusterRing:
-    """Cluster-wide async submit/complete ring.
-
-    One inner :class:`~repro.core.ring.IoRing` per shard, opened lazily;
-    each submission routes to its shard's ring (and therefore to a clock
-    frame at the submission instant on that shard's device timelines), so
-    ops on different shards overlap in simulated time.  Completions are
-    renumbered into one cluster sequence and reaped in
-    ``(completed_ns, cluster_seq)`` order — the same determinism contract
-    as a single Mux ring.
-    """
-
-    def __init__(self, cluster: ClusterMux, depth: int) -> None:
-        if depth < 1:
-            raise InvalidArgument(f"ring depth must be >= 1, got {depth}")
-        self.cluster = cluster
-        self.depth = depth
-        self.clock = cluster.clock
-        self._inner: Dict[int, object] = {}
-        #: (shard_id, inner_seq) -> (cluster_seq, cluster_ino)
-        self._seq_map: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        self._next_seq = 0
-        self.closed = False
-
-    def _ring_for(self, shard_id: int):
-        ring = self._inner.get(shard_id)
-        if ring is None:
-            ring = self.cluster.shards[shard_id].mux.open_ring(depth=self.depth)
-            self._inner[shard_id] = ring
-        return ring
-
-    def _route(self, handle: FileHandle) -> Tuple[int, FileHandle]:
-        shard, inner = self.cluster._unwrap(handle)
-        self.cluster._note_op(shard, handle.private.get("key"))
-        return shard.shard_id, inner
-
-    def _register(self, shard_id: int, sub: Submission, cluster_ino: int) -> Submission:
-        seq = self._next_seq
-        self._next_seq += 1
-        self._seq_map[(shard_id, sub.seq)] = (seq, cluster_ino)
-        return Submission(
-            seq=seq, op=sub.op, ino=cluster_ino, submitted_ns=sub.submitted_ns
-        )
-
-    def submit_read(self, handle: FileHandle, offset: int, length: int) -> Submission:
-        if self.closed:
-            raise InvalidArgument("submit on a closed ring")
-        shard_id, inner = self._route(handle)
-        sub = self._ring_for(shard_id).submit_read(inner, offset, length)
-        return self._register(shard_id, sub, handle.ino)
-
-    def submit_write(self, handle: FileHandle, offset: int, data: bytes) -> Submission:
-        if self.closed:
-            raise InvalidArgument("submit on a closed ring")
-        shard_id, inner = self._route(handle)
-        self.cluster.note_write(shard_id, inner.ino)
-        sub = self._ring_for(shard_id).submit_write(inner, offset, data)
-        return self._register(shard_id, sub, handle.ino)
-
-    def submit_fsync(self, handle: FileHandle) -> Submission:
-        if self.closed:
-            raise InvalidArgument("submit on a closed ring")
-        shard_id, inner = self._route(handle)
-        sub = self._ring_for(shard_id).submit_fsync(inner)
-        return self._register(shard_id, sub, handle.ino)
-
-    def _remap(self, shard_id: int, completions: List[Completion]) -> List[Completion]:
-        out = []
-        for c in completions:
-            seq, ino = self._seq_map.pop((shard_id, c.seq))
-            out.append(
-                Completion(
-                    seq=seq, op=c.op, ino=ino,
-                    submitted_ns=c.submitted_ns, completed_ns=c.completed_ns,
-                    result=c.result, error=c.error,
-                )
-            )
-        return out
-
-    @property
-    def pending(self) -> int:
-        return sum(r.pending for r in self._inner.values())
-
-    def poll(self) -> List[Completion]:
-        """Reap every due completion across all shards, merged in
-        ``(completed_ns, cluster_seq)`` order."""
-        out: List[Completion] = []
-        for shard_id in sorted(self._inner):
-            out.extend(self._remap(shard_id, self._inner[shard_id].poll()))
-        out.sort(key=lambda c: (c.completed_ns, c.seq))
-        return out
-
-    def drain(self) -> List[Completion]:
-        """Reap everything, advancing the clock to the last completion."""
-        out: List[Completion] = []
-        for shard_id in sorted(self._inner):
-            out.extend(self._remap(shard_id, self._inner[shard_id].drain()))
-        out.sort(key=lambda c: (c.completed_ns, c.seq))
-        return out
-
-    def close(self) -> List[Completion]:
-        """Drain and close every per-shard ring.  Idempotent; the closed
-        inner rings are kept so :meth:`snapshot` still reports the final
-        counters."""
-        if self.closed:
-            return []
-        out = self.drain()
-        for ring in self._inner.values():
-            ring.close()
-        self.closed = True
-        return out
-
-    def snapshot(self) -> Dict[str, object]:
-        """Aggregated lifetime counters across the per-shard rings."""
-        snaps = {sid: r.snapshot() for sid, r in sorted(self._inner.items())}
-        return {
-            "depth": self.depth,
-            "submitted": sum(s["submitted"] for s in snaps.values()),
-            "reaped": sum(s["reaped"] for s in snaps.values()),
-            "backpressure_waits": sum(
-                s["backpressure_waits"] for s in snaps.values()
-            ),
-            "max_inflight": max(
-                (s["max_inflight"] for s in snaps.values()), default=0
-            ),
-            "shards": snaps,
-        }
-
-    def __enter__(self) -> "ClusterRing":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if not self.closed:
-            self.close()
 
 
 @dataclass

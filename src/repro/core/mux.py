@@ -183,7 +183,7 @@ class MuxFileSystem(FileSystem):
         """
         from repro.core.ring import IoRing
 
-        ring = IoRing(self, depth=depth)
+        ring = IoRing(self, depth, self.scheduler.parallel)
         self.rings.append(ring)
         return ring
 

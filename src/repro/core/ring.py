@@ -7,6 +7,11 @@ op; this module lets **independent user ops** overlap on the per-device
 :class:`~repro.devices.base.DeviceTimeline` channels, the way an
 io_uring submission queue does on real NVMe hardware.
 
+A ring submits to the file system it was opened on: a single Mux, or a
+:class:`~repro.cluster.cluster.ClusterMux`, whose ``read``/``write``/
+``fsync`` route each op to its shard.  Either way the ring is the same
+object with one sequence, one pending queue and one ``depth``.
+
 Simulation semantics
 --------------------
 
@@ -105,12 +110,14 @@ class Completion:
 
 
 class IoRing:
-    """Bounded submit/complete ring bound to one Mux instance.
+    """Bounded submit/complete ring over one file system.
 
-    Obtain via :meth:`MuxFileSystem.open_ring`; ``close()`` drains and
-    unregisters it.  With the scheduler's ``parallel`` flag off (the
-    serial ablation) submissions execute on the global clock and nothing
-    overlaps — the ring degenerates to a queue of already-done ops.
+    Obtain via ``open_ring`` on a :class:`MuxFileSystem` or a
+    ``ClusterMux``; ``close()`` drains it and unregisters it from that
+    file system's ``rings``.  ``overlap`` is fixed when the ring opens:
+    without it (the serial scheduler ablation) submissions execute on the
+    global clock and nothing overlaps — the ring degenerates to a queue
+    of already-done ops.
 
     Invariant: ``_pending`` holds every unreaped completion sorted in reap
     order, ``(completed_ns, seq)``.  Every question the ring asks of it is
@@ -121,12 +128,14 @@ class IoRing:
     therefore search the ring with one bisection, not one pass over it.
     """
 
-    def __init__(self, mux, depth: int) -> None:
+    def __init__(self, fs, depth: int, overlap: bool) -> None:
         if depth < 1:
             raise InvalidArgument(f"ring depth must be >= 1, got {depth}")
-        self.mux = mux
+        self.fs = fs
         self.depth = depth
-        self.clock = mux.clock
+        #: run each op in its own clock frame at the submission instant
+        self.overlap = overlap
+        self.clock = fs.clock
         self._next_seq = 0
         #: unreaped completions in reap order
         self._pending: List[Completion] = []
@@ -143,15 +152,15 @@ class IoRing:
 
     def submit_read(self, handle: FileHandle, offset: int, length: int) -> Submission:
         """Queue a read; returns its :class:`Submission` ticket."""
-        return self._submit("read", handle, self.mux.read, (handle, offset, length))
+        return self._submit("read", handle, self.fs.read, (handle, offset, length))
 
     def submit_write(self, handle: FileHandle, offset: int, data: bytes) -> Submission:
         """Queue a write; completion ``result`` is the byte count."""
-        return self._submit("write", handle, self.mux.write, (handle, offset, data))
+        return self._submit("write", handle, self.fs.write, (handle, offset, data))
 
     def submit_fsync(self, handle: FileHandle) -> Submission:
         """Queue an fsync; completion ``result`` is None."""
-        return self._submit("fsync", handle, self.mux.fsync, (handle,))
+        return self._submit("fsync", handle, self.fs.fsync, (handle,))
 
     def _submit(self, op: str, handle: FileHandle, run, args: tuple) -> Submission:
         if self.closed:
@@ -175,7 +184,7 @@ class IoRing:
         submitted_ns = clock.now_ns
         ino = handle.ino
         result = error = None
-        overlap = self.mux.scheduler.parallel
+        overlap = self.overlap
         if overlap:
             clock.push_frame(submitted_ns)
         try:
@@ -192,7 +201,6 @@ class IoRing:
             key=_REAP_ORDER,
         )
         self.submitted += 1
-        self.mux.scheduler.ring_ops += 1
         if inflight >= self.max_inflight:
             self.max_inflight = inflight + 1
         return Submission(seq, op, ino, submitted_ns)
@@ -283,7 +291,7 @@ class IoRing:
             self.clock.advance_to(max(relevant))
 
     def close(self) -> List[Completion]:
-        """Drain outstanding completions and unregister from the Mux.
+        """Drain outstanding completions and unregister from the file system.
 
         Idempotent: a second close reaps nothing; the lifetime counters
         stay readable through :meth:`snapshot`.
@@ -292,7 +300,7 @@ class IoRing:
             return []
         out = self.drain()
         self.closed = True
-        self.mux.rings.remove(self)
+        self.fs.rings.remove(self)
         return out
 
     # -- introspection ---------------------------------------------------

@@ -70,8 +70,6 @@ class IoScheduler:
         self.dispatches = 0
         #: plans that contained more than one sub-request after merging
         self.batches = 0
-        #: user ops dispatched through async submit/complete rings
-        self.ring_ops = 0
         self.tier_dispatches: Dict[int, int] = {}
         self.tier_bytes: Dict[int, int] = {}
 
@@ -88,21 +86,14 @@ class IoScheduler:
         return plan
 
     def snapshot(self) -> Dict[str, object]:
-        """Lifetime dispatch counters (deterministic, fingerprint-safe).
-
-        ``ring_ops`` appears only once a ring has dispatched through this
-        scheduler, so snapshots of ring-free runs are unchanged.
-        """
-        snap = {
+        """Lifetime dispatch counters (deterministic, fingerprint-safe)."""
+        return {
             "merges": self.merges,
             "dispatches": self.dispatches,
             "batches": self.batches,
             "tier_dispatches": dict(sorted(self.tier_dispatches.items())),
             "tier_bytes": dict(sorted(self.tier_bytes.items())),
         }
-        if self.ring_ops:
-            snap["ring_ops"] = self.ring_ops
-        return snap
 
     def plan(
         self, subrequests: List[SubRequest], tier_kinds: Dict[int, DeviceKind]

@@ -9,6 +9,8 @@ cluster ring's parallel-shard overlap + ``(completed_ns, seq)`` reap
 discipline.
 """
 
+import errno
+
 import pytest
 
 from repro.cluster.bench import balanced_tenant_names, colocated_tenant_names
@@ -19,6 +21,7 @@ from repro.cluster.cluster import (
     build_cluster,
 )
 from repro.cluster.hashring import HashRing
+from repro.core.ring import IoRing
 from repro.errors import (
     CrashTriggered,
     CrossDevice,
@@ -721,16 +724,40 @@ class TestClusterRing:
         with cluster.open_ring(depth=4) as ring:
             for handle in handles:
                 ring.submit_write(handle, 0, b"cm" * 8)
-        # leaving the block drained and closed it (and its shard rings)
+        # leaving the block drained, closed and unregistered it; each shard
+        # still lists only the view its lock fallback quiesces through
         assert ring.closed and ring.pending == 0
         assert ring.snapshot()["reaped"] == 2
+        assert cluster.rings == []
         for shard in cluster.shards:
-            assert shard.mux.rings == []
+            assert len(shard.mux.rings) == 1
+            assert shard.mux.rings[0].rings is cluster.rings
         with cluster.open_ring() as ring:
             ring.close()  # an explicit close inside the block is fine
         for handle in handles:
             assert cluster.read(handle, 0, 4) == b"cmcm"
             cluster.close(handle)
+
+    def test_cluster_ring_is_an_io_ring(self):
+        """The cluster's ring is the Mux ring: tickets can be waited on,
+        in-flight ops counted, and a closed handle completes as EBADF the
+        way it does on a Mux ring."""
+        cluster = small_cluster(2).mux
+        handles = self._population(cluster, 2)
+        ring = cluster.open_ring(depth=8)
+        assert isinstance(ring, IoRing)
+        first = ring.submit_read(handles[0], 0, BS)
+        ring.submit_write(handles[1], 0, b"w" * BS)
+        assert ring.inflight() == 2
+        assert ring.inflight(handles[0].ino) == 1
+        done = ring.wait(first)
+        assert (done.seq, done.ino) == (first.seq, handles[0].ino)
+        cluster.close(handles[0])
+        ring.submit_read(handles[0], 0, BS)
+        comps = ring.drain()
+        assert {(c.op, c.errno) for c in comps} == {("write", 0), ("read", errno.EBADF)}
+        ring.close()
+        cluster.close(handles[1])
 
     def test_close_twice_keeps_counters(self):
         cluster = small_cluster(2).mux
@@ -782,7 +809,7 @@ class TestClusterRing:
         comps = ring.drain()
         assert len(comps) == 1
         # past-EOF reads are short, not errors — but the completion must
-        # carry the result through the remap
+        # carry the (empty) result
         assert comps[0].error is None
         assert comps[0].result == b""
         ring.close()
@@ -813,3 +840,44 @@ class TestClusterRing:
         ring.close()
         cluster.close(handle)
         assert cluster.read_file(path)[:5] == b"dirty"
+
+    def test_lock_fallback_waits_for_ring_ops_on_the_file(self):
+        """The locked copy starts no earlier than the latest completion of
+        the cluster-ring ops still in flight on that file.  Twelve ring
+        write+fsync pairs queue on the source shard's only HDD far past
+        the instant the three optimistic copies end, so a fallback that
+        did not wait for them would copy early."""
+        cluster = build_cluster(
+            shards=2, tiers=["hdd"], capacities={"hdd": 64 * MIB},
+            enable_cache=False,
+        ).mux
+        clock = cluster.clock
+        cluster.mkdir("/t")
+        cluster.mkdir("/t/a")
+        path = "/t/a/f"
+        cluster.write_file(path, bytes(16 * BS))
+        handle = cluster.open(path, OpenFlags.RDWR)
+        ring = cluster.open_ring(depth=32)
+        for i in range(12):
+            ring.submit_write(handle, i * BS, b"inflight")
+            ring.submit_fsync(handle)
+        src = cluster.shards[cluster.subtree_owner("t/a")]
+        copy_starts = []
+        src_open = src.mux.open
+
+        def open_and_note(p, flags):
+            if p == path and flags == OpenFlags.RDONLY:
+                copy_starts.append(clock.now_ns)
+            return src_open(p, flags)
+
+        src.mux.open = open_and_note
+        task = Task(cluster.migrate_subtree_task("t/a", 1 - src.shard_id))
+        summary = run_interleaved(task, lambda step: cluster.write(handle, 0, b"x"))
+        del src.mux.open
+        assert summary["lock_fallbacks"] == 1
+        latest = max(c.completed_ns for c in ring.drain() if c.ino == handle.ino)
+        # the first copies ran optimistically beside the ring ops; the
+        # last one is the locked copy
+        assert copy_starts[0] < latest <= copy_starts[-1]
+        ring.close()
+        cluster.close(handle)

@@ -184,17 +184,6 @@ class TestOverlap:
         assert len(set(times)) == len(times)
         mux.close(handle)
 
-    def test_scheduler_counts_ring_ops(self):
-        stack = _ssd_stack()
-        mux = stack.mux
-        assert "ring_ops" not in mux.scheduler.snapshot()
-        handle = _prepare_file(mux)
-        ring = mux.open_ring(depth=2)
-        ring.submit_read(handle, 0, 10)
-        ring.drain()
-        assert mux.scheduler.snapshot()["ring_ops"] == 1
-        mux.close(handle)
-
 
 class TestCompletionOrdering:
     def test_same_ns_completions_reap_in_seq_order(self):
