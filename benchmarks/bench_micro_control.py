@@ -10,12 +10,18 @@ more and asserts the cost grows by a small factor at most, where a
 Python scan of that population grows it as much as the population.
 
 These measure *host* time; the code under test charges no simulated time
-beyond what the op itself books.
+beyond what the op itself books.  Read routing also has a counted twin
+that asserts equal call and line counts (``hostwork.code_work``), which
+do not vary with the host.
 """
 
 import timeit
 
 import pytest
+
+import repro.core.blt
+import repro.core.intervals
+import repro.core.mirror
 
 from repro.core.blt import ReplicaSet
 from repro.core.policies import CHUNK_BLOCKS, LruTieringPolicy
@@ -23,6 +29,8 @@ from repro.devices.base import DeviceTimeline
 from repro.fscommon.allocator import BitmapAllocator
 from repro.sim.clock import SimClock
 from repro.stack import build_stack
+
+from hostwork import code_work
 
 MIB = 1024 * 1024
 BS = 4096
@@ -231,6 +239,25 @@ def test_route_reads_cost_does_not_follow_mirror_intervals():
         runs = list(inode.blt.runs(4, 8))
         t[n] = best_of_5(lambda: mux.mirrors.route_reads(inode, runs), 2000)
     assert t[4096] <= 3 * t[1], t
+
+
+def test_route_reads_work_does_not_follow_mirror_intervals():
+    """The counted twin of the timed assert above: routing a read makes
+    exactly the calls and runs exactly the lines in the mirror engine, the
+    replica set and the interval sets with 4096 clean intervals outside
+    the read as with one."""
+    work = {}
+    for n in (1, 4096):
+        mux, inode = routed_file(n)
+        runs = list(inode.blt.runs(4, 8))
+        work[n] = code_work(
+            lambda: mux.mirrors.route_reads(inode, runs),
+            200,
+            repro.core.mirror,
+            repro.core.blt,
+            repro.core.intervals,
+        )
+    assert work[4096] == work[1], work
 
 
 # -- LruTieringPolicy.forget ---------------------------------------------------

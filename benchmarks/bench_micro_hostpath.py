@@ -24,7 +24,6 @@ These measure *host* time; simulated time only matters to the ring case,
 where it decides how many completions are still in flight.
 """
 
-import sys
 import timeit
 
 import pytest
@@ -39,6 +38,8 @@ from repro.fscommon.pagecache import PageCache
 from repro.sim.clock import SimClock
 from repro.stack import build_stack
 from repro.vfs.interface import OpenFlags
+
+from hostwork import code_work
 
 MIB = 1024 * 1024
 BS = 4096
@@ -94,39 +95,6 @@ def test_ring_cost_does_not_follow_depth():
     assert t[64] <= 2 * t[1], t
 
 
-def ring_work(step, steps: int) -> tuple:
-    """``(calls, lines)`` that ``steps`` steps spend in the ring's own code:
-    Python and C calls made into or from ``repro.core.ring`` (``sys.setprofile``)
-    and the lines it executes (``sys.settrace``).  The read under each
-    submit runs elsewhere and is not counted."""
-    ring_file = repro.core.ring.__file__
-    calls = lines = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event in ("call", "c_call") and frame.f_code.co_filename == ring_file:
-            calls += 1
-
-    def trace_lines(frame, event, arg):
-        nonlocal lines
-        if event == "line":
-            lines += 1
-        return trace_lines
-
-    def trace(frame, event, arg):
-        return trace_lines if frame.f_code.co_filename == ring_file else None
-
-    sys.setprofile(profile)
-    sys.settrace(trace)
-    try:
-        for _ in range(steps):
-            step()
-    finally:
-        sys.settrace(None)
-        sys.setprofile(None)
-    return calls, lines
-
-
 def test_ring_work_does_not_follow_depth():
     """The counted twin of the timed assert above: a submit+reap at depth
     64 makes exactly the calls and runs exactly the lines one at depth 1
@@ -134,7 +102,7 @@ def test_ring_work_does_not_follow_depth():
     work = {}
     for depth in (1, 64):
         _, step = ring_reader(depth)
-        work[depth] = ring_work(step, 200)
+        work[depth] = code_work(step, 200, repro.core.ring)
     assert work[64] == work[1], work
 
 

@@ -24,6 +24,8 @@ from repro.sim.histogram import LatencyHistogram
 
 #: deterministic write payload pattern (content never affects placement)
 PAYLOAD_BYTE = 0x5A
+#: a read slower than this counts in :attr:`TenantResult.slow_reads`
+SLOW_READ_NS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ class TenantResult:
     errors: int = 0
     #: failed completions by exception class name (NoSpace, TierOffline…)
     error_kinds: Dict[str, int] = field(default_factory=dict)
+    #: reads slower than ``SLOW_READ_NS``: the tail a p99 sits on
+    slow_reads: int = 0
 
     @property
     def ops(self) -> int:
@@ -215,7 +219,11 @@ def drive_open_loop(
                 tenant.error_kinds[kind] = tenant.error_kinds.get(kind, 0) + 1
                 continue
             latency = c.completed_ns - arrival
-            (tenant.reads if op == "read" else tenant.writes).record(latency)
+            if op == "read":
+                tenant.reads.record(latency)
+                tenant.slow_reads += latency > SLOW_READ_NS
+            else:
+                tenant.writes.record(latency)
 
     migrations = 0
     start_ns = clock.now_ns

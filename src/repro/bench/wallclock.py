@@ -40,7 +40,13 @@ from repro.bench.multi_tenant import (
     zipf_cdf,
     zipf_pick,
 )
-from repro.bench.openloop import populate, pump, settle
+from repro.bench.openloop import (
+    SLOW_READ_NS,
+    MultiTenantResult,
+    populate,
+    pump,
+    settle,
+)
 from repro.bench.tracereplay import canonical_trace, replay_trace
 from repro.bench.workloads import (
     cache_writeback,
@@ -468,12 +474,14 @@ def _trace_duel(
     policies: Tuple[str, ...],
     pinned: str,
     headline: Callable[[object, Dict[str, Dict[str, int]]], Dict[str, object]],
-    counters: Callable[[object], Dict[str, int]] = lambda mux: {},
+    counters: Callable[[object, MultiTenantResult], Dict[str, int]] = (
+        lambda mux, res: {}
+    ),
     **replay_kwargs,
 ) -> Dict[str, object]:
     """Replay a canonical trace open-loop against one stack per policy.
 
-    ``counters(mux)`` are extra per-policy counters to pin and show;
+    ``counters(mux, result)`` are extra per-policy counters to pin and show;
     ``headline(trace, read tails per policy)`` adds the workload's own
     events next to the per-policy table.
     """
@@ -486,7 +494,7 @@ def _trace_duel(
         return stack, lambda: replay_trace(stack, trace, ring_depth=32, **replay_kwargs)
 
     def rows(stack: Stack, res):
-        extra = counters(stack.mux)
+        extra = counters(stack.mux, res)
         return {**_tail_row(res), **extra}, {
             **_tails(res, "read", "write"),
             "submitted": res.submitted,
@@ -618,6 +626,14 @@ def _wl_tenant_policy_duel(smoke: bool) -> Dict[str, object]:
     )
 
 
+def _mirror_churn(mux) -> Dict[str, int]:
+    """Mirror grants and drops: what the mirror sync traffic bought."""
+    return {
+        "mirror_grants": mux.mirrors.stats.get("mirrors_added"),
+        "mirror_drops": mux.mirrors.stats.get("mirrors_dropped"),
+    }
+
+
 def _wl_mirror_skew(smoke: bool) -> Dict[str, object]:
     """Mirror-optimized tiering vs exclusive placement on skewed reads.
 
@@ -629,7 +645,10 @@ def _wl_mirror_skew(smoke: bool) -> Dict[str, object]:
     steady-state read tail collapses to fast-tier latency while the
     exclusive baseline keeps paying the HDD for whatever it could not
     promote.  The headline is the read-p99 ratio (baseline over
-    mirrored); the fingerprint pins both stacks.
+    mirrored); each row also counts the measured reads over 1 ms (at
+    full size the p99 is the 25th-slowest of 2,500, so that count says
+    how near the p99 is to a millisecond) and the mirror grants and
+    drops.  The fingerprint pins both stacks.
     """
     files, file_bytes, io_bytes = 56, 1 * MIB, 16 * KIB
     warm_reads, measured_reads = (2500, 1000) if smoke else (5000, 2500)
@@ -661,6 +680,7 @@ def _wl_mirror_skew(smoke: bool) -> Dict[str, object]:
             file_cdf = zipf_cdf(files, 0.5)
             block_cdf = zipf_cdf(file_bytes // io_bytes, 1.1)
             hist = LatencyHistogram()
+            slow = 0
             for index in range(warm_reads + measured_reads):
                 pump(mux, index, 100)
                 fid = zipf_pick(rng, file_cdf)
@@ -670,22 +690,27 @@ def _wl_mirror_skew(smoke: bool) -> Dict[str, object]:
                 s0 = stack.clock.now_ns
                 mux.read(handles[fid], offset, io_bytes)
                 if index >= warm_reads:
-                    hist.record(stack.clock.now_ns - s0)
+                    latency = stack.clock.now_ns - s0
+                    hist.record(latency)
+                    slow += latency > SLOW_READ_NS
             for handle in handles:
                 mux.close(handle)
-            return hist.percentiles_ns(0.5, 0.99, 0.999)
+            return hist.percentiles_ns(0.5, 0.99, 0.999), slow
 
         return stack, reads
 
-    def rows(stack: Stack, reads: Dict[str, int]):
+    def rows(stack: Stack, measured: Tuple[Dict[str, int], int]):
         mux = stack.mux
+        reads, slow = measured
         from_mirror = mux.stats.get("reads_from_mirror")
         synced = mux.mirrors.stats.get("blocks_synced")
         return {
             "read_p50_us": round(reads["p50"] / 1e3, 1),
             "read_p99_us": round(reads["p99"] / 1e3, 1),
+            "reads_over_1ms": slow,
             "reads_from_mirror": from_mirror,
             "mirror_blocks_synced": synced,
+            **_mirror_churn(mux),
         }, {
             **{f"read_{k}": v for k, v in reads.items()},
             "reads_from_mirror": from_mirror,
@@ -693,9 +718,10 @@ def _wl_mirror_skew(smoke: bool) -> Dict[str, object]:
             "deadline_promotions": mux.mirrors.stats.get("deadline_promotions"),
         }
 
-    sim_elapsed_ns, fingerprint, table, reads = _policy_duel(
+    sim_elapsed_ns, fingerprint, table, measured = _policy_duel(
         ("pressure", "mirror"), "mirror", setup, rows
     )
+    reads = {name: tails for name, (tails, _) in measured.items()}
     ratio = (
         reads["pressure"]["p99"] / reads["mirror"]["p99"]
         if reads["mirror"]["p99"]
@@ -730,9 +756,10 @@ def _wl_mirror_trace_duel(smoke: bool) -> Dict[str, object]:
     keeps OCC-aborting against the trace's own writes; mirrors absorb
     those writes on the replica and converge in the background, so the
     mirrored stack alone gets the hot set uphill.  The events table
-    shows each policy's read p99/p999 plus the mirrored stack's
-    improvement over the best exclusive policy; the fingerprint pins the
-    mirrored stack's devices and every policy's full latency table.
+    shows each policy's read p99/p999, reads over 1 ms and mirror grants
+    and drops, plus the mirrored stack's improvement over the best
+    exclusive policy; the fingerprint pins the mirrored stack's devices
+    and every policy's full latency table and counters.
     """
 
     def vs_exclusive(trace, reads) -> Dict[str, object]:
@@ -751,9 +778,11 @@ def _wl_mirror_trace_duel(smoke: bool) -> Dict[str, object]:
         _MIRROR_DUEL_POLICIES,
         "mirror",
         vs_exclusive,
-        counters=lambda mux: {
+        counters=lambda mux, res: {
             "reads_from_mirror": mux.stats.get("reads_from_mirror"),
             "blocks_synced": mux.mirrors.stats.get("blocks_synced"),
+            **_mirror_churn(mux),
+            "reads_over_1ms": sum(t.slow_reads for t in res.tenants.values()),
         },
         maintain_every=64,
         population_tier="hdd",

@@ -591,8 +591,18 @@ class MirrorPolicy(PressureAwarePolicy):
     :meth:`plan_mirrors` grants the hottest read-heavy small files a
     mirror on the fastest healthy tier, so their reads serve at PM/SSD
     speed even while the authoritative copy stays (or demotes) downhill.
-    Mirrors are reclaimed when the file cools, when the mirror tier needs
-    the capacity back (``RECLAIM_UTIL``), or when the tier goes OFFLINE.
+
+    A mirror is a cache entry, not a lease: it stays until its tier needs
+    the room.  Grants fill the tier up to ``RECLAIM_UTIL`` and never past
+    it.  A mirror whose file has cooled to ``COLD_THRESHOLD`` becomes
+    evictable, and a hot candidate that does not fit evicts cooled
+    mirrors, coldest first; a warm mirror is never displaced.  When
+    authoritative data pushes the tier past the line, the coldest mirrors
+    go until it is back under, and all go when the tier goes OFFLINE.
+    (Dropping a mirror when its file cools recopies the whole file each
+    time it warms again.)  Mirror bytes count toward ``DEMOTE_UTIL``
+    like any others, so a tier filled with mirrors to the line also
+    demotes its coldest authoritative files.
 
     Promotion orders *into* a file's mirror tier are suppressed — the
     mirror already serves reads there, so moving authority up as well
@@ -605,9 +615,8 @@ class MirrorPolicy(PressureAwarePolicy):
     MIRROR_READ_FRACTION = 0.6
     #: files larger than this are never mirrored
     MAX_FILE_BYTES = 4 * 1024 * 1024
-    #: share of the fastest tier's free space one round may grant
-    MIRROR_BUDGET_FRACTION = 0.5
-    #: a mirror tier this full sheds its coldest mirrors
+    #: grants fill a mirror tier up to this share of it; past it, the
+    #: coldest mirrors go
     RECLAIM_UTIL = 0.85
     #: mirrors one round may add, and may reclaim per tier
     MIRRORS_PER_PLAN = 4
@@ -643,32 +652,37 @@ class MirrorPolicy(PressureAwarePolicy):
     ) -> List[MirrorOrder]:
         views = list(files)
         by_id = {t.tier_id: t for t in tiers}
-        heats = {v.ino: self.heat.get(v.ino) for v in views}
+        heat = self.heat.get
+        sizes = {v.ino: v.size for v in views}
         self._reads.cool_all()
         self._writes.cool_all()
         orders: List[MirrorOrder] = []
 
-        # reclaim first: capacity freed this round funds the adds below
+        def coldest(tier_id: int) -> List[int]:
+            return sorted(
+                (ino for ino, t in self._mirrored_on.items() if t == tier_id),
+                key=lambda ino: (heat(ino), ino),
+            )
+
+        def drop(ino: int, reason: str) -> int:
+            orders.append(MirrorOrder(ino, self._mirrored_on.pop(ino), "drop", reason))
+            return sizes.get(ino, 0)
+
         for ino, tier_id in list(self._mirrored_on.items()):
             tier = by_id.get(tier_id)
             if tier is None or tier.health is HealthState.OFFLINE:
-                orders.append(MirrorOrder(ino, tier_id, "drop", "tier-gone"))
-                del self._mirrored_on[ino]
-            elif heats.get(ino, self.heat.get(ino)) <= COLD_THRESHOLD:
-                orders.append(MirrorOrder(ino, tier_id, "drop", "cooled"))
-                del self._mirrored_on[ino]
-        # space pressure on the mirror tier: shed the coldest mirrors
+                drop(ino, "tier-gone")
+        # room below the reclaim line; where authoritative data pushed a
+        # mirror tier past it, shed the coldest mirrors until it is under
+        room = {
+            t.tier_id: int(t.total_bytes * self.RECLAIM_UTIL) - t.used_bytes
+            for t in tiers
+        }
         for tier_id in set(self._mirrored_on.values()):
-            tier = by_id.get(tier_id)
-            if tier is None or tier.utilization < self.RECLAIM_UTIL:
-                continue
-            victims = sorted(
-                (ino for ino, t in self._mirrored_on.items() if t == tier_id),
-                key=lambda ino: (heats.get(ino, 0.0), ino),
-            )
-            for ino in victims[: self.MIRRORS_PER_PLAN]:
-                orders.append(MirrorOrder(ino, tier_id, "drop", "reclaim"))
-                del self._mirrored_on[ino]
+            for ino in coldest(tier_id)[: self.MIRRORS_PER_PLAN]:
+                if room[tier_id] >= 0:
+                    break
+                room[tier_id] += drop(ino, "reclaim")
 
         fastest = next(
             (
@@ -680,24 +694,35 @@ class MirrorPolicy(PressureAwarePolicy):
         )
         if fastest is None:
             return orders
-        budget = int(fastest.free_bytes * self.MIRROR_BUDGET_FRACTION)
+        budget = room[fastest.tier_id]
+        # cooled mirrors are evictable, coldest first; warm ones stay
+        evictable = [
+            ino for ino in coldest(fastest.tier_id) if heat(ino) <= COLD_THRESHOLD
+        ]
+        evictable_bytes = sum(sizes.get(ino, 0) for ino in evictable)
         candidates = [
             v
             for v in views
             if v.ino not in self._mirrored_on
             and 0 < v.size <= self.MAX_FILE_BYTES
-            and heats.get(v.ino, 0.0) >= self.MIRROR_HEAT
+            and heat(v.ino) >= self.MIRROR_HEAT
             and self._read_fraction(v.ino) >= self.MIRROR_READ_FRACTION
         ]
-        candidates.sort(key=lambda v: (-heats.get(v.ino, 0.0), v.ino))
+        candidates.sort(key=lambda v: (-heat(v.ino), v.ino))
         added = 0
         for view in candidates:
-            if added >= self.MIRRORS_PER_PLAN or budget < view.size:
+            if added >= self.MIRRORS_PER_PLAN:
                 break
             mapped = sum(view.blocks_by_tier.values())
             on_fastest = view.blocks_by_tier.get(fastest.tier_id, 0)
             if mapped == 0 or on_fastest * 2 >= mapped:
                 continue  # already (mostly) living on the fast tier
+            if budget + evictable_bytes < view.size:
+                break
+            while budget < view.size:
+                size = drop(evictable.pop(0), "cooled")
+                budget += size
+                evictable_bytes -= size
             orders.append(
                 MirrorOrder(view.ino, fastest.tier_id, "add", "hot-read-mostly")
             )

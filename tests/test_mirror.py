@@ -9,12 +9,15 @@ unlink, migration, drop), the fsck replica-divergence audit, and the
 ``mirror`` policy's plan_mirrors/plan_migrations interplay.
 """
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.core.blt import ByteArrayBlt, ReplicaSet, replica_runs
 from repro.core.health import HEALTH_SUSPECT_ERRORS, HealthState
 from repro.core.mirror import MirrorEngine
-from repro.core.policies import MirrorPolicy
+from repro.core.policies import COLD_THRESHOLD, MirrorPolicy
 from repro.core.policy import (
     FileView,
     MigrationOrder,
@@ -691,19 +694,88 @@ class TestMirrorPolicy:
         view = self.view(1, tier=1)  # lives on PM already
         assert policy.plan_mirrors(self.tiers(), [view]) == []
 
-    def test_cooled_mirror_is_dropped(self):
+    #: bytes the mirror tier of :meth:`tiers` may hold
+    LINE = int(64 * MIB * MirrorPolicy.RECLAIM_UTIL)
+
+    def cooled_mirrors(self):
+        """A policy holding three 1 MiB mirrors on PM: inos 1 and 2 have
+        cooled (2 the colder), ino 3 is kept warm.  Returns the policy and
+        the three files' views."""
         policy = MirrorPolicy()
+        for ino, reads in ((1, 12), (2, 10), (3, 10)):
+            for _ in range(reads):
+                policy.on_access(ino, 0, 16, 3, "read", 0.0)
+        views = [self.view(ino, size=MIB) for ino in (1, 2, 3)]
+        assert len(policy.plan_mirrors(self.tiers(), views)) == 3
+        # heat decays in the migration planner, as in mux.maintain
+        for _ in range(20):
+            policy.on_access(3, 0, 16, 3, "read", 0.0)
+            policy.plan_migrations(self.tiers(), views)
+            assert policy.plan_mirrors(self.tiers(), views) == []
+        assert policy.heat.get(2) < policy.heat.get(1) <= COLD_THRESHOLD
+        assert policy.heat.get(3) > COLD_THRESHOLD
+        return policy, views
+
+    def test_cooled_mirror_stays_while_the_tier_has_room(self):
+        policy, views = self.cooled_mirrors()
+        # warm again: the kept mirror serves it, nothing is recopied
         for _ in range(10):
             policy.on_access(1, 0, 16, 3, "read", 0.0)
-        assert policy.plan_mirrors(self.tiers(), [self.view(1)])
-        # heat decays (via the migration planner, as in mux.maintain)
-        # with no further accesses until the file is cold
-        for _ in range(30):
-            policy.plan_migrations(self.tiers(), [self.view(1)])
-            orders = policy.plan_mirrors(self.tiers(), [self.view(1)])
-            if orders:
-                break
-        assert orders == [MirrorOrder(1, 1, "drop", "cooled")]
+        assert policy.plan_mirrors(self.tiers(), views) == []
+
+    def test_hot_candidate_evicts_the_coldest_cooled_mirror(self):
+        policy, views = self.cooled_mirrors()
+        for _ in range(10):
+            policy.on_access(4, 0, 16, 3, "read", 0.0)
+        views.append(self.view(4, size=MIB))
+        # half a MiB below the line: one eviction makes room
+        orders = policy.plan_mirrors(
+            self.tiers(pm_free=64 * MIB - self.LINE + MIB // 2), views
+        )
+        assert orders == [
+            MirrorOrder(2, 1, "drop", "cooled"),
+            MirrorOrder(4, 1, "add", "hot-read-mostly"),
+        ]
+
+    def test_warm_mirror_is_never_displaced(self):
+        policy, views = self.cooled_mirrors()
+        for _ in range(10):
+            policy.on_access(4, 0, 16, 3, "read", 0.0)
+        views.append(self.view(4, size=3 * MIB))
+        # the two cooled mirrors free 2 MiB of the 3 the candidate needs:
+        # taking ino 3's warm mirror would be the only way, so nothing moves
+        orders = policy.plan_mirrors(self.tiers(pm_free=64 * MIB - self.LINE), views)
+        assert orders == []
+
+    def test_grants_never_take_the_tier_past_the_line(self):
+        policy = MirrorPolicy()
+        for ino in (1, 2, 3, 4):
+            for _ in range(10 + ino):
+                policy.on_access(ino, 0, 16, 3, "read", 0.0)
+        views = [self.view(ino, size=MIB) for ino in (1, 2, 3, 4)]
+        room = 2 * MIB + MIB // 2
+        orders = policy.plan_mirrors(
+            self.tiers(pm_free=64 * MIB - self.LINE + room), views
+        )
+        # hottest first, and only what fits under the line
+        assert orders == [
+            MirrorOrder(4, 1, "add", "hot-read-mostly"),
+            MirrorOrder(3, 1, "add", "hot-read-mostly"),
+        ]
+
+    @pytest.mark.parametrize("excess, shed", [(MIB // 2, [1]), (3 * MIB // 2, [1, 2])])
+    def test_past_the_line_only_the_excess_is_shed(self, excess, shed):
+        policy = MirrorPolicy()
+        for ino in (1, 2, 3):
+            for _ in range(10 + ino):
+                policy.on_access(ino, 0, 16, 3, "read", 0.0)
+        views = [self.view(ino, size=MIB) for ino in (1, 2, 3)]
+        assert len(policy.plan_mirrors(self.tiers(), views)) == 3
+        # authoritative data grows past the line
+        orders = policy.plan_mirrors(
+            self.tiers(pm_free=64 * MIB - self.LINE - excess), views
+        )
+        assert orders == [MirrorOrder(ino, 1, "drop", "reclaim") for ino in shed]
 
     def test_offline_mirror_tier_sheds_its_mirrors(self):
         policy = MirrorPolicy()
@@ -741,6 +813,45 @@ class TestMirrorPolicy:
             policy.on_access(1, 0, 16, 3, "read", 0.0)
         orders = policy.plan_migrations(tiers, views)
         assert not any(o.dst_tier == 1 for o in orders)
+
+
+def test_stationary_zipf_stream_grants_each_mirror_once():
+    """A stationary zipf read stream over a set that fits under
+    ``RECLAIM_UTIL``: a file that earns a mirror keeps it, so no file is
+    granted twice and nothing is dropped.  Files whose rate sits near the
+    mirror threshold go hot and cool again between bursts; the policy
+    must not recopy them each time they come back."""
+    files, rounds, reads_per_round = 48, 240, 20
+    total, authoritative = 128 * MIB, 32 * MIB  # 48 MiB of mirrors fit
+    views = [
+        FileView(ino=ino, path=f"/f{ino}", size=MIB,
+                 blocks_by_tier={3: MIB // BS}, runs=[(0, MIB // BS, 3)])
+        for ino in range(1, files + 1)
+    ]
+    weights = [1.0 / rank for rank in range(1, files + 1)]
+    rng = random.Random(13)
+    policy = MirrorPolicy()
+    mirrored, grants, drops = set(), Counter(), []
+    for _ in range(rounds):
+        for ino in rng.choices(range(1, files + 1), weights, k=reads_per_round):
+            policy.on_access(ino, 0, MIB // BS, 3, "read", 0.0)
+        used = authoritative + MIB * len(mirrored)
+        tiers = [
+            tier_state(1, "pm", 0, DeviceKind.PERSISTENT_MEMORY, total - used, total),
+            tier_state(3, "hdd", 2, DeviceKind.HARD_DISK, 900 * MIB, 1024 * MIB),
+        ]
+        # heat decays in the migration planner, as in mux.maintain
+        policy.plan_migrations(tiers, views)
+        for order in policy.plan_mirrors(tiers, views):
+            if order.action == "add":
+                grants[order.ino] += 1
+                mirrored.add(order.ino)
+            else:
+                drops.append(order)
+                mirrored.discard(order.ino)
+    assert len(grants) >= 8  # the stream does mirror a working set
+    assert max(grants.values()) == 1, grants.most_common(3)
+    assert drops == []
 
 
 class TestMaintainIntegration:

@@ -5,6 +5,12 @@ Tier-1 otherwise pins policy decisions only through ``wallclock --smoke``;
 this makes a refactor of ``core/policies.py`` fail fast under pytest.  The
 expected transcripts were recorded at commit 7703bd6 (before the policy
 family was flattened onto composition) and must not change with it.
+
+The ``mirror`` transcript was re-recorded when a mirror became a cache
+entry.  On the ``full`` tier a mirror shed past ``RECLAIM_UTIL`` is no
+longer granted again in the same round, which leaves no mirror for the
+``offline`` round to retire.  In the cooldown the mirror of ino 4 is no
+longer dropped when the file cools, because PM still has room.
 """
 
 import pytest
@@ -133,7 +139,7 @@ def transcript(name):
         out.append(("plan-after-forget", scenario, *_plan(policy, scenario)))
     out.append(("place-after-forget", "healthy", _place(policy, "healthy")))
     # one more burst on ino 4, then untouched rounds: heat decays until hot
-    # files cool and mirrors drop; only rounds that order something are listed
+    # files cool; only rounds that order something are listed
     _touch(policy, 4, "read", 4)
     for round_no in range(16):
         migrations, mirrors = _plan(policy, "healthy")
@@ -281,15 +287,13 @@ EXPECTED["mirror"] = [('place', 'healthy', [0, 1, 2, 0]), ('place', 'loaded', [0
   [(4, 0, 32, 1, 0, 'pressure-promote'), (4, 32, 32, 2, 0, 'pressure-promote')],
   [(4, 0, 'add', 'hot-read-mostly')]),
  ('plan-after-forget', 'full', [(3, 0, 256, 0, 1, 'pressure-demote')],
-  [(4, 0, 'drop', 'reclaim'), (4, 0, 'add', 'hot-read-mostly')]),
- ('plan-after-forget', 'offline', [(4, 32, 32, 2, 1, 'pressure-promote')],
-  [(4, 0, 'drop', 'tier-gone')]),
+  [(4, 0, 'drop', 'reclaim')]),
+ ('plan-after-forget', 'offline', [(4, 32, 32, 2, 1, 'pressure-promote')], []),
  ('place-after-forget', 'healthy', [0, 1, 2, 0]),
  ('cooldown', 0,
   [(4, 0, 32, 1, 0, 'pressure-promote'), (4, 32, 32, 2, 0, 'pressure-promote')],
   [(4, 0, 'add', 'hot-read-mostly')]),
- ('cooldown', 12, [], [(4, 0, 'drop', 'cooled')]), ('pressure_spills', 2),
- ('deferred_orders', 10)]
+ ('pressure_spills', 2), ('deferred_orders', 10)]
 
 
 @pytest.mark.parametrize("name", ["lru", "tpfs", "hotcold", "pressure", "mirror"])
