@@ -10,9 +10,9 @@ more and asserts the cost grows by a small factor at most, where a
 Python scan of that population grows it as much as the population.
 
 These measure *host* time; the code under test charges no simulated time
-beyond what the op itself books.  Read routing also has a counted twin
-that asserts equal call and line counts (``hostwork.code_work``), which
-do not vary with the host.
+beyond what the op itself books.  Read routing, the mirror tick and the
+LRU forget also have counted twins that assert equal call and line
+counts (``hostwork.code_work``), which do not vary with the host.
 """
 
 import timeit
@@ -22,6 +22,7 @@ import pytest
 import repro.core.blt
 import repro.core.intervals
 import repro.core.mirror
+import repro.core.policies
 
 from repro.core.blt import ReplicaSet
 from repro.core.policies import CHUNK_BLOCKS, LruTieringPolicy
@@ -165,6 +166,19 @@ def test_mirror_tick_cost_does_not_follow_clean_mirrors():
     assert t[256] <= 3 * t[0], t
 
 
+def test_mirror_tick_work_does_not_follow_clean_mirrors():
+    """The counted twin of the timed assert above: once a first tick has
+    let the clean files leave the work set, a tick makes exactly the
+    calls and runs exactly the lines in the mirror engine with 256 clean
+    mirrors beside the stale file as with none."""
+    work = {}
+    for clean in (0, 256):
+        mux = mirrored_stack(clean)
+        mux.mirrors.tick()
+        work[clean] = code_work(mux.mirrors.tick, 200, repro.core.mirror)
+    assert work[256] == work[0], work
+
+
 # -- MuxFileSystem.file_views -----------------------------------------------
 
 
@@ -269,11 +283,11 @@ def lru_with_files(files: int):
     and forgets it, as an unlink does."""
     policy = LruTieringPolicy()
     for ino in range(1, files + 1):
-        policy.on_access(ino, 0, 4 * CHUNK_BLOCKS, 1, "write", 0.0)
+        policy.on_access(ino, 0, 4 * CHUNK_BLOCKS, 1, "write")
     gone = files + 1
 
     def touch_and_forget():
-        policy.on_access(gone, 0, 4 * CHUNK_BLOCKS, 1, "write", 0.0)
+        policy.on_access(gone, 0, 4 * CHUNK_BLOCKS, 1, "write")
         policy.forget(gone)
 
     return policy, touch_and_forget
@@ -295,3 +309,14 @@ def test_lru_forget_cost_does_not_follow_recency_size():
         _, step = lru_with_files(files)
         t[files] = best_of_5(step, 500)
     assert t[4096] <= 3 * t[16], t
+
+
+def test_lru_forget_work_does_not_follow_recency_size():
+    """The counted twin of the timed assert above: touching and
+    forgetting one file makes exactly the calls and runs exactly the
+    lines in the policies module beside 4,096 other files as beside 16."""
+    work = {}
+    for files in (16, 4096):
+        _, step = lru_with_files(files)
+        work[files] = code_work(step, 200, repro.core.policies)
+    assert work[4096] == work[16], work

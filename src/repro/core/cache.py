@@ -81,7 +81,8 @@ class ScmCacheManager:
         #: the cached blocks of that ino
         self._dirty: Dict[int, BlockIntervalSet] = {}
         #: blocks in all of ``_dirty``, kept in step where a block turns
-        #: dirty or clean (the pressure monitor reads it on every sample)
+        #: dirty or clean (the write-back trigger reads it after every
+        #: absorbed write)
         self.dirty_block_count = 0
         #: installed by Mux once it can route destage writes to tiers
         self.destage_fn: Optional[DestageFn] = None

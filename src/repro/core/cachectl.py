@@ -73,14 +73,13 @@ class CacheController:
 
     # -- provisioning ------------------------------------------------------
 
-    def provision(self, block_size: int) -> Optional[int]:
-        """Create the cache if it is wanted, missing and hostable; returns
-        the hosting tier's id when this call created it."""
+    def provision(self, block_size: int) -> None:
+        """Create the cache if it is wanted, missing and hostable."""
         if not self.enabled or self.cache is not None:
-            return None
+            return
         tiers = self.registry.ordered()
         if not any(t.rank > 0 for t in tiers):
-            return None  # nothing slower to cache for
+            return  # nothing slower to cache for
         # the host is the fastest PM-class tier whose file system can
         # DAX-map the cache file; asking is the only test
         for scm in tiers:
@@ -100,8 +99,7 @@ class CacheController:
             self.cache.destage_fn = self.destage_evicted
             self.cache.on_lost = self.note_destage_lost
             self.host_tier_id = scm.tier_id
-            return scm.tier_id
-        return None
+            return
 
     def retire(self, tier_id: int) -> None:
         """The tier is leaving: if the cache lives there, write every
@@ -114,13 +112,6 @@ class CacheController:
     @property
     def write_back(self) -> bool:
         return self.cache is not None and self.cache.write_back
-
-    def dirty_fraction(self) -> float:
-        """Share of the cache holding absorbed, not yet destaged writes."""
-        cache = self.cache
-        if cache is None or not cache.capacity_blocks:
-            return 0.0
-        return cache.dirty_block_count / cache.capacity_blocks
 
     def cacheable(self, tier_id: int) -> bool:
         """Is the tier enough slower than the cache's host to be cached?"""

@@ -37,7 +37,7 @@ from repro.core.blt import BltRun, ReplicaSet, replica_runs
 from repro.core.health import HealthState
 from repro.core.intervals import subtract_runs
 from repro.core.metadata import CollectiveInode
-from repro.errors import FileNotFound, TierUnavailable
+from repro.errors import FileNotFound, NoSpace, TierUnavailable
 from repro.sim.stats import CounterSet
 
 
@@ -360,7 +360,9 @@ class MirrorEngine:
         the devices' reserved background channels, so foreground ops only
         pay when they contend for the same device.  An interval is marked
         clean only *after* the mirror tier's fsync returned — a mirror
-        interval must never claim cleanliness its media can't back.
+        interval must never claim cleanliness its media can't back.  A
+        copy the mirror tier cannot hold (ENOSPC) stops the loop like an
+        unreachable tier; the runs copied before it still commit.
         """
         mux = self._mux
         bs = mux.block_size
@@ -398,6 +400,12 @@ class MirrorEngine:
                         # source or mirror died mid-copy: stay stale, a
                         # later tick retries once health recovers
                         self.stats.add("sync_skipped_offline")
+                        failed = True
+                        break
+                    except NoSpace:
+                        # the mirror tier is full: as if unreachable, this
+                        # run stays stale until the tier has room again
+                        self.stats.add("sync_no_space")
                         failed = True
                         break
                     copied.append((run_start, run_len))

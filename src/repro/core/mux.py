@@ -121,7 +121,7 @@ class MuxFileSystem(FileSystem):
         self.blt_factory = blt_factory
         self.scheduler = scheduler if scheduler is not None else IoScheduler()
         self.registry = TierRegistry()
-        #: queue/dirty load sampler feeding TierState.pressure (pure
+        #: per-channel backlog sampler feeding TierState.load (pure
         #: host-side; cannot perturb fingerprints)
         self.pressure = PressureMonitor()
         self.ns = MuxNamespace(clock.now())
@@ -332,20 +332,16 @@ class MuxFileSystem(FileSystem):
         if len(self.registry) == 0:
             return
         self.meta.rehome(self.registry.fastest().fs)
-        host = self.cachectl.provision(self.block_size)
-        if host is not None and self.cachectl.write_back:
-            # only an absorbing cache holds dirty blocks: any other reads a
-            # dirty fraction of 0.0, the gauge's value when it is not set
-            self.pressure.set_dirty_gauge(host, self.cachectl.dirty_fraction)
+        self.cachectl.provision(self.block_size)
 
     def tier_ids(self) -> List[int]:
         return self.registry.ids()
 
     def tier_states(self) -> List[TierState]:
-        """Registry snapshots with sampled pressure signals attached."""
+        """Registry snapshots with each tier's sampled load attached."""
         self.pressure.sample(self.clock.global_now_ns)
-        pressure_of = self.pressure.pressure_of
-        return [t.state(pressure_of(t.tier_id)) for t in self.registry.ordered()]
+        load_of = self.pressure.load_of
+        return [t.state(load_of(t.tier_id)) for t in self.registry.ordered()]
 
     def inode_by_ino(self, ino: int) -> CollectiveInode:
         return self.ns.get(ino)
@@ -402,9 +398,7 @@ class MuxFileSystem(FileSystem):
         path = vpath.normalize(path)
         _check_name(path)
         now = self.clock.now()
-        initial = self._place(
-            PlacementRequest(path, 0, 0, 0, 0, is_append=True)
-        )
+        initial = self._place(PlacementRequest(path, 0, 0))
         inode = self.ns.create_file(
             path, now, mode, initial.tier_id, blt=self.blt_factory()
         )
@@ -651,7 +645,6 @@ class MuxFileSystem(FileSystem):
                 -(-req.length // self.block_size),
                 req.tier_id,
                 "read",
-                clock.now(),
             )
         if completions:
             clock.advance_to(max(completions))
@@ -733,14 +726,7 @@ class MuxFileSystem(FileSystem):
                     first_fb, nblocks, absorb_tier, self.clock.now_ns
                 )
                 self.mirrors.note_stale(inode.ino)
-            self.policy.on_access(
-                inode.ino,
-                first_fb,
-                nblocks,
-                absorb_tier,
-                "write",
-                self.clock.now(),
-            )
+            self.policy.on_access(inode.ino, first_fb, nblocks, absorb_tier, "write")
             # O_SYNC is already satisfied: the slot store + flush_range in
             # write_hit made the data durable on PM, which is exactly the
             # absorption win (§2.5) — synchronous small writes commit at
@@ -769,15 +755,7 @@ class MuxFileSystem(FileSystem):
             target = self.registry.get(forced)
         else:
             target = self._place(
-                PlacementRequest(
-                    handle.path,
-                    inode.ino,
-                    offset,
-                    len(data),
-                    inode.size,
-                    offset >= inode.size,  # is_append
-                    synchronous,
-                )
+                PlacementRequest(handle.path, inode.ino, len(data), synchronous)
             )
 
         segments = self._segment_write(inode, offset, data, target.tier_id)
@@ -806,14 +784,7 @@ class MuxFileSystem(FileSystem):
             if inode.migration_active:
                 inode.dirty_during_migration.add_range(seg_first, seg_count)
             self.cachectl.invalidate_range(inode.ino, seg_first, seg_count)
-            self.policy.on_access(
-                inode.ino,
-                seg_first,
-                seg_count,
-                tier_id,
-                "write",
-                self.clock.now(),
-            )
+            self.policy.on_access(inode.ino, seg_first, seg_count, tier_id, "write")
 
         if inode.replicas is not None:
             self.mirrors.note_stale(inode.ino)

@@ -11,8 +11,8 @@
 * :class:`PinnedPolicy` — static routing to one tier (used by the overhead
   benchmarks, where every request targets a single device).
 * :class:`PressureAwarePolicy` — queue/health-fed placement: routes write
-  bursts around saturated or SUSPECT tiers using the sampled
-  ``TierState.pressure`` signals, demotes off backlogged tiers, and
+  bursts around saturated or SUSPECT tiers using each tier's sampled
+  channel backlog (``TierState.load``), demotes off backlogged tiers, and
   defers migrations toward hot channels.  Hysteresis (separate spill and
   resume thresholds) keeps placement from flapping at the boundary.
 * :class:`MirrorPolicy` — pressure-aware tiering plus MOST-style mirrors
@@ -40,7 +40,6 @@ from repro.core.policy import (
     fastest_with_room,
     has_room,
     register_policy,
-    tier_load,
     writable_tiers,
 )
 from repro.errors import PolicyError
@@ -154,13 +153,7 @@ class LruTieringPolicy(Policy):
     # -- recency tracking -----------------------------------------------------
 
     def on_access(
-        self,
-        ino: int,
-        block_start: int,
-        count: int,
-        tier_id: int,
-        kind: str,
-        now: float,
+        self, ino: int, block_start: int, count: int, tier_id: int, kind: str
     ) -> None:
         first_chunk = block_start // CHUNK_BLOCKS
         last_chunk = (block_start + count - 1) // CHUNK_BLOCKS
@@ -297,7 +290,7 @@ class HotColdPolicy(Policy):
         return fastest_with_room(tiers, request.length).tier_id
 
     def on_access(
-        self, ino: int, block_start: int, count: int, tier_id: int, kind: str, now: float
+        self, ino: int, block_start: int, count: int, tier_id: int, kind: str
     ) -> None:
         self.heat.touch(ino)
 
@@ -368,7 +361,7 @@ class PressureRouter:
     def observe(self, tiers: List[TierState]) -> None:
         """Advance the avoid flags from this round's sampled loads."""
         for t in tiers:
-            load = tier_load(t)
+            load = t.load
             if self._avoiding.get(t.tier_id):
                 if load <= self.RESUME_LOAD:
                     del self._avoiding[t.tier_id]
@@ -382,7 +375,7 @@ class PressureRouter:
         """Whether ``tier`` may receive migration traffic right now."""
         return (
             not self._avoided(tier.tier_id)
-            and tier_load(tier) < self.SPILL_LOAD
+            and tier.load < self.SPILL_LOAD
             and tier.health is HealthState.HEALTHY
         )
 
@@ -414,7 +407,7 @@ class PressureRouter:
                 self.pressure_spills += 1
                 return min(
                     uphill,
-                    key=lambda t: (base_rank - t.rank, tier_load(t), t.rank),
+                    key=lambda t: (base_rank - t.rank, t.load, t.rank),
                 ).tier_id
             return base.tier_id  # nowhere cool and faster: eat the queue
         # base tier SUSPECT, full or unregistered: the write must move —
@@ -425,7 +418,7 @@ class PressureRouter:
             health = 0 if t.health is HealthState.HEALTHY else 1
             avoiding = 1 if self._avoided(t.tier_id) else 0
             dist = abs(t.rank - base_rank)
-            return (health, avoiding, dist, tier_load(t), t.rank)
+            return (health, avoiding, dist, t.load, t.rank)
 
         return min(pool, key=key).tier_id
 
@@ -469,7 +462,7 @@ class PressureAwarePolicy(Policy):
         )
 
     def on_access(
-        self, ino: int, block_start: int, count: int, tier_id: int, kind: str, now: float
+        self, ino: int, block_start: int, count: int, tier_id: int, kind: str
     ) -> None:
         self.heat.touch(ino)
 
@@ -503,7 +496,7 @@ class PressureAwarePolicy(Policy):
         for t in tiers:
             if t.health is HealthState.OFFLINE:
                 continue
-            if tier_load(t) >= self.DEMOTE_LOAD or t.health is HealthState.SUSPECT:
+            if t.load >= self.DEMOTE_LOAD or t.health is HealthState.SUSPECT:
                 relieving.append((t, True))
             elif t.utilization >= self.DEMOTE_UTIL and any(
                 d.rank > t.rank for d in writable
@@ -520,7 +513,7 @@ class PressureAwarePolicy(Policy):
                 continue
             dst = min(
                 dsts,
-                key=lambda t: (0 if t.rank > src.rank else 1, tier_load(t), t.rank),
+                key=lambda t: (0 if t.rank > src.rank else 1, t.load, t.rank),
             )
             resident = [
                 v
@@ -630,9 +623,9 @@ class MirrorPolicy(PressureAwarePolicy):
         self._mirrored_on: Dict[int, int] = {}
 
     def on_access(
-        self, ino: int, block_start: int, count: int, tier_id: int, kind: str, now: float
+        self, ino: int, block_start: int, count: int, tier_id: int, kind: str
     ) -> None:
-        super().on_access(ino, block_start, count, tier_id, kind, now)
+        super().on_access(ino, block_start, count, tier_id, kind)
         (self._reads if kind == "read" else self._writes).touch(ino)
 
     def forget(self, ino: int) -> None:

@@ -19,7 +19,6 @@ from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.health import HealthState
-from repro.core.pressure import TierPressure
 from repro.devices.profile import DeviceKind
 from repro.errors import PolicyError
 
@@ -39,9 +38,10 @@ class TierState(NamedTuple):
     free_bytes: int
     total_bytes: int
     health: HealthState = HealthState.HEALTHY
-    #: queue/dirty load signals sampled by the PressureMonitor; None when
-    #: the tier has no tracked device timeline (or in bare unit tests)
-    pressure: Optional[TierPressure] = None
+    #: per-channel backlog sampled by the PressureMonitor
+    #: (:meth:`~repro.core.pressure.PressureMonitor.load_of`); 0.0 when
+    #: the tier has no tracked device timeline or was never sampled
+    load: float = 0.0
 
     @property
     def used_bytes(self) -> int:
@@ -53,14 +53,12 @@ class TierState(NamedTuple):
 
 
 class PlacementRequest(NamedTuple):
-    """One write that needs a home."""
+    """One write that needs a home: what the file is, how big the write
+    is and whether the caller waits for it to be durable (§2.1)."""
 
     path: str
     ino: int
-    offset: int
     length: int
-    file_size: int
-    is_append: bool
     synchronous: bool = False
 
 
@@ -132,13 +130,7 @@ class Policy(ABC):
         """Choose the tier id that should receive this write."""
 
     def on_access(
-        self,
-        ino: int,
-        block_start: int,
-        count: int,
-        tier_id: int,
-        kind: str,
-        now: float,
+        self, ino: int, block_start: int, count: int, tier_id: int, kind: str
     ) -> None:
         """Access notification (kind is "read" or "write"); default: ignore."""
 
@@ -172,11 +164,6 @@ def writable_tiers(tiers: List[TierState]) -> List[TierState]:
     if healthy:
         return healthy
     return [t for t in tiers if t.health is not HealthState.OFFLINE]
-
-
-def tier_load(tier: TierState) -> float:
-    """The tier's sampled channel load; 0.0 when pressure is untracked."""
-    return tier.pressure.load if tier.pressure is not None else 0.0
 
 
 #: share of a tier's capacity that placement keeps free: a write goes

@@ -9,16 +9,13 @@ Adding or removing a device can be done at runtime."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.health import HealthState, TierHealth
 from repro.core.policy import TierState
 from repro.devices.profile import DeviceKind, DeviceProfile
 from repro.errors import InvalidArgument, ReproError
 from repro.vfs.interface import FileSystem
-
-if TYPE_CHECKING:
-    from repro.core.pressure import TierPressure
 
 
 @dataclass
@@ -47,8 +44,8 @@ class Tier:
     def has_room(self, length: int) -> bool:
         return self.fs.statfs().free_bytes >= length + self.reserve_bytes
 
-    def state(self, pressure: Optional[TierPressure]) -> TierState:
-        """Policy snapshot; ``pressure`` is the tier's sampled load signal."""
+    def state(self, load: float) -> TierState:
+        """Policy snapshot; ``load`` is the tier's sampled backlog."""
         fsstats = self.fs.statfs()
         # positional: a NamedTuple builds several times faster that way
         return TierState(
@@ -59,7 +56,7 @@ class Tier:
             fsstats.free_bytes,
             fsstats.total_bytes,
             self.health.state,
-            pressure,
+            load,
         )
 
 

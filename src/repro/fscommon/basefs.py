@@ -585,7 +585,7 @@ class NativeFileSystem(FileSystem):
         )
 
     def load_hint(self):
-        """The device timeline: channel backlog and busy time."""
+        """The device timeline: its per-channel backlog."""
         return self.device.timeline
 
     # ------------------------------------------------------------------

@@ -256,9 +256,8 @@ class FileSystem(ABC):
         """The queue gauge behind this file system, or None (the default).
 
         What Mux's pressure monitor samples to route around a backlogged
-        tier: an object with ``queued_at(now_ns)``, ``nchannels`` and
-        ``busy_ns``.  A file system that returns None is simply not
-        load-tracked.
+        tier: an object with ``queued_at(now_ns)`` and ``nchannels``.  A
+        file system that returns None is simply not load-tracked.
         """
         return None
 

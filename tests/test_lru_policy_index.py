@@ -30,7 +30,7 @@ class ReferenceLru(LruTieringPolicy):
         super().__init__()
         self._promotions = []
 
-    def on_access(self, ino, block_start, count, tier_id, kind, now):
+    def on_access(self, ino, block_start, count, tier_id, kind):
         first_chunk = block_start // CHUNK_BLOCKS
         last_chunk = (block_start + count - 1) // CHUNK_BLOCKS
         for chunk in range(first_chunk, last_chunk + 1):
@@ -115,7 +115,6 @@ def _tier(tier_id: int, free_mib: int) -> TierState:
         free_bytes=free_mib * MIB,
         total_bytes=64 * MIB,
         health=HealthState.HEALTHY,
-        pressure=None,
     )
 
 
@@ -141,7 +140,7 @@ STEPS = st.one_of(
 def _apply(policy, step):
     if step[0] == "access":
         _, ino, start, count, tier, kind = step
-        return policy.on_access(ino, start, count, tier, kind, 0.0)
+        return policy.on_access(ino, start, count, tier, kind)
     if step[0] == "forget":
         return policy.forget(step[1])
     _, free, placed, max_orders = step

@@ -574,6 +574,42 @@ class TestSyncFailure:
         assert inode.replicas.covers_clean(ssd, 0, 16)
         mux.close(handle)
 
+    def test_full_mirror_tier_keeps_the_run_stale_and_commits_the_rest(self):
+        """ENOSPC on a mirror write is the mirror tier being unreachable
+        for that run: it stays stale, the tick does not raise, and the
+        runs it copied before still fsync and turn clean."""
+        stack = build_stack(
+            tiers=["pm", "hdd"], capacities={"pm": 8 * MIB}, enable_cache=False
+        )
+        mux = stack.mux
+        pm, hdd = stack.tier_ids["pm"], stack.tier_ids["hdd"]
+        # /b: blocks 0-7 and 16-31 on the HDD, 8-15 already on PM
+        hb = place_on(stack, "/b", "hdd", blocks=32, salt=1)
+        mux.engine.migrate_now(MigrationOrder(hb.ino, 8, 8, hdd, pm))
+        # fill PM with a file pinned there, down to its placement reserve
+        fill = mux.create("/fill")
+        mux.set_placement("/fill", pm)
+        offset = 0
+        while mux.ns.resolve("/fill").blt.tiers_used() in ([], [pm]):
+            mux.write(fill, offset, bytes(BS))
+            offset += BS
+        free = mux.registry.get(pm).fs.statfs().free_blocks
+        # a mirror sync is not held to the reserve: /a's leaves 8 blocks
+        ha = place_on(stack, "/a", "hdd", blocks=free - 8, salt=2)
+        for handle in (ha, hb):
+            inode = mux.ns.resolve(handle.path)
+            mux.mirrors.add_mirror(inode, pm)
+            stack.clock.advance_ns(MirrorEngine.MAX_STALENESS_NS)
+            mux.mirrors.tick()
+        b = mux.ns.resolve("/b")
+        assert mux.mirrors.stats.get("sync_no_space") == 1
+        assert b.replicas.covers_clean(pm, 0, 8)
+        assert b.replicas.stale_runs(pm) == [(16, 16)]
+        assert mux.read(hb, 0, 32 * BS) == pattern(32 * BS, salt=1)
+        for handle in (ha, hb, fill):
+            mux.close(handle)
+
+
 # ---------------------------------------------------------------------------
 # fsck replica-divergence audit (injected corruption)
 # ---------------------------------------------------------------------------
@@ -665,32 +701,32 @@ class TestMirrorPolicy:
     def test_hot_read_mostly_small_file_earns_a_mirror(self):
         policy = MirrorPolicy()
         for _ in range(10):
-            policy.on_access(1, 0, 16, 3, "read", 0.0)
+            policy.on_access(1, 0, 16, 3, "read")
         orders = policy.plan_mirrors(self.tiers(), [self.view(1)])
         assert orders == [MirrorOrder(1, 1, "add", "hot-read-mostly")]
 
     def test_write_heavy_file_is_not_mirrored(self):
         policy = MirrorPolicy()
         for _ in range(10):
-            policy.on_access(1, 0, 16, 3, "write", 0.0)
+            policy.on_access(1, 0, 16, 3, "write")
         assert policy.plan_mirrors(self.tiers(), [self.view(1)]) == []
 
     def test_cold_file_is_not_mirrored(self):
         policy = MirrorPolicy()
-        policy.on_access(1, 0, 16, 3, "read", 0.0)
+        policy.on_access(1, 0, 16, 3, "read")
         assert policy.plan_mirrors(self.tiers(), [self.view(1)]) == []
 
     def test_large_file_is_not_mirrored(self):
         policy = MirrorPolicy()
         for _ in range(10):
-            policy.on_access(1, 0, 16, 3, "read", 0.0)
+            policy.on_access(1, 0, 16, 3, "read")
         view = self.view(1, size=2 * MirrorPolicy.MAX_FILE_BYTES)
         assert policy.plan_mirrors(self.tiers(), [view]) == []
 
     def test_file_already_on_the_fast_tier_is_skipped(self):
         policy = MirrorPolicy()
         for _ in range(10):
-            policy.on_access(1, 0, 16, 1, "read", 0.0)
+            policy.on_access(1, 0, 16, 1, "read")
         view = self.view(1, tier=1)  # lives on PM already
         assert policy.plan_mirrors(self.tiers(), [view]) == []
 
@@ -704,12 +740,12 @@ class TestMirrorPolicy:
         policy = MirrorPolicy()
         for ino, reads in ((1, 12), (2, 10), (3, 10)):
             for _ in range(reads):
-                policy.on_access(ino, 0, 16, 3, "read", 0.0)
+                policy.on_access(ino, 0, 16, 3, "read")
         views = [self.view(ino, size=MIB) for ino in (1, 2, 3)]
         assert len(policy.plan_mirrors(self.tiers(), views)) == 3
         # heat decays in the migration planner, as in mux.maintain
         for _ in range(20):
-            policy.on_access(3, 0, 16, 3, "read", 0.0)
+            policy.on_access(3, 0, 16, 3, "read")
             policy.plan_migrations(self.tiers(), views)
             assert policy.plan_mirrors(self.tiers(), views) == []
         assert policy.heat.get(2) < policy.heat.get(1) <= COLD_THRESHOLD
@@ -720,13 +756,13 @@ class TestMirrorPolicy:
         policy, views = self.cooled_mirrors()
         # warm again: the kept mirror serves it, nothing is recopied
         for _ in range(10):
-            policy.on_access(1, 0, 16, 3, "read", 0.0)
+            policy.on_access(1, 0, 16, 3, "read")
         assert policy.plan_mirrors(self.tiers(), views) == []
 
     def test_hot_candidate_evicts_the_coldest_cooled_mirror(self):
         policy, views = self.cooled_mirrors()
         for _ in range(10):
-            policy.on_access(4, 0, 16, 3, "read", 0.0)
+            policy.on_access(4, 0, 16, 3, "read")
         views.append(self.view(4, size=MIB))
         # half a MiB below the line: one eviction makes room
         orders = policy.plan_mirrors(
@@ -740,7 +776,7 @@ class TestMirrorPolicy:
     def test_warm_mirror_is_never_displaced(self):
         policy, views = self.cooled_mirrors()
         for _ in range(10):
-            policy.on_access(4, 0, 16, 3, "read", 0.0)
+            policy.on_access(4, 0, 16, 3, "read")
         views.append(self.view(4, size=3 * MIB))
         # the two cooled mirrors free 2 MiB of the 3 the candidate needs:
         # taking ino 3's warm mirror would be the only way, so nothing moves
@@ -751,7 +787,7 @@ class TestMirrorPolicy:
         policy = MirrorPolicy()
         for ino in (1, 2, 3, 4):
             for _ in range(10 + ino):
-                policy.on_access(ino, 0, 16, 3, "read", 0.0)
+                policy.on_access(ino, 0, 16, 3, "read")
         views = [self.view(ino, size=MIB) for ino in (1, 2, 3, 4)]
         room = 2 * MIB + MIB // 2
         orders = policy.plan_mirrors(
@@ -768,7 +804,7 @@ class TestMirrorPolicy:
         policy = MirrorPolicy()
         for ino in (1, 2, 3):
             for _ in range(10 + ino):
-                policy.on_access(ino, 0, 16, 3, "read", 0.0)
+                policy.on_access(ino, 0, 16, 3, "read")
         views = [self.view(ino, size=MIB) for ino in (1, 2, 3)]
         assert len(policy.plan_mirrors(self.tiers(), views)) == 3
         # authoritative data grows past the line
@@ -780,7 +816,7 @@ class TestMirrorPolicy:
     def test_offline_mirror_tier_sheds_its_mirrors(self):
         policy = MirrorPolicy()
         for _ in range(10):
-            policy.on_access(1, 0, 16, 3, "read", 0.0)
+            policy.on_access(1, 0, 16, 3, "read")
         assert policy.plan_mirrors(self.tiers(), [self.view(1)])
         orders = policy.plan_mirrors(
             self.tiers(pm_health=HealthState.OFFLINE), [self.view(1)]
@@ -791,7 +827,7 @@ class TestMirrorPolicy:
         policy = MirrorPolicy()
         for ino, accesses in ((1, 12), (2, 6)):
             for _ in range(accesses):
-                policy.on_access(ino, 0, 16, 3, "read", 0.0)
+                policy.on_access(ino, 0, 16, 3, "read")
         views = [self.view(1), self.view(2)]
         assert len(policy.plan_mirrors(self.tiers(), views)) == 2
         # the mirror tier fills past RECLAIM_UTIL: coldest mirrors go
@@ -804,13 +840,13 @@ class TestMirrorPolicy:
     def test_promotions_into_the_mirror_tier_are_suppressed(self):
         policy = MirrorPolicy()
         for _ in range(10):
-            policy.on_access(1, 0, 16, 3, "read", 0.0)
+            policy.on_access(1, 0, 16, 3, "read")
         tiers = self.tiers()
         views = [self.view(1)]
         assert policy.plan_mirrors(tiers, views)
         # hot + resident downhill + cool fast tier would normally promote
         for _ in range(10):
-            policy.on_access(1, 0, 16, 3, "read", 0.0)
+            policy.on_access(1, 0, 16, 3, "read")
         orders = policy.plan_migrations(tiers, views)
         assert not any(o.dst_tier == 1 for o in orders)
 
@@ -834,7 +870,7 @@ def test_stationary_zipf_stream_grants_each_mirror_once():
     mirrored, grants, drops = set(), Counter(), []
     for _ in range(rounds):
         for ino in rng.choices(range(1, files + 1), weights, k=reads_per_round):
-            policy.on_access(ino, 0, MIB // BS, 3, "read", 0.0)
+            policy.on_access(ino, 0, MIB // BS, 3, "read")
         used = authoritative + MIB * len(mirrored)
         tiers = [
             tier_state(1, "pm", 0, DeviceKind.PERSISTENT_MEMORY, total - used, total),

@@ -38,10 +38,7 @@ def request(length=4096, ino=1, synchronous=False):
     return PlacementRequest(
         path="/f",
         ino=ino,
-        offset=0,
         length=length,
-        file_size=0,
-        is_append=True,
         synchronous=synchronous,
     )
 
@@ -133,8 +130,8 @@ class TestLruPolicy:
             size=CHUNK_BLOCKS * 4096,
             runs=[(0, CHUNK_BLOCKS, 0)],
         )
-        policy.on_access(1, 0, CHUNK_BLOCKS, 0, "write", 1.0)
-        policy.on_access(2, 0, CHUNK_BLOCKS, 0, "write", 2.0)  # hot is recent
+        policy.on_access(1, 0, CHUNK_BLOCKS, 0, "write")
+        policy.on_access(2, 0, CHUNK_BLOCKS, 0, "write")  # hot is recent
         orders = policy.plan_migrations(tiers, [cold, hot])
         assert orders
         first = orders[0]
@@ -145,7 +142,7 @@ class TestLruPolicy:
     def test_promote_on_read(self):
         policy = LruTieringPolicy()
         tiers = THREE_TIERS
-        policy.on_access(5, 0, 8, tier_id=2, kind="read", now=1.0)
+        policy.on_access(5, 0, 8, tier_id=2, kind="read")
         view = FileView(ino=5, path="/f", size=8 * 4096, runs=[(0, 8, 2)])
         orders = policy.plan_migrations(tiers, [view])
         promotes = [o for o in orders if o.reason == "promote-on-access"]
@@ -161,13 +158,13 @@ class TestLruPolicy:
     def test_slowest_tier_never_demotes(self):
         policy = AlmostEmptyLru()
         tiers = [tier(0, 0, 1 * MIB, total=64 * MIB)]
-        policy.on_access(1, 0, CHUNK_BLOCKS, 0, "write", 1.0)
+        policy.on_access(1, 0, CHUNK_BLOCKS, 0, "write")
         view = FileView(ino=1, path="/f", size=0, runs=[(0, CHUNK_BLOCKS, 0)])
         assert policy.plan_migrations(tiers, [view]) == []
 
     def test_forget_clears_state(self):
         policy = LruTieringPolicy()
-        policy.on_access(1, 0, 8, 2, "read", 1.0)
+        policy.on_access(1, 0, 8, 2, "read")
         policy.forget(1)
         assert policy.plan_migrations(THREE_TIERS, []) == []
 
@@ -212,7 +209,7 @@ class TestHotColdPolicy:
     def test_hot_file_promoted(self):
         policy = HotColdPolicy()
         for _ in range(5):
-            policy.on_access(1, 0, 4, 2, "read", 1.0)
+            policy.on_access(1, 0, 4, 2, "read")
         view = FileView(ino=1, path="/f", size=4 * 4096, runs=[(0, 4, 2)])
         orders = policy.plan_migrations(THREE_TIERS, [view])
         assert orders
@@ -221,7 +218,7 @@ class TestHotColdPolicy:
 
     def test_cold_file_demoted(self):
         policy = HotColdPolicy()
-        policy.on_access(1, 0, 4, 0, "read", 1.0)
+        policy.on_access(1, 0, 4, 0, "read")
         view = FileView(ino=1, path="/f", size=4 * 4096, runs=[(0, 4, 0)])
         # each plan sees the heat, then decays it: 1.0, 0.8, 0.64 and
         # 0.512 are warm; the fifth plan sees 0.4096 <= COLD_THRESHOLD

@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.health import HealthState
 from repro.core.policy import FileView, PlacementRequest, TierState, make_policy
-from repro.core.pressure import TierPressure
 from repro.devices.profile import DeviceKind
 
 KIB = 1024
@@ -33,7 +32,7 @@ def _tier(tier_id, load=0.0, health=HealthState.HEALTHY, free=900 * MIB):
         free_bytes=free,
         total_bytes=1024 * MIB,
         health=health,
-        pressure=TierPressure(queued=load, backlog=load),
+        load=load,
     )
 
 
@@ -86,10 +85,7 @@ def _place(policy, scenario):
             PlacementRequest(
                 path=f"/f{ino}",
                 ino=ino,
-                offset=0,
                 length=length,
-                file_size=length,
-                is_append=True,
                 synchronous=sync,
             ),
             tiers,
@@ -114,7 +110,7 @@ def _plan(policy, scenario):
 def _touch(policy, ino, kind, times):
     tier_id, blocks = RESIDENCE[ino][0]
     for i in range(times):
-        policy.on_access(ino, 0, blocks, tier_id, kind, float(i))
+        policy.on_access(ino, 0, blocks, tier_id, kind)
 
 
 def transcript(name):

@@ -12,7 +12,6 @@ from repro.core.policy import (
     TierState,
     make_policy,
 )
-from repro.core.pressure import TierPressure
 from repro.devices.profile import OPTANE_SSD_P4800X, DeviceKind
 from repro.stack import build_stack
 
@@ -36,7 +35,7 @@ def _tier(
         free_bytes=free,
         total_bytes=total,
         health=health,
-        pressure=TierPressure(queued=load, backlog=load),
+        load=load,
     )
 
 
@@ -44,10 +43,7 @@ def _req(length: int = 4 * KIB, ino: int = 1, sync: bool = False) -> PlacementRe
     return PlacementRequest(
         path="/f",
         ino=ino,
-        offset=0,
         length=length,
-        file_size=length,
-        is_append=True,
         synchronous=sync,
     )
 
@@ -141,7 +137,7 @@ class TestPlanning:
         # threshold (no promotion either)
         pol = PressureAwarePolicy()
         for _ in range(2):
-            pol.on_access(1, 0, 1, 1, "read", 0.0)
+            pol.on_access(1, 0, 1, 1, "read")
         tiers = [_tier(0, 0), _tier(1, 1, load=2.0), _tier(2, 2)]
         orders = pol.plan_migrations(tiers, [_view(1, tier=1)])
         assert orders == []
@@ -151,7 +147,7 @@ class TestPlanning:
         # the next burst is worth more than any one file's placement
         pol = PressureAwarePolicy()
         for _ in range(8):
-            pol.on_access(1, 0, 1, 0, "read", 0.0)
+            pol.on_access(1, 0, 1, 0, "read")
         full = _tier(0, 0, free=64 * MIB, total=1024 * MIB)
         tiers = [full, _tier(1, 1), _tier(2, 2)]
         orders = pol.plan_migrations(tiers, [_view(1, tier=0)])
@@ -162,7 +158,7 @@ class TestPlanning:
     def test_promotion_deferred_while_fastest_is_hot(self):
         pol = PressureAwarePolicy()
         for _ in range(8):
-            pol.on_access(1, 0, 1, 1, "read", 0.0)
+            pol.on_access(1, 0, 1, 1, "read")
         cool = [_tier(0, 0), _tier(1, 1), _tier(2, 2)]
         hot = [_tier(0, 0, load=2.0), _tier(1, 1), _tier(2, 2)]
         deferred_before = pol.router.deferred_orders
@@ -174,7 +170,7 @@ class TestPlanning:
     def test_promotion_respects_headroom_cap(self):
         pol = PressureAwarePolicy()
         for _ in range(8):
-            pol.on_access(1, 0, 1, 1, "read", 0.0)
+            pol.on_access(1, 0, 1, 1, "read")
         crowded = _tier(0, 0, free=400 * MIB, total=1024 * MIB)
         tiers = [crowded, _tier(1, 1), _tier(2, 2)]
         assert pol.plan_migrations(tiers, [_view(1, tier=1)]) == []
@@ -184,7 +180,7 @@ class TestPlanning:
         views = [_view(i, tier=1) for i in range(1, 6)]
         for v in views:
             for _ in range(8):
-                pol.on_access(v.ino, 0, 1, 1, "read", 0.0)
+                pol.on_access(v.ino, 0, 1, 1, "read")
         tiers = [_tier(0, 0), _tier(1, 1), _tier(2, 2)]
         orders = pol.plan_migrations(tiers, views)
         assert len({o.ino for o in orders}) == 2

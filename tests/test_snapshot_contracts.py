@@ -1,9 +1,11 @@
 """Contracts of the placement snapshots and of the write-spill order.
 
-``TierState``, ``TierPressure``, ``PlacementRequest`` and ``FsStats`` are
+``TierState``, ``FileView``, ``PlacementRequest`` and ``FsStats`` are
 read-only records handed across the policy and VFS boundaries: they must
 refuse attribute assignment, build from keywords with their defaults and
-keep their derived properties, whatever type implements them.
+keep their derived properties, whatever type implements them.  The load
+a ``TierState`` carries is :meth:`PressureMonitor.load_of`, whose rule is
+pinned here too.
 
 ``MuxFileSystem._write_segment`` writes a segment on the tier placement
 chose and, when that tier is offline or its file system refuses, spills:
@@ -17,8 +19,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.health import HealthState
-from repro.core.policy import PlacementRequest, TierState
-from repro.core.pressure import TierPressure
+from repro.core.policy import FileView, PlacementRequest, TierState
+from repro.core.pressure import PressureMonitor
 from repro.devices.profile import DeviceKind
 from repro.errors import NoSpace
 from repro.stack import build_stack
@@ -36,7 +38,7 @@ def test_tier_state_defaults_and_properties():
         free_bytes=25 * MIB, total_bytes=100 * MIB,
     )
     assert state.health is HealthState.HEALTHY
-    assert state.pressure is None
+    assert state.load == 0.0
     assert state.used_bytes == 75 * MIB
     assert state.utilization == 0.75
     empty = TierState(
@@ -46,19 +48,40 @@ def test_tier_state_defaults_and_properties():
     assert empty.utilization == 0.0
 
 
+class _Gauge:
+    """A load hint whose backlog the test sets directly."""
+
+    nchannels = 2
+
+    def __init__(self) -> None:
+        self.queued = 0
+
+    def queued_at(self, now_ns: int) -> int:
+        return self.queued
+
+
 def test_tier_pressure_defaults_and_load():
-    assert TierPressure() == TierPressure(
-        queued=0.0, backlog=0.0, utilization=0.0, dirty_fraction=0.0, sampled_ns=0
-    )
-    # the placement signal is the larger of the instant and smoothed backlog
-    assert TierPressure(queued=2.0, backlog=0.5).load == 2.0
-    assert TierPressure(queued=0.25, backlog=1.5).load == 1.5
+    monitor = PressureMonitor()
+    gauge = _Gauge()
+    monitor.attach(1, gauge)
+    # untracked and never-sampled tiers both read as unloaded
+    assert monitor.load_of(0) == 0.0
+    assert monitor.load_of(1) == 0.0
+    # the placement signal is the larger of the instant and smoothed
+    # per-channel backlog: a burst shows at once ...
+    monitor.sample(0)
+    gauge.queued = 4
+    monitor.sample(monitor.sample_interval_ns)
+    assert monitor.snapshot()[1] == {"queued": 2.0, "backlog": 0.6, "samples": 2}
+    assert monitor.load_of(1) == 2.0
+    # ... and its tail decays through the EWMA instead of dropping to 0
+    gauge.queued = 0
+    monitor.sample(2 * monitor.sample_interval_ns)
+    assert monitor.load_of(1) == monitor.snapshot()[1]["backlog"] == 0.42
 
 
 def test_placement_request_defaults():
-    request = PlacementRequest(
-        path="/f", ino=7, offset=0, length=4096, file_size=0, is_append=True
-    )
+    request = PlacementRequest(path="/f", ino=7, length=4096)
     assert request.synchronous is False
     assert request.length == 4096
 
@@ -75,8 +98,8 @@ def test_fs_stats_properties():
     "record, field",
     [
         (TierState(0, "pm", 0, DeviceKind.PERSISTENT_MEMORY, 1, 2), "free_bytes"),
-        (TierPressure(), "queued"),
-        (PlacementRequest("/f", 1, 0, 1, 0, False), "length"),
+        (FileView(1, "/f", 0), "size"),
+        (PlacementRequest("/f", 1, 1), "length"),
         (FsStats(4096, 1, 1), "free_blocks"),
     ],
 )
