@@ -8,7 +8,8 @@ the cost stays flat:
 
 * ring submit + reap at depth 1 / 8 / 64 (a submit bisects the
   in-flight completions, so the depth adds little), timed and counted;
-* ``SimClock`` push / advance / pop under 0 and 64 enclosing frames;
+* ``SimClock`` push / advance / pop under 0 and 64 enclosing frames,
+  timed and counted;
 * one ``TierFiles._call`` on a healthy tier;
 * a ``PageCache.get_span`` hit in a 256- vs 16,384-page cache;
 * the PM persist path: a 64 B NOVA log entry (``store`` + ``flush_range``)
@@ -29,6 +30,7 @@ import timeit
 import pytest
 
 import repro.core.ring
+import repro.sim.clock
 
 from repro.core.policy import MigrationOrder
 from repro.devices.pm import CACHE_LINE, PersistentMemoryDevice
@@ -140,6 +142,18 @@ def test_clock_cost_does_not_follow_nesting():
     costs on the bare clock, within 2x."""
     t = {d: best_of_5(frame_cycle(nested_clock(d)), 5000) for d in (0, 64)}
     assert t[64] <= 2 * t[0], t
+
+
+def test_clock_work_does_not_follow_nesting():
+    """The counted twin of the timed assert above: a push/advance/pop
+    cycle under 64 enclosing frames makes the calls and runs the lines
+    one on the bare clock does, so no frame operation walks the saved
+    frames."""
+    work = {
+        d: code_work(frame_cycle(nested_clock(d)), 200, repro.sim.clock)
+        for d in (0, 64)
+    }
+    assert work[64] == work[0], work
 
 
 # -- TierFiles._call -----------------------------------------------------------

@@ -26,6 +26,14 @@ it there).
 
 A per-ino secondary index keeps :meth:`invalidate_file` and
 :meth:`invalidate_range` O(blocks-of-the-file) instead of O(cache).
+
+**Fill behind the read.**  A read-miss fill (:meth:`put_many`) runs on a
+background clock frame and :meth:`note_landing` records when it lands.
+A hit or an absorbed write on a block whose fill has not landed waits,
+after its lookup and MGLRU touch, until it lands and no longer, as a
+second reader of a page under I/O waits on the page lock.  An entry
+leaves that map on a hit, an eviction, an invalidation, or once the
+global clock has passed it.
 """
 
 from __future__ import annotations
@@ -41,6 +49,9 @@ from repro.sim.stats import CounterSet
 from repro.vfs.interface import FileSystem, OpenFlags
 
 CACHE_FILE = "/.mux_cache"
+
+#: in-flight fill entries kept before landed ones are pruned
+LANDING_PRUNE_AT = 64
 
 CacheKey = Tuple[int, int]  # (mux ino, file block)
 
@@ -93,6 +104,9 @@ class ScmCacheManager:
         #: dirty intervals dropped by failed destages, for fsck reporting:
         #: ino -> [(file_block, count)]
         self._lost: Dict[int, List[Run]] = {}
+        #: key -> simulated time its background fill lands (may be past)
+        self._landing: Dict[CacheKey, int] = {}
+        self._prune_at = LANDING_PRUNE_AT
         self._map = self._map_cache_file(scm_fs)
 
     def _map_cache_file(self, scm_fs: FileSystem):
@@ -138,6 +152,7 @@ class ScmCacheManager:
         self._mglru.touch(key)
         self.clock.advance_ns(cal.CACHE_MGLRU_NS)
         self.stats.add("hit")
+        self._await_fills(ino, file_block, 1)
         return self._map.load(slot)
 
     def contains(self, ino: int, file_block: int) -> bool:
@@ -198,7 +213,17 @@ class ScmCacheManager:
             self._mglru.touch(key)
             slots.append(slot)
         self.stats.add("hit", count)
+        self._await_fills(ino, first_block, count)
         self._map.load_blocks(slots, out, out_off)
+
+    def _await_fills(self, ino: int, first_block: int, count: int) -> None:
+        """Before a DAX access: wait until the blocks' fills have landed."""
+        if not self._landing:
+            return
+        for fb in range(first_block, first_block + count):
+            landed = self._landing.pop((ino, fb), None)
+            if landed is not None:
+                self.clock.advance_to(landed)
 
     # -- fills / invalidation ----------------------------------------------------
 
@@ -227,6 +252,7 @@ class ScmCacheManager:
                 if self.on_lost is not None:
                     self.on_lost(v_ino, [(v_fb, 1)])
         self._free_slots.append(self._slots.pop(victim))
+        self._landing.pop(victim, None)
         self._index_remove(v_ino, v_fb)
         self.stats.add("evict")
 
@@ -282,6 +308,18 @@ class ScmCacheManager:
                 self.stats.add("fill", filled)
         self._map.store_blocks(slots, data)
 
+    def note_landing(self, ino: int, first_block: int, count: int, landed_ns: int) -> None:
+        """A background fill of ``[first_block, +count)`` lands at
+        ``landed_ns``: hits on those blocks wait for it until then."""
+        landing = self._landing
+        if len(landing) >= self._prune_at:
+            now = self.clock.global_now_ns
+            landing = self._landing = {k: t for k, t in landing.items() if t > now}
+            self._prune_at = max(LANDING_PRUNE_AT, 2 * len(landing))
+        for fb in range(first_block, first_block + count):
+            if (ino, fb) in self._slots:  # its own evictions may drop some
+                landing[(ino, fb)] = landed_ns
+
     # -- write-back --------------------------------------------------------
 
     def write_hit(self, ino: int, file_block: int, data: bytes, offset: int) -> bool:
@@ -304,6 +342,7 @@ class ScmCacheManager:
             cal.CACHE_LOOKUP_NS + cal.CACHE_MGLRU_NS + cal.CACHE_DIRTY_META_NS
         )
         self._mglru.touch(key)
+        self._await_fills(ino, file_block, 1)
         self._map.store(slot, offset, bytes(data))
         dirty = self._dirty.setdefault(ino, BlockIntervalSet())
         self.dirty_block_count += dirty.add(file_block)
@@ -389,6 +428,7 @@ class ScmCacheManager:
             return False
         self._mglru.remove(key)
         self._free_slots.append(slot)
+        self._landing.pop(key, None)
         self._index_remove(ino, file_block)
         dirty = self._dirty.get(ino)
         if dirty is not None:
@@ -456,6 +496,7 @@ class ScmCacheManager:
         assert len(set(self._slots.values())) == len(self._slots)
         for key in self._slots:
             assert key in self._mglru
+        assert self._landing.keys() <= self._slots.keys()
         # the per-ino index is exactly the slot keys, grouped
         indexed = {
             (ino, fb) for ino, blocks in self._by_ino.items() for fb in blocks

@@ -7,7 +7,9 @@ policy around it, in two halves:
 
 * **read-through** — a sub-request for a tier slow enough to be worth
   caching is served run-at-a-time from the cache's hit/miss layout, misses
-  filled from the tier; anything else goes straight to the tier;
+  filled from the tier behind the read (a miss returns when the tier has
+  answered; a hit waits for a fill that has not landed, see
+  :mod:`repro.core.cache`); anything else goes straight to the tier;
 * **write-back** (``write_back=True``) — a write whose every block is
   cache-resident is absorbed in place on PM, and the dirty runs are
   destaged to their owning tiers in coalesced batches: on eviction, fsync,
@@ -192,7 +194,8 @@ class CacheController:
     ) -> None:
         """Serve a contiguous miss run of ``req``: one tier read for the
         whole run, sized to the file so the tier never reads past EOF,
-        put into the cache and copied into ``out``."""
+        copied into ``out``, and put into the cache on a background frame
+        (victim destages ride it) whose landing the cache records."""
         cache = self.cache
         bs = cache.block_size
         cache.note_misses(n)
@@ -200,7 +203,12 @@ class CacheController:
         raw = self.files.read(inode, req.tier_id, start_fb * bs, want)
         if len(raw) < n * bs:
             raw += bytes(n * bs - len(raw))
-        cache.put_many(inode.ino, start_fb, raw)
+        self.clock.push_frame(background=True)
+        try:
+            cache.put_many(inode.ino, start_fb, raw)
+        finally:
+            landed = self.clock.pop_frame()
+        cache.note_landing(inode.ino, start_fb, n, landed)
         lo = max(req.offset, start_fb * bs)
         hi = min(req.offset + req.length, (start_fb + n) * bs)
         dst = req.buffer_offset + (lo - req.offset)

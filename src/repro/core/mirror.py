@@ -330,21 +330,22 @@ class MirrorEngine:
         stale: List[Tuple[int, int]],
         now_ns: int,
     ) -> bool:
-        """Pressure gate with a staleness deadline (dispatcher fairness)."""
-        since = inode.replicas.stale_since_ns(tier_id)
-        if since is not None and now_ns - since >= self.MAX_STALENESS_NS:
-            self.stats.add("deadline_promotions")
-            return False
+        """Pressure gate with a staleness deadline (dispatcher fairness);
+        ``deadline_promotions`` counts the deadline overriding the gate."""
         monitor = self._mux.pressure
         load = monitor.instant_load_of(tier_id, now_ns)
         for start, count in stale:
             for _, _, src in inode.blt.runs(start, count):
                 if src is not None and src != tier_id:
                     load = max(load, monitor.instant_load_of(src, now_ns))
-        if load >= cal.DEFER_LOAD:
-            self.stats.add("defer_ticks")
-            return True
-        return False
+        if load < cal.DEFER_LOAD:
+            return False
+        since = inode.replicas.stale_since_ns(tier_id)
+        if since is not None and now_ns - since >= self.MAX_STALENESS_NS:
+            self.stats.add("deadline_promotions")
+            return False
+        self.stats.add("defer_ticks")
+        return True
 
     def _sync_tier(
         self,
@@ -361,11 +362,17 @@ class MirrorEngine:
         pay when they contend for the same device.  An interval is marked
         clean only *after* the mirror tier's fsync returned — a mirror
         interval must never claim cleanliness its media can't back.  A
-        copy the mirror tier cannot hold (ENOSPC) stops the loop like an
-        unreachable tier; the runs copied before it still commit.
+        copy the mirror tier cannot hold above its placement reserve
+        (:meth:`Tier.has_room`, or ENOSPC) stops the loop like an
+        unreachable tier, before any read; the runs copied before it
+        still commit.
         """
         mux = self._mux
         bs = mux.block_size
+        tier = mux.registry.get(tier_id)
+        if not tier.has_room(bs):
+            self.stats.add("sync_no_space")
+            return 0
         mux.clock.push_frame(background=True)
         try:
             # absorbed writes first: the authoritative media must hold the
@@ -390,6 +397,10 @@ class MirrorEngine:
                     if want <= 0:
                         replicas.clear_stale(tier_id, run_start, run_len)
                         continue
+                    if not tier.has_room(want):
+                        self.stats.add("sync_no_space")
+                        failed = True
+                        break
                     try:
                         data = mux.files.read(
                             inode, src, run_start * bs, want,

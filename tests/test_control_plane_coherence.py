@@ -12,7 +12,10 @@ recomputing them from scratch:
   ``tests/data/mirror_sync_transcript.json`` was recorded from the
   full-scan engine, re-recorded when the device timeline began to fill
   gaps (the same syncs of the same blocks, each landing earlier), and
-  must replay exactly (``python tests/test_control_plane_coherence.py``
+  again when SCM cache fills moved behind the read and
+  ``deadline_promotions`` began to count only a deadline that overrode
+  the load gate (the same syncs of the same blocks; 10 promotions → 1),
+  and must replay exactly (``python tests/test_control_plane_coherence.py``
   prints it);
 * ``file_views()`` must equal a freshly built list after every operation
   that changes a block lookup table, on both BLT implementations.

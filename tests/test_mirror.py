@@ -575,27 +575,31 @@ class TestSyncFailure:
         mux.close(handle)
 
     def test_full_mirror_tier_keeps_the_run_stale_and_commits_the_rest(self):
-        """ENOSPC on a mirror write is the mirror tier being unreachable
-        for that run: it stays stale, the tick does not raise, and the
-        runs it copied before still fsync and turn clean."""
+        """A mirror copy is held to its tier's placement reserve: a run the
+        tier cannot hold above the reserve stays stale, the tick does not
+        raise, and the runs it copied before still fsync and turn clean.
+        Later ticks on the full tier read and write nothing."""
         stack = build_stack(
             tiers=["pm", "hdd"], capacities={"pm": 8 * MIB}, enable_cache=False
         )
         mux = stack.mux
         pm, hdd = stack.tier_ids["pm"], stack.tier_ids["hdd"]
+        tier = mux.registry.get(pm)
+        reserve = tier.reserve_bytes // BS
         # /b: blocks 0-7 and 16-31 on the HDD, 8-15 already on PM
         hb = place_on(stack, "/b", "hdd", blocks=32, salt=1)
         mux.engine.migrate_now(MigrationOrder(hb.ino, 8, 8, hdd, pm))
-        # fill PM with a file pinned there, down to its placement reserve
+        # fill PM with a file pinned there, to a little above its reserve
         fill = mux.create("/fill")
         mux.set_placement("/fill", pm)
         offset = 0
-        while mux.ns.resolve("/fill").blt.tiers_used() in ([], [pm]):
+        while tier.fs.statfs().free_blocks > reserve + 8 + 64:
             mux.write(fill, offset, bytes(BS))
             offset += BS
-        free = mux.registry.get(pm).fs.statfs().free_blocks
-        # a mirror sync is not held to the reserve: /a's leaves 8 blocks
-        ha = place_on(stack, "/a", "hdd", blocks=free - 8, salt=2)
+        free = tier.fs.statfs().free_blocks
+        # /a's mirror leaves PM its reserve plus 8 blocks: room for /b's
+        # first run and not for its second
+        ha = place_on(stack, "/a", "hdd", blocks=free - reserve - 8, salt=2)
         for handle in (ha, hb):
             inode = mux.ns.resolve(handle.path)
             mux.mirrors.add_mirror(inode, pm)
@@ -603,7 +607,16 @@ class TestSyncFailure:
             mux.mirrors.tick()
         b = mux.ns.resolve("/b")
         assert mux.mirrors.stats.get("sync_no_space") == 1
+        assert tier.fs.statfs().free_blocks == reserve
         assert b.replicas.covers_clean(pm, 0, 8)
+        assert b.replicas.stale_runs(pm) == [(16, 16)]
+        busy = [stack.devices[d].stats.busy_ns for d in ("pm", "hdd")]
+        for _ in range(3):
+            stack.clock.advance_ns(MirrorEngine.MAX_STALENESS_NS)
+            mux.mirrors.tick()
+        assert [stack.devices[d].stats.busy_ns for d in ("pm", "hdd")] == busy
+        assert mux.mirrors.stats.get("sync_no_space") == 4
+        assert mux.mirrors.stats.get("deadline_promotions") == 0  # never loaded
         assert b.replicas.stale_runs(pm) == [(16, 16)]
         assert mux.read(hb, 0, 32 * BS) == pattern(32 * BS, salt=1)
         for handle in (ha, hb, fill):

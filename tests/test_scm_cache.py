@@ -144,6 +144,9 @@ class TestCacheThroughMux:
         t0 = clock.now_ns
         mux.read(handle, 0, BS)
         cold = clock.now_ns - t0
+        # the fill runs behind the cold read; a read issued before it
+        # lands waits for it (tests/test_fill_behind.py pins that case)
+        clock.advance_to(max(mux.cache._landing.values()))
         t0 = clock.now_ns
         mux.read(handle, 0, BS)
         warm = clock.now_ns - t0
