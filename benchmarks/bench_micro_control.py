@@ -10,8 +10,9 @@ more and asserts the cost grows by a small factor at most, where a
 Python scan of that population grows it as much as the population.
 
 These measure *host* time; the code under test charges no simulated time
-beyond what the op itself books.  Read routing, the mirror tick and the
-LRU forget also have counted twins that assert equal call and line
+beyond what the op itself books.  The allocator, the mirror tick, the
+planning round's file views, read routing and the LRU forget also have
+counted twins that assert equal call and line
 counts (``hostwork.code_work``), which do not vary with the host.
 """
 
@@ -22,7 +23,9 @@ import pytest
 import repro.core.blt
 import repro.core.intervals
 import repro.core.mirror
+import repro.core.mux
 import repro.core.policies
+import repro.fscommon.allocator
 
 from repro.core.blt import ReplicaSet
 from repro.core.policies import CHUNK_BLOCKS, LruTieringPolicy
@@ -125,6 +128,19 @@ def test_alloc_run_cost_does_not_follow_blocks_crossed():
     assert t[7680] <= 8 * t[120], t
 
 
+def test_alloc_run_work_does_not_follow_blocks_crossed():
+    """The counted twin of the timed assert above: an allocation and its
+    free make exactly the calls and run exactly the lines in the allocator
+    with 64x the fragmented blocks before the first fit."""
+    work = {
+        fit_at: code_work(
+            alloc_and_free(fragmented_allocator(fit_at)), 200, repro.fscommon.allocator
+        )
+        for fit_at in (120, 7680)
+    }
+    assert work[7680] == work[120], work
+
+
 # -- MirrorEngine.tick ------------------------------------------------------
 
 
@@ -211,6 +227,17 @@ def test_file_views_cost_does_not_follow_unchanged_block_maps():
     (every view was rebuilt from a full walk)."""
     t = {runs: best_of_5(planned_stack(runs).file_views, 5) for runs in (1, 64)}
     assert t[64] <= 2 * t[1], t
+
+
+def test_file_views_work_does_not_follow_unchanged_block_maps():
+    """The counted twin of the timed assert above: a planning round over
+    1,000 unchanged files makes exactly the calls and runs exactly the
+    lines in Mux and the block maps with 64 runs per file as with one."""
+    work = {
+        runs: code_work(planned_stack(runs).file_views, 5, repro.core.mux, repro.core.blt)
+        for runs in (1, 64)
+    }
+    assert work[64] == work[1], work
 
 
 # -- MirrorEngine.route_reads -----------------------------------------------

@@ -200,6 +200,27 @@ class TestWallclockCli:
         assert "metadata_churn: NO GOLDEN RECORDED" in printed
         assert "gone: GOLDEN WITHOUT A WORKLOAD" in printed
 
+    def test_diff_tabulates_every_moved_golden_field_and_runs_nothing(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro.bench import wallclock
+
+        monkeypatch.setattr(wallclock, "WORKLOADS", [])  # a run would be empty
+        fp = {"now_ns": 100, "devices": {"pm": {"write_ops": 4, "seeks": 0}}}
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps({"golden_sim": {"a": fp, "b": fp}, "golden_sim_smoke": {"a": fp}}))
+        moved = {"now_ns": 50, "devices": {"pm": {"write_ops": 4, "seeks": 0}}, "x": 1}
+        new.write_text(json.dumps({"golden_sim": {"a": moved, "b": fp}, "golden_sim_smoke": {"a": fp}}))
+        assert wallclock.main(["--diff", str(old), "--out", str(new)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("2 golden field(s) moved")
+        assert lines[-2:] == [
+            "| `a` | full | `now_ns` | 100 | 50 | 0.500x |",
+            "| `a` | full | `x` | None | 1 | - |",
+        ]
+        assert wallclock.main(["--diff", str(tmp_path / "none.json"), "--out", str(new)]) == 2
+        assert wallclock.main(["--diff", str(old), "--smoke"]) == 2
+
 
 class TestRunWorkloads:
     """``run_workloads`` repeats each workload and compares fingerprints."""

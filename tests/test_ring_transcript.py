@@ -10,15 +10,15 @@ completion is recorded in reap order as
 clock, ``pending`` and ``inflight()`` after every step, and the ring's
 ``backpressure_waits``/``max_inflight`` at the end.
 
+The op script is drawn from the seed as a list before the ring runs
+(:func:`ring_script`): a wait on one ticket names a submission by its
+index, and only skips when that op is already reaped.  So a change to the
+timing model moves times and counters, never the op column.
+
 ``tests/data/ring_transcripts.json`` holds each transcript's SHA-256 and
-its closing counters.  The depth-1 entries were recorded from the ring
-that scanned its whole pending list on every submit and poll; the depth-8
-and depth-64 entries were re-recorded when the device timeline began to
-fill gaps (ops complete sooner, so those rings reap less often to stay
-full).  All six were re-recorded when SCM cache fills moved behind the
-read: a read that misses the cache completes when the tier answers, so
-rings hold fewer ops in flight, and the depth-64 rings now reap and idle
-half as often or less so that each still fills within its run.
+its closing counters.  All six were recorded when the script stopped
+reading the ring's state; earlier recordings chose the ticket to wait on
+from the pending set, so a timing change reshuffled later draws.
 ``python tests/test_ring_transcript.py`` prints a fresh recording.
 """
 
@@ -41,8 +41,44 @@ RECORDING = Path(__file__).parent / "data" / "ring_transcripts.json"
 CASES = [(1, 1, 160), (1, 2, 160), (8, 1, 240), (8, 2, 240), (64, 1, 400), (64, 3, 500)]
 
 
-def ring_transcript(depth: int, seed: int, steps: int) -> dict:
+KINDS = ("read", "write", "fsync", "poll", "wait", "wait_ticket", "drain", "advance", "quiesce")
+
+
+def ring_script(depth: int, seed: int, steps: int) -> list:
+    """The op column, drawn from the seed alone before anything runs.
+
+    A step is ``(kind, file, args)``.  ``wait_ticket`` names a submission
+    by its index in the script (one of the ``depth`` latest before it), so
+    no draw depends on what the ring holds when the step runs.
+    """
     rng = random.Random(seed)
+    # reaping and idling are rarer on the deeper rings so that they fill up
+    reap, idle = {1: (4, 1), 8: (2, 0.5), 64: (0.05, 0.02)}[depth]
+    script = []
+    submitted = 0
+    for _ in range(steps):
+        kind = rng.choices(
+            KINDS, weights=(8, 4, 1, reap, reap, reap, idle, 3 * idle, idle)
+        )[0]
+        f = rng.randrange(4)
+        if kind == "read":
+            args = (rng.randrange(32) * BS, rng.randint(1, 8) * BS)
+        elif kind == "write":
+            args = (rng.randrange(32) * BS, rng.randrange(256), rng.randint(1, 6))
+        elif kind == "wait_ticket":
+            args = (rng.randrange(max(0, submitted - depth), submitted),) if submitted else ()
+        elif kind == "advance":
+            args = (rng.choice((0, 1_000, 50_000, 2_000_000, 20_000_000)),)
+        elif kind == "quiesce":
+            args = (rng.random() < 0.5,)
+        else:
+            args = ()
+        submitted += kind in ("read", "write", "fsync")
+        script.append((kind, f, args))
+    return script
+
+
+def ring_transcript(depth: int, seed: int, steps: int) -> dict:
     stack = build_stack(capacities={"pm": 16 * MIB, "ssd": 32 * MIB, "hdd": 64 * MIB})
     mux, clock = stack.mux, stack.clock
     handles = []
@@ -54,9 +90,8 @@ def ring_transcript(depth: int, seed: int, steps: int) -> dict:
         mux.fsync(handles[-1])
     ring = mux.open_ring(depth=depth)
     events: list = []
+    subs: list = []
     tickets: dict = {}
-    # reaping and idling are rarer on the deeper rings so that they fill up
-    reap, idle = {1: (4, 1), 8: (2, 0.5), 64: (0.05, 0.02)}[depth]
 
     def record(completions) -> None:
         for c in completions:
@@ -65,36 +100,33 @@ def ring_transcript(depth: int, seed: int, steps: int) -> dict:
                 ["reap", c.seq, c.op, c.ino, c.submitted_ns, c.completed_ns, c.error is not None]
             )
 
-    for _ in range(steps):
-        kind = rng.choices(
-            ("read", "write", "fsync", "poll", "wait", "wait_ticket", "drain", "advance", "quiesce"),
-            weights=(8, 4, 1, reap, reap, reap, idle, 3 * idle, idle),
-        )[0]
-        handle = rng.choice(handles)
+    for kind, f, args in ring_script(depth, seed, steps):
+        handle = handles[f]
         if kind == "read":
-            sub = ring.submit_read(handle, rng.randrange(32) * BS, rng.randint(1, 8) * BS)
+            sub = ring.submit_read(handle, *args)
         elif kind == "write":
-            data = bytes([rng.randrange(256)]) * (rng.randint(1, 6) * BS)
-            sub = ring.submit_write(handle, rng.randrange(32) * BS, data)
+            offset, byte, blocks = args
+            sub = ring.submit_write(handle, offset, bytes([byte]) * (blocks * BS))
         elif kind == "fsync":
             sub = ring.submit_fsync(handle)
         else:
             sub = None
         if sub is not None:
+            subs.append(sub)
             tickets[sub.seq] = sub
             events.append(["submit", sub.seq, sub.op, sub.submitted_ns])
         elif kind == "poll":
             record(ring.poll())
         elif kind == "wait" and ring.pending:
             record([ring.wait()])
-        elif kind == "wait_ticket" and tickets:
-            record([ring.wait(tickets[rng.choice(sorted(tickets))])])
+        elif kind == "wait_ticket" and args and subs[args[0]].seq in tickets:
+            record([ring.wait(subs[args[0]])])
         elif kind == "drain":
             record(ring.drain())
         elif kind == "advance":
-            clock.advance_ns(rng.choice((0, 1_000, 50_000, 2_000_000, 20_000_000)))
+            clock.advance_ns(args[0])
         elif kind == "quiesce":
-            ring.quiesce(handle.ino if rng.random() < 0.5 else None)
+            ring.quiesce(handle.ino if args[0] else None)
         assert ring._pending == sorted(ring._pending, key=_REAP_ORDER)
         events.append(["state", clock.now_ns, ring.pending, ring.inflight()])
     record(ring.close())
