@@ -129,6 +129,13 @@ def main(argv: List[str]) -> int:
         f"dirty_blocks={counters.get('dirty_blocks', 0)} "
         f"destage_lost={counters.get('destage_lost', 0)}"
     )
+    cache = stack.mux.cache
+    print(
+        f"cache slots: backed={cache.backed_blocks} cap={cache.capacity_blocks} "
+        f"shrunk={counters.get('shrunk', 0)} regrown={counters.get('regrown', 0)}"
+    )
+    written = stack.mux.pm_bytes_by_cause()
+    print("pm bytes written: " + " ".join(f"{k}={v}" for k, v in written.items()))
 
     label = "faulty ssd" if faulty else "no faults"
     print(f"migrations ({label}):")

@@ -91,6 +91,7 @@ class MuxMetaWriter:
         self._offset += len(payload)
         self._buffered = 0
         self.stats.add("flushes")
+        self.stats.add("bytes", len(payload))
 
     def replay(self) -> None:
         """Recovery: charge the metafile scan that rebuilds Mux's state."""

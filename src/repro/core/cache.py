@@ -27,6 +27,19 @@ it there).
 A per-ino secondary index keeps :meth:`invalidate_file` and
 :meth:`invalidate_range` O(blocks-of-the-file) instead of O(cache).
 
+**A cap that yields.**  The preallocated size is the cache's cap, not a
+reservation: PM's free space is one pool and the cache is its last
+claimant.  Its host tier counts the slots above :data:`MIN_SLOTS` as
+free (:attr:`releasable_bytes`), and when tiered placement, a migration
+or a mirror sync needs the room, :meth:`release` gives back enough
+slots, at least :data:`MIN_SLOTS` — free ones first, then keys
+oldest-first in MGLRU order, a dirty one through destage — and punches
+each out of the cache file so the file system really frees its block.
+A fill that finds no free slot while its host can spare blocks above
+its reserve and :data:`MIN_SLOTS` more backs a punched slot with its own
+write through the file system (no zeros are written), and the mapping
+learns that slot's address; otherwise it evicts.
+
 **Fill behind the read.**  A read-miss fill (:meth:`put_many`) runs on a
 background clock frame and :meth:`note_landing` records when it lands.
 A hit or an absorbed write on a block whose fill has not landed waits,
@@ -38,6 +51,7 @@ global clock has passed it.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core import calibration as cal
@@ -49,6 +63,12 @@ from repro.sim.stats import CounterSet
 from repro.vfs.interface import FileSystem, OpenFlags
 
 CACHE_FILE = "/.mux_cache"
+
+#: slots the cache keeps however hard PM is claimed; also the least it
+#: gives back at once and the spare blocks it leaves its host when it
+#: regrows, so a stream of small claims does not punch and back slots
+#: one write at a time
+MIN_SLOTS = 16
 
 #: in-flight fill entries kept before landed ones are pruned
 LANDING_PRUNE_AT = 64
@@ -85,7 +105,16 @@ class ScmCacheManager:
         self._mglru: MultiGenLru[CacheKey] = MultiGenLru(capacity_blocks)
         #: key -> slot index in the cache file
         self._slots: Dict[CacheKey, int] = {}
+        #: backed slots no key holds, taken from the end
         self._free_slots: List[int] = list(range(capacity_blocks - 1, -1, -1))
+        #: slots punched out of the cache file, a min-heap: they hold no
+        #: PM block until a fill backs one again, lowest first, so one
+        #: fill's regrown slots tend to run contiguously
+        self._punched: List[int] = []
+        #: installed by the controller: how many punched slots may a fill
+        #: back (the blocks its host can spare above its reserve and
+        #: :data:`MIN_SLOTS` more)?
+        self.spare_blocks: Callable[[], int] = lambda: 0
         #: ino -> cached file blocks (secondary index for invalidation)
         self._by_ino: Dict[int, Set[int]] = {}
         #: ino -> dirty (written-back-pending) blocks; always a subset of
@@ -107,13 +136,16 @@ class ScmCacheManager:
         #: key -> simulated time its background fill lands (may be past)
         self._landing: Dict[CacheKey, int] = {}
         self._prune_at = LANDING_PRUNE_AT
-        self._map = self._map_cache_file(scm_fs)
+        self._fs = scm_fs
+        self._handle, self._map = self._map_cache_file(scm_fs)
 
     def _map_cache_file(self, scm_fs: FileSystem):
-        """Create, preallocate and DAX-map the cache file."""
+        """Create, preallocate and DAX-map the cache file; the handle stays
+        open for the punches and regrowth writes that resize it."""
         if scm_fs.exists(CACHE_FILE):
             scm_fs.unlink(CACHE_FILE)
         handle = scm_fs.create(CACHE_FILE)
+        mapped = False
         try:
             # probe on the empty file: a file system with no DAX path
             # answers NotSupported before a byte is preallocated
@@ -132,12 +164,15 @@ class ScmCacheManager:
                 buf = chunk if n == chunk_blocks else zero * n
                 scm_fs.write(handle, written * self.block_size, buf)
                 written += n
-            return scm_fs.dax_map(handle)
+            mapping = scm_fs.dax_map(handle)
+            mapped = True
+            return handle, mapping
         except NotSupported:
             scm_fs.unlink(CACHE_FILE)  # leave nothing on a tier that cannot host
             raise
         finally:
-            scm_fs.close(handle)
+            if not mapped:
+                scm_fs.close(handle)
 
     # -- lookups -----------------------------------------------------------
 
@@ -288,25 +323,120 @@ class ScmCacheManager:
         )
         slot_of = self._slots
         insert = self._mglru.insert
+        free = self._free_slots
         slots: List[int] = []
+        grown: List[int] = []
+        spare = -1  # the host's spare blocks, read once if a slot may grow
         filled = 0
         try:
             for fb in range(first_block, first_block + count):
                 key = (ino, fb)
                 slot = slot_of.get(key)
                 if slot is None:
-                    # claim a slot: MGLRU-insert (destaging/evicting
-                    # victims), then take a free slot and index it
+                    # claim a slot: back a punched one if the host has the
+                    # room, else MGLRU-insert (destaging/evicting victims);
+                    # then take a free slot and index it
+                    if not free and self._punched:
+                        if spare < 0:
+                            spare = self.spare_blocks()
+                        if spare > 0:
+                            spare -= 1
+                            grown.append(self._grow())
                     for victim in insert(key):
                         self._release(victim)
-                    slot = slot_of[key] = self._free_slots.pop()
+                    slot = slot_of[key] = free.pop()
                     self._by_ino.setdefault(ino, set()).add(fb)
                     filled += 1
                 slots.append(slot)
         finally:
             if filled:
                 self.stats.add("fill", filled)
-        self._map.store_blocks(slots, data)
+        if grown:
+            slots, data = self._back_slots(grown, slots, data)
+        if slots:
+            self._map.store_blocks(slots, data)
+
+    # -- sharing PM --------------------------------------------------------
+
+    @property
+    def backed_blocks(self) -> int:
+        """Slots that hold a PM block: the cache's size now, at most
+        ``capacity_blocks``, its cap."""
+        return self.capacity_blocks - len(self._punched)
+
+    @property
+    def releasable_bytes(self) -> int:
+        """Host PM the cache gives back on demand: its backed slots above
+        :data:`MIN_SLOTS`."""
+        return max(0, self.backed_blocks - MIN_SLOTS) * self.block_size
+
+    def release(self, nbytes: int) -> bool:
+        """Give back whole slots covering ``nbytes`` of the host's PM, and
+        at least :data:`MIN_SLOTS` while more than that are above the floor.
+
+        Free slots go first; then keys leave oldest-first in MGLRU order,
+        a dirty one through destage as on any eviction.  Each freed slot
+        is punched out of the cache file, so the host file system frees
+        its block.  Asked for more than :attr:`releasable_bytes`, it
+        releases nothing and returns False.
+        """
+        need = -(-nbytes // self.block_size)
+        if need > self.backed_blocks - MIN_SLOTS:
+            return False
+        need = min(max(need, MIN_SLOTS), self.backed_blocks - MIN_SLOTS)
+        for victim in self._mglru.resize(self.backed_blocks - need):
+            self._release(victim)
+        free = self._free_slots
+        slots = sorted(free[-need:])
+        del free[-need:]
+        for slot in slots:  # no key takes them from here on
+            heappush(self._punched, slot)
+        bs = self.block_size
+        i = 0
+        while i < need:  # one punch per run of consecutive slots
+            j = i + 1
+            while j < need and slots[j] == slots[j - 1] + 1:
+                j += 1
+            self._fs.punch_hole(self._handle, slots[i] * bs, (j - i) * bs)
+            i = j
+        self._map.remap(slots)
+        self.stats.add("shrunk", need)
+        return True
+
+    def _grow(self) -> int:
+        """Make a punched slot free again; the fill that takes it backs it
+        (:meth:`_back_slots`)."""
+        slot = heappop(self._punched)
+        self._free_slots.append(slot)
+        self._mglru.resize(self._mglru.capacity + 1)
+        self.stats.add("regrown")
+        return slot
+
+    def _back_slots(self, grown: List[int], slots: List[int], data):
+        """Write the fill's blocks for ``grown`` (punched) slots through the
+        file system, which allocates their blocks — one write per run of
+        slots that is contiguous in the file and in ``data`` — and teach
+        the mapping their addresses.  Returns the slots and data left for
+        DAX stores."""
+        bs = self.block_size
+        view = memoryview(data)
+        backing = set(grown)
+        kept: List[int] = []
+        kept_data = []
+        i = 0
+        while i < len(slots):
+            if slots[i] not in backing:
+                kept.append(slots[i])
+                kept_data.append(view[i * bs : (i + 1) * bs])
+                i += 1
+                continue
+            j = i + 1
+            while j < len(slots) and slots[j] == slots[j - 1] + 1 and slots[j] in backing:
+                j += 1
+            self._fs.write(self._handle, slots[i] * bs, bytes(view[i * bs : j * bs]))
+            i = j
+        self._map.remap(grown)
+        return kept, b"".join(kept_data)
 
     def note_landing(self, ino: int, first_block: int, count: int, landed_ns: int) -> None:
         """A background fill of ``[first_block, +count)`` lands at
@@ -492,8 +622,18 @@ class ScmCacheManager:
 
     def check_invariants(self) -> None:
         self._mglru.check_invariants()
-        assert len(self._slots) + len(self._free_slots) == self.capacity_blocks
-        assert len(set(self._slots.values())) == len(self._slots)
+        # every slot is held, free or punched, exactly once; the MGLRU's
+        # capacity is the backed slots, never fewer than MIN_SLOTS; a held
+        # or free slot has a block (a punched one may keep its block only
+        # until its punch returns)
+        held = list(self._slots.values())
+        assert sorted(held + self._free_slots + self._punched) == list(
+            range(self.capacity_blocks)
+        )
+        assert self._mglru.capacity == self.backed_blocks
+        assert self.backed_blocks >= min(MIN_SLOTS, self.capacity_blocks)
+        for slot in held + self._free_slots:
+            assert self._map.mapped(slot), f"slot {slot} has no block"
         for key in self._slots:
             assert key in self._mglru
         assert self._landing.keys() <= self._slots.keys()

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core import calibration as cal
-from repro.core.cache import ScmCacheManager
+from repro.core.cache import MIN_SLOTS, ScmCacheManager
 from repro.core.intervals import Run
 from repro.core.metadata import CollectiveInode, MuxNamespace
 from repro.core.registry import TierRegistry
@@ -37,7 +37,9 @@ from repro.sim.clock import SimClock
 from repro.sim.stats import CounterSet
 from repro.vfs.interface import WritebackLedger
 
-#: share of the hosting tier's free blocks preallocated as the SCM cache
+#: share of the hosting tier's free blocks preallocated as the SCM cache:
+#: its cap, not a reservation — the cache yields slots to any other PM
+#: claimant and regrows into room they leave
 CACHE_FRACTION = 0.25
 
 
@@ -89,17 +91,26 @@ class CacheController:
                 continue
             free_blocks = scm.fs.statfs().free_blocks
             try:
-                self.cache = ScmCacheManager(
+                cache = ScmCacheManager(
                     self.clock,
                     scm.fs,
-                    max(16, int(free_blocks * CACHE_FRACTION)),
+                    max(MIN_SLOTS, int(free_blocks * CACHE_FRACTION)),
                     block_size,
                     write_back=self._want_write_back,
                 )
             except NotSupported:
                 continue
-            self.cache.destage_fn = self.destage_evicted
-            self.cache.on_lost = self.note_destage_lost
+            cache.destage_fn = self.destage_evicted
+            cache.on_lost = self.note_destage_lost
+            # PM's last claimant: the host counts the cache's slots as free
+            # and takes them back when placement, a migration or a mirror
+            # needs the room; a fill backs slots again only with blocks
+            # the host can spare above its reserve
+            cache.spare_blocks = lambda: (
+                scm.fs.statfs().free_bytes - scm.reserve_bytes
+            ) // block_size - MIN_SLOTS
+            scm.cache = cache
+            self.cache = cache
             self.host_tier_id = scm.tier_id
             return
 
@@ -108,6 +119,7 @@ class CacheController:
         absorbed block back before its slots disappear, then drop it."""
         if tier_id == self.host_tier_id:
             self.destage_all(durable=True)
+            self.registry.get(tier_id).cache = None
             self.cache = None
             self.host_tier_id = None
 
@@ -209,6 +221,7 @@ class CacheController:
         finally:
             landed = self.clock.pop_frame()
         cache.note_landing(inode.ino, start_fb, n, landed)
+        self.files.pm_bytes.add("cache_fill", len(raw))
         lo = max(req.offset, start_fb * bs)
         hi = min(req.offset + req.length, (start_fb + n) * bs)
         dst = req.buffer_offset + (lo - req.offset)
@@ -300,6 +313,7 @@ class CacheController:
             cache.write_hit(
                 inode.ino, fb, bytes(view[lo - offset : hi - offset]), lo - block_lo
             )
+        self.files.pm_bytes.add("absorb", len(data))
         return last_tier
 
     # -- write-back: destaging ---------------------------------------------
@@ -366,7 +380,8 @@ class CacheController:
                 self.clock.advance_ns(cal.CACHE_DESTAGE_RUN_NS)
                 payload = cache.load_for_destage(inode.ino, run_start, run_len)
                 self.files.write(
-                    inode, tier_id, run_start * bs, payload[:want], dispatch=True
+                    inode, tier_id, run_start * bs, payload[:want],
+                    dispatch=True, cause="destage",
                 )
                 cache.mark_clean(inode.ino, run_start, run_len)
                 touched.add(tier_id)

@@ -111,6 +111,17 @@ class MultiGenLru(Generic[K]):
             self.age()
         return evicted
 
+    def resize(self, capacity: int) -> List[K]:
+        """Change the capacity; returns the keys a shrink evicted, oldest
+        first (the victims an insert at the new capacity would take)."""
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
+        evicted: List[K] = []
+        while len(self._where) > capacity:
+            evicted.append(self._evict_one())
+        return evicted
+
     def remove(self, key: K) -> bool:
         """Explicitly drop a key (invalidation)."""
         seq = self._where.pop(key, None)

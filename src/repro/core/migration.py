@@ -259,7 +259,7 @@ class MigrationEngine:
         need = min(order.count, inode.blt.blocks_on(order.src_tier))
         need_bytes = need * self._mux.block_size
         pending = self._inflight_bytes.get(order.dst_tier, 0)
-        if not dst.has_room(need_bytes + pending):
+        if not dst.make_room(need_bytes + pending):
             self.stats.add("skipped_no_space")
             return MigrationResult(aborted_no_space=True)
         pair = (order.src_tier, order.dst_tier)

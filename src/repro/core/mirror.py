@@ -363,14 +363,14 @@ class MirrorEngine:
         clean only *after* the mirror tier's fsync returned — a mirror
         interval must never claim cleanliness its media can't back.  A
         copy the mirror tier cannot hold above its placement reserve
-        (:meth:`Tier.has_room`, or ENOSPC) stops the loop like an
+        (:meth:`Tier.make_room`, or ENOSPC) stops the loop like an
         unreachable tier, before any read; the runs copied before it
         still commit.
         """
         mux = self._mux
         bs = mux.block_size
         tier = mux.registry.get(tier_id)
-        if not tier.has_room(bs):
+        if not tier.make_room(bs):
             self.stats.add("sync_no_space")
             return 0
         mux.clock.push_frame(background=True)
@@ -397,7 +397,7 @@ class MirrorEngine:
                     if want <= 0:
                         replicas.clear_stale(tier_id, run_start, run_len)
                         continue
-                    if not tier.has_room(want):
+                    if not tier.make_room(want):
                         self.stats.add("sync_no_space")
                         failed = True
                         break
@@ -441,5 +441,7 @@ class MirrorEngine:
         self, inode: CollectiveInode, tier_id: int, offset: int, data: bytes
     ) -> None:
         """One mirror-sync media write (crash-explorer sync-point label)."""
-        self._mux.files.write(inode, tier_id, offset, data, dispatch=True)
+        self._mux.files.write(
+            inode, tier_id, offset, data, dispatch=True, cause="mirror_sync"
+        )
 

@@ -61,7 +61,7 @@ from repro.core.pressure import PressureMonitor
 from repro.core.registry import Tier, TierRegistry
 from repro.core.scheduler import IoScheduler, SubRequest
 from repro.core.tierfiles import TierFiles
-from repro.devices.profile import DeviceProfile
+from repro.devices.profile import DeviceKind, DeviceProfile
 from repro.errors import (
     FileNotFound,
     InvalidArgument,
@@ -747,7 +747,7 @@ class MuxFileSystem(FileSystem):
             forced = self.qos.placement_override(handle)
         if forced is not None and (
             self.registry.get(forced).health.state is not HealthState.HEALTHY
-            or not self.registry.get(forced).has_room(len(data))
+            or not self.registry.get(forced).make_room(len(data))
         ):
             # a suspect/offline/full pin routes around via the policy path
             forced = None
@@ -836,13 +836,13 @@ class MuxFileSystem(FileSystem):
         states = self.tier_states()
         tier_id = self.policy.place_write(request, states)
         chosen = self.registry.get(tier_id)
-        if not chosen.health.is_offline and chosen.has_room(request.length):
+        if not chosen.health.is_offline and chosen.make_room(request.length):
             return chosen
         for tier in self._writable_tiers():
-            if tier.rank >= chosen.rank and tier.has_room(request.length):
+            if tier.rank >= chosen.rank and tier.make_room(request.length):
                 return tier
         for tier in self._writable_tiers():
-            if tier.has_room(request.length):
+            if tier.make_room(request.length):
                 return tier
         raise NoSpace(f"no tier has room for {request.length} bytes")
 
@@ -861,7 +861,7 @@ class MuxFileSystem(FileSystem):
             if self.registry.get(candidate).health.is_offline:
                 continue  # a dead tier cannot absorb new writes
             try:
-                self.files.write(inode, candidate, seg_off, seg_data)
+                self.files.write(inode, candidate, seg_off, seg_data, cause="tiered")
                 return candidate
             except NoSpace as exc:
                 last_error = exc
@@ -1255,10 +1255,20 @@ class MuxFileSystem(FileSystem):
         # mirrors on the draining tier are redundant copies: retire them
         # (reclaiming their blocks) before moving the authoritative data
         self.mirrors.drop_tier(tier_id, punch=True)
-        summary = self._drain_tier(tier_id, Tier.has_room, "evacuate")
+        summary = self._drain_tier(tier_id, Tier.make_room, "evacuate")
         self.stats.add("evacuations")
         self.meta.note(2, flush=True)
         return summary
+
+    def pm_bytes_by_cause(self) -> Dict[str, int]:
+        """Bytes Mux wrote to PM-class tiers, by cause: tiered data,
+        migration, mirror sync, cache fill, absorbed writes, destage and
+        the metafile (when the fastest tier, its home, is PM-class)."""
+        written = self.files.pm_bytes.snapshot()
+        metafile = self.meta.stats.get("bytes")
+        if metafile and self.registry.fastest().kind is DeviceKind.PERSISTENT_MEMORY:
+            written["metafile"] = metafile
+        return dict(sorted(written.items()))
 
     def report(self) -> str:
         """A human-readable status dashboard (tiers, cache, migrations)."""
@@ -1273,10 +1283,13 @@ class MuxFileSystem(FileSystem):
                 f"{tier.health.state.value}"
             )
         if self.cache is not None:
+            cache = self.cache
             lines.append(
-                f"  scm cache: {self.cache.cached_blocks}/"
-                f"{self.cache.capacity_blocks} blocks, "
-                f"hit ratio {self.cache.hit_ratio():.2f}"
+                f"  scm cache: {cache.cached_blocks} blocks in "
+                f"{cache.backed_blocks}/{cache.capacity_blocks} slots "
+                f"({cache.stats.get('shrunk')} given back, "
+                f"{cache.stats.get('regrown')} regrown), "
+                f"hit ratio {cache.hit_ratio():.2f}"
             )
             if self.cachectl.write_back:
                 counters = self.cache.cache_counters()
@@ -1286,6 +1299,12 @@ class MuxFileSystem(FileSystem):
                     f"({counters.get('destaged_blocks', 0)} blocks), "
                     f"{counters.get('dirty_blocks', 0)} dirty"
                 )
+        written = self.pm_bytes_by_cause()
+        if written:
+            lines.append(
+                "  pm bytes written: "
+                + ", ".join(f"{cause} {n}" for cause, n in written.items())
+            )
         engine = self.engine.stats
         lines.append(
             f"  migrations: {engine.get('migrations')} runs, "

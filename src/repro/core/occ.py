@@ -262,7 +262,9 @@ class OccSynchronizer:
                     inode, src_tier, offset, chunk * block_size,
                     create=True, dispatch=True,
                 )
-                self.io.files.write(inode, dst_tier, offset, data, dispatch=True)
+                self.io.files.write(
+                    inode, dst_tier, offset, data, dispatch=True, cause="migration"
+                )
                 copied += chunk
                 self.stats.add("blocks_copied", chunk)
                 yield

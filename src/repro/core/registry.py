@@ -9,13 +9,16 @@ Adding or removing a device can be done at runtime."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.health import HealthState, TierHealth
 from repro.core.policy import TierState
 from repro.devices.profile import DeviceKind, DeviceProfile
 from repro.errors import InvalidArgument, ReproError
 from repro.vfs.interface import FileSystem
+
+if TYPE_CHECKING:
+    from repro.core.cache import ScmCacheManager
 
 
 @dataclass
@@ -29,6 +32,9 @@ class Tier:
     profile: DeviceProfile
     rank: int  # 0 = fastest
     health: TierHealth = field(default_factory=TierHealth)
+    #: the SCM cache this tier hosts, PM's last claimant (see
+    #: :meth:`make_room`); installed by the Cache Controller
+    cache: Optional["ScmCacheManager"] = field(default=None, repr=False)
 
     @property
     def kind(self) -> DeviceKind:
@@ -41,19 +47,28 @@ class Tier:
         stats = self.fs.statfs()
         return max(64 * stats.block_size, stats.total_bytes // 100)
 
-    def has_room(self, length: int) -> bool:
-        return self.fs.statfs().free_bytes >= length + self.reserve_bytes
+    def make_room(self, length: int) -> bool:
+        """Can the tier take ``length`` more bytes above its reserve?  On
+        the SCM cache's host the cache gives back the slots that takes."""
+        short = length + self.reserve_bytes - self.fs.statfs().free_bytes
+        if short <= 0:
+            return True
+        return self.cache is not None and self.cache.release(short)
 
     def state(self, load: float) -> TierState:
-        """Policy snapshot; ``load`` is the tier's sampled backlog."""
+        """Policy snapshot; ``load`` is the tier's sampled backlog.  Free
+        space counts the slots a hosted SCM cache would give back."""
         fsstats = self.fs.statfs()
+        free = fsstats.free_bytes
+        if self.cache is not None:
+            free += self.cache.releasable_bytes
         # positional: a NamedTuple builds several times faster that way
         return TierState(
             self.tier_id,
             self.name,
             self.rank,
             self.profile.kind,
-            fsstats.free_bytes,
+            free,
             fsstats.total_bytes,
             self.health.state,
             load,

@@ -28,6 +28,7 @@ from typing import Callable, Optional, TypeVar
 from repro.core import calibration as cal
 from repro.core.metadata import CollectiveInode
 from repro.core.registry import Tier, TierRegistry
+from repro.devices.profile import DeviceKind
 from repro.errors import DeviceIoError, DeviceOffline, TierUnavailable
 from repro.sim.clock import SimClock
 from repro.sim.stats import CounterSet
@@ -78,6 +79,8 @@ class TierFiles:
         self.registry = registry
         #: the Mux-wide counters (``fault_retries``, ``io_rejected_offline``…)
         self.stats = stats
+        #: bytes written to PM-class tiers, by cause (report-only)
+        self.pm_bytes = CounterSet()
 
     # -- the one door ----------------------------------------------------
 
@@ -224,9 +227,16 @@ class TierFiles:
         offset: int,
         data: bytes,
         dispatch: bool = False,
+        *,
+        cause: str,
     ) -> None:
-        """Write ``data`` at ``offset``, creating the backing file if needed."""
+        """Write ``data`` at ``offset``, creating the backing file if needed.
+
+        ``cause`` names why (tiered placement, migration, mirror sync,
+        destage) in :attr:`pm_bytes` when the tier is PM-class."""
         self._call(tier_id, self.vfs.write, (offset, data), inode, True, dispatch)
+        if self.registry.kinds[tier_id] is DeviceKind.PERSISTENT_MEMORY:
+            self.pm_bytes.add(cause, len(data))
 
     def fsync(self, inode: CollectiveInode, tier_id: int) -> None:
         self._call(tier_id, self.vfs.fsync, (), inode)

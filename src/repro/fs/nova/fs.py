@@ -20,7 +20,7 @@ model of NOVA's guarantee.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.devices.pm import CACHE_LINE, PersistentMemoryDevice
 from repro.errors import ReproError
@@ -41,34 +41,57 @@ _ZERO_TAIL = bytes(8)
 class DaxMapping:
     """A DAX mmap of one NOVA file: block-indexed PM loads and stores.
 
-    The file's blocks were resolved to device addresses once, at map
-    time.  A run of requested blocks becomes one device access exactly
-    when their addresses are contiguous; stores are flushed (CLWB) before
-    they return.  The device is looked up per call, never pre-bound, so
+    The file's blocks are resolved to device addresses at map time; a
+    hole maps to nothing, and touching it raises.  :meth:`remap`
+    re-resolves named blocks after the file changed under the mapping (a
+    punch unmaps a block, a write backs a hole), as a page fault would.
+    A run of requested blocks becomes one device access exactly when
+    their addresses are contiguous; stores are flushed (CLWB) before they
+    return.  The device is looked up per call, never pre-bound, so
     wrappers installed on the device *instance* (tracers, crash taps) see
     every access.
     """
 
     def __init__(
-        self, pm: PersistentMemoryDevice, addrs: List[int], block_size: int
+        self,
+        pm: PersistentMemoryDevice,
+        resolve: Callable[[int], Optional[int]],
+        blocks: int,
+        block_size: int,
     ) -> None:
         self._pm = pm
-        self._addrs = addrs
+        self._resolve = resolve
+        self._addrs = [resolve(block) for block in range(blocks)]
         self._bs = block_size
+
+    def mapped(self, block: int) -> bool:
+        return self._addrs[block] is not None
+
+    def remap(self, blocks: Iterable[int]) -> None:
+        """Re-resolve ``blocks`` from the file's current block map."""
+        for block in blocks:
+            self._addrs[block] = self._resolve(block)
+
+    def _addr(self, block: int) -> int:
+        addr = self._addrs[block]
+        if addr is None:
+            raise ReproError(f"DAX access to unmapped block {block}")
+        return addr
 
     def _runs(self, blocks: Sequence[int]) -> Iterator[Tuple[int, int, int]]:
         """``(index, count, addr)`` per device-contiguous run of ``blocks``."""
         addrs, bs, n = self._addrs, self._bs, len(blocks)
         i = 0
         while i < n:
+            addr = self._addr(blocks[i])
             j = i + 1
             while j < n and addrs[blocks[j]] == addrs[blocks[j - 1]] + bs:
                 j += 1
-            yield i, j - i, addrs[blocks[i]]
+            yield i, j - i, addr
             i = j
 
     def load(self, block: int) -> bytes:
-        return self._pm.load(self._addrs[block], self._bs)
+        return self._pm.load(self._addr(block), self._bs)
 
     def load_blocks(self, blocks: Sequence[int], out: bytearray, pos: int) -> None:
         """Copy ``blocks`` (whole, in the order given) into ``out`` at ``pos``."""
@@ -79,7 +102,7 @@ class DaxMapping:
 
     def store(self, block: int, offset: int, data: bytes) -> None:
         """Persist ``data`` at byte ``offset`` inside one block."""
-        addr = self._addrs[block] + offset
+        addr = self._addr(block) + offset
         self._pm.store(addr, data)
         self._pm.flush_range(addr, len(data))
 
@@ -162,13 +185,15 @@ class NovaFileSystem(NativeFileSystem):
         """
         handle.ensure_open()
         inode = self.inodes.get(handle.ino)
-        addrs: List[int] = []
-        for fb in range(-(-inode.size // self.block_size)):
-            dev_block = inode.blockmap.lookup(fb)
-            if dev_block is None:
-                raise ReproError(f"{self.fs_name}: cannot DAX-map a file with holes")
-            addrs.append(self._block_addr(dev_block))
-        return DaxMapping(self.pm, addrs, self.block_size)
+        lookup = inode.blockmap.lookup
+
+        def resolve(file_block: int) -> Optional[int]:
+            dev_block = lookup(file_block)
+            return None if dev_block is None else self._block_addr(dev_block)
+
+        return DaxMapping(
+            self.pm, resolve, -(-inode.size // self.block_size), self.block_size
+        )
 
     def _read_block(self, inode: Inode, file_block: int) -> Optional[bytes]:
         dev_block = inode.blockmap.lookup(file_block)

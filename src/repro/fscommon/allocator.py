@@ -75,7 +75,7 @@ class BitmapAllocator:
         if found >= 0:
             best_start, best_len = found, want
         else:
-            best_start, best_len = self._longest_run(start)
+            best_start, best_len = self._longest_run(start, want)
         if best_len == 0:
             raise NoSpace("no free run found")
         bitmap[best_start : best_start + best_len] = b"\x01" * best_len
@@ -83,26 +83,37 @@ class BitmapAllocator:
         self._cursor = (best_start + best_len) % n
         return self.base + best_start, best_len
 
-    def _longest_run(self, start: int) -> Tuple[int, int]:
-        """``(index, length)`` of the longest free run met walking the
-        bitmap once around from ``start``, the first of equals.  A run the
-        walk enters mid-way counts from there; no run wraps past the end."""
+    def _longest_run(self, start: int, want: int) -> Tuple[int, int]:
+        """``(index, length)`` of the longest free run shorter than
+        ``want`` met walking the bitmap once around from ``start``, the
+        first of equals.  A run the walk enters mid-way counts from there;
+        one met after the walk wrapped counts whole (it may reach past
+        ``start``); no run wraps past the end.
+
+        A run of ``length`` free blocks is met exactly when that many zero
+        bytes are found from ``start``, or, after the wrap, starting before
+        it — and where the longest length is first found is where its run
+        starts.  So the length is binary-searched with C-level substring
+        searches, not walked run by run."""
         bitmap, n = self._bitmap, self.count
-        idx, left = start, n  # left: positions the walk may still visit
+
+        def first(length: int) -> int:
+            zeros = b"\x00" * length
+            found = bitmap.find(zeros, start)
+            if found < 0 and start:
+                found = bitmap.find(zeros, 0, min(n, start - 1 + length))
+            return found
+
         best_start, best_len = -1, 0
-        while left > 0:
-            limit = min(n, idx + left)
-            free = bitmap.find(0, idx, limit)
-            if free < 0:
-                left -= limit - idx
-                idx = limit % n
-                continue
-            used = bitmap.find(1, free)
-            run_len = (n if used < 0 else used) - free
-            if run_len > best_len:
-                best_start, best_len = free, run_len
-            left -= free - idx + run_len
-            idx = (free + run_len) % n
+        lo, hi = 1, want - 1  # the longest run met is in [best_len, hi]
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            found = first(mid)
+            if found >= 0:
+                best_start, best_len = found, mid
+                lo = mid + 1
+            else:
+                hi = mid - 1
         return best_start, best_len
 
     def alloc_extent(self, count: int, hint: Optional[int] = None) -> List[Tuple[int, int]]:

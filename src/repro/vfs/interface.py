@@ -233,8 +233,10 @@ class FileSystem(ABC):
         file-system call path: ``load(block)`` and ``load_blocks(blocks,
         out, pos)`` read whole blocks, ``store(block, offset, data)`` and
         ``store_blocks(blocks, data)`` write and persist them.  The
-        file's blocks are resolved once, at map time; a file with a hole
-        cannot be mapped.  Optional: default ENOTSUP.
+        file's blocks are resolved at map time, and ``remap(blocks)``
+        re-resolves the named ones after a punch or a write changed them;
+        a hole is unmapped (``mapped(block)`` is False) and touching it
+        raises.  Optional: default ENOTSUP.
         """
         raise NotSupported(f"{self.fs_name} has no DAX path")
 

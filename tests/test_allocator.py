@@ -214,3 +214,51 @@ def test_bitmap_allocator_model(ops):
     assert len(blocks) == len(set(blocks))
     for block in blocks:
         assert alloc.is_allocated(block)
+
+
+class WalkingAllocator(BitmapAllocator):
+    """The fallback search as a walk over every free run, one Python step
+    per run: the reference the production search must equal."""
+
+    def _longest_run(self, start, want):
+        bitmap, n = self._bitmap, self.count
+        idx, left = start, n
+        best_start, best_len = -1, 0
+        while left > 0:
+            limit = min(n, idx + left)
+            free = bitmap.find(0, idx, limit)
+            if free < 0:
+                left -= limit - idx
+                idx = limit % n
+                continue
+            used = bitmap.find(1, free)
+            run_len = (n if used < 0 else used) - free
+            if run_len > best_len:
+                best_start, best_len = free, run_len
+            left -= free - idx + run_len
+            idx = (free + run_len) % n
+        return best_start, best_len
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    bits=st.lists(st.booleans(), min_size=1, max_size=120),
+    hint=st.integers(0, 130),
+    want=st.integers(1, 40),
+)
+def test_alloc_run_equals_the_walking_reference(bits, hint, want):
+    """Every fragmentation, hint and size: the same run, bitmap and cursor
+    as the walk over every free run."""
+    pair = [BitmapAllocator(0, len(bits)), WalkingAllocator(0, len(bits))]
+    for alloc in pair:
+        for block, used in enumerate(bits):
+            if used:
+                alloc.mark_allocated(block, 1)
+    outcomes = []
+    for alloc in pair:
+        try:
+            got = alloc.alloc_run(want, hint if hint < len(bits) else None)
+        except NoSpace:
+            got = None
+        outcomes.append((got, bytes(alloc._bitmap), alloc._cursor, alloc.free_blocks))
+    assert outcomes[0] == outcomes[1]

@@ -124,11 +124,11 @@ def spy_writes(mux, full=()):
     visited = []
     real = mux.files.write
 
-    def write(inode, tier_id, offset, data):
+    def write(inode, tier_id, offset, data, **kwargs):
         visited.append(tier_id)
         if tier_id in full:
             raise NoSpace(f"tier {tier_id} full")
-        return real(inode, tier_id, offset, data)
+        return real(inode, tier_id, offset, data, **kwargs)
 
     mux.files.write = write
     return visited
