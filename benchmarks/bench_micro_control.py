@@ -10,10 +10,9 @@ more and asserts the cost grows by a small factor at most, where a
 Python scan of that population grows it as much as the population.
 
 These measure *host* time; the code under test charges no simulated time
-beyond what the op itself books.  The allocator, the mirror tick, the
-planning round's file views, read routing and the LRU forget also have
-counted twins that assert equal call and line
-counts (``hostwork.code_work``), which do not vary with the host.
+beyond what the op itself books.  Every timed assert has a counted twin
+that asserts equal call and line counts (``hostwork.code_work``), which
+do not vary with the host.
 """
 
 import timeit
@@ -25,6 +24,7 @@ import repro.core.intervals
 import repro.core.mirror
 import repro.core.mux
 import repro.core.policies
+import repro.devices.base
 import repro.fscommon.allocator
 
 from repro.core.blt import ReplicaSet
@@ -78,6 +78,18 @@ def test_acquire_cost_does_not_follow_backlog():
         _, book = steady_timeline(backlog)
         t[backlog] = best_of_5(book, number=2000)
     assert t[4096] <= 4 * t[0], t
+
+
+def test_acquire_work_does_not_follow_backlog():
+    """The counted twin of the timed assert above: a booking behind 4096
+    requests in flight makes exactly the calls and runs exactly the lines
+    one behind 64 does (with none in flight the channel is idle, a
+    different path)."""
+    work = {
+        backlog: code_work(steady_timeline(backlog)[1], 2000, repro.devices.base)
+        for backlog in (64, 4096)
+    }
+    assert work[4096] == work[64], work
 
 
 # -- BitmapAllocator.alloc_run ------------------------------------------------

@@ -11,7 +11,8 @@ the cost stays flat:
 * ``SimClock`` push / advance / pop under 0 and 64 enclosing frames,
   timed and counted;
 * one ``TierFiles._call`` on a healthy tier;
-* a ``PageCache.get_span`` hit in a 256- vs 16,384-page cache;
+* a ``PageCache.get_span`` hit in a 256- vs 16,384-page cache, timed and
+  counted;
 * the PM persist path: a 64 B NOVA log entry (``store`` + ``flush_range``)
   and a 16 KiB ``store_run`` + ``flush_range``;
 * one journal commit (a one-record transaction written to the journal
@@ -30,6 +31,7 @@ import timeit
 import pytest
 
 import repro.core.ring
+import repro.fscommon.pagecache
 import repro.sim.clock
 
 from repro.core.policy import MigrationOrder
@@ -212,6 +214,20 @@ def test_get_span_cost_does_not_follow_cache_size():
         out = bytearray(SPAN * PS)
         t[pages] = best_of_5(lambda: cache.get_span(1, 0, SPAN, out, 0), 2000)
     assert t[SIZES[1]] <= 2 * t[SIZES[0]], t
+
+
+def test_get_span_work_does_not_follow_cache_size():
+    """The counted twin of the timed assert above: a span hit in a
+    16,384-page cache makes exactly the calls and runs exactly the lines
+    one in a 256-page cache does."""
+    work = {}
+    for pages in SIZES:
+        cache = cache_with_hit(pages)
+        out = bytearray(SPAN * PS)
+        work[pages] = code_work(
+            lambda: cache.get_span(1, 0, SPAN, out, 0), 200, repro.fscommon.pagecache
+        )
+    assert work[SIZES[1]] == work[SIZES[0]], work
 
 
 # -- PM persist path -------------------------------------------------------------

@@ -8,18 +8,24 @@ dirty or cached, whatever the cache holds (256 vs 16,384 pages), and the
 block-map resolution of an ascending block list must be one walk.
 
 Unlike the other benchmarks here these measure *host* time — the code
-under test charges no simulated time at all.
+under test charges no simulated time at all.  The ``dirty_items`` timed
+assert has a counted twin (``hostwork.code_work``) that does not vary
+with the host.
 """
 
 import timeit
 
 import pytest
 
+import repro.fscommon.pagecache
+
 from repro.devices.hdd import HardDiskDrive
 from repro.fs.ext4 import Ext4FileSystem
 from repro.fscommon.extents import ExtentTree
 from repro.fscommon.pagecache import PageCache
 from repro.sim.clock import SimClock
+
+from hostwork import code_work
 
 PS = 8  # page contents are irrelevant here; keep the 16k-page cache small
 SPAN = 16
@@ -56,6 +62,21 @@ def test_dirty_items_cost_does_not_follow_cache_size():
     t_small = best_of_5(lambda: small.dirty_items(1), number=200)
     t_large = best_of_5(lambda: large.dirty_items(1), number=200)
     assert t_large <= 4 * t_small, (t_small, t_large)
+
+
+def test_dirty_items_work_does_not_follow_cache_size():
+    """The counted twin of the timed assert above: one file's dirty pages
+    cost exactly the calls and lines in a 16,384-page cache that they
+    cost in a 256-page one."""
+    work = {
+        pages: code_work(
+            lambda cache=filled_cache(pages): cache.dirty_items(1),
+            200,
+            repro.fscommon.pagecache,
+        )
+        for pages in SIZES
+    }
+    assert work[SIZES[1]] == work[SIZES[0]], work
 
 
 @pytest.mark.benchmark(group="pagecache.invalidate_inode")

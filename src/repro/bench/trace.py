@@ -134,6 +134,17 @@ def main(argv: List[str]) -> int:
         f"cache slots: backed={cache.backed_blocks} cap={cache.capacity_blocks} "
         f"shrunk={counters.get('shrunk', 0)} regrown={counters.get('regrown', 0)}"
     )
+    print(
+        f"cache fills: filled={counters.get('fill', 0)} "
+        f"refused={counters.get('refused', 0)} "
+        f"hits_per_fill={cache.hits_per_fill():.2f}"
+    )
+    mirrors = stack.mux.mirrors
+    print(
+        f"mirror reads: synced_blocks={mirrors.stats.get('blocks_synced')} "
+        f"served_blocks={mirrors.stats.get('blocks_served')} "
+        f"reads_per_synced_block={mirrors.reads_per_synced_block():.2f}"
+    )
     written = stack.mux.pm_bytes_by_cause()
     print("pm bytes written: " + " ".join(f"{k}={v}" for k, v in written.items()))
 

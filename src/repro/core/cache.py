@@ -40,6 +40,17 @@ its reserve and :data:`MIN_SLOTS` more backs a punched slot with its own
 write through the file system (no zeros are written), and the mapping
 learns that slot's address; otherwise it evicts.
 
+**Admission.**  A fill copies a missed block in for free while a slot is
+free or a punched slot can be backed.  Past that it would evict a block
+that may be read again, so a full cache admits a block only on its
+second miss: a first miss is refused — no slot, no MGLRU insert, no
+slot-metadata persist, no DAX store, only its lookup is charged — and
+the key joins the *ghost set*, a FIFO of at most ``capacity_blocks``
+refused keys.  A later miss on a ghost admits it.  One-read blocks (a
+scan, the cold tail of a skewed stream) then stop pushing reused ones
+out, and stop costing PM writes that no read repays.  The ghost set is a
+volatile hint, not data: a crash forgets it.
+
 **Fill behind the read.**  A read-miss fill (:meth:`put_many`) runs on a
 background clock frame and :meth:`note_landing` records when it lands.
 A hit or an absorbed write on a block whose fill has not landed waits,
@@ -51,6 +62,7 @@ global clock has passed it.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -136,6 +148,9 @@ class ScmCacheManager:
         #: key -> simulated time its background fill lands (may be past)
         self._landing: Dict[CacheKey, int] = {}
         self._prune_at = LANDING_PRUNE_AT
+        #: keys refused a slot, oldest first: volatile hints that admit a
+        #: key on its next miss, at most ``capacity_blocks`` of them
+        self._ghost: "OrderedDict[CacheKey, None]" = OrderedDict()
         self._fs = scm_fs
         self._handle, self._map = self._map_cache_file(scm_fs)
 
@@ -304,57 +319,92 @@ class ScmCacheManager:
             raise ValueError("cache stores whole blocks")
         self.put_many(ino, file_block, data)
 
-    def put_many(self, ino: int, first_block: int, data) -> None:
-        """Insert consecutive (clean) blocks from block-aligned ``data``.
+    def put_many(self, ino: int, first_block: int, data) -> int:
+        """Insert consecutive (clean) blocks from block-aligned ``data``;
+        returns how many blocks it stored.
 
-        Charged as one lookup + MGLRU insert + slot-metadata persist per
-        block; inserts and evictions run per key in ascending order (so the
-        victim sequence and slot assignment are those of one :meth:`put`
-        per block) while the stores/flushes coalesce over the slots the
-        mapping finds contiguous.
+        A missed block takes a free slot, else a punched slot its host can
+        back; past those it needs an eviction, and only a ghost is
+        admitted to one — any other is refused and becomes a ghost.
+        Charged one lookup per block, plus an MGLRU insert and a
+        slot-metadata persist per block not refused; inserts and evictions
+        run per key in ascending order (so the victim sequence and slot
+        assignment are those of one :meth:`put` per block) while the
+        stores/flushes coalesce over the slots the mapping finds
+        contiguous.
         """
         bs = self.block_size
         if len(data) == 0 or len(data) % bs:
             raise ValueError("cache stores whole blocks")
         count = len(data) // bs
-        self.clock.advance_ns(
-            count
-            * (cal.CACHE_LOOKUP_NS + cal.CACHE_MGLRU_NS + cal.CACHE_SLOT_META_NS)
-        )
         slot_of = self._slots
-        insert = self._mglru.insert
         free = self._free_slots
+        ghost = self._ghost
+        grow = 0  # punched slots this fill backs
+        refused: Set[int] = set()
+        if len(free) < count:
+            missed = [
+                fb
+                for fb in range(first_block, first_block + count)
+                if (ino, fb) not in slot_of
+            ]
+            if len(missed) > len(free) and self._punched:
+                grow = max(
+                    0,
+                    min(len(missed) - len(free), len(self._punched), self.spare_blocks()),
+                )
+            refused = {
+                fb for fb in missed[len(free) + grow :] if (ino, fb) not in ghost
+            }
+        self.clock.advance_ns(
+            count * cal.CACHE_LOOKUP_NS
+            + (count - len(refused)) * (cal.CACHE_MGLRU_NS + cal.CACHE_SLOT_META_NS)
+        )
+        insert = self._mglru.insert
         slots: List[int] = []
         grown: List[int] = []
-        spare = -1  # the host's spare blocks, read once if a slot may grow
-        filled = 0
+        filled = ghosted = 0
         try:
             for fb in range(first_block, first_block + count):
                 key = (ino, fb)
                 slot = slot_of.get(key)
                 if slot is None:
-                    # claim a slot: back a punched one if the host has the
-                    # room, else MGLRU-insert (destaging/evicting victims);
-                    # then take a free slot and index it
-                    if not free and self._punched:
-                        if spare < 0:
-                            spare = self.spare_blocks()
-                        if spare > 0:
-                            spare -= 1
-                            grown.append(self._grow())
+                    if fb in refused:
+                        ghost[key] = None
+                        ghosted += 1
+                        continue
+                    # claim a slot: back a punched one, else MGLRU-insert
+                    # (destaging/evicting victims); then take a free slot
+                    # and index it
+                    if not free and grow:
+                        grow -= 1
+                        grown.append(self._grow())
                     for victim in insert(key):
                         self._release(victim)
                     slot = slot_of[key] = free.pop()
                     self._by_ino.setdefault(ino, set()).add(fb)
+                    ghost.pop(key, None)
                     filled += 1
                 slots.append(slot)
         finally:
             if filled:
                 self.stats.add("fill", filled)
+            if ghosted:
+                self.stats.add("refused", ghosted)
+                while len(ghost) > self.capacity_blocks:
+                    ghost.popitem(last=False)
+        if refused:
+            view = memoryview(data)
+            data = b"".join(
+                view[i * bs : (i + 1) * bs]
+                for i in range(count)
+                if first_block + i not in refused
+            )
         if grown:
             slots, data = self._back_slots(grown, slots, data)
         if slots:
             self._map.store_blocks(slots, data)
+        return count - len(refused)
 
     # -- sharing PM --------------------------------------------------------
 
@@ -614,6 +664,11 @@ class ScmCacheManager:
         total = hits + self.stats.get("miss")
         return hits / total if total else 0.0
 
+    def hits_per_fill(self) -> float:
+        """Reads served per block written: hits per filled block."""
+        filled = self.stats.get("fill")
+        return self.stats.get("hit") / filled if filled else 0.0
+
     def cache_counters(self) -> Dict[str, int]:
         """Stats snapshot plus the current dirty-block gauge."""
         counters = dict(self.stats.snapshot())
@@ -636,6 +691,9 @@ class ScmCacheManager:
             assert self._map.mapped(slot), f"slot {slot} has no block"
         for key in self._slots:
             assert key in self._mglru
+        # the ghosts are bounded hints about keys the cache does not hold
+        assert len(self._ghost) <= self.capacity_blocks
+        assert self._ghost.keys().isdisjoint(self._slots)
         assert self._landing.keys() <= self._slots.keys()
         # the per-ino index is exactly the slot keys, grouped
         indexed = {

@@ -217,11 +217,12 @@ class CacheController:
             raw += bytes(n * bs - len(raw))
         self.clock.push_frame(background=True)
         try:
-            cache.put_many(inode.ino, start_fb, raw)
+            stored = cache.put_many(inode.ino, start_fb, raw)
         finally:
             landed = self.clock.pop_frame()
         cache.note_landing(inode.ino, start_fb, n, landed)
-        self.files.pm_bytes.add("cache_fill", len(raw))
+        if stored:
+            self.files.pm_bytes.add("cache_fill", stored * bs)
         lo = max(req.offset, start_fb * bs)
         hi = min(req.offset + req.length, (start_fb + n) * bs)
         dst = req.buffer_offset + (lo - req.offset)

@@ -156,6 +156,11 @@ class MirrorEngine:
                 continue
             self.drop_mirror(inode, tier_id, punch=punch)
 
+    def reads_per_synced_block(self) -> float:
+        """Blocks mirrors served to reads per block a sync wrote to them."""
+        synced = self.stats.get("blocks_synced")
+        return self.stats.get("blocks_served") / synced if synced else 0.0
+
     def check_invariants(self) -> None:
         """Every file with stale mirror intervals is in the work set."""
         assert self._work <= self._mirrored.keys(), self._work - self._mirrored.keys()
@@ -199,6 +204,7 @@ class MirrorEngine:
                     chosen, best = mirror, key
             if chosen != tid:
                 self._mux.stats.add("reads_from_mirror")
+                self.stats.add("blocks_served", n)
                 if owner_key[0] > 0:
                     self._mux.stats.add("reads_degraded_mirror")
             if (

@@ -1291,6 +1291,11 @@ class MuxFileSystem(FileSystem):
                 f"{cache.stats.get('regrown')} regrown), "
                 f"hit ratio {cache.hit_ratio():.2f}"
             )
+            lines.append(
+                f"  cache fills: {cache.stats.get('fill')} filled, "
+                f"{cache.stats.get('refused')} refused; "
+                f"{cache.hits_per_fill():.2f} hits per filled block"
+            )
             if self.cachectl.write_back:
                 counters = self.cache.cache_counters()
                 lines.append(
@@ -1304,6 +1309,13 @@ class MuxFileSystem(FileSystem):
             lines.append(
                 "  pm bytes written: "
                 + ", ".join(f"{cause} {n}" for cause, n in written.items())
+            )
+        mirrors = self.mirrors
+        if mirrors.stats.get("blocks_synced") or mirrors.stats.get("blocks_served"):
+            lines.append(
+                f"  mirrors: {mirrors.stats.get('blocks_synced')} blocks synced, "
+                f"{mirrors.stats.get('blocks_served')} served; "
+                f"{mirrors.reads_per_synced_block():.2f} reads per synced block"
             )
         engine = self.engine.stats
         lines.append(

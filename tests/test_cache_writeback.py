@@ -247,6 +247,14 @@ class TestDestage:
         mux.close(handle)
 
 
+def put_evicting(cache, ino, fb, data):
+    """Put a block into a full cache so that it evicts: its first miss is
+    refused and makes it a ghost, its second is admitted."""
+    cache.put(ino, fb, data)
+    assert not cache.contains(ino, fb)
+    cache.put(ino, fb, data)
+
+
 class TestEvictionDestage:
     """Unit-level: a dirty victim destages through the callback."""
 
@@ -270,7 +278,7 @@ class TestEvictionDestage:
             cache.put(1, fb, bytes([fb]) * BS)
         cache.write_hit(1, 0, b"Q" * BS, 0)
         for fb in range(4, 8):  # force evictions
-            cache.put(2, fb, bytes([fb]) * BS)
+            put_evicting(cache, 2, fb, bytes([fb]) * BS)
         assert (1, ((0, 1),)) in calls
         assert cache.stats.get("destage_lost") == 0
         cache.check_invariants()
@@ -286,7 +294,7 @@ class TestEvictionDestage:
             cache.put(1, fb, bytes([fb]) * BS)
         cache.write_hit(1, 0, b"R" * BS, 0)
         for fb in range(4, 8):
-            cache.put(2, fb, bytes([fb]) * BS)
+            put_evicting(cache, 2, fb, bytes([fb]) * BS)
         assert cache.stats.get("destage_lost") == 1
         assert cache.dirty_block_count == 0  # eviction completed anyway
         cache.check_invariants()
@@ -305,7 +313,7 @@ class TestEvictionDestage:
             cache.put(1, fb, bytes([fb]) * BS)
         cache.write_hit(1, 2, b"S" * BS, 0)
         for fb in range(4, 8):
-            cache.put(2, fb, bytes([fb]) * BS)
+            put_evicting(cache, 2, fb, bytes([fb]) * BS)
         assert cache.lost_intervals() == [(1, 2, 1)]
         assert latched == [(1, ((2, 1),))]
         cache.clear_lost()
@@ -325,7 +333,7 @@ class TestEvictionDestage:
         cache.write_hit(1, 0, b"T" * BS, 0)
         with pytest.raises(CrashTriggered):
             for fb in range(4, 8):
-                cache.put(2, fb, bytes([fb]) * BS)
+                put_evicting(cache, 2, fb, bytes([fb]) * BS)
         assert cache.stats.get("destage_lost") == 0
         assert cache.lost_intervals() == []
 

@@ -9,12 +9,14 @@ What the cache holds must not depend on when the fill lands.  A seeded stream of
 to the HDD of a pm+hdd stack whose SCM cache holds far fewer blocks than
 the files, once read-through and once write-back.  After every op the
 transcript records the bytes a read returned, the cache's
-``hit``/``miss``/``fill``/``evict`` counters, the cached ``(ino, block)``
-keys and every file's dirty runs.  Simulated time is not recorded: it is
-the one thing a change to when a fill runs may move.
+``hit``/``miss``/``fill``/``evict``/``refused`` counters, the cached
+``(ino, block)`` keys and every file's dirty runs.  Simulated time is not
+recorded: it is the one thing a change to when a fill runs may move.
 
-The recorded digests were taken with the fill on the reader's clock,
-before it moved to background time.  ``python tests/test_fill_behind.py``
+The first digests were taken with the fill on the reader's clock and
+still held after it moved to background time; they were re-recorded
+once when a full cache began to refuse a block's first miss, which
+changes what the cache holds.  ``python tests/test_fill_behind.py``
 prints a fresh recording.
 """
 
@@ -37,24 +39,24 @@ FILE_BLOCKS = 64
 #: (write_back, seed) -> the transcript's SHA-256 and closing counters
 RECORDED = {
     (False, 1): {
-        "sha256": "946950dec8b083c6b4eecfda699d4c2488e62255814fd538aa67e25cac341c97",
-        "counters": {"hit": 579, "miss": 654, "fill": 654, "evict": 285, "write_hit": 0, "destaged_blocks": 0},
-        "cached_blocks": 119,
+        "sha256": "c9740ebc6490eec9218851e15fecd6c43209b08890d4d6a39242f32b4aee13fb",
+        "counters": {"hit": 579, "miss": 654, "fill": 446, "evict": 78, "refused": 208, "write_hit": 0, "destaged_blocks": 0},
+        "cached_blocks": 124,
     },
     (False, 2): {
-        "sha256": "ff220ca1ed1492f3f457e3a03b8e5c6393bee553b853f51c96515ae9e8a692b5",
-        "counters": {"hit": 542, "miss": 736, "fill": 736, "evict": 326, "write_hit": 0, "destaged_blocks": 0},
-        "cached_blocks": 96,
+        "sha256": "91fd5eebe7b129304ffdcf3c943890f640621031a79619304d568e1d70f25a0b",
+        "counters": {"hit": 556, "miss": 722, "fill": 486, "evict": 106, "refused": 236, "write_hit": 0, "destaged_blocks": 0},
+        "cached_blocks": 98,
     },
     (True, 1): {
-        "sha256": "6c2b549df6fb6e64a0c7cfb2ad4b9476662eab1a16889cc18e635e1867817822",
-        "counters": {"hit": 592, "miss": 641, "fill": 641, "evict": 373, "write_hit": 100, "destaged_blocks": 95},
-        "cached_blocks": 122,
+        "sha256": "b14940743ce81f00bf50ffeba464c22c0ed4fac7b0e1d18a017bd56c2b1ea4cf",
+        "counters": {"hit": 621, "miss": 612, "fill": 379, "evict": 100, "refused": 233, "write_hit": 84, "destaged_blocks": 82},
+        "cached_blocks": 121,
     },
     (True, 2): {
-        "sha256": "634fbf97c6f4cf8e3eb51e9c56e344aa4ce75fc0808ccba4f0ceae81f53312a4",
-        "counters": {"hit": 543, "miss": 735, "fill": 735, "evict": 424, "write_hit": 114, "destaged_blocks": 114},
-        "cached_blocks": 109,
+        "sha256": "98359ef5039abe9b117a4d97b2e172f46bb9974fd2107f02be4257427f1d9547",
+        "counters": {"hit": 551, "miss": 727, "fill": 471, "evict": 128, "refused": 256, "write_hit": 57, "destaged_blocks": 55},
+        "cached_blocks": 107,
     },
 }
 
@@ -92,7 +94,7 @@ def cache_transcript(write_back: bool, seed: int, steps: int = 300) -> dict:
             events.append(["fsync", handle.ino])
         events.append(
             [
-                [cache.stats.get(k) for k in ("hit", "miss", "fill", "evict")],
+                [cache.stats.get(k) for k in ("hit", "miss", "fill", "evict", "refused")],
                 sorted(cache._slots),
                 {ino: cache.dirty_runs(ino) for ino in cache.dirty_files()},
             ]
@@ -103,7 +105,9 @@ def cache_transcript(write_back: bool, seed: int, steps: int = 300) -> dict:
         "sha256": hashlib.sha256(json.dumps(events).encode()).hexdigest(),
         "counters": {
             k: cache.stats.get(k)
-            for k in ("hit", "miss", "fill", "evict", "write_hit", "destaged_blocks")
+            for k in (
+                "hit", "miss", "fill", "evict", "refused", "write_hit", "destaged_blocks"
+            )
         },
         "cached_blocks": cache.cached_blocks,
     }
@@ -198,10 +202,14 @@ def test_eviction_and_invalidation_drop_the_fill_entry():
     mux.truncate(handle, BS)
     assert not mux.cache._landing
     mux.cache.check_invariants()
-    # a small cache: one fill's own evictions, then the next fill's
+    # a small cache: the first read fills it and makes the rest of its
+    # blocks ghosts; the second read's hits wait out their fills, and its
+    # fill admits the ghosts, evicting the first half and their entries
     stack, handle = hdd_file(blocks=256, pm_mib=2)
     cache = stack.mux.cache
-    stack.mux.read(handle, 0, 2 * cache.capacity_blocks * BS)
+    for _ in range(2):
+        stack.mux.read(handle, 0, 2 * cache.capacity_blocks * BS)
+    assert cache.stats.get("refused") == cache.capacity_blocks
     assert cache.stats.get("evict") == cache.capacity_blocks
     cache.check_invariants()  # entries only for blocks still cached
     assert len(cache._landing) == cache.capacity_blocks

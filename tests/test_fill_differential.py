@@ -6,14 +6,16 @@ page) and its ``_evict_to_capacity`` (victims unindexed through
 ``_unindex``).  ``ReferenceScmCache`` keeps the earlier
 :meth:`ScmCacheManager.put_many`, which claimed each missing block through
 ``_claim_slot`` (one MGLRU insert, one slot and one ``"fill"`` count per
-block), and the earlier victim release (``is_dirty`` called twice).
+block), and the earlier victim release (``is_dirty`` called twice); it
+decides per block, in order, whether a full cache admits the block (a
+free slot, or a ghost's second miss) or refuses it into the ghost set.
 
 Hypothesis drives a reference and a current cache through the same
 operations, with write-back callbacks that accept, refuse (keep-dirty),
 fail or crash, and compares after every step: the page table in LRU order
 with every page's bytes and dirty bit, both per-inode indexes, the
 counters, the order of write-backs or destages, ``on_lost`` calls, slot
-assignment, the MGLRU generations and the clock.  A ``put_span`` of ``n``
+assignment, the ghost set, the MGLRU generations and the clock.  A ``put_span`` of ``n``
 pages is also checked against ``n`` single-page ``put`` calls whenever no
 write-back raises.
 """
@@ -235,23 +237,52 @@ class ReferenceScmCache(ScmCacheManager):
         self._index_remove(v_ino, v_fb)
         self.stats.add("evict")
 
+    def _admits(self, ino, first_block, count):
+        """Per block: is it stored?  A resident block is; a missed one
+        takes a free slot while any is left, else only a ghost may evict
+        (these caches never shrink, so no slot is punched)."""
+        free = len(self._free_slots)
+        admits = []
+        for fb in range(first_block, first_block + count):
+            key = (ino, fb)
+            if key in self._slots:
+                admits.append(True)
+            elif free:
+                free -= 1
+                admits.append(True)
+            else:
+                admits.append(key in self._ghost)
+        return admits
+
     def put_many(self, ino, first_block, data):
         bs = self.block_size
         if len(data) == 0 or len(data) % bs:
             raise ValueError("cache stores whole blocks")
         count = len(data) // bs
+        admits = self._admits(ino, first_block, count)
         self.clock.advance_ns(
-            count
-            * (cal.CACHE_LOOKUP_NS + cal.CACHE_MGLRU_NS + cal.CACHE_SLOT_META_NS)
+            count * cal.CACHE_LOOKUP_NS
+            + admits.count(True) * (cal.CACHE_MGLRU_NS + cal.CACHE_SLOT_META_NS)
         )
         slots = []
+        stored = []
         for i in range(count):
             key = (ino, first_block + i)
+            if not admits[i]:
+                self.stats.add("refused")
+                self._ghost[key] = None
+                while len(self._ghost) > self.capacity_blocks:
+                    self._ghost.popitem(last=False)
+                continue
             slot = self._slots.get(key)
             if slot is None:
+                self._ghost.pop(key, None)
                 slot = self._claim_slot(key)
             slots.append(slot)
-        self._map.store_blocks(slots, data)
+            stored.append(data[i * bs : (i + 1) * bs])
+        if slots:
+            self._map.store_blocks(slots, b"".join(stored))
+        return len(slots)
 
 
 class Destage:
@@ -302,6 +333,7 @@ def scm_state(cache):
         {ino: sorted(fbs) for ino, fbs in cache._by_ino.items()},
         {ino: dirty.runs() for ino, dirty in cache._dirty.items()},
         cache.lost_intervals(),
+        list(cache._ghost),
         cache.stats.snapshot(),
         [list(gen) for gen in mglru._gens],
         dict(mglru._where),

@@ -246,15 +246,18 @@ class TestMuxErrseq:
             raise TierUnavailable("owner tier unreachable")
 
         mux.cache.destage_fn = refuse
-        # stream a cache-sized spill file through: the fills must evict
-        # the (oldest, dirty) blocks of /f, and every destage fails
+        # stream a cache-sized spill file through twice (a full cache
+        # refuses a block's first miss and admits its second): the fills
+        # must evict the (oldest, dirty) blocks of /f, and every destage
+        # fails
         cap = mux.cache.capacity_blocks
         spill = mux.create("/spill")
         mux.write(spill, 0, bytes(cap * BS))
         mux.engine.migrate_now(
             MigrationOrder(spill.ino, 0, cap, wb.tier_id("pm"), wb.tier_id("hdd"))
         )
-        mux.read(spill, 0, cap * BS)
+        for _ in range(2):
+            mux.read(spill, 0, cap * BS)
         assert mux.cache.stats.get("destage_lost") >= 1
         assert [iv for iv in mux.lost_intervals() if iv[0] == handle.ino] != []
         mux.cache.destage_fn = destage_fn
@@ -472,12 +475,15 @@ class MuxBackend:
     def error(self, handle, oracle):
         stack, mux = self.stack, self.stack.mux
         hdd, ssd = stack.tier_id("hdd"), stack.tier_id("ssd")
-        mux.read(handle, 0, BS)  # block 0 cache-resident again
+        for _ in range(2):  # a full cache admits a block's second miss
+            mux.read(handle, 0, BS)
+        assert mux.cache.contains(handle.ino, 0)  # block 0 resident again
         mux.mark_tier_offline(hdd)
         mux.write(handle, 0, b"E" * BS)  # absorbed on PM, owner is dead
         lost_before = mux.cache.stats.get("destage_lost")
-        # stream a cache-sized file through: the fills evict the dirty
-        # block, and its destage to the dead owner fails
+        # stream a cache-sized file through twice (a full cache refuses
+        # a block's first miss and admits its second): the fills evict
+        # the dirty block, and its destage to the dead owner fails
         cap = mux.cache.capacity_blocks
         self.spills += 1
         spill = mux.create(f"/spill{self.spills}")
@@ -485,7 +491,8 @@ class MuxBackend:
         mux.engine.migrate_now(
             MigrationOrder(spill.ino, 0, cap, stack.tier_id("pm"), ssd)
         )
-        mux.read(spill, 0, cap * BS)
+        for _ in range(2):
+            mux.read(spill, 0, cap * BS)
         mux.close(spill)
         mux.mark_tier_online(hdd)
         assert mux.cache.stats.get("destage_lost") == lost_before + 1

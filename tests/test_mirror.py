@@ -206,6 +206,22 @@ class TestMirrorServing:
         assert fsck.check_mux(mux, deep=True) == []
         mux.close(handle)
 
+    def test_report_counts_mirror_reads_per_synced_block(self, stack):
+        mux = stack.mux
+        handle = place_on(stack, "/hot", "hdd")
+        inode = mux.ns.resolve("/hot")
+        mux.mirrors.add_mirror(inode, stack.tier_ids["pm"])
+        assert mux.mirrors.sync_file(inode) == 16
+        assert "  mirrors: 16 blocks synced, 0 served; 0.00 reads" in mux.report()
+        for _ in range(3):
+            mux.read(handle, 0, 8 * BS)
+        assert mux.mirrors.stats.get("blocks_served") == 24
+        assert mux.mirrors.reads_per_synced_block() == 1.5
+        assert "  mirrors: 16 blocks synced, 24 served; 1.50 reads per synced block" in (
+            mux.report()
+        )
+        mux.close(handle)
+
     def test_mirror_is_cheaper_than_the_hdd(self, stack):
         mux = stack.mux
         handle = place_on(stack, "/hot", "hdd")

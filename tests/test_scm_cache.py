@@ -78,7 +78,11 @@ class TestEviction:
 
     def test_slots_recycled(self, cache):
         for fb in range(30):
+            if fb >= 8:  # a full cache admits a block on its second miss
+                cache.put(1, fb, bytes([fb % 251]) * BS)
+                assert not cache.contains(1, fb)
             cache.put(1, fb, bytes([fb % 251]) * BS)
+            assert cache.get(1, fb) == bytes([fb % 251]) * BS
         cache.check_invariants()
         assert cache.stats.get("evict") == 22
 
@@ -246,11 +250,8 @@ class TestPmCallTranscript:
         ("flush_range", 65836, 100),
         # load_for_destage(1, 4..7)
         ("load_run", 122880, 2, 4096), ("load_run", 65536, 2, 4096),
-        # put_many(3, 0..4): MGLRU evicts, freed slots are reused
-        ("store_run", 106496, 4096, 4096), ("flush_range", 106496, 4096, ("ops", 1)),
-        ("store_run", 114688, 4096, 4096), ("flush_range", 114688, 4096, ("ops", 1)),
-        ("store_run", 122880, 8192, 4096), ("flush_range", 122880, 8192, ("ops", 2)),
-        ("store_run", 69632, 4096, 4096), ("flush_range", 69632, 4096, ("ops", 1)),
+        # put_many(3, 0..4) into the full cache: five first misses, all
+        # refused, so no store
     ]
 
     def _record(self, pm, log):
@@ -302,12 +303,12 @@ class TestPmCallTranscript:
         assert cache.load_for_destage(1, 4, 4) == (
             blocks(4, 2) + patched + blocks(7, 1)
         )
-        # overfill: MGLRU evicts (a dirty victim is dropped: no destage_fn)
+        # overfill: a full cache refuses the first misses
         cache.put_many(3, 0, blocks(0x30, 5))
         assert log == self.USE_CALLS
         assert cache.cache_counters() == {
-            "fill": 15, "invalidate": 2, "hit": 7, "write_hit": 1,
-            "evict": 5, "dirty_blocks": 1,
+            "fill": 10, "invalidate": 2, "hit": 7, "write_hit": 1,
+            "refused": 5, "dirty_blocks": 1,
         }
-        assert clock.now_ns == 86925
+        assert clock.now_ns == 79065
         cache.check_invariants()

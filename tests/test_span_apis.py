@@ -160,27 +160,38 @@ class TestScmCacheSpans:
         scalar, span, clock = pair
         blocks = [block(i) for i in range(12)]
 
+        ghosts = []
         t0 = clock.now_ns
-        for i, b in enumerate(blocks):
-            scalar.put(3, i, b)
+        for _ in range(2):
+            for i, b in enumerate(blocks):
+                scalar.put(3, i, b)
+            ghosts.append(list(scalar._ghost))
         scalar_cost = clock.now_ns - t0
 
         t0 = clock.now_ns
-        for i in range(0, 12, span_blocks):
-            span.put_many(3, i, b"".join(blocks[i : i + span_blocks]))
+        for n in range(2):
+            for i in range(0, 12, span_blocks):
+                span.put_many(3, i, b"".join(blocks[i : i + span_blocks]))
+            assert list(span._ghost) == ghosts[n]
         span_cost = clock.now_ns - t0
 
-        # capacity 8, twelve inserts: MGLRU evicts mid-span either way
+        # capacity 8, twelve blocks twice: the first pass refuses the last
+        # four, the second admits them and MGLRU evicts mid-span either way
         assert span_cost == scalar_cost
         assert scalar.stats.snapshot() == span.stats.snapshot()
+        assert scalar.stats.get("refused") == span.stats.get("refused") == 4
         assert scalar.stats.get("evict") == span.stats.get("evict") == 4
+        assert ghosts == [[(3, fb) for fb in range(8, 12)], []]
         assert sorted(scalar._slots) == sorted(span._slots)
         assert scalar._slots == span._slots  # identical slot assignment
-        for fb in range(4, 12):  # survivors readable via both paths
+        for _, fb in sorted(scalar._slots):  # survivors readable via both paths
             assert scalar.get(3, fb) == span.get(3, fb) == blocks[fb]
-        # same MGLRU state afterwards: the next fills pick the same victims
+        # same MGLRU state afterwards: the next fills refuse the same keys,
+        # and their second misses pick the same victims
         for cache in (scalar, span):
-            cache.put_many(4, 0, b"".join(blocks[:3]))
+            for _ in range(2):
+                cache.put_many(4, 0, b"".join(blocks[:3]))
+        assert scalar.stats.snapshot() == span.stats.snapshot()
         assert scalar._slots == span._slots
         scalar.check_invariants()
         span.check_invariants()
