@@ -196,6 +196,16 @@ def main(argv: List[str]) -> int:
     }
     per_fs = ", ".join(f"{n}:{v}" for n, v in ra_blocks.items()) or "none"
     print(f"readahead: bg_blocks={sum(ra_blocks.values())} per-fs=[{per_fs}]")
+    print("page caches:")
+    for name, fs in sorted(stack.filesystems.items()):
+        page_cache = getattr(fs, "page_cache", None)
+        if page_cache is not None:
+            pc = page_cache.stats
+            print(
+                f"  {name}: hit={pc.get('hit')} miss={pc.get('miss')} "
+                f"evict={pc.get('evict')} evict_dirty={pc.get('evict_dirty')} "
+                f"wb_runs={pc.get('wb_runs')} wb_blocks={pc.get('wb_blocks')}"
+            )
     monitor = stack.mux.pressure
     monitor.sample(now_ns, force=True)
     names = {tid: name for name, tid in stack.tier_ids.items()}

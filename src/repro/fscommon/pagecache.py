@@ -6,8 +6,12 @@ per-file-system DRAM cache.  NOVA does not instantiate one (DAX bypasses
 the page cache); Mux's *shared* SCM cache is a separate component built in
 ``repro.core.cache``.
 
-Write-back semantics: dirty pages accumulate and are flushed on fsync or
-when evicted by LRU pressure.  DRAM hits charge only a copy cost.
+Write-back semantics: dirty pages accumulate until fsync writes them, or
+until LRU pressure evicts one.  An evicted dirty page goes to the file
+system's write-back callback, which (like the kernel's flusher) may write
+it together with the dirty pages that follow it in its file, via
+:meth:`PageCache.dirty_run` and :meth:`PageCache.written_back`.  DRAM hits
+charge only a copy cost.
 
 Beside the LRU-ordered page table the cache keeps two per-inode indexes so
 that an fsync, unlink or truncate costs what that file has cached or dirty,
@@ -296,6 +300,30 @@ class PageCache:
         """
         pages = self._pages
         return [(fb, pages[(ino, fb)].data) for fb in sorted(self._dirty.get(ino, ()))]
+
+    def dirty_run(self, ino: int, first_block: int) -> List[Tuple[int, bytes]]:
+        """(file_block, data) of the dirty pages of ``ino`` from
+        ``first_block`` on, up to the first block that is not cached dirty.
+
+        No charges, no LRU touch: an eviction write-back uses it to take a
+        victim's dirty followers along in one run.
+        """
+        dirty = self._dirty.get(ino)
+        run: List[Tuple[int, bytes]] = []
+        if dirty:
+            pages = self._pages
+            fb = first_block
+            while fb in dirty:
+                run.append((fb, pages[(ino, fb)].data))
+                fb += 1
+        return run
+
+    def written_back(self, ino: int, file_blocks: List[int]) -> None:
+        """One eviction write-back run landed ``file_blocks`` of ``ino``:
+        those still cached turn clean, and the run is counted."""
+        self.mark_clean(ino, file_blocks)
+        self.stats.add("wb_runs")
+        self.stats.add("wb_blocks", len(file_blocks))
 
     def mark_clean(self, ino: int, file_blocks: Iterable[int]) -> None:
         """Clear the dirty bit on specific pages after a batched writeback."""

@@ -121,8 +121,8 @@ class TestTraceCli:
         out = capsys.readouterr().out
         for section in (
             "cache:", "migrations (no faults):", "engine totals:", "fairness:",
-            "scheduler:", "device ssd:", "readahead:", "pressure:", "cluster:",
-            "rebalance:",
+            "scheduler:", "device ssd:", "readahead:", "page caches:",
+            "pressure:", "cluster:", "rebalance:",
         ):
             assert section in out, section
         assert "write_hit=0 " not in out  # the write-back cache absorbed writes

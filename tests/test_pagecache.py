@@ -191,3 +191,24 @@ class TestBatchHelpers:
         cache.put(1, 1, page(1), dirty=True)
         cache.mark_clean(1, [0])
         assert [fb for fb, _ in cache.dirty_items(1)] == [1]
+
+    def test_dirty_run_stops_at_the_first_block_not_cached_dirty(self, cache_env):
+        cache, _, clock = cache_env
+        cache.put(1, 1, page(1), dirty=True)
+        cache.put(1, 2, page(2), dirty=True)
+        cache.put(1, 3, page(3), dirty=False)
+        cache.put(2, 4, page(4), dirty=True)
+        before = (clock.now_ns, cache.stats.get("hit"))
+        assert cache.dirty_run(1, 1) == [(1, page(1)), (2, page(2))]
+        assert cache.dirty_run(1, 3) == []
+        assert cache.dirty_run(1, 4) == []  # block 4 is another inode's
+        assert cache.dirty_run(3, 0) == []
+        assert (clock.now_ns, cache.stats.get("hit")) == before
+
+    def test_written_back_cleans_and_counts_the_run(self, cache_env):
+        cache, _, _ = cache_env
+        cache.put(1, 1, page(1), dirty=True)
+        cache.put(1, 2, page(2), dirty=True)
+        cache.written_back(1, [0, 1])  # block 0, the victim, left the cache
+        assert [fb for fb, _ in cache.dirty_items(1)] == [2]
+        assert (cache.stats.get("wb_runs"), cache.stats.get("wb_blocks")) == (1, 2)
