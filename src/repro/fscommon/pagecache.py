@@ -222,7 +222,18 @@ class PageCache:
                     self._insert(key, Page(block, dirty))
                     inserted += 1
                 if len(pages) > capacity:
-                    self._evict_to_capacity()
+                    try:
+                        self._evict_to_capacity()
+                    except BaseException:
+                        if existing is None and not dirty and key in pages:
+                            # a failed fill leaves the cache as it found
+                            # it: the retried read misses and evicts
+                            # again.  A new dirty page stays (its bytes
+                            # are cached nowhere else); the retried write
+                            # finds it and evicts the cache back to size
+                            self._drop(ino, [fb])
+                            inserted -= 1
+                        raise
         finally:
             # counted once, also when an eviction's write-back raised
             if inserted:

@@ -114,20 +114,41 @@ def test_transient_error_keeps_every_page_dirty_for_the_retry(name):
     assert excinfo.value.transient
     assert dirty_blocks(fs, a) == list(range(8))
     assert fs.page_cache.stats.get("wb_runs") == 0
+    cache = fs.page_cache
+    assert cache.cached_pages == cache.capacity_pages  # the failed fill left nothing
     fs.device.set_fault_injector(None)
-    # the retried read hits the page its failed insert left (the cache
-    # is one page over capacity); the victim is back at the LRU head, so
-    # the next insert evicts it again and writes its run
+    # the victim is back at the LRU head, so the retried read's insert
+    # evicts it again and writes its run
     assert fs.read(c, 0, BS) == b"c" * BS
-    assert fs.page_cache.stats.get("wb_runs") == 0
-    assert fs.read(c, BS, BS) == b"c" * BS
-    assert (fs.page_cache.stats.get("wb_runs"), fs.page_cache.stats.get("wb_blocks")) == (1, 8)
+    assert cache.cached_pages <= cache.capacity_pages
+    assert (cache.stats.get("wb_runs"), cache.stats.get("wb_blocks")) == (1, 8)
     assert dirty_blocks(fs, a) == []
     fs.fsync(a)
     assert fs.lost_intervals() == []
     fs.crash()
     fs.recover()
     assert fs.read(fs.open("/a"), 0, 8 * BS) == b"a" * (8 * BS)
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_a_retried_write_after_a_transient_error_evicts_back_to_capacity(name):
+    fs, a, c = cache_with_dirty_head(name)
+    cache = fs.page_cache
+    inject(fs, transient=True)
+    with pytest.raises(DeviceIoError):
+        fs.write(c, 0, b"C" * BS)  # its dirty insert evicts /a's block 0
+    # the new dirty page stays: its bytes are cached nowhere else
+    assert cache.cached_pages == cache.capacity_pages + 1
+    fs.device.set_fault_injector(None)
+    fs.write(c, 0, b"C" * BS)
+    assert cache.cached_pages <= cache.capacity_pages
+    assert (cache.stats.get("wb_runs"), cache.stats.get("wb_blocks")) == (1, 8)
+    fs.fsync(a)
+    fs.fsync(c)
+    fs.crash()
+    fs.recover()
+    assert fs.read(fs.open("/a"), 0, 8 * BS) == b"a" * (8 * BS)
+    assert fs.read(fs.open("/c"), 0, 2 * BS) == b"C" * BS + b"c" * BS
 
 
 def test_ext4_persistent_error_loses_exactly_the_unlanded_blocks():

@@ -2,7 +2,8 @@
 
 ``ReferencePageCache`` keeps the earlier :meth:`PageCache.put_span` (a
 memoryview slice per page, an ``_insert`` and an ``"insert"`` count per
-page) and its ``_evict_to_capacity`` (victims unindexed through
+page; a clean fill whose eviction raised is undone, as in the current
+one) and its ``_evict_to_capacity`` (victims unindexed through
 ``_unindex``).  ``ReferenceScmCache`` keeps the earlier
 :meth:`ScmCacheManager.put_many`, which claimed each missing block through
 ``_claim_slot`` (one MGLRU insert, one slot and one ``"fill"`` count per
@@ -68,9 +69,19 @@ class ReferencePageCache(PageCache):
                 pages.move_to_end(key)
             else:
                 self._insert(key, Page(block, dirty))
-                self.stats.add("insert")
             if len(pages) > capacity:
-                self._evict_to_capacity()
+                try:
+                    self._evict_to_capacity()
+                except BaseException:
+                    # a failed clean fill is undone; a new dirty page stays
+                    if existing is None and not dirty and key in pages:
+                        del pages[key]
+                        self._unindex(ino, (fb,))
+                    elif existing is None:
+                        self.stats.add("insert")
+                    raise
+            if existing is None:
+                self.stats.add("insert")
 
     def _evict_to_capacity(self):
         pages = self._pages

@@ -60,7 +60,17 @@ class ScanCache:
                 self.pages.move_to_end(key)
             else:
                 self.pages[key] = [block, dirty]
+                try:
+                    self.evict()
+                except Exception:
+                    # a failed clean fill is undone; a dirty insert stays
+                    if dirty or key not in self.pages:
+                        self.stats.add("insert")
+                    else:
+                        del self.pages[key]
+                    raise
                 self.stats.add("insert")
+                continue
             self.evict()
 
     def evict(self):
