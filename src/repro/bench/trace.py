@@ -145,6 +145,13 @@ def main(argv: List[str]) -> int:
         f"served_blocks={mirrors.stats.get('blocks_served')} "
         f"reads_per_synced_block={mirrors.reads_per_synced_block():.2f}"
     )
+    meta = stack.mux.meta.stats
+    dax = meta.get("dax_flushes")
+    print(
+        f"metafile: records={meta.get('records')} dax_appends={dax} "
+        f"write_appends={meta.get('flushes') - dax} "
+        f"growth_writes={meta.get('growth_writes')} bytes={meta.get('bytes')}"
+    )
     written = stack.mux.pm_bytes_by_cause()
     print("pm bytes written: " + " ".join(f"{k}={v}" for k, v in written.items()))
 

@@ -2,9 +2,22 @@
 
 BLT deltas, affinity changes and collective-inode attributes are appended
 as records to a metafile on the fastest tier; records are batched and made
-durable (append + fsync) every ``META_SYNC_RECORDS`` records — the paper's
-lazy synchronization.  The writer exists before any tier does: with
-nowhere to write yet there is nothing to record, so callers just ``note``.
+durable every ``META_SYNC_RECORDS`` records — the paper's lazy
+synchronization — and namespace changes are made durable at once.  The
+writer exists before any tier does: with nowhere to write yet there is
+nothing to record, so callers just ``note``.
+
+How a flush reaches the home depends on what the home offers.  A home
+with a DAX path (NOVA on PM) maps the metafile, the way the SCM cache maps
+its file (§2.5), and an append is two persist points: the records are
+stored and flushed through the mapping, then the log's 8-byte end offset
+is stored and flushed in the header, and one fence orders both — the
+shape of NOVA's own log append, without a copy-on-write of the block the
+records land in.  The header is the file's first 8 bytes; the model's
+records are zero placeholders, so it shares the log's first cache line.
+The log grows one whole block at a time, by a file write when an append
+first reaches a block, and the mapping learns just that block.  Any other
+home gets a file write, plus an fsync when the flush must be durable.
 """
 
 from __future__ import annotations
@@ -13,7 +26,7 @@ from typing import Optional
 
 from repro.core import calibration as cal
 from repro.core.tierfiles import retry_transient
-from repro.errors import DeviceError
+from repro.errors import DeviceError, NotSupported
 from repro.sim.clock import SimClock
 from repro.sim.stats import CounterSet
 from repro.vfs.interface import FileHandle, FileSystem
@@ -32,6 +45,8 @@ class MuxMetaWriter:
         self.clock = clock
         self.fs: Optional[FileSystem] = None
         self._handle: Optional[FileHandle] = None
+        #: the metafile's DAX mapping, when its home has a DAX path
+        self._map = None
         self._offset = 0
         self._buffered = 0
         self.stats = CounterSet()
@@ -47,6 +62,10 @@ class MuxMetaWriter:
         self.fs = fs
         self._handle = fs.create(META_FILE)
         self._offset = 0
+        try:
+            self._map = fs.dax_map(self._handle)
+        except NotSupported:
+            self._map = None
 
     def note(self, records: int, flush: bool = False) -> None:
         """Buffer ``records`` metadata records; flush on the sync interval,
@@ -64,7 +83,7 @@ class MuxMetaWriter:
         ``durable=False`` writes the records but skips the explicit fsync —
         used when the caller is about to fsync data on the same file
         system, whose (file-system-global) journal commit covers the
-        metafile update too.
+        metafile update too.  A DAX append is durable either way.
         """
         if self._buffered == 0:
             return
@@ -73,9 +92,10 @@ class MuxMetaWriter:
             self._offset = 0
 
         def append() -> None:
-            self.fs.write(self._handle, self._offset, payload)
-            if durable:
-                self.fs.fsync(self._handle)
+            if self._map is not None:
+                self._store(payload)
+            else:
+                self._write(payload, durable)
 
         try:
             retry_transient(
@@ -91,7 +111,38 @@ class MuxMetaWriter:
         self._offset += len(payload)
         self._buffered = 0
         self.stats.add("flushes")
+        if self._map is not None:
+            self.stats.add("dax_flushes")
         self.stats.add("bytes", len(payload))
+
+    def _write(self, payload: bytes, durable: bool) -> None:
+        self.fs.write(self._handle, self._offset, payload)
+        if durable:
+            self.fs.fsync(self._handle)
+
+    def _store(self, payload: bytes) -> None:
+        """Append ``payload`` at the log offset through the DAX mapping:
+        records, then the header's end offset, each stored and flushed,
+        then one fence.  A retry after a transient error stores again, but
+        never grows the log into a block it already grew into."""
+        mapping = self._map
+        bs = mapping.block_size
+        start = self._offset
+        end = start + len(payload)
+        have = mapping.blocks
+        need = -(-end // bs)
+        if need > have:
+            self.fs.write(self._handle, have * bs, bytes((need - have) * bs))
+            mapping.grow(need - have)
+            self.stats.add("growth_writes")
+        pos = start
+        while pos < end:
+            block, offset = divmod(pos, bs)
+            take = min(end - pos, bs - offset)
+            mapping.store(block, offset, payload[pos - start : pos - start + take])
+            pos += take
+        mapping.store(0, 0, end.to_bytes(8, "little"))
+        mapping.fence()
 
     def replay(self) -> None:
         """Recovery: charge the metafile scan that rebuilds Mux's state."""
@@ -100,5 +151,6 @@ class MuxMetaWriter:
 
     def close(self) -> None:
         self.flush()
+        self._map = None
         if self._handle is not None and self._handle.is_open:
             self.fs.close(self._handle)

@@ -1304,6 +1304,14 @@ class MuxFileSystem(FileSystem):
                     f"({counters.get('destaged_blocks', 0)} blocks), "
                     f"{counters.get('dirty_blocks', 0)} dirty"
                 )
+        meta = self.meta.stats
+        dax = meta.get("dax_flushes")
+        lines.append(
+            f"  metafile: {meta.get('records')} records, "
+            f"{meta.get('flushes')} appends ({dax} by DAX, "
+            f"{meta.get('flushes') - dax} by write + fsync), "
+            f"{meta.get('growth_writes')} growth writes, {meta.get('bytes')} bytes"
+        )
         written = self.pm_bytes_by_cause()
         if written:
             lines.append(

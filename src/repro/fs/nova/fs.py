@@ -45,11 +45,12 @@ class DaxMapping:
     hole maps to nothing, and touching it raises.  :meth:`remap`
     re-resolves named blocks after the file changed under the mapping (a
     punch unmaps a block, a write backs a hole), as a page fault would.
-    A run of requested blocks becomes one device access exactly when
-    their addresses are contiguous; stores are flushed (CLWB) before they
-    return.  The device is looked up per call, never pre-bound, so
-    wrappers installed on the device *instance* (tracers, crash taps) see
-    every access.
+    :meth:`grow` maps blocks a write appended past the old end.  A run of
+    requested blocks becomes one device access exactly when their
+    addresses are contiguous; stores are flushed (CLWB) before they
+    return, and :meth:`fence` orders them.  The device is looked up per
+    call, never pre-bound, so wrappers installed on the device *instance*
+    (tracers, crash taps) see every access.
     """
 
     def __init__(
@@ -62,7 +63,12 @@ class DaxMapping:
         self._pm = pm
         self._resolve = resolve
         self._addrs = [resolve(block) for block in range(blocks)]
-        self._bs = block_size
+        self.block_size = block_size
+
+    @property
+    def blocks(self) -> int:
+        """How many file blocks the mapping covers."""
+        return len(self._addrs)
 
     def mapped(self, block: int) -> bool:
         return self._addrs[block] is not None
@@ -72,6 +78,16 @@ class DaxMapping:
         for block in blocks:
             self._addrs[block] = self._resolve(block)
 
+    def grow(self, blocks: int) -> None:
+        """Map ``blocks`` more file blocks past the current end, after a
+        write extended the file; the blocks already mapped stay as they are."""
+        start = len(self._addrs)
+        self._addrs.extend(map(self._resolve, range(start, start + blocks)))
+
+    def fence(self) -> None:
+        """Order every store flushed so far before what follows (SFENCE)."""
+        self._pm.drain()
+
     def _addr(self, block: int) -> int:
         addr = self._addrs[block]
         if addr is None:
@@ -80,7 +96,7 @@ class DaxMapping:
 
     def _runs(self, blocks: Sequence[int]) -> Iterator[Tuple[int, int, int]]:
         """``(index, count, addr)`` per device-contiguous run of ``blocks``."""
-        addrs, bs, n = self._addrs, self._bs, len(blocks)
+        addrs, bs, n = self._addrs, self.block_size, len(blocks)
         i = 0
         while i < n:
             addr = self._addr(blocks[i])
@@ -91,12 +107,12 @@ class DaxMapping:
             i = j
 
     def load(self, block: int) -> bytes:
-        return self._pm.load(self._addr(block), self._bs)
+        return self._pm.load(self._addr(block), self.block_size)
 
     def load_blocks(self, blocks: Sequence[int], out: bytearray, pos: int) -> None:
         """Copy ``blocks`` (whole, in the order given) into ``out`` at ``pos``."""
         for _, count, addr in self._runs(blocks):
-            data = self._pm.load_run(addr, count, self._bs)
+            data = self._pm.load_run(addr, count, self.block_size)
             out[pos : pos + len(data)] = data
             pos += len(data)
 
@@ -108,7 +124,7 @@ class DaxMapping:
 
     def store_blocks(self, blocks: Sequence[int], data) -> None:
         """Persist block-aligned ``data`` over ``blocks``, in the order given."""
-        bs = self._bs
+        bs = self.block_size
         src = memoryview(data)
         for i, count, addr in self._runs(blocks):
             self._pm.store_run(addr, src[i * bs : (i + count) * bs], bs)

@@ -17,8 +17,8 @@ then recovers and checks the whole stack:
 
 Each media write is labeled with the highest-level sync point that issued
 it — journal commit, checkpoint, destage batch, BLT commit/migration
-two-phase step, mirror-sync copy — so the report says not just *where*
-the stack survives power loss but *during what*.
+two-phase step, mirror-sync copy, metafile append — so the report says
+not just *where* the stack survives power loss but *during what*.
 
 The mirror extension additionally asserts that recovery never leaves a
 mirror interval *clean*: a crash invalidates every replica (they are
@@ -294,6 +294,7 @@ class CrashExplorer:
         self._wrap_label(mux, "blt_commit_move", "blt_commit")
         self._wrap_label_gen(mux.engine.occ, "_copy_runs", "migration_copy")
         self._wrap_label(mux.engine.occ, "_commit", "migration_commit")
+        self._wrap_label(mux.meta, "flush", "metafile_append")
         for name in ("ssd", "hdd"):
             journal = stack.filesystems[name].journal
             self._wrap_label(journal, "_write_txn", "journal_commit")

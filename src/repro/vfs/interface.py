@@ -236,7 +236,11 @@ class FileSystem(ABC):
         file's blocks are resolved at map time, and ``remap(blocks)``
         re-resolves the named ones after a punch or a write changed them;
         a hole is unmapped (``mapped(block)`` is False) and touching it
-        raises.  Optional: default ENOTSUP.
+        raises.  ``block_size`` and ``blocks`` give the mapping's block
+        size and how many file blocks it covers, ``grow(n)`` maps ``n``
+        more after a write extended the file, and ``fence()`` orders the
+        flushed stores before what follows.
+        Optional: default ENOTSUP.
         """
         raise NotSupported(f"{self.fs_name} has no DAX path")
 

@@ -122,11 +122,15 @@ class TestTraceCli:
         for section in (
             "cache:", "migrations (no faults):", "engine totals:", "fairness:",
             "scheduler:", "device ssd:", "readahead:", "page caches:",
-            "pressure:", "cluster:", "rebalance:",
+            "metafile:", "pressure:", "cluster:", "rebalance:",
         ):
             assert section in out, section
         assert "write_hit=0 " not in out  # the write-back cache absorbed writes
         assert "readahead: bg_blocks=0 " not in out
+        # the mixed stack's metafile lives on PM: every append is a DAX one
+        (metafile,) = [line for line in out.splitlines() if line.startswith("metafile:")]
+        assert " dax_appends=0 " not in metafile and " write_appends=0 " in metafile
+        assert " growth_writes=0 " not in metafile
 
 
 class TestWallclockCli:
