@@ -23,7 +23,7 @@ write-back raises.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import calibration as cal
@@ -394,6 +394,18 @@ def scm_step(cache, op):
 
 @settings(max_examples=150, deadline=None)
 @given(capacity=st.integers(2, 12), script=DESTAGES, ops=st.lists(SCM_OPS, max_size=20))
+# a full ghost set takes a refused key mid-fill: it drops its oldest ghost
+# then, before a later block of the same fill is looked at
+@example(
+    capacity=5,
+    script=[],
+    ops=[
+        ("put_many", 1, 0, 5, 0),
+        ("put_many", 2, 0, 1, 0),
+        ("put_many", 2, 5, 4, 0),
+        ("put_many", 2, 4, 2, 0),
+    ],
+)
 def test_scm_put_many_matches_per_block_claims(capacity, script, ops):
     ref, new = scm_pair(capacity, script)
     for op in ops:
