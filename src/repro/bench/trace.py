@@ -132,7 +132,7 @@ def main(argv: List[str]) -> int:
     cache = stack.mux.cache
     print(
         f"cache slots: backed={cache.backed_blocks} cap={cache.capacity_blocks} "
-        f"shrunk={counters.get('shrunk', 0)} regrown={counters.get('regrown', 0)}"
+        f"shrunk={counters.get('shrunk', 0)}"
     )
     print(
         f"cache fills: filled={counters.get('fill', 0)} "

@@ -39,7 +39,7 @@ from repro.vfs.interface import WritebackLedger
 
 #: share of the hosting tier's free blocks preallocated as the SCM cache:
 #: its cap, not a reservation — the cache yields slots to any other PM
-#: claimant and regrows into room they leave
+#: claimant and never takes them back
 CACHE_FRACTION = 0.25
 
 
@@ -103,12 +103,8 @@ class CacheController:
             cache.destage_fn = self.destage_evicted
             cache.on_lost = self.note_destage_lost
             # PM's last claimant: the host counts the cache's slots as free
-            # and takes them back when placement, a migration or a mirror
-            # needs the room; a fill backs slots again only with blocks
-            # the host can spare above its reserve
-            cache.spare_blocks = lambda: (
-                scm.fs.statfs().free_bytes - scm.reserve_bytes
-            ) // block_size - MIN_SLOTS
+            # and takes them back for good when placement, a migration or
+            # a mirror needs the room
             scm.cache = cache
             self.cache = cache
             self.host_tier_id = scm.tier_id

@@ -6,10 +6,12 @@ cache keeps the size it was provisioned with and the simulated clock is
 the one recorded before the cache could yield slots.
 
 Then PM is contested: mirror grants take the cache's slots oldest-first,
-never below ``MIN_SLOTS``, a dirty slot leaves only through destage, the
-cache regrows into the room dropped mirrors leave, and no read is ever
-served from a punched slot.  The cache's invariants and fsck are checked
-after every step.
+never below ``MIN_SLOTS``, a dirty slot leaves only through destage, and
+what the cache gives back stays given back — the room dropped mirrors
+leave is not taken again, fills evict within the slots the cache kept,
+no read is ever served from a punched slot, and nothing but punches
+reaches the cache file after it is attached.  The cache's invariants and
+fsck are checked after every step.
 """
 
 import pytest
@@ -137,6 +139,45 @@ class ContestedPm:
         assert check_mux(self.mux, deep=True) == []
 
 
+def spy_served_slots(cache) -> set:
+    """Record every slot the cache's DAX mapping loads from from here on."""
+    served = set()
+    mapping = cache._map
+    load, load_blocks = mapping.load, mapping.load_blocks
+
+    def spy_load(slot):
+        served.add(slot)
+        return load(slot)
+
+    def spy_load_blocks(slots, out, pos):
+        served.update(slots)
+        return load_blocks(slots, out, pos)
+
+    mapping.load, mapping.load_blocks = spy_load, spy_load_blocks
+    return served
+
+
+def count_cache_file_calls(pm: ContestedPm) -> dict:
+    """Count the PM file system's ``write`` and ``punch_hole`` calls on
+    the cache file from here on."""
+    fs, handle = pm.stack.filesystems["pm"], pm.cache._handle
+    calls = {"write": 0, "punch_hole": 0}
+
+    def counted(name):
+        call = getattr(fs, name)
+
+        def wrapper(h, *args, **kwargs):
+            if h is handle:
+                calls[name] += 1
+            return call(h, *args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        setattr(fs, name, counted(name))
+    return calls
+
+
 def test_mirrors_take_the_cache_oldest_first_and_dropped_mirrors_give_it_back():
     pm = ContestedPm()
     cache = pm.cache
@@ -182,19 +223,51 @@ def test_mirrors_take_the_cache_oldest_first_and_dropped_mirrors_give_it_back():
         with pytest.raises(ReproError):
             cache._map.load(slot)
 
-    # dropped mirrors leave room the cache's fills take back, a slot at a time
+    # dropped mirrors leave room the cache does not take back: fills of c
+    # evict within the slots it kept, and every read is served from one
     for inode in [big] + small:
         pm.mux.mirrors.drop_mirror(inode, pm.pm)
     pm.check()
+    served = spy_served_slots(cache)
+    evicted = cache.stats.get("evict")
     pm.make("c", 400)
-    for i in range(0, 400, 4):
-        pm.read("c", i, 4)
-    assert cache.stats.get("regrown") == cache.backed_blocks - low
-    assert cache.backed_blocks == 400 + pm.cached("a") + pm.cached("b") == cache.cached_blocks
+    for _ in range(2):
+        for i in range(0, 400, 4):
+            pm.read("c", i, 4)
+    assert cache.backed_blocks == low
+    assert pm.cached("c") == cache.cached_blocks == low
+    assert cache.stats.get("evict") > evicted
+    hits = cache.stats.get("hit")
+    pm.read("c", 400 - low, low)
+    assert cache.stats.get("hit") == hits + low
     for name, blocks in (("a", 200), ("b", 200), ("c", 400)):
         for i in range(0, blocks, 8):
             pm.read(name, i, 8)
-    assert cache.backed_blocks == cache.capacity_blocks  # back at its cap
+    assert cache.backed_blocks == low
+    assert served and served.isdisjoint(cache._punched)
+
+
+def test_after_attach_the_cache_file_only_gets_punched():
+    """The counted twin: whatever PM frees up, no fill writes the cache file."""
+    pm = ContestedPm()
+    calls = count_cache_file_calls(pm)
+    pm.make("a", 200)
+    for i in range(0, 200, 8):
+        pm.read("a", i, 8)
+    big = pm.make("big", 1760)
+    pm.mux.mirrors.add_mirror(big, pm.pm)
+    pm.mux.mirrors.sync_file(big)
+    pm.check()
+    low = pm.cache.backed_blocks
+    assert low < 502 and calls["punch_hole"] > 0
+    pm.mux.mirrors.drop_mirror(big, pm.pm)
+    pm.make("c", 400)
+    for _ in range(2):
+        for i in range(0, 400, 4):
+            pm.read("c", i, 4)
+    assert pm.cache.stats.get("fill") > 200
+    assert calls["write"] == 0
+    assert pm.cache.backed_blocks == low
 
 
 def test_policies_count_the_cache_as_free_and_placement_claims_it():
