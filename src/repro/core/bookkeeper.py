@@ -32,6 +32,8 @@ from repro.sim.stats import CounterSet
 from repro.vfs.interface import FileHandle, FileSystem
 
 META_FILE = "/.mux_meta"
+#: the header: the log's end offset, which every DAX append stores
+HEADER_BYTES = 8
 
 
 class MuxMetaWriter:
@@ -135,14 +137,22 @@ class MuxMetaWriter:
             self.fs.write(self._handle, have * bs, bytes((need - have) * bs))
             mapping.grow(need - have)
             self.stats.add("growth_writes")
+            self.stats.add("growth_bytes", (need - have) * bs)
         pos = start
         while pos < end:
             block, offset = divmod(pos, bs)
             take = min(end - pos, bs - offset)
             mapping.store(block, offset, payload[pos - start : pos - start + take])
             pos += take
-        mapping.store(0, 0, end.to_bytes(8, "little"))
+        mapping.store(0, 0, end.to_bytes(HEADER_BYTES, "little"))
         mapping.fence()
+
+    def home_bytes(self) -> int:
+        """Bytes the appends put on the home: the records, plus on a DAX
+        home each append's header store and each growth write's zeros."""
+        s = self.stats
+        dax = HEADER_BYTES * s.get("dax_flushes") + s.get("growth_bytes")
+        return s.get("bytes") + dax
 
     def replay(self) -> None:
         """Recovery: charge the metafile scan that rebuilds Mux's state."""

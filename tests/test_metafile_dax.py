@@ -3,8 +3,10 @@
 On a PM home the State Bookkeeper maps ``/.mux_meta`` and appends its
 records with DAX stores, so the only file-system calls on the metafile
 are the writes that grow the log by a block; on an HDD home, which has no
-DAX path, every flush is still one write plus one fsync.  The churn and
-the homes are those of ``tests/test_metafile_append.py``.
+DAX path, every flush is still one write plus one fsync.  On PM the
+bytes Mux books for the metafile are the bytes those writes and stores
+hand to PM.  The churn and the homes are those of
+``tests/test_metafile_append.py``.
 """
 
 from __future__ import annotations
@@ -48,6 +50,33 @@ def test_a_pm_home_appends_by_dax_and_writes_only_to_grow():
         f"metafile: {RECORDS} records, {flushes} appends ({flushes} by DAX, "
         f"0 by write + fsync), {blocks} growth writes, {RECORDS * 64} bytes"
     ) in mux.report()
+
+
+def test_a_pm_home_books_every_byte_it_puts_on_pm():
+    """The metafile's PM bytes are the records, each append's 8-byte
+    header store and each growth write's zero blocks: what the growth
+    writes and the DAX stores hand to PM, counted at those calls."""
+    stack = build_stack(tiers=HOMES["pm"])
+    mux, meta = stack.mux, stack.mux.meta
+    booked = mux.pm_bytes_by_cause().get("metafile", 0)
+    reached = []
+    write, store = meta.fs.write, meta._map.store
+
+    def counted_write(handle, offset, data, *args, **kwargs):
+        if handle.path == META_FILE:
+            reached.append(len(data))
+        return write(handle, offset, data, *args, **kwargs)
+
+    def counted_store(block, offset, data):
+        reached.append(len(data))
+        return store(block, offset, data)
+
+    meta.fs.write, meta._map.store = counted_write, counted_store
+    churn(mux)
+    appends = meta.stats.get("dax_flushes")
+    assert booked == 0 and appends > 0
+    assert mux.pm_bytes_by_cause()["metafile"] == sum(reached)
+    assert sum(reached) == RECORDS * 64 + 8 * appends + (CAP // BS) * BS
 
 
 def test_an_hdd_home_still_writes_and_fsyncs_every_flush():
