@@ -12,7 +12,9 @@ Python scan of that population grows it as much as the population.
 These measure *host* time; the code under test charges no simulated time
 beyond what the op itself books.  Every timed assert has a counted twin
 that asserts equal call and line counts (``hostwork.code_work``), which
-do not vary with the host.
+do not vary with the host.  A timed assert whose twin was shown to catch
+the scan it guards may go, as the booking's has: its counted twin stands
+alone.
 """
 
 import timeit
@@ -69,22 +71,12 @@ def test_acquire(benchmark, backlog):
     assert tl.queued_at(tl.busy_until[0] - 1) >= 1
 
 
-def test_acquire_cost_does_not_follow_backlog():
-    """4096 requests in flight vs none: at most 4x the booking cost (the
-    in-flight list was filtered twice per booking, ~100x here; what is
-    left is one C-level shift of the sorted list)."""
-    t = {}
-    for backlog in (0, 4096):
-        _, book = steady_timeline(backlog)
-        t[backlog] = best_of_5(book, number=2000)
-    assert t[4096] <= 4 * t[0], t
-
-
 def test_acquire_work_does_not_follow_backlog():
-    """The counted twin of the timed assert above: a booking behind 4096
-    requests in flight makes exactly the calls and runs exactly the lines
-    one behind 64 does (with none in flight the channel is idle, a
-    different path)."""
+    """A booking behind 4096 requests in flight makes exactly the calls
+    and runs exactly the lines one behind 64 does (the in-flight list was
+    once filtered per booking; what is left is one C-level shift of the
+    sorted list).  With none in flight the channel is idle, a different
+    path."""
     work = {
         backlog: code_work(steady_timeline(backlog)[1], 2000, repro.devices.base)
         for backlog in (64, 4096)
